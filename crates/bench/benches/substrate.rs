@@ -38,47 +38,6 @@ fn bench_event_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_scheduler_variants(c: &mut Criterion) {
-    struct Bouncer {
-        left: u64,
-    }
-    impl Component for Bouncer {
-        fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
-            if self.left > 0 {
-                self.left -= 1;
-                ctx.emit(OutPort(0), Payload::new(()));
-            }
-        }
-    }
-    let mut g = c.benchmark_group("dessim_scheduler");
-    let n = 100_000u64;
-    g.throughput(Throughput::Elements(n));
-    for calendar in [false, true] {
-        g.bench_with_input(
-            BenchmarkId::new(
-                "bounce",
-                if calendar { "calendar" } else { "heap" },
-            ),
-            &calendar,
-            |b, &calendar| {
-                b.iter(|| {
-                    let mut sim = Simulation::new(0);
-                    if calendar {
-                        sim.use_calendar_queue();
-                    }
-                    let a = sim.add_component("a", Bouncer { left: n / 2 });
-                    let z = sim.add_component("z", Bouncer { left: n / 2 });
-                    sim.connect(a, OutPort(0), z, InPort(0), Time::from_ns(5));
-                    sim.connect(z, OutPort(0), a, InPort(0), Time::from_ns(5));
-                    sim.post(a, InPort(0), Payload::new(()), Time::ZERO);
-                    black_box(sim.run())
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("memsim_access");
     let n = 10_000u64;
@@ -121,11 +80,5 @@ fn bench_core_traversal(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_kernel,
-    bench_scheduler_variants,
-    bench_cache,
-    bench_core_traversal
-);
+criterion_group!(benches, bench_event_kernel, bench_cache, bench_core_traversal);
 criterion_main!(benches);

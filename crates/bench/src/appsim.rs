@@ -242,8 +242,8 @@ fn build_programs(pattern: AppPattern) -> Vec<Script> {
 }
 
 /// Run one pattern on one NIC configuration and collect the queue study.
-/// `parallelism` selects the execution engine (0 = hub, `n >= 1` =
-/// sharded on `n` threads); the result is identical either way.
+/// `parallelism` is the engine worker-thread count; the result is
+/// identical at every value.
 pub fn run_app(nic: NicConfig, pattern: AppPattern, parallelism: usize) -> AppStudy {
     let programs = build_programs(pattern)
         .into_iter()

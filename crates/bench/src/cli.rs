@@ -14,7 +14,7 @@
 //! | `--faults SPEC` | deterministic fault campaign, e.g. `seed=1,drop=0.01,corrupt=0.005` |
 //! | `--trace-out PATH` | write a Chrome trace of one instrumented representative run |
 //! | `--metrics` | dump latency histograms / counters to stderr |
-//! | `--threads N` | execution engine: `0` = single-threaded hub engine (default), `n >= 1` = sharded engine on `n` worker threads (bit-identical output for any `n >= 1`) |
+//! | `--threads N` | engine worker threads inside one simulation: `0` (default) and `1` run on the calling thread, `n >= 2` on `n` threads (bit-identical output for any `n`) |
 //! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores). Distinct from `--threads`, which parallelizes *inside* one simulation |
 //! | `--out PATH` | write result rows as a JSON array to PATH |
 //! | `--server ADDR` | submit the run to an experiment server (`simd`) instead of simulating locally |
@@ -41,8 +41,8 @@ pub struct Common {
     pub trace_out: Option<String>,
     /// `--metrics`.
     pub metrics: bool,
-    /// `--threads N` — engine parallelism (`ClusterConfig::parallelism`):
-    /// 0 = hub engine, `n >= 1` = sharded engine on `n` workers.
+    /// `--threads N` — engine worker threads
+    /// (`ClusterConfig::parallelism`); 0 and 1 both mean one.
     pub threads: usize,
     /// `--sweep-threads N` — point-level fan-out for `run_parallel`
     /// (0 = one thread per core).
@@ -83,7 +83,7 @@ const COMMON_FLAGS: &[Flag] = &[
     Flag {
         name: "threads",
         value: Some("N"),
-        help: "engine threads: 0 = hub engine, n>=1 = sharded engine (same output for any n>=1)",
+        help: "engine worker threads; 0 and 1 run inline (same output for any n)",
     },
     Flag {
         name: "sweep-threads",

@@ -35,9 +35,8 @@ pub struct GapResult {
     pub drain: Time,
 }
 
-/// Measure the gap for one configuration. `parallelism` selects the
-/// execution engine (0 = hub, `n >= 1` = sharded on `n` threads); the
-/// result is identical either way.
+/// Measure the gap for one configuration. `parallelism` is the engine
+/// worker-thread count; the result is identical at every value.
 pub fn message_gap(nic: NicConfig, p: GapPoint, parallelism: usize) -> GapResult {
     let marks = mark_log();
 

@@ -35,9 +35,8 @@ const FILLER_TAG: u16 = 10_000;
 
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
 /// Deterministic: equal inputs give byte-equal exports. `parallelism`
-/// selects the engine exactly as [`ClusterConfig::parallelism`] does
-/// (0 = hub engine; `n >= 1` = sharded engine on `n` threads, with
-/// byte-identical exports for every such `n`).
+/// is the engine worker-thread count ([`ClusterConfig::parallelism`]);
+/// exports are byte-identical at every value.
 pub fn traced_preposted(
     nic: NicConfig,
     p: PrepostedPoint,

@@ -33,9 +33,9 @@ const PONG_TAG: u16 = 8;
 const ITERS: u32 = 8;
 const WARMUP: u32 = 2;
 
-/// Mean per-iteration round-trip time at the sender. `parallelism`
-/// selects the execution engine (0 = hub, `n >= 1` = sharded on `n`
-/// threads); the result is identical either way.
+/// Mean per-iteration round-trip time at the sender. `parallelism` is
+/// the engine worker-thread count; the result is identical at every
+/// value.
 pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint, parallelism: usize) -> Time {
     let marks = mark_log();
 

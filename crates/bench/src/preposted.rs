@@ -51,10 +51,9 @@ pub fn preposted_latency(variant: NicVariant, p: PrepostedPoint) -> PrepostedRes
 }
 
 /// [`preposted_latency`] with an explicit NIC configuration (for
-/// ablations that tweak individual knobs) and an explicit engine:
-/// `parallelism` maps to [`ClusterConfig::parallelism`] (0 = hub engine
-/// on the calling thread, `n >= 1` = sharded engine on `n` threads —
-/// same results for every such `n`).
+/// ablations that tweak individual knobs) and an explicit engine
+/// worker-thread count, [`ClusterConfig::parallelism`] (same results
+/// for every value).
 pub fn preposted_latency_cfg(
     nic: mpiq_nic::NicConfig,
     p: PrepostedPoint,

@@ -33,11 +33,8 @@
 //!
 //! The cache maps `RunSpec::cache_key(code_version)` to the *serialized
 //! payload line*, so a hit is byte-identical to the miss that populated
-//! it. The key carries an engine discriminant (`RunSpec::engine`: the
-//! `threads == 0` hub engine and the sharded engine are each
-//! deterministic but not bit-identical to one another) yet not the
-//! worker counts — within one engine the determinism contract (same
-//! config + seed → same bytes at any parallelism) makes
+//! it. The key leaves out the worker counts: the determinism contract
+//! (same config + seed → same bytes at any parallelism) makes
 //! `threads`/`sweep_threads` safe to share. Benches whose rows embed
 //! wall-clock timings (scaling, collectives — see
 //! [`BenchSpec::cacheable`](crate::spec::BenchSpec::cacheable)) are

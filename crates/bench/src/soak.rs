@@ -99,13 +99,13 @@ pub struct SoakConfig {
     pub faults: Option<FaultConfig>,
     /// Virtual-time watchdog deadline.
     pub deadline: Time,
-    /// Execution engine: 0 = hub fabric on the calling thread; n >= 1 =
-    /// sharded engine on n worker threads (identical results for any n).
+    /// Engine worker threads: 0 and 1 run on the calling thread, n >= 2
+    /// on n threads (identical results for any n).
     pub parallelism: usize,
     /// Network parameters (wire latency, bandwidth, per-pair profile).
     pub net: NetConfig,
-    /// Window planning on the sharded engine (adaptive per-edge
-    /// lookahead by default; global window as the perf baseline).
+    /// Window planning (adaptive per-edge lookahead by default; global
+    /// window as the perf baseline).
     pub window_policy: WindowPolicy,
     /// Mean time between link flaps for the chaos scenario's seeded
     /// storm (ignored by the other scenarios). Smaller = stormier.

@@ -22,14 +22,11 @@
 //! shim policy.
 //!
 //! The cache key ([`RunSpec::cache_key`]) deliberately **excludes**
-//! the `threads` / `sweep_threads` worker counts: within one engine
-//! the determinism contract guarantees byte-identical output at any
-//! parallelism, so specs differing only in worker count share one
-//! cached result. It **includes** the engine the thread count selects
-//! ([`RunSpec::engine`]) — the `threads == 0` hub engine and the
-//! `threads >= 1` sharded engine are each deterministic but *not*
-//! bit-identical to one another — and the code version, because
-//! simulated numbers are only reproducible for a fixed build. Benches
+//! the `threads` / `sweep_threads` worker counts: the determinism
+//! contract guarantees byte-identical output at any parallelism, so
+//! specs differing only in worker count share one cached result. It
+//! **includes** the code version, because simulated numbers are only
+//! reproducible for a fixed build. Benches
 //! whose rows embed wall-clock measurements are not cacheable at all
 //! ([`BenchSpec::cacheable`]).
 //!
@@ -266,38 +263,18 @@ impl RunSpec {
         )
     }
 
-    /// Which engine `threads` selects for this spec — a cache-key
-    /// discriminant. `threads == 0` runs the legacy single-threaded hub
-    /// engine, `threads >= 1` the sharded engine; each is
-    /// deterministic, but their outputs are not bit-identical to one
-    /// another (different window schedules break same-time ties
-    /// differently), so cached bytes must never cross that line.
-    /// Pinned for the benches the knob cannot steer: collectives maps
-    /// `threads == 0` to 4 sharded workers, scaling times its own
-    /// `thread_counts` (all >= 1), and ablation_block evaluates a
-    /// static hardware model with no engine at all.
-    pub fn engine(&self) -> &'static str {
-        match &self.bench {
-            BenchSpec::Collectives { .. } | BenchSpec::Scaling { .. } => "sharded",
-            BenchSpec::AblationBlock => "none",
-            _ if self.threads == 0 => "hub",
-            _ => "sharded",
-        }
-    }
-
     /// The memoization key for this spec under a given build.
     ///
-    /// Includes the bench, its parameters, the seed, the fault spec,
-    /// and the engine discriminant ([`RunSpec::engine`]) — everything
-    /// the simulated output depends on — plus `code_version`, because
-    /// results are only reproducible per build. Excludes the
-    /// `threads` / `sweep_threads` *counts*: within one engine the
-    /// determinism contract makes output identical at any parallelism,
-    /// so worker count must not split the cache.
+    /// Includes the bench, its parameters, the seed, and the fault spec
+    /// — everything the simulated output depends on — plus
+    /// `code_version`, because results are only reproducible per build.
+    /// Excludes the `threads` / `sweep_threads` counts: the determinism
+    /// contract makes output identical at any parallelism, so worker
+    /// count must not split the cache.
     pub fn cache_key(&self, code_version: &str) -> String {
         format!(
             "{{\"bench\":{},\"params\":{},\"seed\":{},\"faults\":{},\
-             \"engine\":{},\"code_version\":{}}}",
+             \"code_version\":{}}}",
             json_str(self.bench.name()),
             self.bench.params_json(),
             match self.seed {
@@ -308,7 +285,6 @@ impl RunSpec {
                 Some(f) => json_str(f),
                 None => "null".to_string(),
             },
-            json_str(self.engine()),
             json_str(code_version),
         )
     }
@@ -710,8 +686,8 @@ fn usize_field(doc: &Json, key: &str) -> Result<usize, String> {
 }
 
 /// A thread-count field: absent (or null) means the default 0, but a
-/// malformed value is a typed error — `threads` selects the engine, so
-/// a client typo must be rejected, never silently coerced.
+/// malformed value is a typed error — a client typo must be rejected,
+/// never silently coerced.
 fn opt_count_field(doc: &Json, key: &str) -> Result<usize, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(0),
@@ -965,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_carries_the_engine_but_not_the_worker_count() {
+    fn cache_key_is_shared_by_every_worker_count() {
         let mut spec = RunSpec {
             bench: BenchSpec::Gap { burst: 4 },
             seed: None,
@@ -973,14 +949,13 @@ mod tests {
             threads: 0,
             sweep_threads: 0,
         };
-        let hub = spec.cache_key("v1");
-        assert!(hub.contains("\"engine\":\"hub\""), "{hub}");
-        spec.threads = 1;
-        let sharded = spec.cache_key("v1");
-        assert_ne!(hub, sharded, "hub and sharded bytes must not share a cache slot");
-        spec.threads = 8;
-        spec.sweep_threads = 4;
-        assert_eq!(sharded, spec.cache_key("v1"), "worker counts must not split the cache");
+        let key = spec.cache_key("v1");
+        assert!(!key.contains("engine"), "{key}");
+        for (threads, sweep_threads) in [(1, 0), (8, 4)] {
+            spec.threads = threads;
+            spec.sweep_threads = sweep_threads;
+            assert_eq!(key, spec.cache_key("v1"), "worker counts must not split the cache");
+        }
     }
 
     #[test]

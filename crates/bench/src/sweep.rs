@@ -5,8 +5,8 @@
 //! Results come back in input order regardless of completion order, so
 //! sweeps stay deterministic.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Run `f` over all `points` on up to `threads` worker threads (0 = one
 /// per available CPU); returns results in input order.
@@ -39,13 +39,16 @@ where
                     break;
                 }
                 let r = f(&points[i]);
-                results.lock()[i] = Some(r);
+                results
+                    .lock()
+                    .expect("a sweep thread panicked while storing")[i] = Some(r);
             });
         }
     });
 
     results
         .into_inner()
+        .expect("a sweep thread panicked while storing")
         .iter_mut()
         .map(|r| r.take().expect("every point computed"))
         .collect()

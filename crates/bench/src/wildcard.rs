@@ -42,8 +42,8 @@ pub struct WildcardStudy {
 }
 
 /// Run `iters` iterations with `senders` possible sources. `parallelism`
-/// selects the execution engine (0 = hub, `n >= 1` = sharded on `n`
-/// threads); the result is identical either way.
+/// is the engine worker-thread count; the result is identical at every
+/// value.
 pub fn wildcard_workaround(
     nic: NicConfig,
     strategy: RecvStrategy,

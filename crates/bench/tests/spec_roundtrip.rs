@@ -1,8 +1,7 @@
 //! The RunSpec contract: every bin's flag table parses into a spec that
 //! survives the wire (parse → serialize → parse identity), and the cache
-//! key honors the determinism contract — seed, code version, and the
-//! engine (hub vs sharded) change it; worker counts within one engine
-//! do not.
+//! key honors the determinism contract — seed, code version, and
+//! parameters change it; worker counts do not.
 
 use mpiq_bench::cli::Cli;
 use mpiq_bench::spec::{flags, RunSpec};
@@ -76,41 +75,22 @@ fn cache_key_misses_on_seed_code_version_and_params() {
 }
 
 #[test]
-fn cache_key_ignores_worker_counts_within_an_engine() {
-    // The determinism contract: within one engine, results are
-    // byte-identical at any worker/sweep parallelism, so the counts
-    // must not fragment the cache.
+fn cache_key_ignores_worker_counts() {
+    // The determinism contract: results are byte-identical at any
+    // worker/sweep parallelism (0 included), so the counts must not
+    // fragment the cache.
+    let zero = spec_from_args("fig6", &["--max-queue", "100"]);
     let one = spec_from_args("fig6", &["--max-queue", "100", "--threads", "1"]);
     let eight =
         spec_from_args("fig6", &["--max-queue", "100", "--threads", "8", "--sweep-threads", "4"]);
     assert_ne!(one, eight, "thread flags should still parse into the spec");
-    assert_eq!(
-        one.cache_key("v1"),
-        eight.cache_key("v1"),
-        "worker counts must not shift the cache key"
-    );
-}
-
-#[test]
-fn cache_key_splits_the_hub_engine_from_the_sharded_engine() {
-    // threads == 0 runs the legacy hub engine, whose output is
-    // deterministic but not bit-identical to the sharded engine's
-    // (DESIGN.md "Determinism") — the two must never share cached bytes.
-    let hub = spec_from_args("fig6", &["--max-queue", "100"]);
-    let sharded = spec_from_args("fig6", &["--max-queue", "100", "--threads", "1"]);
-    assert_eq!(hub.engine(), "hub");
-    assert_eq!(sharded.engine(), "sharded");
-    assert_ne!(
-        hub.cache_key("v1"),
-        sharded.cache_key("v1"),
-        "hub and sharded results must occupy distinct cache slots"
-    );
-    // Collectives never touches the hub engine (threads == 0 maps to 4
-    // sharded workers), so its discriminant — and key — is pinned.
-    let coll0 = spec_from_args("collectives", &["--ranks", "8"]);
-    let coll1 = spec_from_args("collectives", &["--ranks", "8", "--threads", "1"]);
-    assert_eq!(coll0.engine(), "sharded");
-    assert_eq!(coll0.cache_key("v1"), coll1.cache_key("v1"));
+    for spec in [&one, &eight] {
+        assert_eq!(
+            zero.cache_key("v1"),
+            spec.cache_key("v1"),
+            "worker counts must not shift the cache key"
+        );
+    }
 }
 
 #[test]

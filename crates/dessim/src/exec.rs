@@ -1,16 +1,15 @@
-//! Execution cores for [`ShardedSim`]: the strategy that carries shards
-//! through conservative lookahead windows.
+//! The executor for [`ShardedSim`]: carries shards through conservative
+//! lookahead windows.
 //!
-//! Both cores run the *same* windowed algorithm — plan a window bound
-//! per shard (from the per-edge safe-time table under
-//! [`WindowPolicy::PerEdge`], or one shared cap under
-//! [`WindowPolicy::Global`]), execute every shard's in-window events,
-//! swap cross-shard trays at a barrier, repeat. [`Sequential`] executes
-//! all shards on the calling thread; [`Partitioned`] stripes them
-//! across a scoped worker pool (`scoped_pool`). Because the window
-//! schedule, per-shard event order, and barrier exchange order are all
-//! independent of which OS thread carries a shard, the two cores — and
-//! any worker count — produce bit-identical results.
+//! [`run_windows`] plans a window bound per shard (from the per-edge
+//! safe-time table under [`WindowPolicy::PerEdge`], or one shared cap
+//! under [`WindowPolicy::Global`]), executes every shard's in-window
+//! events, swaps cross-shard trays at a barrier, and repeats. With one
+//! worker every shard runs on the calling thread; with more, shards are
+//! striped across a scoped worker pool (`scoped_pool`). Because the
+//! window schedule, per-shard event order, and barrier exchange order
+//! are all independent of which OS thread carries a shard, any worker
+//! count produces bit-identical results.
 //!
 //! Shards live inside `Mutex` cells during a run. The locks are never
 //! contended (each shard is touched by exactly one worker inside a
@@ -19,10 +18,10 @@
 //! per-shard window bounds are broadcast through a table of relaxed
 //! atomics written only by the driver between barriers.
 //!
-//! Caveat: a panic inside a component handler under [`Partitioned`]
-//! leaves other workers parked at the window barrier; lookahead
-//! violations are therefore asserted on the driver thread (at the
-//! barrier tray swap) so they surface as ordinary panics in both cores.
+//! Caveat: a panic inside a component handler on a worker thread leaves
+//! other workers parked at the window barrier; lookahead violations are
+//! therefore asserted on the driver thread (at the barrier tray swap) so
+//! they surface as ordinary panics at any worker count.
 
 use crate::shard::{exchange_trays, Shard, ShardedSim};
 use crate::time::Time;
@@ -30,41 +29,13 @@ use crate::window::{SafeTimeTable, WindowPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// A strategy for running a [`ShardedSim`] to a horizon.
-pub trait ExecCore {
-    /// Execute every event with `time <= horizon` (or until a component
-    /// requests a stop, honored at the next window barrier).
-    fn run(&self, sim: &mut ShardedSim, horizon: Time);
-}
-
-/// Single-threaded core: the windowed algorithm with all shards on the
-/// calling thread. This is what `threads = 1` selects, and the baseline
-/// that `tests/parallel_determinism.rs` compares [`Partitioned`] against.
-pub struct Sequential;
-
-impl ExecCore for Sequential {
-    fn run(&self, sim: &mut ShardedSim, horizon: Time) {
-        run_windows(sim, horizon, 1);
-    }
-}
-
-/// Multi-threaded core: shards striped over `threads` workers (the
-/// driver doubles as worker zero). Thread count is clamped to the shard
-/// count — extra threads would own empty stripes.
-pub struct Partitioned {
-    /// Total worker threads, including the driver. Values `<= 1` degrade
-    /// to [`Sequential`] behavior.
-    pub threads: usize,
-}
-
-impl ExecCore for Partitioned {
-    fn run(&self, sim: &mut ShardedSim, horizon: Time) {
-        run_windows(sim, horizon, self.threads.max(1));
-    }
-}
-
-/// The shared windowed loop. `threads` includes the driver.
-fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
+/// Execute every event of `sim` with `time <= horizon` (or until a
+/// component requests a stop, honored at the next window barrier).
+/// Shards are striped over `threads` workers, the driver included;
+/// the count is clamped to the shard count (extra threads would own
+/// empty stripes), and `threads <= 1` runs every shard inline on the
+/// calling thread without spawning any.
+pub(crate) fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
     let nshards = sim.shards.len();
     if nshards == 0 {
         return;

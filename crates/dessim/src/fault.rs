@@ -263,8 +263,8 @@ impl fmt::Display for FaultEvent {
 
 /// A deterministic timeline of component-level faults, shared read-only by
 /// every component (each holds an `Arc`). All queries are pure functions of
-/// `(schedule, time)` so the same schedule gives byte-identical behavior on
-/// the hub engine and on the sharded engine at any thread count.
+/// `(schedule, time)` so the same schedule gives byte-identical behavior at
+/// any thread count.
 ///
 /// Build one programmatically with [`FaultSchedule::push`], generate a flap
 /// storm from a seed with [`FaultSchedule::generate`], or parse the text

@@ -44,7 +44,6 @@
 //! assert_eq!(sim.now(), Time::from_ns(30));
 //! ```
 
-pub mod calendar;
 pub mod clock;
 pub mod component;
 pub mod event;
@@ -61,11 +60,9 @@ pub mod trace;
 pub mod watchdog;
 pub mod window;
 
-pub use calendar::CalendarQueue;
 pub use clock::Clock;
 pub use component::{Component, ComponentId, Ctx};
 pub use event::{Event, InPort, OutPort, Payload};
-pub use exec::{ExecCore, Partitioned, Sequential};
 pub use export::{chrome_trace, chrome_trace_sharded};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, FaultSchedule, FlipTarget, WireFault};
 pub use metrics::{Histogram, Metrics};

@@ -1,6 +1,5 @@
 //! The event scheduler / simulation executive.
 
-use crate::calendar::CalendarQueue;
 use crate::component::{Component, ComponentId, Ctx, Emission};
 use crate::event::{Event, InPort, OutPort, Payload};
 use crate::metrics::Metrics;
@@ -48,52 +47,6 @@ pub(crate) struct Link {
     pub(crate) latency: Time,
 }
 
-/// The pending-event set: a binary heap by default, or a calendar queue
-/// (see [`crate::calendar`]) when selected via
-/// [`Simulation::use_calendar_queue`].
-enum Pending {
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-    Calendar(CalendarQueue<(ComponentId, InPort, Payload)>),
-}
-
-impl Pending {
-    fn push(&mut self, ev: Scheduled) {
-        match self {
-            Pending::Heap(h) => h.push(Reverse(ev)),
-            Pending::Calendar(c) => c.push(ev.time, ev.seq, (ev.dst, ev.port, ev.payload)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled> {
-        match self {
-            Pending::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            Pending::Calendar(c) => c.pop().map(|(time, seq, (dst, port, payload))| Scheduled {
-                time,
-                seq,
-                dst,
-                port,
-                payload,
-            }),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            Pending::Heap(h) => h.peek().map(|Reverse(ev)| ev.time),
-            // The calendar peek advances its internal scan cursor, which
-            // the following pop then reuses — peek+pop scans once.
-            Pending::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Pending::Heap(h) => h.is_empty(),
-            Pending::Calendar(c) => c.is_empty(),
-        }
-    }
-}
-
 /// The simulation executive: owns components, wiring, the event heap,
 /// virtual time, the RNG, and the statistics registry.
 pub struct Simulation {
@@ -102,7 +55,7 @@ pub struct Simulation {
     /// Outgoing links, indexed `[component][out_port]` — a flat lookup on
     /// the per-emission hot path (out-port numbers are small and dense).
     wiring: Vec<Vec<Option<Link>>>,
-    heap: Pending,
+    heap: BinaryHeap<Reverse<Scheduled>>,
     now: Time,
     seq: u64,
     rng: SimRng,
@@ -120,7 +73,7 @@ impl Simulation {
             components: Vec::new(),
             names: Vec::new(),
             wiring: Vec::new(),
-            heap: Pending::Heap(BinaryHeap::new()),
+            heap: BinaryHeap::new(),
             now: Time::ZERO,
             seq: 0,
             rng: SimRng::new(seed),
@@ -171,29 +124,18 @@ impl Simulation {
         });
     }
 
-    /// Switch the pending-event set to a calendar queue (Brown 1988).
-    /// Only valid before any event is posted; same delivery order as the
-    /// default heap.
-    pub fn use_calendar_queue(&mut self) {
-        assert!(
-            self.heap.is_empty() && self.seq == 0,
-            "select the scheduler before posting events"
-        );
-        self.heap = Pending::Calendar(CalendarQueue::new());
-    }
-
     /// Schedule an event for delivery `delay` after the current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
         let time = self.now + delay;
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled {
+        self.heap.push(Reverse(Scheduled {
             time,
             seq,
             dst,
             port,
             payload,
-        });
+        }));
     }
 
     /// Current virtual time.
@@ -317,17 +259,17 @@ impl Simulation {
         let mut delivered = 0u64;
         let mut stop = false;
         while !stop {
-            // Both schedulers peek cheaply, so overshoot events past the
-            // horizon stay in place instead of being popped and re-pushed.
-            if let Some(t) = self.heap.peek_time() {
-                if t > horizon {
+            // Peek first, so overshoot events past the horizon stay in
+            // place instead of being popped and re-pushed.
+            if let Some(Reverse(ev)) = self.heap.peek() {
+                if ev.time > horizon {
                     break;
                 }
             }
-            let Some(ev) = self.heap.pop() else {
+            let Some(Reverse(ev)) = self.heap.pop() else {
                 break;
             };
-            debug_assert!(ev.time <= horizon, "peek_time bounds the popped event");
+            debug_assert!(ev.time <= horizon, "the peek bounds the popped event");
             debug_assert!(
                 ev.time >= self.now,
                 "time must be monotone: event for {:?} port {:?} at t={} < now={}",
@@ -347,7 +289,7 @@ impl Simulation {
     /// Run exactly one event if one is pending. Returns `false` if idle.
     pub fn step(&mut self) -> bool {
         self.start_components();
-        let Some(ev) = self.heap.pop() else {
+        let Some(Reverse(ev)) = self.heap.pop() else {
             return false;
         };
         self.now = ev.time;
@@ -623,60 +565,6 @@ mod tests {
         sim.post(c, InPort(0), Payload::empty(), Time::ZERO);
         sim.run();
         assert_eq!(sim.trace().records().count(), 0);
-    }
-
-    #[test]
-    fn calendar_queue_matches_heap_delivery_order() {
-        // A fan-out/fan-in workload with many simultaneous events; both
-        // schedulers must produce identical logs.
-        fn run(calendar: bool) -> Vec<(Time, u64)> {
-            struct Pinger {
-                log: std::sync::Arc<std::sync::Mutex<Vec<(Time, u64)>>>,
-                id: u64,
-            }
-            impl Component for Pinger {
-                fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-                    let hops = *ev.payload.downcast::<u64>().unwrap();
-                    self.log.lock().unwrap().push((ctx.now(), self.id * 1000 + hops));
-                    if hops > 0 {
-                        // Uneven delays exercise bucket spread.
-                        let d = Time::from_ns(3 + (hops * self.id) % 40);
-                        ctx.wake_me(InPort(0), Payload::new(hops - 1), d);
-                    }
-                }
-            }
-            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut sim = Simulation::new(5);
-            if calendar {
-                sim.use_calendar_queue();
-            }
-            for id in 1..=6u64 {
-                let c = sim.add_component(
-                    &format!("p{id}"),
-                    Pinger {
-                        log: log.clone(),
-                        id,
-                    },
-                );
-                sim.post(c, InPort(0), Payload::new(30u64), Time::from_ns(id));
-            }
-            sim.run();
-            let v = log.lock().unwrap().clone();
-            v
-        }
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn calendar_queue_respects_run_until_horizon() {
-        let mut sim = Simulation::new(0);
-        sim.use_calendar_queue();
-        let c = sim.add_component("ctr", Counter { seen: vec![] });
-        sim.post(c, InPort(0), Payload::new(100u64), Time::ZERO);
-        let n = sim.run_until(Time::from_ns(12));
-        assert_eq!(n, 3);
-        sim.run();
-        assert_eq!(sim.events_processed(), 101);
     }
 
     #[test]

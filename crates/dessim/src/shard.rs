@@ -42,8 +42,7 @@
 //! record, and metric is bit-identical across worker-thread counts —
 //! enforced by `tests/parallel_determinism.rs` at the workspace root.
 //!
-//! The executors themselves ([`Sequential`](crate::exec::Sequential) /
-//! [`Partitioned`](crate::exec::Partitioned)) live in [`crate::exec`].
+//! The windowed executor itself lives in [`crate::exec`].
 
 use crate::component::{Component, ComponentId, Ctx, Emission};
 use crate::event::{Event, InPort, OutPort, Payload};
@@ -363,8 +362,8 @@ impl Shard {
 }
 
 /// A partitioned simulation: the sharded counterpart of
-/// [`Simulation`](crate::Simulation), executed by an
-/// [`ExecCore`](crate::exec::ExecCore).
+/// [`Simulation`](crate::Simulation), executed by the windowed loop in
+/// [`crate::exec`].
 ///
 /// Build it like a `Simulation` — register components (into explicit
 /// shards), wire links, post initial events — then `run`. The number of
@@ -425,13 +424,14 @@ impl ShardedSim {
         self.shards.len()
     }
 
-    /// Worker threads the next `run` will use (1 = the sequential core).
+    /// Worker threads the next `run` will use (1 = inline on the caller).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Select how many worker threads execute windows. Thread count is a
-    /// pure performance knob: results are identical for any value.
+    /// Select how many worker threads execute windows (`0` and `1` both
+    /// mean one, on the calling thread). Thread count is a pure
+    /// performance knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -655,17 +655,9 @@ impl ShardedSim {
     /// ([`ShardedSim::set_threads`]). Returns events delivered by this
     /// call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
-        use crate::exec::ExecCore;
         let before = self.events_processed();
         self.start_components();
-        if self.threads <= 1 {
-            crate::exec::Sequential.run(self, horizon);
-        } else {
-            crate::exec::Partitioned {
-                threads: self.threads,
-            }
-            .run(self, horizon);
-        }
+        crate::exec::run_windows(self, horizon, self.threads);
         self.events_processed() - before
     }
 
@@ -789,9 +781,12 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
 
+    /// Deliveries as `(time, tag, counter)`, shared by every forwarder.
+    type RingLog = Arc<Mutex<Vec<(Time, u32, u64)>>>;
+
     /// Forwards a decrementing counter over its one output port.
     struct Fwd {
-        log: Arc<Mutex<Vec<(Time, u32, u64)>>>,
+        log: RingLog,
         tag: u32,
     }
     impl Component for Fwd {
@@ -807,11 +802,7 @@ mod tests {
 
     /// A ring of `shards` components, one per shard, each forwarding to
     /// the next with `latency`.
-    fn build_ring(
-        nshards: usize,
-        latency: Time,
-        threads: usize,
-    ) -> (ShardedSim, Arc<Mutex<Vec<(Time, u32, u64)>>>) {
+    fn build_ring(nshards: usize, latency: Time, threads: usize) -> (ShardedSim, RingLog) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = ShardedSim::new(7, nshards);
         sim.set_threads(threads);

@@ -1,31 +1,25 @@
 //! Cluster assembly: hosts + NICs + fabric, ready to run.
 //!
-//! Two execution engines build from the same [`ClusterConfig`]:
+//! Every cluster runs on one engine, a [`ShardedSim`] driven by the
+//! partitioned executor. On the default crossbar ([`Topology::Hub`])
+//! there is one shard per *node*, holding that node's [`FabricPort`],
+//! NIC, and hosts; the port-to-port wires are the only cross-shard
+//! edges, and their (possibly heterogeneous) latencies feed the window
+//! planner's per-edge lookahead. A switched topology instead gets one
+//! shard per edge switch (see [`Cluster::with_recovery`]).
 //!
-//! * **Single** (`parallelism == 0`, the default): the historical layout —
-//!   one [`Simulation`], a hub [`Fabric`] crossbar, every component on the
-//!   calling thread. Golden outputs from earlier revisions are preserved
-//!   bit for bit.
-//! * **Sharded** (`parallelism >= 1`): one shard per *node* holding that
-//!   node's [`FabricPort`], NIC, and hosts, run by the partitioned
-//!   executor with `parallelism` worker threads. The fabric wires are the
-//!   only cross-shard edges; their (possibly heterogeneous) latencies
-//!   feed the window planner's per-edge lookahead. Results are
-//!   bit-identical for any `parallelism >= 1`
-//!   (that is what `tests/parallel_determinism.rs` pins), but are *not*
-//!   a replay of the hub engine: the distributed fabric breaks
-//!   same-picosecond ties per receiver, the hub globally.
+//! `parallelism` is the worker-thread count and a pure performance knob:
+//! `0` and `1` both run every shard inline on the calling thread, and
+//! results are bit-identical for any value (that is what
+//! `tests/parallel_determinism.rs` pins).
 
 use crate::app::{AppProgram, PORT_COMPLETION};
 use crate::host::Host;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::watchdog::{Diagnosis, StallKind};
 use mpiq_dessim::{FaultConfig, FaultSchedule, Metrics, ShardId, ShardedSim, Stats, WindowPolicy};
-use mpiq_net::{
-    Fabric, FabricPort, NetConfig, Switch, TopoPlan, Topology, PORT_FP_INJECT, PORT_FP_WIRE,
-    PORT_FROM_NIC, PORT_SW_IN,
-};
-use mpiq_nic::{host_comp_port, Nic, NicConfig, PORT_HOST_REQ, PORT_NET_RX, PORT_NET_TX};
+use mpiq_net::{FabricPort, NetConfig, Switch, Topology, PORT_FP_INJECT, PORT_FP_WIRE, PORT_SW_IN};
+use mpiq_nic::{host_comp_port, Nic, NicConfig, PORT_NET_RX, PORT_NET_TX};
 use std::sync::Arc;
 
 /// Per-NIC flow-control bounds, set as one unit via
@@ -59,14 +53,13 @@ pub struct ClusterConfig {
     pub trace_capacity: usize,
     /// Enable the latency-histogram / counter registry.
     pub metrics: bool,
-    /// Execution engine: `0` runs the hub-fabric engine on the calling
-    /// thread; `n >= 1` runs the sharded engine (one shard per node) on
-    /// `n` worker threads. Any `n >= 1` produces identical output.
+    /// Engine worker threads: `0` and `1` both run on the calling
+    /// thread; `n >= 2` stripes shards over `n` threads. Every value
+    /// produces identical output.
     pub parallelism: usize,
-    /// Window planning on the sharded engine (ignored by the hub
-    /// engine): adaptive per-edge lookahead by default, or the global
-    /// conservative window as a baseline. For a fixed policy, results
-    /// are identical at every `parallelism >= 1`.
+    /// Window planning: adaptive per-edge lookahead by default, or the
+    /// global conservative window as a baseline. For a fixed policy,
+    /// results are identical at every `parallelism`.
     pub window_policy: WindowPolicy,
     /// Component-level fault timeline (node crashes, link flaps,
     /// partitions, ALPU deaths), shared by every component that consults
@@ -74,11 +67,10 @@ pub struct ClusterConfig {
     /// single flag check. Set via
     /// [`ClusterConfigBuilder::fault_schedule`].
     pub fault_schedule: Option<Arc<FaultSchedule>>,
-    /// Fabric shape. [`Topology::Hub`] (the default) is the historical
-    /// single crossbar. Any switched topology (fat tree, dragonfly,
-    /// torus) always runs on the sharded engine — one shard per edge
-    /// switch, trunks the only cross-shard edges — with
-    /// `max(1, parallelism)` worker threads.
+    /// Fabric shape. [`Topology::Hub`] (the default) is the paper's
+    /// single crossbar, one shard per node. Any switched topology (fat
+    /// tree, dragonfly, torus) gets one shard per edge switch, with the
+    /// trunks the only cross-shard edges.
     pub topology: Topology,
 }
 
@@ -176,26 +168,25 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Select the execution engine: `0` = hub fabric on the calling
-    /// thread (default); `n >= 1` = sharded engine on `n` worker
-    /// threads (same results for every `n`).
+    /// Engine worker threads: `0` (the default) and `1` run on the
+    /// calling thread, `n >= 2` on `n` threads (same results for every
+    /// `n`).
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.cfg.parallelism = threads;
         self
     }
 
-    /// Window planning policy for the sharded engine (no effect on the
-    /// hub engine). Defaults to adaptive per-edge lookahead; the global
-    /// window remains available as a perf baseline.
+    /// Window planning policy. Defaults to adaptive per-edge lookahead;
+    /// the global window remains available as a perf baseline.
     pub fn window_policy(mut self, policy: WindowPolicy) -> Self {
         self.cfg.window_policy = policy;
         self
     }
 
     /// Select the fabric shape. The default [`Topology::Hub`] keeps the
-    /// historical crossbar; a switched topology routes every frame
-    /// through [`Switch`] components (per-hop serialization, output
-    /// queueing, link contention) and always runs on the sharded engine.
+    /// paper's crossbar; a switched topology routes every frame through
+    /// [`Switch`] components (per-hop serialization, output queueing,
+    /// link contention).
     pub fn topology(mut self, topology: Topology) -> Self {
         self.cfg.topology = topology;
         self
@@ -232,15 +223,9 @@ impl ClusterConfigBuilder {
     }
 }
 
-/// The execution engine carrying a built cluster.
-enum Engine {
-    Single(Simulation),
-    Sharded(ShardedSim),
-}
-
 /// A built cluster: run it, then inspect NICs and statistics.
 pub struct Cluster {
-    engine: Engine,
+    sim: ShardedSim,
     nics: Vec<ComponentId>,
     hosts: Vec<ComponentId>,
     /// Node count (not rank count) — the fault schedule and partition
@@ -255,8 +240,7 @@ impl Cluster {
     /// Build a cluster with one program per rank. When the NIC config
     /// sets `ranks_per_node > 1`, consecutive ranks share a node's NIC
     /// (block distribution), exercising the paper's footnote-1
-    /// multi-process extension. `cfg.parallelism` selects the engine —
-    /// see the module docs.
+    /// multi-process extension.
     pub fn new(cfg: ClusterConfig, programs: Vec<Box<dyn AppProgram>>) -> Cluster {
         let recovery = programs.iter().map(|_| None).collect();
         Cluster::with_recovery(cfg, programs, recovery)
@@ -268,6 +252,25 @@ impl Cluster {
     /// program from scratch — pre-crash program state is gone, matching
     /// the crash-stop model. Ranks whose nodes never restart never
     /// consume their entry.
+    ///
+    /// On the crossbar, each node's port has one out port per peer and
+    /// [`mpiq_net::wire_ports`] wires them all-to-all at the per-pair
+    /// latency from `cfg.net`. A switched topology routes through
+    /// [`Switch`] components planned by [`Topology::plan`], one shard per
+    /// *edge switch* (its attached nodes live with it; core switches are
+    /// round-robined). Ports run in uplink mode, so wiring is
+    /// O(nodes + trunks) instead of O(nodes²):
+    ///
+    /// * node uplink → edge switch [`PORT_SW_IN`], at wire latency;
+    /// * trunk `i` of each switch → neighbor's [`PORT_SW_IN`], at wire
+    ///   latency (each direction its own link) — the only cross-shard
+    ///   edges, feeding the window planner's per-edge lookahead;
+    /// * switch node port → node's [`PORT_FP_WIRE`], at wire latency
+    ///   (the receiving port charges downlink serialization).
+    ///
+    /// Scheduled (src, dst) link faults are checked at the *source*
+    /// port, blackholing the pair end-to-end no matter how many switches
+    /// sit between.
     pub fn with_recovery(
         cfg: ClusterConfig,
         programs: Vec<Box<dyn AppProgram>>,
@@ -282,12 +285,120 @@ impl Cluster {
         );
         let k = cfg.nic.ranks_per_node.max(1);
         let nodes = n.div_ceil(k);
-        if let Some(plan) = cfg.topology.plan(nodes) {
-            Cluster::new_sharded_topo(cfg, programs, recovery, n, k, nodes, plan)
-        } else if cfg.parallelism == 0 {
-            Cluster::new_single(cfg, programs, recovery, n, k, nodes)
-        } else {
-            Cluster::new_sharded(cfg, programs, recovery, n, k, nodes)
+        let plan = cfg.topology.plan(nodes).map(Arc::new);
+        let shards = plan.as_ref().map_or(nodes, |p| p.shards);
+        let mut sim = ShardedSim::new(cfg.seed, shards as usize);
+        sim.set_threads(cfg.parallelism);
+        sim.set_window_policy(cfg.window_policy);
+        if cfg.trace_capacity > 0 {
+            sim.enable_tracing(cfg.trace_capacity);
+        }
+        if cfg.metrics {
+            sim.enable_metrics();
+        }
+        let mut sw = Vec::new();
+        if let Some(plan) = &plan {
+            for s in 0..plan.switches() {
+                let switch = Switch::new(s, plan.clone(), cfg.net);
+                sw.push(sim.add_component(
+                    ShardId(plan.shard_of_switch[s]),
+                    &format!("sw{s}"),
+                    switch,
+                ));
+            }
+        }
+        let mut programs = programs.into_iter().zip(recovery);
+        let mut nics = Vec::new();
+        let mut hosts = Vec::new();
+        let mut ports = Vec::new();
+        for node in 0..nodes {
+            let (shard, edge) = match &plan {
+                Some(p) => {
+                    let edge = p.attach[node as usize];
+                    (ShardId(p.shard_of_switch[edge]), Some(edge))
+                }
+                None => (ShardId(node), None),
+            };
+            let nic = sim.add_component(
+                shard,
+                &format!("nic{node}"),
+                Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
+            );
+            let port =
+                FabricPort::with_faults(cfg.net, nodes, node, nic, PORT_NET_RX, cfg.nic.faults)
+                    .with_schedule(cfg.fault_schedule.clone());
+            let port = if edge.is_some() {
+                port.with_uplink()
+            } else {
+                port
+            };
+            let port = sim.add_component(shard, &format!("net{node}"), port);
+            sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
+            if let Some(edge) = edge {
+                sim.connect(
+                    port,
+                    FabricPort::uplink_port(),
+                    sw[edge],
+                    PORT_SW_IN,
+                    cfg.net.wire_latency,
+                );
+            }
+            ports.push(port);
+            for local in 0..k {
+                let rank = node * k + local;
+                if rank >= n {
+                    break;
+                }
+                let (program, recovery) = programs.next().expect("one program per rank");
+                let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
+                let host = sim.add_component(shard, &format!("host{rank}"), host);
+                // Completion path: one bus transaction back to this
+                // process's host, on its per-process port. (Requests
+                // travel to the NIC's `PORT_HOST_REQ` by direct send.)
+                sim.connect(
+                    nic,
+                    host_comp_port(rank % k),
+                    host,
+                    PORT_COMPLETION,
+                    cfg.nic.bus_latency,
+                );
+                nics.push(nic);
+                hosts.push(host);
+            }
+        }
+        match &plan {
+            None => mpiq_net::wire_ports(&mut sim, &ports, &cfg.net),
+            Some(plan) => {
+                for (a, ns) in plan.neighbors.iter().enumerate() {
+                    for (i, &b) in ns.iter().enumerate() {
+                        sim.connect(
+                            sw[a],
+                            Switch::trunk_port(plan, a, i),
+                            sw[b],
+                            PORT_SW_IN,
+                            cfg.net.wire_latency,
+                        );
+                    }
+                }
+                for (s, att) in plan.attached.iter().enumerate() {
+                    for (j, &v) in att.iter().enumerate() {
+                        sim.connect(
+                            sw[s],
+                            Switch::node_port(plan, s, j),
+                            ports[v as usize],
+                            PORT_FP_WIRE,
+                            cfg.net.wire_latency,
+                        );
+                    }
+                }
+            }
+        }
+        Cluster {
+            sim,
+            nics,
+            hosts,
+            nodes,
+            schedule: cfg.fault_schedule,
         }
     }
 
@@ -316,277 +427,6 @@ impl Cluster {
         host
     }
 
-    fn new_single(
-        cfg: ClusterConfig,
-        programs: Vec<Box<dyn AppProgram>>,
-        recovery: Vec<Option<Box<dyn AppProgram>>>,
-        n: u32,
-        k: u32,
-        nodes: u32,
-    ) -> Cluster {
-        let mut sim = Simulation::new(cfg.seed);
-        if cfg.trace_capacity > 0 {
-            sim.enable_tracing(cfg.trace_capacity);
-        }
-        if cfg.metrics {
-            sim.enable_metrics();
-        }
-        let fabric = sim.add_component(
-            "net",
-            Fabric::with_faults(cfg.net, nodes, cfg.nic.faults)
-                .with_schedule(cfg.fault_schedule.clone()),
-        );
-        let mut node_nics = Vec::new();
-        for node in 0..nodes {
-            let nic = sim.add_component(
-                &format!("nic{node}"),
-                Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
-            );
-            sim.connect(nic, PORT_NET_TX, fabric, PORT_FROM_NIC, Time::ZERO);
-            sim.connect(fabric, Fabric::out_port(node), nic, PORT_NET_RX, Time::ZERO);
-            node_nics.push(nic);
-        }
-        let mut nics = Vec::new();
-        let mut hosts = Vec::new();
-        for (rank, (program, recovery)) in programs.into_iter().zip(recovery).enumerate() {
-            let rank = rank as u32;
-            let node = rank / k;
-            let nic = node_nics[node as usize];
-            let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
-            let host = sim.add_component(&format!("host{rank}"), host);
-            // Completion path: one bus transaction back to this process's
-            // host, on its per-process port.
-            sim.connect(
-                nic,
-                host_comp_port(rank % k),
-                host,
-                PORT_COMPLETION,
-                cfg.nic.bus_latency,
-            );
-            // (Requests travel via direct sends from the host; the port
-            // constant is referenced here to document the pairing.)
-            let _ = PORT_HOST_REQ;
-            nics.push(nic);
-            hosts.push(host);
-        }
-        Cluster {
-            engine: Engine::Single(sim),
-            nics,
-            hosts,
-            nodes,
-            schedule: cfg.fault_schedule,
-        }
-    }
-
-    /// One shard per node: `{FabricPort, Nic, that node's Hosts}`. The
-    /// host→NIC request path (direct sends) and NIC→host completion
-    /// links are intra-shard; only the port-to-port fabric wires cross
-    /// shards, at the per-pair latency from `cfg.net` — the edges the
-    /// window planner derives its lookahead from.
-    fn new_sharded(
-        cfg: ClusterConfig,
-        programs: Vec<Box<dyn AppProgram>>,
-        recovery: Vec<Option<Box<dyn AppProgram>>>,
-        n: u32,
-        k: u32,
-        nodes: u32,
-    ) -> Cluster {
-        let mut sim = ShardedSim::new(cfg.seed, nodes as usize);
-        sim.set_threads(cfg.parallelism);
-        sim.set_window_policy(cfg.window_policy);
-        if cfg.trace_capacity > 0 {
-            sim.enable_tracing(cfg.trace_capacity);
-        }
-        if cfg.metrics {
-            sim.enable_metrics();
-        }
-        let mut programs = programs.into_iter().zip(recovery);
-        let mut node_nics = Vec::new();
-        let mut ports = Vec::new();
-        let mut nics = Vec::new();
-        let mut hosts = Vec::new();
-        for node in 0..nodes {
-            let shard = ShardId(node);
-            let nic = sim.add_component(
-                shard,
-                &format!("nic{node}"),
-                Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
-            );
-            let port = sim.add_component(
-                shard,
-                &format!("net{node}"),
-                FabricPort::with_faults(cfg.net, nodes, node, nic, PORT_NET_RX, cfg.nic.faults)
-                    .with_schedule(cfg.fault_schedule.clone()),
-            );
-            sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
-            node_nics.push(nic);
-            ports.push(port);
-            for local in 0..k {
-                let rank = node * k + local;
-                if rank >= n {
-                    break;
-                }
-                let (program, recovery) = programs.next().expect("one program per rank");
-                let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
-                let host = sim.add_component(shard, &format!("host{rank}"), host);
-                sim.connect(
-                    nic,
-                    host_comp_port(rank % k),
-                    host,
-                    PORT_COMPLETION,
-                    cfg.nic.bus_latency,
-                );
-                nics.push(nic);
-                hosts.push(host);
-            }
-        }
-        mpiq_net::wire_ports(&mut sim, &ports, &cfg.net);
-        Cluster {
-            engine: Engine::Sharded(sim),
-            nics,
-            hosts,
-            nodes,
-            schedule: cfg.fault_schedule,
-        }
-    }
-
-    /// The switched-fabric engine: [`Switch`] components routed by a
-    /// [`TopoPlan`], one shard per *edge switch* (its attached nodes —
-    /// `FabricPort`, NIC, hosts — live with it; core switches are
-    /// round-robined). Ports run in uplink mode, so wiring is
-    /// O(nodes + trunks) instead of the all-to-all O(nodes²):
-    ///
-    /// * node uplink → edge switch [`PORT_SW_IN`], at wire latency;
-    /// * trunk `i` of each switch → neighbor's [`PORT_SW_IN`], at wire
-    ///   latency (each direction its own link) — the only cross-shard
-    ///   edges, feeding the window planner's per-edge lookahead;
-    /// * switch node port → node's [`PORT_FP_WIRE`], at wire latency
-    ///   (the receiving port charges downlink serialization).
-    ///
-    /// Scheduled (src, dst) link faults keep hub semantics: the *source*
-    /// port refuses the frame, blackholing the pair end-to-end no matter
-    /// how many switches sit between.
-    fn new_sharded_topo(
-        cfg: ClusterConfig,
-        programs: Vec<Box<dyn AppProgram>>,
-        recovery: Vec<Option<Box<dyn AppProgram>>>,
-        n: u32,
-        k: u32,
-        nodes: u32,
-        plan: TopoPlan,
-    ) -> Cluster {
-        let plan = Arc::new(plan);
-        let mut sim = ShardedSim::new(cfg.seed, plan.shards as usize);
-        sim.set_threads(cfg.parallelism.max(1));
-        sim.set_window_policy(cfg.window_policy);
-        if cfg.trace_capacity > 0 {
-            sim.enable_tracing(cfg.trace_capacity);
-        }
-        if cfg.metrics {
-            sim.enable_metrics();
-        }
-        let sw: Vec<ComponentId> = (0..plan.switches())
-            .map(|s| {
-                sim.add_component(
-                    ShardId(plan.shard_of_switch[s]),
-                    &format!("sw{s}"),
-                    Switch::new(s, plan.clone(), cfg.net),
-                )
-            })
-            .collect();
-        let mut programs = programs.into_iter().zip(recovery);
-        let mut nics = Vec::new();
-        let mut hosts = Vec::new();
-        let mut ports = Vec::new();
-        for node in 0..nodes {
-            let edge = plan.attach[node as usize];
-            let shard = ShardId(plan.shard_of_switch[edge]);
-            let nic = sim.add_component(
-                shard,
-                &format!("nic{node}"),
-                Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
-            );
-            let port = sim.add_component(
-                shard,
-                &format!("net{node}"),
-                FabricPort::with_faults(cfg.net, nodes, node, nic, PORT_NET_RX, cfg.nic.faults)
-                    .with_schedule(cfg.fault_schedule.clone())
-                    .with_uplink(),
-            );
-            sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
-            sim.connect(
-                port,
-                FabricPort::uplink_port(),
-                sw[edge],
-                PORT_SW_IN,
-                cfg.net.wire_latency,
-            );
-            ports.push(port);
-            for local in 0..k {
-                let rank = node * k + local;
-                if rank >= n {
-                    break;
-                }
-                let (program, recovery) = programs.next().expect("one program per rank");
-                let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
-                let host = sim.add_component(shard, &format!("host{rank}"), host);
-                sim.connect(
-                    nic,
-                    host_comp_port(rank % k),
-                    host,
-                    PORT_COMPLETION,
-                    cfg.nic.bus_latency,
-                );
-                nics.push(nic);
-                hosts.push(host);
-            }
-        }
-        for (a, ns) in plan.neighbors.iter().enumerate() {
-            for (i, &b) in ns.iter().enumerate() {
-                sim.connect(
-                    sw[a],
-                    Switch::trunk_port(&plan, a, i),
-                    sw[b],
-                    PORT_SW_IN,
-                    cfg.net.wire_latency,
-                );
-            }
-        }
-        for (s, att) in plan.attached.iter().enumerate() {
-            for (j, &v) in att.iter().enumerate() {
-                sim.connect(
-                    sw[s],
-                    Switch::node_port(&plan, s, j),
-                    ports[v as usize],
-                    PORT_FP_WIRE,
-                    cfg.net.wire_latency,
-                );
-            }
-        }
-        Cluster {
-            engine: Engine::Sharded(sim),
-            nics,
-            hosts,
-            nodes,
-            schedule: cfg.fault_schedule,
-        }
-    }
-
-    /// Is this cluster on the sharded (partitioned-executor) engine?
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.engine, Engine::Sharded(_))
-    }
-
-    /// The underlying single-threaded [`Simulation`], for advanced
-    /// drivers that poke at engine internals. `None` on the sharded
-    /// engine — use the engine-neutral accessors instead.
-    pub fn sim(&self) -> Option<&Simulation> {
-        match &self.engine {
-            Engine::Single(sim) => Some(sim),
-            Engine::Sharded(_) => None,
-        }
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> u32 {
         self.nics.len() as u32
@@ -596,27 +436,16 @@ impl Cluster {
     /// the fault schedule crash-stops are exempt from the finish check —
     /// a crashed rank *can't* finish, and that is not a deadlock.
     pub fn run(&mut self) -> u64 {
-        let n = match &mut self.engine {
-            Engine::Single(sim) => sim.run(),
-            Engine::Sharded(sim) => sim.run(),
-        };
+        let n = self.sim.run();
         // Sanity: every surviving program should have finished (deadlock
         // detector).
-        for (rank, &h) in self.hosts.iter().enumerate() {
-            let (done, crashed, now) = match &self.engine {
-                Engine::Single(sim) => {
-                    let host = sim.component::<Host>(h).expect("host downcast");
-                    (host.done(), host.crashed(), sim.now())
-                }
-                Engine::Sharded(sim) => {
-                    let host = sim.component::<Host>(h).expect("host downcast");
-                    (host.done(), host.crashed(), sim.now())
-                }
-            };
+        for rank in 0..self.size() {
+            let host = self.host(rank);
             assert!(
-                done || crashed,
+                host.done() || host.crashed(),
                 "rank {rank} did not finish: deadlock or missing completion \
-                 (events processed: {n}, time: {now})",
+                 (events processed: {n}, time: {})",
+                self.now()
             );
         }
         n
@@ -625,11 +454,8 @@ impl Cluster {
     /// Have all programs called `finish` (or crash-stopped — a crashed
     /// rank never finishes and is not waited on)?
     pub fn all_done(&self) -> bool {
-        self.hosts.iter().all(|&h| {
-            let host: &Host = match &self.engine {
-                Engine::Single(sim) => sim.component(h).expect("host downcast"),
-                Engine::Sharded(sim) => sim.component(h).expect("host downcast"),
-            };
+        (0..self.size()).all(|rank| {
+            let host = self.host(rank);
             host.done() || host.crashed()
         })
     }
@@ -650,17 +476,10 @@ impl Cluster {
     /// queue depths, parked sends, outstanding rendezvous, in-flight
     /// retransmit windows, dead peers, unfinished ranks.
     pub fn run_watched(&mut self, deadline: Time) -> Result<u64, Box<Diagnosis>> {
-        let n = match &mut self.engine {
-            Engine::Single(sim) => sim.run_until(deadline),
-            Engine::Sharded(sim) => sim.run_until(deadline),
-        };
+        let n = self.sim.run_until(deadline);
         if self.all_done() {
             return Ok(n);
         }
-        let idle = match &self.engine {
-            Engine::Single(sim) => sim.is_idle(),
-            Engine::Sharded(sim) => sim.is_idle(),
-        };
         // A stall while the schedule holds the fabric in more than one
         // connected group is a partition symptom, not a leak: name the
         // groups so the operator knows which side each rank is on.
@@ -671,84 +490,56 @@ impl Cluster {
         });
         let kind = match partition {
             Some(groups) => StallKind::Partitioned { groups },
-            None if idle => StallKind::QuiescentDeadlock,
+            None if self.sim.is_idle() => StallKind::QuiescentDeadlock,
             None => StallKind::DeadlineExceeded,
         };
-        let diagnosis = match &self.engine {
-            Engine::Single(sim) => sim.diagnose(kind),
-            Engine::Sharded(sim) => sim.diagnose(kind),
-        };
-        Err(Box::new(diagnosis))
+        Err(Box::new(self.sim.diagnose(kind)))
     }
 
     /// Inspect a rank's host, after (or between) runs — e.g.
     /// [`Host::completions`], the host-round-trip count NIC collective
     /// offload exists to shrink.
     pub fn host(&self, rank: u32) -> &Host {
-        let id = self.hosts[rank as usize];
-        match &self.engine {
-            Engine::Single(sim) => sim.component(id).expect("host downcast"),
-            Engine::Sharded(sim) => sim.component(id).expect("host downcast"),
-        }
+        self.sim
+            .component(self.hosts[rank as usize])
+            .expect("host downcast")
     }
 
     /// Inspect the NIC serving a rank, after (or between) runs.
     pub fn nic(&self, rank: u32) -> &Nic {
-        let id = self.nics[rank as usize];
-        match &self.engine {
-            Engine::Single(sim) => sim.component(id).expect("nic downcast"),
-            Engine::Sharded(sim) => sim.component(id).expect("nic downcast"),
-        }
+        self.sim
+            .component(self.nics[rank as usize])
+            .expect("nic downcast")
     }
 
     /// Final simulated time.
     pub fn now(&self) -> Time {
-        match &self.engine {
-            Engine::Single(sim) => sim.now(),
-            Engine::Sharded(sim) => sim.now(),
-        }
+        self.sim.now()
     }
 
     /// The cluster's statistics, merged across engine shards in shard
-    /// order (single-engine clusters have exactly one "shard"). Owned:
-    /// the sharded engine assembles it on demand.
+    /// order. Owned: the engine assembles it on demand.
     pub fn stats(&self) -> Stats {
-        match &self.engine {
-            Engine::Single(sim) => sim.stats().clone(),
-            Engine::Sharded(sim) => sim.stats_merged(),
-        }
+        self.sim.stats_merged()
     }
 
     /// The metrics registry, merged across engine shards.
     pub fn metrics(&self) -> Metrics {
-        match &self.engine {
-            Engine::Single(sim) => sim.metrics().clone(),
-            Engine::Sharded(sim) => sim.metrics_merged(),
-        }
+        self.sim.metrics_merged()
     }
 
-    /// Chrome-trace JSON for the whole run (canonical record order on
-    /// either engine).
+    /// Chrome-trace JSON for the whole run, in canonical record order.
     pub fn chrome_trace(&self) -> String {
-        match &self.engine {
-            Engine::Single(sim) => mpiq_dessim::chrome_trace(sim),
-            Engine::Sharded(sim) => mpiq_dessim::chrome_trace_sharded(sim),
-        }
+        mpiq_dessim::chrome_trace_sharded(&self.sim)
     }
 
     /// Trace records currently retained.
     pub fn trace_record_count(&self) -> usize {
-        match &self.engine {
-            Engine::Single(sim) => sim.trace().records().count(),
-            Engine::Sharded(sim) => sim.trace_record_count(),
-        }
+        self.sim.trace_record_count()
     }
 
     /// Trace records evicted by ring capacity.
     pub fn trace_dropped(&self) -> u64 {
-        match &self.engine {
-            Engine::Single(sim) => sim.trace().dropped(),
-            Engine::Sharded(sim) => sim.trace_dropped(),
-        }
+        self.sim.trace_dropped()
     }
 }

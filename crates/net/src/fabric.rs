@@ -1,17 +1,7 @@
-//! The crossbar fabric component.
+//! Network parameters shared by the fabric ports and the switches.
 
-use crate::message::{Message, NodeId};
-use mpiq_dessim::fault::{FaultConfig, FaultPlan, FaultSchedule};
-use mpiq_dessim::trace::{ComponentFaultKind, TraceEvent};
+use crate::message::NodeId;
 use mpiq_dessim::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Input port on the fabric where all NICs inject.
-pub const PORT_FROM_NIC: InPort = InPort(0);
-
-/// Output port index delivering to node `n` is `PORT_TO_NIC + n`.
-pub const PORT_TO_NIC: u16 = 0;
 
 /// Per-pair wire-latency shape overlaid on [`NetConfig::wire_latency`].
 ///
@@ -67,386 +57,43 @@ impl NetConfig {
             }
         }
     }
-}
 
-/// Fault-plan stream id for the fabric's injection site.
-const FABRIC_FAULT_SITE: u64 = 0;
-
-/// A full crossbar: every injected [`Message`] is delivered to its
-/// destination's output port after wire latency plus serialization delay.
-/// Each destination link serializes (per-destination busy window), which
-/// models receive-side contention; per-(src,dst) ordering is preserved
-/// because injections are timestamped in send order and the busy window is
-/// FIFO.
-///
-/// With an active [`FaultConfig`], each injected message rolls (in fixed
-/// order) a drop, duplication, and corruption verdict from a fabric-private
-/// deterministic stream: dropped messages vanish (counted), duplicated
-/// messages are delivered twice back-to-back, corrupted messages arrive
-/// with `link.crc_ok == false`.
-pub struct Fabric {
-    cfg: NetConfig,
-    nodes: u32,
-    busy_until: Vec<Time>,
-    faults: Option<FaultPlan>,
-    /// Component-level fault timeline; `None` (the default) keeps the
-    /// scheduled-fault path entirely out of the hot loop.
-    schedule: Option<Arc<FaultSchedule>>,
-    /// Last *observed* up/down state per undirected edge, for counting
-    /// flap transitions edge-triggered on traffic (a deterministic
-    /// function of local deliveries, so it holds at any thread count).
-    edge_seen_down: BTreeMap<(u32, u32), bool>,
-}
-
-impl Fabric {
-    /// A fault-free fabric connecting `nodes` NICs.
-    pub fn new(cfg: NetConfig, nodes: u32) -> Fabric {
-        Fabric::with_faults(cfg, nodes, FaultConfig::none())
-    }
-
-    /// A fabric with a (possibly empty) fault campaign.
-    pub fn with_faults(cfg: NetConfig, nodes: u32, faults: FaultConfig) -> Fabric {
-        Fabric {
-            cfg,
-            nodes,
-            busy_until: vec![Time::ZERO; nodes as usize],
-            faults: faults
-                .net_active()
-                .then(|| FaultPlan::new(faults, FABRIC_FAULT_SITE)),
-            schedule: None,
-            edge_seen_down: BTreeMap::new(),
-        }
-    }
-
-    /// Arm a component-level fault timeline: edges the schedule marks
-    /// down refuse (silently drop) every frame until they heal.
-    pub fn with_schedule(mut self, schedule: Option<Arc<FaultSchedule>>) -> Fabric {
-        self.schedule = schedule.filter(|s| !s.is_empty());
-        self
-    }
-
-    /// Serialization time for a message of `bytes`, rounded up to the next
-    /// picosecond so short frames are never undercharged to zero.
-    fn serialize(&self, bytes: u64) -> Time {
-        Time::from_ps((bytes * 1000).div_ceil(self.cfg.bytes_per_ns))
-    }
-
-    /// Output port for a destination node.
-    pub fn out_port(dst: NodeId) -> OutPort {
-        OutPort(PORT_TO_NIC + dst as u16)
-    }
-
-    /// The armed schedule, if any (used by `Cluster` diagnosis).
-    pub fn schedule(&self) -> Option<&Arc<FaultSchedule>> {
-        self.schedule.as_ref()
-    }
-
-    /// Occupy the destination link and deliver one copy of `msg`.
-    fn deliver(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let dst = msg.header.dst_node;
-        let wire = self.cfg.latency_between(msg.header.src_node, dst);
-        let ser = self.serialize(msg.wire_bytes());
-        let start = ctx.now().max(self.busy_until[dst as usize]);
-        let deliver = start + ser + wire;
-        self.busy_until[dst as usize] = start + ser;
-        ctx.stats().incr("net.messages");
-        ctx.stats().add("net.bytes", msg.wire_bytes());
-        ctx.emit_after(Self::out_port(dst), Payload::new(msg), deliver - ctx.now());
-    }
-}
-
-/// Shared scheduled-edge check for the hub fabric and the per-node
-/// [`crate::port::FabricPort`]s: look up the edge's state at `now`,
-/// count/trace the transition if it differs from the last *observed*
-/// state (edge-triggered on traffic — both telemetry sinks are no-ops
-/// unless the harness enabled them), and say whether the frame must be
-/// refused. Pure function of `(schedule, edge, now)` plus locally
-/// observed traffic, so it is deterministic on both engines.
-pub(crate) fn scheduled_edge_refuses(
-    schedule: &Arc<FaultSchedule>,
-    edge_seen_down: &mut BTreeMap<(u32, u32), bool>,
-    src: u32,
-    dst: u32,
-    ctx: &mut Ctx<'_>,
-) -> bool {
-    let down = schedule.edge_down(src, dst, ctx.now());
-    let key = (src.min(dst), src.max(dst));
-    let seen = edge_seen_down.entry(key).or_insert(false);
-    if *seen != down {
-        *seen = down;
-        ctx.metrics().add("fault.flap_transitions", 1);
-        ctx.trace(TraceEvent::ComponentFault {
-            kind: if down {
-                ComponentFaultKind::LinkDown
-            } else {
-                ComponentFaultKind::LinkUp
-            },
-            node: key.0,
-            peer: key.1,
-        });
-    }
-    if down {
-        ctx.stats().incr("net.sched.edge_drops");
-    }
-    down
-}
-
-impl Component for Fabric {
-    fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-        let mut msg = *ev
-            .payload
-            .downcast::<Message>()
-            .unwrap_or_else(|p| {
-                panic!(
-                    "fabric accepts Message payloads only; got {p:?} on port {:?} at t={}",
-                    ev.port, ev.time
-                )
-            });
-        let dst = msg.header.dst_node;
-        assert!(
-            dst < self.nodes,
-            "message to unknown node {dst} (fabric has {} nodes): \
-             {:?} seq={} from node {} at t={}",
-            self.nodes,
-            msg.header.kind,
-            msg.header.seq,
-            msg.header.src_node,
-            ev.time
-        );
-        // Component-level faults outrank message-level ones: a frame on a
-        // downed edge never reaches the wire-fault lottery at all.
-        if let Some(sched) = self.schedule.clone() {
-            if scheduled_edge_refuses(
-                &sched,
-                &mut self.edge_seen_down,
-                msg.header.src_node,
-                dst,
-                ctx,
-            ) {
-                return;
-            }
-        }
-        let mut duplicate = false;
-        if let Some(plan) = &mut self.faults {
-            let verdict = plan.roll_wire();
-            if verdict.drop {
-                ctx.stats().incr("net.faults.dropped");
-                return;
-            }
-            if verdict.corrupt {
-                ctx.stats().incr("net.faults.corrupted");
-                msg.link.crc_ok = false;
-            }
-            duplicate = verdict.duplicate;
-        }
-        if duplicate {
-            // The duplicate occupies its own serialization window behind
-            // the original, like a retransmitted frame would.
-            ctx.stats().incr("net.faults.duplicated");
-            self.deliver(msg.clone(), ctx);
-        }
-        self.deliver(msg, ctx);
+    /// Serialization time for a frame of `bytes`, rounded up to the
+    /// next picosecond so short frames are never undercharged to zero.
+    pub fn serialize(&self, bytes: u64) -> Time {
+        Time::from_ps((bytes * 1000).div_ceil(self.bytes_per_ns))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgHeader, MsgKind};
-    use std::sync::Mutex;
-    use std::sync::Arc;
-
-    fn msg(dst: NodeId, len: u32, seq: u64) -> Message {
-        Message::new(
-            MsgHeader {
-                src_node: 0,
-                dst_node: dst,
-                dst_rank: dst,
-                context: 0,
-                src_rank: 0,
-                tag: 0,
-                payload_len: len,
-                kind: MsgKind::Eager,
-                seq,
-            },
-            Message::test_payload(len as usize, 0),
-        )
-    }
-
-    struct Sink {
-        got: DeliveryLog,
-    }
-    impl Component for Sink {
-        fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-            let m = ev.payload.downcast::<Message>().unwrap();
-            self.got.lock().unwrap().push((ctx.now(), m.header.seq, m.link.crc_ok));
-        }
-    }
-
-    type DeliveryLog = Arc<Mutex<Vec<(Time, u64, bool)>>>;
-
-    fn build(nodes: u32) -> (Simulation, ComponentId, Vec<DeliveryLog>) {
-        build_faulty(nodes, FaultConfig::none())
-    }
-
-    fn build_faulty(
-        nodes: u32,
-        faults: FaultConfig,
-    ) -> (Simulation, ComponentId, Vec<DeliveryLog>) {
-        let mut sim = Simulation::new(7);
-        let fab = sim.add_component(
-            "net",
-            Fabric::with_faults(NetConfig::default(), nodes, faults),
-        );
-        let mut logs = Vec::new();
-        for n in 0..nodes {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.add_component(&format!("sink{n}"), Sink { got: log.clone() });
-            sim.connect(fab, Fabric::out_port(n), sink, InPort(0), Time::ZERO);
-            logs.push(log);
-        }
-        (sim, fab, logs)
-    }
-
-    #[test]
-    fn zero_payload_message_takes_wire_latency_plus_header_time() {
-        let (mut sim, fab, logs) = build(2);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 0, 1)), Time::ZERO);
-        sim.run();
-        let (t, seq, _) = logs[1].lock().unwrap()[0];
-        assert_eq!(seq, 1);
-        // 32 header bytes at 2 B/ns = 16 ns, + 200 ns wire.
-        assert_eq!(t, Time::from_ns(216));
-    }
-
-    #[test]
-    fn bandwidth_scales_with_length() {
-        let (mut sim, fab, logs) = build(2);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 4096, 1)), Time::ZERO);
-        sim.run();
-        let (t, _, _) = logs[1].lock().unwrap()[0];
-        assert_eq!(t, Time::from_ns(200 + (4096 + 32) / 2));
-    }
 
     #[test]
     fn serialization_rounds_up_not_down() {
         // 7 B/ns does not divide the 32-byte header: 32000/7 ps = 4571.43,
         // which must round *up* to 4572 ps, not truncate to 4571.
         let cfg = NetConfig {
-            wire_latency: Time::from_ns(200),
             bytes_per_ns: 7,
             ..NetConfig::default()
         };
-        let mut sim = Simulation::new(7);
-        let fab = sim.add_component("net", Fabric::new(cfg, 2));
-        let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-        let sink = sim.add_component("sink", Sink { got: log.clone() });
-        sim.connect(fab, Fabric::out_port(1), sink, InPort(0), Time::ZERO);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 0, 0)), Time::ZERO);
-        sim.run();
-        let (t, _, _) = log.lock().unwrap()[0];
-        assert_eq!(t, Time::from_ns(200) + Time::from_ps(4572));
+        assert_eq!(cfg.serialize(32), Time::from_ps(4572));
     }
 
     #[test]
     fn sub_bandwidth_frame_still_charged_nonzero() {
         // A 1-byte frame on a 64 B/ns link is 15.625 ps of serialization;
-        // the old truncating division charged 15 ps here but 0 ps for any
-        // fabric fast enough to move the frame in under a picosecond.
-        let fab = Fabric::new(
-            NetConfig {
-                wire_latency: Time::ZERO,
-                bytes_per_ns: 64,
-                ..NetConfig::default()
-            },
-            1,
-        );
-        assert_eq!(fab.serialize(1), Time::from_ps(16));
-        let fast = Fabric::new(
-            NetConfig {
-                wire_latency: Time::ZERO,
-                bytes_per_ns: 2048,
-                ..NetConfig::default()
-            },
-            1,
-        );
-        assert!(fast.serialize(1) > Time::ZERO, "sub-ps frame charged zero");
-    }
-
-    #[test]
-    fn same_destination_serializes_and_preserves_order() {
-        let (mut sim, fab, logs) = build(2);
-        for seq in 0..4 {
-            sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 1000, seq)), Time::ZERO);
-        }
-        sim.run();
-        let got = logs[1].lock().unwrap();
-        let seqs: Vec<u64> = got.iter().map(|&(_, s, _)| s).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3], "ordering violated");
-        // Each 1032-byte message serializes for 516 ns on the shared link.
-        assert_eq!(got[0].0, Time::from_ns(716));
-        assert_eq!(got[1].0, Time::from_ns(716 + 516));
-    }
-
-    #[test]
-    fn different_destinations_do_not_contend() {
-        let (mut sim, fab, logs) = build(3);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 1000, 0)), Time::ZERO);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(2, 1000, 1)), Time::ZERO);
-        sim.run();
-        assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(716));
-        assert_eq!(logs[2].lock().unwrap()[0].0, Time::from_ns(716));
-    }
-
-    #[test]
-    fn drops_are_counted_and_deterministic() {
-        let faults: FaultConfig = "seed=3,drop=0.2".parse().unwrap();
-        let run = || {
-            let (mut sim, fab, logs) = build_faulty(2, faults);
-            for seq in 0..200 {
-                sim.post(
-                    fab,
-                    PORT_FROM_NIC,
-                    Payload::new(msg(1, 64, seq)),
-                    Time::from_ns(seq * 1000),
-                );
-            }
-            sim.run();
-            let delivered: Vec<u64> = logs[1].lock().unwrap().iter().map(|&(_, s, _)| s).collect();
-            (delivered, sim.stats().get("net.faults.dropped"))
+        // a truncating division would charge 15 ps here but 0 ps for any
+        // link fast enough to move the frame in under a picosecond.
+        let link = |bytes_per_ns| NetConfig {
+            bytes_per_ns,
+            ..NetConfig::default()
         };
-        let (d1, dropped1) = run();
-        let (d2, dropped2) = run();
-        assert_eq!(d1, d2, "same seed must drop the same messages");
-        assert_eq!(dropped1, dropped2);
-        assert!(dropped1 > 10 && dropped1 < 80, "dropped {dropped1} of 200");
-        assert_eq!(d1.len() as u64 + dropped1, 200);
-    }
-
-    #[test]
-    fn duplicates_deliver_twice_in_order() {
-        let faults: FaultConfig = "seed=3,dup=1.0".parse().unwrap();
-        let (mut sim, fab, logs) = build_faulty(2, faults);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 0, 9)), Time::ZERO);
-        sim.run();
-        let got = logs[1].lock().unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].1, got[1].1), (9, 9));
-        // Second copy queues behind the first on the destination link.
-        assert!(got[1].0 > got[0].0);
-        assert_eq!(sim.stats().get("net.faults.duplicated"), 1);
-    }
-
-    #[test]
-    fn corruption_clears_crc_flag() {
-        let faults: FaultConfig = "seed=3,corrupt=1.0".parse().unwrap();
-        let (mut sim, fab, logs) = build_faulty(2, faults);
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 0, 1)), Time::ZERO);
-        sim.run();
-        let got = logs[1].lock().unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(!got[0].2, "frame should arrive with failed CRC");
-        assert_eq!(sim.stats().get("net.faults.corrupted"), 1);
+        assert_eq!(link(64).serialize(1), Time::from_ps(16));
+        assert!(
+            link(2048).serialize(1) > Time::ZERO,
+            "sub-ps frame charged zero"
+        );
     }
 
     /// `latency_between` is symmetric for every profile — both directions
@@ -482,14 +129,5 @@ mod tests {
         // Sharing an endpoint with the short pair does not shorten a wire.
         assert_eq!(short.latency_between(1, 2), short.wire_latency);
         assert_eq!(short.latency_between(2, 1), short.wire_latency);
-    }
-
-    #[test]
-    fn empty_fault_config_changes_nothing() {
-        let (mut sim, fab, logs) = build_faulty(2, FaultConfig::none());
-        sim.post(fab, PORT_FROM_NIC, Payload::new(msg(1, 0, 1)), Time::ZERO);
-        sim.run();
-        assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(216));
-        assert_eq!(sim.stats().get("net.faults.dropped"), 0);
     }
 }

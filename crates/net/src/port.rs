@@ -1,49 +1,38 @@
-//! The distributed fabric: one [`FabricPort`] per node.
+//! The fabric: one [`FabricPort`] per node.
 //!
-//! The hub [`Fabric`](crate::Fabric) is a single component, which makes
-//! it a single *shard* under the partitioned executor — every message in
-//! the cluster would serialize through one island and the parallel engine
-//! would have nothing to parallelize. `FabricPort` splits the crossbar
-//! into per-node ports: each node's port lives in that node's shard, and
-//! the only cross-shard edges are the port-to-port wires, whose 200 ns
-//! latency becomes the conservative lookahead window.
+//! Each node's port lives in that node's shard, and the only cross-shard
+//! edges are the port-to-port wires, whose 200 ns latency becomes the
+//! conservative lookahead window of the partitioned executor.
 //!
-//! Timing is receiver-side and matches the hub model hop for hop. The
-//! hub computes `deliver = max(t, busy[dst]) + ser + wire` with the
-//! destination's busy window advanced to `max(t, busy[dst]) + ser`. Here
-//! the source port forwards at `t`, the frame crosses the wire
-//! (`t + wire`), and the *destination* port serializes:
-//! `deliver = max(t + wire, busy') + ser` with `busy' = busy + wire` —
-//! the same schedule shifted whole onto the receiver, so bandwidth
-//! contention, FIFO ordering per destination, and per-(src, dst) order
-//! are all preserved. Absolute delivery times match the hub except where
-//! two sources tie at the same destination in the same picosecond, where
-//! the hub breaks ties by global injection sequence and the ports by
-//! (source shard, emission) order; the distributed fabric is therefore
-//! its own baseline (compared across thread counts), not a bit-exact
-//! replay of hub runs.
+//! Timing is receiver-side. The source port forwards at `t`, the frame
+//! crosses the wire (`t + wire`), and the *destination* port serializes
+//! on its ingress link: `deliver = max(t + wire, busy) + ser`, with the
+//! link busy until `deliver`. Bandwidth contention, FIFO ordering per
+//! destination, and per-(src, dst) order all follow from that one busy
+//! window. Two sources tying at the same destination in the same
+//! picosecond are ordered by (source shard, emission), which is fixed
+//! by the engine and independent of thread count.
 //!
 //! Faults roll at the *source* port from a per-node deterministic
 //! stream, so a node's fault verdicts never depend on other nodes'
 //! traffic — which is what keeps fault campaigns identical across thread
 //! counts too.
 
-use crate::fabric::{scheduled_edge_refuses, NetConfig};
+use crate::fabric::NetConfig;
 use crate::message::{Message, NodeId};
 use mpiq_dessim::fault::{FaultConfig, FaultPlan, FaultSchedule};
 use mpiq_dessim::prelude::*;
+use mpiq_dessim::trace::{ComponentFaultKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
 /// Input port where the node's own NIC injects outbound messages.
 pub const PORT_FP_INJECT: InPort = InPort(0);
 
 /// Input port where frames arrive from peer ports over the wire.
 pub const PORT_FP_WIRE: InPort = InPort(1);
 
-/// Fault-plan site id for node `n`'s fabric port (offset keeps the
-/// per-node streams clear of the hub fabric's site 0 and the NIC
-/// firmware's lane sites).
+/// Fault-plan site id for node `n`'s fabric port (the offset keeps the
+/// per-node streams clear of the NIC firmware's lane sites).
 fn port_fault_site(node: NodeId) -> u64 {
     0x4000_0000 + node as u64
 }
@@ -55,7 +44,7 @@ fn port_fault_site(node: NodeId) -> u64 {
 ///   (intra-shard).
 /// * This port's `OutPort(d)` -> node `d`'s port [`PORT_FP_WIRE`], at
 ///   [`NetConfig::wire_latency`] — including `d == node` (self-sends
-///   take a wire trip, as they do through the hub).
+///   take a wire trip).
 /// * Arrivals are handed to the local NIC by direct send to the
 ///   component id and input port given at construction, so `mpiq-net`
 ///   needs no dependency on the NIC crate.
@@ -85,13 +74,19 @@ pub struct FabricPort {
     /// local state only and identical at any thread count.
     schedule: Option<Arc<FaultSchedule>>,
     /// Last observed up/down state per undirected edge (transition
-    /// telemetry; see [`crate::fabric`]).
+    /// telemetry; see [`scheduled_edge_refuses`]).
     edge_seen_down: BTreeMap<(u32, u32), bool>,
 }
 
 impl FabricPort {
     /// A fault-free port for `node` in a fabric of `nodes`.
-    pub fn new(cfg: NetConfig, nodes: u32, node: NodeId, nic: ComponentId, nic_rx: InPort) -> FabricPort {
+    pub fn new(
+        cfg: NetConfig,
+        nodes: u32,
+        node: NodeId,
+        nic: ComponentId,
+        nic_rx: InPort,
+    ) -> FabricPort {
         FabricPort::with_faults(cfg, nodes, node, nic, nic_rx, FaultConfig::none())
     }
 
@@ -144,12 +139,6 @@ impl FabricPort {
         OutPort(0)
     }
 
-    /// Serialization time for `bytes` on this link, rounded up to the
-    /// next picosecond (identical to the hub's charge).
-    fn serialize(&self, bytes: u64) -> Time {
-        Time::from_ps((bytes * 1000).div_ceil(self.cfg.bytes_per_ns))
-    }
-
     /// Source side: roll faults and put surviving copies on the wire.
     fn inject(&mut self, mut msg: Message, ctx: &mut Ctx<'_>) {
         let dst = msg.header.dst_node;
@@ -163,8 +152,8 @@ impl FabricPort {
             msg.header.src_node,
             ctx.now()
         );
-        // Component-level faults outrank message-level ones (see the hub
-        // fabric): a downed edge refuses the frame before any fault roll.
+        // Component-level faults outrank message-level ones: a frame on a
+        // downed edge never reaches the wire-fault lottery at all.
         if let Some(sched) = self.schedule.clone() {
             if scheduled_edge_refuses(
                 &sched,
@@ -190,6 +179,8 @@ impl FabricPort {
             duplicate = verdict.duplicate;
         }
         if duplicate {
+            // Each copy occupies its own serialization window at the
+            // receiver, back to back, like a retransmitted frame would.
             ctx.stats().incr("net.faults.duplicated");
             self.put_on_wire(msg.clone(), ctx);
         }
@@ -210,12 +201,47 @@ impl FabricPort {
     /// Receiver side: occupy the ingress link, then hand the frame to
     /// the local NIC.
     fn receive(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let ser = self.serialize(msg.wire_bytes());
+        let ser = self.cfg.serialize(msg.wire_bytes());
         let start = ctx.now().max(self.busy_until);
         self.busy_until = start + ser;
         let delay = (start + ser) - ctx.now();
         ctx.send_to(self.nic, self.nic_rx, Payload::new(msg), delay);
     }
+}
+
+/// Scheduled-edge check at a source port: look up the edge's state at
+/// `now`, count/trace the transition if it differs from the last
+/// *observed* state (edge-triggered on traffic — both telemetry sinks
+/// are no-ops unless the harness enabled them), and say whether the
+/// frame must be refused. Pure function of `(schedule, edge, now)` plus
+/// locally observed traffic, so it is deterministic at any thread count.
+fn scheduled_edge_refuses(
+    schedule: &Arc<FaultSchedule>,
+    edge_seen_down: &mut BTreeMap<(u32, u32), bool>,
+    src: u32,
+    dst: u32,
+    ctx: &mut Ctx<'_>,
+) -> bool {
+    let down = schedule.edge_down(src, dst, ctx.now());
+    let key = (src.min(dst), src.max(dst));
+    let seen = edge_seen_down.entry(key).or_insert(false);
+    if *seen != down {
+        *seen = down;
+        ctx.metrics().add("fault.flap_transitions", 1);
+        ctx.trace(TraceEvent::ComponentFault {
+            kind: if down {
+                ComponentFaultKind::LinkDown
+            } else {
+                ComponentFaultKind::LinkUp
+            },
+            node: key.0,
+            peer: key.1,
+        });
+    }
+    if down {
+        ctx.stats().incr("net.sched.edge_drops");
+    }
+    down
 }
 
 impl Component for FabricPort {
@@ -297,57 +323,85 @@ mod tests {
     }
 
     /// One shard per node, each holding a sink ("the NIC") and a port.
-    fn build(nodes: u32, threads: usize, faults: FaultConfig) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
+    fn build_with(
+        cfg: NetConfig,
+        nodes: u32,
+        threads: usize,
+        faults: FaultConfig,
+    ) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
         let mut sim = ShardedSim::new(7, nodes as usize);
         sim.set_threads(threads);
         let mut logs = Vec::new();
-        let mut sinks = Vec::new();
+        let mut ports = Vec::new();
         for n in 0..nodes {
             let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
+            let sink =
+                sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
+            let port = FabricPort::with_faults(cfg, nodes, n, sink, InPort(0), faults);
+            ports.push(sim.add_component(ShardId(n), &format!("net{n}"), port));
             logs.push(log);
-            sinks.push(sink);
         }
-        let ports: Vec<ComponentId> = (0..nodes)
-            .map(|n| {
-                let p = FabricPort::with_faults(
-                    NetConfig::default(),
-                    nodes,
-                    n,
-                    sinks[n as usize],
-                    InPort(0),
-                    faults,
-                );
-                sim.add_component(ShardId(n), &format!("net{n}"), p)
-            })
-            .collect();
-        wire_ports(&mut sim, &ports, &NetConfig::default());
+        wire_ports(&mut sim, &ports, &cfg);
         (sim, ports, logs)
     }
 
+    fn build(
+        nodes: u32,
+        threads: usize,
+        faults: FaultConfig,
+    ) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
+        build_with(NetConfig::default(), nodes, threads, faults)
+    }
+
+    fn send(sim: &mut ShardedSim, ports: &[ComponentId], m: Message, at: Time) {
+        let src = m.header.src_node as usize;
+        sim.post(ports[src], PORT_FP_INJECT, Payload::new(m), at);
+    }
+
     #[test]
-    fn delivery_time_matches_hub_model() {
+    fn delivery_time_is_wire_plus_serialization() {
         let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 1, 0, 1)), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         sim.run();
         let (t, seq, crc) = logs[1].lock().unwrap()[0];
         assert_eq!(seq, 1);
         assert!(crc);
-        // 200 ns wire + 32 header bytes at 2 B/ns = 16 ns — same total as
-        // the hub, with serialization on the receive side of the wire.
-        assert_eq!(t, Time::from_ns(216));
+        // 200 ns wire + 32 header bytes at 2 B/ns = 16 ns.
+        assert_eq!(t, Time::from_ns(200 + 16));
+    }
+
+    #[test]
+    fn bandwidth_scales_with_length() {
+        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        send(&mut sim, &ports, msg(0, 1, 4096, 1), Time::ZERO);
+        sim.run();
+        assert_eq!(
+            logs[1].lock().unwrap()[0].0,
+            Time::from_ns(200 + (4096 + 32) / 2)
+        );
+    }
+
+    #[test]
+    fn serialization_rounds_up_end_to_end() {
+        // 32000/7 ps = 4571.43 of serialization, charged as 4572 ps.
+        let cfg = NetConfig {
+            bytes_per_ns: 7,
+            ..NetConfig::default()
+        };
+        let (mut sim, ports, logs) = build_with(cfg, 2, 1, FaultConfig::none());
+        send(&mut sim, &ports, msg(0, 1, 0, 0), Time::ZERO);
+        sim.run();
+        assert_eq!(
+            logs[1].lock().unwrap()[0].0,
+            Time::from_ns(200) + Time::from_ps(4572)
+        );
     }
 
     #[test]
     fn receiver_link_serializes_and_preserves_order() {
         let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
         for seq in 0..4 {
-            sim.post(
-                ports[0],
-                PORT_FP_INJECT,
-                Payload::new(msg(0, 1, 1000, seq)),
-                Time::ZERO,
-            );
+            send(&mut sim, &ports, msg(0, 1, 1000, seq), Time::ZERO);
         }
         sim.run();
         let got = logs[1].lock().unwrap();
@@ -359,9 +413,32 @@ mod tests {
     }
 
     #[test]
+    fn sources_share_the_destination_ingress_link_in_arrival_order() {
+        let (mut sim, ports, logs) = build(3, 1, FaultConfig::none());
+        send(&mut sim, &ports, msg(1, 2, 1000, 10), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 2, 1000, 20), Time::from_ns(1));
+        sim.run();
+        let got = logs[2].lock().unwrap();
+        assert_eq!((got[0].1, got[1].1), (10, 20), "arrival order violated");
+        // The second frame queues behind the first on node 2's link.
+        assert_eq!(got[0].0, Time::from_ns(716));
+        assert_eq!(got[1].0, Time::from_ns(716 + 516));
+    }
+
+    #[test]
+    fn different_destinations_do_not_contend() {
+        let (mut sim, ports, logs) = build(3, 1, FaultConfig::none());
+        send(&mut sim, &ports, msg(0, 1, 1000, 0), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 2, 1000, 1), Time::ZERO);
+        sim.run();
+        assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(716));
+        assert_eq!(logs[2].lock().unwrap()[0].0, Time::from_ns(716));
+    }
+
+    #[test]
     fn self_send_takes_the_wire() {
         let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 0, 0, 5)), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 0, 0, 5), Time::ZERO);
         sim.run();
         assert_eq!(logs[0].lock().unwrap()[0].0, Time::from_ns(216));
     }
@@ -375,10 +452,10 @@ mod tests {
             for src in 0..4u32 {
                 for dst in 0..4u32 {
                     for k in 0..8u64 {
-                        sim.post(
-                            ports[src as usize],
-                            PORT_FP_INJECT,
-                            Payload::new(msg(src, dst, 256, seq)),
+                        send(
+                            &mut sim,
+                            &ports,
+                            msg(src, dst, 256, seq),
                             Time::from_ns(k * 100),
                         );
                         seq += 1;
@@ -413,26 +490,11 @@ mod tests {
             },
             ..NetConfig::default()
         };
-        let mut sim = ShardedSim::new(7, 3);
-        let mut logs: Vec<DeliveryLog> = Vec::new();
-        let mut sinks = Vec::new();
-        for n in 0..3u32 {
-            let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
-            logs.push(log);
-            sinks.push(sink);
-        }
-        let ports: Vec<ComponentId> = (0..3u32)
-            .map(|n| {
-                let p = FabricPort::new(cfg, 3, n, sinks[n as usize], InPort(0));
-                sim.add_component(ShardId(n), &format!("net{n}"), p)
-            })
-            .collect();
-        wire_ports(&mut sim, &ports, &cfg);
+        let (mut sim, ports, logs) = build_with(cfg, 3, 1, FaultConfig::none());
         // The short pair's wire latency is the engine's tightest edge.
         assert_eq!(sim.lookahead(), Time::from_ns(10));
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 1, 0, 1)), Time::ZERO);
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 2, 0, 2)), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
+        send(&mut sim, &ports, msg(0, 2, 0, 2), Time::ZERO);
         sim.run();
         // 0 -> 1 rides the 10 ns wire; 0 -> 2 the 1 us wire; both then
         // serialize 32 header bytes at 2 B/ns = 16 ns on arrival.
@@ -441,23 +503,69 @@ mod tests {
     }
 
     #[test]
-    fn fault_verdicts_are_per_source_deterministic() {
-        let faults: FaultConfig = "seed=9,drop=0.3".parse().unwrap();
+    fn drops_are_counted_and_deterministic() {
+        let faults: FaultConfig = "seed=3,drop=0.2".parse().unwrap();
         let run = || {
-            let (mut sim, ports, _logs) = build(2, 1, faults);
-            for seq in 0..100 {
-                sim.post(
-                    ports[0],
-                    PORT_FP_INJECT,
-                    Payload::new(msg(0, 1, 64, seq)),
+            let (mut sim, ports, logs) = build(2, 1, faults);
+            for seq in 0..200 {
+                send(
+                    &mut sim,
+                    &ports,
+                    msg(0, 1, 64, seq),
                     Time::from_ns(seq * 1000),
                 );
             }
             sim.run();
-            sim.stats_merged().get("net.faults.dropped")
+            let delivered: Vec<u64> = logs[1].lock().unwrap().iter().map(|&(_, s, _)| s).collect();
+            (delivered, sim.stats_merged().get("net.faults.dropped"))
         };
-        let a = run();
-        assert_eq!(a, run(), "same seed must drop the same messages");
-        assert!(a > 10 && a < 60, "dropped {a} of 100");
+        let (d1, dropped1) = run();
+        let (d2, dropped2) = run();
+        assert_eq!(d1, d2, "same seed must drop the same messages");
+        assert_eq!(dropped1, dropped2);
+        assert!(dropped1 > 10 && dropped1 < 80, "dropped {dropped1} of 200");
+        assert_eq!(d1.len() as u64 + dropped1, 200);
+    }
+
+    #[test]
+    fn duplicates_deliver_twice_in_order() {
+        let faults: FaultConfig = "seed=3,dup=1.0".parse().unwrap();
+        let (mut sim, ports, logs) = build(2, 1, faults);
+        send(&mut sim, &ports, msg(0, 1, 0, 9), Time::ZERO);
+        sim.run();
+        let got = logs[1].lock().unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].1, got[1].1), (9, 9));
+        // The second copy queues behind the first on the ingress link.
+        assert_eq!(got[1].0 - got[0].0, Time::from_ns(16));
+        assert_eq!(sim.stats_merged().get("net.faults.duplicated"), 1);
+    }
+
+    #[test]
+    fn corruption_clears_crc_flag() {
+        let faults: FaultConfig = "seed=3,corrupt=1.0".parse().unwrap();
+        let (mut sim, ports, logs) = build(2, 1, faults);
+        send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
+        sim.run();
+        let got = logs[1].lock().unwrap();
+        assert_eq!(got.len(), 1);
+        assert!(!got[0].2, "frame should arrive with failed CRC");
+        assert_eq!(sim.stats_merged().get("net.faults.corrupted"), 1);
+    }
+
+    #[test]
+    fn empty_fault_config_changes_nothing() {
+        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
+        sim.run();
+        assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(216));
+        let stats = sim.stats_merged();
+        for key in [
+            "net.faults.dropped",
+            "net.faults.duplicated",
+            "net.faults.corrupted",
+        ] {
+            assert_eq!(stats.get(key), 0, "{key}");
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! A switch in a planned topology: output-queued trunk ports with finite
 //! link bandwidth, plus node downlink ports.
 //!
-//! Timing model, hop for hop the same discipline as the hub fabric and
-//! the [`crate::port::FabricPort`]s:
+//! Timing model, hop for hop the same discipline as the
+//! [`crate::port::FabricPort`]s:
 //!
 //! * **Trunk hop** — the frame occupies the chosen output port's
 //!   serialization window (`max(now, busy) + ser`, with `ser` rounded up
-//!   to the next picosecond exactly like `Fabric::serialize` — no silent
+//!   to the next picosecond by `NetConfig::serialize` — no silent
 //!   truncation on the multi-hop path), then rides the trunk wire (the
 //!   `connect` latency). Contending frames queue FIFO behind the window,
 //!   which is the output-queueing/link-contention model.
@@ -18,8 +18,8 @@
 //! Scheduled link faults stay at the *source* port: `FabricPort::inject`
 //! refuses a frame whose (src, dst) edge the fault schedule has down, so
 //! a downed edge blackholes the pair end-to-end no matter how many
-//! switches sit between them — the same semantics the hub enforces, kept
-//! out of the per-hop hot loop.
+//! switches sit between them — the same semantics as the all-to-all
+//! wiring, kept out of the per-hop hot loop.
 //!
 //! [`FabricPort`]: crate::port::FabricPort
 
@@ -72,12 +72,6 @@ impl Switch {
         assert!(j < plan.attached[id].len());
         OutPort((plan.neighbors[id].len() + j) as u16)
     }
-
-    /// Serialization time for `bytes` on a trunk, rounded up to the next
-    /// picosecond (identical to `Fabric::serialize`).
-    fn serialize(&self, bytes: u64) -> Time {
-        Time::from_ps((bytes * 1000).div_ceil(self.cfg.bytes_per_ns))
-    }
 }
 
 impl Component for Switch {
@@ -103,7 +97,7 @@ impl Component for Switch {
                 );
             }
             RouteStep::Forward(p) => {
-                let ser = self.serialize(msg.wire_bytes());
+                let ser = self.cfg.serialize(msg.wire_bytes());
                 let start = ctx.now().max(self.trunk_busy[p]);
                 self.trunk_busy[p] = start + ser;
                 ctx.stats().incr("net.switch.hops");
@@ -202,8 +196,8 @@ mod tests {
     }
 
     /// Switch-hop serialization rounds partial bytes *up*, exactly like
-    /// the hub `Fabric::serialize` fix — the multi-hop path must not
-    /// reintroduce silent truncation.
+    /// the fabric ports — the multi-hop path must not reintroduce silent
+    /// truncation.
     #[test]
     fn trunk_serialization_rounds_up_not_down() {
         // 7 B/ns does not divide 32 header bytes: 32000/7 = 4571.43 ps,

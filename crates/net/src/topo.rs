@@ -20,8 +20,8 @@ use crate::message::NodeId;
 /// Fabric shape, selected on `ClusterConfig::builder()`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Topology {
-    /// The original single-crossbar fabric (hub component on the single
-    /// engine, all-to-all `FabricPort` wiring on the sharded one).
+    /// The paper's single crossbar: every node's `FabricPort` wired
+    /// directly to every other's.
     #[default]
     Hub,
     /// Two-level fat tree: `down` nodes per leaf switch, `up` spine

@@ -277,15 +277,11 @@ mod tests {
         }
     }
 
-    /// Collect every rank's steps for one op and return (sends, recvs) as
-    /// (from, to, tag, len) tuples.
-    fn edges(
-        op: CollOp,
-        n: u32,
-        root: u32,
-        len: u32,
-        instance: u16,
-    ) -> (Vec<(u32, u32, u16, u32)>, Vec<(u32, u32, u16, u32)>) {
+    /// One plan edge as (from, to, tag, len).
+    type Edge = (u32, u32, u16, u32);
+
+    /// Collect every rank's steps for one op and return (sends, recvs).
+    fn edges(op: CollOp, n: u32, root: u32, len: u32, instance: u16) -> (Vec<Edge>, Vec<Edge>) {
         let mut sends = Vec::new();
         let mut recvs = Vec::new();
         for me in 0..n {

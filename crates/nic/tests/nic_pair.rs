@@ -1,9 +1,11 @@
-//! Two-node NIC integration tests: a pair of NICs on a fabric, driven by
-//! scripted host components. Exercises eager and rendezvous protocols,
+//! Two-node NIC integration tests: a pair of NICs on a fabric (one shard
+//! per node, each NIC behind its own `FabricPort`), driven by scripted
+//! host components. Exercises eager and rendezvous protocols,
 //! matching semantics, ordering, and baseline-vs-ALPU equivalence.
 
 use mpiq_dessim::prelude::*;
-use mpiq_net::{Fabric, NetConfig, PORT_FROM_NIC};
+use mpiq_dessim::{ShardId, ShardedSim};
+use mpiq_net::{wire_ports, FabricPort, NetConfig, PORT_FP_INJECT};
 use mpiq_nic::{
     Completion, HostRequest, Nic, NicConfig, ReqId, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX,
     PORT_NET_TX,
@@ -35,23 +37,27 @@ impl Component for ScriptHost {
 type CompletionLog = Arc<Mutex<Vec<(Time, Completion)>>>;
 
 struct World {
-    sim: Simulation,
+    sim: ShardedSim,
     nics: Vec<ComponentId>,
     logs: Vec<CompletionLog>,
 }
 
 fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
     let n = scripts.len() as u32;
-    let mut sim = Simulation::new(1);
-    let fab = sim.add_component("net", Fabric::new(NetConfig::default(), n));
+    let net = NetConfig::default();
+    let mut sim = ShardedSim::new(1, n as usize);
     let mut nics = Vec::new();
+    let mut ports = Vec::new();
     let mut logs = Vec::new();
     for (node, script) in scripts.into_iter().enumerate() {
-        let nic = sim.add_component(&format!("nic{node}"), Nic::new(node as u32, cfg));
-        sim.connect(nic, PORT_NET_TX, fab, PORT_FROM_NIC, Time::ZERO);
-        sim.connect(fab, Fabric::out_port(node as u32), nic, PORT_NET_RX, Time::ZERO);
+        let shard = ShardId(node as u32);
+        let nic = sim.add_component(shard, &format!("nic{node}"), Nic::new(node as u32, cfg));
+        let port = FabricPort::new(net, n, node as u32, nic, PORT_NET_RX);
+        let port = sim.add_component(shard, &format!("net{node}"), port);
+        sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
         let log = Arc::new(Mutex::new(Vec::new()));
         let host = sim.add_component(
+            shard,
             &format!("host{node}"),
             ScriptHost {
                 nic,
@@ -61,8 +67,10 @@ fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
         );
         sim.connect(nic, PORT_HOST_COMP, host, InPort(0), Time::from_ns(20));
         nics.push(nic);
+        ports.push(port);
         logs.push(log);
     }
+    wire_ports(&mut sim, &ports, &net);
     World { sim, nics, logs }
 }
 

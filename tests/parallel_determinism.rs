@@ -15,7 +15,8 @@ use mpiq_bench::{
 };
 use proptest::prelude::*;
 
-const THREADS: [usize; 3] = [1, 2, 4];
+/// `0` and `1` both run inline on the calling thread; both must match.
+const THREADS: [usize; 4] = [0, 1, 2, 4];
 
 /// Fig. 5 points are bit-identical across thread counts: the full
 /// measured result (latency, traversal and cache counters) must match
@@ -102,7 +103,7 @@ fn soak_incast_stats_byte_identical_across_threads_and_seeds() {
 /// scheduling anywhere else, and the tiny windows it forces on its two
 /// endpoints must still exchange cross-shard events safely. The full
 /// incast soak over that profile must dump byte-identical statistics at
-/// 1, 2, 4, and 8 worker threads.
+/// 0, 1, 2, 4, and 8 worker threads.
 #[test]
 fn hetero_latency_soak_byte_identical_across_threads() {
     let run = |threads: usize| {
@@ -119,7 +120,7 @@ fn hetero_latency_soak_byte_identical_across_threads() {
         run_soak(&cfg).expect("soak must drain")
     };
     let base = run(1);
-    for t in [2usize, 4, 8] {
+    for t in [0usize, 2, 4, 8] {
         let got = run(t);
         assert_eq!(got.stats_json, base.stats_json, "hetero stats diverged at {t} threads");
         assert_eq!(got.events, base.events, "hetero event count diverged at {t} threads");
