@@ -11,24 +11,22 @@
 //! Two wire profiles exercise the window planner:
 //!
 //! * `incast` — uniform 200 ns wires. Every cross-shard edge has the
-//!   same lookahead, so the adaptive and global planners pick similar
-//!   windows; this row tracks raw engine throughput.
+//!   same lookahead; this row tracks raw engine throughput.
 //! * `hetero` — the same incast over 1 µs wires with one 10 ns edge
-//!   (nodes 1↔2). The global planner must shrink *every* window to the
-//!   worst edge; the adaptive per-edge planner only constrains the two
-//!   shards touching it. This row is the headline win.
+//!   (nodes 1↔2). The per-edge planner constrains only the two shards
+//!   touching the short edge.
 //!
-//! Each (scenario, policy) pair runs at every `--thread-counts` entry
-//! and its statistics dump is byte-compared against the pair's
-//! one-thread run — the engine's determinism contract makes any
-//! divergence a hard error. Speedup is relative to the first thread
-//! count of the same pair; only the wall clock may change.
+//! Each scenario runs at every `--thread-counts` entry and its
+//! statistics dump is byte-compared against the scenario's first run —
+//! the engine's determinism contract makes any divergence a hard error.
+//! Speedup is relative to the first thread count of the same scenario;
+//! only the wall clock may change.
 //!
 //! `--out PATH` writes the full document (code version stamp, config,
 //! one row per run). The repo tracks `BENCH_scaling.json` at the root:
 //! regenerate it with `--out BENCH_scaling.json` after perf-relevant
 //! changes. `--check PATH` loads such a document and fails (exit 1)
-//! when any current adaptive row's events/sec drops more than
+//! when any current row's events/sec drops more than
 //! `--tolerance` percent below the same (scenario, threads) row of the
 //! baseline — CI runs both flags in one invocation.
 //!
@@ -69,10 +67,9 @@ fn render(rows: &[ResultRow], senders: u32, msgs: u32, size: u32, seed: u64) -> 
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"scenario\": {}, \"policy\": {}, \"threads\": {}, \"wall_ms\": {}, \
+            "    {{\"scenario\": {}, \"threads\": {}, \"wall_ms\": {}, \
              \"events\": {}, \"events_per_sec\": {}, \"speedup\": {}}}{comma}\n",
             json_str(&r.text("scenario").unwrap_or_default()),
-            json_str(&r.text("policy").unwrap_or_default()),
             r.num("threads").unwrap_or(0.0) as u64,
             json_f64(r.num("wall_ms").unwrap_or(0.0)),
             r.num("events").unwrap_or(0.0) as u64,
@@ -85,8 +82,8 @@ fn render(rows: &[ResultRow], senders: u32, msgs: u32, size: u32, seed: u64) -> 
     out
 }
 
-/// Compare the current adaptive rows against a baseline document.
-/// Returns the failures (empty = pass). Baseline rows with no matching
+/// Compare the current rows against a baseline document, matching rows
+/// on (scenario, threads). Returns the failures (empty = pass). Baseline rows with no matching
 /// current run (different thread list) are skipped; a baseline that
 /// matches nothing at all is an error, because the gate would be
 /// vacuous.
@@ -103,13 +100,12 @@ fn check_baseline(
     let base_version = doc.get("version").and_then(Json::as_str).unwrap_or("?");
     let mut failures = Vec::new();
     let mut matched = 0usize;
-    for r in rows.iter().filter(|r| r.text("policy").as_deref() == Some("adaptive")) {
+    for r in rows {
         let scenario = r.text("scenario").unwrap_or_default();
         let threads = r.num("threads").unwrap_or(0.0) as u64;
         let events_per_sec = r.num("events_per_sec").unwrap_or(0.0);
         let Some(base) = base_rows.iter().find(|b| {
             b.get("scenario").and_then(Json::as_str) == Some(scenario.as_str())
-                && b.get("policy").and_then(Json::as_str) == r.text("policy").as_deref()
                 && b.get("threads").and_then(Json::as_u64) == Some(threads)
         }) else {
             continue;

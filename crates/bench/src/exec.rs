@@ -23,7 +23,7 @@ use crate::{
     FaultCounters, NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig,
     UnexpectedPoint,
 };
-use mpiq_dessim::{FaultConfig, Time, WindowPolicy};
+use mpiq_dessim::{FaultConfig, Time};
 use mpiq_net::{Topology, WireProfile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -582,7 +582,6 @@ fn scaling(
     let seed = spec.seed.unwrap_or(1);
     struct Row {
         scenario: &'static str,
-        policy: WindowPolicy,
         threads: usize,
         wall_ms: f64,
         events: u64,
@@ -590,8 +589,8 @@ fn scaling(
         speedup: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
-    result.header = "scenario,policy,threads,wall_ms,events,events_per_sec,speedup".to_string();
-    let total = scenarios.len() * 2 * thread_counts.len();
+    result.header = "scenario,threads,wall_ms,events,events_per_sec,speedup".to_string();
+    let total = scenarios.len() * thread_counts.len();
     let mut done = 0usize;
     for scenario in scenarios {
         let scenario: &'static str = match scenario.as_str() {
@@ -601,52 +600,44 @@ fn scaling(
                 return Err(format!("unknown scenario `{other}` (expected incast or hetero)"))
             }
         };
-        for policy in [WindowPolicy::PerEdge, WindowPolicy::Global] {
-            let mut reference: Option<(f64, String)> = None;
-            for &threads in thread_counts {
-                if threads < 1 {
-                    return Err("--thread-counts entries must be >= 1".to_string());
-                }
-                let mut cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
-                cfg.parallelism = threads;
-                cfg.window_policy = policy;
-                let start = Instant::now();
-                let out =
-                    run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let (base_ms, base_stats) =
-                    reference.get_or_insert((wall_ms, out.stats_json.clone()));
-                if out.stats_json != *base_stats {
-                    return Err(format!(
-                        "{scenario}/{}: stats diverged between {} and {} threads — \
-                         determinism contract broken",
-                        policy.label(),
-                        thread_counts[0],
-                        threads
-                    ));
-                }
-                let speedup = *base_ms / wall_ms;
-                let events_per_sec = out.events as f64 / (wall_ms / 1e3);
-                rows.push(Row {
-                    scenario,
-                    policy,
-                    threads,
-                    wall_ms,
-                    events: out.events,
-                    events_per_sec,
-                    speedup,
-                });
-                done += 1;
-                progress(done, total);
+        let mut reference: Option<(f64, String)> = None;
+        for &threads in thread_counts {
+            if threads < 1 {
+                return Err("--thread-counts entries must be >= 1".to_string());
             }
+            let mut cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
+            cfg.parallelism = threads;
+            let start = Instant::now();
+            let out = run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let (base_ms, base_stats) =
+                reference.get_or_insert((wall_ms, out.stats_json.clone()));
+            if out.stats_json != *base_stats {
+                return Err(format!(
+                    "{scenario}: stats diverged between {} and {} threads — \
+                     determinism contract broken",
+                    thread_counts[0], threads
+                ));
+            }
+            let speedup = *base_ms / wall_ms;
+            let events_per_sec = out.events as f64 / (wall_ms / 1e3);
+            rows.push(Row {
+                scenario,
+                threads,
+                wall_ms,
+                events: out.events,
+                events_per_sec,
+                speedup,
+            });
+            done += 1;
+            progress(done, total);
         }
     }
     for r in &rows {
         result.rows.push(ResultRow {
             csv: format!(
-                "{},{},{},{:.1},{},{:.0},{:.2}",
+                "{},{},{:.1},{},{:.0},{:.2}",
                 r.scenario,
-                r.policy.label(),
                 r.threads,
                 r.wall_ms,
                 r.events,
@@ -655,7 +646,6 @@ fn scaling(
             ),
             fields: vec![
                 ("scenario".to_string(), json_str(r.scenario)),
-                ("policy".to_string(), json_str(r.policy.label())),
                 ("threads".to_string(), r.threads.to_string()),
                 ("wall_ms".to_string(), json_f64(r.wall_ms)),
                 ("events".to_string(), r.events.to_string()),
@@ -663,26 +653,6 @@ fn scaling(
                 ("speedup".to_string(), json_f64(r.speedup)),
             ],
         });
-    }
-    for scenario in scenarios {
-        let best = |policy: WindowPolicy| {
-            rows.iter()
-                .filter(|r| r.scenario == *scenario && r.policy == policy)
-                .max_by_key(|r| r.threads)
-        };
-        if let (Some(adaptive), Some(global)) =
-            (best(WindowPolicy::PerEdge), best(WindowPolicy::Global))
-        {
-            result.notes.push(format!(
-                "scaling: {scenario} @ {} threads: adaptive {:.1} ms vs global {:.1} ms ({:.2}x), \
-                 adaptive self-speedup {:.2}x",
-                adaptive.threads,
-                adaptive.wall_ms,
-                global.wall_ms,
-                global.wall_ms / adaptive.wall_ms,
-                adaptive.speedup,
-            ));
-        }
     }
     Ok(())
 }

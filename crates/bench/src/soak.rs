@@ -29,7 +29,7 @@
 //! bound.
 
 use mpiq_dessim::watchdog::Diagnosis;
-use mpiq_dessim::{FaultConfig, FaultEvent, FaultSchedule, SimRng, Time, WindowPolicy};
+use mpiq_dessim::{FaultConfig, FaultEvent, FaultSchedule, SimRng, Time};
 use mpiq_mpi::script::mark_log;
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
 use mpiq_net::NetConfig;
@@ -104,9 +104,6 @@ pub struct SoakConfig {
     pub parallelism: usize,
     /// Network parameters (wire latency, bandwidth, per-pair profile).
     pub net: NetConfig,
-    /// Window planning (adaptive per-edge lookahead by default; global
-    /// window as the perf baseline).
-    pub window_policy: WindowPolicy,
     /// Mean time between link flaps for the chaos scenario's seeded
     /// storm (ignored by the other scenarios). Smaller = stormier.
     pub mtbf: Time,
@@ -144,7 +141,6 @@ impl SoakConfig {
             deadline: Time::from_ms(500),
             parallelism: 0,
             net: NetConfig::default(),
-            window_policy: WindowPolicy::default(),
             mtbf: Time::from_us(150),
             mttr: Time::from_us(50),
             node_mttr: None,
@@ -451,7 +447,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
     let mut builder = ClusterConfig::builder(nic)
         .seed(cfg.seed)
         .net(cfg.net)
-        .window_policy(cfg.window_policy)
         .parallelism(cfg.parallelism);
     if let Some(f) = cfg.faults {
         builder = builder.faults(f);

@@ -21,10 +21,18 @@ use mpiq_dessim::trace::{
 };
 use mpiq_dessim::chrome_trace;
 
-struct Scripted;
+/// Emits one of every structured trace event; the `metered` instance
+/// also records a counter and a histogram sample.
+struct Scripted {
+    metered: bool,
+}
 
 impl Component for Scripted {
     fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+        if self.metered {
+            ctx.metrics().add("nic0.work_items", 9);
+            ctx.metrics().record("nic0.match.posted.linear", Time::from_ns(105));
+        }
         ctx.trace(TraceEvent::QueueOp {
             queue: QueueKind::Posted,
             op: QueueOpKind::Push,
@@ -76,15 +84,13 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn scripted_two_component_trace_matches_golden() {
     let mut sim = Simulation::new(7);
-    let a = sim.add_component("nic0", Scripted);
-    let b = sim.add_component("nic1", Scripted);
+    let a = sim.add_component("nic0", Scripted { metered: true });
+    let b = sim.add_component("nic1", Scripted { metered: false });
     sim.enable_tracing(64);
     sim.enable_metrics();
     sim.post(a, InPort(0), Payload::empty(), Time::from_ns(100));
     sim.post(b, InPort(0), Payload::empty(), Time::from_us(2));
     sim.run();
-    sim.metrics_mut().add("nic0.work_items", 9);
-    sim.metrics_mut().record("nic0.match.posted.linear", Time::from_ns(105));
     let json = chrome_trace(&sim);
 
     jsonlint::validate(&json).expect("exporter must emit valid JSON");

@@ -18,10 +18,9 @@ pub struct ComponentId(pub u32);
 /// can never touch another component directly, which is what makes the
 /// kernel deterministic and borrow-check-friendly.
 ///
-/// Components must be [`Send`]: the partitioned executor (see
-/// [`crate::shard`]) moves whole shards of components onto worker
-/// threads. Shared test fixtures should use `Arc<Mutex<..>>` rather than
-/// `Rc<RefCell<..>>`.
+/// Components must be [`Send`]: the executor (see [`crate::shard`])
+/// moves whole shards of components onto worker threads. Shared test
+/// fixtures should use `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`.
 pub trait Component: Send + 'static {
     /// Handle one delivered event. May emit events on output ports, post
     /// self-wakeups, mutate stats, and draw random numbers via `ctx`.
@@ -70,15 +69,14 @@ pub(crate) enum Emission {
 
 /// Execution context handed to a component while it runs.
 ///
-/// Emissions are buffered and committed by the scheduler after the handler
-/// returns, in emission order, preserving determinism.
+/// Emissions are buffered and committed by the owning shard after the
+/// handler returns, in emission order, preserving determinism.
 pub struct Ctx<'a> {
     pub(crate) now: Time,
     pub(crate) me: ComponentId,
     pub(crate) emissions: Vec<Emission>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stats: &'a mut Stats,
-    pub(crate) stop_requested: &'a mut bool,
     pub(crate) trace: &'a mut TraceRing,
     pub(crate) metrics: &'a mut Metrics,
 }
@@ -133,12 +131,6 @@ impl<'a> Ctx<'a> {
     /// The global statistics registry.
     pub fn stats(&mut self) -> &mut Stats {
         self.stats
-    }
-
-    /// Ask the scheduler to stop after this handler returns (pending
-    /// emissions are still enqueued but not executed).
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
     }
 
     /// Append to the simulation trace ring (no-op unless tracing was

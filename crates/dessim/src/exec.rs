@@ -1,15 +1,16 @@
-//! The executor for [`ShardedSim`]: carries shards through conservative
+//! The executor for [`Simulation`]: carries shards through conservative
 //! lookahead windows.
 //!
-//! [`run_windows`] plans a window bound per shard (from the per-edge
-//! safe-time table under [`WindowPolicy::PerEdge`], or one shared cap
-//! under [`WindowPolicy::Global`]), executes every shard's in-window
-//! events, swaps cross-shard trays at a barrier, and repeats. With one
-//! worker every shard runs on the calling thread; with more, shards are
-//! striped across a scoped worker pool (`scoped_pool`). Because the
-//! window schedule, per-shard event order, and barrier exchange order
-//! are all independent of which OS thread carries a shard, any worker
-//! count produces bit-identical results.
+//! [`run_windows`] plans a window bound per shard from the per-edge
+//! safe-time table (see [`crate::window`]), executes every shard's
+//! in-window events, swaps cross-shard trays at a barrier, and repeats.
+//! A one-shard simulation has no cross-shard edges, so its first window
+//! spans the whole horizon. With one worker every shard runs on the
+//! calling thread; with more, shards are striped across a scoped worker
+//! pool (`scoped_pool`). Because the window schedule, per-shard event
+//! order, and barrier exchange order are all independent of which OS
+//! thread carries a shard, any worker count produces bit-identical
+//! results.
 //!
 //! Shards live inside `Mutex` cells during a run. The locks are never
 //! contended (each shard is touched by exactly one worker inside a
@@ -23,28 +24,21 @@
 //! therefore asserted on the driver thread (at the barrier tray swap) so
 //! they surface as ordinary panics at any worker count.
 
-use crate::shard::{exchange_trays, Shard, ShardedSim};
+use crate::scheduler::Simulation;
+use crate::shard::{exchange_trays, Shard};
 use crate::time::Time;
-use crate::window::{SafeTimeTable, WindowPolicy};
+use crate::window::SafeTimeTable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Execute every event of `sim` with `time <= horizon` (or until a
-/// component requests a stop, honored at the next window barrier).
-/// Shards are striped over `threads` workers, the driver included;
-/// the count is clamped to the shard count (extra threads would own
-/// empty stripes), and `threads <= 1` runs every shard inline on the
-/// calling thread without spawning any.
-pub(crate) fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
+/// Execute every event of `sim` with `time <= horizon`. Shards are
+/// striped over `threads` workers, the driver included; the count is
+/// clamped to the shard count (extra threads would own empty stripes),
+/// and `threads <= 1` runs every shard inline on the calling thread
+/// without spawning any.
+pub(crate) fn run_windows(sim: &mut Simulation, horizon: Time, threads: usize) {
     let nshards = sim.shards.len();
-    if nshards == 0 {
-        return;
-    }
-    let lookahead = sim.lookahead();
-    let mut planner = match sim.window_policy() {
-        WindowPolicy::Global => None,
-        WindowPolicy::PerEdge => Some(SafeTimeTable::new(nshards, sim.topo.edges())),
-    };
+    let mut planner = SafeTimeTable::new(nshards, sim.topo.edges());
     let stride = threads.min(nshards).max(1);
     let extra = stride - 1;
     let cells: Vec<Mutex<Shard>> = sim.shards.drain(..).map(Mutex::new).collect();
@@ -76,37 +70,22 @@ pub(crate) fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
             loop {
                 // Between windows only the driver is awake; these locks
                 // are uncontended bookkeeping.
-                let stopped = {
-                    let guards = lock_all(&cells);
-                    for (slot, g) in nexts.iter_mut().zip(guards.iter()) {
-                        *slot = g.next_time().map_or(u64::MAX, |t| t.0);
-                    }
-                    guards.iter().any(|g| g.stop)
-                };
-                if stopped {
-                    break;
+                for (slot, g) in nexts.iter_mut().zip(lock_all(&cells).iter()) {
+                    *slot = g.next_time().map_or(u64::MAX, |t| t.0);
                 }
                 let min_next = nexts.iter().copied().min().unwrap_or(u64::MAX);
-                // Done when nothing at or below the horizon remains (the
-                // top two u64 values are unreachable: see `plan_window`).
+                // Done when nothing at or below the horizon remains. The
+                // window bound is exclusive and capped below the pool's
+                // shutdown sentinel (u64::MAX), so no window can run an
+                // event at u64::MAX - 1 or above (over 500 years of
+                // simulated time): such events are unreachable, and the
+                // run ends instead of planning a window without progress.
                 if min_next >= u64::MAX - 1 || min_next > horizon.0 {
                     break;
                 }
-                match planner.as_mut() {
-                    None => {
-                        let end =
-                            ShardedSim::plan_window(Some(Time(min_next)), lookahead, horizon)
-                                .expect("pending event at or below the horizon");
-                        for slot in &ends {
-                            slot.store(end.0, Ordering::Relaxed);
-                        }
-                    }
-                    Some(table) => {
-                        let cap = horizon.0.saturating_add(1).min(u64::MAX - 1);
-                        for (slot, &bound) in ends.iter().zip(table.bounds(&nexts)) {
-                            slot.store(bound.min(cap), Ordering::Relaxed);
-                        }
-                    }
+                let cap = horizon.0.saturating_add(1).min(u64::MAX - 1);
+                for (slot, &bound) in ends.iter().zip(planner.bounds(&nexts)) {
+                    slot.store(bound.min(cap), Ordering::Relaxed);
                 }
                 // All workers (and the driver, via the closure) execute
                 // their stripes for [shard.floor, ends[shard]), then

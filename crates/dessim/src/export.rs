@@ -21,7 +21,6 @@
 
 use crate::metrics::Metrics;
 use crate::scheduler::Simulation;
-use crate::shard::ShardedSim;
 use crate::trace::{TraceEvent, TraceRing};
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -118,29 +117,21 @@ fn describe(what: &TraceEvent) -> (String, String) {
     }
 }
 
-/// Render the simulation's trace ring and metrics registry as a Chrome
-/// trace JSON document. Works on any simulation; with tracing disabled
-/// the `traceEvents` array holds only the thread-name metadata.
+/// Render the simulation's trace and metrics registry as a Chrome trace
+/// JSON document. Per-shard rings are merged into canonical order first
+/// (see [`TraceRing::merged`]), so the output is byte-identical for any
+/// worker-thread count. With tracing disabled the `traceEvents` array
+/// holds only the thread-name metadata.
 pub fn chrome_trace(sim: &Simulation) -> String {
     let names: Vec<String> = (0..sim.component_count())
         .map(|i| sim.name_of(crate::component::ComponentId(i as u32)).to_string())
         .collect();
-    chrome_trace_parts(&names, sim.trace(), sim.metrics())
+    chrome_trace_parts(&names, &sim.trace(), &sim.metrics())
 }
 
-/// [`chrome_trace`] for a sharded simulation: per-shard rings are merged
-/// into canonical order first (see [`TraceRing::merged`]), so the output
-/// is byte-identical for any worker-thread count.
-pub fn chrome_trace_sharded(sim: &ShardedSim) -> String {
-    let names: Vec<String> = (0..sim.component_count())
-        .map(|i| sim.name_of(crate::component::ComponentId(i as u32)).to_string())
-        .collect();
-    chrome_trace_parts(&names, &sim.trace_merged(), &sim.metrics_merged())
-}
-
-/// The exporter core, decoupled from which executive produced the parts:
-/// component names (index = `tid`), a trace ring, and a metrics registry.
-pub fn chrome_trace_parts(names: &[String], ring: &TraceRing, metrics: &Metrics) -> String {
+/// The exporter core: component names (index = `tid`), a trace ring,
+/// and a metrics registry.
+fn chrome_trace_parts(names: &[String], ring: &TraceRing, metrics: &Metrics) -> String {
     let mut events: Vec<String> = Vec::new();
 
     // One "thread" per component, named up front so viewers label lanes.
@@ -279,11 +270,18 @@ mod tests {
 
     #[test]
     fn exporter_summarizes_metrics_in_other_data() {
+        struct Metered;
+        impl Component for Metered {
+            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+                ctx.metrics().add("nic0.ops", 5);
+                ctx.metrics().record("nic0.lat", Time::from_ns(4));
+            }
+        }
         let mut sim = Simulation::new(0);
-        sim.add_component("nic0", Emitter);
+        let c = sim.add_component("nic0", Metered);
         sim.enable_metrics();
-        sim.metrics_mut().add("nic0.ops", 5);
-        sim.metrics_mut().record("nic0.lat", Time::from_ns(4));
+        sim.post(c, InPort(0), Payload::empty(), Time::ZERO);
+        sim.run();
         let json = chrome_trace(&sim);
         assert!(json.contains("\"nic0.ops\":\"5\""), "{json}");
         assert!(json.contains("\"nic0.lat\":\"count=1"), "{json}");

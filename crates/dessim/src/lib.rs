@@ -4,8 +4,18 @@
 //! This crate is the substrate the rest of `mpiq` runs on. It stands in for
 //! the Enkidu framework the paper built its system simulation on: a small
 //! discrete-event kernel where *components* exchange *events* over *links*
-//! with fixed latencies, all driven by a central scheduler with
+//! with fixed latencies, all driven by one executive, [`Simulation`], with
 //! picosecond-resolution virtual time.
+//!
+//! There is one executive and one event loop. A [`Simulation`] places
+//! its components into shards, each with its own `(time, seq)` event
+//! heap ([`shard`]), and carries them through conservative lookahead
+//! windows ([`exec`], planned per edge by [`window`]).
+//! [`Simulation::new`] builds one shard: the sequential case, where the
+//! first window spans the whole run. [`Simulation::with_shards`] and
+//! [`Simulation::add_component_in`] partition a graph whose shards are
+//! joined only by positive-latency links; any worker-thread count then
+//! gives bit-identical results.
 //!
 //! Design goals, in order:
 //!
@@ -63,12 +73,12 @@ pub mod window;
 pub use clock::Clock;
 pub use component::{Component, ComponentId, Ctx};
 pub use event::{Event, InPort, OutPort, Payload};
-pub use export::{chrome_trace, chrome_trace_sharded};
+pub use export::chrome_trace;
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, FaultSchedule, FlipTarget, WireFault};
 pub use metrics::{Histogram, Metrics};
 pub use rng::SimRng;
 pub use scheduler::Simulation;
-pub use shard::{ShardId, ShardedSim};
+pub use shard::ShardId;
 pub use stats::Stats;
 pub use time::Time;
 pub use trace::{
@@ -76,7 +86,6 @@ pub use trace::{
     TraceRecord, TraceRing,
 };
 pub use watchdog::{Diagnosis, Health, StallKind};
-pub use window::WindowPolicy;
 
 /// Convenient glob import for simulation authors.
 pub mod prelude {

@@ -1,102 +1,99 @@
-//! The event scheduler / simulation executive.
+//! The simulation executive: the one type that owns components,
+//! wiring, virtual time, and the run loop.
+//!
+//! A [`Simulation`] places its components into shards (see
+//! [`crate::shard`]) and runs them through the windowed executor in
+//! [`crate::exec`]. [`Simulation::new`] builds one shard — the
+//! sequential case, where every event runs in `(time, seq)` order off
+//! one heap. [`Simulation::with_shards`] plus
+//! [`Simulation::add_component_in`] partition the graph for the
+//! partitioned case; the worker-thread count
+//! ([`Simulation::set_threads`]) is a pure performance knob.
 
-use crate::component::{Component, ComponentId, Ctx, Emission};
-use crate::event::{Event, InPort, OutPort, Payload};
+use crate::component::{Component, ComponentId};
+use crate::event::{InPort, OutPort, Payload};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
+use crate::shard::{exchange_trays, Link, Shard, ShardId, Topology};
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// One scheduled event in the heap. Ordered by (time, seq): the sequence
-/// number breaks ties deterministically in insertion order. Shared with
-/// the partitioned executor ([`crate::shard`]), which keeps one such heap
-/// per shard.
-pub(crate) struct Scheduled {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) dst: ComponentId,
-    pub(crate) port: InPort,
-    pub(crate) payload: Payload,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A wired link: (src component, out port) -> (dst component, in port, latency).
-#[derive(Clone, Copy)]
-pub(crate) struct Link {
-    pub(crate) dst: ComponentId,
-    pub(crate) port: InPort,
-    pub(crate) latency: Time,
-}
-
-/// The simulation executive: owns components, wiring, the event heap,
-/// virtual time, the RNG, and the statistics registry.
+/// The simulation executive. Build it — register components, wire
+/// links, post initial events — then `run`. Observable output (stats,
+/// metrics, trace, component state) never depends on the worker-thread
+/// count.
 pub struct Simulation {
-    components: Vec<Box<dyn Component>>,
-    names: Vec<String>,
-    /// Outgoing links, indexed `[component][out_port]` — a flat lookup on
-    /// the per-emission hot path (out-port numbers are small and dense).
-    wiring: Vec<Vec<Option<Link>>>,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    now: Time,
-    seq: u64,
-    rng: SimRng,
-    stats: Stats,
-    trace: TraceRing,
-    metrics: Metrics,
+    pub(crate) topo: Topology,
+    pub(crate) shards: Vec<Shard>,
+    threads: usize,
     started: bool,
-    events_processed: u64,
 }
 
 impl Simulation {
-    /// Create an empty simulation with a deterministic RNG seed.
+    /// Create an empty one-shard simulation with a deterministic RNG
+    /// seed.
     pub fn new(seed: u64) -> Simulation {
+        Simulation::with_shards(seed, 1)
+    }
+
+    /// Create a simulation partitioned into `nshards` shards. Each shard
+    /// gets an independent RNG stream forked deterministically from
+    /// `seed` (in shard-id order), so draws inside one shard never
+    /// depend on activity in another.
+    pub fn with_shards(seed: u64, nshards: usize) -> Simulation {
+        assert!(nshards > 0, "a simulation needs at least one shard");
+        let mut master = SimRng::new(seed);
+        let shards = (0..nshards)
+            .map(|id| Shard::new(id as u32, master.fork(), nshards))
+            .collect();
         Simulation {
-            components: Vec::new(),
-            names: Vec::new(),
-            wiring: Vec::new(),
-            heap: BinaryHeap::new(),
-            now: Time::ZERO,
-            seq: 0,
-            rng: SimRng::new(seed),
-            stats: Stats::new(),
-            trace: TraceRing::disabled(),
-            metrics: Metrics::disabled(),
+            topo: Topology::default(),
+            shards,
+            threads: 1,
             started: false,
-            events_processed: 0,
         }
     }
 
-    /// Register a component; the returned id addresses it in wiring and
-    /// direct sends.
+    /// Select how many worker threads execute windows (`0` and `1` both
+    /// mean one, on the calling thread). Thread count is a pure
+    /// performance knob: results are identical for any value.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// Register a component into shard 0; the returned id addresses it
+    /// in wiring and direct sends.
     pub fn add_component<C: Component>(&mut self, name: &str, c: C) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
-        self.components.push(Box::new(c));
-        self.names.push(name.to_string());
-        self.wiring.push(Vec::new());
-        id
+        self.add_component_in(ShardId(0), name, c)
+    }
+
+    /// Register a component into `shard`; the returned id is global
+    /// (usable in wiring and direct sends regardless of shard).
+    pub fn add_component_in<C: Component>(
+        &mut self,
+        shard: ShardId,
+        name: &str,
+        c: C,
+    ) -> ComponentId {
+        let s = shard.0 as usize;
+        assert!(s < self.shards.len(), "unknown shard {shard:?}");
+        let global = ComponentId(self.topo.names.len() as u32);
+        let local = self.shards[s].components.len() as u32;
+        self.shards[s].components.push(Box::new(c));
+        self.topo.names.push(name.to_string());
+        self.topo.owner.push((shard.0, local));
+        self.topo.wiring.push(Vec::new());
+        global
     }
 
     /// Wire `src.out_port` to `dst.in_port` with the given link latency.
     /// Re-connecting an already wired output port replaces the link.
+    ///
+    /// A link between components in *different* shards is a cross-shard
+    /// edge: it must have positive latency (zero-latency edges admit no
+    /// lookahead), and its latency bounds how far the window planner
+    /// lets the destination shard run ahead of the source.
     pub fn connect(
         &mut self,
         src: ComponentId,
@@ -106,13 +103,31 @@ impl Simulation {
         latency: Time,
     ) {
         assert!(
-            (dst.0 as usize) < self.components.len(),
+            (dst.0 as usize) < self.topo.owner.len(),
             "connect: unknown destination component"
         );
-        let ports = self
-            .wiring
-            .get_mut(src.0 as usize)
+        let (src_shard, _) = *self
+            .topo
+            .owner
+            .get(src.0 as usize)
             .expect("connect: unknown source component");
+        let (dst_shard, _) = self.topo.owner[dst.0 as usize];
+        if src_shard != dst_shard {
+            assert!(
+                latency > Time::ZERO,
+                "cross-shard link `{}` -> `{}` must have positive latency: \
+                 zero-latency edges admit no conservative lookahead",
+                self.topo.names[src.0 as usize],
+                self.topo.names[dst.0 as usize],
+            );
+            let pair = self
+                .topo
+                .edges
+                .entry((src_shard, dst_shard))
+                .or_insert(Time::MAX);
+            *pair = (*pair).min(latency);
+        }
+        let ports = &mut self.topo.wiring[src.0 as usize];
         let slot = out_port.0 as usize;
         if ports.len() <= slot {
             ports.resize(slot + 1, None);
@@ -124,96 +139,101 @@ impl Simulation {
         });
     }
 
-    /// Schedule an event for delivery `delay` after the current time.
+    /// Schedule an event `delay` after the owning shard's current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        let time = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            time,
-            seq,
-            dst,
-            port,
-            payload,
-        }));
+        let (shard, _) = self.topo.owner[dst.0 as usize];
+        let sh = &mut self.shards[shard as usize];
+        let time = sh.now + delay;
+        sh.push_local(time, dst, port, payload);
     }
 
-    /// Current virtual time.
+    /// Current virtual time: the latest shard-local time (shards with no
+    /// work lag behind the frontier; this reports the frontier).
     pub fn now(&self) -> Time {
-        self.now
+        self.shards.iter().map(|s| s.now).max().unwrap_or(Time::ZERO)
     }
 
-    /// Number of events delivered so far.
+    /// Total events delivered so far, across all shards.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Immutable view of the statistics registry.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Mutable view of the statistics registry (e.g. for resetting between
-    /// measurement phases).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
+        self.shards.iter().map(|s| s.events_processed).sum()
     }
 
     /// Registered name of a component.
     pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.names[id.0 as usize]
+        &self.topo.names[id.0 as usize]
     }
 
     /// Number of registered components (ids are `0..count`).
     pub fn component_count(&self) -> usize {
-        self.components.len()
+        self.topo.names.len()
     }
 
-    /// Keep the last `capacity` [`Ctx::trace`] records for debugging.
+    /// Keep the last `capacity` [`Ctx::trace`](crate::Ctx::trace)
+    /// records *per shard*.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = TraceRing::with_capacity(capacity);
+        for s in &mut self.shards {
+            s.trace = TraceRing::with_capacity(capacity);
+        }
     }
 
-    /// The trace ring (render with
-    /// [`TraceRing::render`](crate::trace::TraceRing::render)).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
-    }
-
-    /// Render the retained trace with component names resolved. Takes
-    /// `&mut self` because rendering consumes the dropped-records notice
-    /// (see [`TraceRing::render`]).
-    pub fn render_trace(&mut self) -> String {
-        let names = &self.names;
-        self.trace.render(|id| names[id.0 as usize].clone())
-    }
-
-    /// Turn on the metrics registry; [`Ctx::metrics`] writes are recorded
-    /// from here on. Off by default so unmetered runs stay byte-identical.
+    /// Turn on the metrics registry; [`Ctx::metrics`](crate::Ctx::metrics)
+    /// writes are recorded from here on. Off by default so unmetered runs
+    /// stay byte-identical.
     pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
+        for s in &mut self.shards {
+            s.metrics.enable();
+        }
     }
 
-    /// Immutable view of the metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The statistics registry: every shard's counters merged (see
+    /// [`Stats::merge_from`]) in shard-id order. Owned: assembled on
+    /// demand.
+    pub fn stats(&self) -> Stats {
+        let mut out = Stats::new();
+        for s in &self.shards {
+            out.merge_from(&s.stats);
+        }
+        out
     }
 
-    /// Mutable view of the metrics registry (e.g. for resetting between
-    /// measurement phases).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    /// The metrics registry, merged across shards in shard-id order.
+    pub fn metrics(&self) -> Metrics {
+        let mut out = Metrics::disabled();
+        for s in &self.shards {
+            out.merge_from(&s.metrics);
+        }
+        out
+    }
+
+    /// The trace, merged across shards into canonical (time, shard,
+    /// intra-shard) order (see [`TraceRing::merged`]).
+    pub fn trace(&self) -> TraceRing {
+        TraceRing::merged(self.shards.iter().map(|s| s.trace.clone()).collect())
+    }
+
+    /// Trace records currently retained across all shards.
+    pub fn trace_record_count(&self) -> usize {
+        self.shards.iter().map(|s| s.trace.records().count()).sum()
+    }
+
+    /// Trace records evicted across all shards.
+    pub fn trace_dropped(&self) -> u64 {
+        self.shards.iter().map(|s| s.trace.dropped()).sum()
+    }
+
+    /// Render the merged trace with component names resolved.
+    pub fn render_trace(&self) -> String {
+        let names = &self.topo.names;
+        self.trace().render(|id| names[id.0 as usize].clone())
     }
 
     /// Downcast a component to its concrete type, if it opted in via
     /// [`Component::as_any`]. For harness inspection between runs.
     pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
-        self.components[id.0 as usize].as_any()?.downcast_ref()
-    }
-
-    /// Mutable variant of [`Simulation::component`].
-    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> Option<&mut C> {
-        self.components[id.0 as usize].as_any_mut()?.downcast_mut()
+        let (shard, local) = self.topo.owner[id.0 as usize];
+        self.shards[shard as usize].components[local as usize]
+            .as_any()?
+            .downcast_ref()
     }
 
     /// Is the pending-event set empty? A simulation that is idle *and*
@@ -221,175 +241,74 @@ impl Simulation {
     /// ([`Component::health`]) has quiesced into a deadlock: nothing
     /// will ever run again.
     pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+        self.shards.iter().all(Shard::is_idle)
     }
 
     /// Collect [`Component::health`] reports from every component that
     /// provides one, in registration order, with names resolved.
     pub fn health_reports(&self) -> Vec<(String, crate::watchdog::Health)> {
-        self.components
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.health().map(|h| (self.names[i].clone(), h)))
+        (0..self.topo.names.len())
+            .filter_map(|i| {
+                let (shard, local) = self.topo.owner[i];
+                self.shards[shard as usize].components[local as usize]
+                    .health()
+                    .map(|h| (self.topo.names[i].clone(), h))
+            })
             .collect()
     }
 
     /// Assemble a typed stall report from the current state (see
-    /// [`crate::watchdog`]). The caller decides the [`StallKind`] — it
-    /// knows whether the run quiesced or overran its deadline.
+    /// [`crate::watchdog`]). The caller decides the
+    /// [`StallKind`](crate::watchdog::StallKind) — it knows whether the
+    /// run quiesced or overran its deadline.
     pub fn diagnose(&self, kind: crate::watchdog::StallKind) -> crate::watchdog::Diagnosis {
         crate::watchdog::Diagnosis {
             kind,
-            at: self.now,
-            events_processed: self.events_processed,
+            at: self.now(),
+            events_processed: self.events_processed(),
             components: self.health_reports(),
         }
     }
 
-    /// Run until the heap is empty or a component requested a stop.
-    /// Returns the number of events processed by this call.
+    /// Run until no event remains. Returns the number of events
+    /// processed by this call.
     pub fn run(&mut self) -> u64 {
         self.run_until(Time::MAX)
     }
 
     /// Run events with `time <= horizon`; time advances to the last
-    /// delivered event (not to the horizon itself if the heap runs dry).
+    /// delivered event (not to the horizon itself if the heaps run dry).
+    /// Returns the number of events delivered by this call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
+        let before = self.events_processed();
         self.start_components();
-        let mut delivered = 0u64;
-        let mut stop = false;
-        while !stop {
-            // Peek first, so overshoot events past the horizon stay in
-            // place instead of being popped and re-pushed.
-            if let Some(Reverse(ev)) = self.heap.peek() {
-                if ev.time > horizon {
-                    break;
-                }
-            }
-            let Some(Reverse(ev)) = self.heap.pop() else {
-                break;
-            };
-            debug_assert!(ev.time <= horizon, "the peek bounds the popped event");
-            debug_assert!(
-                ev.time >= self.now,
-                "time must be monotone: event for {:?} port {:?} at t={} < now={}",
-                ev.dst,
-                ev.port,
-                ev.time,
-                self.now
-            );
-            self.now = ev.time;
-            self.dispatch(ev, &mut stop);
-            delivered += 1;
-        }
-        self.events_processed += delivered;
-        delivered
+        crate::exec::run_windows(self, horizon, self.threads);
+        self.events_processed() - before
     }
 
-    /// Run exactly one event if one is pending. Returns `false` if idle.
-    pub fn step(&mut self) -> bool {
-        self.start_components();
-        let Some(Reverse(ev)) = self.heap.pop() else {
-            return false;
-        };
-        self.now = ev.time;
-        let mut stop = false;
-        self.dispatch(ev, &mut stop);
-        self.events_processed += 1;
-        true
-    }
-
+    /// Run every component's `on_start` hook once, in global-id order,
+    /// and exchange any cross-shard emissions they made. Serial: start
+    /// hooks run before time begins and are not worth parallelizing.
     fn start_components(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for i in 0..self.components.len() {
-            let id = ComponentId(i as u32);
-            let mut stop = false;
-            let mut ctx = Ctx {
-                now: self.now,
-                me: id,
-                emissions: Vec::new(),
-                rng: &mut self.rng,
-                stats: &mut self.stats,
-                stop_requested: &mut stop,
-                trace: &mut self.trace,
-                metrics: &mut self.metrics,
-            };
-            self.components[i].on_start(&mut ctx);
-            let emissions = ctx.emissions;
-            self.commit(id, emissions);
+        for global in 0..self.topo.owner.len() {
+            let (shard, local) = self.topo.owner[global];
+            let Self { topo, shards, .. } = self;
+            shards[shard as usize].start_component(topo, local, ComponentId(global as u32));
         }
-    }
-
-    fn dispatch(&mut self, ev: Scheduled, stop: &mut bool) {
-        let id = ev.dst;
-        let idx = id.0 as usize;
-        assert!(
-            idx < self.components.len(),
-            "event at t={} on port {:?} addressed to unknown component {:?} \
-             ({} registered)",
-            ev.time,
-            ev.port,
-            id,
-            self.components.len()
-        );
-        let mut ctx = Ctx {
-            now: self.now,
-            me: id,
-            emissions: Vec::new(),
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            stop_requested: stop,
-            trace: &mut self.trace,
-            metrics: &mut self.metrics,
-        };
-        let event = Event {
-            time: ev.time,
-            dst: id,
-            port: ev.port,
-            payload: ev.payload,
-        };
-        self.components[idx].on_event(event, &mut ctx);
-        let emissions = ctx.emissions;
-        self.commit(id, emissions);
-    }
-
-    fn commit(&mut self, src: ComponentId, emissions: Vec<Emission>) {
-        for e in emissions {
-            match e {
-                Emission::Output {
-                    port,
-                    payload,
-                    extra_delay,
-                } => {
-                    let link = self.wiring[src.0 as usize]
-                        .get(port.0 as usize)
-                        .copied()
-                        .flatten()
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "component `{}` emitted on unwired output port {:?}",
-                                self.names[src.0 as usize], port
-                            )
-                        });
-                    self.post(link.dst, link.port, payload, link.latency + extra_delay);
-                }
-                Emission::Direct {
-                    dst,
-                    port,
-                    payload,
-                    delay,
-                } => self.post(dst, port, payload, delay),
-            }
-        }
+        let mut refs: Vec<&mut Shard> = self.shards.iter_mut().collect();
+        exchange_trays(&mut refs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::Ctx;
+    use crate::event::Event;
 
     /// Counts events and forwards `n-1` copies of itself.
     struct Counter {
@@ -487,28 +406,6 @@ mod tests {
         // Remaining events still run afterwards.
         sim.run();
         assert_eq!(sim.events_processed(), 101);
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        struct Stopper {
-            after: u64,
-        }
-        impl Component for Stopper {
-            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
-                if self.after == 0 {
-                    ctx.stop();
-                } else {
-                    self.after -= 1;
-                    ctx.wake_me(InPort(0), Payload::empty(), Time::NS);
-                }
-            }
-        }
-        let mut sim = Simulation::new(0);
-        let c = sim.add_component("s", Stopper { after: 5 });
-        sim.post(c, InPort(0), Payload::empty(), Time::ZERO);
-        let n = sim.run();
-        assert_eq!(n, 6);
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! Sharded simulation state for conservative parallel execution.
+//! Shards: the event heaps and the dispatch loop behind
+//! [`Simulation`](crate::Simulation).
 //!
-//! A [`ShardedSim`] partitions its components into *shards*: islands of
-//! the component graph whose only inter-island edges are positive-latency
+//! A simulation partitions its components into *shards*: islands of the
+//! component graph whose only inter-island edges are positive-latency
 //! wired links (in the MPI cluster: one host+NIC island per node, with
 //! the fabric links as the only cross-shard edges). Each shard owns a
-//! private event heap, RNG stream, statistics, trace ring, and metrics
-//! registry, so shards can execute concurrently with no shared mutable
-//! state.
+//! private `(time, seq)` event heap, RNG stream, statistics, trace ring,
+//! and metrics registry, so shards can execute concurrently with no
+//! shared mutable state. A one-shard simulation is the sequential case:
+//! with no cross-shard edges its first window spans the whole horizon,
+//! and every event runs in `(time, seq)` order off one heap.
 //!
-//! Execution advances in *windows* planned at every barrier. Under the
-//! default [`WindowPolicy::PerEdge`] each shard gets its own bound from
-//! the per-edge safe-time table (see [`crate::window`]): the minimum
-//! over its incident cross-shard edges of the peer's safe time plus
-//! that edge's latency. Under [`WindowPolicy::Global`] — the original
-//! algorithm, kept as a baseline — let `L` be the **lookahead** (the
-//! minimum latency over all cross-shard links); if the earliest pending
-//! event anywhere sits at time `t`, every shard shares the window
-//! `[_, t + L)`. Either way shards execute their in-window events
-//! freely and in parallel (no null messages, no rollback), then meet at
-//! a barrier where buffered cross-shard events are exchanged and the
-//! next windows are planned.
+//! Execution advances in *windows* planned at every barrier: each shard
+//! gets its own bound from the per-edge safe-time table (see
+//! [`crate::window`]) — the minimum over its incident cross-shard edges
+//! of the peer's safe time plus that edge's latency. Shards execute
+//! their in-window events freely and in parallel (no null messages, no
+//! rollback), then meet at a barrier where buffered cross-shard events
+//! are exchanged and the next windows are planned.
 //!
 //! The barrier itself is O(edges), not O(events): each source shard
 //! keeps one *tray* per destination, trays record their minimum event
@@ -45,39 +43,71 @@
 //! The windowed executor itself lives in [`crate::exec`].
 
 use crate::component::{Component, ComponentId, Ctx, Emission};
-use crate::event::{Event, InPort, OutPort, Payload};
+use crate::event::{Event, InPort, Payload};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
-use crate::scheduler::{Link, Scheduled};
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
-use crate::window::WindowPolicy;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Identifies a shard within a [`ShardedSim`].
+/// Identifies a shard within a [`Simulation`](crate::Simulation).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
-/// The immutable, thread-shared part of a sharded simulation: component
-/// names, the shard each component lives in, the wiring table, and the
-/// lookahead derived from it.
+/// One scheduled event in a shard's heap. Ordered by (time, seq): the
+/// sequence number breaks ties deterministically in insertion order.
+struct Scheduled {
+    time: Time,
+    seq: u64,
+    dst: ComponentId,
+    port: InPort,
+    payload: Payload,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// A wired link: (src component, out port) -> (dst component, in port, latency).
+#[derive(Clone, Copy)]
+pub(crate) struct Link {
+    pub(crate) dst: ComponentId,
+    pub(crate) port: InPort,
+    pub(crate) latency: Time,
+}
+
+/// The immutable, thread-shared part of a simulation: component names,
+/// the shard each component lives in, and the wiring table.
+#[derive(Default)]
 pub(crate) struct Topology {
     /// Global component id -> registered name.
-    names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// Global component id -> (owning shard, index within the shard).
-    owner: Vec<(u32, u32)>,
-    /// Outgoing links indexed `[global component][out port]`.
-    wiring: Vec<Vec<Option<Link>>>,
-    /// Minimum latency over all cross-shard links; [`Time::MAX`] when no
-    /// cross-shard link exists (single shard, or disconnected islands).
-    lookahead: Time,
+    pub(crate) owner: Vec<(u32, u32)>,
+    /// Outgoing links indexed `[global component][out port]` — a flat
+    /// lookup on the per-emission hot path (out-port numbers are small
+    /// and dense).
+    pub(crate) wiring: Vec<Vec<Option<Link>>>,
     /// Minimum link latency per ordered cross-shard pair
     /// `(src_shard, dst_shard)` — the shard graph the per-edge
     /// safe-time table relaxes over. `BTreeMap` keeps iteration
     /// deterministic.
-    edges: BTreeMap<(u32, u32), Time>,
+    pub(crate) edges: BTreeMap<(u32, u32), Time>,
 }
 
 impl Topology {
@@ -126,16 +156,15 @@ impl Tray {
 /// needs to execute events without touching other shards.
 pub(crate) struct Shard {
     id: u32,
-    components: Vec<Box<dyn Component>>,
+    pub(crate) components: Vec<Box<dyn Component>>,
     heap: BinaryHeap<Reverse<Scheduled>>,
-    now: Time,
+    pub(crate) now: Time,
     seq: u64,
     rng: SimRng,
-    stats: Stats,
-    trace: TraceRing,
-    metrics: Metrics,
-    pub(crate) stop: bool,
-    events_processed: u64,
+    pub(crate) stats: Stats,
+    pub(crate) trace: TraceRing,
+    pub(crate) metrics: Metrics,
+    pub(crate) events_processed: u64,
     /// Outbound cross-shard events, one tray per destination shard,
     /// appended in emission order during a window and swapped into the
     /// destinations' mailboxes at the barrier.
@@ -149,11 +178,11 @@ pub(crate) struct Shard {
     mailbox_min: Time,
     /// End of the last window this shard executed: no future arrival
     /// may land below it (asserted per edge at every barrier).
-    pub(crate) floor: Time,
+    floor: Time,
 }
 
 impl Shard {
-    fn new(id: u32, rng: SimRng, nshards: usize) -> Shard {
+    pub(crate) fn new(id: u32, rng: SimRng, nshards: usize) -> Shard {
         Shard {
             id,
             components: Vec::new(),
@@ -164,7 +193,6 @@ impl Shard {
             stats: Stats::new(),
             trace: TraceRing::disabled(),
             metrics: Metrics::disabled(),
-            stop: false,
             events_processed: 0,
             trays: (0..nshards).map(|_| Tray::default()).collect(),
             mailbox: (0..nshards).map(|_| Tray::default()).collect(),
@@ -181,6 +209,11 @@ impl Shard {
             (Some(l), m) => Some(l.min(m)),
             (None, m) => Some(m),
         }
+    }
+
+    /// Are the heap and the mailboxes empty?
+    pub(crate) fn is_idle(&self) -> bool {
+        self.heap.is_empty() && self.mailbox_min == Time::MAX
     }
 
     /// Move every mailbox arrival into the local heap: assign arrival
@@ -216,7 +249,7 @@ impl Shard {
         self.heap.append(&mut incoming);
     }
 
-    fn push_local(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
+    pub(crate) fn push_local(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Scheduled {
@@ -281,7 +314,6 @@ impl Shard {
             emissions: Vec::new(),
             rng: &mut self.rng,
             stats: &mut self.stats,
-            stop_requested: &mut self.stop,
             trace: &mut self.trace,
             metrics: &mut self.metrics,
         };
@@ -296,14 +328,13 @@ impl Shard {
         self.commit(topo, ev.dst, emissions);
     }
 
-    fn start_component(&mut self, topo: &Topology, local: u32, global: ComponentId) {
+    pub(crate) fn start_component(&mut self, topo: &Topology, local: u32, global: ComponentId) {
         let mut ctx = Ctx {
             now: self.now,
             me: global,
             emissions: Vec::new(),
             rng: &mut self.rng,
             stats: &mut self.stats,
-            stop_requested: &mut self.stop,
             trace: &mut self.trace,
             metrics: &mut self.metrics,
         };
@@ -358,360 +389,6 @@ impl Shard {
                 payload,
             });
         }
-    }
-}
-
-/// A partitioned simulation: the sharded counterpart of
-/// [`Simulation`](crate::Simulation), executed by the windowed loop in
-/// [`crate::exec`].
-///
-/// Build it like a `Simulation` — register components (into explicit
-/// shards), wire links, post initial events — then `run`. The number of
-/// worker threads ([`ShardedSim::set_threads`]) affects wall-clock time
-/// only; all observable output is bit-identical across thread counts.
-pub struct ShardedSim {
-    pub(crate) topo: Topology,
-    pub(crate) shards: Vec<Shard>,
-    threads: usize,
-    started: bool,
-    /// How window bounds are planned at each barrier (the per-shard
-    /// floors live on the shards themselves).
-    window_policy: WindowPolicy,
-}
-
-impl ShardedSim {
-    /// Create a simulation partitioned into `nshards` shards. Each shard
-    /// gets an independent RNG stream forked deterministically from
-    /// `seed` (in shard-id order), so draws inside one shard never
-    /// depend on activity in another.
-    pub fn new(seed: u64, nshards: usize) -> ShardedSim {
-        assert!(nshards > 0, "a sharded simulation needs at least one shard");
-        let mut master = SimRng::new(seed);
-        let shards = (0..nshards)
-            .map(|id| Shard::new(id as u32, master.fork(), nshards))
-            .collect();
-        ShardedSim {
-            topo: Topology {
-                names: Vec::new(),
-                owner: Vec::new(),
-                wiring: Vec::new(),
-                lookahead: Time::MAX,
-                edges: BTreeMap::new(),
-            },
-            shards,
-            threads: 1,
-            started: false,
-            window_policy: WindowPolicy::default(),
-        }
-    }
-
-    /// How the executor plans window bounds (default:
-    /// [`WindowPolicy::PerEdge`]). A pure performance knob *within* a
-    /// policy: for a fixed policy, results are bit-identical at every
-    /// thread count. Across policies the window schedule differs, which
-    /// may legally reorder same-timestamp ties.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.window_policy
-    }
-
-    /// Select the window-planning policy for subsequent runs.
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.window_policy = policy;
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads the next `run` will use (1 = inline on the caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Select how many worker threads execute windows (`0` and `1` both
-    /// mean one, on the calling thread). Thread count is a pure
-    /// performance knob: results are identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Register a component into `shard`; the returned id is global
-    /// (usable in wiring and direct sends regardless of shard).
-    pub fn add_component<C: Component>(&mut self, shard: ShardId, name: &str, c: C) -> ComponentId {
-        let s = shard.0 as usize;
-        assert!(s < self.shards.len(), "unknown shard {shard:?}");
-        let global = ComponentId(self.topo.names.len() as u32);
-        let local = self.shards[s].components.len() as u32;
-        self.shards[s].components.push(Box::new(c));
-        self.topo.names.push(name.to_string());
-        self.topo.owner.push((shard.0, local));
-        self.topo.wiring.push(Vec::new());
-        global
-    }
-
-    /// Wire `src.out_port` to `dst.in_port` with the given link latency.
-    ///
-    /// A link between components in *different* shards is a cross-shard
-    /// edge: it must have positive latency (zero-latency edges admit no
-    /// lookahead), and the minimum such latency becomes the global
-    /// window width.
-    pub fn connect(
-        &mut self,
-        src: ComponentId,
-        out_port: OutPort,
-        dst: ComponentId,
-        in_port: InPort,
-        latency: Time,
-    ) {
-        assert!(
-            (dst.0 as usize) < self.topo.owner.len(),
-            "connect: unknown destination component"
-        );
-        let (src_shard, _) = self.topo.owner[src.0 as usize];
-        let (dst_shard, _) = self.topo.owner[dst.0 as usize];
-        if src_shard != dst_shard {
-            assert!(
-                latency > Time::ZERO,
-                "cross-shard link `{}` -> `{}` must have positive latency: \
-                 zero-latency edges admit no conservative lookahead",
-                self.topo.names[src.0 as usize],
-                self.topo.names[dst.0 as usize],
-            );
-            self.topo.lookahead = self.topo.lookahead.min(latency);
-            let pair = self
-                .topo
-                .edges
-                .entry((src_shard, dst_shard))
-                .or_insert(Time::MAX);
-            *pair = (*pair).min(latency);
-        }
-        let ports = self
-            .topo
-            .wiring
-            .get_mut(src.0 as usize)
-            .expect("connect: unknown source component");
-        let slot = out_port.0 as usize;
-        if ports.len() <= slot {
-            ports.resize(slot + 1, None);
-        }
-        ports[slot] = Some(Link {
-            dst,
-            port: in_port,
-            latency,
-        });
-    }
-
-    /// The conservative lookahead: minimum cross-shard link latency, or
-    /// [`Time::MAX`] when no cross-shard link exists (windows then span
-    /// the whole run).
-    pub fn lookahead(&self) -> Time {
-        self.topo.lookahead
-    }
-
-    /// Schedule an event `delay` after the owning shard's current time.
-    pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        let (shard, _) = self.topo.owner[dst.0 as usize];
-        let sh = &mut self.shards[shard as usize];
-        let time = sh.now + delay;
-        sh.push_local(time, dst, port, payload);
-    }
-
-    /// Latest shard-local time (shards with no work lag behind the
-    /// frontier; this reports the frontier).
-    pub fn now(&self) -> Time {
-        self.shards.iter().map(|s| s.now).max().unwrap_or(Time::ZERO)
-    }
-
-    /// Total events delivered across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
-    }
-
-    /// Registered name of a component.
-    pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.topo.names[id.0 as usize]
-    }
-
-    /// Number of registered components (global ids are `0..count`).
-    pub fn component_count(&self) -> usize {
-        self.topo.names.len()
-    }
-
-    /// Keep the last `capacity` trace records *per shard*.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        for s in &mut self.shards {
-            s.trace = TraceRing::with_capacity(capacity);
-        }
-    }
-
-    /// Turn on every shard's metrics registry.
-    pub fn enable_metrics(&mut self) {
-        for s in &mut self.shards {
-            s.metrics.enable();
-        }
-    }
-
-    /// All shards' statistics merged into one registry (see
-    /// [`Stats::merge_from`]), in shard-id order.
-    pub fn stats_merged(&self) -> Stats {
-        let mut out = Stats::new();
-        for s in &self.shards {
-            out.merge_from(&s.stats);
-        }
-        out
-    }
-
-    /// All shards' metrics merged into one registry, in shard-id order.
-    pub fn metrics_merged(&self) -> Metrics {
-        let mut out = Metrics::disabled();
-        for s in &self.shards {
-            out.merge_from(&s.metrics);
-        }
-        out
-    }
-
-    /// All shards' trace rings merged into canonical (time, shard,
-    /// intra-shard) order.
-    pub fn trace_merged(&self) -> TraceRing {
-        TraceRing::merged(self.shards.iter().map(|s| s.trace.clone()).collect())
-    }
-
-    /// Trace records currently retained across all shards.
-    pub fn trace_record_count(&self) -> usize {
-        self.shards.iter().map(|s| s.trace.records().count()).sum()
-    }
-
-    /// Trace records evicted across all shards.
-    pub fn trace_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.trace.dropped()).sum()
-    }
-
-    /// Render the merged trace with component names resolved.
-    pub fn render_trace(&self) -> String {
-        let names = &self.topo.names;
-        let mut merged = self.trace_merged();
-        merged.render(|id| names[id.0 as usize].clone())
-    }
-
-    /// Downcast a component to its concrete type, if it opted in via
-    /// [`Component::as_any`].
-    pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
-        let (shard, local) = self.topo.owner[id.0 as usize];
-        self.shards[shard as usize].components[local as usize]
-            .as_any()?
-            .downcast_ref()
-    }
-
-    /// Mutable variant of [`ShardedSim::component`].
-    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> Option<&mut C> {
-        let (shard, local) = self.topo.owner[id.0 as usize];
-        self.shards[shard as usize].components[local as usize]
-            .as_any_mut()?
-            .downcast_mut()
-    }
-
-    /// Are all shard heaps and mailboxes empty?
-    pub fn is_idle(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.heap.is_empty() && s.mailbox_min == Time::MAX)
-    }
-
-    /// Collect [`Component::health`] reports in global-id order.
-    pub fn health_reports(&self) -> Vec<(String, crate::watchdog::Health)> {
-        (0..self.topo.names.len())
-            .filter_map(|i| {
-                let (shard, local) = self.topo.owner[i];
-                self.shards[shard as usize].components[local as usize]
-                    .health()
-                    .map(|h| (self.topo.names[i].clone(), h))
-            })
-            .collect()
-    }
-
-    /// Assemble a typed stall report (see [`crate::watchdog`]).
-    pub fn diagnose(&self, kind: crate::watchdog::StallKind) -> crate::watchdog::Diagnosis {
-        crate::watchdog::Diagnosis {
-            kind,
-            at: self.now(),
-            events_processed: self.events_processed(),
-            components: self.health_reports(),
-        }
-    }
-
-    /// Did any component request a stop during the last run?
-    pub fn stop_requested(&self) -> bool {
-        self.shards.iter().any(|s| s.stop)
-    }
-
-    /// Run until every heap is empty or a component requested a stop
-    /// (honored at the next window barrier). Returns events delivered.
-    pub fn run(&mut self) -> u64 {
-        self.run_until(Time::MAX)
-    }
-
-    /// Run events with `time <= horizon` under the configured executor
-    /// ([`ShardedSim::set_threads`]). Returns events delivered by this
-    /// call.
-    pub fn run_until(&mut self, horizon: Time) -> u64 {
-        let before = self.events_processed();
-        self.start_components();
-        crate::exec::run_windows(self, horizon, self.threads);
-        self.events_processed() - before
-    }
-
-    /// Run every component's `on_start` hook once, in global-id order,
-    /// and exchange any cross-shard emissions they made. Serial: start
-    /// hooks run before time begins and are not worth parallelizing.
-    pub(crate) fn start_components(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for global in 0..self.topo.owner.len() {
-            let (shard, local) = self.topo.owner[global];
-            let Self { topo, shards, .. } = self;
-            shards[shard as usize].start_component(topo, local, ComponentId(global as u32));
-        }
-        let mut refs: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        exchange_trays(&mut refs);
-    }
-
-    /// Plan the next global window: `[_, window_end)` where `window_end`
-    /// caps at `min(earliest event + lookahead, horizon + 1)`. `None`
-    /// when no event at or below the horizon remains, or when the
-    /// earliest event sits at the top of the representable range (see
-    /// below) and no finite window can be formed past it.
-    pub(crate) fn plan_window(shards_next: Option<Time>, lookahead: Time, horizon: Time) -> Option<Time> {
-        let next = shards_next?;
-        if next > horizon {
-            return None;
-        }
-        // The window bound is exclusive and u64::MAX doubles as the
-        // worker pool's shutdown sentinel, so no window may end past
-        // u64::MAX - 1 (a simulated time of u64::MAX - 1 ps is over 500
-        // years). Events at or above that bound are unreachable: report
-        // "no window" instead of planning one that makes no progress.
-        if next.0 >= u64::MAX - 1 {
-            return None;
-        }
-        // No cross-shard edges means unbounded lookahead: one window
-        // spans everything up to the horizon. Explicit fast path — the
-        // saturating add below would land on the same cap, but only by
-        // accident of saturation.
-        if lookahead == Time::MAX {
-            let end = horizon.0.saturating_add(1).min(u64::MAX - 1);
-            debug_assert!(end > next.0, "window must make progress");
-            return Some(Time(end));
-        }
-        let end = next
-            .0
-            .saturating_add(lookahead.0)
-            .min(horizon.0.saturating_add(1))
-            .min(u64::MAX - 1);
-        debug_assert!(end > next.0, "window must make progress");
-        Some(Time(end))
     }
 }
 
@@ -779,6 +456,8 @@ pub(crate) fn exchange_trays(shards: &mut [&mut Shard]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::OutPort;
+    use crate::Simulation;
     use std::sync::{Arc, Mutex};
 
     /// Deliveries as `(time, tag, counter)`, shared by every forwarder.
@@ -800,28 +479,46 @@ mod tests {
         }
     }
 
-    /// A ring of `shards` components, one per shard, each forwarding to
-    /// the next with `latency`.
-    fn build_ring(nshards: usize, latency: Time, threads: usize) -> (ShardedSim, RingLog) {
+    /// A ring of `n` forwarders, forwarder `i` feeding `i + 1` over the
+    /// link `latency(i)`, placed round-robin over `nshards` shards (one
+    /// shard = the sequential reference schedule).
+    fn build_ring_with(
+        n: usize,
+        nshards: usize,
+        latency: impl Fn(usize) -> Time,
+        threads: usize,
+    ) -> (Simulation, RingLog) {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = ShardedSim::new(7, nshards);
+        let mut sim = Simulation::with_shards(7, nshards);
         sim.set_threads(threads);
-        let ids: Vec<ComponentId> = (0..nshards)
-            .map(|s| {
-                sim.add_component(
-                    ShardId(s as u32),
-                    &format!("fwd{s}"),
+        let ids: Vec<ComponentId> = (0..n)
+            .map(|i| {
+                sim.add_component_in(
+                    ShardId((i % nshards) as u32),
+                    &format!("fwd{i}"),
                     Fwd {
                         log: log.clone(),
-                        tag: s as u32,
+                        tag: i as u32,
                     },
                 )
             })
             .collect();
-        for s in 0..nshards {
-            sim.connect(ids[s], OutPort(0), ids[(s + 1) % nshards], InPort(0), latency);
+        for i in 0..n {
+            sim.connect(ids[i], OutPort(0), ids[(i + 1) % n], InPort(0), latency(i));
         }
         (sim, log)
+    }
+
+    /// A ring of `nshards` forwarders, one per shard, each forwarding to
+    /// the next with `latency`.
+    fn build_ring(nshards: usize, latency: Time, threads: usize) -> (Simulation, RingLog) {
+        build_ring_with(nshards, nshards, |_| latency, threads)
+    }
+
+    fn sorted(log: &RingLog) -> Vec<(Time, u32, u64)> {
+        let mut events = log.lock().unwrap().clone();
+        events.sort();
+        events
     }
 
     #[test]
@@ -833,7 +530,12 @@ mod tests {
         // 8 hops of 50 ns each after the t=0 start.
         assert_eq!(sim.now(), Time::from_ns(400));
         assert_eq!(log.lock().unwrap().len(), 9);
-        assert_eq!(sim.lookahead(), Time::from_ns(50));
+        // Every ring link crosses shards, so each one is a planner edge.
+        let edges: Vec<_> = sim.topo.edges().collect();
+        assert_eq!(
+            edges,
+            [(0, 1), (1, 2), (2, 3), (3, 0)].map(|pair| (pair, Time::from_ns(50)))
+        );
     }
 
     #[test]
@@ -850,7 +552,7 @@ mod tests {
             }
             sim.run();
             let events = log.lock().unwrap().clone();
-            (sim.stats_merged().to_json(), sim.events_processed(), events)
+            (sim.stats().to_json(), sim.events_processed(), events)
         };
         let base = run(1);
         for t in [2, 4, 8] {
@@ -870,12 +572,13 @@ mod tests {
 
     #[test]
     fn single_shard_runs_whole_horizon_in_one_window() {
-        let mut sim = ShardedSim::new(1, 1);
+        let mut sim = Simulation::new(1);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let a = sim.add_component(ShardId(0), "a", Fwd { log: log.clone(), tag: 0 });
+        let a = sim.add_component("a", Fwd { log: log.clone(), tag: 0 });
         sim.connect(a, OutPort(0), a, InPort(0), Time::from_ns(5));
         sim.post(a, InPort(0), Payload::new(3u64), Time::ZERO);
-        assert_eq!(sim.lookahead(), Time::MAX);
+        // No cross-shard edge: the planner leaves the shard unbounded.
+        assert_eq!(sim.topo.edges().count(), 0);
         sim.run();
         assert_eq!(sim.events_processed(), 4);
         assert_eq!(sim.now(), Time::from_ns(15));
@@ -894,12 +597,49 @@ mod tests {
     }
 
     #[test]
+    fn plan_window_no_cross_edges_takes_the_fast_path() {
+        // No cross-shard edge means infinite lookahead: the shard runs to
+        // the horizon in one window, under a finite horizon and under an
+        // infinite one (capped just below the pool's shutdown sentinel).
+        let (mut sim, log) = build_ring(1, Time::from_ns(10), 1);
+        assert_eq!(sim.topo.edges().count(), 0);
+        sim.post(ComponentId(0), InPort(0), Payload::new(0u64), Time(5));
+        assert_eq!(sim.run_until(Time::from_ns(80)), 1);
+        // `post` delays are relative to the shard's clock, now at 5 ps.
+        sim.post(ComponentId(0), InPort(0), Payload::new(0u64), Time::from_ns(90));
+        assert_eq!(sim.run_until(Time::MAX), 1);
+        let second = Time(Time::from_ns(90).0 + 5);
+        assert_eq!(sorted(&log), vec![(Time(5), 0, 0), (second, 0, 0)]);
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn plan_window_rejects_events_at_the_top_of_the_range() {
+        // Window bounds are exclusive and stay below u64::MAX (the worker
+        // pool's shutdown sentinel), so an event at u64::MAX - 1 can never
+        // run: `run` must return without delivering it instead of
+        // spinning on windows that make no progress. One below the cutoff
+        // still runs.
+        for nshards in [1usize, 2] {
+            let (mut sim, log) = build_ring(nshards, Time::from_ns(10), 1);
+            let last = ComponentId(nshards as u32 - 1);
+            sim.post(last, InPort(0), Payload::new(0u64), Time(u64::MAX - 1));
+            assert_eq!(sim.run(), 0, "{nshards} shard(s)");
+            assert!(!sim.is_idle(), "the unreachable event stays pending");
+            assert!(log.lock().unwrap().is_empty());
+            sim.post(ComponentId(0), InPort(0), Payload::new(0u64), Time(u64::MAX - 2));
+            assert_eq!(sim.run_until(Time::MAX), 1, "{nshards} shard(s)");
+            assert_eq!(sorted(&log), vec![(Time(u64::MAX - 2), 0, 0)]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "positive latency")]
     fn zero_latency_cross_shard_link_is_rejected() {
-        let mut sim = ShardedSim::new(0, 2);
+        let mut sim = Simulation::with_shards(0, 2);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let a = sim.add_component(ShardId(0), "a", Fwd { log: log.clone(), tag: 0 });
-        let b = sim.add_component(ShardId(1), "b", Fwd { log, tag: 1 });
+        let a = sim.add_component_in(ShardId(0), "a", Fwd { log: log.clone(), tag: 0 });
+        let b = sim.add_component_in(ShardId(1), "b", Fwd { log, tag: 1 });
         sim.connect(a, OutPort(0), b, InPort(0), Time::ZERO);
     }
 
@@ -907,7 +647,7 @@ mod tests {
     #[should_panic(expected = "lookahead")]
     fn short_direct_cross_send_is_caught_at_the_barrier() {
         // A component that direct-sends across shards with a delay
-        // shorter than the registered lookahead: the barrier assert
+        // shorter than the registered link latency: the barrier assert
         // must name the violation rather than silently reordering.
         struct Cheater {
             peer: ComponentId,
@@ -922,9 +662,9 @@ mod tests {
         impl Component for Sink {
             fn on_event(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {}
         }
-        let mut sim = ShardedSim::new(0, 2);
-        let b = sim.add_component(ShardId(1), "b", Sink);
-        let a = sim.add_component(ShardId(0), "a", Cheater { peer: b });
+        let mut sim = Simulation::with_shards(0, 2);
+        let b = sim.add_component_in(ShardId(1), "b", Sink);
+        let a = sim.add_component_in(ShardId(0), "a", Cheater { peer: b });
         // Register legitimate 100 ns cross edges both ways, so each
         // shard's adaptive bound is finite (100 ns past the peer).
         sim.connect(a, OutPort(0), b, InPort(0), Time::from_ns(100));
@@ -937,115 +677,50 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_default_and_global_agree_on_semantic_order() {
-        // Same ring workload under both window policies: the delivered
-        // event sequence (sorted by time) and event count must agree —
-        // window planning is a performance knob, not a semantics knob.
-        let run = |policy: WindowPolicy| {
-            let (mut sim, log) = build_ring(4, Time::from_ns(50), 2);
-            sim.set_window_policy(policy);
+    fn sharded_ring_matches_one_shard_reference() {
+        // The same ring with every forwarder in one shard is the
+        // sequential schedule. Sharding it over 4 shards at 2 threads
+        // must deliver the same (time, payload) events: window planning
+        // is a performance knob, not a semantics knob.
+        let run = |nshards: usize| {
+            let (mut sim, log) = build_ring_with(4, nshards, |_| Time::from_ns(50), 2);
             sim.post(ComponentId(0), InPort(0), Payload::new(12u64), Time::ZERO);
             sim.run();
-            let mut events = log.lock().unwrap().clone();
-            events.sort();
-            (events, sim.events_processed(), sim.now())
+            (sorted(&log), sim.events_processed(), sim.now())
         };
-        assert_eq!(
-            ShardedSim::new(0, 1).window_policy(),
-            WindowPolicy::PerEdge,
-            "adaptive lookahead is the default"
-        );
-        assert_eq!(run(WindowPolicy::PerEdge), run(WindowPolicy::Global));
+        let reference = run(1);
+        assert_eq!(run(4), reference);
+        // Closed form: 12 hops of 50 ns after the t=0 start.
+        assert_eq!(reference.1, 13);
+        assert_eq!(reference.2, Time::from_ns(600));
     }
 
     #[test]
-    fn heterogeneous_ring_results_identical_across_threads_and_policies() {
+    fn heterogeneous_ring_results_identical_across_threads_and_shard_layouts() {
         // One 10 ns edge in a ring of 1 us edges — the shape adaptive
-        // lookahead exists for. Every (policy, threads) combination must
-        // deliver the same semantic event sequence.
-        let run = |policy: WindowPolicy, threads: usize| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = ShardedSim::new(3, 4);
-            sim.set_window_policy(policy);
-            sim.set_threads(threads);
-            let ids: Vec<ComponentId> = (0..4)
-                .map(|s| {
-                    sim.add_component(
-                        ShardId(s as u32),
-                        &format!("fwd{s}"),
-                        Fwd { log: log.clone(), tag: s as u32 },
-                    )
-                })
-                .collect();
-            for s in 0..4usize {
-                let lat = if s == 0 { Time::from_ns(10) } else { Time::from_us(1) };
-                sim.connect(ids[s], OutPort(0), ids[(s + 1) % 4], InPort(0), lat);
-            }
-            sim.post(ids[0], InPort(0), Payload::new(16u64), Time::ZERO);
-            sim.post(ids[2], InPort(0), Payload::new(9u64), Time::from_ns(4));
+        // lookahead exists for. Every thread count must deliver the same
+        // events, and the same semantic event set as the one-shard
+        // (sequential) layout.
+        let run = |nshards: usize, threads: usize| {
+            let latency = |i: usize| if i == 0 { Time::from_ns(10) } else { Time::from_us(1) };
+            let (mut sim, log) = build_ring_with(4, nshards, latency, threads);
+            sim.post(ComponentId(0), InPort(0), Payload::new(16u64), Time::ZERO);
+            sim.post(ComponentId(2), InPort(0), Payload::new(9u64), Time::from_ns(4));
             sim.run();
-            let mut events = log.lock().unwrap().clone();
-            events.sort();
-            (events, sim.events_processed(), sim.stats_merged().to_json())
+            (sorted(&log), sim.events_processed(), sim.stats().to_json(), sim.now())
         };
-        let base = run(WindowPolicy::PerEdge, 1);
+        let base = run(4, 1);
         for threads in [2usize, 4, 8] {
-            assert_eq!(run(WindowPolicy::PerEdge, threads), base, "diverged at {threads} threads");
+            assert_eq!(run(4, threads), base, "diverged at {threads} threads");
         }
-        let global = run(WindowPolicy::Global, 1);
-        assert_eq!(global.0, base.0, "policies disagree on delivered events");
-        assert_eq!(global.1, base.1, "policies disagree on event count");
-    }
-
-    // ----- plan_window edge cases (the `saturating_add` satellite) -----
-
-    #[test]
-    fn plan_window_no_cross_edges_takes_the_fast_path() {
-        // Infinite lookahead (no cross-shard edges): one window to the
-        // horizon, not a saturation accident.
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(5)), Time::MAX, Time::from_ns(80)),
-            Some(Time(Time::from_ns(80).0 + 1))
-        );
-        // Infinite lookahead AND infinite horizon: the cap just below
-        // the pool's shutdown sentinel.
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(5)), Time::MAX, Time::MAX),
-            Some(Time(u64::MAX - 1))
-        );
-    }
-
-    #[test]
-    fn plan_window_rejects_events_at_the_top_of_the_range() {
-        // A pending event at or above u64::MAX - 1 admits no window that
-        // makes progress; plan_window must say "no window", not cap
-        // silently at the horizon.
-        assert_eq!(ShardedSim::plan_window(Some(Time(u64::MAX)), Time::MAX, Time::MAX), None);
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(u64::MAX - 1)), Time::from_ns(10), Time::MAX),
-            None
-        );
-        // One below the cutoff still plans.
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(u64::MAX - 2)), Time::from_ns(10), Time::MAX),
-            Some(Time(u64::MAX - 1))
-        );
-    }
-
-    #[test]
-    fn plan_window_basics_still_hold() {
-        // Ordinary case: next + lookahead, capped by horizon + 1.
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(100)), Time(30), Time(1000)),
-            Some(Time(130))
-        );
-        assert_eq!(
-            ShardedSim::plan_window(Some(Time(990)), Time(30), Time(1000)),
-            Some(Time(1001))
-        );
-        // Past the horizon, or no events at all: no window.
-        assert_eq!(ShardedSim::plan_window(Some(Time(1001)), Time(30), Time(1000)), None);
-        assert_eq!(ShardedSim::plan_window(None, Time(30), Time(1000)), None);
+        let sequential = run(1, 1);
+        assert_eq!(sequential.0, base.0, "shard layouts disagree on delivered events");
+        assert_eq!(sequential.1, base.1, "shard layouts disagree on event count");
+        // Closed form: a ring lap is 10 ns + 3 us. The 16-hop chain is
+        // four laps from t=0; the 9-hop chain from node 2 at t=4 ns
+        // finishes earlier (two laps plus one 1 us hop, at 7024 ns).
+        assert_eq!(base.1, 17 + 10);
+        assert_eq!(base.3, Time::from_ns(4 * 3010));
     }
 
     #[test]
@@ -1061,9 +736,9 @@ mod tests {
                 }
             }
             let out = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = ShardedSim::new(42, nshards);
+            let mut sim = Simulation::with_shards(42, nshards);
             for s in 0..nshards {
-                let c = sim.add_component(
+                let c = sim.add_component_in(
                     ShardId(s as u32),
                     &format!("d{s}"),
                     Draw { out: out.clone() },
@@ -1086,7 +761,7 @@ mod tests {
         let (mut sim, _log) = build_ring(3, Time::from_ns(10), 2);
         sim.post(ComponentId(0), InPort(0), Payload::new(6u64), Time::ZERO);
         sim.run();
-        let stats = sim.stats_merged();
+        let stats = sim.stats();
         let total: u64 = (0..3).map(|t| stats.get(&format!("fwd{t}.events"))).sum();
         assert_eq!(total, 7);
     }

@@ -1,15 +1,17 @@
-//! Window planning for the sharded engine: the policy knob and the
-//! per-edge safe-time table behind adaptive lookahead.
+//! Window planning for the executor: the per-edge safe-time table
+//! behind adaptive lookahead.
 //!
-//! The original engine advanced every shard in lock-step to
-//! `global_min_event + min_cross_link_latency` — one short link anywhere
-//! in the topology throttles the whole cluster to that link's cadence.
-//! [`SafeTimeTable`] replaces the single cap with a per-shard bound
-//! computed at every barrier from the *incident* edges only, in the
-//! spirit of null-message (Chandy–Misra–Bryant) conservative PDES but
-//! without the message traffic: the driver already sees every shard's
-//! earliest pending event at the barrier, so the table is just one
-//! relaxation pass over the shard graph.
+//! A global window — every shard advancing in lock-step to
+//! `global_min_event + min_cross_link_latency` — lets one short link
+//! anywhere in the topology throttle the whole cluster to that link's
+//! cadence. [`SafeTimeTable`] instead computes a per-shard bound at
+//! every barrier from the *incident* edges only, in the spirit of
+//! null-message (Chandy–Misra–Bryant) conservative PDES but without the
+//! message traffic: the driver already sees every shard's earliest
+//! pending event at the barrier, so the table is just one relaxation
+//! pass over the shard graph. A shard with no incoming edges (a
+//! one-shard simulation, or a disconnected island) has an unbounded
+//! window; the executor caps it at the run's horizon.
 //!
 //! # The bound
 //!
@@ -56,44 +58,6 @@
 use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// How the sharded executor plans window bounds at each barrier.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WindowPolicy {
-    /// One global window for all shards, capped at the earliest pending
-    /// event plus the *minimum* cross-shard link latency. Simple, and
-    /// kept as the measurable baseline for the adaptive planner — but a
-    /// single short link anywhere throttles every shard.
-    Global,
-    /// Adaptive per-shard bounds from the per-edge safe-time table:
-    /// each shard advances to the minimum over its incident edges of
-    /// (peer safe time + that edge's latency). Default.
-    #[default]
-    PerEdge,
-}
-
-impl WindowPolicy {
-    /// Stable lowercase label (used in bench output and CLI flags).
-    pub fn label(self) -> &'static str {
-        match self {
-            WindowPolicy::Global => "global",
-            WindowPolicy::PerEdge => "adaptive",
-        }
-    }
-}
-
-impl std::str::FromStr for WindowPolicy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<WindowPolicy, String> {
-        match s {
-            "global" => Ok(WindowPolicy::Global),
-            "adaptive" | "per-edge" | "peredge" => Ok(WindowPolicy::PerEdge),
-            other => Err(format!(
-                "unknown window policy `{other}` (expected `global` or `adaptive`)"
-            )),
-        }
-    }
-}
 
 /// The demand-driven safe-time table: adjacency of the shard graph plus
 /// reusable Dijkstra scratch state. Built once per run, consulted once

@@ -12,15 +12,16 @@
 //!
 //! On top of not-panicking, the observable results are pinned:
 //!
-//! * per-policy determinism — the adaptive planner produces
-//!   byte-identical delivery logs at 1, 2, and 4 worker threads;
-//! * policy independence — the set of (time, payload) deliveries at
-//!   every node matches the global-window engine's (order within a
-//!   timestamp may differ between policies, so the comparison sorts).
+//! * determinism — the planner produces byte-identical delivery logs at
+//!   1, 2, and 4 worker threads;
+//! * layout independence — the set of (time, payload) deliveries at
+//!   every node, and the event count, match the same graph built with
+//!   every node in one shard, which is the sequential schedule (order
+//!   within a timestamp may differ between layouts, so the comparison
+//!   sorts).
 
 use mpiq_dessim::{
-    Component, Ctx, Event, InPort, OutPort, Payload, ShardId, ShardedSim, SimRng, Time,
-    WindowPolicy,
+    Component, Ctx, Event, InPort, OutPort, Payload, ShardId, SimRng, Simulation, Time,
 };
 use proptest::prelude::*;
 
@@ -82,16 +83,17 @@ impl Topo {
         Topo { nshards, shard_of, links, start }
     }
 
-    /// Build, run, and collect every node's delivery log.
-    fn run(&self, policy: WindowPolicy, threads: usize) -> Vec<Vec<(Time, u64)>> {
-        let mut sim = ShardedSim::new(5, self.nshards);
+    /// Build, run, and collect every node's delivery log plus the
+    /// event count. `sharded: false` puts every node in one shard.
+    fn run(&self, sharded: bool, threads: usize) -> (Vec<Vec<(Time, u64)>>, u64) {
+        let mut sim = Simulation::with_shards(5, if sharded { self.nshards } else { 1 });
         sim.set_threads(threads);
-        sim.set_window_policy(policy);
         let fanout_of = |n: usize| self.links.iter().filter(|(s, _, _)| *s == n).count() as u16;
         let ids: Vec<_> = (0..self.shard_of.len())
             .map(|n| {
-                sim.add_component(
-                    ShardId(self.shard_of[n] as u32),
+                let shard = if sharded { self.shard_of[n] as u32 } else { 0 };
+                sim.add_component_in(
+                    ShardId(shard),
                     &format!("relay{n}"),
                     Relay { fanout: fanout_of(n), log: Vec::new() },
                 )
@@ -106,9 +108,11 @@ impl Topo {
             sim.post(id, InPort(0), Payload::new(3u64), self.start[n]);
         }
         sim.run();
-        ids.iter()
+        let logs = ids
+            .iter()
             .map(|&id| sim.component::<Relay>(id).expect("relay present").log.clone())
-            .collect()
+            .collect();
+        (logs, sim.events_processed())
     }
 }
 
@@ -117,33 +121,37 @@ proptest! {
 
     /// Random cascades: the adaptive planner must (a) never trip the
     /// lookahead-safety assert, (b) be thread-count invariant, and
-    /// (c) deliver the same (time, payload) multiset per node as the
-    /// global-window engine.
+    /// (c) deliver the same (time, payload) multiset per node, and the
+    /// same event count, as the one-shard sequential schedule.
     #[test]
     fn adaptive_planner_respects_per_edge_bounds(seed in any::<u64>()) {
         let topo = Topo::random(seed);
-        let reference = topo.run(WindowPolicy::PerEdge, 1);
+        let (reference, events) = topo.run(true, 1);
 
         // Cascades with no links still inject one event per node.
         let total: usize = reference.iter().map(Vec::len).sum();
         prop_assert!(total >= topo.shard_of.len());
 
         for threads in [2usize, 4] {
-            let got = topo.run(WindowPolicy::PerEdge, threads);
+            let got = topo.run(true, threads).0;
             prop_assert_eq!(
                 &got, &reference,
                 "adaptive logs diverged at {} threads (seed {})", threads, seed
             );
         }
 
-        let mut global = topo.run(WindowPolicy::Global, 1);
+        let (mut sequential, sequential_events) = topo.run(false, 1);
         let mut sorted_ref = reference.clone();
-        for log in global.iter_mut().chain(sorted_ref.iter_mut()) {
+        for log in sequential.iter_mut().chain(sorted_ref.iter_mut()) {
             log.sort_unstable();
         }
         prop_assert_eq!(
-            global, sorted_ref,
-            "adaptive and global delivered different event sets (seed {})", seed
+            sequential, sorted_ref,
+            "sharded and one-shard layouts delivered different event sets (seed {})", seed
+        );
+        prop_assert_eq!(
+            sequential_events, events,
+            "sharded and one-shard layouts ran different event counts (seed {})", seed
         );
     }
 }

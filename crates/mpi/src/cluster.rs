@@ -1,11 +1,11 @@
 //! Cluster assembly: hosts + NICs + fabric, ready to run.
 //!
-//! Every cluster runs on one engine, a [`ShardedSim`] driven by the
-//! partitioned executor. On the default crossbar ([`Topology::Hub`])
-//! there is one shard per *node*, holding that node's [`FabricPort`],
-//! NIC, and hosts; the port-to-port wires are the only cross-shard
-//! edges, and their (possibly heterogeneous) latencies feed the window
-//! planner's per-edge lookahead. A switched topology instead gets one
+//! Every cluster runs on a [`Simulation`] partitioned into shards. On
+//! the default crossbar ([`Topology::Hub`]) there is one shard per
+//! *node*, holding that node's [`FabricPort`], NIC, and hosts; the
+//! port-to-port wires are the only cross-shard edges, and their
+//! (possibly heterogeneous) latencies feed the window planner's
+//! per-edge lookahead. A switched topology instead gets one
 //! shard per edge switch (see [`Cluster::with_recovery`]).
 //!
 //! `parallelism` is the worker-thread count and a pure performance knob:
@@ -17,7 +17,7 @@ use crate::app::{AppProgram, PORT_COMPLETION};
 use crate::host::Host;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::watchdog::{Diagnosis, StallKind};
-use mpiq_dessim::{FaultConfig, FaultSchedule, Metrics, ShardId, ShardedSim, Stats, WindowPolicy};
+use mpiq_dessim::{FaultConfig, FaultSchedule, Metrics, ShardId, Stats};
 use mpiq_net::{FabricPort, NetConfig, Switch, Topology, PORT_FP_INJECT, PORT_FP_WIRE, PORT_SW_IN};
 use mpiq_nic::{host_comp_port, Nic, NicConfig, PORT_NET_RX, PORT_NET_TX};
 use std::sync::Arc;
@@ -57,10 +57,6 @@ pub struct ClusterConfig {
     /// thread; `n >= 2` stripes shards over `n` threads. Every value
     /// produces identical output.
     pub parallelism: usize,
-    /// Window planning: adaptive per-edge lookahead by default, or the
-    /// global conservative window as a baseline. For a fixed policy,
-    /// results are identical at every `parallelism`.
-    pub window_policy: WindowPolicy,
     /// Component-level fault timeline (node crashes, link flaps,
     /// partitions, ALPU deaths), shared by every component that consults
     /// it. `None` (the default) keeps every fault-domain code path a
@@ -85,7 +81,6 @@ impl ClusterConfig {
             trace_capacity: 0,
             metrics: false,
             parallelism: 0,
-            window_policy: WindowPolicy::default(),
             fault_schedule: None,
             topology: Topology::Hub,
         }
@@ -176,13 +171,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Window planning policy. Defaults to adaptive per-edge lookahead;
-    /// the global window remains available as a perf baseline.
-    pub fn window_policy(mut self, policy: WindowPolicy) -> Self {
-        self.cfg.window_policy = policy;
-        self
-    }
-
     /// Select the fabric shape. The default [`Topology::Hub`] keeps the
     /// paper's crossbar; a switched topology routes every frame through
     /// [`Switch`] components (per-hop serialization, output queueing,
@@ -225,7 +213,7 @@ impl ClusterConfigBuilder {
 
 /// A built cluster: run it, then inspect NICs and statistics.
 pub struct Cluster {
-    sim: ShardedSim,
+    sim: Simulation,
     nics: Vec<ComponentId>,
     hosts: Vec<ComponentId>,
     /// Node count (not rank count) — the fault schedule and partition
@@ -287,9 +275,8 @@ impl Cluster {
         let nodes = n.div_ceil(k);
         let plan = cfg.topology.plan(nodes).map(Arc::new);
         let shards = plan.as_ref().map_or(nodes, |p| p.shards);
-        let mut sim = ShardedSim::new(cfg.seed, shards as usize);
+        let mut sim = Simulation::with_shards(cfg.seed, shards as usize);
         sim.set_threads(cfg.parallelism);
-        sim.set_window_policy(cfg.window_policy);
         if cfg.trace_capacity > 0 {
             sim.enable_tracing(cfg.trace_capacity);
         }
@@ -300,7 +287,7 @@ impl Cluster {
         if let Some(plan) = &plan {
             for s in 0..plan.switches() {
                 let switch = Switch::new(s, plan.clone(), cfg.net);
-                sw.push(sim.add_component(
+                sw.push(sim.add_component_in(
                     ShardId(plan.shard_of_switch[s]),
                     &format!("sw{s}"),
                     switch,
@@ -319,7 +306,7 @@ impl Cluster {
                 }
                 None => (ShardId(node), None),
             };
-            let nic = sim.add_component(
+            let nic = sim.add_component_in(
                 shard,
                 &format!("nic{node}"),
                 Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
@@ -332,7 +319,7 @@ impl Cluster {
             } else {
                 port
             };
-            let port = sim.add_component(shard, &format!("net{node}"), port);
+            let port = sim.add_component_in(shard, &format!("net{node}"), port);
             sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
             if let Some(edge) = edge {
                 sim.connect(
@@ -351,7 +338,7 @@ impl Cluster {
                 }
                 let (program, recovery) = programs.next().expect("one program per rank");
                 let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
-                let host = sim.add_component(shard, &format!("host{rank}"), host);
+                let host = sim.add_component_in(shard, &format!("host{rank}"), host);
                 // Completion path: one bus transaction back to this
                 // process's host, on its per-process port. (Requests
                 // travel to the NIC's `PORT_HOST_REQ` by direct send.)
@@ -520,17 +507,17 @@ impl Cluster {
     /// The cluster's statistics, merged across engine shards in shard
     /// order. Owned: the engine assembles it on demand.
     pub fn stats(&self) -> Stats {
-        self.sim.stats_merged()
+        self.sim.stats()
     }
 
     /// The metrics registry, merged across engine shards.
     pub fn metrics(&self) -> Metrics {
-        self.sim.metrics_merged()
+        self.sim.metrics()
     }
 
     /// Chrome-trace JSON for the whole run, in canonical record order.
     pub fn chrome_trace(&self) -> String {
-        mpiq_dessim::chrome_trace_sharded(&self.sim)
+        mpiq_dessim::chrome_trace(&self.sim)
     }
 
     /// Trace records currently retained.

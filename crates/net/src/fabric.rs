@@ -5,7 +5,7 @@ use mpiq_dessim::prelude::*;
 
 /// Per-pair wire-latency shape overlaid on [`NetConfig::wire_latency`].
 ///
-/// The sharded engine derives its conservative lookahead from link
+/// The engine's window planner bounds each shard by its incident link
 /// latencies, so heterogeneous wires are first-class here: a single
 /// short link in an otherwise long-haul topology is exactly the shape
 /// that separates per-edge window planning from a global window.

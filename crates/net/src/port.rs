@@ -1,8 +1,8 @@
 //! The fabric: one [`FabricPort`] per node.
 //!
 //! Each node's port lives in that node's shard, and the only cross-shard
-//! edges are the port-to-port wires, whose 200 ns latency becomes the
-//! conservative lookahead window of the partitioned executor.
+//! edges are the port-to-port wires, whose latency bounds how far the
+//! window planner lets one shard run ahead of another.
 //!
 //! Timing is receiver-side. The source port forwards at `t`, the frame
 //! crosses the wire (`t + wire`), and the *destination* port serializes
@@ -262,14 +262,14 @@ impl Component for FabricPort {
 
 /// Wire every pair of ports together (including each port to itself) at
 /// the per-pair wire latency from [`NetConfig::latency_between`].
-/// `ports[n]` must be node `n`'s [`FabricPort`]. In a sharded build this
+/// `ports[n]` must be node `n`'s [`FabricPort`]. With one shard per node this
 /// registers the cross-shard edges the window planner derives per-edge
 /// lookahead from — a heterogeneous [`WireProfile`] here is exactly what
 /// lets shards joined by long wires stop synchronizing at a short wire's
 /// cadence.
 ///
 /// [`WireProfile`]: crate::fabric::WireProfile
-pub fn wire_ports(sim: &mut mpiq_dessim::ShardedSim, ports: &[ComponentId], cfg: &NetConfig) {
+pub fn wire_ports(sim: &mut Simulation, ports: &[ComponentId], cfg: &NetConfig) {
     for (s, &src) in ports.iter().enumerate() {
         for (d, &dst) in ports.iter().enumerate() {
             sim.connect(
@@ -287,7 +287,7 @@ pub fn wire_ports(sim: &mut mpiq_dessim::ShardedSim, ports: &[ComponentId], cfg:
 mod tests {
     use super::*;
     use crate::message::{MsgHeader, MsgKind};
-    use mpiq_dessim::{ShardId, ShardedSim};
+    use mpiq_dessim::ShardId;
     use std::sync::{Arc, Mutex};
 
     fn msg(src: NodeId, dst: NodeId, len: u32, seq: u64) -> Message {
@@ -328,17 +328,17 @@ mod tests {
         nodes: u32,
         threads: usize,
         faults: FaultConfig,
-    ) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
-        let mut sim = ShardedSim::new(7, nodes as usize);
+    ) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
+        let mut sim = Simulation::with_shards(7, nodes as usize);
         sim.set_threads(threads);
         let mut logs = Vec::new();
         let mut ports = Vec::new();
         for n in 0..nodes {
             let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
             let sink =
-                sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
+                sim.add_component_in(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
             let port = FabricPort::with_faults(cfg, nodes, n, sink, InPort(0), faults);
-            ports.push(sim.add_component(ShardId(n), &format!("net{n}"), port));
+            ports.push(sim.add_component_in(ShardId(n), &format!("net{n}"), port));
             logs.push(log);
         }
         wire_ports(&mut sim, &ports, &cfg);
@@ -349,11 +349,11 @@ mod tests {
         nodes: u32,
         threads: usize,
         faults: FaultConfig,
-    ) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
+    ) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
         build_with(NetConfig::default(), nodes, threads, faults)
     }
 
-    fn send(sim: &mut ShardedSim, ports: &[ComponentId], m: Message, at: Time) {
+    fn send(sim: &mut Simulation, ports: &[ComponentId], m: Message, at: Time) {
         let src = m.header.src_node as usize;
         sim.post(ports[src], PORT_FP_INJECT, Payload::new(m), at);
     }
@@ -470,7 +470,7 @@ mod tests {
                 }
             }
             deliveries.sort();
-            (deliveries, sim.stats_merged().to_json())
+            (deliveries, sim.stats().to_json())
         };
         let base = run(1);
         for t in [2, 4] {
@@ -491,8 +491,8 @@ mod tests {
             ..NetConfig::default()
         };
         let (mut sim, ports, logs) = build_with(cfg, 3, 1, FaultConfig::none());
-        // The short pair's wire latency is the engine's tightest edge.
-        assert_eq!(sim.lookahead(), Time::from_ns(10));
+        // The short pair's wire is the tightest edge `wire_ports` registers.
+        assert_eq!(cfg.latency_between(0, 1), Time::from_ns(10));
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         send(&mut sim, &ports, msg(0, 2, 0, 2), Time::ZERO);
         sim.run();
@@ -517,7 +517,7 @@ mod tests {
             }
             sim.run();
             let delivered: Vec<u64> = logs[1].lock().unwrap().iter().map(|&(_, s, _)| s).collect();
-            (delivered, sim.stats_merged().get("net.faults.dropped"))
+            (delivered, sim.stats().get("net.faults.dropped"))
         };
         let (d1, dropped1) = run();
         let (d2, dropped2) = run();
@@ -538,7 +538,7 @@ mod tests {
         assert_eq!((got[0].1, got[1].1), (9, 9));
         // The second copy queues behind the first on the ingress link.
         assert_eq!(got[1].0 - got[0].0, Time::from_ns(16));
-        assert_eq!(sim.stats_merged().get("net.faults.duplicated"), 1);
+        assert_eq!(sim.stats().get("net.faults.duplicated"), 1);
     }
 
     #[test]
@@ -550,7 +550,7 @@ mod tests {
         let got = logs[1].lock().unwrap();
         assert_eq!(got.len(), 1);
         assert!(!got[0].2, "frame should arrive with failed CRC");
-        assert_eq!(sim.stats_merged().get("net.faults.corrupted"), 1);
+        assert_eq!(sim.stats().get("net.faults.corrupted"), 1);
     }
 
     #[test]
@@ -559,7 +559,7 @@ mod tests {
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         sim.run();
         assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(216));
-        let stats = sim.stats_merged();
+        let stats = sim.stats();
         for key in [
             "net.faults.dropped",
             "net.faults.duplicated",

@@ -4,7 +4,7 @@
 //! matching semantics, ordering, and baseline-vs-ALPU equivalence.
 
 use mpiq_dessim::prelude::*;
-use mpiq_dessim::{ShardId, ShardedSim};
+use mpiq_dessim::ShardId;
 use mpiq_net::{wire_ports, FabricPort, NetConfig, PORT_FP_INJECT};
 use mpiq_nic::{
     Completion, HostRequest, Nic, NicConfig, ReqId, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX,
@@ -37,7 +37,7 @@ impl Component for ScriptHost {
 type CompletionLog = Arc<Mutex<Vec<(Time, Completion)>>>;
 
 struct World {
-    sim: ShardedSim,
+    sim: Simulation,
     nics: Vec<ComponentId>,
     logs: Vec<CompletionLog>,
 }
@@ -45,18 +45,18 @@ struct World {
 fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
     let n = scripts.len() as u32;
     let net = NetConfig::default();
-    let mut sim = ShardedSim::new(1, n as usize);
+    let mut sim = Simulation::with_shards(1, n as usize);
     let mut nics = Vec::new();
     let mut ports = Vec::new();
     let mut logs = Vec::new();
     for (node, script) in scripts.into_iter().enumerate() {
         let shard = ShardId(node as u32);
-        let nic = sim.add_component(shard, &format!("nic{node}"), Nic::new(node as u32, cfg));
+        let nic = sim.add_component_in(shard, &format!("nic{node}"), Nic::new(node as u32, cfg));
         let port = FabricPort::new(net, n, node as u32, nic, PORT_NET_RX);
-        let port = sim.add_component(shard, &format!("net{node}"), port);
+        let port = sim.add_component_in(shard, &format!("net{node}"), port);
         sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let host = sim.add_component(
+        let host = sim.add_component_in(
             shard,
             &format!("host{node}"),
             ScriptHost {

@@ -5,8 +5,8 @@
 //! simulator; these tests make that a hard regression gate.
 
 use mpiq::dessim::{
-    Component, Ctx, Event, FaultConfig, InPort, OutPort, Payload, ShardId,
-    ShardedSim, SimRng, Time,
+    Component, Ctx, Event, FaultConfig, InPort, OutPort, Payload, ShardId, SimRng, Simulation,
+    Time,
 };
 use mpiq::net::WireProfile;
 use mpiq_bench::{
@@ -212,11 +212,11 @@ fn run_assignment(
     sink_shard: usize,
     threads: usize,
 ) -> Vec<(Time, u64)> {
-    let mut sim = ShardedSim::new(11, nshards);
+    let mut sim = Simulation::with_shards(11, nshards);
     sim.set_threads(threads);
-    let sink = sim.add_component(ShardId(sink_shard as u32), "sink", Sink::default());
+    let sink = sim.add_component_in(ShardId(sink_shard as u32), "sink", Sink::default());
     for (s, &shard) in assignment.iter().enumerate() {
-        let id = sim.add_component(
+        let id = sim.add_component_in(
             ShardId(shard as u32),
             &format!("sender{s}"),
             Sender {
