@@ -9,9 +9,21 @@
 //! fig5 --config alpu128 --max-queue 100 --step 50 --fractions 1 --sizes 0
 //! fig6 --max-queue 100 --step 50 --sizes 64
 //! ```
+//!
+//! The ALPU fault path (stall- and flip-driven quarantine, software
+//! fallback, re-engagement) is pinned the same way: the `*_alpu_faults`
+//! goldens are the exact stdout of
+//!
+//! ```text
+//! fig5 --max-queue 100 --step 50 --sizes 0 --fractions 0.5,1 --faults seed=11,flip=0.05,stall=0.05
+//! fig6 --max-queue 100 --step 50 --sizes 64 --faults seed=11,flip=0.05,stall=0.05
+//! ```
 
+use mpiq_bench::cli::Cli;
+use mpiq_bench::spec::{flags, RunSpec};
 use mpiq_bench::{
-    preposted_latency_cfg, unexpected_latency_cfg, NicVariant, PrepostedPoint, UnexpectedPoint,
+    exec, preposted_latency_cfg, unexpected_latency_cfg, NicVariant, PrepostedPoint,
+    UnexpectedPoint,
 };
 
 #[test]
@@ -61,4 +73,43 @@ fn fig6_unconfigured_matches_golden() {
         }
     }
     assert_eq!(out, golden, "fig6 drifted from the flow-control-free golden");
+}
+
+/// The stdout a bin prints for `args`: run its spec locally and render
+/// the header and rows exactly as `service::emit` does.
+fn bin_stdout(bench: &'static str, args: &[&str]) -> String {
+    let cli = Cli::try_parse_from(
+        bench,
+        "test",
+        flags(bench),
+        args.iter().map(|s| s.to_string()),
+    )
+    .unwrap_or_else(|e| panic!("{bench}: args failed to parse: {e:?}"));
+    let spec = RunSpec::from_cli(bench, &cli).unwrap_or_else(|e| panic!("{bench}: {e}"));
+    let result = exec::execute(&spec).unwrap_or_else(|e| panic!("{bench}: {e}"));
+    let mut out = format!("{}\n", result.header);
+    for row in &result.rows {
+        out.push_str(&row.csv);
+        out.push('\n');
+    }
+    out
+}
+
+const ALPU_FAULTS: &[&str] = &["--faults", "seed=11,flip=0.05,stall=0.05"];
+
+#[test]
+fn fig5_alpu_faults_match_golden() {
+    let sweep: &[&str] =
+        &["--max-queue", "100", "--step", "50", "--sizes", "0", "--fractions", "0.5,1"];
+    let out = bin_stdout("fig5", &[sweep, ALPU_FAULTS].concat());
+    let golden = include_str!("golden/fig5_alpu_faults.csv");
+    assert_eq!(out, golden, "fig5 drifted from the ALPU-fault golden");
+}
+
+#[test]
+fn fig6_alpu_faults_match_golden() {
+    let sweep: &[&str] = &["--max-queue", "100", "--step", "50", "--sizes", "64"];
+    let out = bin_stdout("fig6", &[sweep, ALPU_FAULTS].concat());
+    let golden = include_str!("golden/fig6_alpu_faults.csv");
+    assert_eq!(out, golden, "fig6 drifted from the ALPU-fault golden");
 }
