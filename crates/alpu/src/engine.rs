@@ -225,6 +225,20 @@ impl Alpu {
         self.array.occupied()
     }
 
+    /// Valid entries once every accepted command has drained: the array's
+    /// occupancy plus the in-flight and queued INSERTs (a queued RESET
+    /// starts the count over). A unit syncs lazily, so a run can end with
+    /// an insert session still sitting in the command FIFO; this is the
+    /// occupancy the firmware's shadow prefix already accounts for.
+    pub fn occupied_when_drained(&self) -> usize {
+        let in_flight = usize::from(matches!(self.op, Some(Op::Insert { .. })));
+        self.cmd_fifo.iter().fold(self.occupied() + in_flight, |n, c| match c {
+            Command::Insert(_) => n + 1,
+            Command::Reset => 0,
+            Command::StartInsert | Command::StopInsert => n,
+        })
+    }
+
     /// Number of free cells.
     pub fn free(&self) -> usize {
         self.array.free()
@@ -642,6 +656,31 @@ mod tests {
             a.pop_response(),
             Some(Response::StartAck { .. })
         ));
+    }
+
+    #[test]
+    fn occupied_when_drained_counts_queued_and_in_flight_inserts() {
+        let mut a = small();
+        load(&mut a, &[recv(1, 1), recv(2, 2)]);
+        a.push_command(Command::StartInsert).unwrap();
+        a.push_command(Command::Insert(recv(3, 3))).unwrap();
+        a.push_command(Command::Insert(recv(4, 4))).unwrap();
+        a.push_command(Command::StopInsert).unwrap();
+        // Step cycle by cycle: the count never moves while the session
+        // drains, and ends equal to the array's occupancy.
+        for _ in 0..10_000 {
+            assert_eq!(a.occupied_when_drained(), 4);
+            if a.idle() {
+                break;
+            }
+            a.tick();
+        }
+        assert_eq!(a.occupied(), 4);
+        // A queued RESET starts the count over.
+        a.push_command(Command::Reset).unwrap();
+        a.push_command(Command::StartInsert).unwrap();
+        a.push_command(Command::Insert(recv(5, 5))).unwrap();
+        assert_eq!(a.occupied_when_drained(), 1);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The firmware executes functionally in Rust; timing comes from running
 //! emitted micro-op traces on the embedded [`Core`] and from explicit
-//! interactions with the cycle-level [`Alpu`]s. Each externally triggered
-//! activity is a [`WorkItem`]; the NIC component serializes items on the
-//! (single) embedded processor.
+//! interactions with the cycle-level [`Alpu`](mpiq_alpu::Alpu)s. Each
+//! externally triggered activity is a [`WorkItem`]; the NIC component
+//! serializes items on the (single) embedded processor.
 //!
 //! Protocol summary:
 //!
@@ -22,21 +22,31 @@
 //! not-yet-inserted tail into the unit in batches, every match-eligible
 //! header is answered by exactly one MATCH response which the firmware
 //! pairs with its message, and a failed hardware match falls back to a
-//! software search of the tail only.
+//! software search of the tail only. Those rules are written once, for
+//! both queues, in [`AlpuPort`] (the `alpu` submodule: one unit's whole
+//! lifecycle); this file keeps the four-action loop — poll the network,
+//! poll the host, advance active work, update the ALPUs — and the
+//! queue-side halves of each rule.
+
+mod alpu;
+
+pub use alpu::{AlpuPort, AlpuWedged};
 
 use crate::config::{NicConfig, SwMatch};
 use crate::hashmatch::PostedIndex;
 use crate::dma::Dma;
 use crate::host_iface::{Completion, HostRequest, ReqId};
 use crate::queues::{Key, NicQueue};
-use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe, Response, Tag};
+use alpu::HwRead;
+use mpiq_alpu::match_types::masked_eq;
+use mpiq_alpu::{Command, MaskWord, MatchWord, Probe};
 use mpiq_cpusim::{Core, TraceBuilder};
 use mpiq_dessim::trace::{
     AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent,
 };
-use mpiq_dessim::{Clock, FaultPlan, Histogram, Time};
+use mpiq_dessim::{FaultPlan, Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 /// NIC memory map (addresses feed the cache model).
 mod layout {
@@ -53,6 +63,33 @@ mod layout {
     /// Hash-bin headers (hash matching strategy only).
     pub const HASHBIN_BASE: u64 = 0x60_0000;
 }
+
+/// Effective matching context: the user context with the destination
+/// process's local id folded into the high bits, so co-located processes'
+/// queues cannot cross-match (the footnote-1 extension).
+fn eff_ctx(ranks_per_node: u32, context: u16, dst_rank: u32) -> u16 {
+    if ranks_per_node <= 1 {
+        return context;
+    }
+    debug_assert!(context < 256, "contexts limited to 8 bits with multi-process NICs");
+    debug_assert!(ranks_per_node <= 8, "at most 8 processes per NIC");
+    context | (((dst_rank % ranks_per_node) as u16) << 8)
+}
+
+/// The match word of a header: what it probes with on arrival, and what
+/// it is matched (and inserted into the unexpected ALPU) by while it
+/// waits on the unexpected queue.
+fn header_word(ranks_per_node: u32, h: &MsgHeader) -> MatchWord {
+    MatchWord::mpi(eff_ctx(ranks_per_node, h.context, h.dst_rank), h.src_rank, h.tag)
+}
+
+/// The unexpected-queue search predicate for a receive's `probe`.
+fn unexpected_match(ranks_per_node: u32, probe: Probe) -> impl Fn(&UnexpEntry) -> bool {
+    move |e| masked_eq(header_word(ranks_per_node, &e.header), probe.word, probe.mask)
+}
+
+/// The two matching queues, in the order every ALPU rule visits them.
+const UNITS: [QueueKind; 2] = [QueueKind::Posted, QueueKind::Unexpected];
 
 /// One unit of work for the embedded processor.
 #[derive(Clone, Debug)]
@@ -96,6 +133,13 @@ pub struct RecvEntry {
     ghost: bool,
 }
 
+impl RecvEntry {
+    /// Does this live receive accept a header with match word `word`?
+    fn matches(&self, word: MatchWord) -> bool {
+        !self.ghost && masked_eq(self.word, word, self.mask)
+    }
+}
+
 /// An unexpected message as the NIC stores it.
 #[derive(Clone, Debug)]
 struct UnexpEntry {
@@ -137,229 +181,6 @@ struct RndvExpect {
     len: u32,
     src_rank: u16,
     tag: u16,
-}
-
-/// The unit stopped responding within the firmware's wait budget: its
-/// command FIFO never drained, or a response never surfaced. The caller
-/// must quarantine the unit instead of hanging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AlpuWedged;
-
-/// An ALPU plus its clock-domain bookkeeping and response stashes.
-pub struct AlpuPort {
-    alpu: Alpu,
-    clock: Clock,
-    synced_to: Time,
-    /// StartAcks popped while looking for a match response.
-    stash_start_ack: VecDeque<u32>,
-    /// Match responses popped while looking for a StartAck.
-    stash_match: VecDeque<Response>,
-    /// Fault injector for this unit (bit flips on probe delivery, command
-    /// stalls on command delivery). `None` = healthy hardware, no RNG
-    /// draws at all.
-    faults: Option<FaultPlan>,
-    /// Probes delivered to the unit whose responses the firmware has not
-    /// yet consumed. On a quarantine these become *orphans*: work items
-    /// that must fall back to software instead of popping a response.
-    probes_in_flight: u64,
-    /// Cycles spent spinning on a full command FIFO (satellite stat: the
-    /// old code spun silently and unboundedly).
-    overflow_spins: u64,
-    /// Cycles spent spinning on a full probe (header-copy) FIFO.
-    probe_spins: u64,
-    /// Probes abandoned because the probe FIFO never drained within the
-    /// spin budget (each one wedges + quarantines the unit).
-    probe_drops: u64,
-}
-
-impl AlpuPort {
-    /// How many unit cycles the firmware will wait on the hardware before
-    /// declaring it wedged ([`AlpuWedged`]). 4096 cycles ≈ 8.2 µs at
-    /// 500 MHz: an order of magnitude above any legitimate wait in this
-    /// model (worst observed: one insert batch draining, < 1 µs), and
-    /// *below* the top of the injected stall range
-    /// ([`mpiq_dessim::fault::STALL_MAX_CYCLES`] = 8192), so long stalls
-    /// are detected rather than silently absorbed.
-    const SPIN_BUDGET: u64 = 4096;
-
-    fn new(
-        cells: usize,
-        block: usize,
-        kind: AlpuKind,
-        mhz: u64,
-        probe_fifo: u32,
-        faults: Option<FaultPlan>,
-    ) -> AlpuPort {
-        let mut cfg = AlpuConfig::new(cells, block, kind);
-        if probe_fifo > 0 {
-            cfg.header_fifo_depth = probe_fifo as usize;
-        }
-        AlpuPort {
-            alpu: Alpu::new(cfg),
-            clock: Clock::from_mhz(mhz),
-            synced_to: Time::ZERO,
-            stash_start_ack: VecDeque::new(),
-            stash_match: VecDeque::new(),
-            faults,
-            probes_in_flight: 0,
-            overflow_spins: 0,
-            probe_spins: 0,
-            probe_drops: 0,
-        }
-    }
-
-    /// Advance the unit's clock domain up to `now`.
-    pub fn sync(&mut self, now: Time) {
-        if now <= self.synced_to {
-            return;
-        }
-        let cycles = self.clock.cycles_in(now - self.synced_to);
-        self.alpu.advance(cycles);
-        self.synced_to += self.clock.cycles(cycles);
-    }
-
-    /// Push a header probe (hardware copy path) at time `now`. The fault
-    /// plan may flip a stored match bit first (a particle strike between
-    /// probes); the unit's parity checker latches the error for the
-    /// firmware to discover when it reads the response.
-    pub fn push_probe(&mut self, probe: Probe, now: Time) -> Result<(), AlpuWedged> {
-        self.sync(now);
-        if let Some(plan) = &mut self.faults {
-            if let Some(flip) = plan.roll_flip() {
-                self.alpu.inject_bit_flip(flip.cell_sel, flip.bit);
-            }
-        }
-        // The default FIFO is deep enough in practice; on overflow the
-        // hardware would backpressure the copy path. Spin the unit
-        // forward until space frees — bounded and counted: a unit that
-        // can't drain its FIFO ([`NicConfig::alpu_probe_fifo`]) within
-        // the budget drops the probe and is declared wedged. Ticks land
-        // on the unit's own clock edges, so time advances from the last
-        // synced cycle boundary — never from the (possibly mid-cycle)
-        // `now`.
-        let mut spins = 0u64;
-        while self.alpu.push_header(probe).is_err() {
-            if spins >= Self::SPIN_BUDGET {
-                self.probe_spins += spins;
-                self.probe_drops += 1;
-                return Err(AlpuWedged);
-            }
-            spins += 1;
-            self.alpu.tick();
-            self.synced_to += self.clock.period();
-        }
-        self.probe_spins += spins;
-        self.probes_in_flight += 1;
-        Ok(())
-    }
-
-    /// Bounded pop of the next *match* response at/after `now`; returns
-    /// the response and the time it was available. StartAcks encountered
-    /// on the way are stashed. [`AlpuWedged`] once the spin budget is
-    /// exhausted (e.g. the unit is sitting out an injected stall).
-    fn pop_match_response(&mut self, now: Time) -> Result<(Response, Time), AlpuWedged> {
-        if let Some(r) = self.stash_match.pop_front() {
-            self.probes_in_flight -= 1;
-            return Ok((r, now));
-        }
-        self.sync(now);
-        let mut spins = 0u64;
-        loop {
-            match self.alpu.pop_response() {
-                Some(Response::StartAck { free }) => self.stash_start_ack.push_back(free),
-                // A response found without spinning was ready at `now`;
-                // one found by spinning becomes visible at the clock edge.
-                Some(r) => {
-                    self.probes_in_flight -= 1;
-                    return Ok((r, self.synced_to.max(now)));
-                }
-                None => {
-                    if spins >= Self::SPIN_BUDGET {
-                        return Err(AlpuWedged);
-                    }
-                    spins += 1;
-                    self.alpu.tick();
-                    self.synced_to += self.clock.period();
-                }
-            }
-        }
-    }
-
-    /// Bounded pop of a StartAck at/after `now`. Match responses
-    /// encountered on the way are stashed for their owners.
-    fn pop_start_ack(&mut self, now: Time) -> Result<(u32, Time), AlpuWedged> {
-        if let Some(free) = self.stash_start_ack.pop_front() {
-            return Ok((free, now));
-        }
-        self.sync(now);
-        let mut spins = 0u64;
-        loop {
-            match self.alpu.pop_response() {
-                Some(Response::StartAck { free }) => {
-                    return Ok((free, self.synced_to.max(now)))
-                }
-                Some(r) => self.stash_match.push_back(r),
-                None => {
-                    if spins >= Self::SPIN_BUDGET {
-                        return Err(AlpuWedged);
-                    }
-                    spins += 1;
-                    self.alpu.tick();
-                    self.synced_to += self.clock.period();
-                }
-            }
-        }
-    }
-
-    /// Is the unit safe to open an insert session against? (§IV-C race:
-    /// a failure computed before the inserts must not be paired with the
-    /// post-insert tail.)
-    fn probe_quiescent(&mut self, now: Time) -> bool {
-        self.sync(now);
-        self.stash_match.is_empty() && self.alpu.probe_quiescent()
-    }
-
-    /// Push a command, spinning the unit forward if its FIFO is full —
-    /// bounded and counted (the old code spun silently forever). Returns
-    /// when the write landed: `now` if the FIFO had room, else the clock
-    /// edge that freed a slot. The fault plan may stall the unit's
-    /// command pipeline first. [`AlpuWedged`] surfaces a unit that never
-    /// frees a slot within the budget.
-    fn push_command(&mut self, cmd: Command, now: Time) -> Result<Time, AlpuWedged> {
-        self.sync(now);
-        if let Some(plan) = &mut self.faults {
-            if let Some(cycles) = plan.roll_stall() {
-                self.alpu.inject_stall(cycles);
-            }
-        }
-        let mut spins = 0u64;
-        while self.alpu.push_command(cmd).is_err() {
-            if spins >= Self::SPIN_BUDGET {
-                self.overflow_spins += spins;
-                return Err(AlpuWedged);
-            }
-            spins += 1;
-            self.alpu.tick();
-            self.synced_to += self.clock.period();
-        }
-        self.overflow_spins += spins;
-        Ok(self.synced_to.max(now))
-    }
-
-    /// Side-channel reset (the RESET pin, not the RESET command): wipe
-    /// the array, FIFOs, stashes, and any in-progress operation. Used by
-    /// the quarantine path, where pushing a command into a wedged FIFO
-    /// is exactly what doesn't work.
-    fn reset_hard(&mut self) {
-        self.alpu.hard_reset();
-        self.stash_start_ack.clear();
-        self.stash_match.clear();
-    }
-
-    /// Read-only access for assertions and diagnostics.
-    pub fn alpu(&self) -> &Alpu {
-        &self.alpu
-    }
 }
 
 /// Firmware statistics relevant to the experiments.
@@ -550,18 +371,6 @@ pub struct Firmware {
     pub unexpected_alpu: Option<AlpuPort>,
     /// Hash index over the posted queue (hash matching strategy only).
     posted_index: Option<PostedIndex>,
-    /// Live tombstones in the posted ALPU (see [`RecvEntry::ghost`]).
-    posted_ghosts: usize,
-    /// Posted ALPU quarantine: `Some(t)` = offline until an update item
-    /// at/after `t` re-engages it. While quarantined every header takes
-    /// the software path.
-    posted_quarantined_until: Option<Time>,
-    /// Same for the unexpected ALPU.
-    unexpected_quarantined_until: Option<Time>,
-    /// Probed headers whose responses were wiped by a posted-ALPU
-    /// quarantine. Work items consume these (oldest-first, matching the
-    /// work FIFO) and fall back to software instead of popping.
-    posted_orphans: u64,
     /// Peer nodes declared dead. Operations naming these peers fail with
     /// a typed `rank_failed` completion at post time; state already
     /// parked on them was failed when the peer entered the set. A
@@ -569,9 +378,9 @@ pub struct Firmware {
     dead_peers: BTreeSet<NodeId>,
     /// NIC-resident collectives in flight (offloaded step plans).
     coll: Vec<CollInstance>,
-    /// Scheduled permanent ALPU death: both units are quarantined with
-    /// the cooldown pinned to `Time::MAX`, so the re-engage check in
-    /// `do_update` never fires and matching stays in software forever.
+    /// Scheduled permanent ALPU death: both units are quarantined and
+    /// retired, so the re-engage check in `do_update` never fires and
+    /// matching stays in software forever.
     alpus_dead: bool,
     stats: FwStats,
     hists: FwHists,
@@ -586,24 +395,6 @@ pub struct Firmware {
 impl Firmware {
     /// Build the firmware for `node` under `cfg`.
     pub fn new(node: NodeId, cfg: NicConfig) -> Firmware {
-        // Each unit gets its own fault stream: site 0 is the fabric, so
-        // node n's posted unit is site 2n+1 and its unexpected unit 2n+2.
-        let mk = |setup: Option<crate::config::AlpuSetup>, kind, lane: u64| {
-            setup.map(|s| {
-                let plan = cfg
-                    .faults
-                    .alpu_active()
-                    .then(|| FaultPlan::new(cfg.faults, 1 + 2 * node as u64 + lane));
-                AlpuPort::new(
-                    s.total_cells,
-                    s.block_size,
-                    kind,
-                    cfg.alpu_mhz,
-                    cfg.alpu_probe_fifo,
-                    plan,
-                )
-            })
-        };
         // Firmware-level leak faults get their own stream, disjoint from
         // the fabric (site 0) and ALPU (sites 2n+1, 2n+2) sites.
         let leak_plan = cfg
@@ -636,13 +427,11 @@ impl Firmware {
             host_seq: 0,
             dma_rx: Dma::new(cfg.dma_bytes_per_ns, cfg.dma_setup),
             dma_tx: Dma::new(cfg.dma_bytes_per_ns, cfg.dma_setup),
-            posted_alpu: mk(cfg.posted_alpu, AlpuKind::PostedReceive, 0),
-            unexpected_alpu: mk(cfg.unexpected_alpu, AlpuKind::Unexpected, 1),
+            posted_alpu: cfg.posted_alpu.map(|s| AlpuPort::new(QueueKind::Posted, s, &cfg, node)),
+            unexpected_alpu: cfg
+                .unexpected_alpu
+                .map(|s| AlpuPort::new(QueueKind::Unexpected, s, &cfg, node)),
             posted_index,
-            posted_ghosts: 0,
-            posted_quarantined_until: None,
-            unexpected_quarantined_until: None,
-            posted_orphans: 0,
             dead_peers: BTreeSet::new(),
             coll: Vec::new(),
             alpus_dead: false,
@@ -677,13 +466,11 @@ impl Firmware {
         }
     }
 
-    /// Statistics snapshot (folds in the per-port spin counters).
+    /// Statistics snapshot (folds in the per-unit lifecycle counters).
     pub fn stats(&self) -> FwStats {
         let mut s = self.stats;
         for port in [&self.posted_alpu, &self.unexpected_alpu].into_iter().flatten() {
-            s.alpu_overflow_spins += port.overflow_spins;
-            s.alpu_probe_spins += port.probe_spins;
-            s.alpu_probe_drops += port.probe_drops;
+            port.add_counters(&mut s);
         }
         s
     }
@@ -753,11 +540,8 @@ impl Firmware {
     /// frame destined for a posted receive never stages, so refusing it
     /// would deadlock the very receives that could drain the queue.
     pub fn would_match_posted(&self, h: &MsgHeader) -> bool {
-        let word = self.header_word(h);
-        self.posted.iter().any(|item| {
-            !item.val.ghost
-                && mpiq_alpu::match_types::masked_eq(item.val.word, word, item.val.mask)
-        })
+        let word = header_word(self.cfg.ranks_per_node, h);
+        self.posted.iter().any(|item| item.val.matches(word))
     }
 
     /// Posted-queue length (diagnostics/benchmarks).
@@ -785,55 +569,27 @@ impl Firmware {
         self.rndv_expect.len()
     }
 
-    /// Is the posted-receive ALPU currently worth probing? Always, at the
-    /// default `engage_threshold` of 0; with a nonzero threshold this is
-    /// the §VI-B optimization ("not use the ALPU until the list is at
-    /// least 5 entries long"): headers bypass the unit while it holds
-    /// nothing and the queue is short, eliminating the interaction
-    /// penalty.
+    /// Is the posted-receive ALPU currently worth probing? (See
+    /// [`AlpuPort`]'s engage rule.)
     pub fn posted_engaged(&self) -> bool {
-        if self.posted_quarantined_until.is_some() {
-            return false; // degraded mode: software matching only
-        }
-        match (&self.posted_alpu, self.cfg.posted_alpu) {
-            (Some(_), Some(s)) => {
-                self.posted.alpu_prefix() > 0 || self.posted.len() >= s.engage_threshold
-            }
-            _ => false,
-        }
-    }
-
-    /// Same engagement rule for the unexpected-message ALPU.
-    fn unexpected_engaged(&self) -> bool {
-        if self.unexpected_quarantined_until.is_some() {
-            return false;
-        }
-        match (&self.unexpected_alpu, self.cfg.unexpected_alpu) {
-            (Some(_), Some(s)) => {
-                self.unexpected.alpu_prefix() > 0 || self.unexpected.len() >= s.engage_threshold
-            }
-            _ => false,
-        }
+        self.posted_alpu.as_ref().is_some_and(|p| p.engaged(&self.posted))
     }
 
     /// Is the posted ALPU currently quarantined? (diagnostics/tests)
     pub fn posted_quarantined(&self) -> bool {
-        self.posted_quarantined_until.is_some()
+        self.posted_alpu.as_ref().is_some_and(AlpuPort::quarantined)
     }
 
     /// Is the unexpected ALPU currently quarantined? (diagnostics/tests)
     pub fn unexpected_quarantined(&self) -> bool {
-        self.unexpected_quarantined_until.is_some()
+        self.unexpected_alpu.as_ref().is_some_and(AlpuPort::quarantined)
     }
 
     /// Advance both ALPU clock domains to `now` (test/diagnostic hook:
     /// lets in-flight insert commands drain so quiescent-state invariants
     /// can be checked).
     pub fn sync_hardware(&mut self, now: Time) {
-        if let Some(p) = &mut self.posted_alpu {
-            p.sync(now);
-        }
-        if let Some(p) = &mut self.unexpected_alpu {
+        for p in [&mut self.posted_alpu, &mut self.unexpected_alpu].into_iter().flatten() {
             p.sync(now);
         }
     }
@@ -841,28 +597,6 @@ impl Firmware {
     /// Node hosting a global rank (block distribution).
     fn node_of(&self, rank: u32) -> NodeId {
         rank / self.cfg.ranks_per_node
-    }
-
-    /// Local process id of a global rank on its node.
-    fn pid_of(&self, rank: u32) -> u16 {
-        (rank % self.cfg.ranks_per_node) as u16
-    }
-
-    /// Effective matching context: the user context with the destination
-    /// process's local id folded into the high bits, so co-located
-    /// processes' queues cannot cross-match (the footnote-1 extension).
-    fn eff_ctx(&self, context: u16, dst_rank: u32) -> u16 {
-        if self.cfg.ranks_per_node <= 1 {
-            return context;
-        }
-        debug_assert!(context < 256, "contexts limited to 8 bits with multi-process NICs");
-        debug_assert!(self.cfg.ranks_per_node <= 8, "at most 8 processes per NIC");
-        context | (self.pid_of(dst_rank) << 8)
-    }
-
-    /// The match word an incoming header probes with.
-    fn header_word(&self, h: &MsgHeader) -> MatchWord {
-        MatchWord::mpi(self.eff_ctx(h.context, h.dst_rank), h.src_rank, h.tag)
     }
 
     /// Hardware path: an incoming header is copied to the posted-receive
@@ -877,14 +611,13 @@ impl Firmware {
         if !self.posted_engaged() {
             return false;
         }
-        let probe = Probe::exact(self.header_word(&msg.header));
-        let port = self.posted_alpu.as_mut().expect("engaged implies present");
-        match port.push_probe(probe, now) {
+        let probe = Probe::exact(header_word(self.cfg.ranks_per_node, &msg.header));
+        match self.port_mut(QueueKind::Posted).push_probe(probe, now) {
             Ok(()) => true,
             Err(AlpuWedged) => {
                 // The copy path backpressured past the budget: the unit is
                 // wedged. Quarantine it; this header goes software-only.
-                self.quarantine_posted(now);
+                self.fail_unit(QueueKind::Posted, now);
                 false
             }
         }
@@ -913,42 +646,15 @@ impl Firmware {
         (end, fx)
     }
 
-    /// Would an insert session do anything right now? §IV-B: "the software
-    /// ... should attempt to conglomerate insertions" — while the NIC has
-    /// other work pending (`idle == false`), wait for at least
-    /// `insert_batch_min` stragglers; an idle NIC flushes any tail.
+    /// Does either ALPU need an update item (re-engage, purge or insert
+    /// session; see [`AlpuPort`]'s update rule)? `idle` says the NIC has
+    /// no other work pending.
     pub fn update_needed(&self, idle: bool, now: Time) -> bool {
-        // A quarantine whose cooldown has expired needs an update item to
-        // re-engage the unit.
-        if self.posted_quarantined_until.is_some_and(|q| now >= q)
-            || self.unexpected_quarantined_until.is_some_and(|q| now >= q)
-        {
-            return true;
-        }
-        if self.purge_needed() {
-            return true;
-        }
-        let posted = self.posted_quarantined_until.is_none()
-            && match (&self.posted_alpu, self.cfg.posted_alpu) {
-                (Some(p), Some(s)) => {
-                    self.posted.tail_len() > 0
-                        && p.alpu.free() > 0
-                        && self.posted.len() >= s.engage_threshold
-                        && (idle || self.posted.tail_len() >= s.insert_batch_min)
-                }
-                _ => false,
-            };
-        let unexp = self.unexpected_quarantined_until.is_none()
-            && match (&self.unexpected_alpu, self.cfg.unexpected_alpu) {
-                (Some(p), Some(s)) => {
-                    self.unexpected.tail_len() > 0
-                        && p.alpu.free() > 0
-                        && self.unexpected.len() >= s.engage_threshold
-                        && (idle || self.unexpected.tail_len() >= s.insert_batch_min)
-                }
-                _ => false,
-            };
-        posted || unexp
+        self.posted_alpu.as_ref().is_some_and(|p| p.wants_update(&self.posted, idle, now))
+            || self
+                .unexpected_alpu
+                .as_ref()
+                .is_some_and(|p| p.wants_update(&self.unexpected, idle, now))
     }
 
     // ------------------------------------------------------------------
@@ -995,7 +701,7 @@ impl Firmware {
         fx: &mut Effects,
     ) -> Time {
         let h = msg.header;
-        let probe_word = self.header_word(&h);
+        let probe_word = header_word(self.cfg.ranks_per_node, &h);
         let mut t = now;
 
         let mut matched: Option<Key> = None;
@@ -1005,131 +711,40 @@ impl Firmware {
         // logically, leave a tombstone.
         let mut ghost_consume: Option<Key> = None;
 
-        // The hardware response for this header, if one was read and can
-        // be trusted. `None` with `probed == true` means the unit failed
-        // under us (quarantine) — degrade to a full software walk.
-        let mut hw_resp: Option<Response> = None;
-        let mut hw_dur = Time::ZERO;
+        // Read the hardware's response for this header. A unit that
+        // failed under us (quarantine) leaves `software_from` at 0: the
+        // walk below degrades to the full list.
         if probed {
-            if self.posted_orphans > 0 {
-                // This header was probed before a quarantine wiped the
-                // unit; its response no longer exists. One status read
-                // discovers the unit is offline, then software takes over.
-                self.posted_orphans -= 1;
-                self.stats.alpu_fallbacks += 1;
-                t += core
-                    .run(&TraceBuilder::new().bus_read().int(4).build(), t)
-                    .elapsed;
-            } else {
-                let resp_start = t;
-                let port = self
-                    .posted_alpu
-                    .as_mut()
-                    .expect("probed headers imply an ALPU");
-                // Read the response the hardware computed for this header
-                // (§IV-D: one response per header, in order).
-                match port.pop_match_response(t) {
-                    Ok((resp, t_resp)) => {
-                        let poisoned = port.alpu.parity_error();
-                        t = t_resp;
-                        // §IV-D: the processor "should first retrieve the
-                        // copy of the data provided to it and then
-                        // retrieve the response" — four uncached
-                        // local-bus reads (header copy, then status+tag).
-                        t += core
-                            .run(
-                                &TraceBuilder::new()
-                                    .bus_read()
-                                    .bus_read()
-                                    .bus_read()
-                                    .bus_read()
-                                    .int(4)
-                                    .build(),
-                                t,
-                            )
-                            .elapsed;
-                        if poisoned {
-                            // The status word carries the parity alarm:
-                            // stored match bits were corrupted, so no
-                            // response from this unit can be trusted.
-                            self.quarantine_posted(t);
-                            self.stats.alpu_fallbacks += 1;
-                        } else {
-                            hw_dur = t - resp_start;
-                            self.ev(
-                                resp_start,
-                                TraceEvent::AlpuResponse {
-                                    unit: QueueKind::Posted,
-                                    hit: matches!(resp, Response::MatchSuccess { .. }),
-                                    dur: hw_dur,
-                                },
-                            );
-                            hw_resp = Some(resp);
-                        }
-                    }
-                    Err(AlpuWedged) => {
-                        // No response within the wait budget: the unit is
-                        // stalled or dead. Quarantine consumes this very
-                        // probe's orphan slot too.
-                        self.quarantine_posted(t);
-                        debug_assert!(self.posted_orphans > 0);
-                        self.posted_orphans -= 1;
-                        self.stats.alpu_fallbacks += 1;
-                        t += core
-                            .run(&TraceBuilder::new().bus_read().int(4).build(), t)
-                            .elapsed;
-                    }
-                }
-            }
-        }
-        if let Some(resp) = hw_resp {
-            match resp {
-                Response::MatchSuccess { tag } => {
-                    let key = tag as Key;
-                    let pos = self
-                        .posted
-                        .iter()
-                        .position(|it| it.key == key)
-                        .expect("ALPU cookie references a live entry");
-                    if self.posted.get(pos).val.ghost {
+            let resp_start = t;
+            let (t_read, read) = self.unit_response(QueueKind::Posted, t, core);
+            t = t_read;
+            match read {
+                // The alarm rode in on the status word just read.
+                HwRead::Poisoned => self.stats.alpu_fallbacks += 1,
+                HwRead::Wedged => t = self.fallback_status_read(t, core),
+                HwRead::Hit(key) => {
+                    let entry = self.posted.iter().find(|it| it.key == key);
+                    if entry.expect("ALPU cookie references a live entry").val.ghost {
                         // The hardware matched a tombstone (cancelled or
                         // already-consumed entry it still held). Reclaim
                         // it and redo the match in software over the FULL
                         // queue — the hardware's next candidate is
                         // unknowable without a DELETE command.
                         self.stats.ghost_rematches += 1;
-                        self.posted_ghosts -= 1;
+                        self.port_mut(QueueKind::Posted).ghosts -= 1;
                         let item = self.posted.remove_key(key);
                         t += core
                             .run(&TraceBuilder::new().load(item.addr).int(12).build(), t)
                             .elapsed;
                         let mut visited = Vec::new();
-                        let hit = self.posted.find_from(
-                            0,
-                            |e| {
-                                !e.ghost
-                                    && mpiq_alpu::match_types::masked_eq(
-                                        e.word, probe_word, e.mask,
-                                    )
-                            },
-                            &mut visited,
-                        );
-                        self.stats.posted_entries_traversed += visited.len() as u64;
-                        let search_start = t;
-                        let mut tb = TraceBuilder::new();
-                        for addr in &visited {
-                            tb = tb.load_chain(*addr).int(12);
-                        }
-                        t += core.run(&tb.build(), t).elapsed;
-                        self.hists.posted_linear.record(t - search_start);
-                        self.ev(
-                            search_start,
-                            TraceEvent::SwSearch {
-                                queue: QueueKind::Posted,
-                                source: SearchSource::Linear,
-                                entries: visited.len() as u32,
-                                dur: t - search_start,
-                            },
+                        let hit = self.posted.find_from(0, |e| e.matches(probe_word), &mut visited);
+                        t = self.charge_walk(
+                            QueueKind::Posted,
+                            SearchSource::Linear,
+                            TraceBuilder::new(),
+                            &visited,
+                            t,
+                            core,
                         );
                         match hit {
                             Some((pos, zkey)) => {
@@ -1140,34 +755,25 @@ impl Firmware {
                                 }
                                 matched = Some(zkey);
                             }
-                            None => {
-                                matched = None;
-                                software_from = usize::MAX; // already searched everything
-                            }
+                            // Already searched everything.
+                            None => software_from = usize::MAX,
                         }
                     } else {
                         matched = Some(key);
                         self.stats.posted_alpu_hits += 1;
-                        self.hists.posted_alpu_hit.record(hw_dur);
+                        self.hists.posted_alpu_hit.record(t - resp_start);
                     }
                 }
-                Response::MatchFailure => {
-                    software_from = self.posted.alpu_prefix();
-                }
-                Response::StartAck { .. } => unreachable!("stashed by pop_match_response"),
+                HwRead::Miss => software_from = self.posted.alpu_prefix(),
             }
         }
 
         if matched.is_none() && software_from != usize::MAX {
-            debug_assert!(
-                hw_resp.is_some() || software_from == 0,
-                "a degraded match must search the whole list"
-            );
-            let (hit, visited, hash_overhead) = match &self.posted_index {
+            let (hit, visited, prelude, source) = match &self.posted_index {
                 Some(index) => {
                     // Hash strategy: bin walk + mandatory wildcard walk.
                     let p = index.probe(probe_word);
-                    (p.hit, p.visited, 10u32)
+                    (p.hit, p.visited, 10u32, SearchSource::HashIndex)
                 }
                 None => {
                     // Linear list (whole list in the baseline, tail only
@@ -1175,38 +781,14 @@ impl Firmware {
                     let mut visited = Vec::new();
                     let hit = self.posted.find_from(
                         software_from,
-                        |e| {
-                            !e.ghost
-                                && mpiq_alpu::match_types::masked_eq(e.word, probe_word, e.mask)
-                        },
+                        |e| e.matches(probe_word),
                         &mut visited,
                     );
-                    (hit.map(|(_, key)| key), visited, 0)
+                    (hit.map(|(_, key)| key), visited, 0, SearchSource::Linear)
                 }
             };
-            self.stats.posted_entries_traversed += visited.len() as u64;
-            let search_start = t;
-            let mut tb = TraceBuilder::new().int(hash_overhead);
-            for addr in &visited {
-                tb = tb.load_chain(*addr).int(12);
-            }
-            t += core.run(&tb.build(), t).elapsed;
-            let source = if self.posted_index.is_some() {
-                self.hists.posted_hash.record(t - search_start);
-                SearchSource::HashIndex
-            } else {
-                self.hists.posted_linear.record(t - search_start);
-                SearchSource::Linear
-            };
-            self.ev(
-                search_start,
-                TraceEvent::SwSearch {
-                    queue: QueueKind::Posted,
-                    source,
-                    entries: visited.len() as u32,
-                    dur: t - search_start,
-                },
-            );
+            let tb = TraceBuilder::new().int(prelude);
+            t = self.charge_walk(QueueKind::Posted, source, tb, &visited, t, core);
             matched = hit;
         }
 
@@ -1750,7 +1332,7 @@ impl Firmware {
                 }
                 crate::coll::Dir::Recv => {
                     let probe = Probe::recv(
-                        self.eff_ctx(crate::coll::COLL_CTX, req.rank),
+                        eff_ctx(self.cfg.ranks_per_node, crate::coll::COLL_CTX, req.rank),
                         Some(step.peer as u16),
                         Some(step.tag),
                     );
@@ -1975,122 +1557,41 @@ impl Firmware {
         core: &mut Core,
     ) -> (Time, Option<Key>) {
         let mut t = now;
-        let mut matched: Option<Key> = None;
         let mut software_from = 0usize;
-        let mut hw_dur = Time::ZERO;
-
-        if self.unexpected_engaged() {
-            let resp_start = t;
-            let port = self
-                .unexpected_alpu
-                .as_mut()
-                .expect("engaged implies present");
+        if self.unexpected_alpu.as_ref().is_some_and(|p| p.engaged(&self.unexpected)) {
             // Hardware copy of the new receive probes the unexpected
             // unit. This exchange is synchronous within the work item, so
             // a failure needs no orphan bookkeeping: quarantine and walk
             // the whole queue in software right here.
-            let mut hw_resp: Option<Response> = None;
-            let mut wedged = false;
-            match port.push_probe(probe, t) {
-                Err(AlpuWedged) => wedged = true,
-                Ok(()) => match port.pop_match_response(t) {
-                    Err(AlpuWedged) => wedged = true,
-                    Ok((resp, t_resp)) => {
-                        let poisoned = port.alpu.parity_error();
-                        t = t_resp;
-                        // Same §IV-D response-retrieval sequence as Rx.
-                        t += core
-                            .run(
-                                &TraceBuilder::new()
-                                    .bus_read()
-                                    .bus_read()
-                                    .bus_read()
-                                    .bus_read()
-                                    .int(4)
-                                    .build(),
-                                t,
-                            )
-                            .elapsed;
-                        if poisoned {
-                            wedged = true;
-                        } else {
-                            hw_dur = t - resp_start;
-                            hw_resp = Some(resp);
-                        }
-                    }
-                },
-            }
-            if wedged {
-                self.quarantine_unexpected(t);
-                self.stats.alpu_fallbacks += 1;
-                t += core
-                    .run(&TraceBuilder::new().bus_read().int(4).build(), t)
-                    .elapsed;
-            }
-            if let Some(resp) = hw_resp {
-                self.ev(
-                    resp_start,
-                    TraceEvent::AlpuResponse {
-                        unit: QueueKind::Unexpected,
-                        hit: matches!(resp, Response::MatchSuccess { .. }),
-                        dur: hw_dur,
-                    },
-                );
-            }
-            match hw_resp {
-                Some(Response::MatchSuccess { tag }) => {
-                    matched = Some(tag as Key);
+            let resp_start = t;
+            let read = match self.port_mut(QueueKind::Unexpected).push_probe(probe, t) {
+                Ok(()) => {
+                    let (t_read, read) = self.unit_response(QueueKind::Unexpected, t, core);
+                    t = t_read;
+                    read
+                }
+                Err(AlpuWedged) => {
+                    self.fail_unit(QueueKind::Unexpected, t);
+                    HwRead::Wedged
+                }
+            };
+            match read {
+                HwRead::Hit(key) => {
                     self.stats.unexpected_alpu_hits += 1;
-                    self.hists.unexpected_alpu_hit.record(hw_dur);
+                    self.hists.unexpected_alpu_hit.record(t - resp_start);
+                    return (t, Some(key));
                 }
-                Some(Response::MatchFailure) => {
-                    software_from = self.unexpected.alpu_prefix()
-                }
-                Some(Response::StartAck { .. }) => unreachable!(),
-                None => {} // degraded: software_from stays 0 (full walk)
+                HwRead::Miss => software_from = self.unexpected.alpu_prefix(),
+                // Degraded: software_from stays 0 (full walk).
+                HwRead::Poisoned | HwRead::Wedged => t = self.fallback_status_read(t, core),
             }
         }
-
-        if matched.is_none() {
-            let mut visited = Vec::new();
-            let k = self.cfg.ranks_per_node;
-            let hit = self.unexpected.find_from(
-                software_from,
-                |e| {
-                    let h = &e.header;
-                    let ectx = if k <= 1 {
-                        h.context
-                    } else {
-                        h.context | (((h.dst_rank % k) as u16) << 8)
-                    };
-                    mpiq_alpu::match_types::masked_eq(
-                        MatchWord::mpi(ectx, h.src_rank, h.tag),
-                        probe.word,
-                        probe.mask,
-                    )
-                },
-                &mut visited,
-            );
-            self.stats.unexpected_entries_traversed += visited.len() as u64;
-            let search_start = t;
-            let mut tb = TraceBuilder::new();
-            for addr in &visited {
-                tb = tb.load_chain(*addr).int(12);
-            }
-            t += core.run(&tb.build(), t).elapsed;
-            self.hists.unexpected_linear.record(t - search_start);
-            self.ev(
-                search_start,
-                TraceEvent::SwSearch {
-                    queue: QueueKind::Unexpected,
-                    source: SearchSource::Linear,
-                    entries: visited.len() as u32,
-                    dur: t - search_start,
-                },
-            );
-            matched = hit.map(|(_, key)| key);
-        }
-        (t, matched)
+        let mut visited = Vec::new();
+        let pred = unexpected_match(self.cfg.ranks_per_node, probe);
+        let hit = self.unexpected.find_from(software_from, pred, &mut visited);
+        let tb = TraceBuilder::new();
+        t = self.charge_walk(QueueKind::Unexpected, SearchSource::Linear, tb, &visited, t, core);
+        (t, hit.map(|(_, key)| key))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2105,7 +1606,7 @@ impl Firmware {
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let probe = Probe::recv(self.eff_ctx(context, req.rank), src, tag);
+        let probe = Probe::recv(eff_ctx(self.cfg.ranks_per_node, context, req.rank), src, tag);
         let (mut t, matched) = self.match_unexpected(probe, now, core);
 
         match matched {
@@ -2294,42 +1795,13 @@ impl Firmware {
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let probe = Probe::recv(self.eff_ctx(context, req.rank), src, tag);
+        let rpn = self.cfg.ranks_per_node;
+        let probe = Probe::recv(eff_ctx(rpn, context, req.rank), src, tag);
         let mut visited = Vec::new();
-        let k = self.cfg.ranks_per_node;
-        let hit = self.unexpected.find_from(
-            0,
-            |e| {
-                let h = &e.header;
-                let ectx = if k <= 1 {
-                    h.context
-                } else {
-                    h.context | (((h.dst_rank % k) as u16) << 8)
-                };
-                mpiq_alpu::match_types::masked_eq(
-                    MatchWord::mpi(ectx, h.src_rank, h.tag),
-                    probe.word,
-                    probe.mask,
-                )
-            },
-            &mut visited,
-        );
-        self.stats.unexpected_entries_traversed += visited.len() as u64;
-        let mut tb = TraceBuilder::new().int(8);
-        for addr in &visited {
-            tb = tb.load_chain(*addr).int(12);
-        }
-        let t = now + core.run(&tb.build(), now).elapsed;
-        self.hists.unexpected_linear.record(t - now);
-        self.ev(
-            now,
-            TraceEvent::SwSearch {
-                queue: QueueKind::Unexpected,
-                source: SearchSource::Linear,
-                entries: visited.len() as u32,
-                dur: t - now,
-            },
-        );
+        let hit = self.unexpected.find_from(0, unexpected_match(rpn, probe), &mut visited);
+        let tb = TraceBuilder::new().int(8);
+        let source = SearchSource::Linear;
+        let t = self.charge_walk(QueueKind::Unexpected, source, tb, &visited, now, core);
         let comp = match hit {
             Some((pos, _)) => {
                 let h = self.unexpected.get(pos).val.header;
@@ -2360,12 +1832,12 @@ impl Firmware {
     /// Tombstone an ALPU-resident posted receive (see [`RecvEntry::ghost`]).
     fn posted_mark_ghost(&mut self, key: Key) {
         self.posted.update_key(key, |e| e.ghost = true);
-        self.posted_ghosts += 1;
+        self.port_mut(QueueKind::Posted).ghosts += 1;
     }
 
     /// Live tombstone count (diagnostics).
     pub fn posted_ghost_count(&self) -> usize {
-        self.posted_ghosts
+        self.posted_alpu.as_ref().map_or(0, |p| p.ghosts)
     }
 
     /// `MPI_Cancel` on a posted receive (§II's wildcard-workaround
@@ -2619,26 +2091,21 @@ impl Firmware {
     }
 
     /// Scheduled permanent ALPU death: quarantine both units (RESET-pin
-    /// wipe; orphaned probes fall back to software) and pin the cooldown
-    /// to `Time::MAX`, so the update-item re-engage check never fires. Matching continues on the software queues —
-    /// degraded, never wrong, and never trusted to hardware again.
+    /// wipe; orphaned probes fall back to software) and retire them, so
+    /// the update-item re-engage check never fires. Matching continues on
+    /// the software queues — degraded, never wrong, and never trusted to
+    /// hardware again.
     pub fn kill_alpus(&mut self, now: Time) {
         if self.alpus_dead {
             return;
         }
         self.alpus_dead = true;
-        if self.posted_alpu.is_some() {
-            if self.posted_quarantined_until.is_none() {
-                self.quarantine_posted(now);
+        for unit in UNITS {
+            let Some(port) = self.port(unit) else { continue };
+            if !port.quarantined() {
+                self.fail_unit(unit, now);
             }
-            self.posted_quarantined_until = Some(Time::MAX);
-            self.stats.alpus_killed += 1;
-        }
-        if self.unexpected_alpu.is_some() {
-            if self.unexpected_quarantined_until.is_none() {
-                self.quarantine_unexpected(now);
-            }
-            self.unexpected_quarantined_until = Some(Time::MAX);
+            self.port_mut(unit).retire();
             self.stats.alpus_killed += 1;
         }
     }
@@ -2649,155 +2116,155 @@ impl Firmware {
     }
 
     // ------------------------------------------------------------------
-    // ALPU insert sessions (§IV-C)
+    // ALPU unit lifecycle (§IV-B/C/D); the per-unit rules live in
+    // [`AlpuPort`], the queue-side halves here.
     // ------------------------------------------------------------------
 
-    /// Tombstones the hardware can never reclaim on its own (cancelled
-    /// receives that nothing will match) eventually poison the unit:
-    /// Table I has no DELETE command. Past a quarter of the capacity,
-    /// firmware pays for a RESET + full rebuild.
-    fn purge_needed(&self) -> bool {
-        match (&self.posted_alpu, self.cfg.posted_alpu) {
-            (Some(_), Some(s)) => self.posted_ghosts > s.total_cells / 4,
-            _ => false,
+    /// The unit shadowing `unit`'s queue, if configured.
+    fn port(&self, unit: QueueKind) -> Option<&AlpuPort> {
+        match unit {
+            QueueKind::Posted => self.posted_alpu.as_ref(),
+            QueueKind::Unexpected => self.unexpected_alpu.as_ref(),
         }
     }
 
-    /// Cooldown before a quarantined unit is trusted again. Long enough
-    /// that a persistently stalled unit isn't thrashed in and out of
-    /// service; short relative to any benchmark so degradation stays
-    /// graceful, not permanent.
-    const QUARANTINE_COOLDOWN: Time = Time::from_us(10);
+    /// The unit shadowing `unit`'s queue; only called on paths where the
+    /// unit exists (it probed, holds entries, or is being serviced).
+    fn port_mut(&mut self, unit: QueueKind) -> &mut AlpuPort {
+        match unit {
+            QueueKind::Posted => &mut self.posted_alpu,
+            QueueKind::Unexpected => &mut self.unexpected_alpu,
+        }
+        .as_mut()
+        .expect("unit present")
+    }
 
-    /// Take the posted ALPU out of service: RESET-pin wipe, orphan the
-    /// in-flight probes (their work items fall back to software), drop
-    /// tombstones (they lived only in the hardware), and start the
-    /// cooldown clock. The software queue — the source of truth — is
-    /// untouched; matching continues degraded but correct.
-    fn quarantine_posted(&mut self, now: Time) {
-        let port = self.posted_alpu.as_mut().expect("quarantine implies ALPU");
-        if port.alpu.parity_error() {
-            self.stats.alpu_parity_errors += 1;
+    /// Read `unit`'s response to the oldest outstanding probe (§IV-D,
+    /// [`AlpuPort::read_response`]), starting at `now`. A probe orphaned
+    /// by an earlier quarantine has no response left to read; a poisoned
+    /// or wedged unit is quarantined here. The caller charges the
+    /// software fallback.
+    fn unit_response(&mut self, unit: QueueKind, now: Time, core: &mut Core) -> (Time, HwRead) {
+        let port = self.port_mut(unit);
+        if port.orphans > 0 {
+            port.orphans -= 1;
+            return (now, HwRead::Wedged);
         }
-        self.posted_orphans += port.probes_in_flight;
-        port.probes_in_flight = 0;
-        port.reset_hard();
-        // With the unit wiped, tombstoned entries are unreachable garbage.
-        let dead: Vec<Key> = self
-            .posted
-            .iter()
-            .filter(|it| it.val.ghost)
-            .map(|it| it.key)
-            .collect();
-        for key in dead {
-            self.posted.remove_key(key);
+        let (t, read) = port.read_response(now, core);
+        match read {
+            HwRead::Hit(_) | HwRead::Miss => {
+                let hit = matches!(read, HwRead::Hit(_));
+                self.ev(now, TraceEvent::AlpuResponse { unit, hit, dur: t - now });
+            }
+            HwRead::Poisoned | HwRead::Wedged => self.fail_unit(unit, t),
         }
-        self.posted_ghosts = 0;
+        (t, read)
+    }
+
+    /// A work item whose unit failed under it: one status read discovers
+    /// the unit is offline, then software takes over.
+    fn fallback_status_read(&mut self, t: Time, core: &mut Core) -> Time {
+        self.stats.alpu_fallbacks += 1;
+        t + core.run(&TraceBuilder::new().bus_read().int(4).build(), t).elapsed
+    }
+
+    /// Charge a software walk that visited `visited` starting at `t`: the
+    /// fixed prelude in `tb`, then a dependent load and a compare per
+    /// entry. Counts the entries and records the search's histogram and
+    /// trace event; returns the end time.
+    fn charge_walk(
+        &mut self,
+        queue: QueueKind,
+        source: SearchSource,
+        mut tb: TraceBuilder,
+        visited: &[u64],
+        t: Time,
+        core: &mut Core,
+    ) -> Time {
+        for addr in visited {
+            tb = tb.load_chain(*addr).int(12);
+        }
+        let end = t + core.run(&tb.build(), t).elapsed;
+        let (count, hist) = match (queue, source) {
+            (QueueKind::Posted, SearchSource::HashIndex) => {
+                (&mut self.stats.posted_entries_traversed, &mut self.hists.posted_hash)
+            }
+            (QueueKind::Posted, _) => {
+                (&mut self.stats.posted_entries_traversed, &mut self.hists.posted_linear)
+            }
+            (QueueKind::Unexpected, _) => {
+                (&mut self.stats.unexpected_entries_traversed, &mut self.hists.unexpected_linear)
+            }
+        };
+        *count += visited.len() as u64;
+        hist.record(end - t);
+        let entries = visited.len() as u32;
+        self.ev(t, TraceEvent::SwSearch { queue, source, entries, dur: end - t });
+        end
+    }
+
+    /// Take `unit` out of service ([`AlpuPort::quarantine`]) and drop its
+    /// queue's ALPU marks: the software queue — the source of truth — is
+    /// otherwise untouched, so matching continues degraded but correct.
+    fn fail_unit(&mut self, unit: QueueKind, now: Time) {
+        self.port_mut(unit).quarantine(now);
+        self.unit_emptied(unit);
+        self.ev(now, TraceEvent::Quarantine { unit, engaged: false });
+    }
+
+    /// `unit` was just emptied by a RESET: every live entry becomes tail
+    /// again, and the posted queue's tombstones, which lived only in the
+    /// hardware, are dropped. Returns the dropped tombstones' addresses.
+    fn unit_emptied(&mut self, unit: QueueKind) -> Vec<u64> {
+        if unit == QueueKind::Unexpected {
+            self.unexpected.clear_alpu_marks();
+            return Vec::new();
+        }
+        let dead: Vec<Key> =
+            self.posted.iter().filter(|it| it.val.ghost).map(|it| it.key).collect();
+        let addrs = dead.into_iter().map(|key| self.posted.remove_key(key).addr).collect();
         self.posted.clear_alpu_marks();
-        self.posted_quarantined_until = Some(now + Self::QUARANTINE_COOLDOWN);
-        self.stats.alpu_resets += 1;
-        self.ev(
-            now,
-            TraceEvent::Quarantine {
-                unit: QueueKind::Posted,
-                engaged: false,
-            },
-        );
-    }
-
-    /// Same recovery for the unexpected ALPU (simpler: its exchanges are
-    /// synchronous, so there are no orphans, and it holds no tombstones).
-    fn quarantine_unexpected(&mut self, now: Time) {
-        let port = self
-            .unexpected_alpu
-            .as_mut()
-            .expect("quarantine implies ALPU");
-        if port.alpu.parity_error() {
-            self.stats.alpu_parity_errors += 1;
-        }
-        port.probes_in_flight = 0;
-        port.reset_hard();
-        self.unexpected.clear_alpu_marks();
-        self.unexpected_quarantined_until = Some(now + Self::QUARANTINE_COOLDOWN);
-        self.stats.alpu_resets += 1;
-        self.ev(
-            now,
-            TraceEvent::Quarantine {
-                unit: QueueKind::Unexpected,
-                engaged: false,
-            },
-        );
+        self.port_mut(QueueKind::Posted).ghosts = 0;
+        addrs
     }
 
     /// RESET the posted ALPU and drop tombstones; the subsequent insert
     /// session (same update item) re-fills it from the live queue.
     fn purge_posted(&mut self, now: Time, core: &mut Core) -> Time {
-        let port = self.posted_alpu.as_mut().expect("purge implies ALPU");
+        let port = self.port_mut(QueueKind::Posted);
         if !port.probe_quiescent(now) {
             return now; // retry on a later update
         }
-        let mut t = match port.push_command(Command::Reset, now) {
-            Ok(t) => t,
-            Err(AlpuWedged) => {
-                // Can't even push RESET: quarantine does the same cleanup
-                // through the reset pin.
-                self.quarantine_posted(now);
-                return now;
-            }
+        let Ok(mut t) = port.push_command(Command::Reset, now) else {
+            // Can't even push RESET: quarantine does the same cleanup
+            // through the reset pin.
+            self.fail_unit(QueueKind::Posted, now);
+            return now;
         };
         t += core.run(&TraceBuilder::new().int(6).bus_write().build(), t).elapsed;
-        let port = self.posted_alpu.as_mut().expect("still present");
-        port.sync(t + Time::from_ns(20));
-        // Tombstones are gone for good; live entries all become tail.
-        let dead: Vec<Key> = self
-            .posted
-            .iter()
-            .filter(|it| it.val.ghost)
-            .map(|it| it.key)
-            .collect();
+        self.port_mut(QueueKind::Posted).sync(t + Time::from_ns(20));
         let mut tb = TraceBuilder::new().int(8);
-        for key in dead {
-            let item = self.posted.remove_key(key);
-            tb = tb.store(item.addr);
+        for addr in self.unit_emptied(QueueKind::Posted) {
+            tb = tb.store(addr);
         }
-        self.posted.clear_alpu_marks();
-        self.posted_ghosts = 0;
         self.stats.alpu_purges += 1;
         t + core.run(&tb.build(), t).elapsed
     }
 
+    /// The update item: re-engage both units whose cooldown has expired,
+    /// purge the posted unit's tombstones if due, then run each unit's
+    /// insert session.
     fn do_update(&mut self, now: Time, core: &mut Core, _fx: &mut Effects) -> Time {
         let mut t = now;
-        // Re-engage quarantined units whose cooldown has expired. The
-        // RESET already emptied them; lifting the quarantine lets the
-        // insert sessions below refill them and probes flow again.
-        if self.posted_quarantined_until.is_some_and(|q| now >= q) {
-            self.posted_quarantined_until = None;
-            self.stats.alpu_reengagements += 1;
-            t += core.run(&TraceBuilder::new().int(8).bus_write().build(), t).elapsed;
-            self.ev(
-                t,
-                TraceEvent::Quarantine {
-                    unit: QueueKind::Posted,
-                    engaged: true,
-                },
-            );
+        for unit in UNITS {
+            if self.port(unit).is_some() && self.port_mut(unit).reengage(now) {
+                t += core.run(&TraceBuilder::new().int(8).bus_write().build(), t).elapsed;
+                self.ev(t, TraceEvent::Quarantine { unit, engaged: true });
+            }
         }
-        if self.unexpected_quarantined_until.is_some_and(|q| now >= q) {
-            self.unexpected_quarantined_until = None;
-            self.stats.alpu_reengagements += 1;
-            t += core.run(&TraceBuilder::new().int(8).bus_write().build(), t).elapsed;
-            self.ev(
-                t,
-                TraceEvent::Quarantine {
-                    unit: QueueKind::Unexpected,
-                    engaged: true,
-                },
-            );
-        }
-        if self.purge_needed() {
+        if self.posted_alpu.as_ref().is_some_and(AlpuPort::purge_needed) {
             let purge_start = t;
-            let ghosts = self.posted_ghosts as u32;
+            let ghosts = self.posted_ghost_count() as u32;
             t = self.purge_posted(t, core);
             if t > purge_start {
                 self.ev(
@@ -2811,254 +2278,47 @@ impl Firmware {
                 );
             }
         }
-        if self.posted_quarantined_until.is_none() {
-            if let (Some(setup), Some(_)) = (self.cfg.posted_alpu, self.posted_alpu.as_ref()) {
-                if self.posted.len() >= setup.engage_threshold && self.posted.tail_len() > 0 {
-                    let (session_start, tail_before) = (t, self.posted.tail_len());
-                    let (t2, wedged) = Self::insert_session_posted(
-                        &mut self.posted,
-                        self.posted_alpu.as_mut().expect("checked"),
-                        &mut self.stats,
-                        t,
-                        core,
-                    );
-                    t = t2;
-                    let inserted = tail_before.saturating_sub(self.posted.tail_len());
-                    if inserted > 0 {
-                        self.ev(
-                            session_start,
-                            TraceEvent::AlpuCommand {
-                                unit: QueueKind::Posted,
-                                kind: AlpuCmdKind::InsertSession,
-                                dur: t - session_start,
-                                entries: inserted as u32,
-                            },
-                        );
-                    }
-                    if wedged {
-                        self.quarantine_posted(t);
-                    }
-                }
-            }
-        }
-        if self.unexpected_quarantined_until.is_none() {
-            if let (Some(setup), Some(_)) =
-                (self.cfg.unexpected_alpu, self.unexpected_alpu.as_ref())
-            {
-                if self.unexpected.len() >= setup.engage_threshold
-                    && self.unexpected.tail_len() > 0
-                {
-                    let (session_start, tail_before) = (t, self.unexpected.tail_len());
-                    let (t2, wedged) = Self::insert_session_unexpected(
-                        &mut self.unexpected,
-                        self.unexpected_alpu.as_mut().expect("checked"),
-                        &mut self.stats,
-                        self.cfg.ranks_per_node,
-                        t,
-                        core,
-                    );
-                    t = t2;
-                    let inserted = tail_before.saturating_sub(self.unexpected.tail_len());
-                    if inserted > 0 {
-                        self.ev(
-                            session_start,
-                            TraceEvent::AlpuCommand {
-                                unit: QueueKind::Unexpected,
-                                kind: AlpuCmdKind::InsertSession,
-                                dur: t - session_start,
-                                entries: inserted as u32,
-                            },
-                        );
-                    }
-                    if wedged {
-                        self.quarantine_unexpected(t);
-                    }
-                }
-            }
+        for unit in UNITS {
+            t = self.refill_unit(unit, t, core);
         }
         t
     }
 
-    /// Both sessions return `(end_time, wedged)`; `wedged == true` means
-    /// a hardware interaction blew its wait budget and the caller must
-    /// quarantine the unit (the session aborts immediately; queue marks
-    /// are cleaned up by the quarantine).
-    fn insert_session_posted(
-        queue: &mut NicQueue<RecvEntry>,
-        port: &mut AlpuPort,
-        stats: &mut FwStats,
-        now: Time,
-        core: &mut Core,
-    ) -> (Time, bool) {
-        // §IV-C: never insert across an in-flight probe — a MATCH FAILURE
-        // computed before these inserts must pair with the pre-insert
-        // tail. Defer the session; the NIC re-schedules an update once the
-        // pending probe work drains.
-        if !port.probe_quiescent(now) {
-            return (
-                now + core.run(&TraceBuilder::new().int(4).build(), now).elapsed,
-                false,
+    /// Run `unit`'s insert session ([`AlpuPort::insert_session`]) if one
+    /// is due, tracing it, and quarantine the unit if it wedged.
+    fn refill_unit(&mut self, unit: QueueKind, now: Time, core: &mut Core) -> Time {
+        let rpn = self.cfg.ranks_per_node;
+        let (t, inserted, wedged) = match unit {
+            QueueKind::Posted => match &mut self.posted_alpu {
+                Some(p) if p.session_due(&self.posted) => {
+                    p.insert_session(&mut self.posted, now, core, |e| (e.word, e.mask))
+                }
+                _ => return now,
+            },
+            QueueKind::Unexpected => match &mut self.unexpected_alpu {
+                Some(p) if p.session_due(&self.unexpected) => {
+                    p.insert_session(&mut self.unexpected, now, core, |e| {
+                        (header_word(rpn, &e.header), MaskWord::EXACT)
+                    })
+                }
+                _ => return now,
+            },
+        };
+        if inserted > 0 {
+            self.ev(
+                now,
+                TraceEvent::AlpuCommand {
+                    unit,
+                    kind: AlpuCmdKind::InsertSession,
+                    dur: t - now,
+                    entries: inserted as u32,
+                },
             );
         }
-        let mut t = now + core.run(&TraceBuilder::new().int(6).bus_write().build(), now).elapsed;
-        t = match port.push_command(Command::StartInsert, t) {
-            Ok(t) => t,
-            Err(AlpuWedged) => return (t, true),
-        };
-        let free = match port.pop_start_ack(t) {
-            Ok((free, t_ack)) => {
-                t = t_ack;
-                free
-            }
-            Err(AlpuWedged) => return (t, true),
-        };
-        t += core.run(&TraceBuilder::new().bus_read().build(), t).elapsed;
-        // Abort if a probe slipped in while we waited for the ack:
-        // nothing has been inserted yet, so a just-computed failure still
-        // pairs with the current tail. Retry the session later.
-        let abort = !port.stash_match.is_empty()
-            || port.alpu.responses_pending() > 0
-            || port.alpu.headers_pending() > 0
-            || free == 0;
-        if abort {
-            t = match port.push_command(Command::StopInsert, t) {
-                Ok(t) => t,
-                Err(AlpuWedged) => return (t, true),
-            };
-            return (
-                t + core.run(&TraceBuilder::new().bus_write().build(), t).elapsed,
-                false,
-            );
+        if wedged {
+            self.fail_unit(unit, t);
         }
-        stats.insert_sessions += 1;
-        let batch = queue.take_for_alpu(free as usize);
-        let cmds: Vec<(u64, Command)> = batch
-            .iter()
-            .map(|(key, addr, e)| {
-                (
-                    *addr,
-                    Command::Insert(Entry {
-                        word: e.word,
-                        mask: e.mask,
-                        tag: *key as Tag,
-                    }),
-                )
-            })
-            .collect();
-        for (addr, cmd) in cmds {
-            // Read the entry, then two posted bus writes per insert
-            // (match+mask words, tag).
-            t += core
-                .run(
-                    &TraceBuilder::new().load(addr).int(4).bus_write().bus_write().build(),
-                    t,
-                )
-                .elapsed;
-            t = match port.push_command(cmd, t) {
-                Ok(t) => t,
-                Err(AlpuWedged) => return (t, true),
-            };
-        }
-        t = match port.push_command(Command::StopInsert, t) {
-            Ok(t) => t,
-            Err(AlpuWedged) => return (t, true),
-        };
-        (
-            t + core.run(&TraceBuilder::new().bus_write().build(), t).elapsed,
-            false,
-        )
-    }
-
-    fn insert_session_unexpected(
-        queue: &mut NicQueue<UnexpEntry>,
-        port: &mut AlpuPort,
-        stats: &mut FwStats,
-        ranks_per_node: u32,
-        now: Time,
-        core: &mut Core,
-    ) -> (Time, bool) {
-        // §IV-C: never insert across an in-flight probe — a MATCH FAILURE
-        // computed before these inserts must pair with the pre-insert
-        // tail. Defer the session; the NIC re-schedules an update once the
-        // pending probe work drains.
-        if !port.probe_quiescent(now) {
-            return (
-                now + core.run(&TraceBuilder::new().int(4).build(), now).elapsed,
-                false,
-            );
-        }
-        let mut t = now + core.run(&TraceBuilder::new().int(6).bus_write().build(), now).elapsed;
-        t = match port.push_command(Command::StartInsert, t) {
-            Ok(t) => t,
-            Err(AlpuWedged) => return (t, true),
-        };
-        let free = match port.pop_start_ack(t) {
-            Ok((free, t_ack)) => {
-                t = t_ack;
-                free
-            }
-            Err(AlpuWedged) => return (t, true),
-        };
-        t += core.run(&TraceBuilder::new().bus_read().build(), t).elapsed;
-        // Abort if a probe slipped in while we waited for the ack:
-        // nothing has been inserted yet, so a just-computed failure still
-        // pairs with the current tail. Retry the session later.
-        let abort = !port.stash_match.is_empty()
-            || port.alpu.responses_pending() > 0
-            || port.alpu.headers_pending() > 0
-            || free == 0;
-        if abort {
-            t = match port.push_command(Command::StopInsert, t) {
-                Ok(t) => t,
-                Err(AlpuWedged) => return (t, true),
-            };
-            return (
-                t + core.run(&TraceBuilder::new().bus_write().build(), t).elapsed,
-                false,
-            );
-        }
-        stats.insert_sessions += 1;
-        let batch = queue.take_for_alpu(free as usize);
-        let cmds: Vec<(u64, Command)> = batch
-            .iter()
-            .map(|(key, addr, e)| {
-                let h = &e.header;
-                let ectx = if ranks_per_node <= 1 {
-                    h.context
-                } else {
-                    h.context | (((h.dst_rank % ranks_per_node) as u16) << 8)
-                };
-                (
-                    *addr,
-                    Command::Insert(Entry::mpi_header(
-                        ectx,
-                        h.src_rank,
-                        h.tag,
-                        *key as Tag,
-                    )),
-                )
-            })
-            .collect();
-        for (addr, cmd) in cmds {
-            t += core
-                .run(
-                    &TraceBuilder::new().load(addr).int(4).bus_write().bus_write().build(),
-                    t,
-                )
-                .elapsed;
-            t = match port.push_command(cmd, t) {
-                Ok(t) => t,
-                Err(AlpuWedged) => return (t, true),
-            };
-        }
-        t = match port.push_command(Command::StopInsert, t) {
-            Ok(t) => t,
-            Err(AlpuWedged) => return (t, true),
-        };
-        (
-            t + core.run(&TraceBuilder::new().bus_write().build(), t).elapsed,
-            false,
-        )
+        t
     }
 
     // ------------------------------------------------------------------
@@ -3109,21 +2369,18 @@ impl Firmware {
     }
 }
 
-/// Check the software/hardware shadowing invariants. Only meaningful when
-/// the ALPUs are quiescent (no insert commands in flight).
+/// Check the software/hardware shadowing invariants: each queue's
+/// ALPU-resident entries form a prefix, and each unit holds exactly that
+/// prefix once the commands it has already accepted drain. Exact at any
+/// point between work items, including the end of a run that stopped
+/// with an insert session still queued in a unit.
 pub fn check_invariants(fw: &Firmware) {
     assert!(fw.posted.check_prefix_invariant());
     assert!(fw.unexpected.check_prefix_invariant());
-    if let Some(p) = &fw.posted_alpu {
-        assert_eq!(p.alpu.occupied(), fw.posted.alpu_prefix());
-        if fw.posted_quarantined() {
-            assert_eq!(p.alpu.occupied(), 0, "a quarantined unit is empty");
-        }
-    }
-    if let Some(p) = &fw.unexpected_alpu {
-        assert_eq!(p.alpu.occupied(), fw.unexpected.alpu_prefix());
-        if fw.unexpected_quarantined() {
-            assert_eq!(p.alpu.occupied(), 0, "a quarantined unit is empty");
+    let prefixes = [fw.posted.alpu_prefix(), fw.unexpected.alpu_prefix()];
+    for (unit, prefix) in UNITS.into_iter().zip(prefixes) {
+        if let Some(port) = fw.port(unit) {
+            port.check_shadow(prefix);
         }
     }
 }

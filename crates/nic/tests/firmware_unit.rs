@@ -337,3 +337,116 @@ fn mpi_ordering_across_kinds() {
     assert_eq!(fx2.completions.len(), 1);
     assert_eq!(fx2.completions[0].1.req, rid(1), "eager takes the second receive");
 }
+
+/// A stall far past the firmware's 4096-cycle wait budget, so the next
+/// response read finds the unit wedged.
+const WEDGE_CYCLES: u64 = 8192;
+
+fn late_recv_completion(fx: &mpiq_nic::firmware::Effects) -> (u16, u16, u32) {
+    assert_eq!(fx.completions.len(), 1, "exactly one completion");
+    let c = fx.completions[0].1;
+    (c.source, c.tag, c.len)
+}
+
+#[test]
+fn wedged_posted_unit_quarantines_falls_back_and_reengages() {
+    let mut r = Rig::new(NicConfig::with_alpus(128));
+    for tag in 1..=3u16 {
+        r.run(post_recv(tag as u64, Some(0), Some(tag), 64));
+    }
+    r.flush_updates();
+    check_invariants(&r.fw);
+    r.fw.posted_alpu.as_mut().unwrap().inject_stall(WEDGE_CYCLES);
+
+    // Two headers are probed before the firmware reads either response.
+    let (m1, m2) = (eager(0, 1, 64, 0), eager(0, 2, 64, 1));
+    assert!(r.fw.header_arrival(&m1, r.now));
+    assert!(r.fw.header_arrival(&m2, r.now));
+    // The first read times out: the unit is quarantined and the header
+    // matches in software over the whole list.
+    let fx = r.run(WorkItem::Rx { msg: m1, probed: true });
+    assert!(r.fw.posted_quarantined() && !r.fw.posted_engaged());
+    assert_eq!(fx.completions[0].1.req, rid(1));
+    let s = r.fw.stats();
+    assert_eq!((s.alpu_resets, s.alpu_fallbacks, s.posted_alpu_hits), (1, 1, 0));
+    // The second header's response died with the unit: an orphan, also
+    // served by the software fallback.
+    let fx = r.run(WorkItem::Rx { msg: m2, probed: true });
+    assert_eq!(fx.completions[0].1.req, rid(2));
+    let s = r.fw.stats();
+    assert_eq!((s.alpu_resets, s.alpu_fallbacks), (1, 2), "no second quarantine");
+    check_invariants(&r.fw);
+
+    // Out of service for the 10 us cooldown, then re-engaged and refilled.
+    assert!(!r.fw.update_needed(true, r.now));
+    r.now += Time::from_us(10);
+    assert!(r.fw.update_needed(true, r.now));
+    r.flush_updates();
+    assert!(!r.fw.posted_quarantined());
+    assert_eq!(r.fw.stats().alpu_reengagements, 1);
+    check_invariants(&r.fw);
+    let fx = r.rx(eager(0, 3, 64, 2));
+    assert_eq!(fx.completions[0].1.req, rid(3));
+    assert_eq!(r.fw.stats().posted_alpu_hits, 1, "matched in hardware again");
+    r.flush_updates();
+    check_invariants(&r.fw);
+}
+
+#[test]
+fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
+    let mut r = Rig::new(NicConfig::with_alpus(128));
+    for (seq, tag) in (1..=3u16).enumerate() {
+        r.rx(eager(0, tag, 32 * tag as u32, seq as u64));
+    }
+    r.flush_updates();
+    check_invariants(&r.fw);
+    r.fw.unexpected_alpu.as_mut().unwrap().inject_stall(WEDGE_CYCLES);
+
+    // A late receive probes the stalled unit: quarantine, then the
+    // software walk still finds its message.
+    let fx = r.run(post_recv(10, Some(0), Some(2), 256));
+    assert!(r.fw.unexpected_quarantined());
+    assert_eq!(late_recv_completion(&fx), (0, 2, 64));
+    let s = r.fw.stats();
+    assert_eq!((s.alpu_resets, s.alpu_fallbacks, s.unexpected_alpu_hits), (1, 1, 0));
+    check_invariants(&r.fw);
+
+    assert!(!r.fw.update_needed(true, r.now));
+    r.now += Time::from_us(10);
+    assert!(r.fw.update_needed(true, r.now));
+    r.flush_updates();
+    assert!(!r.fw.unexpected_quarantined());
+    assert_eq!(r.fw.stats().alpu_reengagements, 1);
+    check_invariants(&r.fw);
+    let fx = r.run(post_recv(11, Some(0), Some(3), 256));
+    assert_eq!(late_recv_completion(&fx), (0, 3, 96));
+    assert_eq!(r.fw.stats().unexpected_alpu_hits, 1, "matched in hardware again");
+    check_invariants(&r.fw);
+}
+
+#[test]
+fn killed_alpus_stay_out_of_service() {
+    let mut r = Rig::new(NicConfig::with_alpus(128));
+    r.run(post_recv(1, Some(0), Some(1), 64));
+    r.rx(eager(0, 2, 64, 0));
+    r.flush_updates();
+    r.fw.kill_alpus(r.now);
+    assert!(r.fw.posted_quarantined() && r.fw.unexpected_quarantined());
+    assert_eq!(r.fw.stats().alpus_killed, 2);
+    // Far past any cooldown, nothing re-engages and matching stays in
+    // software.
+    r.now += Time::from_us(1000);
+    assert!(!r.fw.update_needed(true, r.now));
+    let msg = eager(0, 1, 64, 1);
+    assert!(!r.fw.header_arrival(&msg, r.now), "a dead unit gets no probes");
+    let fx = r.run(WorkItem::Rx { msg, probed: false });
+    assert_eq!(fx.completions[0].1.req, rid(1));
+    let fx = r.run(post_recv(2, Some(0), Some(2), 64));
+    assert_eq!(late_recv_completion(&fx), (0, 2, 64));
+    r.run(post_recv(3, Some(0), Some(3), 64));
+    r.flush_updates();
+    let s = r.fw.stats();
+    assert_eq!((s.alpu_reengagements, s.posted_alpu_hits, s.unexpected_alpu_hits), (0, 0, 0));
+    assert!(r.fw.posted_quarantined() && r.fw.unexpected_quarantined());
+    check_invariants(&r.fw);
+}

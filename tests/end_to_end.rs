@@ -53,8 +53,7 @@ fn insert_session_race_regression() {
         c.run(); // panics on deadlock
         assert_eq!(marks.borrow().len(), 1, "receiver finished ({cells} cells)");
         check_invariants(c.nic(0).firmware());
-        // NB: rank 1's unexpected ALPU may still hold a pending StopInsert
-        // from the final deferred session; quiesce is not guaranteed there.
+        check_invariants(c.nic(1).firmware());
     }
 }
 
@@ -182,4 +181,49 @@ fn headline_claims_hold() {
     // Zero-length penalty under 150 ns.
     let penalty = lat(NicVariant::Alpu128, 0).saturating_sub(lat(NicVariant::Baseline, 0));
     assert!(penalty < Time::from_ns(150), "penalty {penalty}");
+}
+
+/// `check_invariants` is exact at the end of any run, including one that
+/// stops with an insert session still queued in a unit's command FIFO.
+/// The Fig. 5 ping-pong (both ranks pre-post the queue) whose queue
+/// exactly fills the unit ends that way: the last INSERT and the
+/// STOP INSERT are pushed but the unit's clock was never synced past
+/// them.
+#[test]
+fn invariants_hold_at_end_of_fig5_run_with_queued_inserts() {
+    for (cells, queue_len) in [(128usize, 127usize), (128, 128), (128, 129), (256, 256)] {
+        for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            let depth = (queue_len as f64 * fraction).floor() as usize;
+            let program = |peer: u16, match_tag: u16, first: bool| {
+                let marks = mark_log();
+                let mut b = Script::builder();
+                let mut matching = 0;
+                for i in 0..=queue_len {
+                    let tag = if i == depth { match_tag } else { 10_000 + i as u16 };
+                    let h = b.irecv(Some(peer), Some(tag), 0);
+                    if i == depth {
+                        matching = h;
+                    }
+                }
+                b.barrier();
+                b.sleep(Time::from_us(400));
+                if first {
+                    b.send(1, 7, 0);
+                    b.wait(matching);
+                } else {
+                    b.wait(matching);
+                    b.send(0, 8, 0);
+                }
+                boxed(b.build(marks))
+            };
+            let mut c = Cluster::new(
+                ClusterConfig::new(NicConfig::with_alpus(cells)),
+                vec![program(1, 8, true), program(0, 7, false)],
+            );
+            c.run();
+            for r in 0..2 {
+                check_invariants(c.nic(r).firmware());
+            }
+        }
+    }
 }
