@@ -342,7 +342,8 @@ fn mpi_ordering_across_kinds() {
 /// response read finds the unit wedged.
 const WEDGE_CYCLES: u64 = 8192;
 
-fn late_recv_completion(fx: &mpiq_nic::firmware::Effects) -> (u16, u16, u32) {
+/// The `(source, tag, len)` of a work item's one completion.
+fn sole_completion(fx: &mpiq_nic::firmware::Effects) -> (u16, u16, u32) {
     assert_eq!(fx.completions.len(), 1, "exactly one completion");
     let c = fx.completions[0].1;
     (c.source, c.tag, c.len)
@@ -406,7 +407,7 @@ fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
     // software walk still finds its message.
     let fx = r.run(post_recv(10, Some(0), Some(2), 256));
     assert!(r.fw.unexpected_quarantined());
-    assert_eq!(late_recv_completion(&fx), (0, 2, 64));
+    assert_eq!(sole_completion(&fx), (0, 2, 64));
     let s = r.fw.stats();
     assert_eq!((s.alpu_resets, s.alpu_fallbacks, s.unexpected_alpu_hits), (1, 1, 0));
     check_invariants(&r.fw);
@@ -419,7 +420,7 @@ fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
     assert_eq!(r.fw.stats().alpu_reengagements, 1);
     check_invariants(&r.fw);
     let fx = r.run(post_recv(11, Some(0), Some(3), 256));
-    assert_eq!(late_recv_completion(&fx), (0, 3, 96));
+    assert_eq!(sole_completion(&fx), (0, 3, 96));
     assert_eq!(r.fw.stats().unexpected_alpu_hits, 1, "matched in hardware again");
     check_invariants(&r.fw);
 }
@@ -442,7 +443,7 @@ fn killed_alpus_stay_out_of_service() {
     let fx = r.run(WorkItem::Rx { msg, probed: false });
     assert_eq!(fx.completions[0].1.req, rid(1));
     let fx = r.run(post_recv(2, Some(0), Some(2), 64));
-    assert_eq!(late_recv_completion(&fx), (0, 2, 64));
+    assert_eq!(sole_completion(&fx), (0, 2, 64));
     r.run(post_recv(3, Some(0), Some(3), 64));
     r.flush_updates();
     let s = r.fw.stats();

@@ -194,31 +194,32 @@ fn invariants_hold_at_end_of_fig5_run_with_queued_inserts() {
     for (cells, queue_len) in [(128usize, 127usize), (128, 128), (128, 129), (256, 256)] {
         for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let depth = (queue_len as f64 * fraction).floor() as usize;
-            let program = |peer: u16, match_tag: u16, first: bool| {
-                let marks = mark_log();
+            // Rank `me` pre-posts the queue; rank 0 pings with tag 7 and
+            // rank 1 answers with tag 8.
+            let program = |me: u16| {
                 let mut b = Script::builder();
                 let mut matching = 0;
                 for i in 0..=queue_len {
-                    let tag = if i == depth { match_tag } else { 10_000 + i as u16 };
-                    let h = b.irecv(Some(peer), Some(tag), 0);
+                    let tag = if i == depth { 8 - me } else { 10_000 + i as u16 };
+                    let h = b.irecv(Some(1 - me), Some(tag), 0);
                     if i == depth {
                         matching = h;
                     }
                 }
                 b.barrier();
                 b.sleep(Time::from_us(400));
-                if first {
+                if me == 0 {
                     b.send(1, 7, 0);
-                    b.wait(matching);
-                } else {
-                    b.wait(matching);
+                }
+                b.wait(matching);
+                if me == 1 {
                     b.send(0, 8, 0);
                 }
-                boxed(b.build(marks))
+                boxed(b.build(mark_log()))
             };
             let mut c = Cluster::new(
                 ClusterConfig::new(NicConfig::with_alpus(cells)),
-                vec![program(1, 8, true), program(0, 7, false)],
+                vec![program(0), program(1)],
             );
             c.run();
             for r in 0..2 {
