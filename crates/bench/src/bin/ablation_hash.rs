@@ -11,12 +11,12 @@
 //!    the ALPU does not.
 //!
 //! ```text
-//! cargo run -p mpiq-bench --bin ablation_hash -- [--server ADDR]
+//! cargo run -p mpiq-bench --bin ablation_hash
 //! ```
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::{exec, report};
 
 fn main() {
     let cli = Cli::parse(
@@ -28,12 +28,11 @@ fn main() {
         eprintln!("ablation_hash: {e}");
         std::process::exit(2);
     });
-    let result = service::run_for_cli("ablation_hash", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("ablation_hash: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("ablation_hash: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
     if !ok {
         std::process::exit(1);

@@ -12,12 +12,12 @@
 //! no easy cache-side answer; the ALPU's flat curve stands alone.
 //!
 //! ```text
-//! cargo run -p mpiq-bench --bin ablation_prefetch -- [--server ADDR]
+//! cargo run -p mpiq-bench --bin ablation_prefetch
 //! ```
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::{exec, report};
 
 fn main() {
     let cli = Cli::parse(
@@ -29,12 +29,11 @@ fn main() {
         eprintln!("ablation_prefetch: {e}");
         std::process::exit(2);
     });
-    let result = service::run_for_cli("ablation_prefetch", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("ablation_prefetch: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("ablation_prefetch: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
     if !ok {
         std::process::exit(1);

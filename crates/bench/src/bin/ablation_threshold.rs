@@ -7,12 +7,12 @@
 //! disappears while the deep-queue win is retained.
 //!
 //! ```text
-//! cargo run -p mpiq-bench --bin ablation_threshold -- [--server ADDR]
+//! cargo run -p mpiq-bench --bin ablation_threshold
 //! ```
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::{exec, report};
 
 fn main() {
     let cli = Cli::parse(
@@ -24,12 +24,11 @@ fn main() {
         eprintln!("ablation_threshold: {e}");
         std::process::exit(2);
     });
-    let result = service::run_for_cli("ablation_threshold", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("ablation_threshold: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("ablation_threshold: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
     if !ok {
         std::process::exit(1);

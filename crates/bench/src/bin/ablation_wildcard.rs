@@ -5,12 +5,12 @@
 //! do to DELETE-less ALPU hardware.
 //!
 //! ```text
-//! cargo run -p mpiq-bench --bin ablation_wildcard -- [--server ADDR]
+//! cargo run -p mpiq-bench --bin ablation_wildcard
 //! ```
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::{exec, report};
 
 fn main() {
     let cli = Cli::parse(
@@ -22,12 +22,11 @@ fn main() {
         eprintln!("ablation_wildcard: {e}");
         std::process::exit(2);
     });
-    let result = service::run_for_cli("ablation_wildcard", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("ablation_wildcard: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("ablation_wildcard: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
     if !ok {
         std::process::exit(1);

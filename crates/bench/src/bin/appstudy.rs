@@ -3,12 +3,12 @@
 //! four application communication patterns, per NIC configuration.
 //!
 //! ```text
-//! cargo run -p mpiq-bench --bin appstudy -- [--server ADDR]
+//! cargo run -p mpiq-bench --bin appstudy
 //! ```
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::{exec, report};
 
 fn main() {
     let cli = Cli::parse(
@@ -20,12 +20,11 @@ fn main() {
         eprintln!("appstudy: {e}");
         std::process::exit(2);
     });
-    let result = service::run_for_cli("appstudy", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("appstudy: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("appstudy: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
     if !ok {
         std::process::exit(1);

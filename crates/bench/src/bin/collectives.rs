@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p mpiq-bench --bin collectives -- [--ranks 64,128]
 //!     [--ops barrier,allreduce] [--topos hub,fattree] [--modes offload,host]
-//!     [--len 64] [--iters 4] [--threads 4] [--server 127.0.0.1:7171]
+//!     [--len 64] [--iters 4] [--threads 4]
 //!     [--out BENCH_collectives.json] [--check BENCH_collectives.json]
 //!     [--tolerance 10]
 //! ```
@@ -22,8 +22,8 @@
 //!   tree edge to one per collective per rank;
 //! * `events`, `wall_ms` — engine cost of the cell (not gated).
 //!
-//! The flags assemble a [`RunSpec`] executed by [`mpiq_bench::exec`] —
-//! locally, or on a `simd` daemon with `--server ADDR`. The headline
+//! The flags assemble a [`RunSpec`] executed by [`mpiq_bench::exec`].
+//! The headline
 //! acceptance claim (offload must finish with fewer host completions
 //! and no more simulated time than host-driven on the same fabric) is
 //! enforced inside the executor; violations come back as result
@@ -36,9 +36,9 @@
 //! are findings.
 
 use mpiq_bench::cli::Cli;
+use mpiq_bench::exec;
 use mpiq_bench::jsonlint::{self, Json};
-use mpiq_bench::report::{json_f64, json_str};
-use mpiq_bench::service;
+use mpiq_bench::report::{self, json_f64, json_str};
 use mpiq_bench::spec::{flags, BenchSpec, ResultRow, RunSpec};
 
 /// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
@@ -161,12 +161,11 @@ fn main() {
 
     // `--out` writes the tracked baseline document, not plain rows, so
     // it is handled here instead of in `emit`.
-    let result = service::run_for_cli("collectives", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("collectives: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, None).expect("stdout");
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("collectives: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, None).expect("stdout");
 
     if let Some(path) = &cli.common.out {
         let doc = render(&result.rows, len, iters, seed);

@@ -6,26 +6,22 @@
 //! cargo run --release -p mpiq-bench --bin fig5 -- [--config all|baseline|alpu128|alpu256]
 //!     [--max-queue 500] [--step 25] [--fractions 0,0.25,0.5,0.75,1.0]
 //!     [--sizes 0,1024,8192] [--plot] [--threads 0] [--sweep-threads 0]
-//!     [--out results/fig5.json] [--server 127.0.0.1:7171]
+//!     [--out results/fig5.json]
 //!     [--faults seed=N,drop=P[,dup=P,corrupt=P,flip=P,stall=P]]
 //!     [--trace-out trace.json] [--metrics]
 //! ```
 //!
-//! The flags assemble a [`RunSpec`] that either executes locally
-//! ([`mpiq_bench::exec`]) or, with `--server ADDR`, is submitted to a
-//! running `simd` daemon — identical bytes on stdout either way, with
-//! server resubmissions served from the daemon's memo cache.
+//! The flags assemble a [`RunSpec`] executed by [`mpiq_bench::exec`].
 //!
 //! `--trace-out PATH` re-runs one representative point (the deepest
 //! queue, full traversal, smallest message) with structured tracing
 //! enabled and writes a Chrome `chrome://tracing` JSON timeline to PATH.
 //! `--metrics` dumps the latency histograms of that instrumented run to
-//! stderr. Neither flag perturbs the CSV on stdout; both always run
-//! locally.
+//! stderr. Neither flag perturbs the CSV on stdout.
 
 use mpiq_bench::cli::Cli;
 use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use mpiq_bench::{service, NicVariant, PrepostedPoint};
+use mpiq_bench::{exec, report, NicVariant, PrepostedPoint};
 
 fn main() {
     let cli = Cli::parse("fig5", "Fig. 5: latency vs. posted-receive queue depth", flags("fig5"));
@@ -48,12 +44,11 @@ fn main() {
         spec.threads
     );
 
-    let result = service::run_for_cli("fig5", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("fig5: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("fig5: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
 
     if cli.has("plot") {

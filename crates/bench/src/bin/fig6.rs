@@ -4,23 +4,21 @@
 //! ```text
 //! cargo run --release -p mpiq-bench --bin fig6 -- [--max-queue 400] [--step 20]
 //!     [--sizes 64,1024] [--plot] [--threads 0] [--sweep-threads 0]
-//!     [--out results/fig6.json] [--server 127.0.0.1:7171]
+//!     [--out results/fig6.json]
 //!     [--faults seed=N,drop=P[,dup=P,corrupt=P,flip=P,stall=P]]
 //!     [--trace-out trace.json] [--metrics]
 //! ```
 //!
-//! The flags assemble a [`RunSpec`] that either executes locally
-//! ([`mpiq_bench::exec`]) or, with `--server ADDR`, is submitted to a
-//! running `simd` daemon — identical bytes on stdout either way.
+//! The flags assemble a [`RunSpec`] executed by [`mpiq_bench::exec`].
 //!
 //! `--trace-out PATH` runs one instrumented exchange (alpu128, deepest
 //! queue) and writes a Chrome `chrome://tracing` timeline to PATH;
 //! `--metrics` dumps its latency histograms to stderr. The CSV on
-//! stdout is unaffected by either flag; both always run locally.
+//! stdout is unaffected by either flag.
 
 use mpiq_bench::cli::Cli;
 use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use mpiq_bench::{service, NicVariant, UnexpectedPoint};
+use mpiq_bench::{exec, report, NicVariant, UnexpectedPoint};
 
 fn main() {
     let cli = Cli::parse("fig6", "Fig. 6: latency vs. unexpected-queue depth", flags("fig6"));
@@ -33,12 +31,11 @@ fn main() {
     let points = NicVariant::ALL.len() * sizes.len() * (max_queue / step.max(1) + 1);
     eprintln!("fig6: {} points, engine threads {}", points, spec.threads);
 
-    let result = service::run_for_cli("fig6", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("fig6: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("fig6: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
 
     if cli.has("plot") {

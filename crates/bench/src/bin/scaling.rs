@@ -29,15 +29,11 @@
 //! when any current row's events/sec drops more than
 //! `--tolerance` percent below the same (scenario, threads) row of the
 //! baseline — CI runs both flags in one invocation.
-//!
-//! This bench measures *wall clock*, so its results are never memoized
-//! (`BenchSpec::cacheable`): a `--server ADDR` submission re-runs on
-//! the daemon every time, and `--check` always gates fresh timings.
 
 use mpiq_bench::cli::Cli;
+use mpiq_bench::exec;
 use mpiq_bench::jsonlint::{self, Json};
-use mpiq_bench::report::{json_f64, json_str};
-use mpiq_bench::service;
+use mpiq_bench::report::{self, json_f64, json_str};
 use mpiq_bench::spec::{flags, BenchSpec, ResultRow, RunSpec};
 
 /// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
@@ -159,12 +155,11 @@ fn main() {
 
     // `--out` writes the tracked baseline document, not plain rows, so
     // it is handled here instead of in `emit`.
-    let result = service::run_for_cli("scaling", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("scaling: {e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, None).expect("stdout");
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("scaling: {e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, None).expect("stdout");
 
     if let Some(path) = &cli.common.out {
         let doc = render(&result.rows, senders, msgs, size, seed);

@@ -6,23 +6,20 @@
 //!          [--credits N] [--max-unexpected N] [--eager-buffer B]
 //!          [--alpu] [--faults seed=N,drop=P,...] [--deadline-ms T]
 //!          [--mtbf-us T] [--mttr-us T] [--check-determinism] [--threads N]
-//!          [--out PATH] [--server ADDR] [--curve] [--chaos-curve]
+//!          [--out PATH] [--curve] [--chaos-curve]
 //!
 //! Runs each (scenario, seed) pair under the deadlock watchdog, prints
 //! one CSV row per run, and exits nonzero with the watchdog's diagnosis
-//! on a stall. The flags assemble a [`RunSpec`]; with `--server ADDR`
-//! the spec runs on a `simd` daemon instead of in-process (identical
-//! bytes on stdout; resubmissions hit the daemon's memo cache).
-//! `--check-determinism` repeats every run and demands a bit-identical
-//! statistics dump. `--curve`, `--chaos-curve` and `--recovery-curve`
-//! are exploratory sweeps that always run locally, as does `--check`
-//! (the tracked-baseline gate).
+//! on a stall. The flags assemble a [`RunSpec`] executed by
+//! [`mpiq_bench::exec`]. `--check-determinism` repeats every run and
+//! demands a bit-identical statistics dump. `--curve`, `--chaos-curve`
+//! and `--recovery-curve` are exploratory sweeps outside the spec, as is
+//! `--check` (the tracked-baseline gate).
 
 use mpiq_bench::ascii_plot::{render, Series};
 use mpiq_bench::cli::Cli;
-use mpiq_bench::service;
 use mpiq_bench::spec::{flags, BenchSpec, ResultRow, RunSpec};
-use mpiq_bench::{run_soak, Scenario, SoakConfig};
+use mpiq_bench::{exec, report, run_soak, Scenario, SoakConfig};
 use mpiq_dessim::Time;
 use std::io::Write as _;
 
@@ -111,12 +108,11 @@ fn main() {
         return;
     }
 
-    let result = service::run_for_cli("soak", cli.common.server.as_deref(), &spec)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-    let ok = service::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
+    let result = exec::execute(&spec).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
 
     if let Some(path) = cli.get_str("check") {

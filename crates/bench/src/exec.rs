@@ -1,18 +1,17 @@
 //! The one executor behind every bench bin: consume a [`RunSpec`],
 //! produce a [`RunResult`].
 //!
-//! Each arm of [`execute_with`] is the verbatim port of the
-//! corresponding bin's sweep loop — same point expansion order, same
-//! CSV cell formatting, same summary lines — so a bin printing the
-//! returned rows is byte-identical to the pre-refactor harness (CI's
-//! observability job byte-compares fig5 stdout to hold this). The bins
-//! keep only presentation: plots, traces, tracked-baseline gates, and
-//! the choice between running here or submitting to a server.
+//! Each arm of [`execute`] is the verbatim port of the corresponding
+//! bin's sweep loop — same point expansion order, same CSV cell
+//! formatting, same summary lines — so a bin printing the returned rows
+//! is byte-identical to the pre-refactor harness (CI's observability job
+//! byte-compares fig5 stdout to hold this). The bins keep only
+//! presentation: plots, traces and tracked-baseline gates.
 //!
 //! Conditions the old bins handled with `panic!`/`exit(1)` (a stalled
-//! soak, a broken determinism compare, bad enum values) surface as
-//! `Err` so a server can report them to the submitting client instead
-//! of dying.
+//! soak, a broken determinism compare, bad enum values, parameters the
+//! simulator cannot run) surface as `Err`, so a bad spec is a typed
+//! error whether it came from flags or from JSON.
 
 use crate::gap::{message_gap, GapPoint};
 use crate::report::{cells, json_f64, json_str};
@@ -25,20 +24,10 @@ use crate::{
 };
 use mpiq_dessim::{FaultConfig, Time};
 use mpiq_net::{Topology, WireProfile};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Progress sink: called as `(points_done, points_total)`; may be
-/// invoked concurrently from sweep worker threads.
-pub type Progress<'a> = &'a (dyn Fn(usize, usize) + Sync);
-
-/// Run the spec with no progress reporting.
+/// Run the spec in-process.
 pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
-    execute_with(spec, &|_, _| {})
-}
-
-/// Run the spec, reporting sweep progress through `progress`.
-pub fn execute_with(spec: &RunSpec, progress: Progress) -> Result<RunResult, String> {
     let faults: Option<FaultConfig> = match &spec.faults {
         Some(text) => Some(text.parse().map_err(|e| format!("--faults {text}: {e}"))?),
         None => None,
@@ -46,44 +35,28 @@ pub fn execute_with(spec: &RunSpec, progress: Progress) -> Result<RunResult, Str
     let mut result = RunResult { bench: spec.bench.name().to_string(), ..RunResult::default() };
     match &spec.bench {
         BenchSpec::Fig5 { configs, max_queue, step, fractions, sizes } => {
-            fig5(spec, configs, *max_queue, *step, fractions, sizes, faults, progress, &mut result)?
+            fig5(spec, configs, *max_queue, *step, fractions, sizes, faults, &mut result)?
         }
         BenchSpec::Fig6 { max_queue, step, sizes } => {
-            fig6(spec, *max_queue, *step, sizes, faults, progress, &mut result)?
+            fig6(spec, *max_queue, *step, sizes, faults, &mut result)?
         }
-        BenchSpec::Gap { burst } => gap(spec, *burst, progress, &mut result),
-        BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, progress, &mut result),
-        BenchSpec::Soak { .. } => soak(spec, faults, progress, &mut result)?,
+        BenchSpec::Gap { burst } => gap(spec, *burst, &mut result)?,
+        BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result),
+        BenchSpec::Soak { .. } => soak(spec, faults, &mut result)?,
         BenchSpec::Scaling { senders, msgs, size, thread_counts, scenarios } => {
-            scaling(spec, *senders, *msgs, *size, thread_counts, scenarios, progress, &mut result)?
+            scaling(spec, *senders, *msgs, *size, thread_counts, scenarios, &mut result)?
         }
         BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } => {
-            collectives(spec, ranks, ops, topos, modes, *len, *iters, progress, &mut result)?
+            collectives(spec, ranks, ops, topos, modes, *len, *iters, &mut result)?
         }
-        BenchSpec::Appstudy => appstudy(spec, progress, &mut result),
-        BenchSpec::AblationBlock => ablation_block(progress, &mut result),
-        BenchSpec::AblationHash => ablation_hash(spec, progress, &mut result),
-        BenchSpec::AblationPrefetch => ablation_prefetch(spec, progress, &mut result),
-        BenchSpec::AblationThreshold => ablation_threshold(spec, progress, &mut result),
-        BenchSpec::AblationWildcard => ablation_wildcard(spec, progress, &mut result),
+        BenchSpec::Appstudy => appstudy(spec, &mut result),
+        BenchSpec::AblationBlock => ablation_block(&mut result),
+        BenchSpec::AblationHash => ablation_hash(spec, &mut result),
+        BenchSpec::AblationPrefetch => ablation_prefetch(spec, &mut result),
+        BenchSpec::AblationThreshold => ablation_threshold(spec, &mut result),
+        BenchSpec::AblationWildcard => ablation_wildcard(spec, &mut result),
     }
     Ok(result)
-}
-
-/// Fan `points` out like the bins do, ticking `progress` per point.
-fn fan<P, R, F>(points: Vec<P>, sweep_threads: usize, progress: Progress, f: F) -> Vec<R>
-where
-    P: Send + Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    let total = points.len();
-    let done = AtomicUsize::new(0);
-    run_parallel(points, sweep_threads, |p| {
-        let r = f(p);
-        progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-        r
-    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -95,7 +68,6 @@ fn fig5(
     fractions: &[f64],
     sizes: &[u32],
     faults: Option<FaultConfig>,
-    progress: Progress,
     result: &mut RunResult,
 ) -> Result<(), String> {
     if step == 0 {
@@ -128,7 +100,7 @@ fn fig5(
             }
         }
     }
-    let rows: Vec<Row> = fan(points, spec.sweep_threads, progress, |&(v, p)| {
+    let rows: Vec<Row> = run_parallel(points, spec.sweep_threads, |&(v, p)| {
         let mut cfg = v.config();
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
@@ -208,7 +180,6 @@ fn fig6(
     step: usize,
     sizes: &[u32],
     faults: Option<FaultConfig>,
-    progress: Progress,
     result: &mut RunResult,
 ) -> Result<(), String> {
     if step == 0 {
@@ -234,7 +205,7 @@ fn fig6(
             }
         }
     }
-    let rows: Vec<Row> = fan(points, spec.sweep_threads, progress, |&(v, p)| {
+    let rows: Vec<Row> = run_parallel(points, spec.sweep_threads, |&(v, p)| {
         let mut cfg = v.config();
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
@@ -298,12 +269,15 @@ fn fig6(
     Ok(())
 }
 
-fn gap(spec: &RunSpec, burst: usize, progress: Progress, result: &mut RunResult) {
+fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), String> {
+    if burst == 0 {
+        return Err("BURST must be >= 1".to_string());
+    }
     let engine_threads = spec.threads;
     let depths = [0usize, 50, 100, 200, 300, 400];
     let work: Vec<(NicVariant, usize)> =
         depths.iter().flat_map(|&q| NicVariant::ALL.map(|v| (v, q))).collect();
-    let results = fan(work.clone(), spec.sweep_threads, progress, |&(v, q)| {
+    let results = run_parallel(work.clone(), spec.sweep_threads, |&(v, q)| {
         message_gap(v.config(), GapPoint { queue_len: q, burst, msg_size: 0 }, engine_threads)
     });
 
@@ -346,16 +320,17 @@ fn gap(spec: &RunSpec, burst: usize, progress: Progress, result: &mut RunResult)
          the ALPU removes the queue-depth dependence within its capacity"
             .to_string(),
     );
+    Ok(())
 }
 
-fn breakeven(spec: &RunSpec, max: usize, progress: Progress, result: &mut RunResult) {
+fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
     let engine_threads = spec.threads;
     let points: Vec<(NicVariant, usize)> = (0..=max)
         .flat_map(|q| {
             [(NicVariant::Baseline, q), (NicVariant::Alpu128, q), (NicVariant::Alpu256, q)]
         })
         .collect();
-    let latencies = fan(points.clone(), spec.sweep_threads, progress, |&(v, q)| {
+    let latencies = run_parallel(points.clone(), spec.sweep_threads, |&(v, q)| {
         preposted_latency_cfg(
             v.config(),
             PrepostedPoint { queue_len: q, fraction: 1.0, msg_size: 0 },
@@ -410,7 +385,6 @@ fn breakeven(spec: &RunSpec, max: usize, progress: Progress, result: &mut RunRes
 fn soak(
     spec: &RunSpec,
     faults: Option<FaultConfig>,
-    progress: Progress,
     result: &mut RunResult,
 ) -> Result<(), String> {
     let BenchSpec::Soak {
@@ -432,6 +406,9 @@ fn soak(
     else {
         unreachable!()
     };
+    if *senders < 2 {
+        return Err("--senders must be >= 2".to_string());
+    }
     let scenarios: Vec<Scenario> = scenarios
         .iter()
         .map(|s| Scenario::parse(s).ok_or_else(|| format!("unknown scenario `{s}`")))
@@ -446,8 +423,6 @@ fn soak(
                      peers_failed,ops_rank_failed,links_dead,nodes_restarted,\
                      peers_revived,epoch_fences,recovery_ns"
         .to_string();
-    let total = scenarios.len() * seed_list.len();
-    let mut done = 0usize;
     for &scenario in &scenarios {
         for &seed in &seed_list {
             let mut cfg = SoakConfig::new(scenario, seed);
@@ -530,8 +505,6 @@ fn soak(
                 ("recovery_ns".to_string(), out.recovery_ns.to_string()),
             ];
             result.rows.push(ResultRow { csv, fields });
-            done += 1;
-            progress(done, total);
         }
     }
     result.notes.push(format!(
@@ -573,7 +546,6 @@ fn scaling(
     size: u32,
     thread_counts: &[usize],
     scenarios: &[String],
-    progress: Progress,
     result: &mut RunResult,
 ) -> Result<(), String> {
     if senders + 1 < 16 {
@@ -590,8 +562,6 @@ fn scaling(
     }
     let mut rows: Vec<Row> = Vec::new();
     result.header = "scenario,threads,wall_ms,events,events_per_sec,speedup".to_string();
-    let total = scenarios.len() * thread_counts.len();
-    let mut done = 0usize;
     for scenario in scenarios {
         let scenario: &'static str = match scenario.as_str() {
             "incast" => "incast",
@@ -629,8 +599,6 @@ fn scaling(
                 events_per_sec,
                 speedup,
             });
-            done += 1;
-            progress(done, total);
         }
     }
     for r in &rows {
@@ -742,11 +710,13 @@ fn collectives(
     modes: &[String],
     len: u32,
     iters: u32,
-    progress: Progress,
     result: &mut RunResult,
 ) -> Result<(), String> {
     if iters < 1 {
         return Err("--iters must be >= 1".to_string());
+    }
+    if ranks_list.contains(&0) {
+        return Err("--ranks entries must be >= 1".to_string());
     }
     let seed = spec.seed.unwrap_or(1);
     let threads = if spec.threads == 0 { 4 } else { spec.threads };
@@ -762,8 +732,6 @@ fn collectives(
     }
     let mut rows: Vec<Row> = Vec::new();
     result.header = "ranks,op,topo,mode,sim_ns_per_op,host_completions,events,wall_ms".to_string();
-    let total = ranks_list.len() * ops.len() * topos.len() * modes.len();
-    let mut done = 0usize;
     for &ranks in ranks_list {
         for op_name in ops {
             let (op_label, op, root) = collectives_parse_op(op_name)?;
@@ -801,8 +769,6 @@ fn collectives(
                         events,
                         wall_ms,
                     });
-                    done += 1;
-                    progress(done, total);
                 }
             }
         }
@@ -865,7 +831,7 @@ fn collectives(
     Ok(())
 }
 
-fn appstudy(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
+fn appstudy(spec: &RunSpec, result: &mut RunResult) {
     use crate::appsim::{run_app, AppPattern};
     use std::fmt::Write as _;
     let engine_threads = spec.threads;
@@ -884,7 +850,7 @@ fn appstudy(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
     );
     let work: Vec<(usize, NicVariant)> =
         (0..patterns.len()).flat_map(|p| NicVariant::ALL.map(|v| (p, v))).collect();
-    let results = fan(work.clone(), spec.sweep_threads, progress, |&(p, v)| {
+    let results = run_parallel(work.clone(), spec.sweep_threads, |&(p, v)| {
         run_app(v.config(), patterns[p], engine_threads)
     });
     for (i, &(p, v)) in work.iter().enumerate() {
@@ -911,7 +877,7 @@ fn appstudy(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
     );
 }
 
-fn ablation_block(progress: Progress, result: &mut RunResult) {
+fn ablation_block(result: &mut RunResult) {
     use mpiq_alpu::PipelineTiming;
     use mpiq_fpga::{estimate, Variant};
     use std::fmt::Write as _;
@@ -924,12 +890,8 @@ fn ablation_block(progress: Progress, result: &mut RunResult) {
     let _ = writeln!(text, "{}", "-".repeat(92));
     let cells_list = [64usize, 128, 256, 512];
     let blocks = [4usize, 8, 16, 32, 64];
-    let total = cells_list.len() * blocks.len();
-    let mut done = 0usize;
     for cells in cells_list {
         for block in blocks {
-            done += 1;
-            progress(done, total);
             if block > cells {
                 continue;
             }
@@ -954,7 +916,7 @@ fn ablation_block(progress: Progress, result: &mut RunResult) {
     );
 }
 
-fn ablation_hash(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
+fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
     use mpiq_nic::NicConfig;
     use std::fmt::Write as _;
     let configs: Vec<(&str, NicConfig)> = vec![
@@ -966,9 +928,6 @@ fn ablation_hash(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
     ];
     let depths = [0usize, 25, 50, 100, 200, 300, 400];
     let engine_threads = spec.threads;
-    // Two sweeps share one progress range.
-    let total = 2 * depths.len() * configs.len();
-    let done = AtomicUsize::new(0);
     let sweep = |point: &(dyn Fn(usize) -> PostLoopPoint + Sync)| -> String {
         let mut text = String::new();
         let _ = write!(text, "{:>8}", "depth");
@@ -982,9 +941,7 @@ fn ablation_hash(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
             .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
             .collect();
         let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
-            let r = postloop_rtt(configs[ci].1, point(depths[qi]), engine_threads).as_us_f64();
-            progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-            r
+            postloop_rtt(configs[ci].1, point(depths[qi]), engine_threads).as_us_f64()
         });
         for (qi, &q) in depths.iter().enumerate() {
             let _ = write!(text, "{q:>8}");
@@ -1018,7 +975,7 @@ fn ablation_hash(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
     );
 }
 
-fn ablation_prefetch(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
+fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
     use mpiq_nic::NicConfig;
     use std::fmt::Write as _;
     let engine_threads = spec.threads;
@@ -1039,7 +996,7 @@ fn ablation_prefetch(spec: &RunSpec, progress: Progress, result: &mut RunResult)
         .enumerate()
         .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
         .collect();
-    let results = fan(work.clone(), spec.sweep_threads, progress, |&(qi, ci)| {
+    let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
         preposted_latency_cfg(
             configs[ci].1,
             PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
@@ -1078,7 +1035,7 @@ fn ablation_prefetch(spec: &RunSpec, progress: Progress, result: &mut RunResult)
     );
 }
 
-fn ablation_threshold(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
+fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
     use mpiq_nic::{AlpuSetup, NicConfig};
     use std::fmt::Write as _;
     fn with_threshold(cells: usize, threshold: usize) -> NicConfig {
@@ -1108,7 +1065,7 @@ fn ablation_threshold(spec: &RunSpec, progress: Progress, result: &mut RunResult
         .enumerate()
         .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
         .collect();
-    let results = fan(work.clone(), spec.sweep_threads, progress, |&(qi, ci)| {
+    let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
         preposted_latency_cfg(
             configs[ci].1,
             PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
@@ -1138,7 +1095,7 @@ fn ablation_threshold(spec: &RunSpec, progress: Progress, result: &mut RunResult
     }
 }
 
-fn ablation_wildcard(spec: &RunSpec, progress: Progress, result: &mut RunResult) {
+fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
     use std::fmt::Write as _;
     let engine_threads = spec.threads;
     let iters = 48u32;
@@ -1153,7 +1110,7 @@ fn ablation_wildcard(spec: &RunSpec, progress: Progress, result: &mut RunResult)
             })
         })
         .collect();
-    let results: Vec<WildcardStudy> = fan(work.clone(), spec.sweep_threads, progress, |&(v, st, s)| {
+    let results: Vec<WildcardStudy> = run_parallel(work.clone(), spec.sweep_threads, |&(v, st, s)| {
         wildcard_workaround(v.config(), st, s, iters, engine_threads)
     });
     let mut text = String::new();
@@ -1192,6 +1149,8 @@ fn ablation_wildcard(spec: &RunSpec, progress: Progress, result: &mut RunResult)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::Cli;
+    use crate::spec::flags;
 
     /// The executor's fig5 rows must match the library sweep
     /// byte-for-byte — the executor is the bin now, and CI compares
@@ -1236,30 +1195,12 @@ mod tests {
         assert_eq!(result.rows[0].num("latency_us"), Some(direct.latency.as_us_f64()));
     }
 
-    /// Progress ticks once per point and ends at the total.
+    /// Specs the simulator cannot run — empty sweep lists, a zero
+    /// burst, a zero-rank cluster, a soak with fewer than two senders —
+    /// are typed errors naming the parameter, not panics on a sweep
+    /// worker or deep in cluster setup.
     #[test]
-    fn progress_counts_every_point() {
-        use std::sync::Mutex;
-        let spec = RunSpec {
-            bench: BenchSpec::Breakeven { max_queue: 3 },
-            seed: None,
-            faults: None,
-            threads: 0,
-            sweep_threads: 1,
-        };
-        let seen = Mutex::new(Vec::new());
-        execute_with(&spec, &|done, total| seen.lock().unwrap().push((done, total))).unwrap();
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 12, "4 queue lengths x 3 variants");
-        assert!(seen.iter().all(|&(_, t)| t == 12));
-        assert_eq!(seen.last(), Some(&(12, 12)));
-    }
-
-    /// Empty sweep lists — reachable from a JSON-submitted spec — are
-    /// typed errors naming the field, not sizes[0] panics that surface
-    /// server-side as "job panicked".
-    #[test]
-    fn empty_sweep_lists_are_errors_not_panics() {
+    fn degenerate_specs_are_errors_not_panics() {
         let fig5 = |fractions: Vec<f64>, sizes: Vec<u32>| RunSpec {
             bench: BenchSpec::Fig5 {
                 configs: vec![NicVariant::Baseline],
@@ -1286,6 +1227,21 @@ mod tests {
         };
         let err = execute(&fig6).unwrap_err();
         assert!(err.contains("sizes"), "{err}");
+
+        let from_args = |bench: &'static str, args: &[&str]| {
+            let args = args.iter().map(|a| a.to_string());
+            let cli = Cli::try_parse_from(bench, "test", flags(bench), args).unwrap();
+            RunSpec::from_cli(bench, &cli).unwrap()
+        };
+        for (bench, args, names) in [
+            ("gap", &["0"][..], "BURST"),
+            ("collectives", &["--ranks", "0"][..], "--ranks"),
+            ("soak", &["--senders", "0"][..], "--senders"),
+            ("soak", &["--senders", "1"][..], "--senders"),
+        ] {
+            let err = execute(&from_args(bench, args)).unwrap_err();
+            assert!(err.contains(names), "{bench} {args:?}: {err}");
+        }
     }
 
     /// A malformed fault spec is a typed error, not a panic.

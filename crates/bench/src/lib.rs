@@ -23,7 +23,6 @@ pub mod obs;
 pub mod postloop;
 pub mod preposted;
 pub mod report;
-pub mod service;
 pub mod soak;
 pub mod spec;
 pub mod sweep;

@@ -2,6 +2,7 @@
 //! plotting. JSON is emitted through the local [`JsonRow`] trait so the
 //! crate has no serialization dependency.
 
+use crate::spec::RunResult;
 use std::fmt::Display;
 use std::io::Write;
 use std::path::Path;
@@ -60,29 +61,15 @@ pub fn json_f64(v: f64) -> String {
 /// Serialize rows as pretty-printed JSON into `path` (creating parent
 /// directories as needed).
 pub fn write_json<R: JsonRow>(path: &Path, rows: &[R]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "[")?;
-    for (i, r) in rows.iter().enumerate() {
-        writeln!(f, "  {{")?;
-        let fields = r.fields();
-        for (j, (key, value)) in fields.iter().enumerate() {
-            let comma = if j + 1 < fields.len() { "," } else { "" };
-            writeln!(f, "    {}: {value}{comma}", json_str(key))?;
-        }
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(f, "  }}{comma}")?;
-    }
-    writeln!(f, "]")?;
-    Ok(())
+    let rows: Vec<Vec<(String, String)>> = rows
+        .iter()
+        .map(|r| r.fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        .collect();
+    write_json_dyn(path, &rows)
 }
 
-/// [`write_json`] for rows whose keys are only known at runtime —
-/// the shape a deserialized [`crate::spec::RunResult`] carries. Same
-/// pretty format, so a thin-client bin writing a server-returned
-/// result produces the same file a local run would.
+/// [`write_json`] for rows whose keys are only known at runtime — the
+/// shape a [`RunResult`] row carries.
 pub fn write_json_dyn(path: &Path, rows: &[Vec<(String, String)>]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
@@ -100,6 +87,35 @@ pub fn write_json_dyn(path: &Path, rows: &[Vec<(String, String)>]) -> std::io::R
     }
     writeln!(f, "]")?;
     Ok(())
+}
+
+/// Print a result the way every bin does: CSV header + rows (or the
+/// preformatted text block) on stdout, notes on stderr, and the rows as
+/// JSON to `out` when given. Returns `false` when the result carries
+/// failures (printed to stderr) so the bin can exit non-zero.
+pub fn emit(result: &RunResult, out: Option<&Path>) -> std::io::Result<bool> {
+    if !result.header.is_empty() {
+        println!("{}", result.header);
+    }
+    for row in &result.rows {
+        println!("{}", row.csv);
+    }
+    if !result.text.is_empty() {
+        print!("{}", result.text);
+    }
+    for note in &result.notes {
+        eprintln!("{note}");
+    }
+    if let Some(path) = out {
+        let rows: Vec<Vec<(String, String)>> =
+            result.rows.iter().map(|r| r.fields.clone()).collect();
+        write_json_dyn(path, &rows)?;
+        eprintln!("wrote {} rows to {}", rows.len(), path.display());
+    }
+    for f in &result.failures {
+        eprintln!("FAIL: {f}");
+    }
+    Ok(result.failures.is_empty())
 }
 
 /// Join any displayable cells with commas.

@@ -10,34 +10,23 @@
 //!   parameters, the seed, the raw fault spec, and the execution knobs.
 //!   Built from a parsed command line ([`RunSpec::from_cli`]) or from a
 //!   JSON document ([`RunSpec::from_json`]); serializes canonically
-//!   ([`RunSpec::to_json`]) so a spec can cross a socket.
+//!   ([`RunSpec::to_json`]), so one JSON line reproduces a run.
 //! * [`RunResult`] — *what came out*: the CSV header, one row per sweep
 //!   point (verbatim CSV cells plus typed JSON fields), free-form text
 //!   for the table-style harnesses, stderr summary notes, and acceptance
-//!   failures. Round-trips through JSON byte-exactly for the fields the
-//!   bins consume.
+//!   failures.
 //!
 //! Everything is serialized with the crate's hand-rolled JSON helpers
 //! (`report::json_str` / `jsonlint::parse`) — no serde, per the std-only
 //! shim policy.
 //!
-//! The cache key ([`RunSpec::cache_key`]) deliberately **excludes**
-//! the `threads` / `sweep_threads` worker counts: the determinism
-//! contract guarantees byte-identical output at any parallelism, so
-//! specs differing only in worker count share one cached result. It
-//! **includes** the code version, because simulated numbers are only
-//! reproducible for a fixed build. Benches
-//! whose rows embed wall-clock measurements are not cacheable at all
-//! ([`BenchSpec::cacheable`]).
-//!
 //! Presentation-only flags (`--plot`, `--out`, `--trace-out`,
 //! `--metrics`, `--check`, `--tolerance`, the soak curve modes) are not
-//! part of the spec: they shape what a *client* does with the result,
-//! not what the simulation computes.
+//! part of the spec: they shape what a bin does with the result, not
+//! what the simulation computes.
 //!
 //! `table4`, `table5`, and `jsonlint` are not specable: they run no
-//! simulation (static FPGA tables and a file validator), so there is
-//! nothing to memoize.
+//! simulation (static FPGA tables and a file validator).
 
 use crate::cli::{Cli, Flag};
 use crate::jsonlint::{self, Json};
@@ -144,7 +133,7 @@ pub enum BenchSpec {
 }
 
 impl BenchSpec {
-    /// The bench name as spelled in [`BENCHES`] and on the wire.
+    /// The bench name as spelled in [`BENCHES`] and in spec JSON.
     pub fn name(&self) -> &'static str {
         match self {
             BenchSpec::Fig5 { .. } => "fig5",
@@ -161,16 +150,6 @@ impl BenchSpec {
             BenchSpec::AblationThreshold => "ablation_threshold",
             BenchSpec::AblationWildcard => "ablation_wildcard",
         }
-    }
-
-    /// Whether a result may be memoized: true when every output byte
-    /// is reproducible from (spec, seed, code version). Scaling exists
-    /// to measure wall-clock (`wall_ms`, `events_per_sec`, `speedup`)
-    /// and collectives rows carry a `wall_ms` cell; replaying those
-    /// from a cache would serve timings from a different run — or a
-    /// different machine — so the server re-executes them every time.
-    pub fn cacheable(&self) -> bool {
-        !matches!(self, BenchSpec::Scaling { .. } | BenchSpec::Collectives { .. })
     }
 
     /// The bench's parameters as a canonical single-line JSON object.
@@ -260,32 +239,6 @@ impl RunSpec {
             },
             self.threads,
             self.sweep_threads,
-        )
-    }
-
-    /// The memoization key for this spec under a given build.
-    ///
-    /// Includes the bench, its parameters, the seed, and the fault spec
-    /// — everything the simulated output depends on — plus
-    /// `code_version`, because results are only reproducible per build.
-    /// Excludes the `threads` / `sweep_threads` counts: the determinism
-    /// contract makes output identical at any parallelism, so worker
-    /// count must not split the cache.
-    pub fn cache_key(&self, code_version: &str) -> String {
-        format!(
-            "{{\"bench\":{},\"params\":{},\"seed\":{},\"faults\":{},\
-             \"code_version\":{}}}",
-            json_str(self.bench.name()),
-            self.bench.params_json(),
-            match self.seed {
-                Some(s) => s.to_string(),
-                None => "null".to_string(),
-            },
-            match &self.faults {
-                Some(f) => json_str(f),
-                None => "null".to_string(),
-            },
-            json_str(code_version),
         )
     }
 
@@ -746,27 +699,6 @@ fn usize_list(doc: &Json, key: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Render a [`Json`] value back to canonical text. Numbers go through
-/// `f64` `Display` — the same renderer the emitters use — so fragments
-/// produced by this crate round-trip byte-exactly.
-pub fn render_json(v: &Json) -> String {
-    match v {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => json_f64(*n),
-        Json::Str(s) => json_str(s),
-        Json::Arr(items) => {
-            let cells: Vec<String> = items.iter().map(render_json).collect();
-            format!("[{}]", cells.join(","))
-        }
-        Json::Obj(members) => {
-            let cells: Vec<String> =
-                members.iter().map(|(k, v)| format!("{}:{}", json_str(k), render_json(v))).collect();
-            format!("{{{}}}", cells.join(","))
-        }
-    }
-}
-
 // --- results ---------------------------------------------------------
 
 /// One sweep-point row of a result: the verbatim CSV cells the bin
@@ -797,8 +729,7 @@ impl ResultRow {
     }
 }
 
-/// Everything a bench run produces, shaped for both local printing and
-/// the wire.
+/// Everything a bench run produces.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RunResult {
     /// The bench that produced this.
@@ -815,61 +746,6 @@ pub struct RunResult {
     /// Acceptance-claim violations; a non-empty list makes the bin
     /// exit 1 (e.g. the collectives offload claim).
     pub failures: Vec<String>,
-}
-
-impl RunResult {
-    /// Single-line JSON for the wire.
-    pub fn to_json(&self) -> String {
-        let mut rows = Vec::with_capacity(self.rows.len());
-        for r in &self.rows {
-            let fields: Vec<String> =
-                r.fields.iter().map(|(k, v)| format!("{}:{v}", json_str(k))).collect();
-            rows.push(format!(
-                "{{\"csv\":{},\"fields\":{{{}}}}}",
-                json_str(&r.csv),
-                fields.join(",")
-            ));
-        }
-        let notes: Vec<String> = self.notes.iter().map(|n| json_str(n)).collect();
-        let failures: Vec<String> = self.failures.iter().map(|f| json_str(f)).collect();
-        format!(
-            "{{\"bench\":{},\"header\":{},\"rows\":[{}],\"text\":{},\
-             \"notes\":[{}],\"failures\":[{}]}}",
-            json_str(&self.bench),
-            json_str(&self.header),
-            rows.join(","),
-            json_str(&self.text),
-            notes.join(","),
-            failures.join(","),
-        )
-    }
-
-    /// Parse a result back from its JSON text.
-    pub fn from_json(text: &str) -> Result<RunResult, String> {
-        let doc = jsonlint::parse(text).map_err(|e| format!("result is not valid JSON: {e}"))?;
-        let rows = arr_field(&doc, "rows")?
-            .iter()
-            .map(|r| {
-                let csv = str_field(r, "csv")?;
-                let fields = match r.get("fields") {
-                    Some(Json::Obj(members)) => members
-                        .iter()
-                        .map(|(k, v)| (k.clone(), render_json(v)))
-                        .collect(),
-                    _ => return Err("row has no `fields` object".to_string()),
-                };
-                Ok(ResultRow { csv, fields })
-            })
-            .collect::<Result<Vec<ResultRow>, String>>()?;
-        Ok(RunResult {
-            bench: str_field(&doc, "bench")?,
-            header: str_field(&doc, "header")?,
-            rows,
-            text: str_field(&doc, "text")?,
-            notes: str_list(&doc, "notes")?,
-            failures: str_list(&doc, "failures")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -899,34 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn result_json_roundtrips_fields_byte_exactly() {
-        let result = RunResult {
-            bench: "fig5".to_string(),
-            header: "a,b".to_string(),
-            rows: vec![ResultRow {
-                csv: "x,1.5000".to_string(),
-                fields: vec![
-                    ("config".to_string(), json_str("alpu\"128")),
-                    ("latency_us".to_string(), json_f64(1.5)),
-                    ("count".to_string(), "12345".to_string()),
-                    ("nan".to_string(), json_f64(f64::NAN)),
-                ],
-            }],
-            text: "line one\nline two\n".to_string(),
-            notes: vec!["note".to_string()],
-            failures: vec![],
-        };
-        let text = result.to_json();
-        jsonlint::validate(&text).expect("result JSON must be valid");
-        let back = RunResult::from_json(&text).unwrap();
-        assert_eq!(back, result);
-        assert_eq!(back.to_json(), text);
-        assert_eq!(back.rows[0].num("latency_us"), Some(1.5));
-        assert_eq!(back.rows[0].text("config").as_deref(), Some("alpu\"128"));
-        assert_eq!(back.rows[0].num("nan"), None, "non-finite landed as null");
-    }
-
-    #[test]
     fn malformed_thread_counts_are_typed_errors() {
         let ok = RunSpec::from_json("{\"bench\":\"gap\",\"params\":{\"burst\":4}}").unwrap();
         assert_eq!((ok.threads, ok.sweep_threads), (0, 0), "missing counts default to 0");
@@ -937,55 +785,6 @@ mod tests {
         ] {
             let err = RunSpec::from_json(bad).unwrap_err();
             assert!(err.contains("threads"), "error must name the flag: {err}");
-        }
-    }
-
-    #[test]
-    fn cache_key_is_shared_by_every_worker_count() {
-        let mut spec = RunSpec {
-            bench: BenchSpec::Gap { burst: 4 },
-            seed: None,
-            faults: None,
-            threads: 0,
-            sweep_threads: 0,
-        };
-        let key = spec.cache_key("v1");
-        assert!(!key.contains("engine"), "{key}");
-        for (threads, sweep_threads) in [(1, 0), (8, 4)] {
-            spec.threads = threads;
-            spec.sweep_threads = sweep_threads;
-            assert_eq!(key, spec.cache_key("v1"), "worker counts must not split the cache");
-        }
-    }
-
-    #[test]
-    fn wall_clock_benches_are_not_cacheable() {
-        assert!(!BenchSpec::Scaling {
-            senders: 16,
-            msgs: 8,
-            size: 64,
-            thread_counts: vec![1],
-            scenarios: vec!["incast".to_string()],
-        }
-        .cacheable());
-        assert!(!BenchSpec::Collectives {
-            ranks: vec![4],
-            ops: vec!["barrier".to_string()],
-            topos: vec!["hub".to_string()],
-            modes: vec!["host".to_string()],
-            len: 0,
-            iters: 1,
-        }
-        .cacheable());
-        assert!(BenchSpec::Gap { burst: 4 }.cacheable());
-        assert!(BenchSpec::Appstudy.cacheable());
-    }
-
-    #[test]
-    fn render_json_reproduces_our_fragments() {
-        for frag in ["123", "1.5", "0.25", "-0.5", "null", "true", "\"a b\"", "[1,2.5]"] {
-            let doc = jsonlint::parse(frag).unwrap();
-            assert_eq!(render_json(&doc), frag);
         }
     }
 }

@@ -75,8 +75,8 @@ fn fig6_unconfigured_matches_golden() {
     assert_eq!(out, golden, "fig6 drifted from the flow-control-free golden");
 }
 
-/// The stdout a bin prints for `args`: run its spec locally and render
-/// the header and rows exactly as `service::emit` does.
+/// The stdout a bin prints for `args`: run its spec and render
+/// the header and rows exactly as `report::emit` does.
 fn bin_stdout(bench: &'static str, args: &[&str]) -> String {
     let cli = Cli::try_parse_from(
         bench,

@@ -1,7 +1,6 @@
 //! The RunSpec contract: every bin's flag table parses into a spec that
-//! survives the wire (parse → serialize → parse identity), and the cache
-//! key honors the determinism contract — seed, code version, and
-//! parameters change it; worker counts do not.
+//! survives JSON (parse → serialize → parse identity), and serialization
+//! is canonical (a second trip reproduces the bytes).
 
 use mpiq_bench::cli::Cli;
 use mpiq_bench::spec::{flags, RunSpec};
@@ -55,47 +54,4 @@ fn every_bench_round_trips_with_defaults() {
         let back = RunSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(spec, back, "{bench}: default spec round trip changed the spec");
     }
-}
-
-#[test]
-fn cache_key_is_stable_for_identical_submissions() {
-    let a = spec_from_args("fig5", &["--max-queue", "50", "--seed", "3"]);
-    let b = spec_from_args("fig5", &["--max-queue", "50", "--seed", "3"]);
-    assert_eq!(a.cache_key("v1"), b.cache_key("v1"));
-}
-
-#[test]
-fn cache_key_misses_on_seed_code_version_and_params() {
-    let base = spec_from_args("fig5", &["--max-queue", "50", "--seed", "3"]);
-    let reseeded = spec_from_args("fig5", &["--max-queue", "50", "--seed", "4"]);
-    let resized = spec_from_args("fig5", &["--max-queue", "75", "--seed", "3"]);
-    assert_ne!(base.cache_key("v1"), base.cache_key("v2"), "code version must shift the key");
-    assert_ne!(base.cache_key("v1"), reseeded.cache_key("v1"), "seed must shift the key");
-    assert_ne!(base.cache_key("v1"), resized.cache_key("v1"), "params must shift the key");
-}
-
-#[test]
-fn cache_key_ignores_worker_counts() {
-    // The determinism contract: results are byte-identical at any
-    // worker/sweep parallelism (0 included), so the counts must not
-    // fragment the cache.
-    let zero = spec_from_args("fig6", &["--max-queue", "100"]);
-    let one = spec_from_args("fig6", &["--max-queue", "100", "--threads", "1"]);
-    let eight =
-        spec_from_args("fig6", &["--max-queue", "100", "--threads", "8", "--sweep-threads", "4"]);
-    assert_ne!(one, eight, "thread flags should still parse into the spec");
-    for spec in [&one, &eight] {
-        assert_eq!(
-            zero.cache_key("v1"),
-            spec.cache_key("v1"),
-            "worker counts must not shift the cache key"
-        );
-    }
-}
-
-#[test]
-fn faults_shift_the_cache_key() {
-    let clean = spec_from_args("soak", &["--seeds", "1"]);
-    let faulty = spec_from_args("soak", &["--seeds", "1", "--faults", "seed=1,drop=0.01"]);
-    assert_ne!(clean.cache_key("v1"), faulty.cache_key("v1"));
 }

@@ -1,7 +1,7 @@
 //! The executor for [`Simulation`]: carries shards through conservative
 //! lookahead windows.
 //!
-//! [`run_windows`] plans a window bound per shard from the per-edge
+//! `run_windows` plans a window bound per shard from the per-edge
 //! safe-time table (see [`crate::window`]), executes every shard's
 //! in-window events, swaps cross-shard trays at a barrier, and repeats.
 //! A one-shard simulation has no cross-shard edges, so its first window

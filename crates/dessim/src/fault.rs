@@ -585,7 +585,7 @@ fn fmt_schedule_time(t: Time) -> String {
 }
 
 /// Render the canonical spec grammar: `;`-separated `kind@time:args`
-/// events in timeline order. Round-trips through [`FromStr`]: parsing the
+/// events in timeline order. Round-trips through [`FromStr`](std::str::FromStr): parsing the
 /// rendered text reproduces the schedule exactly.
 impl fmt::Display for FaultSchedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

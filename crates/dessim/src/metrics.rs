@@ -259,51 +259,6 @@ impl Metrics {
         }
     }
 
-    /// Machine-readable snapshot: one line of JSON with every counter
-    /// and a per-histogram summary (count / sum / max in picoseconds,
-    /// mean in nanoseconds). Keys appear in the registry's
-    /// deterministic sorted order, so two snapshots of equal
-    /// registries are byte-identical — the experiment service relies
-    /// on this when it streams telemetry to clients.
-    pub fn snapshot_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
-        let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("{}:{v}", esc(k))).collect();
-        let hists: Vec<String> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "{}:{{\"count\":{},\"sum_ps\":{},\"max_ps\":{},\"mean_ns\":{}}}",
-                    esc(k),
-                    h.count(),
-                    h.sum_ps(),
-                    h.max_ps(),
-                    h.mean_ns()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"enabled\":{},\"counters\":{{{}}},\"hists\":{{{}}}}}",
-            self.enabled,
-            counters.join(","),
-            hists.join(",")
-        )
-    }
-
     /// Human-readable dump of every counter and histogram.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -404,25 +359,6 @@ mod tests {
         // Deterministic ordering.
         let keys: Vec<&str> = m.hists().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a.lat"]);
-    }
-
-    #[test]
-    fn snapshot_json_is_deterministic_and_complete() {
-        let mut m = Metrics::disabled();
-        m.enable();
-        m.add("b.ops", 7);
-        m.add("a.ops", 2);
-        m.record("a.lat", Time::from_ns(10));
-        let snap = m.snapshot_json();
-        // Sorted key order, both sections present.
-        assert_eq!(
-            snap,
-            "{\"enabled\":true,\"counters\":{\"a.ops\":2,\"b.ops\":7},\
-             \"hists\":{\"a.lat\":{\"count\":1,\"sum_ps\":10000,\
-             \"max_ps\":10000,\"mean_ns\":10}}}"
-        );
-        // Byte-identical across calls on an unchanged registry.
-        assert_eq!(snap, m.snapshot_json());
     }
 
     #[test]

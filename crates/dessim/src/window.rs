@@ -4,7 +4,7 @@
 //! A global window — every shard advancing in lock-step to
 //! `global_min_event + min_cross_link_latency` — lets one short link
 //! anywhere in the topology throttle the whole cluster to that link's
-//! cadence. [`SafeTimeTable`] instead computes a per-shard bound at
+//! cadence. `SafeTimeTable` instead computes a per-shard bound at
 //! every barrier from the *incident* edges only, in the spirit of
 //! null-message (Chandy–Misra–Bryant) conservative PDES but without the
 //! message traffic: the driver already sees every shard's earliest

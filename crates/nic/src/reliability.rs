@@ -171,7 +171,7 @@ pub struct RetxFire {
     pub backoff: Time,
 }
 
-/// Per-NIC reliability engine: one [`TxLink`]/[`RxLink`] pair per peer.
+/// Per-NIC reliability engine: one `TxLink`/`RxLink` pair per peer.
 pub struct Reliability {
     node: NodeId,
     cfg: ReliabilityConfig,

@@ -1,7 +1,7 @@
 //! Minimal offline shim for the `proptest` crate.
 //!
 //! Implements the subset of the real API this workspace uses: the
-//! [`Strategy`] trait with `prop_map`/`boxed`, integer-range / tuple /
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`boxed`, integer-range / tuple /
 //! `Just` / union / collection strategies, `any::<T>()`, the
 //! `proptest!`, `prop_oneof!`, `prop_assert!` and `prop_assert_eq!`
 //! macros, and a [`test_runner::ProptestConfig`] with a case count.
@@ -378,7 +378,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,
