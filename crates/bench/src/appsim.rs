@@ -242,17 +242,12 @@ fn build_programs(pattern: AppPattern) -> Vec<Script> {
 }
 
 /// Run one pattern on one NIC configuration and collect the queue study.
-/// `parallelism` is the engine worker-thread count; the result is
-/// identical at every value.
-pub fn run_app(nic: NicConfig, pattern: AppPattern, parallelism: usize) -> AppStudy {
+pub fn run_app(nic: NicConfig, pattern: AppPattern) -> AppStudy {
     let programs = build_programs(pattern)
         .into_iter()
         .map(|s| Box::new(s) as Box<dyn AppProgram>)
         .collect();
-    let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
-        programs,
-    );
+    let mut cluster = Cluster::new(ClusterConfig::new(nic), programs);
     cluster.run();
     let ranks = pattern.ranks();
     let stats = cluster.stats();
@@ -296,7 +291,6 @@ mod tests {
                 iters: 8,
                 prepost_depth: 1,
             },
-            0,
         );
         let deep = run_app(
             NicConfig::baseline(),
@@ -305,7 +299,6 @@ mod tests {
                 iters: 8,
                 prepost_depth: 8,
             },
-            0,
         );
         assert!(
             deep.max_posted > shallow.max_posted + 10,
@@ -324,7 +317,6 @@ mod tests {
                 rounds: 8,
                 compute_ns: 5_000,
             },
-            0,
         );
         assert!(
             s.max_unexpected >= 6,
@@ -338,7 +330,6 @@ mod tests {
         let s = run_app(
             NicConfig::baseline(),
             AppPattern::Wavefront { side: 3, sweeps: 4 },
-            0,
         );
         assert!(s.runtime > Time::ZERO);
     }
@@ -350,8 +341,8 @@ mod tests {
             iters: 10,
             prepost_depth: 10,
         };
-        let base = run_app(NicConfig::baseline(), pat, 0);
-        let alpu = run_app(NicConfig::with_alpus(128), pat, 0);
+        let base = run_app(NicConfig::baseline(), pat);
+        let alpu = run_app(NicConfig::with_alpus(128), pat);
         assert!(
             alpu.traversed * 2 < base.traversed,
             "ALPU must absorb most of the search: {} vs {}",

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p mpiq-bench --bin collectives -- [--ranks 64,128]
 //!     [--ops barrier,allreduce] [--topos hub,fattree] [--modes offload,host]
-//!     [--len 64] [--iters 4] [--threads 4]
+//!     [--len 64] [--iters 4]
 //!     [--out BENCH_collectives.json] [--check BENCH_collectives.json]
 //!     [--tolerance 10]
 //! ```
@@ -152,11 +152,10 @@ fn main() {
     };
     let tolerance: f64 = cli.get("tolerance", 10.0);
     let seed = spec.seed.unwrap_or(1);
-    let threads = if spec.threads == 0 { 4 } else { spec.threads };
 
     eprintln!(
         "collectives: ranks {ranks:?}, ops {ops:?}, topos {topos:?}, modes {modes:?}, \
-         {iters} iters, {threads} engine threads, seed {seed}"
+         {iters} iters, seed {seed}"
     );
 
     // `--out` writes the tracked baseline document, not plain rows, so

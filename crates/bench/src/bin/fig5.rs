@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p mpiq-bench --bin fig5 -- [--config all|baseline|alpu128|alpu256]
 //!     [--max-queue 500] [--step 25] [--fractions 0,0.25,0.5,0.75,1.0]
-//!     [--sizes 0,1024,8192] [--plot] [--threads 0] [--sweep-threads 0]
+//!     [--sizes 0,1024,8192] [--plot] [--sweep-threads 0]
 //!     [--out results/fig5.json]
 //!     [--faults seed=N,drop=P[,dup=P,corrupt=P,flip=P,stall=P]]
 //!     [--trace-out trace.json] [--metrics]
@@ -37,11 +37,10 @@ fn main() {
 
     let points = variants.len() * sizes.len() * fractions.len() * (max_queue / step.max(1) + 1);
     eprintln!(
-        "fig5: {} points across {} config(s), {} sweep thread(s), engine threads {}",
+        "fig5: {} points across {} config(s), {} sweep thread(s)",
         points,
         variants.len(),
         if spec.sweep_threads == 0 { "auto".to_string() } else { spec.sweep_threads.to_string() },
-        spec.threads
     );
 
     let result = exec::execute(&spec).unwrap_or_else(|e| {
@@ -90,7 +89,7 @@ Fig. 5 projection: latency vs posted-queue length (full traversal, {} B)
         if let Some(f) = cli.common.faults {
             cfg = cfg.with_faults(f);
         }
-        let run = mpiq_bench::traced_preposted(cfg, point, 1 << 20, spec.threads);
+        let run = mpiq_bench::traced_preposted(cfg, point, 1 << 20);
         if run.dropped > 0 {
             eprintln!("fig5: trace ring overflowed, {} records dropped", run.dropped);
         }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p mpiq-bench --bin fig6 -- [--max-queue 400] [--step 20]
-//!     [--sizes 64,1024] [--plot] [--threads 0] [--sweep-threads 0]
+//!     [--sizes 64,1024] [--plot] [--sweep-threads 0]
 //!     [--out results/fig6.json]
 //!     [--faults seed=N,drop=P[,dup=P,corrupt=P,flip=P,stall=P]]
 //!     [--trace-out trace.json] [--metrics]
@@ -29,7 +29,7 @@ fn main() {
     let BenchSpec::Fig6 { max_queue, step, sizes } = spec.bench.clone() else { unreachable!() };
 
     let points = NicVariant::ALL.len() * sizes.len() * (max_queue / step.max(1) + 1);
-    eprintln!("fig6: {} points, engine threads {}", points, spec.threads);
+    eprintln!("fig6: {points} points");
 
     let result = exec::execute(&spec).unwrap_or_else(|e| {
         eprintln!("fig6: {e}");
@@ -73,7 +73,6 @@ Fig. 6: latency vs unexpected-queue length ({} B messages)
             cfg,
             UnexpectedPoint { queue_len: max_queue, msg_size: sizes[0] },
             1 << 20,
-            spec.threads,
         );
         if run.dropped > 0 {
             eprintln!("fig6: trace ring overflowed, {} records dropped", run.dropped);

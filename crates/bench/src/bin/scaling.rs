@@ -1,10 +1,10 @@
-//! Scaling bench: wall-clock speedup of the sharded engine vs worker
-//! threads, on a ≥16-rank incast soak — and the repo's tracked perf
+//! Scaling bench: engine throughput (simulated events per wall-clock
+//! second) on a ≥16-rank incast soak — and the repo's tracked perf
 //! trajectory.
 //!
 //! ```text
 //! cargo run --release -p mpiq-bench --bin scaling -- [--senders 16] [--msgs 64]
-//!     [--size 512] [--thread-counts 1,2,4] [--scenarios incast,hetero]
+//!     [--size 512] [--scenarios incast,hetero]
 //!     [--out BENCH_scaling.json] [--check BENCH_scaling.json] [--tolerance 25]
 //! ```
 //!
@@ -16,18 +16,15 @@
 //!   (nodes 1↔2). The per-edge planner constrains only the two shards
 //!   touching the short edge.
 //!
-//! Each scenario runs at every `--thread-counts` entry and its
-//! statistics dump is byte-compared against the scenario's first run —
-//! the engine's determinism contract makes any divergence a hard error.
-//! Speedup is relative to the first thread count of the same scenario;
-//! only the wall clock may change.
+//! Each scenario runs once; only `wall_ms` and `events_per_sec` vary
+//! from run to run.
 //!
 //! `--out PATH` writes the full document (code version stamp, config,
 //! one row per run). The repo tracks `BENCH_scaling.json` at the root:
 //! regenerate it with `--out BENCH_scaling.json` after perf-relevant
 //! changes. `--check PATH` loads such a document and fails (exit 1)
 //! when any current row's events/sec drops more than
-//! `--tolerance` percent below the same (scenario, threads) row of the
+//! `--tolerance` percent below the same scenario's row of the
 //! baseline — CI runs both flags in one invocation.
 
 use mpiq_bench::cli::Cli;
@@ -63,14 +60,12 @@ fn render(rows: &[ResultRow], senders: u32, msgs: u32, size: u32, seed: u64) -> 
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"scenario\": {}, \"threads\": {}, \"wall_ms\": {}, \
-             \"events\": {}, \"events_per_sec\": {}, \"speedup\": {}}}{comma}\n",
+            "    {{\"scenario\": {}, \"wall_ms\": {}, \"events\": {}, \
+             \"events_per_sec\": {}}}{comma}\n",
             json_str(&r.text("scenario").unwrap_or_default()),
-            r.num("threads").unwrap_or(0.0) as u64,
             json_f64(r.num("wall_ms").unwrap_or(0.0)),
             r.num("events").unwrap_or(0.0) as u64,
             json_f64(r.num("events_per_sec").unwrap_or(0.0)),
-            json_f64(r.num("speedup").unwrap_or(0.0)),
         ));
     }
     out.push_str("  ]\n}\n");
@@ -79,10 +74,9 @@ fn render(rows: &[ResultRow], senders: u32, msgs: u32, size: u32, seed: u64) -> 
 }
 
 /// Compare the current rows against a baseline document, matching rows
-/// on (scenario, threads). Returns the failures (empty = pass). Baseline rows with no matching
-/// current run (different thread list) are skipped; a baseline that
-/// matches nothing at all is an error, because the gate would be
-/// vacuous.
+/// on `scenario`. Returns the failures (empty = pass). Baseline rows
+/// with no matching current run are skipped; a baseline that matches
+/// nothing at all is an error, because the gate would be vacuous.
 fn check_baseline(
     baseline: &str,
     rows: &[ResultRow],
@@ -98,27 +92,23 @@ fn check_baseline(
     let mut matched = 0usize;
     for r in rows {
         let scenario = r.text("scenario").unwrap_or_default();
-        let threads = r.num("threads").unwrap_or(0.0) as u64;
         let events_per_sec = r.num("events_per_sec").unwrap_or(0.0);
-        let Some(base) = base_rows.iter().find(|b| {
-            b.get("scenario").and_then(Json::as_str) == Some(scenario.as_str())
-                && b.get("threads").and_then(Json::as_u64) == Some(threads)
-        }) else {
+        let Some(base) = base_rows
+            .iter()
+            .find(|b| b.get("scenario").and_then(Json::as_str) == Some(scenario.as_str()))
+        else {
             continue;
         };
         let base_eps = base
             .get("events_per_sec")
             .and_then(Json::as_f64)
-            .ok_or_else(|| {
-                format!("baseline row ({scenario}, {threads} threads) has no events_per_sec")
-            })?;
+            .ok_or_else(|| format!("baseline row {scenario} has no events_per_sec"))?;
         matched += 1;
         let floor = base_eps * (1.0 - tolerance_pct / 100.0);
         if events_per_sec < floor {
             failures.push(format!(
-                "{} @ {} threads: {:.0} events/s is {:.0}% below baseline {:.0} (version {}, tolerance {}%)",
+                "{}: {:.0} events/s is {:.0}% below baseline {:.0} (version {}, tolerance {}%)",
                 scenario,
-                threads,
                 events_per_sec,
                 (1.0 - events_per_sec / base_eps) * 100.0,
                 base_eps,
@@ -128,7 +118,7 @@ fn check_baseline(
         }
     }
     if matched == 0 {
-        return Err("no baseline row matches any current (scenario, threads) — \
+        return Err("no baseline row matches any current scenario — \
                     regenerate the baseline with --out"
             .to_string());
     }
@@ -136,7 +126,7 @@ fn check_baseline(
 }
 
 fn main() {
-    let cli = Cli::parse("scaling", "sharded-engine speedup vs worker threads", flags("scaling"));
+    let cli = Cli::parse("scaling", "engine events/sec on the incast soak", flags("scaling"));
     let spec = RunSpec::from_cli("scaling", &cli).unwrap_or_else(|e| {
         eprintln!("scaling: {e}");
         std::process::exit(2);
@@ -146,11 +136,10 @@ fn main() {
     let seed = spec.seed.unwrap_or(1);
 
     eprintln!(
-        "scaling: incast, {} ranks, {} msgs x {} B, seed {seed}, host has {} core(s)",
+        "scaling: incast, {} ranks, {} msgs x {} B, seed {seed}",
         senders + 1,
         msgs,
-        size,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        size
     );
 
     // `--out` writes the tracked baseline document, not plain rows, so

@@ -5,8 +5,8 @@
 //!          [--seeds N | --seed S] [--senders N] [--msgs N] [--size B]
 //!          [--credits N] [--max-unexpected N] [--eager-buffer B]
 //!          [--alpu] [--faults seed=N,drop=P,...] [--deadline-ms T]
-//!          [--mtbf-us T] [--mttr-us T] [--check-determinism] [--threads N]
-//!          [--out PATH] [--curve] [--chaos-curve]
+//!          [--mtbf-us T] [--mttr-us T] [--check-determinism]
+//!          [--out PATH] [--curve] [--chaos-curve] [--recovery-curve]
 //!
 //! Runs each (scenario, seed) pair under the deadlock watchdog, prints
 //! one CSV row per run, and exits nonzero with the watchdog's diagnosis
@@ -14,7 +14,8 @@
 //! [`mpiq_bench::exec`]. `--check-determinism` repeats every run and
 //! demands a bit-identical statistics dump. `--curve`, `--chaos-curve`
 //! and `--recovery-curve` are exploratory sweeps outside the spec, as is
-//! `--check` (the tracked-baseline gate).
+//! `--check` (the tracked-baseline gate). Every mode rejects `--senders`
+//! below 2 with a one-line error and exit status 1.
 
 use mpiq_bench::ascii_plot::{render, Series};
 use mpiq_bench::cli::Cli;
@@ -93,18 +94,21 @@ fn main() {
     else {
         unreachable!()
     };
-    let parallelism = spec.threads;
+    if let Err(e) = mpiq_bench::soak::check_senders(senders) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
 
     if cli.has("curve") {
-        incast_curve(msgs, size, credits, max_unexpected, eager_buffer, alpu, parallelism);
+        incast_curve(msgs, size, credits, max_unexpected, eager_buffer, alpu);
         return;
     }
     if cli.has("chaos-curve") {
-        chaos_curve(senders, msgs, size, alpu, parallelism, mttr_us);
+        chaos_curve(senders, msgs, size, alpu, mttr_us);
         return;
     }
     if cli.has("recovery-curve") {
-        recovery_curve(senders, msgs, size, parallelism);
+        recovery_curve(senders, msgs, size);
         return;
     }
 
@@ -150,7 +154,6 @@ fn incast_curve(
     max_unexpected: u32,
     eager_buffer: u64,
     alpu: bool,
-    parallelism: usize,
 ) {
     let fanin = [2u32, 4, 8, 16, 32, 64];
     let mut runtime = Vec::new();
@@ -167,7 +170,6 @@ fn incast_curve(
         cfg.eager_buffer_bytes = eager_buffer;
         cfg.alpu = alpu;
         cfg.deadline = Time::from_ms(2_000);
-        cfg.parallelism = parallelism;
         let out = run_soak(&cfg).unwrap_or_else(|d| panic!("incast {n} stalled:\n{d}"));
         println!(
             "{n},{:.1},{},{},{}",
@@ -219,7 +221,7 @@ fn incast_curve(
 /// seeds — time-to-recovery is dominated by the scheduled MTTR plus the
 /// keepalive declaration and the retry backoff ladder, so the spread is
 /// the storm's contribution.
-fn recovery_curve(senders: u32, msgs: u32, size: u32, parallelism: usize) {
+fn recovery_curve(senders: u32, msgs: u32, size: u32) {
     let mttrs_us = [400u64, 600, 800, 1200, 1600, 2400];
     const CURVE_SEEDS: [u64; 4] = [1, 2, 3, 5];
     let mut availability = Vec::new();
@@ -234,7 +236,6 @@ fn recovery_curve(senders: u32, msgs: u32, size: u32, parallelism: usize) {
             cfg.senders = senders;
             cfg.msgs = msgs;
             cfg.msg_size = size;
-            cfg.parallelism = parallelism;
             cfg.deadline = Time::from_ms(2_000);
             cfg.node_mttr = Some(Time::from_us(mttr));
             let out = run_soak(&cfg)
@@ -289,7 +290,7 @@ fn recovery_curve(senders: u32, msgs: u32, size: u32, parallelism: usize) {
 /// typed failures. Availability = fraction of planned operations that
 /// completed without a `RankFailed`; goodput = successful operations per
 /// simulated millisecond.
-fn chaos_curve(senders: u32, msgs: u32, size: u32, alpu: bool, parallelism: usize, mttr_us: u64) {
+fn chaos_curve(senders: u32, msgs: u32, size: u32, alpu: bool, mttr_us: u64) {
     // One storm realisation is noise — a single flap landing on or off a
     // round's critical path swings the runtime — so every point averages
     // four seeded storms at the same MTBF.
@@ -310,7 +311,6 @@ fn chaos_curve(senders: u32, msgs: u32, size: u32, alpu: bool, parallelism: usiz
             cfg.msgs = msgs.max(48);
             cfg.msg_size = size;
             cfg.alpu = alpu;
-            cfg.parallelism = parallelism;
             cfg.deadline = Time::from_ms(2_000);
             cfg.mtbf = Time::from_us(mtbf);
             cfg.mttr = Time::from_us(mttr_us);

@@ -14,8 +14,7 @@
 //! | `--faults SPEC` | deterministic fault campaign, e.g. `seed=1,drop=0.01,corrupt=0.005` |
 //! | `--trace-out PATH` | write a Chrome trace of one instrumented representative run |
 //! | `--metrics` | dump latency histograms / counters to stderr |
-//! | `--threads N` | engine worker threads inside one simulation: `0` (default) and `1` run on the calling thread, `n >= 2` on `n` threads (bit-identical output for any `n`) |
-//! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores). Distinct from `--threads`, which parallelizes *inside* one simulation |
+//! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores); each simulation itself runs on one thread |
 //! | `--out PATH` | write result rows as a JSON array to PATH |
 //! | `--help` | uniform, generated help |
 //!
@@ -40,9 +39,6 @@ pub struct Common {
     pub trace_out: Option<String>,
     /// `--metrics`.
     pub metrics: bool,
-    /// `--threads N` — engine worker threads
-    /// (`ClusterConfig::parallelism`); 0 and 1 both mean one.
-    pub threads: usize,
     /// `--sweep-threads N` — point-level fan-out for `run_parallel`
     /// (0 = one thread per core).
     pub sweep_threads: usize,
@@ -76,11 +72,6 @@ const COMMON_FLAGS: &[Flag] = &[
         help: "write a Chrome trace of one instrumented representative run",
     },
     Flag { name: "metrics", value: None, help: "dump latency histograms to stderr" },
-    Flag {
-        name: "threads",
-        value: Some("N"),
-        help: "engine worker threads; 0 and 1 run inline (same output for any n)",
-    },
     Flag {
         name: "sweep-threads",
         value: Some("N"),
@@ -180,7 +171,6 @@ impl Cli {
             faults: cli.parse_opt("faults")?,
             trace_out: cli.opts.get("trace-out").cloned(),
             metrics: cli.switches.contains("metrics"),
-            threads: cli.parse_opt("threads")?.unwrap_or(0),
             sweep_threads: cli.parse_opt("sweep-threads")?.unwrap_or(0),
             out: cli.opts.get("out").cloned(),
         };
@@ -373,7 +363,6 @@ mod tests {
                 faults: None,
                 trace_out: None,
                 metrics: false,
-                threads: 0,
                 sweep_threads: 0,
                 out: None,
             }
@@ -385,7 +374,7 @@ mod tests {
     fn common_flags_parse_typed() {
         let cli = parse(
             &[
-                "--seed", "7", "--metrics", "--threads", "4", "--sweep-threads", "2",
+                "--seed", "7", "--metrics", "--sweep-threads", "2",
                 "--trace-out", "t.json", "--out", "rows.json", "--faults", "seed=1,drop=0.5",
             ],
             &[],
@@ -393,7 +382,6 @@ mod tests {
         .unwrap();
         assert_eq!(cli.common.seed, Some(7));
         assert!(cli.common.metrics);
-        assert_eq!(cli.common.threads, 4);
         assert_eq!(cli.common.sweep_threads, 2);
         assert_eq!(cli.common.trace_out.as_deref(), Some("t.json"));
         assert_eq!(cli.common.out.as_deref(), Some("rows.json"));
@@ -412,15 +400,18 @@ mod tests {
         }
     }
 
-    /// The experiment server is gone, and its common flag with it: it
-    /// now fails like any undeclared flag. (Assembled so the removed
-    /// flag's literal spelling appears nowhere in the tree.)
+    /// Removed common flags fail like any undeclared flag: the
+    /// experiment server's address and the engine thread count (every
+    /// simulation runs on one thread). (Assembled so the removed flags'
+    /// literal spellings appear nowhere in the tree.)
     #[test]
     fn server_flag_is_unknown() {
-        let flag = ["--", "server"].concat();
-        match parse(&[&flag, "127.0.0.1:7171"], &[]) {
-            Err(Error::Bad(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
-            other => panic!("expected Bad, got {other:?}"),
+        for (name, value) in [("server", "127.0.0.1:7171"), ("threads", "2")] {
+            let flag = ["--", name].concat();
+            match parse(&[&flag, value], &[]) {
+                Err(Error::Bad(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
+                other => panic!("expected Bad, got {other:?}"),
+            }
         }
     }
 

@@ -43,8 +43,8 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
         BenchSpec::Gap { burst } => gap(spec, *burst, &mut result)?,
         BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result),
         BenchSpec::Soak { .. } => soak(spec, faults, &mut result)?,
-        BenchSpec::Scaling { senders, msgs, size, thread_counts, scenarios } => {
-            scaling(spec, *senders, *msgs, *size, thread_counts, scenarios, &mut result)?
+        BenchSpec::Scaling { senders, msgs, size, scenarios } => {
+            scaling(spec, *senders, *msgs, *size, scenarios, &mut result)?
         }
         BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } => {
             collectives(spec, ranks, ops, topos, modes, *len, *iters, &mut result)?
@@ -89,7 +89,6 @@ fn fig5(
         rx_l1_misses: u64,
         faults: Option<FaultCounters>,
     }
-    let engine_threads = spec.threads;
     let mut points = Vec::new();
     for &v in variants {
         for &size in sizes {
@@ -105,7 +104,7 @@ fn fig5(
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
-        let r = preposted_latency_cfg(cfg, p, engine_threads);
+        let r = preposted_latency_cfg(cfg, p);
         Row {
             config: v.label().to_string(),
             queue_len: p.queue_len,
@@ -196,7 +195,6 @@ fn fig6(
         sw_traversed: u64,
         faults: Option<FaultCounters>,
     }
-    let engine_threads = spec.threads;
     let mut points = Vec::new();
     for v in NicVariant::ALL {
         for &size in sizes {
@@ -210,7 +208,7 @@ fn fig6(
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
-        let r = unexpected_latency_cfg(cfg, p, engine_threads);
+        let r = unexpected_latency_cfg(cfg, p);
         Row {
             config: v.label().to_string(),
             queue_len: p.queue_len,
@@ -273,12 +271,11 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
     if burst == 0 {
         return Err("BURST must be >= 1".to_string());
     }
-    let engine_threads = spec.threads;
     let depths = [0usize, 50, 100, 200, 300, 400];
     let work: Vec<(NicVariant, usize)> =
         depths.iter().flat_map(|&q| NicVariant::ALL.map(|v| (v, q))).collect();
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(v, q)| {
-        message_gap(v.config(), GapPoint { queue_len: q, burst, msg_size: 0 }, engine_threads)
+        message_gap(v.config(), GapPoint { queue_len: q, burst, msg_size: 0 })
     });
 
     result.header = "queue_len,baseline_gap_ns,alpu128_gap_ns,alpu256_gap_ns,\
@@ -324,7 +321,6 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
 }
 
 fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
-    let engine_threads = spec.threads;
     let points: Vec<(NicVariant, usize)> = (0..=max)
         .flat_map(|q| {
             [(NicVariant::Baseline, q), (NicVariant::Alpu128, q), (NicVariant::Alpu256, q)]
@@ -334,7 +330,6 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
         preposted_latency_cfg(
             v.config(),
             PrepostedPoint { queue_len: q, fraction: 1.0, msg_size: 0 },
-            engine_threads,
         )
         .latency
     });
@@ -406,9 +401,7 @@ fn soak(
     else {
         unreachable!()
     };
-    if *senders < 2 {
-        return Err("--senders must be >= 2".to_string());
-    }
+    crate::soak::check_senders(*senders)?;
     let scenarios: Vec<Scenario> = scenarios
         .iter()
         .map(|s| Scenario::parse(s).ok_or_else(|| format!("unknown scenario `{s}`")))
@@ -435,7 +428,6 @@ fn soak(
             cfg.alpu = *alpu;
             cfg.faults = faults;
             cfg.deadline = Time::from_ms(*deadline_ms);
-            cfg.parallelism = spec.threads;
             cfg.mtbf = Time::from_us(*mtbf_us);
             cfg.mttr = Time::from_us(*mttr_us);
             if *node_mttr_us > 0 && scenario == Scenario::Chaos {
@@ -538,13 +530,11 @@ fn scaling_cfg(
     Ok(cfg)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scaling(
     spec: &RunSpec,
     senders: u32,
     msgs: u32,
     size: u32,
-    thread_counts: &[usize],
     scenarios: &[String],
     result: &mut RunResult,
 ) -> Result<(), String> {
@@ -552,73 +542,20 @@ fn scaling(
         return Err(format!("scaling needs at least 16 ranks (got {senders} senders)"));
     }
     let seed = spec.seed.unwrap_or(1);
-    struct Row {
-        scenario: &'static str,
-        threads: usize,
-        wall_ms: f64,
-        events: u64,
-        events_per_sec: f64,
-        speedup: f64,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    result.header = "scenario,threads,wall_ms,events,events_per_sec,speedup".to_string();
+    result.header = "scenario,wall_ms,events,events_per_sec".to_string();
     for scenario in scenarios {
-        let scenario: &'static str = match scenario.as_str() {
-            "incast" => "incast",
-            "hetero" => "hetero",
-            other => {
-                return Err(format!("unknown scenario `{other}` (expected incast or hetero)"))
-            }
-        };
-        let mut reference: Option<(f64, String)> = None;
-        for &threads in thread_counts {
-            if threads < 1 {
-                return Err("--thread-counts entries must be >= 1".to_string());
-            }
-            let mut cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
-            cfg.parallelism = threads;
-            let start = Instant::now();
-            let out = run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let (base_ms, base_stats) =
-                reference.get_or_insert((wall_ms, out.stats_json.clone()));
-            if out.stats_json != *base_stats {
-                return Err(format!(
-                    "{scenario}: stats diverged between {} and {} threads — \
-                     determinism contract broken",
-                    thread_counts[0], threads
-                ));
-            }
-            let speedup = *base_ms / wall_ms;
-            let events_per_sec = out.events as f64 / (wall_ms / 1e3);
-            rows.push(Row {
-                scenario,
-                threads,
-                wall_ms,
-                events: out.events,
-                events_per_sec,
-                speedup,
-            });
-        }
-    }
-    for r in &rows {
+        let cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
+        let start = Instant::now();
+        let out = run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let events_per_sec = out.events as f64 / (wall_ms / 1e3);
         result.rows.push(ResultRow {
-            csv: format!(
-                "{},{},{:.1},{},{:.0},{:.2}",
-                r.scenario,
-                r.threads,
-                r.wall_ms,
-                r.events,
-                r.events_per_sec,
-                r.speedup
-            ),
+            csv: format!("{scenario},{wall_ms:.1},{},{events_per_sec:.0}", out.events),
             fields: vec![
-                ("scenario".to_string(), json_str(r.scenario)),
-                ("threads".to_string(), r.threads.to_string()),
-                ("wall_ms".to_string(), json_f64(r.wall_ms)),
-                ("events".to_string(), r.events.to_string()),
-                ("events_per_sec".to_string(), json_f64(r.events_per_sec)),
-                ("speedup".to_string(), json_f64(r.speedup)),
+                ("scenario".to_string(), json_str(scenario)),
+                ("wall_ms".to_string(), json_f64(wall_ms)),
+                ("events".to_string(), out.events.to_string()),
+                ("events_per_sec".to_string(), json_f64(events_per_sec)),
             ],
         });
     }
@@ -653,7 +590,6 @@ fn collectives_cell(
     iters: u32,
     topo: Topology,
     offload: bool,
-    threads: usize,
     seed: u64,
 ) -> Result<(f64, u64, u64, f64), String> {
     use mpiq_mpi::script::{mark_log, MarkLog};
@@ -675,11 +611,7 @@ fn collectives_cell(
         .collect();
     let mut nic = NicConfig::baseline();
     nic.coll_offload = offload;
-    let cfg = ClusterConfig::builder(nic)
-        .seed(seed)
-        .topology(topo)
-        .parallelism(threads)
-        .build();
+    let cfg = ClusterConfig::builder(nic).seed(seed).topology(topo).build();
     let start = Instant::now();
     let mut c = Cluster::new(cfg, programs);
     let events = c
@@ -719,7 +651,6 @@ fn collectives(
         return Err("--ranks entries must be >= 1".to_string());
     }
     let seed = spec.seed.unwrap_or(1);
-    let threads = if spec.threads == 0 { 4 } else { spec.threads };
     struct Row {
         ranks: u32,
         op: &'static str,
@@ -758,7 +689,7 @@ fn collectives(
                         }
                     };
                     let (sim_ns_per_op, host_completions, events, wall_ms) =
-                        collectives_cell(ranks, op, root, len, iters, topo, offload, threads, seed)?;
+                        collectives_cell(ranks, op, root, len, iters, topo, offload, seed)?;
                     rows.push(Row {
                         ranks,
                         op: op_label,
@@ -834,7 +765,6 @@ fn collectives(
 fn appstudy(spec: &RunSpec, result: &mut RunResult) {
     use crate::appsim::{run_app, AppPattern};
     use std::fmt::Write as _;
-    let engine_threads = spec.threads;
     let patterns = [
         AppPattern::Stencil2D { side: 4, iters: 16, prepost_depth: 16 },
         AppPattern::Wavefront { side: 4, sweeps: 8 },
@@ -851,7 +781,7 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
     let work: Vec<(usize, NicVariant)> =
         (0..patterns.len()).flat_map(|p| NicVariant::ALL.map(|v| (p, v))).collect();
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(p, v)| {
-        run_app(v.config(), patterns[p], engine_threads)
+        run_app(v.config(), patterns[p])
     });
     for (i, &(p, v)) in work.iter().enumerate() {
         let s = &results[i];
@@ -927,7 +857,6 @@ fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
         ("alpu256", NicConfig::with_alpus(256)),
     ];
     let depths = [0usize, 25, 50, 100, 200, 300, 400];
-    let engine_threads = spec.threads;
     let sweep = |point: &(dyn Fn(usize) -> PostLoopPoint + Sync)| -> String {
         let mut text = String::new();
         let _ = write!(text, "{:>8}", "depth");
@@ -941,7 +870,7 @@ fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
             .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
             .collect();
         let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
-            postloop_rtt(configs[ci].1, point(depths[qi]), engine_threads).as_us_f64()
+            postloop_rtt(configs[ci].1, point(depths[qi])).as_us_f64()
         });
         for (qi, &q) in depths.iter().enumerate() {
             let _ = write!(text, "{q:>8}");
@@ -978,7 +907,6 @@ fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
 fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
     use mpiq_nic::NicConfig;
     use std::fmt::Write as _;
-    let engine_threads = spec.threads;
     let configs: Vec<(&str, NicConfig)> = vec![
         ("baseline", NicConfig::baseline()),
         ("prefetch", NicConfig::with_prefetch()),
@@ -1000,7 +928,6 @@ fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
         preposted_latency_cfg(
             configs[ci].1,
             PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
-            engine_threads,
         )
         .latency
         .as_us_f64()
@@ -1046,7 +973,6 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
         cfg.unexpected_alpu = Some(setup);
         cfg
     }
-    let engine_threads = spec.threads;
     let thresholds = [0usize, 5, 10];
     let queues: Vec<usize> = (0..=16).chain([32, 64, 128].iter().copied()).collect();
     let mut configs: Vec<(String, NicConfig)> =
@@ -1069,7 +995,6 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
         preposted_latency_cfg(
             configs[ci].1,
             PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
-            engine_threads,
         )
         .latency
         .as_us_f64()
@@ -1097,7 +1022,6 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
 
 fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
     use std::fmt::Write as _;
-    let engine_threads = spec.threads;
     let iters = 48u32;
     let sender_counts = [2u32, 4, 8, 12];
     let work: Vec<(NicVariant, RecvStrategy, u32)> = sender_counts
@@ -1111,7 +1035,7 @@ fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
         })
         .collect();
     let results: Vec<WildcardStudy> = run_parallel(work.clone(), spec.sweep_threads, |&(v, st, s)| {
-        wildcard_workaround(v.config(), st, s, iters, engine_threads)
+        wildcard_workaround(v.config(), st, s, iters)
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -1167,7 +1091,6 @@ mod tests {
             },
             seed: None,
             faults: None,
-            threads: 0,
             sweep_threads: 1,
         };
         let result = execute(&spec).unwrap();
@@ -1179,7 +1102,6 @@ mod tests {
         let direct = preposted_latency_cfg(
             NicVariant::Baseline.config(),
             PrepostedPoint { queue_len: 0, fraction: 1.0, msg_size: 0 },
-            0,
         );
         assert_eq!(
             result.rows[0].csv,
@@ -1211,7 +1133,6 @@ mod tests {
             },
             seed: None,
             faults: None,
-            threads: 0,
             sweep_threads: 1,
         };
         let err = execute(&fig5(vec![1.0], vec![])).unwrap_err();
@@ -1222,7 +1143,6 @@ mod tests {
             bench: BenchSpec::Fig6 { max_queue: 20, step: 20, sizes: vec![] },
             seed: None,
             faults: None,
-            threads: 0,
             sweep_threads: 1,
         };
         let err = execute(&fig6).unwrap_err();
@@ -1251,7 +1171,6 @@ mod tests {
             bench: BenchSpec::Gap { burst: 4 },
             seed: None,
             faults: Some("not-a-fault-spec".to_string()),
-            threads: 0,
             sweep_threads: 1,
         };
         let err = execute(&spec).unwrap_err();

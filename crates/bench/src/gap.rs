@@ -35,9 +35,8 @@ pub struct GapResult {
     pub drain: Time,
 }
 
-/// Measure the gap for one configuration. `parallelism` is the engine
-/// worker-thread count; the result is identical at every value.
-pub fn message_gap(nic: NicConfig, p: GapPoint, parallelism: usize) -> GapResult {
+/// Measure the gap for one configuration.
+pub fn message_gap(nic: NicConfig, p: GapPoint) -> GapResult {
     let marks = mark_log();
 
     // Rank 0: fire the whole burst, overlapped.
@@ -67,7 +66,7 @@ pub fn message_gap(nic: NicConfig, p: GapPoint, parallelism: usize) -> GapResult
     let p1 = b1.build(marks.clone());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
+        ClusterConfig::new(nic),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -94,7 +93,6 @@ mod tests {
                 burst: 32,
                 msg_size: 0,
             },
-            0,
         )
         .gap
     }

@@ -34,15 +34,8 @@ const PONG_TAG: u16 = 8;
 const FILLER_TAG: u16 = 10_000;
 
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
-/// Deterministic: equal inputs give byte-equal exports. `parallelism`
-/// is the engine worker-thread count ([`ClusterConfig::parallelism`]);
-/// exports are byte-identical at every value.
-pub fn traced_preposted(
-    nic: NicConfig,
-    p: PrepostedPoint,
-    trace_capacity: usize,
-    parallelism: usize,
-) -> TracedRun {
+/// Deterministic: equal inputs give byte-equal exports.
+pub fn traced_preposted(nic: NicConfig, p: PrepostedPoint, trace_capacity: usize) -> TracedRun {
     let depth = (((p.queue_len as f64) * p.fraction).floor() as usize).min(p.queue_len);
     let marks = mark_log();
 
@@ -75,10 +68,7 @@ pub fn traced_preposted(
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic)
-            .observability(trace_capacity)
-            .parallelism(parallelism)
-            .build(),
+        ClusterConfig::builder(nic).observability(trace_capacity).build(),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -92,12 +82,7 @@ pub fn traced_preposted(
 /// Run one unexpected-queue point (Fig. 6's benchmark) with tracing and
 /// metrics enabled: park `queue_len` unexpected messages, then a single
 /// timed ping/pong whose receive posting searches past them.
-pub fn traced_unexpected(
-    nic: NicConfig,
-    p: UnexpectedPoint,
-    trace_capacity: usize,
-    parallelism: usize,
-) -> TracedRun {
+pub fn traced_unexpected(nic: NicConfig, p: UnexpectedPoint, trace_capacity: usize) -> TracedRun {
     let u = p.queue_len;
 
     let mut b0 = Script::builder();
@@ -120,10 +105,7 @@ pub fn traced_unexpected(
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic)
-            .observability(trace_capacity)
-            .parallelism(parallelism)
-            .build(),
+        ClusterConfig::builder(nic).observability(trace_capacity).build(),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -158,7 +140,7 @@ mod tests {
 
     #[test]
     fn traced_run_captures_alpu_and_queue_events() {
-        let run = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 16, 0);
+        let run = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 16);
         assert!(run.records > 0);
         assert_eq!(run.dropped, 0, "ring sized for the whole run");
         jsonlint::validate(&run.chrome_json).expect("valid JSON");
@@ -181,7 +163,6 @@ mod tests {
                 msg_size: 64,
             },
             1 << 16,
-            0,
         );
         jsonlint::validate(&run.chrome_json).expect("valid JSON");
         assert!(run.chrome_json.contains("unexpected.depth"), "counters");
@@ -190,8 +171,8 @@ mod tests {
 
     #[test]
     fn traced_run_is_deterministic() {
-        let a = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14, 0);
-        let b = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14, 0);
+        let a = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14);
+        let b = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14);
         assert_eq!(a.chrome_json, b.chrome_json);
         assert_eq!(a.metrics_text, b.metrics_text);
     }

@@ -33,10 +33,8 @@ const PONG_TAG: u16 = 8;
 const ITERS: u32 = 8;
 const WARMUP: u32 = 2;
 
-/// Mean per-iteration round-trip time at the sender. `parallelism` is
-/// the engine worker-thread count; the result is identical at every
-/// value.
-pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint, parallelism: usize) -> Time {
+/// Mean per-iteration round-trip time at the sender.
+pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint) -> Time {
     let marks = mark_log();
 
     // Rank 0: sender, measures full iterations.
@@ -68,7 +66,7 @@ pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint, parallelism: usize) -> Tim
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
+        ClusterConfig::new(nic),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -96,7 +94,6 @@ mod tests {
                 wildcard_prepost: wild,
                 msg_size: 0,
             },
-            0,
         )
     }
 

@@ -47,18 +47,12 @@ pub struct PrepostedResult {
 /// Run one point and return its measurements. Deterministic: equal inputs
 /// give equal outputs.
 pub fn preposted_latency(variant: NicVariant, p: PrepostedPoint) -> PrepostedResult {
-    preposted_latency_cfg(variant.config(), p, 0)
+    preposted_latency_cfg(variant.config(), p)
 }
 
 /// [`preposted_latency`] with an explicit NIC configuration (for
-/// ablations that tweak individual knobs) and an explicit engine
-/// worker-thread count, [`ClusterConfig::parallelism`] (same results
-/// for every value).
-pub fn preposted_latency_cfg(
-    nic: mpiq_nic::NicConfig,
-    p: PrepostedPoint,
-    parallelism: usize,
-) -> PrepostedResult {
+/// ablations that tweak individual knobs).
+pub fn preposted_latency_cfg(nic: mpiq_nic::NicConfig, p: PrepostedPoint) -> PrepostedResult {
     let depth = ((p.queue_len as f64) * p.fraction).floor() as usize;
     let depth = depth.min(p.queue_len);
     let marks = mark_log();
@@ -102,7 +96,7 @@ pub fn preposted_latency_cfg(
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
+        ClusterConfig::new(nic),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,

@@ -99,9 +99,6 @@ pub struct SoakConfig {
     pub faults: Option<FaultConfig>,
     /// Virtual-time watchdog deadline.
     pub deadline: Time,
-    /// Engine worker threads: 0 and 1 run on the calling thread, n >= 2
-    /// on n threads (identical results for any n).
-    pub parallelism: usize,
     /// Network parameters (wire latency, bandwidth, per-pair profile).
     pub net: NetConfig,
     /// Mean time between link flaps for the chaos scenario's seeded
@@ -139,7 +136,6 @@ impl SoakConfig {
             alpu: false,
             faults: None,
             deadline: Time::from_ms(500),
-            parallelism: 0,
             net: NetConfig::default(),
             mtbf: Time::from_us(150),
             mttr: Time::from_us(50),
@@ -432,6 +428,16 @@ fn build_programs(cfg: &SoakConfig) -> Vec<Box<dyn AppProgram>> {
     }
 }
 
+/// Reject a fan-in [`run_soak`] cannot run: every scenario needs at
+/// least two senders. Callers taking user input check this first, so a
+/// bad `--senders` is a one-line error rather than `run_soak`'s assert.
+pub fn check_senders(senders: u32) -> Result<(), String> {
+    if senders < 2 {
+        return Err("--senders must be >= 2".to_string());
+    }
+    Ok(())
+}
+
 /// Run one soak configuration under the watchdog and oracle-check the
 /// result. A stall (deadlock or missed deadline) comes back as the
 /// watchdog's diagnosis; a completed run that violated an overload bound
@@ -444,10 +450,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
         NicConfig::baseline()
     };
     let nic = base.with_flow_control(cfg.eager_credits, cfg.max_unexpected, cfg.eager_buffer_bytes);
-    let mut builder = ClusterConfig::builder(nic)
-        .seed(cfg.seed)
-        .net(cfg.net)
-        .parallelism(cfg.parallelism);
+    let mut builder = ClusterConfig::builder(nic).seed(cfg.seed).net(cfg.net);
     if let Some(f) = cfg.faults {
         builder = builder.faults(f);
     }

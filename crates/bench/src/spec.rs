@@ -61,8 +61,6 @@ pub struct RunSpec {
     /// `--faults SPEC`, carried verbatim (the spec string is the
     /// canonical form; `FaultConfig` has `FromStr` but no `Display`).
     pub faults: Option<String>,
-    /// Engine parallelism (`--threads`); output-invariant.
-    pub threads: usize,
     /// Sweep-point fan-out (`--sweep-threads`); output-invariant.
     pub sweep_threads: usize,
 }
@@ -101,14 +99,8 @@ pub enum BenchSpec {
         node_mttr_us: u64,
         check_determinism: bool,
     },
-    /// Sharded-engine wall-clock scaling.
-    Scaling {
-        senders: u32,
-        msgs: u32,
-        size: u32,
-        thread_counts: Vec<usize>,
-        scenarios: Vec<String>,
-    },
+    /// Engine events/sec on the incast soak.
+    Scaling { senders: u32, msgs: u32, size: u32, scenarios: Vec<String> },
     /// NIC-offloaded vs host-driven collectives.
     Collectives {
         ranks: Vec<u32>,
@@ -196,10 +188,9 @@ impl BenchSpec {
                  \"check_determinism\":{check_determinism}}}",
                 list(scenarios, |s| json_str(s)),
             ),
-            BenchSpec::Scaling { senders, msgs, size, thread_counts, scenarios } => format!(
+            BenchSpec::Scaling { senders, msgs, size, scenarios } => format!(
                 "{{\"senders\":{senders},\"msgs\":{msgs},\"size\":{size},\
-                 \"thread_counts\":{},\"scenarios\":{}}}",
-                list(thread_counts, |t| t.to_string()),
+                 \"scenarios\":{}}}",
                 list(scenarios, |s| json_str(s)),
             ),
             BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } => format!(
@@ -226,7 +217,7 @@ impl RunSpec {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"bench\":{},\"params\":{},\"seed\":{},\"faults\":{},\
-             \"threads\":{},\"sweep_threads\":{}}}",
+             \"sweep_threads\":{}}}",
             json_str(self.bench.name()),
             self.bench.params_json(),
             match self.seed {
@@ -237,7 +228,6 @@ impl RunSpec {
                 Some(f) => json_str(f),
                 None => "null".to_string(),
             },
-            self.threads,
             self.sweep_threads,
         )
     }
@@ -265,7 +255,6 @@ impl RunSpec {
             bench,
             seed,
             faults,
-            threads: opt_count_field(doc, "threads")?,
             sweep_threads: opt_count_field(doc, "sweep_threads")?,
         })
     }
@@ -336,7 +325,6 @@ impl RunSpec {
                 senders: cli.get("senders", 16),
                 msgs: cli.get("msgs", 64),
                 size: cli.get("size", 512),
-                thread_counts: cli.get_list("thread-counts", vec![1, 2, 4]),
                 scenarios: cli
                     .get_list("scenarios", vec!["incast".to_string(), "hetero".to_string()]),
             },
@@ -360,7 +348,6 @@ impl RunSpec {
             bench,
             seed: cli.common.seed,
             faults: cli.common_raw("faults").map(str::to_string),
-            threads: cli.common.threads,
             sweep_threads: cli.common.sweep_threads,
         })
     }
@@ -480,11 +467,6 @@ pub fn flags(name: &str) -> &'static [Flag] {
             Flag { name: "msgs", value: Some("N"), help: "messages per sender (default 64)" },
             Flag { name: "size", value: Some("B"), help: "message payload bytes (default 512)" },
             Flag {
-                name: "thread-counts",
-                value: Some("LIST"),
-                help: "worker-thread counts to time (default 1,2,4)",
-            },
-            Flag {
                 name: "scenarios",
                 value: Some("LIST"),
                 help: "wire profiles to run: incast, hetero (default both)",
@@ -591,7 +573,6 @@ fn parse_bench(name: &str, params: &Json) -> Result<BenchSpec, String> {
             senders: u32_field(params, "senders")?,
             msgs: u32_field(params, "msgs")?,
             size: u32_field(params, "size")?,
-            thread_counts: usize_list(params, "thread_counts")?,
             scenarios: str_list(params, "scenarios")?,
         },
         "collectives" => BenchSpec::Collectives {
@@ -638,7 +619,7 @@ fn usize_field(doc: &Json, key: &str) -> Result<usize, String> {
     u64_field(doc, key).map(|v| v as usize)
 }
 
-/// A thread-count field: absent (or null) means the default 0, but a
+/// A sweep fan-out field: absent (or null) means the default 0, but a
 /// malformed value is a typed error — a client typo must be rejected,
 /// never silently coerced.
 fn opt_count_field(doc: &Json, key: &str) -> Result<usize, String> {
@@ -684,17 +665,6 @@ fn u32_list(doc: &Json, key: &str) -> Result<Vec<u32>, String> {
             v.as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| format!("`{key}` must hold unsigned 32-bit integers"))
-        })
-        .collect()
-}
-
-fn usize_list(doc: &Json, key: &str) -> Result<Vec<usize>, String> {
-    arr_field(doc, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("`{key}` must hold unsigned integers"))
         })
         .collect()
 }
@@ -764,7 +734,6 @@ mod tests {
             },
             seed: Some(7),
             faults: Some("seed=1,drop=0.01".to_string()),
-            threads: 2,
             sweep_threads: 4,
         };
         let text = spec.to_json();
@@ -777,10 +746,10 @@ mod tests {
     #[test]
     fn malformed_thread_counts_are_typed_errors() {
         let ok = RunSpec::from_json("{\"bench\":\"gap\",\"params\":{\"burst\":4}}").unwrap();
-        assert_eq!((ok.threads, ok.sweep_threads), (0, 0), "missing counts default to 0");
+        assert_eq!(ok.sweep_threads, 0, "a missing count defaults to 0");
         for bad in [
-            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"threads\":\"two\"}",
-            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"threads\":-1}",
+            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":\"two\"}",
+            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":-1}",
             "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":1.5}",
         ] {
             let err = RunSpec::from_json(bad).unwrap_err();

@@ -44,15 +44,11 @@ pub struct UnexpectedResult {
 
 /// Run one point.
 pub fn unexpected_latency(variant: NicVariant, p: UnexpectedPoint) -> UnexpectedResult {
-    unexpected_latency_cfg(variant.config(), p, 0)
+    unexpected_latency_cfg(variant.config(), p)
 }
 
 /// [`unexpected_latency`] with an explicit NIC configuration.
-pub fn unexpected_latency_cfg(
-    nic: mpiq_nic::NicConfig,
-    p: UnexpectedPoint,
-    parallelism: usize,
-) -> UnexpectedResult {
+pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> UnexpectedResult {
     let marks = mark_log();
     let u = p.queue_len;
 
@@ -88,7 +84,7 @@ pub fn unexpected_latency_cfg(
     let p1 = b1.build(marks.clone());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
+        ClusterConfig::new(nic),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,

@@ -41,15 +41,12 @@ pub struct WildcardStudy {
     pub purges: u64,
 }
 
-/// Run `iters` iterations with `senders` possible sources. `parallelism`
-/// is the engine worker-thread count; the result is identical at every
-/// value.
+/// Run `iters` iterations with `senders` possible sources.
 pub fn wildcard_workaround(
     nic: NicConfig,
     strategy: RecvStrategy,
     senders: u32,
     iters: u32,
-    parallelism: usize,
 ) -> WildcardStudy {
     let marks = mark_log();
     let period = Time::from_us(4);
@@ -93,10 +90,7 @@ pub fn wildcard_workaround(
         programs.push(Box::new(b.build(mark_log())));
     }
 
-    let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).parallelism(parallelism).build(),
-        programs,
-    );
+    let mut cluster = Cluster::new(ClusterConfig::new(nic), programs);
     cluster.run();
     let m = marks.borrow();
     let fw = cluster.nic(0).firmware().stats();
@@ -114,8 +108,8 @@ mod tests {
 
     #[test]
     fn workaround_is_slower_than_any_source() {
-        let any = wildcard_workaround(NicConfig::baseline(), RecvStrategy::AnySource, 6, 16, 0);
-        let all = wildcard_workaround(NicConfig::baseline(), RecvStrategy::PostAllCancel, 6, 16, 0);
+        let any = wildcard_workaround(NicConfig::baseline(), RecvStrategy::AnySource, 6, 16);
+        let all = wildcard_workaround(NicConfig::baseline(), RecvStrategy::PostAllCancel, 6, 16);
         assert!(
             all.software_traversed > any.software_traversed * 2,
             "the workaround must burn more processing: {} vs {}",
@@ -127,7 +121,7 @@ mod tests {
 
     #[test]
     fn workaround_poisons_the_alpu_with_tombstones() {
-        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::PostAllCancel, 6, 40, 0);
+        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::PostAllCancel, 6, 40);
         assert!(
             s.ghosted_cancels > 50,
             "cancelled hardware-resident receives must tombstone: {}",
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn any_source_on_alpu_stays_clean() {
-        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::AnySource, 6, 40, 0);
+        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::AnySource, 6, 40);
         assert_eq!(s.ghosted_cancels, 0);
         assert_eq!(s.purges, 0);
     }
@@ -152,7 +146,7 @@ mod tests {
         // receiver reaching mark 1 is the delivery proof; check timing
         // sanity too.
         for strategy in [RecvStrategy::AnySource, RecvStrategy::PostAllCancel] {
-            let s = wildcard_workaround(NicConfig::with_alpus(128), strategy, 4, 12, 0);
+            let s = wildcard_workaround(NicConfig::with_alpus(128), strategy, 4, 12);
             assert!(s.total > Time::from_us(12), "{strategy:?}: {:?}", s.total);
         }
     }

@@ -119,7 +119,6 @@ fn cluster_trace_is_valid_and_structured() {
             msg_size: 64,
         },
         1 << 16,
-        0,
     );
     jsonlint::validate(&run.chrome_json).expect("valid JSON");
     assert_eq!(run.dropped, 0);

@@ -36,7 +36,7 @@ fn fig5_unconfigured_matches_golden() {
             fraction: 1.0,
             msg_size: 0,
         };
-        let r = preposted_latency_cfg(NicVariant::Alpu128.config(), p, 0);
+        let r = preposted_latency_cfg(NicVariant::Alpu128.config(), p);
         out.push_str(&format!(
             "{},{},{},{},{:.4},{},{}\n",
             NicVariant::Alpu128.label(),
@@ -61,7 +61,7 @@ fn fig6_unconfigured_matches_golden() {
                 queue_len: q,
                 msg_size: 64,
             };
-            let r = unexpected_latency_cfg(v.config(), p, 0);
+            let r = unexpected_latency_cfg(v.config(), p);
             out.push_str(&format!(
                 "{},{},{},{:.4},{}\n",
                 v.label(),

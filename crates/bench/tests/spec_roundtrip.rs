@@ -9,15 +9,15 @@ use mpiq_bench::spec::{flags, RunSpec};
 /// would receive them.
 const CASES: &[(&str, &[&str])] = &[
     ("fig5", &["--config", "alpu128", "--max-queue", "100", "--step", "10", "--fractions", "0.5,1.0", "--sizes", "0,1024", "--seed", "7"]),
-    ("fig6", &["--max-queue", "200", "--step", "40", "--sizes", "64", "--threads", "2"]),
+    ("fig6", &["--max-queue", "200", "--step", "40", "--sizes", "64", "--sweep-threads", "2"]),
     ("gap", &["128"]),
     ("breakeven", &["8", "--sweep-threads", "3"]),
     ("soak", &["--seeds", "2", "--senders", "8", "--msgs", "4", "--size", "256", "--credits", "2", "--max-unexpected", "16", "--eager-buffer", "8192", "--deadline-ms", "250", "--faults", "seed=3,drop=0.01", "--mtbf-us", "100", "--mttr-us", "20", "--node-mttr-us", "40"]),
-    ("scaling", &["--senders", "16", "--msgs", "32", "--size", "512", "--thread-counts", "1,2", "--scenarios", "incast,hetero"]),
+    ("scaling", &["--senders", "16", "--msgs", "32", "--size", "512", "--scenarios", "incast,hetero"]),
     ("collectives", &["--ranks", "16,32", "--ops", "barrier,bcast", "--topos", "fattree", "--modes", "offload,host", "--len", "128", "--iters", "2"]),
     ("appstudy", &[]),
     ("ablation_block", &[]),
-    ("ablation_hash", &["--threads", "1"]),
+    ("ablation_hash", &["--sweep-threads", "1"]),
     ("ablation_prefetch", &["--sweep-threads", "2"]),
     ("ablation_threshold", &["--seed", "9"]),
     ("ablation_wildcard", &[]),

@@ -18,9 +18,10 @@ pub struct ComponentId(pub u32);
 /// can never touch another component directly, which is what makes the
 /// kernel deterministic and borrow-check-friendly.
 ///
-/// Components must be [`Send`]: the executor (see [`crate::shard`])
-/// moves whole shards of components onto worker threads. Shared test
-/// fixtures should use `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`.
+/// Components must be [`Send`]. The executor (see [`crate::exec`]) runs
+/// every shard on the calling thread, so the engine itself does not need
+/// the bound; while it stands, state a test shares with a component must
+/// be `Send` too (an `Arc`-wrapped lock, not `Rc<RefCell<..>>`).
 pub trait Component: Send + 'static {
     /// Handle one delivered event. May emit events on output ports, post
     /// self-wakeups, mutate stats, and draw random numbers via `ctx`.

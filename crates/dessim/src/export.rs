@@ -119,8 +119,8 @@ fn describe(what: &TraceEvent) -> (String, String) {
 
 /// Render the simulation's trace and metrics registry as a Chrome trace
 /// JSON document. Per-shard rings are merged into canonical order first
-/// (see [`TraceRing::merged`]), so the output is byte-identical for any
-/// worker-thread count. With tracing disabled the `traceEvents` array
+/// (see [`TraceRing::merged`]), so the output is byte-identical from run
+/// to run and independent of how the rings were filled. With tracing disabled the `traceEvents` array
 /// holds only the thread-name metadata.
 pub fn chrome_trace(sim: &Simulation) -> String {
     let names: Vec<String> = (0..sim.component_count())

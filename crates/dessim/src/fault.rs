@@ -19,8 +19,8 @@
 //! death — evaluated as pure functions of virtual time. Every component
 //! holds its own (shared, immutable) copy of the schedule and asks
 //! "is this edge down at `t`?" locally, so no fault information ever
-//! crosses a shard boundary and the layer is deterministic at any worker
-//! thread count by construction.
+//! crosses a shard boundary and the layer is deterministic under any
+//! shard layout by construction.
 
 use crate::rng::SimRng;
 use crate::time::Time;
@@ -263,8 +263,8 @@ impl fmt::Display for FaultEvent {
 
 /// A deterministic timeline of component-level faults, shared read-only by
 /// every component (each holds an `Arc`). All queries are pure functions of
-/// `(schedule, time)` so the same schedule gives byte-identical behavior at
-/// any thread count.
+/// `(schedule, time)` so the same schedule gives byte-identical behavior
+/// in every run.
 ///
 /// Build one programmatically with [`FaultSchedule::push`], generate a flap
 /// storm from a seed with [`FaultSchedule::generate`], or parse the text

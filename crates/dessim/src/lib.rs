@@ -14,8 +14,8 @@
 //! [`Simulation::new`] builds one shard: the sequential case, where the
 //! first window spans the whole run. [`Simulation::with_shards`] and
 //! [`Simulation::add_component_in`] partition a graph whose shards are
-//! joined only by positive-latency links; any worker-thread count then
-//! gives bit-identical results.
+//! joined only by positive-latency links. Every shard runs on the
+//! calling thread.
 //!
 //! Design goals, in order:
 //!

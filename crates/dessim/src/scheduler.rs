@@ -7,8 +7,7 @@
 //! sequential case, where every event runs in `(time, seq)` order off
 //! one heap. [`Simulation::with_shards`] plus
 //! [`Simulation::add_component_in`] partition the graph for the
-//! partitioned case; the worker-thread count
-//! ([`Simulation::set_threads`]) is a pure performance knob.
+//! partitioned case. Every shard runs on the calling thread.
 
 use crate::component::{Component, ComponentId};
 use crate::event::{InPort, OutPort, Payload};
@@ -20,13 +19,10 @@ use crate::time::Time;
 use crate::trace::TraceRing;
 
 /// The simulation executive. Build it — register components, wire
-/// links, post initial events — then `run`. Observable output (stats,
-/// metrics, trace, component state) never depends on the worker-thread
-/// count.
+/// links, post initial events — then `run`.
 pub struct Simulation {
     pub(crate) topo: Topology,
     pub(crate) shards: Vec<Shard>,
-    threads: usize,
     started: bool,
 }
 
@@ -50,16 +46,8 @@ impl Simulation {
         Simulation {
             topo: Topology::default(),
             shards,
-            threads: 1,
             started: false,
         }
-    }
-
-    /// Select how many worker threads execute windows (`0` and `1` both
-    /// mean one, on the calling thread). Thread count is a pure
-    /// performance knob: results are identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Register a component into shard 0; the returned id addresses it
@@ -282,13 +270,12 @@ impl Simulation {
     pub fn run_until(&mut self, horizon: Time) -> u64 {
         let before = self.events_processed();
         self.start_components();
-        crate::exec::run_windows(self, horizon, self.threads);
+        crate::exec::run_windows(self, horizon);
         self.events_processed() - before
     }
 
     /// Run every component's `on_start` hook once, in global-id order,
-    /// and exchange any cross-shard emissions they made. Serial: start
-    /// hooks run before time begins and are not worth parallelizing.
+    /// and exchange any cross-shard emissions they made.
     fn start_components(&mut self) {
         if self.started {
             return;
@@ -299,8 +286,7 @@ impl Simulation {
             let Self { topo, shards, .. } = self;
             shards[shard as usize].start_component(topo, local, ComponentId(global as u32));
         }
-        let mut refs: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        exchange_trays(&mut refs);
+        exchange_trays(&mut self.shards);
     }
 }
 

@@ -6,8 +6,7 @@
 //! wired links (in the MPI cluster: one host+NIC island per node, with
 //! the fabric links as the only cross-shard edges). Each shard owns a
 //! private `(time, seq)` event heap, RNG stream, statistics, trace ring,
-//! and metrics registry, so shards can execute concurrently with no
-//! shared mutable state. A one-shard simulation is the sequential case:
+//! and metrics registry, so shards share no mutable state. A one-shard simulation is the sequential case:
 //! with no cross-shard edges its first window spans the whole horizon,
 //! and every event runs in `(time, seq)` order off one heap.
 //!
@@ -15,9 +14,9 @@
 //! gets its own bound from the per-edge safe-time table (see
 //! [`crate::window`]) — the minimum over its incident cross-shard edges
 //! of the peer's safe time plus that edge's latency. Shards execute
-//! their in-window events freely and in parallel (no null messages, no
-//! rollback), then meet at a barrier where buffered cross-shard events
-//! are exchanged and the next windows are planned.
+//! their in-window events one after another in shard index order (no
+//! null messages, no rollback), then meet at a barrier where buffered
+//! cross-shard events are exchanged and the next windows are planned.
 //!
 //! The barrier itself is O(edges), not O(events): each source shard
 //! keeps one *tray* per destination, trays record their minimum event
@@ -26,9 +25,8 @@
 //! emptied buffer returns to the sender — a per-edge free list, so
 //! steady-state exchange allocates nothing). Arrived events are then
 //! *batch-drained* inside the destination shard's next window: one
-//! canonical-order sequence assignment, one sort, one bulk heap append,
-//! executed in parallel across shards instead of serially at the
-//! barrier. Direct (unwired) cross-shard sends are only safe along
+//! canonical-order sequence assignment, one sort, one bulk heap append.
+//! Direct (unwired) cross-shard sends are only safe along
 //! pairs that also have a registered link; the barrier asserts every
 //! arrival lands at or past its destination's window floor.
 //!
@@ -36,9 +34,9 @@
 //! heap contents; per-shard execution order depends only on each shard's
 //! private `(time, seq)` heap; and the barrier exchange assigns arrival
 //! sequence numbers in the canonical order above. None of these depend
-//! on how many OS threads carry the shards, so every statistic, trace
-//! record, and metric is bit-identical across worker-thread counts —
-//! enforced by `tests/parallel_determinism.rs` at the workspace root.
+//! on anything outside the simulation, so every statistic, trace record,
+//! and metric is bit-identical from run to run — enforced by
+//! `tests/determinism.rs` at the workspace root.
 //!
 //! The windowed executor itself lives in [`crate::exec`].
 
@@ -91,7 +89,7 @@ pub(crate) struct Link {
     pub(crate) latency: Time,
 }
 
-/// The immutable, thread-shared part of a simulation: component names,
+/// The immutable, shard-shared part of a simulation: component names,
 /// the shard each component lives in, and the wiring table.
 #[derive(Default)]
 pub(crate) struct Topology {
@@ -218,9 +216,8 @@ impl Shard {
 
     /// Move every mailbox arrival into the local heap: assign arrival
     /// sequence numbers in canonical order (source shard id, then
-    /// emission order — identical at every thread count), then one sort
-    /// and one bulk heap append. Runs inside the shard's own window, in
-    /// parallel with other shards, instead of serially at the barrier.
+    /// emission order), then one sort and one bulk heap append. Runs
+    /// inside the shard's own window rather than at the barrier.
     fn drain_mailbox(&mut self) {
         if self.mailbox_min == Time::MAX {
             return;
@@ -261,17 +258,15 @@ impl Shard {
         }));
     }
 
-    /// Execute every pending event with `time < window_end`. Safe to run
-    /// concurrently with other shards inside the same window: nothing
-    /// here touches shared mutable state (cross-shard emissions go to
-    /// local trays, and the mailbox drained here was filled at the
-    /// previous barrier).
+    /// Execute every pending event with `time < window_end`. Nothing
+    /// here touches another shard (cross-shard emissions go to local
+    /// trays, and the mailbox drained here was filled at the previous
+    /// barrier), so shard order within a window cannot change results.
     pub(crate) fn run_window(&mut self, topo: &Topology, window_end: Time) -> u64 {
         // Nothing runnable this round: leave the shard untouched. The
         // floor stays put (this shard guarantees nothing beyond what it
         // has actually executed) and mailbox arrivals — all at or past
-        // the bound — wait for a window that can run them. The decision
-        // depends only on simulation state, never on thread count.
+        // the bound — wait for a window that can run them.
         match self.next_time() {
             Some(next) if next < window_end => {}
             _ => return 0,
@@ -394,21 +389,19 @@ impl Shard {
 
 /// Exchange all buffered cross-shard events at a barrier by swapping
 /// each non-empty tray with the destination's (empty) mailbox buffer
-/// for that edge — O(1) per edge, no per-event work on the driver
-/// thread. Destinations batch-drain their mailboxes inside their next
-/// window in canonical order (destination shard, then source shard,
-/// then emission order), so arrival sequence numbers — and therefore
-/// same-timestamp tie-breaks — are identical at every thread count.
+/// for that edge — O(1) per edge, no per-event work here.
+/// Destinations batch-drain their mailboxes inside their next window in
+/// canonical order (destination shard, then source shard, then emission
+/// order), so arrival sequence numbers — and therefore same-timestamp
+/// tie-breaks — are fixed by the simulation alone.
 ///
 /// Each destination's `floor` is the end of the window it just
 /// executed: every arrival must be at or past it, otherwise that shard
 /// already simulated beyond the event's delivery time and the lookahead
 /// invariant is broken (e.g. a too-short direct send across shards, or
 /// one over a pair with no registered link). The check costs one
-/// comparison per edge thanks to the tray-tracked minimum. It runs on
-/// the driver thread on purpose: a panic inside a pooled worker would
-/// park the other workers at the window barrier instead of surfacing.
-pub(crate) fn exchange_trays(shards: &mut [&mut Shard]) {
+/// comparison per edge thanks to the tray-tracked minimum.
+pub(crate) fn exchange_trays(shards: &mut [Shard]) {
     let n = shards.len();
     for dst in 0..n {
         for src in 0..n {
@@ -486,11 +479,9 @@ mod tests {
         n: usize,
         nshards: usize,
         latency: impl Fn(usize) -> Time,
-        threads: usize,
     ) -> (Simulation, RingLog) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::with_shards(7, nshards);
-        sim.set_threads(threads);
         let ids: Vec<ComponentId> = (0..n)
             .map(|i| {
                 sim.add_component_in(
@@ -511,8 +502,8 @@ mod tests {
 
     /// A ring of `nshards` forwarders, one per shard, each forwarding to
     /// the next with `latency`.
-    fn build_ring(nshards: usize, latency: Time, threads: usize) -> (Simulation, RingLog) {
-        build_ring_with(nshards, nshards, |_| latency, threads)
+    fn build_ring(nshards: usize, latency: Time) -> (Simulation, RingLog) {
+        build_ring_with(nshards, nshards, |_| latency)
     }
 
     fn sorted(log: &RingLog) -> Vec<(Time, u32, u64)> {
@@ -523,7 +514,7 @@ mod tests {
 
     #[test]
     fn ring_routes_across_shards_with_latency() {
-        let (mut sim, log) = build_ring(4, Time::from_ns(50), 1);
+        let (mut sim, log) = build_ring(4, Time::from_ns(50));
         sim.post(ComponentId(0), InPort(0), Payload::new(8u64), Time::ZERO);
         let n = sim.run();
         assert_eq!(n, 9);
@@ -539,9 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
-        let run = |threads: usize| {
-            let (mut sim, log) = build_ring(5, Time::from_ns(30), threads);
+    fn same_ring_run_twice_gives_identical_results() {
+        let run = || {
+            let (mut sim, log) = build_ring(5, Time::from_ns(30));
             for s in 0..5u32 {
                 sim.post(
                     ComponentId(s),
@@ -554,20 +545,10 @@ mod tests {
             let events = log.lock().unwrap().clone();
             (sim.stats().to_json(), sim.events_processed(), events)
         };
-        let base = run(1);
-        for t in [2, 4, 8] {
-            let got = run(t);
-            assert_eq!(got.0, base.0, "stats diverged at {t} threads");
-            assert_eq!(got.1, base.1, "event count diverged at {t} threads");
-            // The shared log's *append order* is thread-dependent (that's
-            // wall-clock interleaving, not simulation state); its sorted
-            // contents must match exactly.
-            let mut a = base.2.clone();
-            let mut b = got.2.clone();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "delivered events diverged at {t} threads");
-        }
+        let (base, again) = (run(), run());
+        assert_eq!(again.0, base.0, "stats diverged between runs");
+        assert_eq!(again.1, base.1, "event count diverged between runs");
+        assert_eq!(again.2, base.2, "delivered events diverged between runs");
     }
 
     #[test]
@@ -586,7 +567,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_horizon_and_resumes() {
-        let (mut sim, _log) = build_ring(2, Time::from_ns(10), 2);
+        let (mut sim, _log) = build_ring(2, Time::from_ns(10));
         sim.post(ComponentId(0), InPort(0), Payload::new(10u64), Time::ZERO);
         let first = sim.run_until(Time::from_ns(45));
         // Events at t = 0,10,20,30,40.
@@ -600,8 +581,8 @@ mod tests {
     fn plan_window_no_cross_edges_takes_the_fast_path() {
         // No cross-shard edge means infinite lookahead: the shard runs to
         // the horizon in one window, under a finite horizon and under an
-        // infinite one (capped just below the pool's shutdown sentinel).
-        let (mut sim, log) = build_ring(1, Time::from_ns(10), 1);
+        // infinite one (capped just below u64::MAX - 1).
+        let (mut sim, log) = build_ring(1, Time::from_ns(10));
         assert_eq!(sim.topo.edges().count(), 0);
         sim.post(ComponentId(0), InPort(0), Payload::new(0u64), Time(5));
         assert_eq!(sim.run_until(Time::from_ns(80)), 1);
@@ -615,13 +596,13 @@ mod tests {
 
     #[test]
     fn plan_window_rejects_events_at_the_top_of_the_range() {
-        // Window bounds are exclusive and stay below u64::MAX (the worker
-        // pool's shutdown sentinel), so an event at u64::MAX - 1 can never
+        // Window bounds are exclusive and stay below u64::MAX - 1, so an
+        // event at u64::MAX - 1 can never
         // run: `run` must return without delivering it instead of
         // spinning on windows that make no progress. One below the cutoff
         // still runs.
         for nshards in [1usize, 2] {
-            let (mut sim, log) = build_ring(nshards, Time::from_ns(10), 1);
+            let (mut sim, log) = build_ring(nshards, Time::from_ns(10));
             let last = ComponentId(nshards as u32 - 1);
             sim.post(last, InPort(0), Payload::new(0u64), Time(u64::MAX - 1));
             assert_eq!(sim.run(), 0, "{nshards} shard(s)");
@@ -679,11 +660,10 @@ mod tests {
     #[test]
     fn sharded_ring_matches_one_shard_reference() {
         // The same ring with every forwarder in one shard is the
-        // sequential schedule. Sharding it over 4 shards at 2 threads
-        // must deliver the same (time, payload) events: window planning
+        // sequential schedule. Sharding it over 4 shards must deliver the same (time, payload) events: window planning
         // is a performance knob, not a semantics knob.
         let run = |nshards: usize| {
-            let (mut sim, log) = build_ring_with(4, nshards, |_| Time::from_ns(50), 2);
+            let (mut sim, log) = build_ring_with(4, nshards, |_| Time::from_ns(50));
             sim.post(ComponentId(0), InPort(0), Payload::new(12u64), Time::ZERO);
             sim.run();
             (sorted(&log), sim.events_processed(), sim.now())
@@ -696,24 +676,22 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_ring_results_identical_across_threads_and_shard_layouts() {
+    fn heterogeneous_ring_is_repeatable_and_matches_one_shard_layout() {
         // One 10 ns edge in a ring of 1 us edges — the shape adaptive
-        // lookahead exists for. Every thread count must deliver the same
+        // lookahead exists for. A second run must deliver the same
         // events, and the same semantic event set as the one-shard
         // (sequential) layout.
-        let run = |nshards: usize, threads: usize| {
+        let run = |nshards: usize| {
             let latency = |i: usize| if i == 0 { Time::from_ns(10) } else { Time::from_us(1) };
-            let (mut sim, log) = build_ring_with(4, nshards, latency, threads);
+            let (mut sim, log) = build_ring_with(4, nshards, latency);
             sim.post(ComponentId(0), InPort(0), Payload::new(16u64), Time::ZERO);
             sim.post(ComponentId(2), InPort(0), Payload::new(9u64), Time::from_ns(4));
             sim.run();
             (sorted(&log), sim.events_processed(), sim.stats().to_json(), sim.now())
         };
-        let base = run(4, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(run(4, threads), base, "diverged at {threads} threads");
-        }
-        let sequential = run(1, 1);
+        let base = run(4);
+        assert_eq!(run(4), base, "diverged between runs");
+        let sequential = run(1);
         assert_eq!(sequential.0, base.0, "shard layouts disagree on delivered events");
         assert_eq!(sequential.1, base.1, "shard layouts disagree on event count");
         // Closed form: a ring lap is 10 ns + 3 us. The 16-hop chain is
@@ -758,7 +736,7 @@ mod tests {
 
     #[test]
     fn stats_merge_in_shard_order_and_sum() {
-        let (mut sim, _log) = build_ring(3, Time::from_ns(10), 2);
+        let (mut sim, _log) = build_ring(3, Time::from_ns(10));
         sim.post(ComponentId(0), InPort(0), Payload::new(6u64), Time::ZERO);
         sim.run();
         let stats = sim.stats();

@@ -446,8 +446,8 @@ impl TraceRing {
     /// Combine per-shard rings into one canonical ring: records are
     /// stable-sorted by timestamp, with ties resolved by the input order
     /// (shard id, then intra-shard push order). The result depends only
-    /// on the rings' contents — never on how many threads produced them —
-    /// which is what makes partitioned trace dumps deterministic.
+    /// on the rings' contents, which is what makes partitioned trace
+    /// dumps deterministic.
     pub fn merged(rings: Vec<TraceRing>) -> TraceRing {
         let capacity: usize = rings.iter().map(|r| r.capacity).sum();
         let dropped: u64 = rings.iter().map(|r| r.dropped).sum();

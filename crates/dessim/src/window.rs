@@ -7,7 +7,7 @@
 //! cadence. `SafeTimeTable` instead computes a per-shard bound at
 //! every barrier from the *incident* edges only, in the spirit of
 //! null-message (Chandy–Misra–Bryant) conservative PDES but without the
-//! message traffic: the driver already sees every shard's earliest
+//! message traffic: the executor already sees every shard's earliest
 //! pending event at the barrier, so the table is just one relaxation
 //! pass over the shard graph. A shard with no incoming edges (a
 //! one-shard simulation, or a disconnected island) has an unbounded

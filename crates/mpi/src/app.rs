@@ -17,8 +17,9 @@ pub struct Request(pub(crate) ReqId);
 
 /// An application running on one rank.
 ///
-/// Programs must be [`Send`]: they live inside [`Host`](crate::Host)
-/// components, which the partitioned executor moves onto worker threads.
+/// Programs must be [`Send`] because they live inside
+/// [`Host`](crate::Host) components, which carry the engine's
+/// [`Component`](mpiq_dessim::Component) bound.
 pub trait AppProgram: Send + 'static {
     /// Advance as far as possible. Called once at start and again after
     /// every completion delivered to this rank. Call [`Mpi::finish`] when

@@ -6,12 +6,8 @@
 //! port-to-port wires are the only cross-shard edges, and their
 //! (possibly heterogeneous) latencies feed the window planner's
 //! per-edge lookahead. A switched topology instead gets one
-//! shard per edge switch (see [`Cluster::with_recovery`]).
-//!
-//! `parallelism` is the worker-thread count and a pure performance knob:
-//! `0` and `1` both run every shard inline on the calling thread, and
-//! results are bit-identical for any value (that is what
-//! `tests/parallel_determinism.rs` pins).
+//! shard per edge switch (see [`Cluster::with_recovery`]). Every shard
+//! runs on the calling thread.
 
 use crate::app::{AppProgram, PORT_COMPLETION};
 use crate::host::Host;
@@ -53,10 +49,6 @@ pub struct ClusterConfig {
     pub trace_capacity: usize,
     /// Enable the latency-histogram / counter registry.
     pub metrics: bool,
-    /// Engine worker threads: `0` and `1` both run on the calling
-    /// thread; `n >= 2` stripes shards over `n` threads. Every value
-    /// produces identical output.
-    pub parallelism: usize,
     /// Component-level fault timeline (node crashes, link flaps,
     /// partitions, ALPU deaths), shared by every component that consults
     /// it. `None` (the default) keeps every fault-domain code path a
@@ -80,14 +72,13 @@ impl ClusterConfig {
             host_dispatch: Time::from_ns(40),
             trace_capacity: 0,
             metrics: false,
-            parallelism: 0,
             fault_schedule: None,
             topology: Topology::Hub,
         }
     }
 
     /// Start a typed builder around a NIC configuration — the one place
-    /// to dial faults, observability, flow control, and parallelism.
+    /// to dial faults, observability, flow control, and topology.
     pub fn builder(nic: NicConfig) -> ClusterConfigBuilder {
         ClusterConfigBuilder {
             cfg: ClusterConfig::new(nic),
@@ -110,9 +101,8 @@ impl ClusterConfig {
 ///         max_unexpected: 32,
 ///         eager_buffer_bytes: 16 << 10,
 ///     })
-///     .parallelism(4)
 ///     .build();
-/// assert_eq!(cfg.parallelism, 4);
+/// assert_eq!(cfg.seed, 7);
 /// assert!(cfg.metrics);
 /// ```
 #[derive(Clone, Debug)]
@@ -163,11 +153,10 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Engine worker threads: `0` (the default) and `1` run on the
-    /// calling thread, `n >= 2` on `n` threads (same results for every
-    /// `n`).
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.cfg.parallelism = threads;
+    /// Accepted and ignored: every cluster runs on the calling thread.
+    /// This no-op exists only because the frozen `benchmark/` crate
+    /// still calls it (`benchmark/src/workload.rs`); nothing else may.
+    pub fn parallelism(self, _threads: usize) -> Self {
         self
     }
 
@@ -276,7 +265,6 @@ impl Cluster {
         let plan = cfg.topology.plan(nodes).map(Arc::new);
         let shards = plan.as_ref().map_or(nodes, |p| p.shards);
         let mut sim = Simulation::with_shards(cfg.seed, shards as usize);
-        sim.set_threads(cfg.parallelism);
         if cfg.trace_capacity > 0 {
             sim.enable_tracing(cfg.trace_capacity);
         }

@@ -20,9 +20,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// harness that reads it after the run.
 ///
 /// Backed by `Arc<Mutex<..>>` so scripts can live inside `Send`
-/// components and cross shard-thread boundaries under the partitioned
-/// executor. There is no lock contention in practice: each script appends
-/// from its own shard thread, and harnesses read only between runs. The
+/// components. There is no lock contention: the engine runs on one
+/// thread, and harnesses read only between runs. The
 /// accessors keep the `borrow`/`borrow_mut` names of the earlier
 /// `Rc<RefCell>` representation so call sites read the same.
 #[derive(Debug, Default)]

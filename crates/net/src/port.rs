@@ -11,12 +11,12 @@
 //! destination, and per-(src, dst) order all follow from that one busy
 //! window. Two sources tying at the same destination in the same
 //! picosecond are ordered by (source shard, emission), which is fixed
-//! by the engine and independent of thread count.
+//! by the engine.
 //!
 //! Faults roll at the *source* port from a per-node deterministic
 //! stream, so a node's fault verdicts never depend on other nodes'
-//! traffic — which is what keeps fault campaigns identical across thread
-//! counts too.
+//! traffic — which is what keeps fault campaigns identical across shard
+//! layouts too.
 
 use crate::fabric::NetConfig;
 use crate::message::{Message, NodeId};
@@ -71,7 +71,7 @@ pub struct FabricPort {
     /// Component-level fault timeline; `None` keeps the scheduled path
     /// out of the hot loop entirely. Checked at the *source* port (like
     /// the message-level fault rolls), so the verdict is a function of
-    /// local state only and identical at any thread count.
+    /// local state only and identical under any shard layout.
     schedule: Option<Arc<FaultSchedule>>,
     /// Last observed up/down state per undirected edge (transition
     /// telemetry; see [`scheduled_edge_refuses`]).
@@ -214,7 +214,7 @@ impl FabricPort {
 /// *observed* state (edge-triggered on traffic — both telemetry sinks
 /// are no-ops unless the harness enabled them), and say whether the
 /// frame must be refused. Pure function of `(schedule, edge, now)` plus
-/// locally observed traffic, so it is deterministic at any thread count.
+/// locally observed traffic, so it is deterministic.
 fn scheduled_edge_refuses(
     schedule: &Arc<FaultSchedule>,
     edge_seen_down: &mut BTreeMap<(u32, u32), bool>,
@@ -326,11 +326,9 @@ mod tests {
     fn build_with(
         cfg: NetConfig,
         nodes: u32,
-        threads: usize,
         faults: FaultConfig,
     ) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
         let mut sim = Simulation::with_shards(7, nodes as usize);
-        sim.set_threads(threads);
         let mut logs = Vec::new();
         let mut ports = Vec::new();
         for n in 0..nodes {
@@ -345,12 +343,8 @@ mod tests {
         (sim, ports, logs)
     }
 
-    fn build(
-        nodes: u32,
-        threads: usize,
-        faults: FaultConfig,
-    ) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
-        build_with(NetConfig::default(), nodes, threads, faults)
+    fn build(nodes: u32, faults: FaultConfig) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
+        build_with(NetConfig::default(), nodes, faults)
     }
 
     fn send(sim: &mut Simulation, ports: &[ComponentId], m: Message, at: Time) {
@@ -360,7 +354,7 @@ mod tests {
 
     #[test]
     fn delivery_time_is_wire_plus_serialization() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(2, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         sim.run();
         let (t, seq, crc) = logs[1].lock().unwrap()[0];
@@ -372,7 +366,7 @@ mod tests {
 
     #[test]
     fn bandwidth_scales_with_length() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(2, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 1, 4096, 1), Time::ZERO);
         sim.run();
         assert_eq!(
@@ -388,7 +382,7 @@ mod tests {
             bytes_per_ns: 7,
             ..NetConfig::default()
         };
-        let (mut sim, ports, logs) = build_with(cfg, 2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build_with(cfg, 2, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 1, 0, 0), Time::ZERO);
         sim.run();
         assert_eq!(
@@ -399,7 +393,7 @@ mod tests {
 
     #[test]
     fn receiver_link_serializes_and_preserves_order() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(2, FaultConfig::none());
         for seq in 0..4 {
             send(&mut sim, &ports, msg(0, 1, 1000, seq), Time::ZERO);
         }
@@ -414,7 +408,7 @@ mod tests {
 
     #[test]
     fn sources_share_the_destination_ingress_link_in_arrival_order() {
-        let (mut sim, ports, logs) = build(3, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(3, FaultConfig::none());
         send(&mut sim, &ports, msg(1, 2, 1000, 10), Time::ZERO);
         send(&mut sim, &ports, msg(0, 2, 1000, 20), Time::from_ns(1));
         sim.run();
@@ -427,7 +421,7 @@ mod tests {
 
     #[test]
     fn different_destinations_do_not_contend() {
-        let (mut sim, ports, logs) = build(3, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(3, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 1, 1000, 0), Time::ZERO);
         send(&mut sim, &ports, msg(0, 2, 1000, 1), Time::ZERO);
         sim.run();
@@ -437,17 +431,17 @@ mod tests {
 
     #[test]
     fn self_send_takes_the_wire() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(2, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 0, 0, 5), Time::ZERO);
         sim.run();
         assert_eq!(logs[0].lock().unwrap()[0].0, Time::from_ns(216));
     }
 
     #[test]
-    fn thread_count_does_not_change_deliveries_or_stats() {
+    fn same_run_twice_gives_identical_deliveries_and_stats() {
         let faults: FaultConfig = "seed=3,drop=0.1,corrupt=0.05".parse().unwrap();
-        let run = |threads: usize| {
-            let (mut sim, ports, logs) = build(4, threads, faults);
+        let run = || {
+            let (mut sim, ports, logs) = build(4, faults);
             let mut seq = 0;
             for src in 0..4u32 {
                 for dst in 0..4u32 {
@@ -472,10 +466,7 @@ mod tests {
             deliveries.sort();
             (deliveries, sim.stats().to_json())
         };
-        let base = run(1);
-        for t in [2, 4] {
-            assert_eq!(run(t), base, "fabric diverged at {t} threads");
-        }
+        assert_eq!(run(), run(), "fabric diverged between runs");
     }
 
     #[test]
@@ -490,7 +481,7 @@ mod tests {
             },
             ..NetConfig::default()
         };
-        let (mut sim, ports, logs) = build_with(cfg, 3, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build_with(cfg, 3, FaultConfig::none());
         // The short pair's wire is the tightest edge `wire_ports` registers.
         assert_eq!(cfg.latency_between(0, 1), Time::from_ns(10));
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
@@ -506,7 +497,7 @@ mod tests {
     fn drops_are_counted_and_deterministic() {
         let faults: FaultConfig = "seed=3,drop=0.2".parse().unwrap();
         let run = || {
-            let (mut sim, ports, logs) = build(2, 1, faults);
+            let (mut sim, ports, logs) = build(2, faults);
             for seq in 0..200 {
                 send(
                     &mut sim,
@@ -530,7 +521,7 @@ mod tests {
     #[test]
     fn duplicates_deliver_twice_in_order() {
         let faults: FaultConfig = "seed=3,dup=1.0".parse().unwrap();
-        let (mut sim, ports, logs) = build(2, 1, faults);
+        let (mut sim, ports, logs) = build(2, faults);
         send(&mut sim, &ports, msg(0, 1, 0, 9), Time::ZERO);
         sim.run();
         let got = logs[1].lock().unwrap();
@@ -544,7 +535,7 @@ mod tests {
     #[test]
     fn corruption_clears_crc_flag() {
         let faults: FaultConfig = "seed=3,corrupt=1.0".parse().unwrap();
-        let (mut sim, ports, logs) = build(2, 1, faults);
+        let (mut sim, ports, logs) = build(2, faults);
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         sim.run();
         let got = logs[1].lock().unwrap();
@@ -555,7 +546,7 @@ mod tests {
 
     #[test]
     fn empty_fault_config_changes_nothing() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let (mut sim, ports, logs) = build(2, FaultConfig::none());
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         sim.run();
         assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(216));

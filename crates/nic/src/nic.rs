@@ -589,8 +589,8 @@ impl Component for Nic {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // Pre-compute every fault wakeup this NIC will ever need from the
         // shared schedule. All wake times are pure functions of the
-        // schedule, so every NIC — on any shard, at any thread count —
-        // derives the same virtual-time behavior.
+        // schedule, so every NIC — on any shard — derives the same
+        // virtual-time behavior.
         let Some(sched) = self.schedule.clone() else {
             return;
         };

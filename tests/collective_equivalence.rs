@@ -8,9 +8,9 @@
 //! * a node crash mid-collective produces the *same* typed
 //!   [`MpiError::RankFailed`] set on the same survivor ranks in both
 //!   modes;
-//! * on the switched fat-tree engine, statistics are byte-identical at
-//!   every worker-thread count (the sharded determinism contract extends
-//!   to switches and the offload engine);
+//! * on the switched fat-tree engine, statistics are byte-identical
+//!   from run to run (the determinism contract extends to switches and
+//!   the offload engine);
 //! * offloading actually buys something: fewer host completions and a
 //!   lower simulated latency than the host-driven tree on the same
 //!   fat-tree — the paper-scale claim `bench/collectives` measures at
@@ -71,7 +71,6 @@ fn run(
     ranks: u32,
     offload: bool,
     topology: Topology,
-    threads: usize,
     schedule: Option<&str>,
     ops: &[(CollOp, u32, u32)],
     sleep: Option<Time>,
@@ -79,16 +78,13 @@ fn run(
     let mut logs = Vec::new();
     let mut marks = Vec::new();
     let programs = workload(ranks, ops, sleep, &mut logs, &mut marks);
-    let mut b = ClusterConfig::builder(nic(offload))
-        .seed(11)
-        .topology(topology)
-        .parallelism(threads);
+    let mut b = ClusterConfig::builder(nic(offload)).seed(11).topology(topology);
     if let Some(spec) = schedule {
         b = b.fault_schedule(spec.parse::<FaultSchedule>().expect("spec grammar"));
     }
     let mut c = Cluster::new(b.build(), programs);
     c.run_watched(Time::from_ms(200))
-        .unwrap_or_else(|d| panic!("offload={offload} threads={threads}: stalled: {d}"));
+        .unwrap_or_else(|d| panic!("offload={offload}: stalled: {d}"));
     let statuses: Vec<Vec<(u32, MpiStatus)>> =
         logs.iter().map(|l| l.borrow().clone()).collect();
     let t0 = marks
@@ -124,8 +120,8 @@ fn offload_and_host_fallback_agree_on_fat_tree() {
         (CollOp::Bcast, 3, 256),
         (CollOp::Allreduce, 0, 64),
     ];
-    let off = run(RANKS, true, FAT_TREE, 2, None, &ops, None);
-    let host = run(RANKS, false, FAT_TREE, 2, None, &ops, None);
+    let off = run(RANKS, true, FAT_TREE, None, &ops, None);
+    let host = run(RANKS, false, FAT_TREE, None, &ops, None);
     for r in 0..RANKS as usize {
         assert_eq!(
             off.statuses[r], host.statuses[r],
@@ -161,7 +157,6 @@ fn crash_mid_collective_fails_identically_in_both_modes() {
         RANKS,
         true,
         FAT_TREE,
-        2,
         Some(sched),
         &ops,
         Some(Time::from_us(30)),
@@ -170,7 +165,6 @@ fn crash_mid_collective_fails_identically_in_both_modes() {
         RANKS,
         false,
         FAT_TREE,
-        2,
         Some(sched),
         &ops,
         Some(Time::from_us(30)),
@@ -198,26 +192,23 @@ fn crash_mid_collective_fails_identically_in_both_modes() {
 
 /// The sharded determinism contract extends to the switched fabric and
 /// the offload engine: the merged statistics of an offloaded fat-tree
-/// run are byte-identical at 1, 2, 4, and 8 worker threads.
+/// run are byte-identical on a second run.
 #[test]
-fn offloaded_fat_tree_stats_identical_across_thread_counts() {
+fn offloaded_fat_tree_stats_repeat_byte_for_byte() {
     const RANKS: u32 = 16;
     let ops = [
         (CollOp::Barrier, 0, 0),
         (CollOp::Allreduce, 0, 128),
         (CollOp::Bcast, 5, 512),
     ];
-    let base = run(RANKS, true, FAT_TREE, 1, None, &ops, None);
-    let base_json = base.cluster.stats().to_json();
-    for threads in [2usize, 4, 8] {
-        let got = run(RANKS, true, FAT_TREE, threads, None, &ops, None);
-        assert_eq!(got.statuses, base.statuses, "{threads} threads: statuses");
-        assert_eq!(
-            got.cluster.stats().to_json(),
-            base_json,
-            "{threads} threads: stats diverged from the 1-thread run"
-        );
-    }
+    let base = run(RANKS, true, FAT_TREE, None, &ops, None);
+    let again = run(RANKS, true, FAT_TREE, None, &ops, None);
+    assert_eq!(again.statuses, base.statuses, "statuses diverged between runs");
+    assert_eq!(
+        again.cluster.stats().to_json(),
+        base.cluster.stats().to_json(),
+        "stats diverged between runs"
+    );
 }
 
 /// The acceptance claim at CI size: on the same 64-rank fat tree, the
@@ -230,8 +221,8 @@ fn offloaded_barrier_beats_host_driven_tree_at_64_ranks() {
     const ITERS: usize = 4;
     let topo = Topology::FatTree { down: 8, up: 4 };
     let ops: Vec<(CollOp, u32, u32)> = (0..ITERS).map(|_| (CollOp::Barrier, 0, 0)).collect();
-    let off = run(RANKS, true, topo, 4, None, &ops, None);
-    let host = run(RANKS, false, topo, 4, None, &ops, None);
+    let off = run(RANKS, true, topo, None, &ops, None);
+    let host = run(RANKS, false, topo, None, &ops, None);
     assert!(
         off.completions < host.completions,
         "offload must shrink host completions: {} vs {}",

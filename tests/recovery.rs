@@ -15,8 +15,8 @@
 //! * **shrink** — survivors rebuild a dense rank mapping locally from
 //!   the agreed mask, and barrier/bcast/allreduce over the shrunk
 //!   communicator complete on both the hub and the switched fat tree;
-//! * **determinism** — the whole recovery pipeline is bit-identical at
-//!   1/2/4/8 worker threads, and the recovery machinery is free when
+//! * **determinism** — the whole recovery pipeline is bit-identical
+//!   from run to run, and the recovery machinery is free when
 //!   unarmed (`Cluster::new` ≡ `Cluster::with_recovery` with no
 //!   recovery programs, byte for byte);
 //! * **detector tuning** — the same outage is fatal under a strict
@@ -201,7 +201,7 @@ fn restarted_node_rejoins_and_completes_new_work() {
 
 /// Run the agree workload (rank 3 dies mid-agreement) and return every
 /// survivor's recorded agree status.
-fn agree_run(offload: bool, threads: usize) -> Vec<MpiStatus> {
+fn agree_run(offload: bool) -> Vec<MpiStatus> {
     const RANKS: u32 = 4;
     let sched: FaultSchedule = "crash@20us:node=3".parse().expect("spec grammar");
     let mut logs = Vec::new();
@@ -221,10 +221,7 @@ fn agree_run(offload: bool, threads: usize) -> Vec<MpiStatus> {
         programs.push(Box::new(b.build(mark_log()).with_status_log(log.clone())));
         logs.push(log);
     }
-    let cfg = ClusterConfig::builder(nic(offload))
-        .fault_schedule(sched)
-        .parallelism(threads)
-        .build();
+    let cfg = ClusterConfig::builder(nic(offload)).fault_schedule(sched).build();
     let mut c = Cluster::new(cfg, programs);
     c.run_watched(Time::from_ms(50))
         .unwrap_or_else(|d| panic!("agree run (offload={offload}) stalled: {d}"));
@@ -244,8 +241,8 @@ fn agree_run(offload: bool, threads: usize) -> Vec<MpiStatus> {
 /// fallback.
 #[test]
 fn agree_is_consistent_under_mid_agreement_crash_and_offload_equivalent() {
-    let off = agree_run(true, 0);
-    let host = agree_run(false, 0);
+    let off = agree_run(true);
+    let host = agree_run(false);
     for (r, s) in off.iter().enumerate() {
         assert_eq!(s.len, 1 << 3, "rank {r}: agreed mask must be exactly {{3}}");
         assert_eq!(s.error, None, "rank {r}: agreement itself must not fail");
@@ -294,14 +291,13 @@ fn shrink_programs(ranks: u32, logs: &mut Vec<StatusLog>) -> Vec<Box<dyn AppProg
 fn post_shrink_collectives_complete_on_hub_and_fat_tree() {
     const RANKS: u32 = 4;
     const DEAD: u32 = 3;
-    for (topology, threads) in [(Topology::Hub, 0), (FAT_TREE, 2)] {
+    for topology in [Topology::Hub, FAT_TREE] {
         let sched: FaultSchedule = "crash@20us:node=3".parse().expect("spec grammar");
         let mut logs = Vec::new();
         let programs = shrink_programs(RANKS, &mut logs);
         let cfg = ClusterConfig::builder(nic(false))
             .fault_schedule(sched)
             .topology(topology)
-            .parallelism(threads)
             .build();
         let mut c = Cluster::new(cfg, programs);
         c.run_watched(Time::from_ms(100))
@@ -333,33 +329,28 @@ fn post_shrink_collectives_complete_on_hub_and_fat_tree() {
 
 /// The whole recovery pipeline — crash, keepalive detection, agree,
 /// shrink, post-shrink collectives, and a scheduled restart of the dead
-/// node afterwards — produces byte-identical statistics at every
-/// worker-thread count.
+/// node afterwards — produces byte-identical statistics and statuses on
+/// a second run.
 #[test]
-fn recovery_pipeline_bit_identical_across_threads() {
-    let run = |threads: usize| {
+fn recovery_pipeline_repeats_bit_for_bit() {
+    let run = || {
         let sched: FaultSchedule = "crash@20us:node=3,mttr=300us".parse().expect("spec grammar");
         let mut logs = Vec::new();
         let programs = shrink_programs(4, &mut logs);
         let recovery = programs.iter().map(|_| None).collect();
-        let cfg = ClusterConfig::builder(nic(true))
-            .fault_schedule(sched)
-            .parallelism(threads)
-            .build();
+        let cfg = ClusterConfig::builder(nic(true)).fault_schedule(sched).build();
         let mut c = Cluster::with_recovery(cfg, programs, recovery);
         c.run_watched(Time::from_ms(50))
-            .unwrap_or_else(|d| panic!("threads={threads}: stalled: {d}"));
+            .unwrap_or_else(|d| panic!("stalled: {d}"));
         (
             c.stats().to_json(),
             logs.iter().map(statuses_of).collect::<Vec<_>>(),
         )
     };
-    let (base_stats, base_statuses) = run(1);
-    for threads in [2, 4, 8] {
-        let (stats, statuses) = run(threads);
-        assert_eq!(stats, base_stats, "stats diverged at {threads} threads");
-        assert_eq!(statuses, base_statuses, "statuses diverged at {threads} threads");
-    }
+    let (base_stats, base_statuses) = run();
+    let (stats, statuses) = run();
+    assert_eq!(stats, base_stats, "stats diverged between runs");
+    assert_eq!(statuses, base_statuses, "statuses diverged between runs");
 }
 
 /// Unarmed, the recovery machinery is free: a fault-free workload built
