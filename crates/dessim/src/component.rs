@@ -42,6 +42,14 @@ pub trait Component: Send + 'static {
         None
     }
 
+    /// Write counters kept outside the registry into `stats`. Called by
+    /// [`Simulation::stats`](crate::Simulation::stats) on every component,
+    /// in shard and then index order, after the shard registries are
+    /// merged — so a component on a hot path can keep typed counters and
+    /// pay for key formatting once per read instead of once per event.
+    /// Default: nothing.
+    fn publish(&self, _stats: &mut Stats) {}
+
     /// Self-report for the stall watchdog (see [`crate::watchdog`]):
     /// whether the component still holds unfinished obligations, plus
     /// gauges (queue depths, outstanding credits) and notes (dead peers).

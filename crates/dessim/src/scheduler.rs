@@ -174,12 +174,18 @@ impl Simulation {
     }
 
     /// The statistics registry: every shard's counters merged (see
-    /// [`Stats::merge_from`]) in shard-id order. Owned: assembled on
-    /// demand.
+    /// [`Stats::merge_from`]) in shard-id order, then every component's
+    /// [`Component::publish`] in shard and index order. Owned: assembled
+    /// on demand.
     pub fn stats(&self) -> Stats {
         let mut out = Stats::new();
         for s in &self.shards {
             out.merge_from(&s.stats);
+        }
+        for s in &self.shards {
+            for c in &s.components {
+                c.publish(&mut out);
+            }
         }
         out
     }
@@ -414,6 +420,78 @@ mod tests {
         assert_eq!(sim.stats().get("starter.events"), 1);
         sim.run(); // idempotent: start hooks don't fire again
         assert_eq!(sim.stats().get("starter.events"), 1);
+    }
+
+    /// Keeps a typed event count and writes it only when the registry is
+    /// read: `pub.{tag}.seen` once anything was seen, plus a share of
+    /// the additive `shared` counter handlers also bump, and the
+    /// last-writer-wins `last` gauge.
+    struct Publisher {
+        tag: u64,
+        seen: u64,
+    }
+    impl Component for Publisher {
+        fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+            self.seen += 1;
+            ctx.stats().add("shared", 1);
+        }
+        fn publish(&self, stats: &mut Stats) {
+            if self.seen > 0 {
+                stats.set(&format!("pub.{}.seen", self.tag), self.seen);
+                stats.add("shared", 10);
+            }
+            stats.set("last", self.tag);
+        }
+    }
+
+    #[test]
+    fn publish_merges_with_shard_counters() {
+        let mut sim = Simulation::with_shards(0, 2);
+        let a = sim.add_component_in(ShardId(0), "a", Publisher { tag: 1, seen: 0 });
+        let b = sim.add_component_in(ShardId(1), "b", Publisher { tag: 2, seen: 0 });
+        for t in 0..3 {
+            sim.post(a, InPort(0), Payload::empty(), Time::from_ns(t));
+        }
+        sim.post(b, InPort(0), Payload::empty(), Time::from_ns(1));
+        sim.run();
+        let stats = sim.stats();
+        assert_eq!(stats.get("pub.1.seen"), 3);
+        assert_eq!(stats.get("pub.2.seen"), 1);
+        // 4 handler increments (merged from both shards) + 2 publishes.
+        assert_eq!(stats.get("shared"), 4 + 20);
+        // Reading twice publishes into a fresh registry each time.
+        assert_eq!(sim.stats().to_json(), stats.to_json());
+    }
+
+    #[test]
+    fn publish_runs_in_shard_then_index_order() {
+        // Global ids run against shard order: the component added first
+        // lives in the last shard, so it publishes last.
+        let mut sim = Simulation::with_shards(0, 3);
+        sim.add_component_in(ShardId(2), "late", Publisher { tag: 7, seen: 0 });
+        sim.add_component_in(ShardId(0), "x", Publisher { tag: 8, seen: 0 });
+        sim.add_component_in(ShardId(1), "y", Publisher { tag: 9, seen: 0 });
+        sim.add_component_in(ShardId(1), "z", Publisher { tag: 5, seen: 0 });
+        sim.run();
+        assert_eq!(sim.stats().get("last"), 7);
+        let mut sim = Simulation::with_shards(0, 2);
+        sim.add_component_in(ShardId(1), "y", Publisher { tag: 9, seen: 0 });
+        sim.add_component_in(ShardId(1), "z", Publisher { tag: 5, seen: 0 });
+        sim.add_component_in(ShardId(0), "x", Publisher { tag: 8, seen: 0 });
+        sim.run();
+        assert_eq!(sim.stats().get("last"), 5, "index order within a shard");
+    }
+
+    #[test]
+    fn components_that_never_publish_leave_no_keys() {
+        let mut sim = Simulation::new(0);
+        let c = sim.add_component("ctr", Counter { seen: vec![] });
+        sim.add_component("idle", Publisher { tag: 3, seen: 0 });
+        sim.post(c, InPort(0), Payload::new(2u64), Time::ZERO);
+        sim.run();
+        // Counter uses the default no-op hook; the idle publisher saw no
+        // event, so it writes only its unconditional gauge.
+        assert_eq!(sim.stats().to_json(), r#"{"last":3}"#);
     }
 
     #[test]
