@@ -66,15 +66,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone use stamp; smallest = least recently used.
-    stamp: u64,
-}
-
 /// Result of one cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheOutcome {
@@ -85,10 +76,18 @@ pub struct CacheOutcome {
 }
 
 /// One cache level.
+///
+/// Line state lives in flat per-way arrays, set `s` owning ways
+/// `s * assoc .. (s + 1) * assoc`. A way's stamp is the tick of its last
+/// use; stamp 0 marks an invalid way, so the smallest stamp in a set is
+/// an invalid way if there is one and the true-LRU line otherwise.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    num_sets: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -98,10 +97,14 @@ pub struct Cache {
 impl Cache {
     /// Build an empty (all-invalid) cache.
     pub fn new(cfg: CacheConfig) -> Cache {
-        let sets = cfg.sets();
+        let num_sets = cfg.sets();
+        let ways = (num_sets * cfg.assoc) as usize;
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.assoc as usize]; sets as usize],
+            num_sets,
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            dirty: vec![false; ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -114,55 +117,51 @@ impl Cache {
         self.cfg
     }
 
+    /// The way range of `addr`'s set, and its tag.
     #[inline]
-    fn index(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr / self.cfg.line_bytes;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+        let set = line % self.num_sets;
+        let first = (set * self.cfg.assoc) as usize;
+        (first..first + self.cfg.assoc as usize, line / self.num_sets)
     }
 
     /// Access one address. Write accesses mark the line dirty
     /// (write-allocate: a write miss fetches the line first).
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let num_sets = self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = self.tick;
-            line.dirty |= is_write;
-            self.hits += 1;
-            return CacheOutcome {
-                hit: true,
-                writeback: None,
-            };
+        let (ways, tag) = self.locate(addr);
+        // One pass: look for the tag and track the victim — the first
+        // way with the smallest stamp.
+        let mut victim = ways.start;
+        for w in ways {
+            let stamp = self.stamps[w];
+            if stamp != 0 && self.tags[w] == tag {
+                self.stamps[w] = self.tick;
+                self.dirty[w] |= is_write;
+                self.hits += 1;
+                return CacheOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            if stamp < self.stamps[victim] {
+                victim = w;
+            }
         }
 
         self.misses += 1;
-        // Victim: an invalid way if one exists, else true LRU.
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.stamp))
-            .map(|(i, _)| i)
-            .expect("associativity >= 1");
-        let old = set[victim];
-        let writeback = if old.valid && old.dirty {
+        let writeback = if self.stamps[victim] != 0 && self.dirty[victim] {
             self.writebacks += 1;
             // Reconstruct the victim's base address from tag + set index.
-            let line_no = old.tag * num_sets + set_idx as u64;
-            Some(line_no * self.cfg.line_bytes)
+            let set = victim as u64 / self.cfg.assoc;
+            Some((self.tags[victim] * self.num_sets + set) * self.cfg.line_bytes)
         } else {
             None
         };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            stamp: self.tick,
-        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = is_write;
         CacheOutcome {
             hit: false,
             writeback,
@@ -171,17 +170,15 @@ impl Cache {
 
     /// Probe without touching replacement state or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.locate(addr);
+        ways.into_iter()
+            .any(|w| self.stamps[w] != 0 && self.tags[w] == tag)
     }
 
     /// Invalidate everything (e.g. between measurement phases, or on RESET).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line::default();
-            }
-        }
+        self.stamps.fill(0);
+        self.dirty.fill(false);
     }
 
     /// Hits so far.
@@ -315,6 +312,157 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The nested-vector true-LRU cache this module used to be, kept as
+    /// the reference the flat layout must agree with access for access.
+    mod reference {
+        use super::super::{CacheConfig, CacheOutcome};
+
+        #[derive(Clone, Copy, Default)]
+        struct Line {
+            tag: u64,
+            valid: bool,
+            dirty: bool,
+            stamp: u64,
+        }
+
+        pub struct LruCache {
+            cfg: CacheConfig,
+            sets: Vec<Vec<Line>>,
+            tick: u64,
+        }
+
+        impl LruCache {
+            pub fn new(cfg: CacheConfig) -> LruCache {
+                LruCache {
+                    cfg,
+                    sets: vec![vec![Line::default(); cfg.assoc as usize]; cfg.sets() as usize],
+                    tick: 0,
+                }
+            }
+
+            fn index(&self, addr: u64) -> (usize, u64) {
+                let line = addr / self.cfg.line_bytes;
+                let n = self.sets.len() as u64;
+                ((line % n) as usize, line / n)
+            }
+
+            pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+                self.tick += 1;
+                let (set_idx, tag) = self.index(addr);
+                let num_sets = self.sets.len() as u64;
+                let set = &mut self.sets[set_idx];
+                if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+                    line.stamp = self.tick;
+                    line.dirty |= is_write;
+                    return CacheOutcome {
+                        hit: true,
+                        writeback: None,
+                    };
+                }
+                let victim = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| (l.valid, l.stamp))
+                    .map(|(i, _)| i)
+                    .expect("associativity >= 1");
+                let old = set[victim];
+                let writeback = (old.valid && old.dirty)
+                    .then(|| (old.tag * num_sets + set_idx as u64) * self.cfg.line_bytes);
+                set[victim] = Line {
+                    tag,
+                    valid: true,
+                    dirty: is_write,
+                    stamp: self.tick,
+                };
+                CacheOutcome {
+                    hit: false,
+                    writeback,
+                }
+            }
+
+            pub fn contains(&self, addr: u64) -> bool {
+                let (set_idx, tag) = self.index(addr);
+                self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+            }
+
+            pub fn flush(&mut self) {
+                for set in &mut self.sets {
+                    set.fill(Line::default());
+                }
+            }
+        }
+    }
+
+    /// Drive the flat cache and the reference with the same seeded
+    /// stream — random reads and writes over twice the capacity, a probe
+    /// per access, and an occasional flush — and require identical
+    /// outcomes throughout.
+    fn agrees_with_reference(cfg: CacheConfig, accesses: u64, seed: u64) {
+        let mut flat = Cache::new(cfg);
+        let mut lru = reference::LruCache::new(cfg);
+        let mut x = seed;
+        let mut next = move || {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let span = 2 * cfg.size_bytes;
+        let (mut hits, mut writebacks) = (0u64, 0u64);
+        for i in 0..accesses {
+            let r = next();
+            let addr = r % span;
+            let is_write = (r >> 40) % 10 < 3;
+            let got = flat.access(addr, is_write);
+            assert_eq!(got, lru.access(addr, is_write), "access {i} to {addr:#x}");
+            hits += got.hit as u64;
+            writebacks += got.writeback.is_some() as u64;
+            let probe = next() % span;
+            assert_eq!(
+                flat.contains(probe),
+                lru.contains(probe),
+                "probe {i} of {probe:#x}"
+            );
+            if next() % 50_000 == 0 {
+                flat.flush();
+                lru.flush();
+            }
+        }
+        assert_eq!(flat.hits(), hits);
+        assert_eq!(flat.misses(), accesses - hits);
+        assert_eq!(flat.writebacks(), writebacks);
+        // The stream must exercise both outcomes and dirty evictions.
+        assert!(
+            hits > accesses / 10 && hits < accesses * 9 / 10,
+            "{hits} hits"
+        );
+        assert!(writebacks > 0);
+    }
+
+    #[test]
+    fn flat_layout_matches_reference_on_nic_l1() {
+        // 64 ways make every access a long scan in both models; a quarter
+        // of the stream keeps the test about a second in a debug build.
+        agrees_with_reference(CacheConfig::nic_l1(), 1 << 18, 1);
+    }
+
+    #[test]
+    fn flat_layout_matches_reference_on_host_l1() {
+        agrees_with_reference(CacheConfig::host_l1(), 1 << 20, 2);
+    }
+
+    #[test]
+    fn flat_layout_matches_reference_on_host_l2() {
+        agrees_with_reference(CacheConfig::host_l2(), 1 << 19, 3);
+    }
+
+    #[test]
+    fn flat_layout_matches_reference_on_tiny_geometry() {
+        agrees_with_reference(tiny().config(), 1 << 20, 4);
     }
 
     #[test]

@@ -297,8 +297,14 @@ struct RetryRun {
 
 /// The interpreter state for one rank's script.
 pub struct Script {
-    ops: Vec<Op>,
+    /// The program, fixed once built; shared so a step can hold the
+    /// current op while the interpreter state changes.
+    ops: Arc<[Op]>,
     pc: usize,
+    /// Slots of the current [`Op::WaitAll`] already seen complete.
+    /// Completion is monotone within one program (a restart installs a
+    /// fresh script), so a re-poll resumes at the first incomplete slot.
+    wait_from: usize,
     slots: HashMap<usize, Request>,
     barrier_instance: u16,
     barrier_round: u32,
@@ -327,8 +333,9 @@ impl Script {
     /// Build from explicit ops.
     pub fn new(ops: Vec<Op>, marks: MarkLog) -> Script {
         Script {
-            ops,
+            ops: ops.into(),
             pc: 0,
+            wait_from: 0,
             slots: HashMap::new(),
             barrier_instance: 0,
             barrier_round: 0,
@@ -645,8 +652,9 @@ impl Script {
 
 impl AppProgram for Script {
     fn step(&mut self, mpi: &mut Mpi<'_, '_>) {
-        while self.pc < self.ops.len() {
-            match self.ops[self.pc].clone() {
+        let ops = Arc::clone(&self.ops);
+        while self.pc < ops.len() {
+            match ops[self.pc] {
                 Op::Isend {
                     dst,
                     ctx,
@@ -677,7 +685,7 @@ impl AppProgram for Script {
                         return;
                     }
                 }
-                Op::WaitAny { slots } => {
+                Op::WaitAny { ref slots } => {
                     if slots.iter().any(|s| mpi.test(self.slots[s])) {
                         self.pc += 1;
                     } else {
@@ -694,12 +702,15 @@ impl AppProgram for Script {
                     self.slots.insert(slot, r);
                     self.pc += 1;
                 }
-                Op::WaitAll { slots } => {
-                    if slots.iter().all(|s| mpi.test(self.slots[s])) {
-                        self.pc += 1;
-                    } else {
-                        return;
+                Op::WaitAll { ref slots } => {
+                    while let Some(s) = slots.get(self.wait_from) {
+                        if !mpi.test(self.slots[s]) {
+                            return;
+                        }
+                        self.wait_from += 1;
                     }
+                    self.wait_from = 0;
+                    self.pc += 1;
                 }
                 Op::Barrier => {
                     if self.poll_barrier(mpi) {
