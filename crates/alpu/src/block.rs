@@ -427,7 +427,7 @@ mod tests {
     fn hole_migrates_one_cell_per_cycle_within_block() {
         let mut a = arr(8, 8);
         fill(&mut a, 3); // occupy cells 7,6,5
-        // Delete the middle one... via match+delete of cookie 1 (cell 6).
+                         // Delete the middle one... via match+delete of cookie 1 (cell 6).
         let (loc, _) = a.match_probe(probe(1)).unwrap();
         a.delete_shift(loc); // survivors shift; still compact
         assert!(a.is_compact());

@@ -232,11 +232,13 @@ impl Alpu {
     /// occupancy the firmware's shadow prefix already accounts for.
     pub fn occupied_when_drained(&self) -> usize {
         let in_flight = usize::from(matches!(self.op, Some(Op::Insert { .. })));
-        self.cmd_fifo.iter().fold(self.occupied() + in_flight, |n, c| match c {
-            Command::Insert(_) => n + 1,
-            Command::Reset => 0,
-            Command::StartInsert | Command::StopInsert => n,
-        })
+        self.cmd_fifo
+            .iter()
+            .fold(self.occupied() + in_flight, |n, c| match c {
+                Command::Insert(_) => n + 1,
+                Command::Reset => 0,
+                Command::StartInsert | Command::StopInsert => n,
+            })
     }
 
     /// Number of free cells.
@@ -652,10 +654,7 @@ mod tests {
         }
         a.push_command(Command::StopInsert).unwrap();
         a.run_to_idle(10_000);
-        assert!(matches!(
-            a.pop_response(),
-            Some(Response::StartAck { .. })
-        ));
+        assert!(matches!(a.pop_response(), Some(Response::StartAck { .. })));
     }
 
     #[test]
@@ -688,7 +687,10 @@ mod tests {
         let mut a = small();
         a.push_command(Command::StartInsert).unwrap();
         a.advance(2);
-        assert!(matches!(a.pop_response(), Some(Response::StartAck { free: 16 })));
+        assert!(matches!(
+            a.pop_response(),
+            Some(Response::StartAck { free: 16 })
+        ));
         assert_eq!(a.state(), State::Insert);
     }
 
@@ -897,7 +899,7 @@ mod tests {
         a.push_command(Command::StopInsert).unwrap();
         a.advance(50);
         a.pop_response(); // StartAck
-        // Probe with a wildcard-source receive.
+                          // Probe with a wildcard-source receive.
         a.push_header(Probe::recv(3, None, Some(11))).unwrap();
         a.advance(20);
         assert_eq!(a.pop_response(), Some(Response::MatchSuccess { tag: 500 }));

@@ -166,7 +166,8 @@ mod tests {
         a.run_to_idle(10_000);
         while a.pop_response().is_some() {}
         let vcd = capture(&mut a, 2, |a| {
-            a.push_header(Probe::exact(MatchWord::mpi(1, 0, 5))).unwrap();
+            a.push_header(Probe::exact(MatchWord::mpi(1, 0, 5)))
+                .unwrap();
         });
         assert!(vcd.contains("1b"), "busy must assert:\n{vcd}");
         assert!(vcd.contains("0b"), "busy must deassert");

@@ -42,7 +42,12 @@ fn step() -> impl Strategy<Value = Step> {
 /// Compare every externally observable piece of state, plus the full
 /// statistics block (so elided cycles must be accounted identically).
 fn assert_same(fast: &Alpu, slow: &Alpu, step: usize) -> Result<(), TestCaseError> {
-    prop_assert_eq!(fast.state(), slow.state(), "state diverged at step {}", step);
+    prop_assert_eq!(
+        fast.state(),
+        slow.state(),
+        "state diverged at step {}",
+        step
+    );
     prop_assert_eq!(
         fast.occupied(),
         slow.occupied(),
@@ -68,7 +73,12 @@ fn assert_same(fast: &Alpu, slow: &Alpu, step: usize) -> Result<(), TestCaseErro
         "command queue diverged at step {}",
         step
     );
-    prop_assert_eq!(fast.stats(), slow.stats(), "stats diverged at step {}", step);
+    prop_assert_eq!(
+        fast.stats(),
+        slow.stats(),
+        "stats diverged at step {}",
+        step
+    );
     prop_assert_eq!(
         fast.array().entries_oldest_first(),
         slow.array().entries_oldest_first(),
@@ -78,7 +88,12 @@ fn assert_same(fast: &Alpu, slow: &Alpu, step: usize) -> Result<(), TestCaseErro
     Ok(())
 }
 
-fn run(total: usize, block: usize, result_depth: usize, script: Vec<Step>) -> Result<(), TestCaseError> {
+fn run(
+    total: usize,
+    block: usize,
+    result_depth: usize,
+    script: Vec<Step>,
+) -> Result<(), TestCaseError> {
     let mut cfg = AlpuConfig::new(total, block, AlpuKind::PostedReceive);
     // A shallow result FIFO makes flow-control freezes reachable.
     cfg.result_fifo_depth = result_depth;

@@ -2,9 +2,7 @@
 //! mid-session, command discarding, pipeline utilization accounting, and
 //! capacity-boundary behavior.
 
-use mpiq_alpu::{
-    Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe, Response, State,
-};
+use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe, Response, State};
 
 fn unit(cells: usize, block: usize) -> Alpu {
     Alpu::new(AlpuConfig::new(cells, block, AlpuKind::PostedReceive))

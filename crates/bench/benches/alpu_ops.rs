@@ -68,9 +68,13 @@ fn bench_golden_match(c: &mut Criterion) {
         }
         let probe = Probe::exact(MatchWord::mpi(2, 0, 0));
         g.throughput(Throughput::Elements(1));
-        g.bench_with_input(BenchmarkId::new("probe_miss", cells), &golden, |b, golden| {
-            b.iter(|| black_box(golden.peek(black_box(probe))));
-        });
+        g.bench_with_input(
+            BenchmarkId::new("probe_miss", cells),
+            &golden,
+            |b, golden| {
+                b.iter(|| black_box(golden.peek(black_box(probe))));
+            },
+        );
     }
     g.finish();
 }

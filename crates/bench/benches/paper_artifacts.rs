@@ -7,7 +7,9 @@
 //! `fig5`, `fig6`, `table4`, `table5`, `breakeven`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpiq_bench::{preposted_latency, unexpected_latency, NicVariant, PrepostedPoint, UnexpectedPoint};
+use mpiq_bench::{
+    preposted_latency, unexpected_latency, NicVariant, PrepostedPoint, UnexpectedPoint,
+};
 use mpiq_fpga::{estimate, paper_table, Variant};
 
 fn artifact_tables(_c: &mut Criterion) {

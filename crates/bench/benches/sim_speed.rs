@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe};
-use mpiq_bench::{preposted_latency, unexpected_latency, NicVariant, PrepostedPoint, UnexpectedPoint};
+use mpiq_bench::{
+    preposted_latency, unexpected_latency, NicVariant, PrepostedPoint, UnexpectedPoint,
+};
 use std::hint::black_box;
 
 fn bench_preposted_point(c: &mut Criterion) {
@@ -64,11 +66,17 @@ fn prefilled_alpu() -> Alpu {
     alpu.advance(64);
     assert!(alpu.pop_response().is_some(), "StartAck");
     for tag in 0..128u16 {
-        alpu.push_command(Command::Insert(Entry::mpi_recv(1, Some(0), Some(tag), tag as u32)))
-            .expect("command fifo drains between pushes");
+        alpu.push_command(Command::Insert(Entry::mpi_recv(
+            1,
+            Some(0),
+            Some(tag),
+            tag as u32,
+        )))
+        .expect("command fifo drains between pushes");
         alpu.advance(8);
     }
-    alpu.push_command(Command::StopInsert).expect("fifo has room");
+    alpu.push_command(Command::StopInsert)
+        .expect("fifo has room");
     alpu.advance(4096); // drain the session fully
     alpu
 }

@@ -80,5 +80,10 @@ fn bench_core_traversal(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_kernel, bench_cache, bench_core_traversal);
+criterion_group!(
+    benches,
+    bench_event_kernel,
+    bench_cache,
+    bench_core_traversal
+);
 criterion_main!(benches);

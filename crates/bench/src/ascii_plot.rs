@@ -18,9 +18,18 @@ pub struct Series {
 
 /// Render series into a `width` x `height` character plot with axes and a
 /// legend. Y starts at zero (latency plots); x spans the data range.
-pub fn render(series: &[Series], width: usize, height: usize, x_label: &str, y_label: &str) -> String {
+pub fn render(
+    series: &[Series],
+    width: usize,
+    height: usize,
+    x_label: &str,
+    y_label: &str,
+) -> String {
     assert!(width >= 16 && height >= 4, "plot too small");
-    let all: Vec<(f64, f64)> = series.iter().flat_map(|s| s.points.iter().copied()).collect();
+    let all: Vec<(f64, f64)> = series
+        .iter()
+        .flat_map(|s| s.points.iter().copied())
+        .collect();
     if all.is_empty() {
         return "(no data)\n".to_string();
     }

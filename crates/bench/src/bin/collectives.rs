@@ -116,9 +116,12 @@ fn check_baseline(
         }) else {
             continue;
         };
-        let base_ns = base.get("sim_ns_per_op").and_then(Json::as_f64).ok_or_else(|| {
-            format!("baseline row ({ranks} ranks, {op}, {topo}, {mode}) has no sim_ns_per_op")
-        })?;
+        let base_ns = base
+            .get("sim_ns_per_op")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| {
+                format!("baseline row ({ranks} ranks, {op}, {topo}, {mode}) has no sim_ns_per_op")
+            })?;
         matched += 1;
         let drift = (sim_ns_per_op / base_ns - 1.0) * 100.0;
         if drift.abs() > tolerance_pct {
@@ -147,7 +150,15 @@ fn main() {
         eprintln!("collectives: {e}");
         std::process::exit(2);
     });
-    let BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } = spec.bench.clone() else {
+    let BenchSpec::Collectives {
+        ranks,
+        ops,
+        topos,
+        modes,
+        len,
+        iters,
+    } = spec.bench.clone()
+    else {
         unreachable!()
     };
     let tolerance: f64 = cli.get("tolerance", 10.0);

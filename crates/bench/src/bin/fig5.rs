@@ -24,13 +24,22 @@ use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
 use mpiq_bench::{exec, report, NicVariant, PrepostedPoint};
 
 fn main() {
-    let cli = Cli::parse("fig5", "Fig. 5: latency vs. posted-receive queue depth", flags("fig5"));
+    let cli = Cli::parse(
+        "fig5",
+        "Fig. 5: latency vs. posted-receive queue depth",
+        flags("fig5"),
+    );
     let spec = RunSpec::from_cli("fig5", &cli).unwrap_or_else(|e| {
         eprintln!("fig5: {e}");
         std::process::exit(2);
     });
-    let BenchSpec::Fig5 { configs: variants, max_queue, step, fractions, sizes } =
-        spec.bench.clone()
+    let BenchSpec::Fig5 {
+        configs: variants,
+        max_queue,
+        step,
+        fractions,
+        sizes,
+    } = spec.bench.clone()
     else {
         unreachable!()
     };
@@ -40,7 +49,11 @@ fn main() {
         "fig5: {} points across {} config(s), {} sweep thread(s)",
         points,
         variants.len(),
-        if spec.sweep_threads == 0 { "auto".to_string() } else { spec.sweep_threads.to_string() },
+        if spec.sweep_threads == 0 {
+            "auto".to_string()
+        } else {
+            spec.sweep_threads.to_string()
+        },
     );
 
     let result = exec::execute(&spec).unwrap_or_else(|e| {
@@ -64,7 +77,12 @@ fn main() {
                             && r.num("fraction") == Some(1.0)
                             && r.num("msg_size") == Some(sizes[0] as f64)
                     })
-                    .map(|r| (r.num("queue_len").unwrap_or(0.0), r.num("latency_us").unwrap_or(0.0)))
+                    .map(|r| {
+                        (
+                            r.num("queue_len").unwrap_or(0.0),
+                            r.num("latency_us").unwrap_or(0.0),
+                        )
+                    })
                     .collect(),
             });
         }
@@ -84,18 +102,29 @@ Fig. 5 projection: latency vs posted-queue length (full traversal, {} B)
             .copied()
             .find(|v| *v != NicVariant::Baseline)
             .unwrap_or(variants[0]);
-        let point = PrepostedPoint { queue_len: max_queue, fraction: 1.0, msg_size: sizes[0] };
+        let point = PrepostedPoint {
+            queue_len: max_queue,
+            fraction: 1.0,
+            msg_size: sizes[0],
+        };
         let mut cfg = v.config();
         if let Some(f) = cli.common.faults {
             cfg = cfg.with_faults(f);
         }
         let run = mpiq_bench::traced_preposted(cfg, point, 1 << 20);
         if run.dropped > 0 {
-            eprintln!("fig5: trace ring overflowed, {} records dropped", run.dropped);
+            eprintln!(
+                "fig5: trace ring overflowed, {} records dropped",
+                run.dropped
+            );
         }
         if let Some(path) = &cli.common.trace_out {
             std::fs::write(path, &run.chrome_json).expect("write trace");
-            eprintln!("fig5: wrote {} trace records ({} config) to {path}", run.records, v.label());
+            eprintln!(
+                "fig5: wrote {} trace records ({} config) to {path}",
+                run.records,
+                v.label()
+            );
         }
         if cli.common.metrics {
             eprintln!("{}", run.metrics_text);

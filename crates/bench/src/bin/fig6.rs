@@ -21,12 +21,23 @@ use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
 use mpiq_bench::{exec, report, NicVariant, UnexpectedPoint};
 
 fn main() {
-    let cli = Cli::parse("fig6", "Fig. 6: latency vs. unexpected-queue depth", flags("fig6"));
+    let cli = Cli::parse(
+        "fig6",
+        "Fig. 6: latency vs. unexpected-queue depth",
+        flags("fig6"),
+    );
     let spec = RunSpec::from_cli("fig6", &cli).unwrap_or_else(|e| {
         eprintln!("fig6: {e}");
         std::process::exit(2);
     });
-    let BenchSpec::Fig6 { max_queue, step, sizes } = spec.bench.clone() else { unreachable!() };
+    let BenchSpec::Fig6 {
+        max_queue,
+        step,
+        sizes,
+    } = spec.bench.clone()
+    else {
+        unreachable!()
+    };
 
     let points = NicVariant::ALL.len() * sizes.len() * (max_queue / step.max(1) + 1);
     eprintln!("fig6: {points} points");
@@ -51,7 +62,12 @@ fn main() {
                         r.text("config").as_deref() == Some(v.label())
                             && r.num("msg_size") == Some(sizes[0] as f64)
                     })
-                    .map(|r| (r.num("queue_len").unwrap_or(0.0), r.num("latency_us").unwrap_or(0.0)))
+                    .map(|r| {
+                        (
+                            r.num("queue_len").unwrap_or(0.0),
+                            r.num("latency_us").unwrap_or(0.0),
+                        )
+                    })
                     .collect(),
             });
         }
@@ -60,7 +76,13 @@ fn main() {
 Fig. 6: latency vs unexpected-queue length ({} B messages)
 {}",
             sizes[0],
-            mpiq_bench::ascii_plot::render(&series, 72, 20, "unexpected queue length", "latency (us)")
+            mpiq_bench::ascii_plot::render(
+                &series,
+                72,
+                20,
+                "unexpected queue length",
+                "latency (us)"
+            )
         );
     }
 
@@ -71,11 +93,17 @@ Fig. 6: latency vs unexpected-queue length ({} B messages)
         }
         let run = mpiq_bench::traced_unexpected(
             cfg,
-            UnexpectedPoint { queue_len: max_queue, msg_size: sizes[0] },
+            UnexpectedPoint {
+                queue_len: max_queue,
+                msg_size: sizes[0],
+            },
             1 << 20,
         );
         if run.dropped > 0 {
-            eprintln!("fig6: trace ring overflowed, {} records dropped", run.dropped);
+            eprintln!(
+                "fig6: trace ring overflowed, {} records dropped",
+                run.dropped
+            );
         }
         if let Some(path) = &cli.common.trace_out {
             std::fs::write(path, &run.chrome_json).expect("write trace");

@@ -11,7 +11,11 @@ use mpiq_bench::cli::Cli;
 use mpiq_bench::jsonlint::validate;
 
 fn main() {
-    let cli = Cli::parse("jsonlint", "validate JSON files (positionals: FILE [FILE ...])", &[]);
+    let cli = Cli::parse(
+        "jsonlint",
+        "validate JSON files (positionals: FILE [FILE ...])",
+        &[],
+    );
     let paths = cli.positionals();
     if paths.is_empty() {
         eprintln!("usage: jsonlint FILE [FILE ...]");

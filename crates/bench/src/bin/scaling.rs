@@ -126,12 +126,24 @@ fn check_baseline(
 }
 
 fn main() {
-    let cli = Cli::parse("scaling", "engine events/sec on the incast soak", flags("scaling"));
+    let cli = Cli::parse(
+        "scaling",
+        "engine events/sec on the incast soak",
+        flags("scaling"),
+    );
     let spec = RunSpec::from_cli("scaling", &cli).unwrap_or_else(|e| {
         eprintln!("scaling: {e}");
         std::process::exit(2);
     });
-    let BenchSpec::Scaling { senders, msgs, size, .. } = spec.bench.clone() else { unreachable!() };
+    let BenchSpec::Scaling {
+        senders,
+        msgs,
+        size,
+        ..
+    } = spec.bench.clone()
+    else {
+        unreachable!()
+    };
     let tolerance: f64 = cli.get("tolerance", 25.0);
     let seed = spec.seed.unwrap_or(1);
 

@@ -36,7 +36,9 @@ fn check_baseline(
 ) -> Result<Vec<String>, String> {
     use mpiq_bench::jsonlint::{self, Json};
     let doc = jsonlint::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let base_rows = doc.as_array().ok_or("baseline is not a JSON array of rows")?;
+    let base_rows = doc
+        .as_array()
+        .ok_or("baseline is not a JSON array of rows")?;
     let mut failures = Vec::new();
     let mut matched = 0usize;
     for r in rows {
@@ -83,13 +85,25 @@ fn check_baseline(
 }
 
 fn main() {
-    let cli = Cli::parse("soak", "overload soak scenarios under the deadlock watchdog", flags("soak"));
+    let cli = Cli::parse(
+        "soak",
+        "overload soak scenarios under the deadlock watchdog",
+        flags("soak"),
+    );
     let spec = RunSpec::from_cli("soak", &cli).unwrap_or_else(|e| {
         eprintln!("soak: {e}");
         std::process::exit(2);
     });
     let BenchSpec::Soak {
-        senders, msgs, size, credits, max_unexpected, eager_buffer, alpu, mttr_us, ..
+        senders,
+        msgs,
+        size,
+        credits,
+        max_unexpected,
+        eager_buffer,
+        alpu,
+        mttr_us,
+        ..
     } = spec.bench.clone()
     else {
         unreachable!()
@@ -226,7 +240,9 @@ fn recovery_curve(senders: u32, msgs: u32, size: u32) {
     const CURVE_SEEDS: [u64; 4] = [1, 2, 3, 5];
     let mut availability = Vec::new();
     let mut recovery = Vec::new();
-    println!("node_mttr_us,availability,recovery_us_p50,recovery_us_max,ops_rank_failed,epoch_fences");
+    println!(
+        "node_mttr_us,availability,recovery_us_p50,recovery_us_max,ops_rank_failed,epoch_fences"
+    );
     for &mttr in &mttrs_us {
         let mut avail_sum = 0.0f64;
         let (mut failed, mut fences) = (0u64, 0u64);
@@ -332,8 +348,7 @@ fn chaos_curve(senders: u32, msgs: u32, size: u32, alpu: bool, mttr_us: u64) {
     }
     // Normalise goodput so both series share the [0, 1] axis.
     let gmax = goodput.iter().map(|&(_, g)| g).fold(f64::MIN, f64::max);
-    let goodput_rel: Vec<(f64, f64)> =
-        goodput.iter().map(|&(m, g)| (m, g / gmax)).collect();
+    let goodput_rel: Vec<(f64, f64)> = goodput.iter().map(|&(m, g)| (m, g / gmax)).collect();
     let plot = render(
         &[
             Series {

@@ -5,7 +5,11 @@ use mpiq_bench::cli::Cli;
 use mpiq_fpga::{estimate, render_table, Variant};
 
 fn main() {
-    let _cli = Cli::parse("table4", "Table IV: posted-receives ALPU sizes and speeds", &[]);
+    let _cli = Cli::parse(
+        "table4",
+        "Table IV: posted-receives ALPU sizes and speeds",
+        &[],
+    );
     print!("{}", render_table(Variant::PostedReceive));
     println!();
     println!("ASIC projection (paper's conservative 5x FPGA->ASIC scaling, §VI-A):");

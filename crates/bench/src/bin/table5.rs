@@ -5,7 +5,11 @@ use mpiq_bench::cli::Cli;
 use mpiq_fpga::{estimate, render_table, Variant};
 
 fn main() {
-    let _cli = Cli::parse("table5", "Table V: unexpected-messages ALPU sizes and speeds", &[]);
+    let _cli = Cli::parse(
+        "table5",
+        "Table V: unexpected-messages ALPU sizes and speeds",
+        &[],
+    );
     print!("{}", render_table(Variant::Unexpected));
     println!();
     println!("Variant comparison at 256 cells / block 16:");

@@ -60,7 +60,11 @@ pub struct Flag {
 
 /// The common flags, declared once so help and parser share the table.
 const COMMON_FLAGS: &[Flag] = &[
-    Flag { name: "seed", value: Some("N"), help: "simulation seed" },
+    Flag {
+        name: "seed",
+        value: Some("N"),
+        help: "simulation seed",
+    },
     Flag {
         name: "faults",
         value: Some("SPEC"),
@@ -71,14 +75,26 @@ const COMMON_FLAGS: &[Flag] = &[
         value: Some("PATH"),
         help: "write a Chrome trace of one instrumented representative run",
     },
-    Flag { name: "metrics", value: None, help: "dump latency histograms to stderr" },
+    Flag {
+        name: "metrics",
+        value: None,
+        help: "dump latency histograms to stderr",
+    },
     Flag {
         name: "sweep-threads",
         value: Some("N"),
         help: "OS threads fanning out sweep points (0 = all cores)",
     },
-    Flag { name: "out", value: Some("PATH"), help: "write result rows as JSON to PATH" },
-    Flag { name: "help", value: None, help: "show this help" },
+    Flag {
+        name: "out",
+        value: Some("PATH"),
+        help: "write result rows as JSON to PATH",
+    },
+    Flag {
+        name: "help",
+        value: None,
+        help: "show this help",
+    },
 ];
 
 /// A parsed command line: typed [`Common`] plus raw bin-specific values.
@@ -184,7 +200,9 @@ impl Cli {
     /// `FaultConfig` has `FromStr` but no canonical `Display`.
     pub fn common_raw(&self, name: &str) -> Option<&str> {
         assert!(
-            COMMON_FLAGS.iter().any(|f| f.name == name && f.value.is_some()),
+            COMMON_FLAGS
+                .iter()
+                .any(|f| f.name == name && f.value.is_some()),
             "{}: --{name} is not a common value flag",
             self.name
         );
@@ -213,7 +231,8 @@ impl Cli {
     where
         T::Err: std::fmt::Display,
     {
-        self.try_get(name, default).unwrap_or_else(|e| self.exit_bad(e))
+        self.try_get(name, default)
+            .unwrap_or_else(|e| self.exit_bad(e))
     }
 
     /// Fallible core of [`Cli::get`]: `Err` names the flag and the
@@ -243,7 +262,8 @@ impl Cli {
     where
         T::Err: std::fmt::Display,
     {
-        self.try_get_list(name, default).unwrap_or_else(|e| self.exit_bad(e))
+        self.try_get_list(name, default)
+            .unwrap_or_else(|e| self.exit_bad(e))
     }
 
     /// Fallible core of [`Cli::get_list`].
@@ -307,14 +327,21 @@ impl Cli {
             wants_value,
             "{}: --{name} declared {} a value but accessed {} one",
             self.name,
-            if spec.value.is_some() { "with" } else { "without" },
+            if spec.value.is_some() {
+                "with"
+            } else {
+                "without"
+            },
             if wants_value { "with" } else { "without" },
         );
     }
 
     /// The generated help text (what `--help` prints).
     pub fn render_help(&self) -> String {
-        let mut out = format!("{} — {}\n\nUSAGE:\n  {} [OPTIONS]\n", self.name, self.about, self.name);
+        let mut out = format!(
+            "{} — {}\n\nUSAGE:\n  {} [OPTIONS]\n",
+            self.name, self.about, self.name
+        );
         let render = |out: &mut String, flags: &[Flag]| {
             for f in flags {
                 let left = match f.value {
@@ -348,7 +375,12 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str], specs: &[Flag]) -> Result<Cli, Error> {
-        Cli::try_parse_from("testbin", "a test bin", specs, args.iter().map(|s| s.to_string()))
+        Cli::try_parse_from(
+            "testbin",
+            "a test bin",
+            specs,
+            args.iter().map(|s| s.to_string()),
+        )
     }
 
     /// The defaults every bin inherits; a change here changes every
@@ -374,8 +406,17 @@ mod tests {
     fn common_flags_parse_typed() {
         let cli = parse(
             &[
-                "--seed", "7", "--metrics", "--sweep-threads", "2",
-                "--trace-out", "t.json", "--out", "rows.json", "--faults", "seed=1,drop=0.5",
+                "--seed",
+                "7",
+                "--metrics",
+                "--sweep-threads",
+                "2",
+                "--trace-out",
+                "t.json",
+                "--out",
+                "rows.json",
+                "--faults",
+                "seed=1,drop=0.5",
             ],
             &[],
         )
@@ -426,7 +467,11 @@ mod tests {
     /// parse error naming the flag — not a panic, not the default.
     #[test]
     fn malformed_typed_value_is_a_named_parse_error() {
-        let specs = [Flag { name: "max-queue", value: Some("N"), help: "deepest queue" }];
+        let specs = [Flag {
+            name: "max-queue",
+            value: Some("N"),
+            help: "deepest queue",
+        }];
         let cli = parse(&["--max-queue", "threeve"], &specs).unwrap();
         match cli.try_get::<usize>("max-queue", 500) {
             Err(Error::Bad(msg)) => {
@@ -439,7 +484,11 @@ mod tests {
 
     #[test]
     fn malformed_list_element_is_a_named_parse_error() {
-        let specs = [Flag { name: "sizes", value: Some("LIST"), help: "payload bytes" }];
+        let specs = [Flag {
+            name: "sizes",
+            value: Some("LIST"),
+            help: "payload bytes",
+        }];
         let cli = parse(&["--sizes", "0,banana,8192"], &specs).unwrap();
         match cli.try_get_list::<u32>("sizes", vec![64]) {
             Err(Error::Bad(msg)) => {
@@ -450,14 +499,25 @@ mod tests {
         }
         // Well-formed lists still parse through the fallible path.
         let cli = parse(&["--sizes", "0,8192"], &specs).unwrap();
-        assert_eq!(cli.try_get_list::<u32>("sizes", vec![64]).unwrap(), vec![0, 8192]);
+        assert_eq!(
+            cli.try_get_list::<u32>("sizes", vec![64]).unwrap(),
+            vec![0, 8192]
+        );
     }
 
     #[test]
     fn specific_flags_and_positionals() {
         let specs = [
-            Flag { name: "max-queue", value: Some("N"), help: "deepest queue" },
-            Flag { name: "plot", value: None, help: "ascii plot" },
+            Flag {
+                name: "max-queue",
+                value: Some("N"),
+                help: "deepest queue",
+            },
+            Flag {
+                name: "plot",
+                value: None,
+                help: "ascii plot",
+            },
         ];
         let cli = parse(&["--max-queue", "300", "--plot", "file.json"], &specs).unwrap();
         assert_eq!(cli.get::<usize>("max-queue", 500), 300);
@@ -471,7 +531,11 @@ mod tests {
 
     #[test]
     fn list_flags_split_on_commas() {
-        let specs = [Flag { name: "sizes", value: Some("LIST"), help: "payload bytes" }];
+        let specs = [Flag {
+            name: "sizes",
+            value: Some("LIST"),
+            help: "payload bytes",
+        }];
         let cli = parse(&["--sizes", "0,1024,8192"], &specs).unwrap();
         assert_eq!(cli.get_list::<u32>("sizes", vec![64]), vec![0, 1024, 8192]);
         let cli = parse(&[], &specs).unwrap();
@@ -496,7 +560,11 @@ mod tests {
 
     #[test]
     fn help_lists_every_declared_flag() {
-        let specs = [Flag { name: "scenario", value: Some("NAME"), help: "traffic shape" }];
+        let specs = [Flag {
+            name: "scenario",
+            value: Some("NAME"),
+            help: "traffic shape",
+        }];
         match parse(&["--help"], &specs) {
             Err(Error::Help(text)) => {
                 assert!(text.contains("--scenario NAME"), "{text}");

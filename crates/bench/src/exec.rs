@@ -32,23 +32,49 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
         Some(text) => Some(text.parse().map_err(|e| format!("--faults {text}: {e}"))?),
         None => None,
     };
-    let mut result = RunResult { bench: spec.bench.name().to_string(), ..RunResult::default() };
+    let mut result = RunResult {
+        bench: spec.bench.name().to_string(),
+        ..RunResult::default()
+    };
     match &spec.bench {
-        BenchSpec::Fig5 { configs, max_queue, step, fractions, sizes } => {
-            fig5(spec, configs, *max_queue, *step, fractions, sizes, faults, &mut result)?
-        }
-        BenchSpec::Fig6 { max_queue, step, sizes } => {
-            fig6(spec, *max_queue, *step, sizes, faults, &mut result)?
-        }
+        BenchSpec::Fig5 {
+            configs,
+            max_queue,
+            step,
+            fractions,
+            sizes,
+        } => fig5(
+            spec,
+            configs,
+            *max_queue,
+            *step,
+            fractions,
+            sizes,
+            faults,
+            &mut result,
+        )?,
+        BenchSpec::Fig6 {
+            max_queue,
+            step,
+            sizes,
+        } => fig6(spec, *max_queue, *step, sizes, faults, &mut result)?,
         BenchSpec::Gap { burst } => gap(spec, *burst, &mut result)?,
         BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result),
         BenchSpec::Soak { .. } => soak(spec, faults, &mut result)?,
-        BenchSpec::Scaling { senders, msgs, size, scenarios } => {
-            scaling(spec, *senders, *msgs, *size, scenarios, &mut result)?
-        }
-        BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } => {
-            collectives(spec, ranks, ops, topos, modes, *len, *iters, &mut result)?
-        }
+        BenchSpec::Scaling {
+            senders,
+            msgs,
+            size,
+            scenarios,
+        } => scaling(spec, *senders, *msgs, *size, scenarios, &mut result)?,
+        BenchSpec::Collectives {
+            ranks,
+            ops,
+            topos,
+            modes,
+            len,
+            iters,
+        } => collectives(spec, ranks, ops, topos, modes, *len, *iters, &mut result)?,
         BenchSpec::Appstudy => appstudy(spec, &mut result),
         BenchSpec::AblationBlock => ablation_block(&mut result),
         BenchSpec::AblationHash => ablation_hash(spec, &mut result),
@@ -94,7 +120,14 @@ fn fig5(
         for &size in sizes {
             for &f in fractions {
                 for q in (0..=max_queue).step_by(step) {
-                    points.push((v, PrepostedPoint { queue_len: q, fraction: f, msg_size: size }));
+                    points.push((
+                        v,
+                        PrepostedPoint {
+                            queue_len: q,
+                            fraction: f,
+                            msg_size: size,
+                        },
+                    ));
                 }
             }
         }
@@ -126,7 +159,12 @@ fn fig5(
     for r in &rows {
         let base = format!(
             "{},{},{},{},{:.4},{},{}",
-            r.config, r.queue_len, r.fraction, r.msg_size, r.latency_us, r.sw_traversed,
+            r.config,
+            r.queue_len,
+            r.fraction,
+            r.msg_size,
+            r.latency_us,
+            r.sw_traversed,
             r.rx_l1_misses
         );
         let csv = match &r.faults {
@@ -143,7 +181,11 @@ fn fig5(
             ("rx_l1_misses".to_string(), r.rx_l1_misses.to_string()),
         ];
         if let Some(fc) = &r.faults {
-            fields.extend(fc.json_fields().into_iter().map(|(k, v)| (k.to_string(), v)));
+            fields.extend(
+                fc.json_fields()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v)),
+            );
         }
         result.rows.push(ResultRow { csv, fields });
     }
@@ -199,7 +241,13 @@ fn fig6(
     for v in NicVariant::ALL {
         for &size in sizes {
             for q in (0..=max_queue).step_by(step) {
-                points.push((v, UnexpectedPoint { queue_len: q, msg_size: size }));
+                points.push((
+                    v,
+                    UnexpectedPoint {
+                        queue_len: q,
+                        msg_size: size,
+                    },
+                ));
             }
         }
     }
@@ -241,7 +289,11 @@ fn fig6(
             ("sw_traversed".to_string(), r.sw_traversed.to_string()),
         ];
         if let Some(fc) = &r.faults {
-            fields.extend(fc.json_fields().into_iter().map(|(k, v)| (k.to_string(), v)));
+            fields.extend(
+                fc.json_fields()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v)),
+            );
         }
         result.rows.push(ResultRow { csv, fields });
     }
@@ -272,10 +324,19 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
         return Err("BURST must be >= 1".to_string());
     }
     let depths = [0usize, 50, 100, 200, 300, 400];
-    let work: Vec<(NicVariant, usize)> =
-        depths.iter().flat_map(|&q| NicVariant::ALL.map(|v| (v, q))).collect();
+    let work: Vec<(NicVariant, usize)> = depths
+        .iter()
+        .flat_map(|&q| NicVariant::ALL.map(|v| (v, q)))
+        .collect();
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(v, q)| {
-        message_gap(v.config(), GapPoint { queue_len: q, burst, msg_size: 0 })
+        message_gap(
+            v.config(),
+            GapPoint {
+                queue_len: q,
+                burst,
+                msg_size: 0,
+            },
+        )
     });
 
     result.header = "queue_len,baseline_gap_ns,alpu128_gap_ns,alpu256_gap_ns,\
@@ -323,13 +384,21 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
 fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
     let points: Vec<(NicVariant, usize)> = (0..=max)
         .flat_map(|q| {
-            [(NicVariant::Baseline, q), (NicVariant::Alpu128, q), (NicVariant::Alpu256, q)]
+            [
+                (NicVariant::Baseline, q),
+                (NicVariant::Alpu128, q),
+                (NicVariant::Alpu256, q),
+            ]
         })
         .collect();
     let latencies = run_parallel(points.clone(), spec.sweep_threads, |&(v, q)| {
         preposted_latency_cfg(
             v.config(),
-            PrepostedPoint { queue_len: q, fraction: 1.0, msg_size: 0 },
+            PrepostedPoint {
+                queue_len: q,
+                fraction: 1.0,
+                msg_size: 0,
+            },
         )
         .latency
     });
@@ -377,11 +446,7 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
     ));
 }
 
-fn soak(
-    spec: &RunSpec,
-    faults: Option<FaultConfig>,
-    result: &mut RunResult,
-) -> Result<(), String> {
+fn soak(spec: &RunSpec, faults: Option<FaultConfig>, result: &mut RunResult) -> Result<(), String> {
     let BenchSpec::Soak {
         scenarios,
         seeds,
@@ -436,8 +501,8 @@ fn soak(
             let out = run_soak(&cfg)
                 .map_err(|diag| format!("soak STALLED: {} seed {seed}\n{diag}", scenario.name()))?;
             if *check_determinism {
-                let again = run_soak(&cfg)
-                    .map_err(|d| format!("determinism re-run stalled: {d}"))?;
+                let again =
+                    run_soak(&cfg).map_err(|d| format!("determinism re-run stalled: {d}"))?;
                 if out.stats_json != again.stats_json {
                     return Err(format!(
                         "{} seed {seed}: same-seed runs diverged",
@@ -480,18 +545,36 @@ fn soak(
                 ("runtime_ns".to_string(), out.runtime.ns().to_string()),
                 ("events".to_string(), out.events.to_string()),
                 ("delivered".to_string(), out.delivered.to_string()),
-                ("unexpected_hw".to_string(), out.unexpected_highwater.to_string()),
-                ("eager_bytes_hw".to_string(), out.eager_bytes_highwater.to_string()),
-                ("admission_refused".to_string(), out.admission_refused.to_string()),
+                (
+                    "unexpected_hw".to_string(),
+                    out.unexpected_highwater.to_string(),
+                ),
+                (
+                    "eager_bytes_hw".to_string(),
+                    out.eager_bytes_highwater.to_string(),
+                ),
+                (
+                    "admission_refused".to_string(),
+                    out.admission_refused.to_string(),
+                ),
                 ("credit_stalls".to_string(), out.credit_stalls.to_string()),
-                ("truncated_admits".to_string(), out.truncated_admits.to_string()),
+                (
+                    "truncated_admits".to_string(),
+                    out.truncated_admits.to_string(),
+                ),
                 ("retransmits".to_string(), out.retransmits.to_string()),
                 ("grants_issued".to_string(), out.grants_issued.to_string()),
                 ("ranks_crashed".to_string(), out.ranks_crashed.to_string()),
                 ("peers_failed".to_string(), out.peers_failed.to_string()),
-                ("ops_rank_failed".to_string(), out.ops_rank_failed.to_string()),
+                (
+                    "ops_rank_failed".to_string(),
+                    out.ops_rank_failed.to_string(),
+                ),
                 ("links_dead".to_string(), out.links_dead.to_string()),
-                ("nodes_restarted".to_string(), out.nodes_restarted.to_string()),
+                (
+                    "nodes_restarted".to_string(),
+                    out.nodes_restarted.to_string(),
+                ),
                 ("peers_revived".to_string(), out.peers_revived.to_string()),
                 ("epoch_fences".to_string(), out.epoch_fences.to_string()),
                 ("recovery_ns".to_string(), out.recovery_ns.to_string()),
@@ -502,7 +585,11 @@ fn soak(
     result.notes.push(format!(
         "soak: {} run(s) complete; all queues drained, all bounds held{}",
         result.rows.len(),
-        if *check_determinism { ", determinism checked" } else { "" }
+        if *check_determinism {
+            ", determinism checked"
+        } else {
+            ""
+        }
     ));
     Ok(())
 }
@@ -523,9 +610,17 @@ fn scaling_cfg(
         "incast" => {}
         "hetero" => {
             cfg.net.wire_latency = Time::from_us(1);
-            cfg.net.profile = WireProfile::ShortPair { a: 1, b: 2, short: Time::from_ns(10) };
+            cfg.net.profile = WireProfile::ShortPair {
+                a: 1,
+                b: 2,
+                short: Time::from_ns(10),
+            };
         }
-        other => return Err(format!("unknown scenario `{other}` (expected incast or hetero)")),
+        other => {
+            return Err(format!(
+                "unknown scenario `{other}` (expected incast or hetero)"
+            ))
+        }
     }
     Ok(cfg)
 }
@@ -539,7 +634,9 @@ fn scaling(
     result: &mut RunResult,
 ) -> Result<(), String> {
     if senders + 1 < 16 {
-        return Err(format!("scaling needs at least 16 ranks (got {senders} senders)"));
+        return Err(format!(
+            "scaling needs at least 16 ranks (got {senders} senders)"
+        ));
     }
     let seed = spec.seed.unwrap_or(1);
     result.header = "scenario,wall_ms,events,events_per_sec".to_string();
@@ -568,7 +665,11 @@ fn collectives_parse_op(name: &str) -> Result<(&'static str, mpiq_nic::CollOp, u
         "barrier" => ("barrier", CollOp::Barrier, 0),
         "bcast" => ("bcast", CollOp::Bcast, 1),
         "allreduce" => ("allreduce", CollOp::Allreduce, 0),
-        other => return Err(format!("unknown op `{other}` (expected barrier, bcast, or allreduce)")),
+        other => {
+            return Err(format!(
+                "unknown op `{other}` (expected barrier, bcast, or allreduce)"
+            ))
+        }
     })
 }
 
@@ -611,7 +712,10 @@ fn collectives_cell(
         .collect();
     let mut nic = NicConfig::baseline();
     nic.coll_offload = offload;
-    let cfg = ClusterConfig::builder(nic).seed(seed).topology(topo).build();
+    let cfg = ClusterConfig::builder(nic)
+        .seed(seed)
+        .topology(topo)
+        .build();
     let start = Instant::now();
     let mut c = Cluster::new(cfg, programs);
     let events = c
@@ -708,7 +812,13 @@ fn collectives(
         result.rows.push(ResultRow {
             csv: format!(
                 "{},{},{},{},{:.0},{},{},{:.1}",
-                r.ranks, r.op, r.topo, r.mode, r.sim_ns_per_op, r.host_completions, r.events,
+                r.ranks,
+                r.op,
+                r.topo,
+                r.mode,
+                r.sim_ns_per_op,
+                r.host_completions,
+                r.events,
                 r.wall_ms
             ),
             fields: vec![
@@ -717,7 +827,10 @@ fn collectives(
                 ("topo".to_string(), json_str(r.topo)),
                 ("mode".to_string(), json_str(r.mode)),
                 ("sim_ns_per_op".to_string(), json_f64(r.sim_ns_per_op)),
-                ("host_completions".to_string(), r.host_completions.to_string()),
+                (
+                    "host_completions".to_string(),
+                    r.host_completions.to_string(),
+                ),
                 ("events".to_string(), r.events.to_string()),
                 ("wall_ms".to_string(), json_f64(r.wall_ms)),
             ],
@@ -766,20 +879,38 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
     use crate::appsim::{run_app, AppPattern};
     use std::fmt::Write as _;
     let patterns = [
-        AppPattern::Stencil2D { side: 4, iters: 16, prepost_depth: 16 },
+        AppPattern::Stencil2D {
+            side: 4,
+            iters: 16,
+            prepost_depth: 16,
+        },
         AppPattern::Wavefront { side: 4, sweeps: 8 },
-        AppPattern::MasterWorker { workers: 12, rounds: 16, compute_ns: 4_000 },
-        AppPattern::Transpose { ranks: 8, rounds: 6 },
+        AppPattern::MasterWorker {
+            workers: 12,
+            rounds: 16,
+            compute_ns: 4_000,
+        },
+        AppPattern::Transpose {
+            ranks: 8,
+            rounds: 6,
+        },
     ];
     let mut text = String::new();
     let _ = writeln!(
         text,
         "{:>14} {:>9} | {:>10} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "pattern", "config", "max_posted", "avg_posted", "max_unexp", "avg_unexp", "traversed",
+        "pattern",
+        "config",
+        "max_posted",
+        "avg_posted",
+        "max_unexp",
+        "avg_unexp",
+        "traversed",
         "runtime_us"
     );
-    let work: Vec<(usize, NicVariant)> =
-        (0..patterns.len()).flat_map(|p| NicVariant::ALL.map(|v| (p, v))).collect();
+    let work: Vec<(usize, NicVariant)> = (0..patterns.len())
+        .flat_map(|p| NicVariant::ALL.map(|v| (p, v)))
+        .collect();
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(p, v)| {
         run_app(v.config(), patterns[p])
     });
@@ -927,7 +1058,11 @@ fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
         preposted_latency_cfg(
             configs[ci].1,
-            PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
+            PrepostedPoint {
+                queue_len: queues[qi],
+                fraction: 1.0,
+                msg_size: 0,
+            },
         )
         .latency
         .as_us_f64()
@@ -944,15 +1079,18 @@ fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
 
     // Marginal cost in the out-of-cache band.
     let get = |label: &str, q: usize| {
-        let ci = configs.iter().position(|(l, _)| *l == label).expect("label");
+        let ci = configs
+            .iter()
+            .position(|(l, _)| *l == label)
+            .expect("label");
         let qi = queues.iter().position(|&x| x == q).expect("queue");
         results[work.iter().position(|&w| w == (qi, ci)).expect("present")]
     };
     for label in ["baseline", "prefetch"] {
         let slope = (get(label, 500) - get(label, 450)) / 50.0 * 1000.0;
-        result
-            .notes
-            .push(format!("ablation_prefetch: {label} out-of-cache marginal cost {slope:.0} ns/entry"));
+        result.notes.push(format!(
+            "ablation_prefetch: {label} out-of-cache marginal cost {slope:.0} ns/entry"
+        ));
     }
     result.notes.push(
         "ablation_prefetch: prefetching shaves cold-start costs but loses at \
@@ -967,8 +1105,10 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
     use std::fmt::Write as _;
     fn with_threshold(cells: usize, threshold: usize) -> NicConfig {
         let mut cfg = NicConfig::with_alpus(cells);
-        let setup =
-            AlpuSetup { engage_threshold: threshold, ..cfg.posted_alpu.expect("alpus configured") };
+        let setup = AlpuSetup {
+            engage_threshold: threshold,
+            ..cfg.posted_alpu.expect("alpus configured")
+        };
         cfg.posted_alpu = Some(setup);
         cfg.unexpected_alpu = Some(setup);
         cfg
@@ -994,7 +1134,11 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
     let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
         preposted_latency_cfg(
             configs[ci].1,
-            PrepostedPoint { queue_len: queues[qi], fraction: 1.0, msg_size: 0 },
+            PrepostedPoint {
+                queue_len: queues[qi],
+                fraction: 1.0,
+                msg_size: 0,
+            },
         )
         .latency
         .as_us_f64()
@@ -1027,16 +1171,19 @@ fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
     let work: Vec<(NicVariant, RecvStrategy, u32)> = sender_counts
         .iter()
         .flat_map(|&s| {
-            [NicVariant::Baseline, NicVariant::Alpu128].into_iter().flat_map(move |v| {
-                [RecvStrategy::AnySource, RecvStrategy::PostAllCancel]
-                    .into_iter()
-                    .map(move |st| (v, st, s))
-            })
+            [NicVariant::Baseline, NicVariant::Alpu128]
+                .into_iter()
+                .flat_map(move |v| {
+                    [RecvStrategy::AnySource, RecvStrategy::PostAllCancel]
+                        .into_iter()
+                        .map(move |st| (v, st, s))
+                })
         })
         .collect();
-    let results: Vec<WildcardStudy> = run_parallel(work.clone(), spec.sweep_threads, |&(v, st, s)| {
-        wildcard_workaround(v.config(), st, s, iters)
-    });
+    let results: Vec<WildcardStudy> =
+        run_parallel(work.clone(), spec.sweep_threads, |&(v, st, s)| {
+            wildcard_workaround(v.config(), st, s, iters)
+        });
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -1101,7 +1248,11 @@ mod tests {
         assert_eq!(result.rows.len(), 6);
         let direct = preposted_latency_cfg(
             NicVariant::Baseline.config(),
-            PrepostedPoint { queue_len: 0, fraction: 1.0, msg_size: 0 },
+            PrepostedPoint {
+                queue_len: 0,
+                fraction: 1.0,
+                msg_size: 0,
+            },
         );
         assert_eq!(
             result.rows[0].csv,
@@ -1114,7 +1265,10 @@ mod tests {
         );
         // Typed access matches the formatted cell.
         assert_eq!(result.rows[0].text("config").as_deref(), Some("baseline"));
-        assert_eq!(result.rows[0].num("latency_us"), Some(direct.latency.as_us_f64()));
+        assert_eq!(
+            result.rows[0].num("latency_us"),
+            Some(direct.latency.as_us_f64())
+        );
     }
 
     /// Specs the simulator cannot run — empty sweep lists, a zero
@@ -1140,7 +1294,11 @@ mod tests {
         let err = execute(&fig5(vec![], vec![0])).unwrap_err();
         assert!(err.contains("fractions"), "{err}");
         let fig6 = RunSpec {
-            bench: BenchSpec::Fig6 { max_queue: 20, step: 20, sizes: vec![] },
+            bench: BenchSpec::Fig6 {
+                max_queue: 20,
+                step: 20,
+                sizes: vec![],
+            },
             seed: None,
             faults: None,
             sweep_threads: 1,

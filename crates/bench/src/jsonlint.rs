@@ -280,9 +280,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("bad escape")),
                     }
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
                     // Multi-byte UTF-8 is fine: the input is a &str, so
                     // copy the whole char.
@@ -392,8 +390,8 @@ mod tests {
 
     #[test]
     fn parse_builds_the_dom() {
-        let doc = parse("{\"rows\":[{\"n\":3,\"rate\":1.5e3,\"name\":\"a b\"}],\"ok\":true}")
-            .unwrap();
+        let doc =
+            parse("{\"rows\":[{\"n\":3,\"rate\":1.5e3,\"name\":\"a b\"}],\"ok\":true}").unwrap();
         let rows = doc.get("rows").and_then(Json::as_array).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("n").and_then(Json::as_u64), Some(3));
@@ -414,7 +412,10 @@ mod tests {
             parse("\"\\ud83d\\ude00\"").unwrap(),
             Json::Str("\u{1f600}".to_string())
         );
-        assert_eq!(parse("\"\\ud800x\"").unwrap(), Json::Str("\u{fffd}x".to_string()));
+        assert_eq!(
+            parse("\"\\ud800x\"").unwrap(),
+            Json::Str("\u{fffd}x".to_string())
+        );
     }
 
     #[test]

@@ -52,7 +52,11 @@ pub enum NicVariant {
 
 impl NicVariant {
     /// All three, in presentation order.
-    pub const ALL: [NicVariant; 3] = [NicVariant::Baseline, NicVariant::Alpu128, NicVariant::Alpu256];
+    pub const ALL: [NicVariant; 3] = [
+        NicVariant::Baseline,
+        NicVariant::Alpu128,
+        NicVariant::Alpu256,
+    ];
 
     /// The NIC configuration for this variant.
     pub fn config(self) -> NicConfig {

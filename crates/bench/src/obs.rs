@@ -68,7 +68,9 @@ pub fn traced_preposted(nic: NicConfig, p: PrepostedPoint, trace_capacity: usize
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).observability(trace_capacity).build(),
+        ClusterConfig::builder(nic)
+            .observability(trace_capacity)
+            .build(),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -105,7 +107,9 @@ pub fn traced_unexpected(nic: NicConfig, p: UnexpectedPoint, trace_capacity: usi
     let p1 = b1.build(mark_log());
 
     let mut cluster = Cluster::new(
-        ClusterConfig::builder(nic).observability(trace_capacity).build(),
+        ClusterConfig::builder(nic)
+            .observability(trace_capacity)
+            .build(),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
@@ -151,7 +155,11 @@ mod tests {
         assert!(run.chrome_json.contains("posted.depth"), "queue depth");
         assert!(run.chrome_json.contains("\"ph\":\"X\""), "durations");
         // Histograms made it into the text dump.
-        assert!(run.metrics_text.contains("match.posted"), "{}", run.metrics_text);
+        assert!(
+            run.metrics_text.contains("match.posted"),
+            "{}",
+            run.metrics_text
+        );
     }
 
     #[test]
@@ -166,7 +174,11 @@ mod tests {
         );
         jsonlint::validate(&run.chrome_json).expect("valid JSON");
         assert!(run.chrome_json.contains("unexpected.depth"), "counters");
-        assert!(run.metrics_text.contains("match.unexpected"), "{}", run.metrics_text);
+        assert!(
+            run.metrics_text.contains("match.unexpected"),
+            "{}",
+            run.metrics_text
+        );
     }
 
     #[test]

@@ -60,7 +60,11 @@ pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint) -> Time {
     b1.barrier();
     b1.sleep(Time::from_us(400));
     for i in 0..ITERS {
-        b1.recv(Some(0), Some(PING_TAG.wrapping_add((i as u16) << 5)), p.msg_size);
+        b1.recv(
+            Some(0),
+            Some(PING_TAG.wrapping_add((i as u16) << 5)),
+            p.msg_size,
+        );
         b1.send(0, PONG_TAG, 0);
     }
     let p1 = b1.build(mark_log());

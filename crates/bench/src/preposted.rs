@@ -61,19 +61,17 @@ pub fn preposted_latency_cfg(nic: mpiq_nic::NicConfig, p: PrepostedPoint) -> Pre
     // ranks hold the pre-posted queue, the ping traverses the receiver's
     // copy and the pong traverses the sender's, so half the round trip
     // carries exactly one full traversal.
-    let post_queue = |b: &mut mpiq_mpi::script::ScriptBuilder,
-                      peer: u16,
-                      match_tag: u16|
-     -> usize {
-        for i in 0..depth {
-            b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
-        }
-        let matching = b.irecv(Some(peer), Some(match_tag), p.msg_size);
-        for i in depth..p.queue_len {
-            b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
-        }
-        matching
-    };
+    let post_queue =
+        |b: &mut mpiq_mpi::script::ScriptBuilder, peer: u16, match_tag: u16| -> usize {
+            for i in 0..depth {
+                b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
+            }
+            let matching = b.irecv(Some(peer), Some(match_tag), p.msg_size);
+            for i in depth..p.queue_len {
+                b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
+            }
+            matching
+        };
 
     // Rank 0: sender side of the timed exchange.
     let mut b0 = Script::builder();

@@ -63,7 +63,12 @@ pub fn json_f64(v: f64) -> String {
 pub fn write_json<R: JsonRow>(path: &Path, rows: &[R]) -> std::io::Result<()> {
     let rows: Vec<Vec<(String, String)>> = rows
         .iter()
-        .map(|r| r.fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        .map(|r| {
+            r.fields()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect()
+        })
         .collect();
     write_json_dyn(path, &rows)
 }

@@ -234,7 +234,9 @@ fn incast_programs(cfg: &SoakConfig) -> Vec<Box<dyn AppProgram>> {
     for _s in 1..=cfg.senders {
         let mut b = Script::builder();
         b.barrier();
-        let slots: Vec<usize> = (0..cfg.msgs).map(|i| b.isend(0, i as u16, cfg.msg_size)).collect();
+        let slots: Vec<usize> = (0..cfg.msgs)
+            .map(|i| b.isend(0, i as u16, cfg.msg_size))
+            .collect();
         b.wait_all(slots);
         programs.push(boxed(b.build(mark_log())));
     }
@@ -326,7 +328,9 @@ fn credit_starve_programs(cfg: &SoakConfig) -> Vec<Box<dyn AppProgram>> {
     for _s in 1..=cfg.senders {
         let mut b = Script::builder();
         b.barrier();
-        let slots: Vec<usize> = (0..cfg.msgs).map(|i| b.isend(0, i as u16, cfg.msg_size)).collect();
+        let slots: Vec<usize> = (0..cfg.msgs)
+            .map(|i| b.isend(0, i as u16, cfg.msg_size))
+            .collect();
         b.wait_all(slots);
         programs.push(boxed(b.build(mark_log())));
     }
@@ -352,7 +356,10 @@ pub fn chaos_schedule(cfg: &SoakConfig) -> FaultSchedule {
         FaultSchedule::generate(cfg.seed ^ 0xC4A05, ranks, cfg.mtbf, cfg.mttr, CHAOS_HORIZON);
     sched.push(CHAOS_CRASH_AT, FaultEvent::NodeCrash { host: ranks - 1 });
     if let Some(mttr) = cfg.node_mttr {
-        sched.push(CHAOS_CRASH_AT + mttr, FaultEvent::NodeRestart { host: ranks - 1 });
+        sched.push(
+            CHAOS_CRASH_AT + mttr,
+            FaultEvent::NodeRestart { host: ranks - 1 },
+        );
     }
     if cfg.alpu {
         sched.push(Time::from_us(80), FaultEvent::AlpuDeath { nic: 1 });
@@ -449,13 +456,21 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
     } else {
         NicConfig::baseline()
     };
-    let nic = base.with_flow_control(cfg.eager_credits, cfg.max_unexpected, cfg.eager_buffer_bytes);
+    let nic = base.with_flow_control(
+        cfg.eager_credits,
+        cfg.max_unexpected,
+        cfg.eager_buffer_bytes,
+    );
     let mut builder = ClusterConfig::builder(nic).seed(cfg.seed).net(cfg.net);
     if let Some(f) = cfg.faults {
         builder = builder.faults(f);
     }
     if let Some(mttr) = cfg.node_mttr {
-        assert_eq!(cfg.scenario, Scenario::Chaos, "node restarts are a chaos knob");
+        assert_eq!(
+            cfg.scenario,
+            Scenario::Chaos,
+            "node restarts are a chaos knob"
+        );
         // The reborn node must come back only after the ring rounds are
         // over (and well past the keepalive declaration), or a pinned
         // round receive could park forever on a peer that silently
@@ -473,8 +488,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
     } else {
         Vec::new()
     };
-    let mut cluster =
-        Cluster::with_recovery(builder.build(), build_programs(cfg), chaos_recovery_programs(cfg));
+    let mut cluster = Cluster::with_recovery(
+        builder.build(),
+        build_programs(cfg),
+        chaos_recovery_programs(cfg),
+    );
     let events = cluster.run_watched(cfg.deadline)?;
 
     // Oracle: every queue drained, invariants hold on every NIC. Crashed
@@ -487,7 +505,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
         let fw = cluster.nic(rank).firmware();
         check_invariants(fw);
         if cfg.scenario != Scenario::Chaos {
-            assert_eq!(fw.posted_len(), 0, "rank {rank}: posted receives left behind");
+            assert_eq!(
+                fw.posted_len(),
+                0,
+                "rank {rank}: posted receives left behind"
+            );
             assert_eq!(
                 fw.unexpected_len(),
                 0,
@@ -525,8 +547,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
     for node in 0..ranks {
         let p = format!("nic{node}");
         let get = |k: &str| stats.get(&format!("{p}.{k}"));
-        out.unexpected_highwater = out.unexpected_highwater.max(get("flow.unexpected_highwater"));
-        out.eager_bytes_highwater = out.eager_bytes_highwater.max(get("flow.eager_bytes_highwater"));
+        out.unexpected_highwater = out
+            .unexpected_highwater
+            .max(get("flow.unexpected_highwater"));
+        out.eager_bytes_highwater = out
+            .eager_bytes_highwater
+            .max(get("flow.eager_bytes_highwater"));
         out.admission_refused += get("flow.admission_refused");
         out.credit_stalls += get("flow.credit_stalls");
         out.truncated_admits += get("flow.truncated_admits");
@@ -632,7 +658,10 @@ mod tests {
             out.peers_revived >= cfg.senders as u64,
             "every survivor must revive the reborn peer: {out:?}"
         );
-        assert!(out.epoch_fences >= 1, "the old incarnation was never fenced");
+        assert!(
+            out.epoch_fences >= 1,
+            "the old incarnation was never fenced"
+        );
         assert!(
             out.recovery_ns > 0,
             "crash-to-recovered span must be measured: {out:?}"
@@ -651,7 +680,10 @@ mod tests {
         cfg.node_mttr = Some(Time::from_us(600));
         let a = run_soak(&cfg).expect("run a");
         let b = run_soak(&cfg).expect("run b");
-        assert_eq!(a.stats_json, b.stats_json, "same-seed recovery chaos diverged");
+        assert_eq!(
+            a.stats_json, b.stats_json,
+            "same-seed recovery chaos diverged"
+        );
     }
 
     #[test]

@@ -77,7 +77,11 @@ pub enum BenchSpec {
         sizes: Vec<u32>,
     },
     /// Fig. 6: latency vs unexpected-queue depth (always all variants).
-    Fig6 { max_queue: usize, step: usize, sizes: Vec<u32> },
+    Fig6 {
+        max_queue: usize,
+        step: usize,
+        sizes: Vec<u32>,
+    },
     /// Receiver-side gap vs posted-queue depth.
     Gap { burst: usize },
     /// §VI-B break-even fine sweep.
@@ -100,7 +104,12 @@ pub enum BenchSpec {
         check_determinism: bool,
     },
     /// Engine events/sec on the incast soak.
-    Scaling { senders: u32, msgs: u32, size: u32, scenarios: Vec<String> },
+    Scaling {
+        senders: u32,
+        msgs: u32,
+        size: u32,
+        scenarios: Vec<String>,
+    },
     /// NIC-offloaded vs host-driven collectives.
     Collectives {
         ranks: Vec<u32>,
@@ -151,14 +160,24 @@ impl BenchSpec {
             format!("[{}]", cells.join(","))
         }
         match self {
-            BenchSpec::Fig5 { configs, max_queue, step, fractions, sizes } => format!(
+            BenchSpec::Fig5 {
+                configs,
+                max_queue,
+                step,
+                fractions,
+                sizes,
+            } => format!(
                 "{{\"configs\":{},\"max_queue\":{max_queue},\"step\":{step},\
                  \"fractions\":{},\"sizes\":{}}}",
                 list(configs, |v| json_str(v.label())),
                 list(fractions, |f| json_f64(*f)),
                 list(sizes, |s| s.to_string()),
             ),
-            BenchSpec::Fig6 { max_queue, step, sizes } => format!(
+            BenchSpec::Fig6 {
+                max_queue,
+                step,
+                sizes,
+            } => format!(
                 "{{\"max_queue\":{max_queue},\"step\":{step},\"sizes\":{}}}",
                 list(sizes, |s| s.to_string()),
             ),
@@ -188,12 +207,24 @@ impl BenchSpec {
                  \"check_determinism\":{check_determinism}}}",
                 list(scenarios, |s| json_str(s)),
             ),
-            BenchSpec::Scaling { senders, msgs, size, scenarios } => format!(
+            BenchSpec::Scaling {
+                senders,
+                msgs,
+                size,
+                scenarios,
+            } => format!(
                 "{{\"senders\":{senders},\"msgs\":{msgs},\"size\":{size},\
                  \"scenarios\":{}}}",
                 list(scenarios, |s| json_str(s)),
             ),
-            BenchSpec::Collectives { ranks, ops, topos, modes, len, iters } => format!(
+            BenchSpec::Collectives {
+                ranks,
+                ops,
+                topos,
+                modes,
+                len,
+                iters,
+            } => format!(
                 "{{\"ranks\":{},\"ops\":{},\"topos\":{},\"modes\":{},\
                  \"len\":{len},\"iters\":{iters}}}",
                 list(ranks, |r| r.to_string()),
@@ -325,8 +356,10 @@ impl RunSpec {
                 senders: cli.get("senders", 16),
                 msgs: cli.get("msgs", 64),
                 size: cli.get("size", 512),
-                scenarios: cli
-                    .get_list("scenarios", vec!["incast".to_string(), "hetero".to_string()]),
+                scenarios: cli.get_list(
+                    "scenarios",
+                    vec!["incast".to_string(), "hetero".to_string()],
+                ),
             },
             "collectives" => BenchSpec::Collectives {
                 ranks: cli.get_list("ranks", vec![64, 128]),
@@ -545,8 +578,12 @@ fn parse_bench(name: &str, params: &Json) -> Result<BenchSpec, String> {
             step: usize_field(params, "step")?,
             sizes: u32_list(params, "sizes")?,
         },
-        "gap" => BenchSpec::Gap { burst: usize_field(params, "burst")? },
-        "breakeven" => BenchSpec::Breakeven { max_queue: usize_field(params, "max_queue")? },
+        "gap" => BenchSpec::Gap {
+            burst: usize_field(params, "burst")?,
+        },
+        "breakeven" => BenchSpec::Breakeven {
+            max_queue: usize_field(params, "max_queue")?,
+        },
         "soak" => {
             let scenarios = str_list(params, "scenarios")?;
             for s in &scenarios {
@@ -654,7 +691,10 @@ fn str_list(doc: &Json, key: &str) -> Result<Vec<String>, String> {
 fn f64_list(doc: &Json, key: &str) -> Result<Vec<f64>, String> {
     arr_field(doc, key)?
         .iter()
-        .map(|v| v.as_f64().ok_or_else(|| format!("`{key}` must hold numbers")))
+        .map(|v| {
+            v.as_f64()
+                .ok_or_else(|| format!("`{key}` must hold numbers"))
+        })
         .collect()
 }
 
@@ -690,7 +730,8 @@ impl ResultRow {
 
     /// A field as a string (parses the stored fragment).
     pub fn text(&self, key: &str) -> Option<String> {
-        self.field_json(key).and_then(|j| j.as_str().map(str::to_string))
+        self.field_json(key)
+            .and_then(|j| j.as_str().map(str::to_string))
     }
 
     fn field_json(&self, key: &str) -> Option<Json> {

@@ -18,7 +18,9 @@ where
 {
     let n = points.len();
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
     } else {
         threads
     }

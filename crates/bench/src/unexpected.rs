@@ -77,7 +77,11 @@ pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> U
     b1.sleep(Time::from_us(500));
     for i in 0..ITERS {
         b1.mark(2 * i);
-        b1.recv(Some(0), Some(PING_TAG.wrapping_add((i as u16) << 5)), p.msg_size);
+        b1.recv(
+            Some(0),
+            Some(PING_TAG.wrapping_add((i as u16) << 5)),
+            p.msg_size,
+        );
         b1.mark(2 * i + 1);
         b1.send(0, PONG_TAG, 0);
     }
@@ -130,7 +134,11 @@ mod tests {
         // window both configs measure about the same.
         let base = lat(NicVariant::Baseline, 10);
         let alpu = lat(NicVariant::Alpu256, 10);
-        let diff = if alpu > base { alpu - base } else { base - alpu };
+        let diff = if alpu > base {
+            alpu - base
+        } else {
+            base - alpu
+        };
         assert!(
             diff < Time::from_us(1),
             "short-queue gap too large: baseline {base}, alpu {alpu}"

@@ -121,7 +121,12 @@ mod tests {
 
     #[test]
     fn workaround_poisons_the_alpu_with_tombstones() {
-        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::PostAllCancel, 6, 40);
+        let s = wildcard_workaround(
+            NicConfig::with_alpus(128),
+            RecvStrategy::PostAllCancel,
+            6,
+            40,
+        );
         assert!(
             s.ghosted_cancels > 50,
             "cancelled hardware-resident receives must tombstone: {}",

@@ -15,11 +15,9 @@
 
 use mpiq_bench::jsonlint;
 use mpiq_bench::{traced_preposted, NicVariant, PrepostedPoint};
-use mpiq_dessim::prelude::*;
-use mpiq_dessim::trace::{
-    AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent,
-};
 use mpiq_dessim::chrome_trace;
+use mpiq_dessim::prelude::*;
+use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
 
 /// Emits one of every structured trace event; the `metered` instance
 /// also records a counter and a histogram sample.
@@ -31,7 +29,8 @@ impl Component for Scripted {
     fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
         if self.metered {
             ctx.metrics().add("nic0.work_items", 9);
-            ctx.metrics().record("nic0.match.posted.linear", Time::from_ns(105));
+            ctx.metrics()
+                .record("nic0.match.posted.linear", Time::from_ns(105));
         }
         ctx.trace(TraceEvent::QueueOp {
             queue: QueueKind::Posted,

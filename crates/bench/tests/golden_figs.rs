@@ -29,7 +29,8 @@ use mpiq_bench::{
 #[test]
 fn fig5_unconfigured_matches_golden() {
     let golden = include_str!("golden/fig5_flowless.csv");
-    let mut out = String::from("config,queue_len,fraction,msg_size,latency_us,sw_traversed,rx_l1_misses\n");
+    let mut out =
+        String::from("config,queue_len,fraction,msg_size,latency_us,sw_traversed,rx_l1_misses\n");
     for q in [0usize, 50, 100] {
         let p = PrepostedPoint {
             queue_len: q,
@@ -48,7 +49,10 @@ fn fig5_unconfigured_matches_golden() {
             r.rx_l1_misses
         ));
     }
-    assert_eq!(out, golden, "fig5 drifted from the flow-control-free golden");
+    assert_eq!(
+        out, golden,
+        "fig5 drifted from the flow-control-free golden"
+    );
 }
 
 #[test]
@@ -72,7 +76,10 @@ fn fig6_unconfigured_matches_golden() {
             ));
         }
     }
-    assert_eq!(out, golden, "fig6 drifted from the flow-control-free golden");
+    assert_eq!(
+        out, golden,
+        "fig6 drifted from the flow-control-free golden"
+    );
 }
 
 /// The stdout a bin prints for `args`: run its spec and render
@@ -99,8 +106,16 @@ const ALPU_FAULTS: &[&str] = &["--faults", "seed=11,flip=0.05,stall=0.05"];
 
 #[test]
 fn fig5_alpu_faults_match_golden() {
-    let sweep: &[&str] =
-        &["--max-queue", "100", "--step", "50", "--sizes", "0", "--fractions", "0.5,1"];
+    let sweep: &[&str] = &[
+        "--max-queue",
+        "100",
+        "--step",
+        "50",
+        "--sizes",
+        "0",
+        "--fractions",
+        "0.5,1",
+    ];
     let out = bin_stdout("fig5", &[sweep, ALPU_FAULTS].concat());
     let golden = include_str!("golden/fig5_alpu_faults.csv");
     assert_eq!(out, golden, "fig5 drifted from the ALPU-fault golden");

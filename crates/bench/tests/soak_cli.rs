@@ -10,7 +10,10 @@ fn soak(args: &[&str]) -> (Option<i32>, String) {
         .args(args)
         .output()
         .expect("spawn soak");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -19,7 +22,11 @@ fn too_few_senders_is_a_one_line_error_in_every_mode() {
         let spec_path = soak(&["--senders", senders]);
         assert_eq!(spec_path, (Some(1), "--senders must be >= 2\n".to_string()));
         for mode in ["--chaos-curve", "--recovery-curve", "--curve"] {
-            assert_eq!(soak(&[mode, "--senders", senders]), spec_path, "{mode} --senders {senders}");
+            assert_eq!(
+                soak(&[mode, "--senders", senders]),
+                spec_path,
+                "{mode} --senders {senders}"
+            );
         }
     }
 }

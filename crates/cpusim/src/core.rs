@@ -267,10 +267,18 @@ mod tests {
     fn bus_write_is_posted() {
         let mut c = nic_core();
         let s = c.run(
-            &TraceBuilder::new().bus_write().bus_write().bus_write().build(),
+            &TraceBuilder::new()
+                .bus_write()
+                .bus_write()
+                .bus_write()
+                .build(),
             Time::ZERO,
         );
-        assert!(s.elapsed <= Time::from_ns(6), "posted writes: {}", s.elapsed);
+        assert!(
+            s.elapsed <= Time::from_ns(6),
+            "posted writes: {}",
+            s.elapsed
+        );
     }
 
     #[test]

@@ -51,9 +51,9 @@ impl Payload {
             return Payload(Repr::Empty);
         }
         if let Some(word) = slot.downcast_mut::<Option<u64>>() {
-            return Payload(Repr::U64(
-                word.take().expect("Option wrapped a value two lines up; only this take() empties it"),
-            ));
+            return Payload(Repr::U64(word.take().expect(
+                "Option wrapped a value two lines up; only this take() empties it",
+            )));
         }
         Payload(Repr::Boxed(Box::new(v.take().expect(
             "Option wrapped a value at fn entry; the downcast arms above return before taking",

@@ -102,10 +102,9 @@ fn describe(what: &TraceEvent) -> (String, String) {
             ),
             format!("\"engaged\":{engaged}"),
         ),
-        TraceEvent::Dma { dir, bytes, .. } => (
-            format!("dma {}", dir.label()),
-            format!("\"bytes\":{bytes}"),
-        ),
+        TraceEvent::Dma { dir, bytes, .. } => {
+            (format!("dma {}", dir.label()), format!("\"bytes\":{bytes}"))
+        }
         TraceEvent::HostCompletion { rank, cancelled } => (
             "completion".to_string(),
             format!("\"rank\":{rank},\"cancelled\":{cancelled}"),
@@ -124,7 +123,10 @@ fn describe(what: &TraceEvent) -> (String, String) {
 /// holds only the thread-name metadata.
 pub fn chrome_trace(sim: &Simulation) -> String {
     let names: Vec<String> = (0..sim.component_count())
-        .map(|i| sim.name_of(crate::component::ComponentId(i as u32)).to_string())
+        .map(|i| {
+            sim.name_of(crate::component::ComponentId(i as u32))
+                .to_string()
+        })
         .collect();
     chrome_trace_parts(&names, &sim.trace(), &sim.metrics())
 }

@@ -228,7 +228,10 @@ pub enum FaultEvent {
     /// The fabric splits into the listed `groups` (nodes absent from every
     /// group form one implicit extra group); all inter-group edges are down
     /// until the absolute time `heal_at`.
-    Partition { groups: Vec<Vec<u32>>, heal_at: Time },
+    Partition {
+        groups: Vec<Vec<u32>>,
+        heal_at: Time,
+    },
     /// The node's offload unit dies permanently: firmware is pinned in the
     /// software-fallback path and never re-engages the unit.
     AlpuDeath { nic: u32 },
@@ -249,9 +252,7 @@ impl fmt::Display for FaultEvent {
             FaultEvent::Partition { groups, heal_at } => {
                 let gs: Vec<String> = groups
                     .iter()
-                    .map(|g| {
-                        g.iter().map(u32::to_string).collect::<Vec<_>>().join(".")
-                    })
+                    .map(|g| g.iter().map(u32::to_string).collect::<Vec<_>>().join("."))
                     .collect();
                 write!(f, "partition {} until {heal_at}", gs.join("|"))
             }
@@ -339,7 +340,14 @@ impl FaultSchedule {
                 b += 1;
             }
             let down = mttr.ps() / 2 + rng.gen_range(mttr.ps().max(1));
-            sched.push(at, FaultEvent::LinkFlap { a, b, down_for: Time::from_ps(down) });
+            sched.push(
+                at,
+                FaultEvent::LinkFlap {
+                    a,
+                    b,
+                    down_for: Time::from_ps(down),
+                },
+            );
         }
     }
 
@@ -357,7 +365,10 @@ impl FaultSchedule {
         mttr: Time,
         horizon: Time,
     ) -> FaultSchedule {
-        assert!(nodes >= 2, "a crash needs surviving peers, so at least two nodes");
+        assert!(
+            nodes >= 2,
+            "a crash needs surviving peers, so at least two nodes"
+        );
         assert!(mtbf > Time::ZERO, "mtbf must be positive");
         assert!(mttr > Time::ZERO, "mttr must be positive");
         let mut rng = SimRng::new(seed ^ 0x94d0_49bb_1331_11eb);
@@ -515,10 +526,11 @@ impl FaultSchedule {
                         _ => return true,
                     }
                 }
-                FaultEvent::LinkFlap { a: fa, b: fb, down_for }
-                    if ((*fa == a && *fb == b) || (*fa == b && *fb == a))
-                        && t < at + *down_for =>
-                {
+                FaultEvent::LinkFlap {
+                    a: fa,
+                    b: fb,
+                    down_for,
+                } if ((*fa == a && *fb == b) || (*fa == b && *fb == a)) && t < at + *down_for => {
                     return true;
                 }
                 FaultEvent::Partition { groups, heal_at } if t < *heal_at => {
@@ -600,9 +612,11 @@ impl fmt::Display for FaultSchedule {
                 FaultEvent::NodeCrash { host } => write!(f, "crash@{at}:node={host}")?,
                 FaultEvent::NodeRestart { host } => write!(f, "restart@{at}:node={host}")?,
                 FaultEvent::AlpuDeath { nic } => write!(f, "alpu@{at}:nic={nic}")?,
-                FaultEvent::LinkFlap { a, b, down_for } => {
-                    write!(f, "flap@{at}:edge={a}-{b},down={}", fmt_schedule_time(*down_for))?
-                }
+                FaultEvent::LinkFlap { a, b, down_for } => write!(
+                    f,
+                    "flap@{at}:edge={a}-{b},down={}",
+                    fmt_schedule_time(*down_for)
+                )?,
                 FaultEvent::Partition { groups, heal_at } => {
                     let gs: Vec<String> = groups
                         .iter()
@@ -675,14 +689,19 @@ impl std::str::FromStr for FaultSchedule {
                     if let Some(mttr) = args.get("mttr") {
                         // Sugar: a crash with a mean-time-to-repair is a
                         // crash plus an explicit restart `mttr` later.
-                        sched.push(at + parse_schedule_time(mttr)?, FaultEvent::NodeRestart {
-                            host,
-                        });
+                        sched.push(
+                            at + parse_schedule_time(mttr)?,
+                            FaultEvent::NodeRestart { host },
+                        );
                     }
                     FaultEvent::NodeCrash { host }
                 }
-                "restart" => FaultEvent::NodeRestart { host: node(want("node")?)? },
-                "alpu" => FaultEvent::AlpuDeath { nic: node(want("nic")?)? },
+                "restart" => FaultEvent::NodeRestart {
+                    host: node(want("node")?)?,
+                },
+                "alpu" => FaultEvent::AlpuDeath {
+                    nic: node(want("nic")?)?,
+                },
                 "flap" => {
                     let edge = want("edge")?;
                     let (a, b) = edge
@@ -814,11 +833,10 @@ mod tests {
 
     #[test]
     fn schedule_spec_round_trips_every_event_kind() {
-        let sched: FaultSchedule =
-            "crash@500us:node=3; flap@1ms:edge=0-2,down=200us; \
+        let sched: FaultSchedule = "crash@500us:node=3; flap@1ms:edge=0-2,down=200us; \
              partition@2ms:groups=0.1|2.3,heal=3ms; alpu@1ms:nic=1"
-                .parse()
-                .unwrap();
+            .parse()
+            .unwrap();
         assert_eq!(sched.events().len(), 4);
         assert_eq!(sched.crash_time(3), Some(Time::from_us(500)));
         assert_eq!(sched.crash_time(0), None);
@@ -836,7 +854,9 @@ mod tests {
         assert!("crash@500us".parse::<FaultSchedule>().is_err());
         assert!("crash:node=1".parse::<FaultSchedule>().is_err());
         assert!("crash@500us:host=1".parse::<FaultSchedule>().is_err());
-        assert!("flap@1ms:edge=02,down=1us".parse::<FaultSchedule>().is_err());
+        assert!("flap@1ms:edge=02,down=1us"
+            .parse::<FaultSchedule>()
+            .is_err());
         assert!("flap@1ms:edge=0-2,down=1".parse::<FaultSchedule>().is_err());
         assert!("melt@1ms:node=0".parse::<FaultSchedule>().is_err());
     }
@@ -865,16 +885,12 @@ mod tests {
 
     #[test]
     fn partition_separates_groups_then_heals() {
-        let sched: FaultSchedule =
-            "partition@2ms:groups=0.1|2.3,heal=3ms".parse().unwrap();
+        let sched: FaultSchedule = "partition@2ms:groups=0.1|2.3,heal=3ms".parse().unwrap();
         let at = Time::from_us(2500);
         assert!(sched.edge_down(0, 2, at) && sched.edge_down(1, 3, at));
         assert!(!sched.edge_down(0, 1, at) && !sched.edge_down(2, 3, at));
         assert!(!sched.edge_down(0, 2, Time::from_ms(3)), "heals at heal_at");
-        assert_eq!(
-            sched.groups_at(4, at),
-            vec![vec![0, 1], vec![2, 3]],
-        );
+        assert_eq!(sched.groups_at(4, at), vec![vec![0, 1], vec![2, 3]],);
         assert_eq!(sched.groups_at(4, Time::from_ms(3)).len(), 1);
     }
 
@@ -893,19 +909,29 @@ mod tests {
         assert!(!sched.edge_down(0, 1, Time::from_us(9)));
         assert!(sched.edge_down(0, 1, Time::from_us(10)));
         assert!(sched.edge_down(0, 1, Time::from_us(59)));
-        assert!(!sched.edge_down(0, 1, Time::from_us(60)), "restart must heal the edge");
+        assert!(
+            !sched.edge_down(0, 1, Time::from_us(60)),
+            "restart must heal the edge"
+        );
         assert!(!sched.edge_down(0, 1, Time::from_ms(500)));
         assert!(sched.node_down(1, Time::from_us(30)));
         assert!(!sched.node_down(1, Time::from_us(60)));
         assert_eq!(sched.incarnation_at(1, Time::from_us(59)), 0);
         assert_eq!(sched.incarnation_at(1, Time::from_us(60)), 1);
-        assert_eq!(sched.incarnation_at(0, Time::from_ms(1)), 0, "peers keep epoch 0");
+        assert_eq!(
+            sched.incarnation_at(0, Time::from_ms(1)),
+            0,
+            "peers keep epoch 0"
+        );
         // A restarted node is alive at the end: not a crashed node.
         assert!(sched.crashed_nodes().is_empty());
         assert_eq!(sched.crash_times(1), vec![Time::from_us(10)]);
         assert_eq!(sched.restart_times(1), vec![Time::from_us(60)]);
         // groups_at folds the node back into the connected component.
-        assert_eq!(sched.groups_at(3, Time::from_us(30)), vec![vec![0, 2], vec![1]]);
+        assert_eq!(
+            sched.groups_at(3, Time::from_us(30)),
+            vec![vec![0, 2], vec![1]]
+        );
         assert_eq!(sched.groups_at(3, Time::from_us(61)).len(), 1);
     }
 
@@ -918,8 +944,9 @@ mod tests {
 
     #[test]
     fn second_incarnation_counts_repeat_crashes() {
-        let sched: FaultSchedule =
-            "crash@10us:node=2,mttr=20us; crash@50us:node=2,mttr=20us".parse().unwrap();
+        let sched: FaultSchedule = "crash@10us:node=2,mttr=20us; crash@50us:node=2,mttr=20us"
+            .parse()
+            .unwrap();
         assert_eq!(sched.incarnation_at(2, Time::from_us(29)), 0);
         assert_eq!(sched.incarnation_at(2, Time::from_us(30)), 1);
         assert_eq!(sched.incarnation_at(2, Time::from_us(70)), 2);
@@ -935,9 +962,9 @@ mod tests {
                     restart@4ms:node=3";
         let sched: FaultSchedule = spec.parse().unwrap();
         let rendered = sched.to_string();
-        let reparsed: FaultSchedule = rendered.parse().unwrap_or_else(|e| {
-            panic!("canonical render `{rendered}` failed to parse: {e}")
-        });
+        let reparsed: FaultSchedule = rendered
+            .parse()
+            .unwrap_or_else(|e| panic!("canonical render `{rendered}` failed to parse: {e}"));
         assert_eq!(sched, reparsed, "format→parse must be the identity");
         // Sub-microsecond times survive too (suffix selection).
         let odd: FaultSchedule = "flap@1500ns:edge=0-1,down=750ps".parse().unwrap();
@@ -973,7 +1000,9 @@ mod tests {
                     down[*host as usize] = Some(t);
                 }
                 FaultEvent::NodeRestart { host } => {
-                    let since = down[*host as usize].take().expect("restart without a crash");
+                    let since = down[*host as usize]
+                        .take()
+                        .expect("restart without a crash");
                     let outage = t - since;
                     assert!(outage >= Time::from_us(20) && outage < Time::from_us(60));
                 }
@@ -988,8 +1017,10 @@ mod tests {
 
     #[test]
     fn generated_storm_is_reproducible_and_bounded() {
-        let a = FaultSchedule::generate(9, 8, Time::from_us(50), Time::from_us(20), Time::from_ms(1));
-        let b = FaultSchedule::generate(9, 8, Time::from_us(50), Time::from_us(20), Time::from_ms(1));
+        let a =
+            FaultSchedule::generate(9, 8, Time::from_us(50), Time::from_us(20), Time::from_ms(1));
+        let b =
+            FaultSchedule::generate(9, 8, Time::from_us(50), Time::from_us(20), Time::from_ms(1));
         assert_eq!(a, b);
         assert!(!a.is_empty());
         for (t, ev) in a.events() {
@@ -1002,7 +1033,13 @@ mod tests {
                 other => panic!("generate should only emit flaps, got {other}"),
             }
         }
-        let c = FaultSchedule::generate(10, 8, Time::from_us(50), Time::from_us(20), Time::from_ms(1));
+        let c = FaultSchedule::generate(
+            10,
+            8,
+            Time::from_us(50),
+            Time::from_us(20),
+            Time::from_ms(1),
+        );
         assert_ne!(a, c, "different seeds should give different storms");
     }
 }

@@ -136,6 +136,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input unchanged");
+        assert_ne!(
+            v,
+            (0..50).collect::<Vec<_>>(),
+            "shuffle left input unchanged"
+        );
     }
 }

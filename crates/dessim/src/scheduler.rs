@@ -138,7 +138,11 @@ impl Simulation {
     /// Current virtual time: the latest shard-local time (shards with no
     /// work lag behind the frontier; this reports the frontier).
     pub fn now(&self) -> Time {
-        self.shards.iter().map(|s| s.now).max().unwrap_or(Time::ZERO)
+        self.shards
+            .iter()
+            .map(|s| s.now)
+            .max()
+            .unwrap_or(Time::ZERO)
     }
 
     /// Total events delivered so far, across all shards.

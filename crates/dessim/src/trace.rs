@@ -320,12 +320,19 @@ impl fmt::Display for TraceEvent {
                 peer,
                 frames,
                 backoff,
-            } => write!(f, "retransmit -> node{peer} {frames} frames (rto {backoff})"),
+            } => write!(
+                f,
+                "retransmit -> node{peer} {frames} frames (rto {backoff})"
+            ),
             TraceEvent::Quarantine { unit, engaged } => write!(
                 f,
                 "alpu[{}] {}",
                 unit.label(),
-                if *engaged { "re-engaged" } else { "quarantined" }
+                if *engaged {
+                    "re-engaged"
+                } else {
+                    "quarantined"
+                }
             ),
             TraceEvent::Dma { dir, bytes, dur } => {
                 write!(f, "dma[{}] {bytes}B ({dur})", dir.label())
@@ -451,8 +458,10 @@ impl TraceRing {
     pub fn merged(rings: Vec<TraceRing>) -> TraceRing {
         let capacity: usize = rings.iter().map(|r| r.capacity).sum();
         let dropped: u64 = rings.iter().map(|r| r.dropped).sum();
-        let mut records: Vec<TraceRecord> =
-            rings.into_iter().flat_map(|r| r.records.into_iter()).collect();
+        let mut records: Vec<TraceRecord> = rings
+            .into_iter()
+            .flat_map(|r| r.records.into_iter())
+            .collect();
         records.sort_by_key(|r| r.time);
         TraceRing {
             records: records.into(),

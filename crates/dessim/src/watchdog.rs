@@ -178,10 +178,7 @@ mod tests {
             components: vec![
                 ("nic0".into(), Health::busy().gauge("unexpected", 7)),
                 ("nic1".into(), Health::idle()),
-                (
-                    "host1".into(),
-                    Health::busy().note("rank 1 not finished"),
-                ),
+                ("host1".into(), Health::busy().note("rank 1 not finished")),
             ],
         };
         assert_eq!(d.stuck(), vec!["nic0", "host1"]);

@@ -82,7 +82,10 @@ impl SafeTimeTable {
     ) -> SafeTimeTable {
         let mut out = vec![Vec::new(); nshards];
         for ((src, dst), lat) in edges {
-            debug_assert!(lat > Time::ZERO, "cross-shard edges must have positive latency");
+            debug_assert!(
+                lat > Time::ZERO,
+                "cross-shard edges must have positive latency"
+            );
             out[src as usize].push((dst, lat.0));
         }
         SafeTimeTable {
@@ -170,8 +173,7 @@ mod tests {
     fn safe_times_propagate_along_paths() {
         // A chain 0 -> 1 -> 2; shard 2 idle, shard 1 idle: influence
         // still reaches 2 through 1 via the path sum.
-        let mut table =
-            SafeTimeTable::new(3, [((0u32, 1u32), ns(100)), ((1, 2), ns(100))]);
+        let mut table = SafeTimeTable::new(3, [((0u32, 1u32), ns(100)), ((1, 2), ns(100))]);
         let next = [ns(0).0, u64::MAX, u64::MAX];
         let b = table.bounds(&next);
         assert_eq!(b[1], ns(100).0);

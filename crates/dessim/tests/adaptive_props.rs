@@ -64,8 +64,9 @@ impl Topo {
         let mut rng = SimRng::new(seed);
         let nshards = 2 + rng.gen_range(3) as usize; // 2..=4
         let nodes = 4 + rng.gen_range(5) as usize; // 4..=8
-        let shard_of: Vec<usize> =
-            (0..nodes).map(|_| rng.gen_range(nshards as u64) as usize).collect();
+        let shard_of: Vec<usize> = (0..nodes)
+            .map(|_| rng.gen_range(nshards as u64) as usize)
+            .collect();
         let mut links = Vec::new();
         for src in 0..nodes {
             let fanout = rng.gen_range(3); // 0..=2 out-links
@@ -79,8 +80,15 @@ impl Topo {
                 links.push((src, dst, lat));
             }
         }
-        let start = (0..nodes).map(|n| Time::from_ns(1 + 7 * n as u64)).collect();
-        Topo { nshards, shard_of, links, start }
+        let start = (0..nodes)
+            .map(|n| Time::from_ns(1 + 7 * n as u64))
+            .collect();
+        Topo {
+            nshards,
+            shard_of,
+            links,
+            start,
+        }
     }
 
     /// Build, run, and collect every node's delivery log plus the
@@ -94,7 +102,10 @@ impl Topo {
                 sim.add_component_in(
                     ShardId(shard),
                     &format!("relay{n}"),
-                    Relay { fanout: fanout_of(n), log: Vec::new() },
+                    Relay {
+                        fanout: fanout_of(n),
+                        log: Vec::new(),
+                    },
                 )
             })
             .collect();
@@ -109,7 +120,12 @@ impl Topo {
         sim.run();
         let logs = ids
             .iter()
-            .map(|&id| sim.component::<Relay>(id).expect("relay present").log.clone())
+            .map(|&id| {
+                sim.component::<Relay>(id)
+                    .expect("relay present")
+                    .log
+                    .clone()
+            })
             .collect();
         (logs, sim.events_processed())
     }

@@ -120,7 +120,10 @@ mod tests {
             assert!(pct(e.luts, row.luts) < 1.0, "LUTs off for {row:?}");
             assert!(pct(e.ffs, row.ffs) < 1.0, "FFs off for {row:?}");
             assert!(pct(e.slices, row.slices) < 3.0, "slices off for {row:?}");
-            assert!((e.mhz - row.mhz).abs() / row.mhz < 0.02, "clock for {row:?}");
+            assert!(
+                (e.mhz - row.mhz).abs() / row.mhz < 0.02,
+                "clock for {row:?}"
+            );
             assert_eq!(e.latency, row.latency, "latency for {row:?}");
         }
     }

@@ -186,8 +186,7 @@ impl Mpi<'_, '_> {
     fn dispatch(&mut self, req: HostRequest) {
         // Serialize dispatches issued within one step: the host CPU writes
         // request records one after another.
-        let delay =
-            self.st.bus_latency + self.st.dispatch_cost * self.st.issued_this_step;
+        let delay = self.st.bus_latency + self.st.dispatch_cost * self.st.issued_this_step;
         self.st.issued_this_step += 1;
         self.ctx
             .send_to(self.st.nic, PORT_HOST_REQ, Payload::new(req), delay);

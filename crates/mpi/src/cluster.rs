@@ -84,7 +84,6 @@ impl ClusterConfig {
             cfg: ClusterConfig::new(nic),
         }
     }
-
 }
 
 /// Builder for [`ClusterConfig`]. Every method is optional; `build`
@@ -389,7 +388,14 @@ impl Cluster {
         recovery: Option<Box<dyn AppProgram>>,
         node: u32,
     ) -> Host {
-        let mut host = Host::new(rank, n, nic, cfg.host_dispatch, cfg.nic.bus_latency, program);
+        let mut host = Host::new(
+            rank,
+            n,
+            nic,
+            cfg.host_dispatch,
+            cfg.nic.bus_latency,
+            program,
+        );
         if let Some(s) = cfg.fault_schedule.as_ref() {
             for t in s.crash_times(node) {
                 host = host.with_crash_at(t);

@@ -41,7 +41,12 @@ use mpiq_nic::coll::{bcast_steps, ctag, reduce_steps, steps, CollOp, CollStep, D
 fn emit(b: &mut ScriptBuilder, step: CollStep) {
     let s = match step.dir {
         Dir::Send => b.isend_ctx(step.peer, CTX_INTERNAL, step.tag, step.len),
-        Dir::Recv => b.irecv_ctx(Some(step.peer as u16), CTX_INTERNAL, Some(step.tag), step.len),
+        Dir::Recv => b.irecv_ctx(
+            Some(step.peer as u16),
+            CTX_INTERNAL,
+            Some(step.tag),
+            step.len,
+        ),
     };
     b.wait(s);
 }

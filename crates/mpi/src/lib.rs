@@ -19,8 +19,8 @@
 //!   simulation.
 
 pub mod app;
-pub mod collectives;
 pub mod cluster;
+pub mod collectives;
 pub mod host;
 pub mod script;
 pub mod types;

@@ -439,11 +439,8 @@ impl Script {
                     let instance = self.coll_instance % mpiq_nic::coll::INSTANCES;
                     self.coll_instance = self.coll_instance.wrapping_add(1);
                     if shrunk {
-                        let survivors =
-                            self.shrunk.clone().expect("ShrunkColl before Shrink");
-                        let Some(me) =
-                            survivors.iter().position(|&r| r == mpi.rank())
-                        else {
+                        let survivors = self.shrunk.clone().expect("ShrunkColl before Shrink");
+                        let Some(me) = survivors.iter().position(|&r| r == mpi.rank()) else {
                             // This rank was shrunk out: nothing to do.
                             return Some(crate::types::MpiStatus {
                                 source: mpi.rank() as u16,
@@ -1061,7 +1058,14 @@ impl ScriptBuilder {
         sid: Option<u32>,
     ) -> &mut Self {
         assert!(tries >= 1);
-        self.ops.push(Op::RetrySend { dst, tag, len, tries, backoff, sid });
+        self.ops.push(Op::RetrySend {
+            dst,
+            tag,
+            len,
+            tries,
+            backoff,
+            sid,
+        });
         self
     }
 
@@ -1077,7 +1081,14 @@ impl ScriptBuilder {
         sid: Option<u32>,
     ) -> &mut Self {
         assert!(tries >= 1);
-        self.ops.push(Op::RetryRecv { src, tag, len, tries, backoff, sid });
+        self.ops.push(Op::RetryRecv {
+            src,
+            tag,
+            len,
+            tries,
+            backoff,
+            sid,
+        });
         self
     }
 

@@ -46,8 +46,9 @@ fn run_collective(
 #[test]
 fn bcast_reaches_every_rank_after_root_starts() {
     for n in [2u32, 3, 4, 7, 8] {
-        let (starts, ends, _) =
-            run_collective(NicConfig::baseline(), n, |b, me, n| bcast(b, me, n, 1 % n, 512, 1));
+        let (starts, ends, _) = run_collective(NicConfig::baseline(), n, |b, me, n| {
+            bcast(b, me, n, 1 % n, 512, 1)
+        });
         let root_start = starts[(1 % n) as usize];
         for (r, &e) in ends.iter().enumerate() {
             assert!(
@@ -62,10 +63,9 @@ fn bcast_reaches_every_rank_after_root_starts() {
 fn reduce_root_finishes_after_all_leaves_start() {
     for n in [2u32, 3, 5, 8] {
         let root = n - 1;
-        let (starts, ends, _) =
-            run_collective(NicConfig::baseline(), n, move |b, me, n| {
-                reduce(b, me, n, root, 256, 2)
-            });
+        let (starts, ends, _) = run_collective(NicConfig::baseline(), n, move |b, me, n| {
+            reduce(b, me, n, root, 256, 2)
+        });
         let max_start = *starts.iter().max().unwrap();
         assert!(
             ends[root as usize] >= max_start,
@@ -77,8 +77,9 @@ fn reduce_root_finishes_after_all_leaves_start() {
 #[test]
 fn allreduce_synchronizes_everyone() {
     for n in [3u32, 4, 6] {
-        let (starts, ends, _) =
-            run_collective(NicConfig::baseline(), n, |b, me, n| allreduce(b, me, n, 128, 3));
+        let (starts, ends, _) = run_collective(NicConfig::baseline(), n, |b, me, n| {
+            allreduce(b, me, n, 128, 3)
+        });
         let max_start = *starts.iter().max().unwrap();
         for (r, &e) in ends.iter().enumerate() {
             assert!(

@@ -65,7 +65,17 @@ fn status_records_resolved_wildcards() {
     two_rank(p0, p1).run();
     assert_eq!(
         statuses.borrow()[0],
-        (42, MpiStatus { source: 1, tag: 77, len: 64, cancelled: false, overflow: false, error: None })
+        (
+            42,
+            MpiStatus {
+                source: 1,
+                tag: 77,
+                len: 64,
+                cancelled: false,
+                overflow: false,
+                error: None
+            }
+        )
     );
 }
 

@@ -141,7 +141,11 @@ impl Message {
 
     /// Build a deterministic test payload of `len` bytes.
     pub fn test_payload(len: usize, seed: u8) -> Bytes {
-        Bytes::from((0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect::<Vec<u8>>())
+        Bytes::from(
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+                .collect::<Vec<u8>>(),
+        )
     }
 }
 

@@ -89,12 +89,12 @@ impl Component for Switch {
                 let j = self.plan.attached[self.id]
                     .binary_search(&dst)
                     .unwrap_or_else(|_| {
-                        panic!("switch {} asked to deliver to unattached node {dst}", self.id)
+                        panic!(
+                            "switch {} asked to deliver to unattached node {dst}",
+                            self.id
+                        )
                     });
-                ctx.emit(
-                    Switch::node_port(&self.plan, self.id, j),
-                    Payload::new(msg),
-                );
+                ctx.emit(Switch::node_port(&self.plan, self.id, j), Payload::new(msg));
             }
             RouteStep::Forward(p) => {
                 let ser = self.cfg.serialize(msg.wire_bytes());
@@ -220,8 +220,18 @@ mod tests {
     fn trunk_contention_serializes_fifo() {
         let cfg = NetConfig::default();
         let (mut sim, leaf0, log) = leaf_spine(cfg);
-        sim.post(leaf0, PORT_SW_IN, Payload::new(msg(0, 4, 1000, 1)), Time::ZERO);
-        sim.post(leaf0, PORT_SW_IN, Payload::new(msg(1, 4, 1000, 2)), Time::ZERO);
+        sim.post(
+            leaf0,
+            PORT_SW_IN,
+            Payload::new(msg(0, 4, 1000, 1)),
+            Time::ZERO,
+        );
+        sim.post(
+            leaf0,
+            PORT_SW_IN,
+            Payload::new(msg(1, 4, 1000, 2)),
+            Time::ZERO,
+        );
         sim.run();
         let got = log.lock().unwrap();
         assert_eq!(got[0].1, 1);

@@ -93,9 +93,7 @@ impl Topology {
         match self {
             Topology::Hub => None,
             Topology::FatTree { down, up } => Some(plan_fat_tree(nodes, down, up)),
-            Topology::Dragonfly { groups, routers } => {
-                Some(plan_dragonfly(nodes, groups, routers))
-            }
+            Topology::Dragonfly { groups, routers } => Some(plan_dragonfly(nodes, groups, routers)),
             Topology::Torus { x, y } => Some(plan_torus(nodes, x, y)),
         }
     }
@@ -207,7 +205,10 @@ fn plan_dragonfly(nodes: u32, groups: u32, routers: u32) -> TopoPlan {
             }
         }
     }
-    let neighbors: Vec<Vec<usize>> = neighbors.into_iter().map(|s| s.into_iter().collect()).collect();
+    let neighbors: Vec<Vec<usize>> = neighbors
+        .into_iter()
+        .map(|s| s.into_iter().collect())
+        .collect();
     let idx_of = |me: usize, target: usize| -> usize {
         neighbors[me]
             .binary_search(&target)
@@ -271,7 +272,10 @@ fn plan_torus(nodes: u32, x: u32, y: u32) -> TopoPlan {
             }
         }
     }
-    let neighbors: Vec<Vec<usize>> = neighbors.into_iter().map(|s| s.into_iter().collect()).collect();
+    let neighbors: Vec<Vec<usize>> = neighbors
+        .into_iter()
+        .map(|s| s.into_iter().collect())
+        .collect();
     let idx_of = |me: usize, target: usize| -> usize {
         neighbors[me]
             .binary_search(&target)
@@ -437,7 +441,10 @@ mod tests {
         for (name, plan) in all_plans(24) {
             assert!(plan.shards >= 1, "{name}");
             for (s, &sh) in plan.shard_of_switch.iter().enumerate() {
-                assert!(sh < plan.shards, "{name}: switch {s} shard {sh} out of range");
+                assert!(
+                    sh < plan.shards,
+                    "{name}: switch {s} shard {sh} out of range"
+                );
             }
             for (s, att) in plan.attached.iter().enumerate() {
                 if !att.is_empty() {

@@ -113,13 +113,23 @@ pub fn reduce_steps(me: u32, n: u32, root: u32, len: u32, instance: u16) -> Vec<
             let src_rel = relative | mask;
             if src_rel < n {
                 let peer = (src_rel + root) % n;
-                steps.push(CollStep { dir: Dir::Recv, peer, tag, len });
+                steps.push(CollStep {
+                    dir: Dir::Recv,
+                    peer,
+                    tag,
+                    len,
+                });
             }
         } else {
             // De-rotate the parent's relative rank back into absolute
             // rank space through `root`.
             let peer = ((relative & !mask) + root) % n;
-            steps.push(CollStep { dir: Dir::Send, peer, tag, len });
+            steps.push(CollStep {
+                dir: Dir::Send,
+                peer,
+                tag,
+                len,
+            });
             break;
         }
         mask <<= 1;
@@ -148,7 +158,12 @@ pub fn bcast_steps(me: u32, n: u32, root: u32, len: u32, instance: u16) -> Vec<C
         if relative & mask != 0 {
             // `relative & mask != 0` implies `relative >= mask`.
             let peer = ((relative - mask) + root) % n;
-            steps.push(CollStep { dir: Dir::Recv, peer, tag, len });
+            steps.push(CollStep {
+                dir: Dir::Recv,
+                peer,
+                tag,
+                len,
+            });
             break;
         }
         mask <<= 1;
@@ -157,7 +172,12 @@ pub fn bcast_steps(me: u32, n: u32, root: u32, len: u32, instance: u16) -> Vec<C
     while mask > 0 {
         if relative + mask < n {
             let peer = ((relative + mask) + root) % n;
-            steps.push(CollStep { dir: Dir::Send, peer, tag, len });
+            steps.push(CollStep {
+                dir: Dir::Send,
+                peer,
+                tag,
+                len,
+            });
         }
         mask >>= 1;
     }
@@ -181,7 +201,12 @@ pub fn agree_steps(me: u32, n: u32, len: u32, instance: u16) -> Vec<CollStep> {
     assert!(n <= 16, "agreement mask is one u16 bit per rank");
     let mut steps = Vec::new();
     for peer in (0..n).filter(|&p| p != me) {
-        steps.push(CollStep { dir: Dir::Send, peer, tag: ctag(instance, 2 + me as u16), len });
+        steps.push(CollStep {
+            dir: Dir::Send,
+            peer,
+            tag: ctag(instance, 2 + me as u16),
+            len,
+        });
     }
     for peer in (0..n).filter(|&p| p != me) {
         steps.push(CollStep {
@@ -392,7 +417,10 @@ mod tests {
             for op in [CollOp::Barrier, CollOp::Allreduce] {
                 let (mut s, mut r) = edges(op, n, 0, 128, 9);
                 if op == CollOp::Barrier {
-                    assert!(s.iter().all(|&(_, _, _, l)| l == 0), "barrier carries payload");
+                    assert!(
+                        s.iter().all(|&(_, _, _, l)| l == 0),
+                        "barrier carries payload"
+                    );
                 }
                 s.sort_unstable();
                 r.sort_unstable();
@@ -418,7 +446,11 @@ mod tests {
             assert_eq!(s, r, "n={n}: unmatched edges");
             for &(from, to, tag, _) in &s {
                 assert_ne!(from, to);
-                assert_eq!(tag, ctag(4, 2 + from as u16), "mask travels on sender's tag");
+                assert_eq!(
+                    tag,
+                    ctag(4, 2 + from as u16),
+                    "mask travels on sender's tag"
+                );
             }
             for me in 0..n {
                 let st = agree_steps(me, n, 0, 4);

@@ -33,17 +33,15 @@ mod alpu;
 pub use alpu::{AlpuPort, AlpuWedged};
 
 use crate::config::{NicConfig, SwMatch};
-use crate::hashmatch::PostedIndex;
 use crate::dma::Dma;
+use crate::hashmatch::PostedIndex;
 use crate::host_iface::{Completion, HostRequest, ReqId};
 use crate::queues::{Key, NicQueue};
 use alpu::HwRead;
 use mpiq_alpu::match_types::masked_eq;
 use mpiq_alpu::{Command, MaskWord, MatchWord, Probe};
 use mpiq_cpusim::{Core, TraceBuilder};
-use mpiq_dessim::trace::{
-    AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent,
-};
+use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
 use mpiq_dessim::{FaultPlan, Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
 use std::collections::{BTreeSet, HashMap};
@@ -71,7 +69,10 @@ fn eff_ctx(ranks_per_node: u32, context: u16, dst_rank: u32) -> u16 {
     if ranks_per_node <= 1 {
         return context;
     }
-    debug_assert!(context < 256, "contexts limited to 8 bits with multi-process NICs");
+    debug_assert!(
+        context < 256,
+        "contexts limited to 8 bits with multi-process NICs"
+    );
     debug_assert!(ranks_per_node <= 8, "at most 8 processes per NIC");
     context | (((dst_rank % ranks_per_node) as u16) << 8)
 }
@@ -80,12 +81,22 @@ fn eff_ctx(ranks_per_node: u32, context: u16, dst_rank: u32) -> u16 {
 /// it is matched (and inserted into the unexpected ALPU) by while it
 /// waits on the unexpected queue.
 fn header_word(ranks_per_node: u32, h: &MsgHeader) -> MatchWord {
-    MatchWord::mpi(eff_ctx(ranks_per_node, h.context, h.dst_rank), h.src_rank, h.tag)
+    MatchWord::mpi(
+        eff_ctx(ranks_per_node, h.context, h.dst_rank),
+        h.src_rank,
+        h.tag,
+    )
 }
 
 /// The unexpected-queue search predicate for a receive's `probe`.
 fn unexpected_match(ranks_per_node: u32, probe: Probe) -> impl Fn(&UnexpEntry) -> bool {
-    move |e| masked_eq(header_word(ranks_per_node, &e.header), probe.word, probe.mask)
+    move |e| {
+        masked_eq(
+            header_word(ranks_per_node, &e.header),
+            probe.word,
+            probe.mask,
+        )
+    }
 }
 
 /// The two matching queues, in the order every ALPU rule visits them.
@@ -427,7 +438,9 @@ impl Firmware {
             host_seq: 0,
             dma_rx: Dma::new(cfg.dma_bytes_per_ns, cfg.dma_setup),
             dma_tx: Dma::new(cfg.dma_bytes_per_ns, cfg.dma_setup),
-            posted_alpu: cfg.posted_alpu.map(|s| AlpuPort::new(QueueKind::Posted, s, &cfg, node)),
+            posted_alpu: cfg
+                .posted_alpu
+                .map(|s| AlpuPort::new(QueueKind::Posted, s, &cfg, node)),
             unexpected_alpu: cfg
                 .unexpected_alpu
                 .map(|s| AlpuPort::new(QueueKind::Unexpected, s, &cfg, node)),
@@ -469,7 +482,10 @@ impl Firmware {
     /// Statistics snapshot (folds in the per-unit lifecycle counters).
     pub fn stats(&self) -> FwStats {
         let mut s = self.stats;
-        for port in [&self.posted_alpu, &self.unexpected_alpu].into_iter().flatten() {
+        for port in [&self.posted_alpu, &self.unexpected_alpu]
+            .into_iter()
+            .flatten()
+        {
             port.add_counters(&mut s);
         }
         s
@@ -510,7 +526,10 @@ impl Firmware {
 
     /// Spend one eager credit toward `dst_node`, or report starvation.
     fn take_credit(&mut self, dst_node: NodeId) -> bool {
-        let pool = self.credits.entry(dst_node).or_insert(self.cfg.eager_credits);
+        let pool = self
+            .credits
+            .entry(dst_node)
+            .or_insert(self.cfg.eager_credits);
         if *pool == 0 {
             self.stats.credit_stalls += 1;
             false
@@ -572,7 +591,9 @@ impl Firmware {
     /// Is the posted-receive ALPU currently worth probing? (See
     /// [`AlpuPort`]'s engage rule.)
     pub fn posted_engaged(&self) -> bool {
-        self.posted_alpu.as_ref().is_some_and(|p| p.engaged(&self.posted))
+        self.posted_alpu
+            .as_ref()
+            .is_some_and(|p| p.engaged(&self.posted))
     }
 
     /// Is the posted ALPU currently quarantined? (diagnostics/tests)
@@ -582,14 +603,19 @@ impl Firmware {
 
     /// Is the unexpected ALPU currently quarantined? (diagnostics/tests)
     pub fn unexpected_quarantined(&self) -> bool {
-        self.unexpected_alpu.as_ref().is_some_and(AlpuPort::quarantined)
+        self.unexpected_alpu
+            .as_ref()
+            .is_some_and(AlpuPort::quarantined)
     }
 
     /// Advance both ALPU clock domains to `now` (test/diagnostic hook:
     /// lets in-flight insert commands drain so quiescent-state invariants
     /// can be checked).
     pub fn sync_hardware(&mut self, now: Time) {
-        for p in [&mut self.posted_alpu, &mut self.unexpected_alpu].into_iter().flatten() {
+        for p in [&mut self.posted_alpu, &mut self.unexpected_alpu]
+            .into_iter()
+            .flatten()
+        {
             p.sync(now);
         }
     }
@@ -632,8 +658,8 @@ impl Firmware {
                 // A collective frame (internal context, partition-bit
                 // tag) that lands in the unexpected queue may be exactly
                 // what a parked NIC-resident collective is waiting on.
-                let coll_frame = msg.header.context == crate::coll::COLL_CTX
-                    && msg.header.tag & 0x8000 != 0;
+                let coll_frame =
+                    msg.header.context == crate::coll::COLL_CTX && msg.header.tag & 0x8000 != 0;
                 let mut end = self.do_rx(msg, probed, now, core, &mut fx);
                 if coll_frame && !self.coll.is_empty() {
                     end = self.coll_poll(end, core, &mut fx);
@@ -650,7 +676,9 @@ impl Firmware {
     /// session; see [`AlpuPort`]'s update rule)? `idle` says the NIC has
     /// no other work pending.
     pub fn update_needed(&self, idle: bool, now: Time) -> bool {
-        self.posted_alpu.as_ref().is_some_and(|p| p.wants_update(&self.posted, idle, now))
+        self.posted_alpu
+            .as_ref()
+            .is_some_and(|p| p.wants_update(&self.posted, idle, now))
             || self
                 .unexpected_alpu
                 .as_ref()
@@ -674,7 +702,11 @@ impl Firmware {
         let t = now
             + core
                 .run(
-                    &TraceBuilder::new().int(10).load(rxslot).load(rxslot + 64).build(),
+                    &TraceBuilder::new()
+                        .int(10)
+                        .load(rxslot)
+                        .load(rxslot + 64)
+                        .build(),
                     now,
                 )
                 .elapsed;
@@ -724,7 +756,11 @@ impl Firmware {
                 HwRead::Wedged => t = self.fallback_status_read(t, core),
                 HwRead::Hit(key) => {
                     let entry = self.posted.iter().find(|it| it.key == key);
-                    if entry.expect("ALPU cookie references a live entry").val.ghost {
+                    if entry
+                        .expect("ALPU cookie references a live entry")
+                        .val
+                        .ghost
+                    {
                         // The hardware matched a tombstone (cancelled or
                         // already-consumed entry it still held). Reclaim
                         // it and redo the match in software over the FULL
@@ -737,7 +773,9 @@ impl Firmware {
                             .run(&TraceBuilder::new().load(item.addr).int(12).build(), t)
                             .elapsed;
                         let mut visited = Vec::new();
-                        let hit = self.posted.find_from(0, |e| e.matches(probe_word), &mut visited);
+                        let hit = self
+                            .posted
+                            .find_from(0, |e| e.matches(probe_word), &mut visited);
                         t = self.charge_walk(
                             QueueKind::Posted,
                             SearchSource::Linear,
@@ -839,8 +877,7 @@ impl Firmware {
                     for addr in rm.iter().take(8) {
                         tb = tb.load(*addr);
                     }
-                    let bin = layout::HASHBIN_BASE
-                        + (index.bin_index(probe_word) as u64) * 64;
+                    let bin = layout::HASHBIN_BASE + (index.bin_index(probe_word) as u64) * 64;
                     tb = tb.store(bin);
                     t += core.run(&tb.build(), t).elapsed;
                 }
@@ -933,8 +970,7 @@ impl Firmware {
                 let staged = h.kind == MsgKind::Eager && h.payload_len > 0;
                 let truncated = staged
                     && self.cfg.eager_buffer_bytes > 0
-                    && self.eager_bytes_used + h.payload_len as u64
-                        > self.cfg.eager_buffer_bytes;
+                    && self.eager_bytes_used + h.payload_len as u64 > self.cfg.eager_buffer_bytes;
                 if truncated {
                     self.stats.truncated_admits += 1;
                 } else if staged && self.cfg.eager_buffer_bytes > 0 {
@@ -942,7 +978,10 @@ impl Firmware {
                     self.stats.eager_bytes_highwater =
                         self.stats.eager_bytes_highwater.max(self.eager_bytes_used);
                 }
-                let (_, addr) = self.unexpected.push(UnexpEntry { header: h, truncated });
+                let (_, addr) = self.unexpected.push(UnexpEntry {
+                    header: h,
+                    truncated,
+                });
                 self.stats.unexpected_highwater = self
                     .stats
                     .unexpected_highwater
@@ -991,10 +1030,9 @@ impl Firmware {
     ) -> Time {
         // Find the parked send (short list scan).
         let mut tb = TraceBuilder::new().int(8);
-        let pos = self
-            .send_park
-            .iter()
-            .position(|s| s.token == token && s.dst / self.cfg.ranks_per_node == msg.header.src_node);
+        let pos = self.send_park.iter().position(|s| {
+            s.token == token && s.dst / self.cfg.ranks_per_node == msg.header.src_node
+        });
         for entry in self.send_park.iter().take(pos.unwrap_or(0) + 1) {
             tb = tb.load_chain(entry.addr).int(6);
         }
@@ -1121,13 +1159,7 @@ impl Firmware {
     // Host request path
     // ------------------------------------------------------------------
 
-    fn do_host(
-        &mut self,
-        req: HostRequest,
-        now: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
+    fn do_host(&mut self, req: HostRequest, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
         // Pick the request out of the mailbox.
         let slot = layout::MAILBOX_BASE + (self.host_seq % 16) * 64;
         self.host_seq += 1;
@@ -1314,8 +1346,11 @@ impl Firmware {
                     }
                     // Agreement frames carry the *current* mask, not the
                     // plan's static length — the mask is the data plane.
-                    let len =
-                        if self.coll[i].agree { self.coll[i].mask as u32 } else { step.len };
+                    let len = if self.coll[i].agree {
+                        self.coll[i].mask as u32
+                    } else {
+                        step.len
+                    };
                     let msg = self.make_msg(
                         step.peer,
                         req.rank,
@@ -1327,7 +1362,9 @@ impl Firmware {
                     let at = self.inject(msg.wire_bytes(), t);
                     fx.tx.push((at, msg));
                     self.stats.coll_steps_sent += 1;
-                    t += core.run(&TraceBuilder::new().int(6).bus_write().build(), t).elapsed;
+                    t += core
+                        .run(&TraceBuilder::new().int(6).bus_write().build(), t)
+                        .elapsed;
                     self.coll[i].idx += 1;
                 }
                 crate::coll::Dir::Recv => {
@@ -1371,9 +1408,8 @@ impl Firmware {
                                 && !item.val.truncated
                                 && self.cfg.eager_buffer_bytes > 0
                             {
-                                self.eager_bytes_used = self
-                                    .eager_bytes_used
-                                    .saturating_sub(h.payload_len as u64);
+                                self.eager_bytes_used =
+                                    self.eager_bytes_used.saturating_sub(h.payload_len as u64);
                             }
                             if self.cfg.eager_credits > 0
                                 && h.payload_len > 0
@@ -1452,7 +1488,10 @@ impl Firmware {
         if self.cfg.max_unexpected > 0
             && peer != self.node
             && (self.rndv_inflight.get(&peer).copied().unwrap_or(0) > 0
-                || self.deferred_sends.iter().any(|p| self.node_of(p.dst) == peer))
+                || self
+                    .deferred_sends
+                    .iter()
+                    .any(|p| self.node_of(p.dst) == peer))
         {
             self.stats.sends_deferred += 1;
             self.deferred_sends.push_back(PendingSend {
@@ -1514,7 +1553,9 @@ impl Firmware {
                 },
             ));
             fx.tx.push((at, msg));
-            t += core.run(&TraceBuilder::new().int(6).bus_write().build(), t).elapsed;
+            t += core
+                .run(&TraceBuilder::new().int(6).bus_write().build(), t)
+                .elapsed;
         } else {
             // Rendezvous: header-only request; park the send.
             if self.cfg.max_unexpected > 0 && self.node_of(dst) != self.node {
@@ -1558,7 +1599,11 @@ impl Firmware {
     ) -> (Time, Option<Key>) {
         let mut t = now;
         let mut software_from = 0usize;
-        if self.unexpected_alpu.as_ref().is_some_and(|p| p.engaged(&self.unexpected)) {
+        if self
+            .unexpected_alpu
+            .as_ref()
+            .is_some_and(|p| p.engaged(&self.unexpected))
+        {
             // Hardware copy of the new receive probes the unexpected
             // unit. This exchange is synchronous within the work item, so
             // a failure needs no orphan bookkeeping: quarantine and walk
@@ -1590,7 +1635,14 @@ impl Firmware {
         let pred = unexpected_match(self.cfg.ranks_per_node, probe);
         let hit = self.unexpected.find_from(software_from, pred, &mut visited);
         let tb = TraceBuilder::new();
-        t = self.charge_walk(QueueKind::Unexpected, SearchSource::Linear, tb, &visited, t, core);
+        t = self.charge_walk(
+            QueueKind::Unexpected,
+            SearchSource::Linear,
+            tb,
+            &visited,
+            t,
+            core,
+        );
         (t, hit.map(|(_, key)| key))
     }
 
@@ -1606,7 +1658,11 @@ impl Firmware {
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let probe = Probe::recv(eff_ctx(self.cfg.ranks_per_node, context, req.rank), src, tag);
+        let probe = Probe::recv(
+            eff_ctx(self.cfg.ranks_per_node, context, req.rank),
+            src,
+            tag,
+        );
         let (mut t, matched) = self.match_unexpected(probe, now, core);
 
         match matched {
@@ -1649,9 +1705,8 @@ impl Firmware {
                         };
                         if h.payload_len > 0 && !truncated {
                             if self.cfg.eager_buffer_bytes > 0 {
-                                self.eager_bytes_used = self
-                                    .eager_bytes_used
-                                    .saturating_sub(h.payload_len as u64);
+                                self.eager_bytes_used =
+                                    self.eager_bytes_used.saturating_sub(h.payload_len as u64);
                             }
                             let (start, done) = self.dma_rx.transfer(h.payload_len as u64, t);
                             self.ev(
@@ -1760,8 +1815,7 @@ impl Firmware {
                     // (§II): hash the triplet, read-modify-write the bin
                     // header, link the entry in.
                     index.insert(key, addr, probe.word, probe.mask);
-                    let bin =
-                        layout::HASHBIN_BASE + (index.bin_index(probe.word) as u64) * 64;
+                    let bin = layout::HASHBIN_BASE + (index.bin_index(probe.word) as u64) * 64;
                     t += core
                         .run(
                             &TraceBuilder::new()
@@ -1798,7 +1852,9 @@ impl Firmware {
         let rpn = self.cfg.ranks_per_node;
         let probe = Probe::recv(eff_ctx(rpn, context, req.rank), src, tag);
         let mut visited = Vec::new();
-        let hit = self.unexpected.find_from(0, unexpected_match(rpn, probe), &mut visited);
+        let hit = self
+            .unexpected
+            .find_from(0, unexpected_match(rpn, probe), &mut visited);
         let tb = TraceBuilder::new().int(8);
         let source = SearchSource::Linear;
         let t = self.charge_walk(QueueKind::Unexpected, source, tb, &visited, now, core);
@@ -1845,13 +1901,7 @@ impl Firmware {
     /// ALPU-resident entries become tombstones because Table I offers no
     /// DELETE command — they are reclaimed when the hardware matches
     /// them.
-    fn do_cancel(
-        &mut self,
-        target: ReqId,
-        now: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
+    fn do_cancel(&mut self, target: ReqId, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
         let mut visited = Vec::new();
         let hit = self
             .posted
@@ -1873,7 +1923,9 @@ impl Firmware {
         if in_alpu {
             self.posted_mark_ghost(key);
             self.stats.ghosted_cancels += 1;
-            t += core.run(&TraceBuilder::new().int(6).store(addr).build(), t).elapsed;
+            t += core
+                .run(&TraceBuilder::new().int(6).store(addr).build(), t)
+                .elapsed;
         } else {
             self.posted.remove_key(key);
             if let Some(index) = &mut self.posted_index {
@@ -1884,7 +1936,9 @@ impl Firmware {
                 }
                 t += core.run(&tb.build(), t).elapsed;
             }
-            t += core.run(&TraceBuilder::new().int(6).store(addr).build(), t).elapsed;
+            t += core
+                .run(&TraceBuilder::new().int(6).store(addr).build(), t)
+                .elapsed;
         }
         fx.completions.push((
             t + self.cfg.completion_cost,
@@ -2101,7 +2155,9 @@ impl Firmware {
         }
         self.alpus_dead = true;
         for unit in UNITS {
-            let Some(port) = self.port(unit) else { continue };
+            let Some(port) = self.port(unit) else {
+                continue;
+            };
             if !port.quarantined() {
                 self.fail_unit(unit, now);
             }
@@ -2154,7 +2210,14 @@ impl Firmware {
         match read {
             HwRead::Hit(_) | HwRead::Miss => {
                 let hit = matches!(read, HwRead::Hit(_));
-                self.ev(now, TraceEvent::AlpuResponse { unit, hit, dur: t - now });
+                self.ev(
+                    now,
+                    TraceEvent::AlpuResponse {
+                        unit,
+                        hit,
+                        dur: t - now,
+                    },
+                );
             }
             HwRead::Poisoned | HwRead::Wedged => self.fail_unit(unit, t),
         }
@@ -2165,7 +2228,9 @@ impl Firmware {
     /// the unit is offline, then software takes over.
     fn fallback_status_read(&mut self, t: Time, core: &mut Core) -> Time {
         self.stats.alpu_fallbacks += 1;
-        t + core.run(&TraceBuilder::new().bus_read().int(4).build(), t).elapsed
+        t + core
+            .run(&TraceBuilder::new().bus_read().int(4).build(), t)
+            .elapsed
     }
 
     /// Charge a software walk that visited `visited` starting at `t`: the
@@ -2186,20 +2251,31 @@ impl Firmware {
         }
         let end = t + core.run(&tb.build(), t).elapsed;
         let (count, hist) = match (queue, source) {
-            (QueueKind::Posted, SearchSource::HashIndex) => {
-                (&mut self.stats.posted_entries_traversed, &mut self.hists.posted_hash)
-            }
-            (QueueKind::Posted, _) => {
-                (&mut self.stats.posted_entries_traversed, &mut self.hists.posted_linear)
-            }
-            (QueueKind::Unexpected, _) => {
-                (&mut self.stats.unexpected_entries_traversed, &mut self.hists.unexpected_linear)
-            }
+            (QueueKind::Posted, SearchSource::HashIndex) => (
+                &mut self.stats.posted_entries_traversed,
+                &mut self.hists.posted_hash,
+            ),
+            (QueueKind::Posted, _) => (
+                &mut self.stats.posted_entries_traversed,
+                &mut self.hists.posted_linear,
+            ),
+            (QueueKind::Unexpected, _) => (
+                &mut self.stats.unexpected_entries_traversed,
+                &mut self.hists.unexpected_linear,
+            ),
         };
         *count += visited.len() as u64;
         hist.record(end - t);
         let entries = visited.len() as u32;
-        self.ev(t, TraceEvent::SwSearch { queue, source, entries, dur: end - t });
+        self.ev(
+            t,
+            TraceEvent::SwSearch {
+                queue,
+                source,
+                entries,
+                dur: end - t,
+            },
+        );
         end
     }
 
@@ -2209,7 +2285,13 @@ impl Firmware {
     fn fail_unit(&mut self, unit: QueueKind, now: Time) {
         self.port_mut(unit).quarantine(now);
         self.unit_emptied(unit);
-        self.ev(now, TraceEvent::Quarantine { unit, engaged: false });
+        self.ev(
+            now,
+            TraceEvent::Quarantine {
+                unit,
+                engaged: false,
+            },
+        );
     }
 
     /// `unit` was just emptied by a RESET: every live entry becomes tail
@@ -2220,9 +2302,16 @@ impl Firmware {
             self.unexpected.clear_alpu_marks();
             return Vec::new();
         }
-        let dead: Vec<Key> =
-            self.posted.iter().filter(|it| it.val.ghost).map(|it| it.key).collect();
-        let addrs = dead.into_iter().map(|key| self.posted.remove_key(key).addr).collect();
+        let dead: Vec<Key> = self
+            .posted
+            .iter()
+            .filter(|it| it.val.ghost)
+            .map(|it| it.key)
+            .collect();
+        let addrs = dead
+            .into_iter()
+            .map(|key| self.posted.remove_key(key).addr)
+            .collect();
         self.posted.clear_alpu_marks();
         self.port_mut(QueueKind::Posted).ghosts = 0;
         addrs
@@ -2241,7 +2330,9 @@ impl Firmware {
             self.fail_unit(QueueKind::Posted, now);
             return now;
         };
-        t += core.run(&TraceBuilder::new().int(6).bus_write().build(), t).elapsed;
+        t += core
+            .run(&TraceBuilder::new().int(6).bus_write().build(), t)
+            .elapsed;
         self.port_mut(QueueKind::Posted).sync(t + Time::from_ns(20));
         let mut tb = TraceBuilder::new().int(8);
         for addr in self.unit_emptied(QueueKind::Posted) {
@@ -2258,11 +2349,23 @@ impl Firmware {
         let mut t = now;
         for unit in UNITS {
             if self.port(unit).is_some() && self.port_mut(unit).reengage(now) {
-                t += core.run(&TraceBuilder::new().int(8).bus_write().build(), t).elapsed;
-                self.ev(t, TraceEvent::Quarantine { unit, engaged: true });
+                t += core
+                    .run(&TraceBuilder::new().int(8).bus_write().build(), t)
+                    .elapsed;
+                self.ev(
+                    t,
+                    TraceEvent::Quarantine {
+                        unit,
+                        engaged: true,
+                    },
+                );
             }
         }
-        if self.posted_alpu.as_ref().is_some_and(AlpuPort::purge_needed) {
+        if self
+            .posted_alpu
+            .as_ref()
+            .is_some_and(AlpuPort::purge_needed)
+        {
             let purge_start = t;
             let ghosts = self.posted_ghost_count() as u32;
             t = self.purge_posted(t, core);
@@ -2364,7 +2467,9 @@ impl Firmware {
     /// engine so per-destination ordering is preserved even when payload
     /// DMAs of earlier messages are still draining.
     fn inject(&mut self, wire_bytes: u64, t: Time) -> Time {
-        let (_, done) = self.dma_tx.transfer(wire_bytes.min(Message::HEADER_BYTES), t);
+        let (_, done) = self
+            .dma_tx
+            .transfer(wire_bytes.min(Message::HEADER_BYTES), t);
         done
     }
 }

@@ -386,7 +386,12 @@ impl AlpuPort {
             return (now, HwRead::Wedged);
         };
         self.probes_in_flight -= 1;
-        let reads = TraceBuilder::new().bus_read().bus_read().bus_read().bus_read().int(4);
+        let reads = TraceBuilder::new()
+            .bus_read()
+            .bus_read()
+            .bus_read()
+            .bus_read()
+            .int(4);
         let t = t + core.run(&reads.build(), t).elapsed;
         let read = match resp {
             _ if self.alpu.parity_error() => HwRead::Poisoned,
@@ -434,10 +439,18 @@ impl AlpuPort {
         if !self.probe_quiescent(now) {
             return Ok(now + core.run(&TraceBuilder::new().int(4).build(), now).elapsed);
         }
-        let mut t = now + core.run(&TraceBuilder::new().int(6).bus_write().build(), now).elapsed;
-        t = self.push_command(Command::StartInsert, t).map_err(|AlpuWedged| t)?;
+        let mut t = now
+            + core
+                .run(&TraceBuilder::new().int(6).bus_write().build(), now)
+                .elapsed;
+        t = self
+            .push_command(Command::StartInsert, t)
+            .map_err(|AlpuWedged| t)?;
         let (free, t_ack) = self.pop_start_ack(t).map_err(|AlpuWedged| t)?;
-        t = t_ack + core.run(&TraceBuilder::new().bus_read().build(), t_ack).elapsed;
+        t = t_ack
+            + core
+                .run(&TraceBuilder::new().bus_read().build(), t_ack)
+                .elapsed;
         // Abort if a probe slipped in while we waited for the ack:
         // nothing has been inserted yet, so a just-computed failure still
         // pairs with the current tail. Retry the session later.
@@ -452,19 +465,36 @@ impl AlpuPort {
                 .into_iter()
                 .map(|(key, addr, e)| {
                     let (word, mask) = entry_of(e);
-                    (addr, Entry { word, mask, tag: key as Tag })
+                    (
+                        addr,
+                        Entry {
+                            word,
+                            mask,
+                            tag: key as Tag,
+                        },
+                    )
                 })
                 .collect();
             for (addr, entry) in batch {
                 // Read the entry, then two posted bus writes per insert
                 // (match+mask words, tag).
-                let write = TraceBuilder::new().load(addr).int(4).bus_write().bus_write();
+                let write = TraceBuilder::new()
+                    .load(addr)
+                    .int(4)
+                    .bus_write()
+                    .bus_write();
                 t += core.run(&write.build(), t).elapsed;
-                t = self.push_command(Command::Insert(entry), t).map_err(|AlpuWedged| t)?;
+                t = self
+                    .push_command(Command::Insert(entry), t)
+                    .map_err(|AlpuWedged| t)?;
             }
         }
-        t = self.push_command(Command::StopInsert, t).map_err(|AlpuWedged| t)?;
-        Ok(t + core.run(&TraceBuilder::new().bus_write().build(), t).elapsed)
+        t = self
+            .push_command(Command::StopInsert, t)
+            .map_err(|AlpuWedged| t)?;
+        Ok(t + core
+            .run(&TraceBuilder::new().bus_write().build(), t)
+            .elapsed)
     }
 
     /// The shadowing invariant against the queue's ALPU-resident prefix:
@@ -472,7 +502,11 @@ impl AlpuPort {
     /// prefix (a run can end mid-session, with inserts still queued). A
     /// quarantined unit is empty.
     pub(super) fn check_shadow(&self, prefix: usize) {
-        assert_eq!(self.alpu.occupied_when_drained(), prefix, "unit vs shadow prefix");
+        assert_eq!(
+            self.alpu.occupied_when_drained(),
+            prefix,
+            "unit vs shadow prefix"
+        );
         if self.quarantined() {
             assert_eq!(self.alpu.occupied(), 0, "a quarantined unit is empty");
         }

@@ -245,7 +245,12 @@ mod tests {
     fn bin_walk_is_short_but_wildcards_scan() {
         let mut ix = PostedIndex::new(64);
         for i in 0..64u32 {
-            ix.insert(i, 0x1000 + i as u64 * 64, word(1, 9, 100 + i as u16), MaskWord::EXACT);
+            ix.insert(
+                i,
+                0x1000 + i as u64 * 64,
+                word(1, 9, 100 + i as u16),
+                MaskWord::EXACT,
+            );
         }
         for i in 0..32u32 {
             ix.insert(
@@ -271,7 +276,12 @@ mod tests {
         let mut ix = PostedIndex::new(16);
         ix.insert(1, 0x100, word(1, 5, 3), MaskWord::EXACT); // seq 0
         for i in 0..10u32 {
-            ix.insert(100 + i, 0x9000 + i as u64 * 64, word(2, 0, i as u16), MaskWord::ANY_SOURCE);
+            ix.insert(
+                100 + i,
+                0x9000 + i as u64 * 64,
+                word(2, 0, i as u16),
+                MaskWord::ANY_SOURCE,
+            );
         }
         let p = ix.probe(word(1, 5, 3));
         assert_eq!(p.hit, Some(1));

@@ -35,5 +35,7 @@ pub use coll::{ctag, CollOp, CollStep, Dir};
 pub use config::{AlpuSetup, NicConfig, SwMatch};
 pub use firmware::FwStats;
 pub use host_iface::{Completion, HostRequest, ReqId};
-pub use nic::{host_comp_port, Nic, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX, PORT_NET_TX, PORT_RETX};
+pub use nic::{
+    host_comp_port, Nic, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX, PORT_NET_TX, PORT_RETX,
+};
 pub use reliability::{LinkStats, Reliability, ReliabilityConfig};

@@ -313,7 +313,8 @@ impl Nic {
         if ctx.metrics().enabled() {
             let p = &self.stat_prefix;
             ctx.metrics().add(&format!("{p}.work_items"), 1);
-            ctx.metrics().record(&format!("{p}.work_service"), end - now);
+            ctx.metrics()
+                .record(&format!("{p}.work_service"), end - now);
         }
         for (at, what) in self.fw.take_events() {
             ctx.trace_at(at, what);
@@ -352,7 +353,11 @@ impl Nic {
                     cancelled: comp.cancelled,
                 },
             );
-            ctx.emit_after(host_comp_port(pid), Payload::new(comp), at.saturating_sub(now));
+            ctx.emit_after(
+                host_comp_port(pid),
+                Payload::new(comp),
+                at.saturating_sub(now),
+            );
         }
         // Batch-aware update scheduling (§IV-B).
         if !self.update_queued && self.fw.update_needed(self.work.is_empty(), now) {
@@ -547,7 +552,11 @@ impl Nic {
                     cancelled: comp.cancelled,
                 },
             );
-            ctx.emit_after(host_comp_port(pid), Payload::new(comp), at.saturating_sub(now));
+            ctx.emit_after(
+                host_comp_port(pid),
+                Payload::new(comp),
+                at.saturating_sub(now),
+            );
         }
         ctx.metrics().add("fault.peers_failed", 1);
         ctx.trace(TraceEvent::ComponentFault {

@@ -499,7 +499,12 @@ impl Reliability {
                 link.nacked_for = link.expected;
                 self.stats.nacks_sent += 1;
                 let expect = link.expected;
-                out.send.push(Self::control(self.node, peer, MsgKind::Nack { expect }, self.epoch));
+                out.send.push(Self::control(
+                    self.node,
+                    peer,
+                    MsgKind::Nack { expect },
+                    self.epoch,
+                ));
             }
         }
     }
@@ -674,7 +679,10 @@ mod tests {
             assert_eq!(r.send.len(), 1);
             assert_eq!(r.send[0].header.kind, MsgKind::Ack { cum: i + 1 });
             // Feed the ACK back; the window drains.
-            let back = tx.receive(r.send.into_iter().next().unwrap(), Time::from_ns(10 * i + 9));
+            let back = tx.receive(
+                r.send.into_iter().next().unwrap(),
+                Time::from_ns(10 * i + 9),
+            );
             assert!(back.deliver.is_none());
         }
         assert_eq!(tx.unacked_frames(), 0);

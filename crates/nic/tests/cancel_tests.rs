@@ -117,10 +117,14 @@ fn cancel_alpu_resident_entry_leaves_ghost() {
     let fx = r.run(cancel(0));
     assert!(fx.completions[0].1.cancelled);
     assert_eq!(r.fw.posted_ghost_count(), 1);
-    assert_eq!(r.fw.posted_len(), 2, "tombstone stays in the software queue");
+    assert_eq!(
+        r.fw.posted_len(),
+        2,
+        "tombstone stays in the software queue"
+    );
     check_invariants(&r.fw); // prefix still equals hardware occupancy
-    // A message for the cancelled receive must NOT match it: the ghost is
-    // reclaimed and the message lands unexpected.
+                             // A message for the cancelled receive must NOT match it: the ghost is
+                             // reclaimed and the message lands unexpected.
     let fx = r.rx(eager(5, 0));
     assert!(fx.completions.is_empty());
     assert_eq!(r.fw.unexpected_len(), 1);

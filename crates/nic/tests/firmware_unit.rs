@@ -252,7 +252,10 @@ fn engagement_threshold_skips_probing_short_queues() {
     let mut r = Rig::new(cfg);
     r.run(post_recv(0, Some(0), Some(7), 0));
     assert!(!r.fw.posted_engaged(), "below threshold: not engaged");
-    assert!(!r.fw.update_needed(true, r.now), "no insert sessions below threshold");
+    assert!(
+        !r.fw.update_needed(true, r.now),
+        "no insert sessions below threshold"
+    );
     let msg = eager(0, 7, 0, 0);
     let probed = r.fw.header_arrival(&msg, r.now);
     assert!(!probed, "headers bypass a disengaged ALPU");
@@ -303,7 +306,10 @@ fn wildcard_recv_matches_any_source_arrival() {
     r.run(post_recv(0, None, Some(9), 64));
     let fx = r.rx(eager(0, 9, 64, 0));
     assert_eq!(fx.completions.len(), 1);
-    assert_eq!(fx.completions[0].1.source, 0, "status resolves the wildcard");
+    assert_eq!(
+        fx.completions[0].1.source, 0,
+        "status resolves the wildcard"
+    );
 }
 
 #[test]
@@ -335,7 +341,11 @@ fn mpi_ordering_across_kinds() {
     assert!(matches!(fx1.tx[0].1.header.kind, MsgKind::RndvReply { .. }));
     let fx2 = r.rx(eager(0, 5, 100, 1));
     assert_eq!(fx2.completions.len(), 1);
-    assert_eq!(fx2.completions[0].1.req, rid(1), "eager takes the second receive");
+    assert_eq!(
+        fx2.completions[0].1.req,
+        rid(1),
+        "eager takes the second receive"
+    );
 }
 
 /// A stall far past the firmware's 4096-cycle wait budget, so the next
@@ -357,7 +367,10 @@ fn wedged_posted_unit_quarantines_falls_back_and_reengages() {
     }
     r.flush_updates();
     check_invariants(&r.fw);
-    r.fw.posted_alpu.as_mut().unwrap().inject_stall(WEDGE_CYCLES);
+    r.fw.posted_alpu
+        .as_mut()
+        .unwrap()
+        .inject_stall(WEDGE_CYCLES);
 
     // Two headers are probed before the firmware reads either response.
     let (m1, m2) = (eager(0, 1, 64, 0), eager(0, 2, 64, 1));
@@ -365,17 +378,30 @@ fn wedged_posted_unit_quarantines_falls_back_and_reengages() {
     assert!(r.fw.header_arrival(&m2, r.now));
     // The first read times out: the unit is quarantined and the header
     // matches in software over the whole list.
-    let fx = r.run(WorkItem::Rx { msg: m1, probed: true });
+    let fx = r.run(WorkItem::Rx {
+        msg: m1,
+        probed: true,
+    });
     assert!(r.fw.posted_quarantined() && !r.fw.posted_engaged());
     assert_eq!(fx.completions[0].1.req, rid(1));
     let s = r.fw.stats();
-    assert_eq!((s.alpu_resets, s.alpu_fallbacks, s.posted_alpu_hits), (1, 1, 0));
+    assert_eq!(
+        (s.alpu_resets, s.alpu_fallbacks, s.posted_alpu_hits),
+        (1, 1, 0)
+    );
     // The second header's response died with the unit: an orphan, also
     // served by the software fallback.
-    let fx = r.run(WorkItem::Rx { msg: m2, probed: true });
+    let fx = r.run(WorkItem::Rx {
+        msg: m2,
+        probed: true,
+    });
     assert_eq!(fx.completions[0].1.req, rid(2));
     let s = r.fw.stats();
-    assert_eq!((s.alpu_resets, s.alpu_fallbacks), (1, 2), "no second quarantine");
+    assert_eq!(
+        (s.alpu_resets, s.alpu_fallbacks),
+        (1, 2),
+        "no second quarantine"
+    );
     check_invariants(&r.fw);
 
     // Out of service for the 10 us cooldown, then re-engaged and refilled.
@@ -388,7 +414,11 @@ fn wedged_posted_unit_quarantines_falls_back_and_reengages() {
     check_invariants(&r.fw);
     let fx = r.rx(eager(0, 3, 64, 2));
     assert_eq!(fx.completions[0].1.req, rid(3));
-    assert_eq!(r.fw.stats().posted_alpu_hits, 1, "matched in hardware again");
+    assert_eq!(
+        r.fw.stats().posted_alpu_hits,
+        1,
+        "matched in hardware again"
+    );
     r.flush_updates();
     check_invariants(&r.fw);
 }
@@ -401,7 +431,10 @@ fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
     }
     r.flush_updates();
     check_invariants(&r.fw);
-    r.fw.unexpected_alpu.as_mut().unwrap().inject_stall(WEDGE_CYCLES);
+    r.fw.unexpected_alpu
+        .as_mut()
+        .unwrap()
+        .inject_stall(WEDGE_CYCLES);
 
     // A late receive probes the stalled unit: quarantine, then the
     // software walk still finds its message.
@@ -409,7 +442,10 @@ fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
     assert!(r.fw.unexpected_quarantined());
     assert_eq!(sole_completion(&fx), (0, 2, 64));
     let s = r.fw.stats();
-    assert_eq!((s.alpu_resets, s.alpu_fallbacks, s.unexpected_alpu_hits), (1, 1, 0));
+    assert_eq!(
+        (s.alpu_resets, s.alpu_fallbacks, s.unexpected_alpu_hits),
+        (1, 1, 0)
+    );
     check_invariants(&r.fw);
 
     assert!(!r.fw.update_needed(true, r.now));
@@ -421,7 +457,11 @@ fn wedged_unexpected_unit_quarantines_falls_back_and_reengages() {
     check_invariants(&r.fw);
     let fx = r.run(post_recv(11, Some(0), Some(3), 256));
     assert_eq!(sole_completion(&fx), (0, 3, 96));
-    assert_eq!(r.fw.stats().unexpected_alpu_hits, 1, "matched in hardware again");
+    assert_eq!(
+        r.fw.stats().unexpected_alpu_hits,
+        1,
+        "matched in hardware again"
+    );
     check_invariants(&r.fw);
 }
 
@@ -439,7 +479,10 @@ fn killed_alpus_stay_out_of_service() {
     r.now += Time::from_us(1000);
     assert!(!r.fw.update_needed(true, r.now));
     let msg = eager(0, 1, 64, 1);
-    assert!(!r.fw.header_arrival(&msg, r.now), "a dead unit gets no probes");
+    assert!(
+        !r.fw.header_arrival(&msg, r.now),
+        "a dead unit gets no probes"
+    );
     let fx = r.run(WorkItem::Rx { msg, probed: false });
     assert_eq!(fx.completions[0].1.req, rid(1));
     let fx = r.run(post_recv(2, Some(0), Some(2), 64));
@@ -447,7 +490,14 @@ fn killed_alpus_stay_out_of_service() {
     r.run(post_recv(3, Some(0), Some(3), 64));
     r.flush_updates();
     let s = r.fw.stats();
-    assert_eq!((s.alpu_reengagements, s.posted_alpu_hits, s.unexpected_alpu_hits), (0, 0, 0));
+    assert_eq!(
+        (
+            s.alpu_reengagements,
+            s.posted_alpu_hits,
+            s.unexpected_alpu_hits
+        ),
+        (0, 0, 0)
+    );
     assert!(r.fw.posted_quarantined() && r.fw.unexpected_quarantined());
     check_invariants(&r.fw);
 }

@@ -10,8 +10,8 @@ use mpiq_nic::{
     Completion, HostRequest, Nic, NicConfig, ReqId, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX,
     PORT_NET_TX,
 };
-use std::sync::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// A host that fires a script of requests at fixed times and records
 /// completions.
@@ -25,7 +25,12 @@ impl Component for ScriptHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (at, req) in self.script.drain(..) {
             // Request reaches the NIC one bus transaction after issue.
-            ctx.send_to(self.nic, PORT_HOST_REQ, Payload::new(req), at + Time::from_ns(20));
+            ctx.send_to(
+                self.nic,
+                PORT_HOST_REQ,
+                Payload::new(req),
+                at + Time::from_ns(20),
+            );
         }
     }
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
@@ -159,7 +164,11 @@ fn rendezvous_transfers_large_payload() {
     assert_eq!(log1.len(), 1);
     assert_eq!(log1[0].1.len, len);
     // 64 KB at 2 B/ns on the wire alone is 32 us.
-    assert!(log1[0].0 > Time::from_us(30), "rndv too fast: {}", log1[0].0);
+    assert!(
+        log1[0].0 > Time::from_us(30),
+        "rndv too fast: {}",
+        log1[0].0
+    );
     // Sender completes after shipping the data.
     let log0 = w.logs[0].lock().unwrap();
     assert_eq!(log0.len(), 1);

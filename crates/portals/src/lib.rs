@@ -28,4 +28,4 @@ pub mod ni;
 pub use events::{Event, EventKind, EventQueue};
 pub use md::{Md, MdHandle, MdOptions};
 pub use me::{InsertPos, MatchEntry, MeHandle, MeOptions};
-pub use ni::{Network, Ni, ProcessId, PortalIndex};
+pub use ni::{Network, Ni, PortalIndex, ProcessId};

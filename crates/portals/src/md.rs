@@ -123,10 +123,13 @@ mod tests {
 
     #[test]
     fn locally_managed_offsets_advance() {
-        let mut md = Md::new(16, MdOptions {
-            manage_local_offset: true,
-            ..MdOptions::default()
-        });
+        let mut md = Md::new(
+            16,
+            MdOptions {
+                manage_local_offset: true,
+                ..MdOptions::default()
+            },
+        );
         md.deposit(&Bytes::from_static(b"aa"), 999).unwrap();
         let d = md.deposit(&Bytes::from_static(b"bb"), 999).unwrap();
         assert_eq!(d.offset, 2, "requested offset ignored when locally managed");
@@ -143,19 +146,25 @@ mod tests {
 
     #[test]
     fn no_truncate_rejects() {
-        let mut md = Md::new(4, MdOptions {
-            truncate: false,
-            ..MdOptions::default()
-        });
+        let mut md = Md::new(
+            4,
+            MdOptions {
+                truncate: false,
+                ..MdOptions::default()
+            },
+        );
         assert!(md.deposit(&Bytes::from_static(b"abcdef"), 0).is_none());
     }
 
     #[test]
     fn threshold_requests_unlink() {
-        let mut md = Md::new(16, MdOptions {
-            threshold: Some(2),
-            ..MdOptions::default()
-        });
+        let mut md = Md::new(
+            16,
+            MdOptions {
+                threshold: Some(2),
+                ..MdOptions::default()
+            },
+        );
         assert!(!md.deposit(&Bytes::from_static(b"x"), 0).unwrap().unlink);
         assert!(md.deposit(&Bytes::from_static(b"y"), 1).unwrap().unlink);
     }

@@ -100,7 +100,12 @@ impl MatchList {
     }
 
     /// Insert relative to an existing entry (`PtlMEInsert`).
-    pub fn insert(&mut self, reference: MeHandle, pos: InsertPos, me: MatchEntry) -> Option<MeHandle> {
+    pub fn insert(
+        &mut self,
+        reference: MeHandle,
+        pos: InsertPos,
+        me: MatchEntry,
+    ) -> Option<MeHandle> {
         let idx = self.entries.iter().position(|(h, _)| *h == reference)?;
         let h = MeHandle(self.next);
         self.next += 1;

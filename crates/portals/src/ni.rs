@@ -39,7 +39,9 @@ impl Ni {
     pub fn new(id: ProcessId) -> Ni {
         Ni {
             id,
-            table: (0..PORTAL_TABLE_SIZE).map(|_| MatchList::default()).collect(),
+            table: (0..PORTAL_TABLE_SIZE)
+                .map(|_| MatchList::default())
+                .collect(),
             mds: HashMap::new(),
             next_md: 0,
             eq: EventQueue::new(1024),
@@ -152,10 +154,12 @@ impl Ni {
         offset: u64,
         len: u64,
     ) -> Option<Bytes> {
-        let meh = self.table[pt].first_match(initiator, bits, true).or_else(|| {
-            self.dropped += 1;
-            None
-        })?;
+        let meh = self.table[pt]
+            .first_match(initiator, bits, true)
+            .or_else(|| {
+                self.dropped += 1;
+                None
+            })?;
         let me = self.table[pt].get(meh).expect("just matched").clone();
         let md = self.mds.get_mut(&me.md).expect("live MD");
         let data = md.read(offset, len);
@@ -327,10 +331,13 @@ mod tests {
     #[test]
     fn use_once_unlinks_persistent_stays() {
         let (mut net, a, b) = net2();
-        let md = net.ni_mut(b).md_bind(64, MdOptions {
-            manage_local_offset: true,
-            ..MdOptions::default()
-        });
+        let md = net.ni_mut(b).md_bind(
+            64,
+            MdOptions {
+                manage_local_offset: true,
+                ..MdOptions::default()
+            },
+        );
         net.ni_mut(b).me_attach(
             0,
             MatchEntry {
@@ -388,7 +395,10 @@ mod tests {
                 md,
             },
         );
-        assert!(!net.put(a, b, 0, 7, 0, Bytes::from_static(b"x")), "wrong pt");
+        assert!(
+            !net.put(a, b, 0, 7, 0, Bytes::from_static(b"x")),
+            "wrong pt"
+        );
         assert!(net.put(a, b, 3, 7, 0, Bytes::from_static(b"x")));
     }
 }

@@ -25,8 +25,12 @@ fn dump(alpu: &Alpu, label: &str) {
 fn drain(alpu: &mut Alpu) {
     while let Some(r) = alpu.pop_response() {
         match r {
-            Response::StartAck { free } => println!("             response: START ACK, {free} free cells"),
-            Response::MatchSuccess { tag } => println!("             response: MATCH SUCCESS, tag {tag}"),
+            Response::StartAck { free } => {
+                println!("             response: START ACK, {free} free cells")
+            }
+            Response::MatchSuccess { tag } => {
+                println!("             response: MATCH SUCCESS, tag {tag}")
+            }
             Response::MatchFailure => println!("             response: MATCH FAILURE"),
         }
     }
@@ -68,14 +72,16 @@ fn main() {
     // Priority: two entries match {ctx 1, src 4, tag 10}; the OLDER one
     // (tag 10, furthest right) must win and be deleted with a shift.
     println!("\n-- probe {{ctx 1, src 4, tag 10}}: two candidates, oldest wins");
-    alpu.push_header(Probe::exact(MatchWord::mpi(1, 4, 10))).unwrap();
+    alpu.push_header(Probe::exact(MatchWord::mpi(1, 4, 10)))
+        .unwrap();
     alpu.advance(6);
     drain(&mut alpu);
     dump(&alpu, "after delete-with-shift");
 
     // Wildcard: entry tag 11 stores ANY_SOURCE, so src 99 matches it.
     println!("\n-- probe {{ctx 1, src 99, tag 11}}: hits the ANY_SOURCE cell");
-    alpu.push_header(Probe::exact(MatchWord::mpi(1, 99, 11))).unwrap();
+    alpu.push_header(Probe::exact(MatchWord::mpi(1, 99, 11)))
+        .unwrap();
     alpu.advance(6);
     drain(&mut alpu);
     dump(&alpu, "after wildcard match");
@@ -86,7 +92,8 @@ fn main() {
     alpu.push_command(Command::StartInsert).unwrap();
     alpu.advance(2);
     drain(&mut alpu);
-    alpu.push_header(Probe::exact(MatchWord::mpi(1, 7, 77))).unwrap();
+    alpu.push_header(Probe::exact(MatchWord::mpi(1, 7, 77)))
+        .unwrap();
     alpu.advance(20);
     println!("             (no response yet — failure held for retry, §III-C)");
     assert_eq!(alpu.responses_pending(), 0);
@@ -114,7 +121,8 @@ fn main() {
         alpu.run_to_idle(10_000);
         while alpu.pop_response().is_some() {}
         let vcd = mpiq::alpu::vcd::capture(&mut alpu, 2, |a| {
-            a.push_header(Probe::exact(MatchWord::mpi(1, 4, 99))).unwrap();
+            a.push_header(Probe::exact(MatchWord::mpi(1, 4, 99)))
+                .unwrap();
         });
         std::fs::write(&path, vcd).expect("write vcd");
         println!("wrote waveform to {path} (open with GTKWave)");

@@ -24,10 +24,10 @@ fn neighbors(rank: u32) -> [u32; 4] {
     let (x, y) = (rank % SIDE, rank / SIDE);
     let wrap = |v: i64| ((v + SIDE as i64) % SIDE as i64) as u32;
     [
-        wrap(x as i64 - 1) + y * SIDE,        // west
-        wrap(x as i64 + 1) + y * SIDE,        // east
-        x + wrap(y as i64 - 1) * SIDE,        // north
-        x + wrap(y as i64 + 1) * SIDE,        // south
+        wrap(x as i64 - 1) + y * SIDE, // west
+        wrap(x as i64 + 1) + y * SIDE, // east
+        x + wrap(y as i64 - 1) * SIDE, // north
+        x + wrap(y as i64 + 1) * SIDE, // south
     ]
 }
 
@@ -84,15 +84,23 @@ fn run(nic: NicConfig, reverse_posting: bool) -> Time {
     cluster.run();
     // Slowest rank's exchange time.
     let m = marks.borrow();
-    let start = m.iter().filter(|(id, _)| *id == 0).map(|&(_, t)| t).min().unwrap();
-    let end = m.iter().filter(|(id, _)| *id == 1).map(|&(_, t)| t).max().unwrap();
+    let start = m
+        .iter()
+        .filter(|(id, _)| *id == 0)
+        .map(|&(_, t)| t)
+        .min()
+        .unwrap();
+    let end = m
+        .iter()
+        .filter(|(id, _)| *id == 1)
+        .map(|&(_, t)| t)
+        .max()
+        .unwrap();
     end - start
 }
 
 fn main() {
-    println!(
-        "halo exchange on a {SIDE}x{SIDE} torus, {ITERS} iterations, {HALO_BYTES} B halos,"
-    );
+    println!("halo exchange on a {SIDE}x{SIDE} torus, {ITERS} iterations, {HALO_BYTES} B halos,");
     println!(
         "all {} receives pre-posted per rank (half with MPI_ANY_SOURCE):\n",
         4 * ITERS

@@ -20,10 +20,13 @@ fn main() {
     // match entry with locally managed offsets — every matching put
     // appends. The low 8 match bits are ignored (a Portals idiom: one ME
     // covers a whole family of request kinds).
-    let req_md = net.ni_mut(server).md_bind(64, MdOptions {
-        manage_local_offset: true,
-        ..MdOptions::default()
-    });
+    let req_md = net.ni_mut(server).md_bind(
+        64,
+        MdOptions {
+            manage_local_offset: true,
+            ..MdOptions::default()
+        },
+    );
     net.ni_mut(server).me_attach(
         2,
         MatchEntry {
@@ -46,11 +49,28 @@ fn main() {
         (0x40FFu64, &b"PUT-B "[..]),
         (0x4002u64, &b"PUT-C"[..]),
     ] {
-        let ok = net.put(client, server, 2, bits, 0, bytes::Bytes::copy_from_slice(body));
-        println!("client put bits {bits:#06x} ({} B): matched = {ok}", body.len());
+        let ok = net.put(
+            client,
+            server,
+            2,
+            bits,
+            0,
+            bytes::Bytes::copy_from_slice(body),
+        );
+        println!(
+            "client put bits {bits:#06x} ({} B): matched = {ok}",
+            body.len()
+        );
     }
     // A put outside the ignore window is dropped.
-    let ok = net.put(client, server, 2, 0x5001, 0, bytes::Bytes::from_static(b"nope"));
+    let ok = net.put(
+        client,
+        server,
+        2,
+        0x5001,
+        0,
+        bytes::Bytes::from_static(b"nope"),
+    );
     println!("client put bits 0x5001: matched = {ok} (dropped — outside the mask)\n");
 
     let region = region_string(&net, server, req_md);

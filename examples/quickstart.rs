@@ -56,7 +56,10 @@ fn pingpong(nic: NicConfig, queue: usize) -> Time {
 fn main() {
     println!("zero-byte ping-pong, one-way latency (the receive matches");
     println!("only after the whole pre-posted queue is traversed):\n");
-    println!("{:>12} {:>14} {:>14} {:>14}", "queue len", "baseline", "ALPU-128", "ALPU-256");
+    println!(
+        "{:>12} {:>14} {:>14} {:>14}",
+        "queue len", "baseline", "ALPU-128", "ALPU-256"
+    );
     for queue in [0, 8, 64, 128, 256, 400] {
         let base = pingpong(NicConfig::baseline(), queue);
         let a128 = pingpong(NicConfig::with_alpus(128), queue);

@@ -53,7 +53,11 @@ fn run(nic: NicConfig) -> (Time, u64) {
     cluster.run();
     let m = marks.borrow();
     let drain = m[1].1 - m[0].1;
-    let traversed = cluster.nic(0).firmware().stats().unexpected_entries_traversed;
+    let traversed = cluster
+        .nic(0)
+        .firmware()
+        .stats()
+        .unexpected_entries_traversed;
     (drain, traversed)
 }
 

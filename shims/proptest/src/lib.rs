@@ -404,12 +404,14 @@ pub mod collection {
 pub mod prelude {
     //! Everything a test file needs via `use proptest::prelude::*;`.
 
+    /// The crate itself, so `prop::collection::vec(...)` resolves.
+    pub use crate as prop;
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestCaseResult};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
-    /// The crate itself, so `prop::collection::vec(...)` resolves.
-    pub use crate as prop;
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Define property tests. Supports the real crate's common form:
@@ -552,9 +554,9 @@ macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{
         let (l, r) = (&$left, &$right);
         if *l == *r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!("assertion failed: `left != right`\n  both: {l:?}"),
-            ));
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                "assertion failed: `left != right`\n  both: {l:?}"
+            )));
         }
     }};
 }

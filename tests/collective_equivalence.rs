@@ -78,22 +78,35 @@ fn run(
     let mut logs = Vec::new();
     let mut marks = Vec::new();
     let programs = workload(ranks, ops, sleep, &mut logs, &mut marks);
-    let mut b = ClusterConfig::builder(nic(offload)).seed(11).topology(topology);
+    let mut b = ClusterConfig::builder(nic(offload))
+        .seed(11)
+        .topology(topology);
     if let Some(spec) = schedule {
         b = b.fault_schedule(spec.parse::<FaultSchedule>().expect("spec grammar"));
     }
     let mut c = Cluster::new(b.build(), programs);
     c.run_watched(Time::from_ms(200))
         .unwrap_or_else(|d| panic!("offload={offload}: stalled: {d}"));
-    let statuses: Vec<Vec<(u32, MpiStatus)>> =
-        logs.iter().map(|l| l.borrow().clone()).collect();
+    let statuses: Vec<Vec<(u32, MpiStatus)>> = logs.iter().map(|l| l.borrow().clone()).collect();
     let t0 = marks
         .iter()
-        .flat_map(|m| m.borrow().iter().filter(|(id, _)| *id == 0).map(|&(_, t)| t).collect::<Vec<_>>())
+        .flat_map(|m| {
+            m.borrow()
+                .iter()
+                .filter(|(id, _)| *id == 0)
+                .map(|&(_, t)| t)
+                .collect::<Vec<_>>()
+        })
         .min();
     let t1 = marks
         .iter()
-        .flat_map(|m| m.borrow().iter().filter(|(id, _)| *id == 1).map(|&(_, t)| t).collect::<Vec<_>>())
+        .flat_map(|m| {
+            m.borrow()
+                .iter()
+                .filter(|(id, _)| *id == 1)
+                .map(|&(_, t)| t)
+                .collect::<Vec<_>>()
+        })
         .max();
     let latency = match (t0, t1) {
         (Some(a), Some(b)) => b - a,
@@ -129,7 +142,10 @@ fn offload_and_host_fallback_agree_on_fat_tree() {
         );
         for (id, st) in &off.statuses[r] {
             assert!(!st.rank_failed(), "rank {r} op {id}: unexpected failure");
-            assert!(!st.cancelled, "rank {r} op {id}: final status leaked a decline");
+            assert!(
+                !st.cancelled,
+                "rank {r} op {id}: final status leaked a decline"
+            );
         }
     }
     for r in 0..RANKS {
@@ -203,7 +219,10 @@ fn offloaded_fat_tree_stats_repeat_byte_for_byte() {
     ];
     let base = run(RANKS, true, FAT_TREE, None, &ops, None);
     let again = run(RANKS, true, FAT_TREE, None, &ops, None);
-    assert_eq!(again.statuses, base.statuses, "statuses diverged between runs");
+    assert_eq!(
+        again.statuses, base.statuses,
+        "statuses diverged between runs"
+    );
     assert_eq!(
         again.cluster.stats().to_json(),
         base.cluster.stats().to_json(),

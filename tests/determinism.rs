@@ -5,8 +5,7 @@
 //! these tests make that a hard regression gate.
 
 use mpiq::dessim::{
-    Component, Ctx, Event, FaultConfig, InPort, OutPort, Payload, ShardId, SimRng, Simulation,
-    Time,
+    Component, Ctx, Event, FaultConfig, InPort, OutPort, Payload, ShardId, SimRng, Simulation, Time,
 };
 use mpiq::mpi::script::mark_log;
 use mpiq::mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -139,7 +138,10 @@ fn fig6_points_repeat_exactly() {
 #[test]
 fn soak_incast_stats_repeat_byte_for_byte_across_seeds() {
     for seed in [1u64, 2, 3, 4] {
-        for faults in [None, "seed=9,drop=0.02,corrupt=0.01".parse::<FaultConfig>().ok()] {
+        for faults in [
+            None,
+            "seed=9,drop=0.02,corrupt=0.01".parse::<FaultConfig>().ok(),
+        ] {
             let run = || {
                 let mut cfg = SoakConfig::new(Scenario::Incast, seed);
                 cfg.senders = 8;
@@ -149,12 +151,19 @@ fn soak_incast_stats_repeat_byte_for_byte_across_seeds() {
             };
             let (base, again) = (run(), run());
             assert_eq!(
-                again.stats_json, base.stats_json,
+                again.stats_json,
+                base.stats_json,
                 "seed {seed} faults={} : stats diverged between runs",
                 faults.is_some()
             );
-            assert_eq!(again.events, base.events, "seed {seed}: event count diverged");
-            assert_eq!(again.runtime, base.runtime, "seed {seed}: virtual time diverged");
+            assert_eq!(
+                again.events, base.events,
+                "seed {seed}: event count diverged"
+            );
+            assert_eq!(
+                again.runtime, base.runtime,
+                "seed {seed}: virtual time diverged"
+            );
         }
     }
 }
@@ -181,9 +190,18 @@ fn hetero_latency_soak_repeats_byte_for_byte() {
         run_soak(&cfg).expect("soak must drain")
     };
     let (base, again) = (run(), run());
-    assert_eq!(again.stats_json, base.stats_json, "hetero stats diverged between runs");
-    assert_eq!(again.events, base.events, "hetero event count diverged between runs");
-    assert_eq!(again.runtime, base.runtime, "hetero virtual time diverged between runs");
+    assert_eq!(
+        again.stats_json, base.stats_json,
+        "hetero stats diverged between runs"
+    );
+    assert_eq!(
+        again.events, base.events,
+        "hetero event count diverged between runs"
+    );
+    assert_eq!(
+        again.runtime, base.runtime,
+        "hetero virtual time diverged between runs"
+    );
 }
 
 /// With tracing armed, the rendered Chrome trace and the metrics dump
@@ -198,8 +216,14 @@ fn armed_traces_repeat_byte_for_byte() {
     };
     let base = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16);
     let again = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16);
-    assert_eq!(again.chrome_json, base.chrome_json, "fig5 trace diverged between runs");
-    assert_eq!(again.metrics_text, base.metrics_text, "fig5 metrics diverged between runs");
+    assert_eq!(
+        again.chrome_json, base.chrome_json,
+        "fig5 trace diverged between runs"
+    );
+    assert_eq!(
+        again.metrics_text, base.metrics_text,
+        "fig5 metrics diverged between runs"
+    );
     assert_eq!(again.records, base.records);
     assert_eq!(again.dropped, base.dropped);
 
@@ -209,8 +233,14 @@ fn armed_traces_repeat_byte_for_byte() {
     };
     let base = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16);
     let again = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16);
-    assert_eq!(again.chrome_json, base.chrome_json, "fig6 trace diverged between runs");
-    assert_eq!(again.metrics_text, base.metrics_text, "fig6 metrics diverged between runs");
+    assert_eq!(
+        again.chrome_json, base.chrome_json,
+        "fig6 trace diverged between runs"
+    );
+    assert_eq!(
+        again.metrics_text, base.metrics_text,
+        "fig6 metrics diverged between runs"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +304,13 @@ fn run_assignment(nshards: usize, assignment: &[usize], sink_shard: usize) -> Ve
                 id: s as u64 + 1,
             },
         );
-        sim.connect(id, OutPort(0), sink, InPort(0), Time::from_ns(50 + s as u64));
+        sim.connect(
+            id,
+            OutPort(0),
+            sink,
+            InPort(0),
+            Time::from_ns(50 + s as u64),
+        );
         sim.post(id, InPort(0), Payload::new(0u64), Time::from_ns(s as u64));
     }
     sim.run();

@@ -100,10 +100,7 @@ fn wildcard_ordering_identical_across_configs() {
         assert_eq!(marks.borrow().len(), 1);
         // Return something deterministic about the final state.
         let fw = c.nic(1).firmware();
-        vec![
-            (fw.posted_len() as u32, 0),
-            (fw.unexpected_len() as u32, 1),
-        ]
+        vec![(fw.posted_len() as u32, 0), (fw.unexpected_len() as u32, 1)]
     };
     let base = run(NicConfig::baseline());
     assert_eq!(base, run(NicConfig::with_alpus(128)));
@@ -173,8 +170,7 @@ fn headline_claims_hold() {
         .latency
     };
     // ~15 ns/entry in cache.
-    let slope =
-        (lat(NicVariant::Baseline, 200) - lat(NicVariant::Baseline, 0)).ps() as f64 / 200e3;
+    let slope = (lat(NicVariant::Baseline, 200) - lat(NicVariant::Baseline, 0)).ps() as f64 / 200e3;
     assert!((10.0..25.0).contains(&slope), "slope {slope} ns/entry");
     // Break-even near 5 entries: ALPU no worse than baseline from 6 up.
     assert!(lat(NicVariant::Alpu128, 6) <= lat(NicVariant::Baseline, 6));
@@ -200,7 +196,11 @@ fn invariants_hold_at_end_of_fig5_run_with_queued_inserts() {
                 let mut b = Script::builder();
                 let mut matching = 0;
                 for i in 0..=queue_len {
-                    let tag = if i == depth { 8 - me } else { 10_000 + i as u16 };
+                    let tag = if i == depth {
+                        8 - me
+                    } else {
+                        10_000 + i as u16
+                    };
                     let h = b.irecv(Some(1 - me), Some(tag), 0);
                     if i == depth {
                         matching = h;

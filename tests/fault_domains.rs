@@ -285,7 +285,8 @@ fn alpu_death_pins_software_fallback() {
     let fw = c.nic(1).firmware();
     assert!(fw.stats().alpus_killed > 0, "the death never landed");
     assert_eq!(
-        fw.stats().alpu_reengagements, 0,
+        fw.stats().alpu_reengagements,
+        0,
         "a dead ALPU must never re-engage"
     );
     assert!(
@@ -293,7 +294,11 @@ fn alpu_death_pins_software_fallback() {
         "the dead unit must stay quarantined (software matching only)"
     );
     let healthy = c.nic(0).firmware();
-    assert_eq!(healthy.stats().alpus_killed, 0, "the other NIC is untouched");
+    assert_eq!(
+        healthy.stats().alpus_killed,
+        0,
+        "the other NIC is untouched"
+    );
     assert!(!healthy.posted_quarantined(), "the other NIC is untouched");
 }
 
@@ -321,17 +326,28 @@ fn fault_telemetry_is_gated_by_observability() {
 
     let observed = run(true);
     let metrics = observed.metrics().render();
-    for key in ["fault.nodes_crashed", "fault.flap_transitions", "fault.peers_failed"] {
+    for key in [
+        "fault.nodes_crashed",
+        "fault.flap_transitions",
+        "fault.peers_failed",
+    ] {
         assert!(metrics.contains(key), "metrics missing {key}:\n{metrics}");
     }
     let trace = observed.chrome_trace();
-    assert!(trace.contains("\"ph\":\"i\""), "no instant events in the trace");
+    assert!(
+        trace.contains("\"ph\":\"i\""),
+        "no instant events in the trace"
+    );
     for name in ["node-crash", "link-down", "link-up", "peer-dead"] {
         assert!(trace.contains(name), "trace missing a {name} instant");
     }
 
     let unobserved = run(false);
-    assert_eq!(unobserved.trace_record_count(), 0, "telemetry leaked past the flag");
+    assert_eq!(
+        unobserved.trace_record_count(),
+        0,
+        "telemetry leaked past the flag"
+    );
     assert!(!unobserved.metrics().render().contains("fault."));
 }
 

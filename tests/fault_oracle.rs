@@ -297,7 +297,10 @@ fn forced_corruption_degrades_gracefully() {
         fallbacks += fw.alpu_fallbacks;
         reengaged += fw.alpu_reengagements;
     }
-    assert!(resets > 0, "no ALPU was ever quarantined at 10% fault rates");
+    assert!(
+        resets > 0,
+        "no ALPU was ever quarantined at 10% fault rates"
+    );
     assert!(fallbacks > 0, "quarantine never forced a software match");
     assert!(
         reengaged > 0,

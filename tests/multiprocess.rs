@@ -82,12 +82,26 @@ fn colocated_processes_queues_are_isolated() {
         c.run();
         assert_eq!(
             logs[0].borrow()[0].1,
-            MpiStatus { source: 2, tag: 5, len: 64, cancelled: false, overflow: false, error: None },
+            MpiStatus {
+                source: 2,
+                tag: 5,
+                len: 64,
+                cancelled: false,
+                overflow: false,
+                error: None
+            },
             "rank 0 must receive rank 2's message"
         );
         assert_eq!(
             logs[1].borrow()[0].1,
-            MpiStatus { source: 3, tag: 5, len: 64, cancelled: false, overflow: false, error: None },
+            MpiStatus {
+                source: 3,
+                tag: 5,
+                len: 64,
+                cancelled: false,
+                overflow: false,
+                error: None
+            },
             "rank 1 must receive rank 3's message"
         );
     }

@@ -65,7 +65,9 @@ fn eager_pool_exhaustion_surfaces_overflow_status() {
     let mut b0 = Script::builder();
     b0.barrier();
     b0.sleep(Time::from_us(50)); // let the burst arrive unexpected
-    let slots: Vec<usize> = (0..4).map(|i| b0.irecv(Some(1), Some(i as u16), 512)).collect();
+    let slots: Vec<usize> = (0..4)
+        .map(|i| b0.irecv(Some(1), Some(i as u16), 512))
+        .collect();
     for (i, s) in slots.iter().enumerate() {
         b0.wait(*s);
         b0.status(*s, i as u32);
@@ -88,8 +90,14 @@ fn eager_pool_exhaustion_surfaces_overflow_status() {
     assert_eq!(statuses.len(), 4, "all four receives completed");
     let overflowed = statuses.iter().filter(|(_, st)| st.overflow).count();
     let intact = statuses.iter().filter(|(_, st)| !st.overflow).count();
-    assert!(overflowed >= 1, "pool exhaustion must mark at least one overflow");
-    assert!(intact >= 1, "the first eager fits the pool and stays intact");
+    assert!(
+        overflowed >= 1,
+        "pool exhaustion must mark at least one overflow"
+    );
+    assert!(
+        intact >= 1,
+        "the first eager fits the pool and stays intact"
+    );
     for (_, st) in statuses.iter().filter(|(_, st)| st.overflow) {
         assert_eq!(st.len, 0, "a truncated eager delivers zero payload bytes");
     }
@@ -111,7 +119,9 @@ fn leaked_grants_deadlock_is_diagnosed() {
 
     let mut b0 = Script::builder();
     b0.barrier();
-    let slots: Vec<usize> = (0..6).map(|i| b0.irecv(Some(1), Some(i as u16), 512)).collect();
+    let slots: Vec<usize> = (0..6)
+        .map(|i| b0.irecv(Some(1), Some(i as u16), 512))
+        .collect();
     b0.wait_all(slots);
     let receiver = b0.build(mark_log());
 
@@ -126,11 +136,20 @@ fn leaked_grants_deadlock_is_diagnosed() {
     let diag = cluster
         .run_watched(Time::from_ms(500))
         .expect_err("every grant and CTS leaked: the run cannot finish");
-    assert_eq!(diag.kind, StallKind::QuiescentDeadlock, "diagnosis:\n{diag}");
+    assert_eq!(
+        diag.kind,
+        StallKind::QuiescentDeadlock,
+        "diagnosis:\n{diag}"
+    );
     let stuck = diag.stuck();
-    assert!(!stuck.is_empty(), "somebody must report unfinished obligations");
     assert!(
-        stuck.iter().any(|n| n.starts_with("host") || n.starts_with("nic")),
+        !stuck.is_empty(),
+        "somebody must report unfinished obligations"
+    );
+    assert!(
+        stuck
+            .iter()
+            .any(|n| n.starts_with("host") || n.starts_with("nic")),
         "the stuck list names cluster components: {stuck:?}"
     );
     // The sender's demoted (rendezvous) send is parked forever — that

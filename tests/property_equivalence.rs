@@ -81,9 +81,10 @@ fn run(nic: NicConfig, ranks: u32, msgs: &[Msg], shuffle_seed: u64) -> Vec<Vec<(
                 b.status(*slot, *tag as u32);
             }
             b.wait_all(send_slots);
-            Box::new(b.build(mpiq::mpi::script::mark_log()).with_status_log(
-                logs[me as usize].clone(),
-            )) as Box<dyn AppProgram>
+            Box::new(
+                b.build(mpiq::mpi::script::mark_log())
+                    .with_status_log(logs[me as usize].clone()),
+            ) as Box<dyn AppProgram>
         })
         .collect();
 

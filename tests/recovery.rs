@@ -73,7 +73,9 @@ fn find(statuses: &[(u32, MpiStatus)], id: u32) -> MpiStatus {
 fn restarted_node_rejoins_and_completes_new_work() {
     const RANKS: u32 = 3;
     const DEAD: u32 = 2;
-    let sched: FaultSchedule = "crash@40us:node=2,mttr=160us".parse().expect("spec grammar");
+    let sched: FaultSchedule = "crash@40us:node=2,mttr=160us"
+        .parse()
+        .expect("spec grammar");
 
     let mut logs = Vec::new();
     let mut programs: Vec<Box<dyn AppProgram>> = Vec::new();
@@ -140,7 +142,9 @@ fn restarted_node_rejoins_and_completes_new_work() {
         }
     }
 
-    let cfg = ClusterConfig::builder(nic(true)).fault_schedule(sched).build();
+    let cfg = ClusterConfig::builder(nic(true))
+        .fault_schedule(sched)
+        .build();
     let mut c = Cluster::with_recovery(cfg, programs, recovery);
     c.run_watched(Time::from_ms(50))
         .unwrap_or_else(|d| panic!("rejoin run stalled: {d}"));
@@ -157,11 +161,17 @@ fn restarted_node_rejoins_and_completes_new_work() {
         }
         for id in [20, 21] {
             let s = find(&st, id);
-            assert_eq!(s.error, None, "rank {me}: retry op {id} must end in success");
+            assert_eq!(
+                s.error, None,
+                "rank {me}: retry op {id} must end in success"
+            );
             assert!(!s.cancelled);
         }
         let s = find(&st, 22);
-        assert_eq!(s.error, None, "rank {me}: post-rejoin allreduce failed: {s:?}");
+        assert_eq!(
+            s.error, None,
+            "rank {me}: post-rejoin allreduce failed: {s:?}"
+        );
     }
     // The rebooted rank's recovery program got both retried sends.
     let rst = statuses_of(&logs[RANKS as usize]);
@@ -221,7 +231,9 @@ fn agree_run(offload: bool) -> Vec<MpiStatus> {
         programs.push(Box::new(b.build(mark_log()).with_status_log(log.clone())));
         logs.push(log);
     }
-    let cfg = ClusterConfig::builder(nic(offload)).fault_schedule(sched).build();
+    let cfg = ClusterConfig::builder(nic(offload))
+        .fault_schedule(sched)
+        .build();
     let mut c = Cluster::new(cfg, programs);
     c.run_watched(Time::from_ms(50))
         .unwrap_or_else(|d| panic!("agree run (offload={offload}) stalled: {d}"));
@@ -310,7 +322,10 @@ fn post_shrink_collectives_complete_on_hub_and_fat_tree() {
                 shrink.source, me as u16,
                 "{topology:?} rank {me}: dense new rank (world order)"
             );
-            assert!(!shrink.cancelled, "{topology:?} rank {me}: survivor shrunk out");
+            assert!(
+                !shrink.cancelled,
+                "{topology:?} rank {me}: survivor shrunk out"
+            );
             for id in [2, 3, 4] {
                 let s = find(&st, id);
                 assert_eq!(
@@ -334,11 +349,15 @@ fn post_shrink_collectives_complete_on_hub_and_fat_tree() {
 #[test]
 fn recovery_pipeline_repeats_bit_for_bit() {
     let run = || {
-        let sched: FaultSchedule = "crash@20us:node=3,mttr=300us".parse().expect("spec grammar");
+        let sched: FaultSchedule = "crash@20us:node=3,mttr=300us"
+            .parse()
+            .expect("spec grammar");
         let mut logs = Vec::new();
         let programs = shrink_programs(4, &mut logs);
         let recovery = programs.iter().map(|_| None).collect();
-        let cfg = ClusterConfig::builder(nic(true)).fault_schedule(sched).build();
+        let cfg = ClusterConfig::builder(nic(true))
+            .fault_schedule(sched)
+            .build();
         let mut c = Cluster::with_recovery(cfg, programs, recovery);
         c.run_watched(Time::from_ms(50))
             .unwrap_or_else(|d| panic!("stalled: {d}"));
@@ -377,11 +396,8 @@ fn unarmed_recovery_machinery_is_byte_identical_to_plain_cluster() {
 
     let mut plain = Cluster::new(cfg(), build_programs());
     plain.run();
-    let mut staged = Cluster::with_recovery(
-        cfg(),
-        build_programs(),
-        (0..4).map(|_| None).collect(),
-    );
+    let mut staged =
+        Cluster::with_recovery(cfg(), build_programs(), (0..4).map(|_| None).collect());
     staged.run();
     assert_eq!(
         plain.stats().to_json(),
@@ -397,7 +413,9 @@ fn unarmed_recovery_machinery_is_byte_identical_to_plain_cluster() {
 /// Two-rank traffic across a 150us link outage, under a configurable
 /// failure detector. Returns `(cluster, rank-0 recv statuses)`.
 fn detector_run(keepalive: Time, retry_budget: u32) -> (Cluster, Vec<(u32, MpiStatus)>) {
-    let sched: FaultSchedule = "flap@10us:edge=0-1,down=150us".parse().expect("spec grammar");
+    let sched: FaultSchedule = "flap@10us:edge=0-1,down=150us"
+        .parse()
+        .expect("spec grammar");
     let mut logs = Vec::new();
     let mut programs: Vec<Box<dyn AppProgram>> = Vec::new();
     for me in 0..2u32 {
@@ -511,7 +529,9 @@ fn flap_coll_run(offload: bool, down_for: &str) -> (Cluster, Vec<Vec<(u32, MpiSt
         programs.push(Box::new(b.build(mark_log()).with_status_log(log.clone())));
         logs.push(log);
     }
-    let cfg = ClusterConfig::builder(nic(offload)).fault_schedule(sched).build();
+    let cfg = ClusterConfig::builder(nic(offload))
+        .fault_schedule(sched)
+        .build();
     let mut c = Cluster::new(cfg, programs);
     c.run_watched(Time::from_ms(100))
         .unwrap_or_else(|d| panic!("flap-coll (offload={offload}, {down_for}): stalled: {d}"));

@@ -81,7 +81,10 @@ fn soak_once(nic: NicConfig, ranks: u32, count: usize, seed: u64) -> u64 {
         check_invariants(cluster.nic(r).firmware());
     }
     let received: usize = logs.iter().map(|l| l.borrow().len()).sum();
-    assert_eq!(received, count, "every message must be received exactly once");
+    assert_eq!(
+        received, count,
+        "every message must be received exactly once"
+    );
     // A cheap digest of all statuses for determinism checks.
     let mut digest = 0u64;
     for l in &logs {
