@@ -8,13 +8,12 @@
 //!     [--out BENCH_scaling.json] [--check BENCH_scaling.json] [--tolerance 25]
 //! ```
 //!
-//! Two wire profiles exercise the window planner:
+//! Two wire profiles:
 //!
-//! * `incast` — uniform 200 ns wires. Every cross-shard edge has the
-//!   same lookahead; this row tracks raw engine throughput.
+//! * `incast` — uniform 200 ns wires; this row tracks raw engine
+//!   throughput.
 //! * `hetero` — the same incast over 1 µs wires with one 10 ns edge
-//!   (nodes 1↔2). The per-edge planner constrains only the two shards
-//!   touching the short edge.
+//!   (nodes 1↔2): a mix of short and long link latencies in one queue.
 //!
 //! Each scenario runs once; only `wall_ms` and `events_per_sec` vary
 //! from run to run.

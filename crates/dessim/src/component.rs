@@ -18,11 +18,10 @@ pub struct ComponentId(pub u32);
 /// can never touch another component directly, which is what makes the
 /// kernel deterministic and borrow-check-friendly.
 ///
-/// Components must be [`Send`]. The executor (see [`crate::exec`]) runs
-/// every shard on the calling thread, so the engine itself does not need
-/// the bound; while it stands, state a test shares with a component must
-/// be `Send` too (an `Arc`-wrapped lock, not `Rc<RefCell<..>>`).
-pub trait Component: Send + 'static {
+/// Every handler runs on the thread that drives the
+/// [`Simulation`](crate::Simulation), so components need not be `Send`:
+/// state a harness shares with a component can be an `Rc<RefCell<..>>`.
+pub trait Component: 'static {
     /// Handle one delivered event. May emit events on output ports, post
     /// self-wakeups, mutate stats, and draw random numbers via `ctx`.
     fn on_event(&mut self, ev: crate::event::Event, ctx: &mut Ctx<'_>);
@@ -44,11 +43,18 @@ pub trait Component: Send + 'static {
 
     /// Write counters kept outside the registry into `stats`. Called by
     /// [`Simulation::stats`](crate::Simulation::stats) on every component,
-    /// in shard and then index order, after the shard registries are
-    /// merged — so a component on a hot path can keep typed counters and
-    /// pay for key formatting once per read instead of once per event.
-    /// Default: nothing.
+    /// in registration order, on a copy of the registry handlers wrote —
+    /// so a component on a hot path can keep typed counters and pay for
+    /// key formatting once per read instead of once per event. Default:
+    /// nothing.
     fn publish(&self, _stats: &mut Stats) {}
+
+    /// The metrics twin of [`Component::publish`]: write histograms and
+    /// counters kept outside the registry into `metrics`. Called by
+    /// [`Simulation::metrics`](crate::Simulation::metrics) on every
+    /// component, in registration order. Writes are no-ops unless
+    /// metrics were enabled. Default: nothing.
+    fn publish_metrics(&self, _metrics: &mut Metrics) {}
 
     /// Self-report for the stall watchdog (see [`crate::watchdog`]):
     /// whether the component still holds unfinished obligations, plus
@@ -78,8 +84,10 @@ pub(crate) enum Emission {
 
 /// Execution context handed to a component while it runs.
 ///
-/// Emissions are buffered and committed by the owning shard after the
-/// handler returns, in emission order, preserving determinism.
+/// Emissions are buffered and committed to the event queue after the
+/// handler returns, in emission order: each takes the next value of the
+/// simulation's emission counter, which breaks ties between events at
+/// equal times (see [`crate::scheduler`]).
 pub struct Ctx<'a> {
     pub(crate) now: Time,
     pub(crate) me: ComponentId,

@@ -32,16 +32,13 @@ enum Repr {
     Empty,
     /// A bare `u64`, common for counters and cookies.
     U64(u64),
-    /// Any other `Send + 'static` value.
-    Boxed(Box<dyn Any + Send>),
+    /// Any other `'static` value.
+    Boxed(Box<dyn Any>),
 }
 
 impl Payload {
     /// Wrap a value. `()` and `u64` are stored inline (no allocation).
-    ///
-    /// Payloads must be [`Send`] so events can cross shard boundaries in
-    /// the partitioned executor (see [`crate::shard`]).
-    pub fn new<T: Send + 'static>(v: T) -> Payload {
+    pub fn new<T: 'static>(v: T) -> Payload {
         // Runtime type dispatch stands in for specialization: the checks
         // compile to TypeId comparisons and the common cases skip the box.
         let mut v = Some(v);

@@ -19,8 +19,7 @@
 //! death — evaluated as pure functions of virtual time. Every component
 //! holds its own (shared, immutable) copy of the schedule and asks
 //! "is this edge down at `t`?" locally, so no fault information ever
-//! crosses a shard boundary and the layer is deterministic under any
-//! shard layout by construction.
+//! travels as an event and the layer is deterministic by construction.
 
 use crate::rng::SimRng;
 use crate::time::Time;
@@ -456,8 +455,8 @@ impl FaultSchedule {
 
     /// `node`'s incarnation epoch at time `t`: 0 from boot, bumped by
     /// every completed restart. Pure function of `(schedule, time)`, so
-    /// every component — on any shard — agrees on the epoch without
-    /// exchanging fault information.
+    /// every component agrees on the epoch without exchanging fault
+    /// information.
     pub fn incarnation_at(&self, node: u32, t: Time) -> u32 {
         self.events
             .iter()

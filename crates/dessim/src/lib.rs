@@ -7,21 +7,17 @@
 //! with fixed latencies, all driven by one executive, [`Simulation`], with
 //! picosecond-resolution virtual time.
 //!
-//! There is one executive and one event loop. A [`Simulation`] places
-//! its components into shards, each with its own `(time, seq)` event
-//! heap ([`shard`]), and carries them through conservative lookahead
-//! windows ([`exec`], planned per edge by [`window`]).
-//! [`Simulation::new`] builds one shard: the sequential case, where the
-//! first window spans the whole run. [`Simulation::with_shards`] and
-//! [`Simulation::add_component_in`] partition a graph whose shards are
-//! joined only by positive-latency links. Every shard runs on the
-//! calling thread.
+//! There is one executive, one event queue and one event loop. A
+//! [`Simulation`] keeps every pending event in one binary heap ordered
+//! by `(time, seq)`, where `seq` is a global emission counter: events at
+//! equal times run in the order they were emitted (see [`scheduler`]).
+//! Every handler runs on the calling thread.
 //!
 //! Design goals, in order:
 //!
 //! 1. **Determinism.** Two runs with the same inputs produce identical event
-//!    orders. Ties in time are broken by a monotonically increasing sequence
-//!    number, never by allocation order or hash iteration.
+//!    orders. Ties in time are broken by the global emission counter,
+//!    never by allocation order or hash iteration.
 //! 2. **Composability.** Components know nothing about each other's types;
 //!    they communicate through dynamically typed [`Payload`]s routed over
 //!    explicitly wired links.
@@ -57,18 +53,15 @@
 pub mod clock;
 pub mod component;
 pub mod event;
-pub mod exec;
 pub mod export;
 pub mod fault;
 pub mod metrics;
 pub mod rng;
 pub mod scheduler;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
 pub mod watchdog;
-pub mod window;
 
 pub use clock::Clock;
 pub use component::{Component, ComponentId, Ctx};
@@ -78,7 +71,6 @@ pub use fault::{FaultConfig, FaultEvent, FaultPlan, FaultSchedule, FlipTarget, W
 pub use metrics::{Histogram, Metrics};
 pub use rng::SimRng;
 pub use scheduler::Simulation;
-pub use shard::ShardId;
 pub use stats::Stats;
 pub use time::Time;
 pub use trace::{

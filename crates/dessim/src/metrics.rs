@@ -242,23 +242,6 @@ impl Metrics {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Fold another registry into this one: histograms merge bucket-wise,
-    /// counters sum, and the enabled flag is inherited if either side was
-    /// on. Used by the partitioned executor to combine per-shard
-    /// registries; per-component key prefixes make cross-shard keys
-    /// disjoint, so merging never mixes two writers' samples.
-    pub fn merge_from(&mut self, other: &Metrics) {
-        if other.enabled {
-            self.enabled = true;
-        }
-        for (k, h) in other.hists.iter() {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, &v) in other.counters.iter() {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
     /// Human-readable dump of every counter and histogram.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -1,87 +1,122 @@
 //! The simulation executive: the one type that owns components,
-//! wiring, virtual time, and the run loop.
+//! wiring, virtual time, the event queue, and the run loop.
 //!
-//! A [`Simulation`] places its components into shards (see
-//! [`crate::shard`]) and runs them through the windowed executor in
-//! [`crate::exec`]. [`Simulation::new`] builds one shard — the
-//! sequential case, where every event runs in `(time, seq)` order off
-//! one heap. [`Simulation::with_shards`] plus
-//! [`Simulation::add_component_in`] partition the graph for the
-//! partitioned case. Every shard runs on the calling thread.
+//! Every pending event of a [`Simulation`] sits in one binary heap,
+//! ordered by the key `(time, seq)`:
+//!
+//! * `time` is the delivery time;
+//! * `seq` is a global emission counter. Every event gets the next
+//!   value when it enters the queue — through [`Simulation::post`], or
+//!   when the handler that emitted it returns (its emissions are
+//!   committed in the order the handler made them).
+//!
+//! So events at equal times run in the order they were emitted, across
+//! every component in the simulation. That key fixes the whole schedule
+//! from the inputs alone: no allocation order, hash iteration or thread
+//! timing enters it. The run loop pops the smallest key, advances `now`
+//! to its time and hands the event to its component, on the calling
+//! thread.
 
-use crate::component::{Component, ComponentId};
-use crate::event::{InPort, OutPort, Payload};
+use crate::component::{Component, ComponentId, Ctx, Emission};
+use crate::event::{Event, InPort, OutPort, Payload};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
-use crate::shard::{exchange_trays, Link, Shard, ShardId, Topology};
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
+/// One pending event, ordered by its `(time, seq)` key.
+struct Scheduled {
+    time: Time,
+    seq: u64,
+    dst: ComponentId,
+    port: InPort,
+    payload: Payload,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// A wired link: (src component, out port) -> (dst component, in port, latency).
+#[derive(Clone, Copy)]
+struct Link {
+    dst: ComponentId,
+    port: InPort,
+    latency: Time,
+}
 
 /// The simulation executive. Build it — register components, wire
 /// links, post initial events — then `run`.
 pub struct Simulation {
-    pub(crate) topo: Topology,
-    pub(crate) shards: Vec<Shard>,
+    components: Vec<Box<dyn Component>>,
+    /// Component id -> registered name.
+    names: Vec<String>,
+    /// Outgoing links indexed `[component][out port]` — a flat lookup on
+    /// the per-emission hot path (out-port numbers are small and dense).
+    wiring: Vec<Vec<Option<Link>>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    now: Time,
+    /// The next emission's tie-break number.
+    seq: u64,
+    rng: SimRng,
+    stats: Stats,
+    trace: TraceRing,
+    metrics: Metrics,
+    events_processed: u64,
+    /// Emission buffer handed to each handler's [`Ctx`] and taken back
+    /// after the commit, so dispatch reuses one allocation.
+    emissions: Vec<Emission>,
     started: bool,
 }
 
 impl Simulation {
-    /// Create an empty one-shard simulation with a deterministic RNG
-    /// seed.
+    /// Create an empty simulation with a deterministic RNG seed.
     pub fn new(seed: u64) -> Simulation {
-        Simulation::with_shards(seed, 1)
-    }
-
-    /// Create a simulation partitioned into `nshards` shards. Each shard
-    /// gets an independent RNG stream forked deterministically from
-    /// `seed` (in shard-id order), so draws inside one shard never
-    /// depend on activity in another.
-    pub fn with_shards(seed: u64, nshards: usize) -> Simulation {
-        assert!(nshards > 0, "a simulation needs at least one shard");
-        let mut master = SimRng::new(seed);
-        let shards = (0..nshards)
-            .map(|id| Shard::new(id as u32, master.fork(), nshards))
-            .collect();
         Simulation {
-            topo: Topology::default(),
-            shards,
+            components: Vec::new(),
+            names: Vec::new(),
+            wiring: Vec::new(),
+            queue: BinaryHeap::new(),
+            now: Time::ZERO,
+            seq: 0,
+            rng: SimRng::new(seed),
+            stats: Stats::new(),
+            trace: TraceRing::disabled(),
+            metrics: Metrics::disabled(),
+            events_processed: 0,
+            emissions: Vec::new(),
             started: false,
         }
     }
 
-    /// Register a component into shard 0; the returned id addresses it
-    /// in wiring and direct sends.
+    /// Register a component; the returned id addresses it in wiring and
+    /// direct sends. Ids are dense and follow registration order.
     pub fn add_component<C: Component>(&mut self, name: &str, c: C) -> ComponentId {
-        self.add_component_in(ShardId(0), name, c)
-    }
-
-    /// Register a component into `shard`; the returned id is global
-    /// (usable in wiring and direct sends regardless of shard).
-    pub fn add_component_in<C: Component>(
-        &mut self,
-        shard: ShardId,
-        name: &str,
-        c: C,
-    ) -> ComponentId {
-        let s = shard.0 as usize;
-        assert!(s < self.shards.len(), "unknown shard {shard:?}");
-        let global = ComponentId(self.topo.names.len() as u32);
-        let local = self.shards[s].components.len() as u32;
-        self.shards[s].components.push(Box::new(c));
-        self.topo.names.push(name.to_string());
-        self.topo.owner.push((shard.0, local));
-        self.topo.wiring.push(Vec::new());
-        global
+        let id = ComponentId(self.components.len() as u32);
+        self.components.push(Box::new(c));
+        self.names.push(name.to_string());
+        self.wiring.push(Vec::new());
+        id
     }
 
     /// Wire `src.out_port` to `dst.in_port` with the given link latency.
     /// Re-connecting an already wired output port replaces the link.
-    ///
-    /// A link between components in *different* shards is a cross-shard
-    /// edge: it must have positive latency (zero-latency edges admit no
-    /// lookahead), and its latency bounds how far the window planner
-    /// lets the destination shard run ahead of the source.
     pub fn connect(
         &mut self,
         src: ComponentId,
@@ -91,31 +126,13 @@ impl Simulation {
         latency: Time,
     ) {
         assert!(
-            (dst.0 as usize) < self.topo.owner.len(),
+            (dst.0 as usize) < self.components.len(),
             "connect: unknown destination component"
         );
-        let (src_shard, _) = *self
-            .topo
-            .owner
-            .get(src.0 as usize)
+        let ports = self
+            .wiring
+            .get_mut(src.0 as usize)
             .expect("connect: unknown source component");
-        let (dst_shard, _) = self.topo.owner[dst.0 as usize];
-        if src_shard != dst_shard {
-            assert!(
-                latency > Time::ZERO,
-                "cross-shard link `{}` -> `{}` must have positive latency: \
-                 zero-latency edges admit no conservative lookahead",
-                self.topo.names[src.0 as usize],
-                self.topo.names[dst.0 as usize],
-            );
-            let pair = self
-                .topo
-                .edges
-                .entry((src_shard, dst_shard))
-                .or_insert(Time::MAX);
-            *pair = (*pair).min(latency);
-        }
-        let ports = &mut self.topo.wiring[src.0 as usize];
         let slot = out_port.0 as usize;
         if ports.len() <= slot {
             ports.resize(slot + 1, None);
@@ -127,111 +144,94 @@ impl Simulation {
         });
     }
 
-    /// Schedule an event `delay` after the owning shard's current time.
+    /// Schedule an event `delay` after the current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        let (shard, _) = self.topo.owner[dst.0 as usize];
-        let sh = &mut self.shards[shard as usize];
-        let time = sh.now + delay;
-        sh.push_local(time, dst, port, payload);
+        self.push(self.now + delay, dst, port, payload);
     }
 
-    /// Current virtual time: the latest shard-local time (shards with no
-    /// work lag behind the frontier; this reports the frontier).
+    /// Current virtual time: the time of the last delivered event.
     pub fn now(&self) -> Time {
-        self.shards
-            .iter()
-            .map(|s| s.now)
-            .max()
-            .unwrap_or(Time::ZERO)
+        self.now
     }
 
-    /// Total events delivered so far, across all shards.
+    /// Total events delivered so far.
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.events_processed
     }
 
     /// Registered name of a component.
     pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.topo.names[id.0 as usize]
+        &self.names[id.0 as usize]
     }
 
     /// Number of registered components (ids are `0..count`).
     pub fn component_count(&self) -> usize {
-        self.topo.names.len()
+        self.components.len()
     }
 
     /// Keep the last `capacity` [`Ctx::trace`](crate::Ctx::trace)
-    /// records *per shard*.
+    /// records.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        for s in &mut self.shards {
-            s.trace = TraceRing::with_capacity(capacity);
-        }
+        self.trace = TraceRing::with_capacity(capacity);
     }
 
     /// Turn on the metrics registry; [`Ctx::metrics`](crate::Ctx::metrics)
     /// writes are recorded from here on. Off by default so unmetered runs
     /// stay byte-identical.
     pub fn enable_metrics(&mut self) {
-        for s in &mut self.shards {
-            s.metrics.enable();
-        }
+        self.metrics.enable();
     }
 
-    /// The statistics registry: every shard's counters merged (see
-    /// [`Stats::merge_from`]) in shard-id order, then every component's
-    /// [`Component::publish`] in shard and index order. Owned: assembled
-    /// on demand.
+    /// The statistics registry: the counters handlers wrote, then every
+    /// component's [`Component::publish`] in registration order. Owned:
+    /// assembled on demand.
     pub fn stats(&self) -> Stats {
-        let mut out = Stats::new();
-        for s in &self.shards {
-            out.merge_from(&s.stats);
-        }
-        for s in &self.shards {
-            for c in &s.components {
-                c.publish(&mut out);
-            }
+        let mut out = self.stats.clone();
+        for c in &self.components {
+            c.publish(&mut out);
         }
         out
     }
 
-    /// The metrics registry, merged across shards in shard-id order.
+    /// The metrics registry: what handlers recorded, then every
+    /// component's [`Component::publish_metrics`] in registration order.
+    /// Owned: assembled on demand.
     pub fn metrics(&self) -> Metrics {
-        let mut out = Metrics::disabled();
-        for s in &self.shards {
-            out.merge_from(&s.metrics);
+        let mut out = self.metrics.clone();
+        for c in &self.components {
+            c.publish_metrics(&mut out);
         }
         out
     }
 
-    /// The trace, merged across shards into canonical (time, shard,
-    /// intra-shard) order (see [`TraceRing::merged`]).
+    /// The retained trace records, stable-sorted by timestamp (records
+    /// with equal timestamps keep the order they were written in).
     pub fn trace(&self) -> TraceRing {
-        TraceRing::merged(self.shards.iter().map(|s| s.trace.clone()).collect())
+        let mut ring = self.trace.clone();
+        ring.sort_by_time();
+        ring
     }
 
-    /// Trace records currently retained across all shards.
+    /// Trace records currently retained.
     pub fn trace_record_count(&self) -> usize {
-        self.shards.iter().map(|s| s.trace.records().count()).sum()
+        self.trace.records().count()
     }
 
-    /// Trace records evicted across all shards.
+    /// Trace records evicted so far.
     pub fn trace_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.trace.dropped()).sum()
+        self.trace.dropped()
     }
 
-    /// Render the merged trace with component names resolved.
+    /// Render the trace with component names resolved.
     pub fn render_trace(&self) -> String {
-        let names = &self.topo.names;
+        let names = &self.names;
         self.trace().render(|id| names[id.0 as usize].clone())
     }
 
     /// Downcast a component to its concrete type, if it opted in via
     /// [`Component::as_any`]. For harness inspection between runs.
     pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
-        let (shard, local) = self.topo.owner[id.0 as usize];
-        self.shards[shard as usize].components[local as usize]
-            .as_any()?
-            .downcast_ref()
+        self.components[id.0 as usize].as_any()?.downcast_ref()
     }
 
     /// Is the pending-event set empty? A simulation that is idle *and*
@@ -239,19 +239,16 @@ impl Simulation {
     /// ([`Component::health`]) has quiesced into a deadlock: nothing
     /// will ever run again.
     pub fn is_idle(&self) -> bool {
-        self.shards.iter().all(Shard::is_idle)
+        self.queue.is_empty()
     }
 
     /// Collect [`Component::health`] reports from every component that
     /// provides one, in registration order, with names resolved.
     pub fn health_reports(&self) -> Vec<(String, crate::watchdog::Health)> {
-        (0..self.topo.names.len())
-            .filter_map(|i| {
-                let (shard, local) = self.topo.owner[i];
-                self.shards[shard as usize].components[local as usize]
-                    .health()
-                    .map(|h| (self.topo.names[i].clone(), h))
-            })
+        self.components
+            .iter()
+            .zip(&self.names)
+            .filter_map(|(c, name)| c.health().map(|h| (name.clone(), h)))
             .collect()
     }
 
@@ -274,29 +271,100 @@ impl Simulation {
         self.run_until(Time::MAX)
     }
 
-    /// Run events with `time <= horizon`; time advances to the last
-    /// delivered event (not to the horizon itself if the heaps run dry).
-    /// Returns the number of events delivered by this call.
+    /// Run events with `time <= horizon` in `(time, seq)` order; time
+    /// advances to the last delivered event (not to the horizon itself
+    /// if the queue runs dry). Returns the number of events delivered by
+    /// this call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
-        let before = self.events_processed();
         self.start_components();
-        crate::exec::run_windows(self, horizon);
-        self.events_processed() - before
+        let before = self.events_processed;
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(head)| head.time <= horizon)
+        {
+            let Reverse(ev) = self.queue.pop().expect("peeked above");
+            debug_assert!(ev.time >= self.now, "time must be monotone");
+            self.now = ev.time;
+            self.events_processed += 1;
+            let event = Event {
+                time: ev.time,
+                dst: ev.dst,
+                port: ev.port,
+                payload: ev.payload,
+            };
+            self.invoke(ev.dst, |c, ctx| c.on_event(event, ctx));
+        }
+        self.events_processed - before
     }
 
-    /// Run every component's `on_start` hook once, in global-id order,
-    /// and exchange any cross-shard emissions they made.
+    /// Run every component's `on_start` hook once, in id order.
     fn start_components(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for global in 0..self.topo.owner.len() {
-            let (shard, local) = self.topo.owner[global];
-            let Self { topo, shards, .. } = self;
-            shards[shard as usize].start_component(topo, local, ComponentId(global as u32));
+        for id in 0..self.components.len() {
+            self.invoke(ComponentId(id as u32), |c, ctx| c.on_start(ctx));
         }
-        exchange_trays(&mut self.shards);
+    }
+
+    /// Run one handler of component `me`, then commit its emissions in
+    /// the order it made them.
+    fn invoke(&mut self, me: ComponentId, handler: impl FnOnce(&mut dyn Component, &mut Ctx<'_>)) {
+        let mut ctx = Ctx {
+            now: self.now,
+            me,
+            emissions: std::mem::take(&mut self.emissions),
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+            metrics: &mut self.metrics,
+        };
+        handler(self.components[me.0 as usize].as_mut(), &mut ctx);
+        let mut emissions = ctx.emissions;
+        for e in emissions.drain(..) {
+            match e {
+                Emission::Output {
+                    port,
+                    payload,
+                    extra_delay,
+                } => {
+                    let link = self.wiring[me.0 as usize]
+                        .get(port.0 as usize)
+                        .copied()
+                        .flatten()
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "component `{}` emitted on unwired output port {:?}",
+                                self.names[me.0 as usize], port
+                            )
+                        });
+                    let time = self.now + link.latency + extra_delay;
+                    self.push(time, link.dst, link.port, payload);
+                }
+                Emission::Direct {
+                    dst,
+                    port,
+                    payload,
+                    delay,
+                } => self.push(self.now + delay, dst, port, payload),
+            }
+        }
+        self.emissions = emissions;
+    }
+
+    /// Queue an event under the next emission number.
+    fn push(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse(Scheduled {
+            time,
+            seq,
+            dst,
+            port,
+            payload,
+        }));
     }
 }
 
@@ -305,6 +373,8 @@ mod tests {
     use super::*;
     use crate::component::Ctx;
     use crate::event::Event;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Counts events and forwards `n-1` copies of itself.
     struct Counter {
@@ -330,42 +400,81 @@ mod tests {
         assert_eq!(sim.events_processed(), 4);
     }
 
+    /// Deliveries as `(time, tag, payload)`, shared by every recorder.
+    type Log = Rc<RefCell<Vec<(Time, u32, u64)>>>;
+
+    /// Logs every delivery; forwards a decrementing counter over its one
+    /// output port when wired.
     struct Recorder {
-        log: std::sync::Arc<std::sync::Mutex<Vec<(Time, u32)>>>,
+        log: Log,
         tag: u32,
     }
     impl Component for Recorder {
         fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-            let _ = ev;
-            self.log.lock().unwrap().push((ctx.now(), self.tag));
+            let n = ev.payload.downcast::<u64>().map_or(0, |n| *n);
+            self.log.borrow_mut().push((ctx.now(), self.tag, n));
+            if n > 0 {
+                ctx.emit(OutPort(0), Payload::new(n - 1));
+            }
         }
+    }
+
+    fn recorder(sim: &mut Simulation, log: &Log, tag: u32) -> ComponentId {
+        let log = log.clone();
+        sim.add_component(&format!("r{tag}"), Recorder { log, tag })
+    }
+
+    fn tags(log: &Log) -> Vec<u32> {
+        log.borrow().iter().map(|&(_, tag, _)| tag).collect()
     }
 
     #[test]
     fn ties_break_in_post_order() {
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Log::default();
         let mut sim = Simulation::new(1);
-        let a = sim.add_component(
-            "a",
-            Recorder {
-                log: log.clone(),
-                tag: 1,
-            },
-        );
-        let b = sim.add_component(
-            "b",
-            Recorder {
-                log: log.clone(),
-                tag: 2,
-            },
-        );
+        let a = recorder(&mut sim, &log, 1);
+        let b = recorder(&mut sim, &log, 2);
         // Post b first, then a, at the same timestamp: delivery order must
         // match post order regardless of component ids.
         sim.post(b, InPort(0), Payload::empty(), Time::from_ns(10));
         sim.post(a, InPort(0), Payload::empty(), Time::from_ns(10));
         sim.run();
-        let got: Vec<u32> = log.lock().unwrap().iter().map(|&(_, t)| t).collect();
-        assert_eq!(got, vec![2, 1]);
+        assert_eq!(tags(&log), vec![2, 1]);
+    }
+
+    #[test]
+    fn ties_break_in_emission_order_not_link_latency() {
+        /// Forwards its own tag to the sink.
+        struct Stamp(u64);
+        impl Component for Stamp {
+            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+                ctx.emit(OutPort(0), Payload::new(self.0));
+            }
+        }
+        // `fast` (40 ns link) and `slow` (50 ns link) both reach the sink
+        // at t = 60 ns. The earlier emission is delivered first, whatever
+        // the component ids or link latencies.
+        let sink_order = |fast_at: u64, slow_at: u64| -> Vec<u64> {
+            let log = Log::default();
+            let mut sim = Simulation::new(1);
+            let sink = recorder(&mut sim, &log, 0);
+            let fast = sim.add_component("fast", Stamp(1));
+            let slow = sim.add_component("slow", Stamp(2));
+            sim.connect(fast, OutPort(0), sink, InPort(0), Time::from_ns(40));
+            sim.connect(slow, OutPort(0), sink, InPort(0), Time::from_ns(50));
+            // The sink recorder forwards its countdown; loop it back far
+            // past the horizon.
+            sim.connect(sink, OutPort(0), sink, InPort(1), Time::from_us(1));
+            sim.post(fast, InPort(0), Payload::empty(), Time::from_ns(fast_at));
+            sim.post(slow, InPort(0), Payload::empty(), Time::from_ns(slow_at));
+            sim.run_until(Time::from_ns(60));
+            let log = log.borrow();
+            assert!(log.iter().all(|&(t, _, _)| t == Time::from_ns(60)));
+            log.iter().map(|&(_, _, n)| n).collect()
+        };
+        // `slow` emits at 10 ns, `fast` at 20 ns: slow's frame first,
+        // although `fast` was posted first and has the lower id.
+        assert_eq!(sink_order(20, 10), vec![2, 1]);
     }
 
     #[test]
@@ -391,6 +500,34 @@ mod tests {
     }
 
     #[test]
+    fn same_ring_run_twice_gives_identical_results() {
+        let run = || {
+            let log = Log::default();
+            let mut sim = Simulation::new(7);
+            let ids: Vec<ComponentId> = (0..5).map(|i| recorder(&mut sim, &log, i)).collect();
+            for i in 0..5 {
+                sim.connect(
+                    ids[i],
+                    OutPort(0),
+                    ids[(i + 1) % 5],
+                    InPort(0),
+                    Time::from_ns(30),
+                );
+            }
+            for (s, &id) in ids.iter().enumerate() {
+                let n = 20 + s as u64;
+                sim.post(id, InPort(0), Payload::new(n), Time::from_ns(s as u64));
+            }
+            sim.run();
+            let events = log.borrow().clone();
+            (sim.events_processed(), sim.now(), events)
+        };
+        let (base, again) = (run(), run());
+        assert_eq!(again, base, "delivered events diverged between runs");
+        assert_eq!(base.0, (20..25).map(|n| n + 1).sum::<u64>());
+    }
+
+    #[test]
     fn run_until_respects_horizon() {
         let mut sim = Simulation::new(0);
         let c = sim.add_component("ctr", Counter { seen: vec![] });
@@ -402,6 +539,31 @@ mod tests {
         // Remaining events still run afterwards.
         sim.run();
         assert_eq!(sim.events_processed(), 101);
+    }
+
+    #[test]
+    fn rng_draws_repeat_for_the_same_seed() {
+        struct Draw {
+            out: Rc<RefCell<Vec<u64>>>,
+        }
+        impl Component for Draw {
+            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+                let v = ctx.rng().next_u64();
+                self.out.borrow_mut().push(v);
+            }
+        }
+        let draws = |seed: u64| {
+            let out = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulation::new(seed);
+            for s in 0..3u64 {
+                let c = sim.add_component(&format!("d{s}"), Draw { out: out.clone() });
+                sim.post(c, InPort(0), Payload::empty(), Time::from_ns(s));
+            }
+            sim.run();
+            out.take()
+        };
+        assert_eq!(draws(42), draws(42));
+        assert_ne!(draws(42), draws(43));
     }
 
     #[test]
@@ -426,10 +588,11 @@ mod tests {
         assert_eq!(sim.stats().get("starter.events"), 1);
     }
 
-    /// Keeps a typed event count and writes it only when the registry is
+    /// Keeps a typed event count and writes it only when a registry is
     /// read: `pub.{tag}.seen` once anything was seen, plus a share of
     /// the additive `shared` counter handlers also bump, and the
-    /// last-writer-wins `last` gauge.
+    /// last-writer-wins `last` gauge — in both the stats and the metrics
+    /// registry.
     struct Publisher {
         tag: u64,
         seen: u64,
@@ -438,6 +601,7 @@ mod tests {
         fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
             self.seen += 1;
             ctx.stats().add("shared", 1);
+            ctx.metrics().add("shared", 1);
         }
         fn publish(&self, stats: &mut Stats) {
             if self.seen > 0 {
@@ -446,13 +610,19 @@ mod tests {
             }
             stats.set("last", self.tag);
         }
+        fn publish_metrics(&self, metrics: &mut Metrics) {
+            if self.seen > 0 {
+                metrics.add("shared", 10);
+            }
+        }
     }
 
     #[test]
-    fn publish_merges_with_shard_counters() {
-        let mut sim = Simulation::with_shards(0, 2);
-        let a = sim.add_component_in(ShardId(0), "a", Publisher { tag: 1, seen: 0 });
-        let b = sim.add_component_in(ShardId(1), "b", Publisher { tag: 2, seen: 0 });
+    fn publish_merges_with_handler_counters() {
+        let mut sim = Simulation::new(0);
+        sim.enable_metrics();
+        let a = sim.add_component("a", Publisher { tag: 1, seen: 0 });
+        let b = sim.add_component("b", Publisher { tag: 2, seen: 0 });
         for t in 0..3 {
             sim.post(a, InPort(0), Payload::empty(), Time::from_ns(t));
         }
@@ -461,29 +631,22 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.get("pub.1.seen"), 3);
         assert_eq!(stats.get("pub.2.seen"), 1);
-        // 4 handler increments (merged from both shards) + 2 publishes.
+        // 4 handler increments + 2 publishes.
         assert_eq!(stats.get("shared"), 4 + 20);
+        assert_eq!(sim.metrics().counter("shared"), 4 + 20);
         // Reading twice publishes into a fresh registry each time.
         assert_eq!(sim.stats().to_json(), stats.to_json());
+        assert_eq!(sim.metrics().counter("shared"), 4 + 20);
     }
 
     #[test]
-    fn publish_runs_in_shard_then_index_order() {
-        // Global ids run against shard order: the component added first
-        // lives in the last shard, so it publishes last.
-        let mut sim = Simulation::with_shards(0, 3);
-        sim.add_component_in(ShardId(2), "late", Publisher { tag: 7, seen: 0 });
-        sim.add_component_in(ShardId(0), "x", Publisher { tag: 8, seen: 0 });
-        sim.add_component_in(ShardId(1), "y", Publisher { tag: 9, seen: 0 });
-        sim.add_component_in(ShardId(1), "z", Publisher { tag: 5, seen: 0 });
+    fn publish_runs_in_registration_order() {
+        let mut sim = Simulation::new(0);
+        sim.add_component("x", Publisher { tag: 8, seen: 0 });
+        sim.add_component("y", Publisher { tag: 9, seen: 0 });
+        sim.add_component("z", Publisher { tag: 5, seen: 0 });
         sim.run();
-        assert_eq!(sim.stats().get("last"), 7);
-        let mut sim = Simulation::with_shards(0, 2);
-        sim.add_component_in(ShardId(1), "y", Publisher { tag: 9, seen: 0 });
-        sim.add_component_in(ShardId(1), "z", Publisher { tag: 5, seen: 0 });
-        sim.add_component_in(ShardId(0), "x", Publisher { tag: 8, seen: 0 });
-        sim.run();
-        assert_eq!(sim.stats().get("last"), 5, "index order within a shard");
+        assert_eq!(sim.stats().get("last"), 5);
     }
 
     #[test]

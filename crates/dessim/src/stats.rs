@@ -71,21 +71,6 @@ impl Stats {
         self.counters.clear();
     }
 
-    /// Fold another registry into this one by summing matching keys.
-    ///
-    /// Used by the partitioned executor to combine per-shard registries
-    /// into one dump. Summing is correct for the additive counters and —
-    /// because each gauge key is written by exactly one component and
-    /// every component lives in exactly one shard (keys carry the
-    /// component's name) — gauges merge as `v + 0 = v`. Gauges written by
-    /// [`Component::publish`](crate::Component::publish) never pass
-    /// through here: they land in the merged registry directly.
-    pub fn merge_from(&mut self, other: &Stats) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
     /// Render every counter as a JSON object with deterministically sorted
     /// keys. Two registries with equal contents produce byte-identical
     /// output, which is what determinism checks diff.

@@ -450,24 +450,13 @@ impl TraceRing {
         self.dropped = 0;
     }
 
-    /// Combine per-shard rings into one canonical ring: records are
-    /// stable-sorted by timestamp, with ties resolved by the input order
-    /// (shard id, then intra-shard push order). The result depends only
-    /// on the rings' contents, which is what makes partitioned trace
-    /// dumps deterministic.
-    pub fn merged(rings: Vec<TraceRing>) -> TraceRing {
-        let capacity: usize = rings.iter().map(|r| r.capacity).sum();
-        let dropped: u64 = rings.iter().map(|r| r.dropped).sum();
-        let mut records: Vec<TraceRecord> = rings
-            .into_iter()
-            .flat_map(|r| r.records.into_iter())
-            .collect();
-        records.sort_by_key(|r| r.time);
-        TraceRing {
-            records: records.into(),
-            capacity: capacity.max(1),
-            dropped,
-        }
+    /// Stable-sort the retained records by timestamp: records with
+    /// equal timestamps keep the order they were written in. Components
+    /// that log a duration at its end with its start time
+    /// ([`Ctx::trace_at`](crate::Ctx::trace_at)) write out of time order;
+    /// sorting lays the ring out in simulated time.
+    pub fn sort_by_time(&mut self) {
+        self.records.make_contiguous().sort_by_key(|r| r.time);
     }
 }
 

@@ -15,12 +15,9 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Request(pub(crate) ReqId);
 
-/// An application running on one rank.
-///
-/// Programs must be [`Send`] because they live inside
-/// [`Host`](crate::Host) components, which carry the engine's
-/// [`Component`](mpiq_dessim::Component) bound.
-pub trait AppProgram: Send + 'static {
+/// An application running on one rank, inside a [`Host`](crate::Host)
+/// component.
+pub trait AppProgram: 'static {
     /// Advance as far as possible. Called once at start and again after
     /// every completion delivered to this rank. Call [`Mpi::finish`] when
     /// the program is done.

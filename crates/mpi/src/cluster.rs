@@ -1,19 +1,19 @@
 //! Cluster assembly: hosts + NICs + fabric, ready to run.
 //!
-//! Every cluster runs on a [`Simulation`] partitioned into shards. On
-//! the default crossbar ([`Topology::Hub`]) there is one shard per
-//! *node*, holding that node's [`FabricPort`], NIC, and hosts; the
-//! port-to-port wires are the only cross-shard edges, and their
-//! (possibly heterogeneous) latencies feed the window planner's
-//! per-edge lookahead. A switched topology instead gets one
-//! shard per edge switch (see [`Cluster::with_recovery`]). Every shard
-//! runs on the calling thread.
+//! Every cluster runs on one [`Simulation`]: one event queue for every
+//! host, NIC, fabric port and switch, ordered by `(time, seq)` (see
+//! [`mpiq_dessim::scheduler`]). Components are registered in a fixed
+//! order — switches, then per node its NIC, port and hosts — so the
+//! same configuration always yields the same component ids and the same
+//! schedule. On the default crossbar ([`Topology::Hub`]) the ports are
+//! wired all-to-all; a switched topology routes through [`Switch`]
+//! components (see [`Cluster::with_recovery`]).
 
 use crate::app::{AppProgram, PORT_COMPLETION};
 use crate::host::Host;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::watchdog::{Diagnosis, StallKind};
-use mpiq_dessim::{FaultConfig, FaultSchedule, Metrics, ShardId, Stats};
+use mpiq_dessim::{FaultConfig, FaultSchedule, Metrics, Stats};
 use mpiq_net::{FabricPort, NetConfig, Switch, Topology, PORT_FP_INJECT, PORT_FP_WIRE, PORT_SW_IN};
 use mpiq_nic::{host_comp_port, Nic, NicConfig, PORT_NET_RX, PORT_NET_TX};
 use std::sync::Arc;
@@ -56,9 +56,8 @@ pub struct ClusterConfig {
     /// [`ClusterConfigBuilder::fault_schedule`].
     pub fault_schedule: Option<Arc<FaultSchedule>>,
     /// Fabric shape. [`Topology::Hub`] (the default) is the paper's
-    /// single crossbar, one shard per node. Any switched topology (fat
-    /// tree, dragonfly, torus) gets one shard per edge switch, with the
-    /// trunks the only cross-shard edges.
+    /// single crossbar. Any switched topology (fat tree, dragonfly,
+    /// torus) routes through switch components.
     pub topology: Topology,
 }
 
@@ -136,8 +135,8 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Turn on structured tracing (ring of `capacity` records per
-    /// engine shard) and the metrics registry.
+    /// Turn on structured tracing (a ring of the last `capacity`
+    /// records) and the metrics registry.
     pub fn observability(mut self, trace_capacity: usize) -> Self {
         self.cfg.trace_capacity = trace_capacity;
         self.cfg.metrics = true;
@@ -232,15 +231,12 @@ impl Cluster {
     /// On the crossbar, each node's port has one out port per peer and
     /// [`mpiq_net::wire_ports`] wires them all-to-all at the per-pair
     /// latency from `cfg.net`. A switched topology routes through
-    /// [`Switch`] components planned by [`Topology::plan`], one shard per
-    /// *edge switch* (its attached nodes live with it; core switches are
-    /// round-robined). Ports run in uplink mode, so wiring is
-    /// O(nodes + trunks) instead of O(nodes²):
+    /// [`Switch`] components planned by [`Topology::plan`]. Ports run in
+    /// uplink mode, so wiring is O(nodes + trunks) instead of O(nodes²):
     ///
     /// * node uplink → edge switch [`PORT_SW_IN`], at wire latency;
     /// * trunk `i` of each switch → neighbor's [`PORT_SW_IN`], at wire
-    ///   latency (each direction its own link) — the only cross-shard
-    ///   edges, feeding the window planner's per-edge lookahead;
+    ///   latency (each direction its own link);
     /// * switch node port → node's [`PORT_FP_WIRE`], at wire latency
     ///   (the receiving port charges downlink serialization).
     ///
@@ -262,8 +258,7 @@ impl Cluster {
         let k = cfg.nic.ranks_per_node.max(1);
         let nodes = n.div_ceil(k);
         let plan = cfg.topology.plan(nodes).map(Arc::new);
-        let shards = plan.as_ref().map_or(nodes, |p| p.shards);
-        let mut sim = Simulation::with_shards(cfg.seed, shards as usize);
+        let mut sim = Simulation::new(cfg.seed);
         if cfg.trace_capacity > 0 {
             sim.enable_tracing(cfg.trace_capacity);
         }
@@ -274,11 +269,7 @@ impl Cluster {
         if let Some(plan) = &plan {
             for s in 0..plan.switches() {
                 let switch = Switch::new(s, plan.clone(), cfg.net);
-                sw.push(sim.add_component_in(
-                    ShardId(plan.shard_of_switch[s]),
-                    &format!("sw{s}"),
-                    switch,
-                ));
+                sw.push(sim.add_component(&format!("sw{s}"), switch));
             }
         }
         let mut programs = programs.into_iter().zip(recovery);
@@ -286,15 +277,8 @@ impl Cluster {
         let mut hosts = Vec::new();
         let mut ports = Vec::new();
         for node in 0..nodes {
-            let (shard, edge) = match &plan {
-                Some(p) => {
-                    let edge = p.attach[node as usize];
-                    (ShardId(p.shard_of_switch[edge]), Some(edge))
-                }
-                None => (ShardId(node), None),
-            };
-            let nic = sim.add_component_in(
-                shard,
+            let edge = plan.as_ref().map(|p| p.attach[node as usize]);
+            let nic = sim.add_component(
                 &format!("nic{node}"),
                 Nic::new(node, cfg.nic).with_schedule(cfg.fault_schedule.clone()),
             );
@@ -306,7 +290,7 @@ impl Cluster {
             } else {
                 port
             };
-            let port = sim.add_component_in(shard, &format!("net{node}"), port);
+            let port = sim.add_component(&format!("net{node}"), port);
             sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
             if let Some(edge) = edge {
                 sim.connect(
@@ -325,7 +309,7 @@ impl Cluster {
                 }
                 let (program, recovery) = programs.next().expect("one program per rank");
                 let host = Cluster::faulted_host(&cfg, rank, n, nic, program, recovery, node);
-                let host = sim.add_component_in(shard, &format!("host{rank}"), host);
+                let host = sim.add_component(&format!("host{rank}"), host);
                 // Completion path: one bus transaction back to this
                 // process's host, on its per-process port. (Requests
                 // travel to the NIC's `PORT_HOST_REQ` by direct send.)
@@ -498,13 +482,13 @@ impl Cluster {
         self.sim.now()
     }
 
-    /// The cluster's statistics, merged across engine shards in shard
-    /// order. Owned: the engine assembles it on demand.
+    /// The cluster's statistics. Owned: the engine assembles it on
+    /// demand.
     pub fn stats(&self) -> Stats {
         self.sim.stats()
     }
 
-    /// The metrics registry, merged across engine shards.
+    /// The metrics registry. Owned: the engine assembles it on demand.
     pub fn metrics(&self) -> Metrics {
         self.sim.metrics()
     }

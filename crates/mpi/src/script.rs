@@ -13,40 +13,36 @@
 use crate::app::{AppProgram, Mpi, Request};
 use crate::types::CTX_INTERNAL;
 use mpiq_dessim::Time;
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 /// A log shared between a script (owned by a host component) and the
-/// harness that reads it after the run.
-///
-/// Backed by `Arc<Mutex<..>>` so scripts can live inside `Send`
-/// components. There is no lock contention: the engine runs on one
-/// thread, and harnesses read only between runs. The
-/// accessors keep the `borrow`/`borrow_mut` names of the earlier
-/// `Rc<RefCell>` representation so call sites read the same.
+/// harness that reads it after the run. The simulation runs on the
+/// harness's thread, so a plain `Rc<RefCell<..>>` suffices.
 #[derive(Debug, Default)]
-pub struct SharedLog<T>(Arc<Mutex<Vec<T>>>);
+pub struct SharedLog<T>(Rc<RefCell<Vec<T>>>);
 
 impl<T> SharedLog<T> {
     /// Create an empty log.
     pub fn new() -> SharedLog<T> {
-        SharedLog(Arc::new(Mutex::new(Vec::new())))
+        SharedLog(Rc::new(RefCell::new(Vec::new())))
     }
 
     /// Read access to the entries.
-    pub fn borrow(&self) -> MutexGuard<'_, Vec<T>> {
-        self.0.lock().unwrap()
+    pub fn borrow(&self) -> Ref<'_, Vec<T>> {
+        self.0.borrow()
     }
 
     /// Write access to the entries.
-    pub fn borrow_mut(&self) -> MutexGuard<'_, Vec<T>> {
-        self.0.lock().unwrap()
+    pub fn borrow_mut(&self) -> RefMut<'_, Vec<T>> {
+        self.0.borrow_mut()
     }
 }
 
 impl<T> Clone for SharedLog<T> {
     fn clone(&self) -> SharedLog<T> {
-        SharedLog(Arc::clone(&self.0))
+        SharedLog(Rc::clone(&self.0))
     }
 }
 
@@ -299,7 +295,7 @@ struct RetryRun {
 pub struct Script {
     /// The program, fixed once built; shared so a step can hold the
     /// current op while the interpreter state changes.
-    ops: Arc<[Op]>,
+    ops: Rc<[Op]>,
     pc: usize,
     /// Slots of the current [`Op::WaitAll`] already seen complete.
     /// Completion is monotone within one program (a restart installs a
@@ -649,7 +645,7 @@ impl Script {
 
 impl AppProgram for Script {
     fn step(&mut self, mpi: &mut Mpi<'_, '_>) {
-        let ops = Arc::clone(&self.ops);
+        let ops = Rc::clone(&self.ops);
         while self.pc < ops.len() {
             match ops[self.pc] {
                 Op::Isend {

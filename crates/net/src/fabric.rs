@@ -3,12 +3,8 @@
 use crate::message::NodeId;
 use mpiq_dessim::prelude::*;
 
-/// Per-pair wire-latency shape overlaid on [`NetConfig::wire_latency`].
-///
-/// The engine's window planner bounds each shard by its incident link
-/// latencies, so heterogeneous wires are first-class here: a single
-/// short link in an otherwise long-haul topology is exactly the shape
-/// that separates per-edge window planning from a global window.
+/// Per-pair wire-latency shape overlaid on [`NetConfig::wire_latency`]:
+/// a single short link in an otherwise long-haul topology, for example.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WireProfile {
     /// Every pair uses [`NetConfig::wire_latency`].

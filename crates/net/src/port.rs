@@ -1,22 +1,16 @@
 //! The fabric: one [`FabricPort`] per node.
 //!
-//! Each node's port lives in that node's shard, and the only cross-shard
-//! edges are the port-to-port wires, whose latency bounds how far the
-//! window planner lets one shard run ahead of another.
-//!
 //! Timing is receiver-side. The source port forwards at `t`, the frame
 //! crosses the wire (`t + wire`), and the *destination* port serializes
 //! on its ingress link: `deliver = max(t + wire, busy) + ser`, with the
 //! link busy until `deliver`. Bandwidth contention, FIFO ordering per
 //! destination, and per-(src, dst) order all follow from that one busy
 //! window. Two sources tying at the same destination in the same
-//! picosecond are ordered by (source shard, emission), which is fixed
-//! by the engine.
+//! picosecond are ordered by emission (the engine's `(time, seq)` key).
 //!
 //! Faults roll at the *source* port from a per-node deterministic
 //! stream, so a node's fault verdicts never depend on other nodes'
-//! traffic — which is what keeps fault campaigns identical across shard
-//! layouts too.
+//! traffic.
 
 use crate::fabric::NetConfig;
 use crate::message::{Message, NodeId};
@@ -40,8 +34,7 @@ fn port_fault_site(node: NodeId) -> u64 {
 /// One node's attachment to the distributed fabric.
 ///
 /// Wiring contract (the cluster builder owns this):
-/// * NIC `PORT_NET_TX` -> this port's [`PORT_FP_INJECT`], zero latency
-///   (intra-shard).
+/// * NIC `PORT_NET_TX` -> this port's [`PORT_FP_INJECT`], zero latency.
 /// * This port's `OutPort(d)` -> node `d`'s port [`PORT_FP_WIRE`], at
 ///   [`NetConfig::wire_latency`] — including `d == node` (self-sends
 ///   take a wire trip).
@@ -71,7 +64,7 @@ pub struct FabricPort {
     /// Component-level fault timeline; `None` keeps the scheduled path
     /// out of the hot loop entirely. Checked at the *source* port (like
     /// the message-level fault rolls), so the verdict is a function of
-    /// local state only and identical under any shard layout.
+    /// local state only.
     schedule: Option<Arc<FaultSchedule>>,
     /// Last observed up/down state per undirected edge (transition
     /// telemetry; see [`scheduled_edge_refuses`]).
@@ -262,13 +255,7 @@ impl Component for FabricPort {
 
 /// Wire every pair of ports together (including each port to itself) at
 /// the per-pair wire latency from [`NetConfig::latency_between`].
-/// `ports[n]` must be node `n`'s [`FabricPort`]. With one shard per node this
-/// registers the cross-shard edges the window planner derives per-edge
-/// lookahead from — a heterogeneous [`WireProfile`] here is exactly what
-/// lets shards joined by long wires stop synchronizing at a short wire's
-/// cadence.
-///
-/// [`WireProfile`]: crate::fabric::WireProfile
+/// `ports[n]` must be node `n`'s [`FabricPort`].
 pub fn wire_ports(sim: &mut Simulation, ports: &[ComponentId], cfg: &NetConfig) {
     for (s, &src) in ports.iter().enumerate() {
         for (d, &dst) in ports.iter().enumerate() {
@@ -287,7 +274,6 @@ pub fn wire_ports(sim: &mut Simulation, ports: &[ComponentId], cfg: &NetConfig) 
 mod tests {
     use super::*;
     use crate::message::{MsgHeader, MsgKind};
-    use mpiq_dessim::ShardId;
     use std::sync::{Arc, Mutex};
 
     fn msg(src: NodeId, dst: NodeId, len: u32, seq: u64) -> Message {
@@ -322,21 +308,20 @@ mod tests {
         }
     }
 
-    /// One shard per node, each holding a sink ("the NIC") and a port.
+    /// One sink ("the NIC") and one port per node.
     fn build_with(
         cfg: NetConfig,
         nodes: u32,
         faults: FaultConfig,
     ) -> (Simulation, Vec<ComponentId>, Vec<DeliveryLog>) {
-        let mut sim = Simulation::with_shards(7, nodes as usize);
+        let mut sim = Simulation::new(7);
         let mut logs = Vec::new();
         let mut ports = Vec::new();
         for n in 0..nodes {
             let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-            let sink =
-                sim.add_component_in(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
+            let sink = sim.add_component(&format!("sink{n}"), Sink { got: log.clone() });
             let port = FabricPort::with_faults(cfg, nodes, n, sink, InPort(0), faults);
-            ports.push(sim.add_component_in(ShardId(n), &format!("net{n}"), port));
+            ports.push(sim.add_component(&format!("net{n}"), port));
             logs.push(log);
         }
         wire_ports(&mut sim, &ports, &cfg);

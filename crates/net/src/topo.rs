@@ -7,13 +7,6 @@
 //! [`crate::NetConfig::wire_latency`]. Keeping the plan side-effect-free
 //! makes the routing properties (reachability, hop bounds, determinism)
 //! testable without building a simulation.
-//!
-//! Sharding: the plan also assigns every switch to a shard — one shard
-//! per *edge* switch (a switch with attached nodes), with core switches
-//! (fat-tree spines) round-robined across them. Nodes live in their edge
-//! switch's shard, so the only cross-shard links are trunks, whose
-//! positive wire latency is what the partitioned engine's per-edge
-//! window planner feeds on.
 
 use crate::message::NodeId;
 
@@ -63,7 +56,7 @@ pub enum RouteStep {
     Forward(usize),
 }
 
-/// A planned switched fabric: attachment, trunks, routes, shards.
+/// A planned switched fabric: attachment, trunks, routes.
 #[derive(Clone, Debug)]
 pub struct TopoPlan {
     /// Number of attached nodes.
@@ -77,10 +70,6 @@ pub struct TopoPlan {
     pub neighbors: Vec<Vec<usize>>,
     /// `routes[s][d]` is switch `s`'s decision for frames to node `d`.
     pub routes: Vec<Vec<RouteStep>>,
-    /// Shard each switch (and its attached nodes) lives in.
-    pub shard_of_switch: Vec<u32>,
-    /// Total shard count (= number of edge switches).
-    pub shards: u32,
 }
 
 impl Topology {
@@ -97,29 +86,6 @@ impl Topology {
             Topology::Torus { x, y } => Some(plan_torus(nodes, x, y)),
         }
     }
-}
-
-/// Fill the shard fields: every edge switch (≥ 1 attached node) is its
-/// own shard; coreswitches round-robin across those shards.
-fn assign_shards(plan: &mut TopoPlan) {
-    let mut next_core = 0u32;
-    let mut shards = 0u32;
-    let mut shard_of = vec![0u32; plan.attached.len()];
-    for (s, att) in plan.attached.iter().enumerate() {
-        if !att.is_empty() {
-            shard_of[s] = shards;
-            shards += 1;
-        }
-    }
-    assert!(shards > 0);
-    for (s, att) in plan.attached.iter().enumerate() {
-        if att.is_empty() {
-            shard_of[s] = next_core % shards;
-            next_core += 1;
-        }
-    }
-    plan.shard_of_switch = shard_of;
-    plan.shards = shards;
 }
 
 /// Shared attachment: pack nodes onto `switches` switches in blocks of
@@ -166,17 +132,13 @@ fn plan_fat_tree(nodes: u32, down: u32, up: u32) -> TopoPlan {
             });
         }
     }
-    let mut plan = TopoPlan {
+    TopoPlan {
         nodes,
         attach,
         attached,
         neighbors,
         routes,
-        shard_of_switch: Vec::new(),
-        shards: 0,
-    };
-    assign_shards(&mut plan);
-    plan
+    }
 }
 
 fn plan_dragonfly(nodes: u32, groups: u32, routers: u32) -> TopoPlan {
@@ -237,17 +199,13 @@ fn plan_dragonfly(nodes: u32, groups: u32, routers: u32) -> TopoPlan {
             }
         }
     }
-    let mut plan = TopoPlan {
+    TopoPlan {
         nodes,
         attach,
         attached,
         neighbors,
         routes,
-        shard_of_switch: Vec::new(),
-        shards: 0,
-    };
-    assign_shards(&mut plan);
-    plan
+    }
 }
 
 fn plan_torus(nodes: u32, x: u32, y: u32) -> TopoPlan {
@@ -309,17 +267,13 @@ fn plan_torus(nodes: u32, x: u32, y: u32) -> TopoPlan {
             }
         }
     }
-    let mut plan = TopoPlan {
+    TopoPlan {
         nodes,
         attach,
         attached,
         neighbors,
         routes,
-        shard_of_switch: Vec::new(),
-        shards: 0,
-    };
-    assign_shards(&mut plan);
-    plan
+    }
 }
 
 impl TopoPlan {
@@ -429,34 +383,6 @@ mod tests {
             for s in 0..12 {
                 for d in 0..12 {
                     assert_eq!(plan.trace_route(s, d), plan.trace_route(s, d));
-                }
-            }
-        }
-    }
-
-    /// Every node's shard is an edge-switch shard, and core switches
-    /// borrow one of them — shard ids are dense in `0..shards`.
-    #[test]
-    fn shards_are_dense_and_edge_rooted() {
-        for (name, plan) in all_plans(24) {
-            assert!(plan.shards >= 1, "{name}");
-            for (s, &sh) in plan.shard_of_switch.iter().enumerate() {
-                assert!(
-                    sh < plan.shards,
-                    "{name}: switch {s} shard {sh} out of range"
-                );
-            }
-            for (s, att) in plan.attached.iter().enumerate() {
-                if !att.is_empty() {
-                    // Edge switches own distinct shards.
-                    for (o, oatt) in plan.attached.iter().enumerate() {
-                        if o != s && !oatt.is_empty() {
-                            assert_ne!(
-                                plan.shard_of_switch[s], plan.shard_of_switch[o],
-                                "{name}: edge switches {s} and {o} share a shard"
-                            );
-                        }
-                    }
                 }
             }
         }

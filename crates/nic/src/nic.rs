@@ -41,7 +41,7 @@ pub fn host_comp_port(pid: u32) -> OutPort {
 
 /// Scheduled-fault wakeup payloads (internal to the NIC). Every wake is
 /// computed locally from the shared [`FaultSchedule`] at start-up, so no
-/// fault information ever crosses shards at run time.
+/// fault information ever travels between components at run time.
 #[derive(Clone, Copy, Debug)]
 enum FaultWake {
     /// This node crash-stops now.
@@ -691,8 +691,7 @@ impl Component for Nic {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // Pre-compute every fault wakeup this NIC will ever need from the
         // shared schedule. All wake times are pure functions of the
-        // schedule, so every NIC — on any shard — derives the same
-        // virtual-time behavior.
+        // schedule, so every NIC derives the same virtual-time behavior.
         let Some(sched) = self.schedule.clone() else {
             return;
         };

@@ -54,7 +54,7 @@ pub struct ReliabilityConfig {
     /// declares it dead. Consumed by the NIC component, not the link
     /// engine: crash detection needs a shared notion of "the peer went
     /// silent at T", and only the fault schedule provides one that every
-    /// NIC can evaluate deterministically on its own shard. Distinct
+    /// NIC can evaluate deterministically on its own. Distinct
     /// from the retry budget, which detects dead *links* from this
     /// side's own (local) retransmission history.
     pub keepalive_timeout: Time,

@@ -206,9 +206,9 @@ fn crash_mid_collective_fails_identically_in_both_modes() {
     }
 }
 
-/// The sharded determinism contract extends to the switched fabric and
-/// the offload engine: the merged statistics of an offloaded fat-tree
-/// run are byte-identical on a second run.
+/// The determinism contract extends to the switched fabric and the
+/// offload engine: the statistics of an offloaded fat-tree run are
+/// byte-identical on a second run.
 #[test]
 fn offloaded_fat_tree_stats_repeat_byte_for_byte() {
     const RANKS: u32 = 16;

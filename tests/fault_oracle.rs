@@ -208,11 +208,11 @@ fn inactive_faults_are_zero_cost() {
 }
 
 /// Component-level fault schedule (flap storm + node crash + ALPU
-/// death) on the sharded engine: the statistics dump and final time must
-/// be byte-identical on a second run. All fault
-/// decisions are pure functions of `(schedule, time)` evaluated locally
-/// per component, so no fault information ever crosses a shard boundary
-/// — that is the property this pins.
+/// death): the statistics dump and final time must be byte-identical on
+/// a second run. All fault decisions are pure functions of
+/// `(schedule, time)` evaluated locally per component, so no fault
+/// information ever travels as an event — that is the property this
+/// pins.
 #[test]
 fn scheduled_faults_repeat_byte_for_byte() {
     // Pinned-source-only workload (no wildcards, no barriers): every
