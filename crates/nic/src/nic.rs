@@ -13,7 +13,9 @@ use crate::host_iface::HostRequest;
 use crate::reliability::Reliability;
 use mpiq_cpusim::Core;
 use mpiq_dessim::prelude::*;
-use mpiq_dessim::{watchdog::Health, ComponentFaultKind, FaultSchedule, Stats, TraceEvent};
+use mpiq_dessim::{
+    watchdog::Health, ComponentFaultKind, FaultSchedule, Histogram, Metrics, Stats, TraceEvent,
+};
 use mpiq_net::{Message, MsgKind, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -206,6 +208,15 @@ pub struct Nic {
     /// The `nic{N}.*` registry counters as of the last snapshot point;
     /// written into the registry by [`Component::publish`].
     record: StatRecord,
+    /// Metered runs only: work items processed and their service times,
+    /// written into the metrics registry as `nic{N}.work_items` and
+    /// `nic{N}.work_service` by [`Component::publish_metrics`].
+    work_items: u64,
+    work_service: Histogram,
+    /// Latency histograms of incarnations a restart replaced, as the
+    /// crash left them; [`Component::publish_metrics`] writes them under
+    /// the live ones, which win wherever they hold samples.
+    retired_hists: Vec<(&'static str, Histogram)>,
     /// Time-weighted queue-occupancy accumulation (for the application
     /// queue-characterization study, after refs [8,9]). Accumulated in
     /// entry·picoseconds — whole-ns accumulation silently dropped sub-ns
@@ -238,6 +249,9 @@ impl Nic {
             keepalive: cfg.link.keepalive_timeout,
             stat_prefix: format!("nic{node}"),
             record: StatRecord::default(),
+            work_items: 0,
+            work_service: Histogram::new(),
+            retired_hists: Vec::new(),
             last_sample: Time::ZERO,
             posted_integral_ps: 0,
             unexpected_integral_ps: 0,
@@ -311,10 +325,8 @@ impl Nic {
         let (end, fx) = self.fw.process(item, now, &mut self.core);
         debug_assert!(end >= now);
         if ctx.metrics().enabled() {
-            let p = &self.stat_prefix;
-            ctx.metrics().add(&format!("{p}.work_items"), 1);
-            ctx.metrics()
-                .record(&format!("{p}.work_service"), end - now);
+            self.work_items += 1;
+            self.work_service.record(end - now);
         }
         for (at, what) in self.fw.take_events() {
             ctx.trace_at(at, what);
@@ -367,7 +379,7 @@ impl Nic {
         self.busy = true;
         ctx.wake_me(PORT_WAKE, Payload::empty(), end - now);
         self.schedule_retx(ctx);
-        self.snapshot_stats(ctx);
+        self.snapshot_stats();
     }
 
     /// Make sure a wakeup covers the link layer's earliest retransmit
@@ -424,7 +436,7 @@ impl Nic {
                     node: self.node,
                     peer: self.node,
                 });
-                self.snapshot_stats(ctx);
+                self.snapshot_stats();
             }
             FaultWake::PeerDead(peer) => {
                 // False-positive guard: if the schedule shows the peer
@@ -455,6 +467,7 @@ impl Nic {
                 self.update_queued = false;
                 self.pending_rx_match = 0;
                 self.retx_scheduled = None;
+                self.retire_hists();
                 self.fw = Firmware::new(self.node, self.cfg);
                 self.core = Core::new(self.cfg.core);
                 self.link = self.cfg.reliability.then(|| {
@@ -492,7 +505,7 @@ impl Nic {
                         );
                     }
                 }
-                self.snapshot_stats(ctx);
+                self.snapshot_stats();
             }
             FaultWake::PeerRestart(peer) => {
                 let epoch = self
@@ -512,7 +525,7 @@ impl Nic {
                     node: self.node,
                     peer,
                 });
-                self.snapshot_stats(ctx);
+                self.snapshot_stats();
             }
         }
     }
@@ -564,14 +577,13 @@ impl Nic {
             node: self.node,
             peer,
         });
-        self.snapshot_stats(ctx);
+        self.snapshot_stats();
     }
 
     /// Snapshot the registry counters into [`Nic::record`], checking
-    /// each group's condition now, and publish the latency histograms on
-    /// metered runs. Runs after almost every event, so it formats no key
-    /// unless metrics are on.
-    fn snapshot_stats(&mut self, ctx: &mut Ctx<'_>) {
+    /// each group's condition now. Runs after almost every event, so it
+    /// formats no key.
+    fn snapshot_stats(&mut self) {
         let fw = self.fw.stats();
         let r = &mut self.record;
         let l1 = self.core.mem().l1();
@@ -663,25 +675,40 @@ impl Nic {
                 r.flow_link = Some([ls.credits_granted, ls.credits_received]);
             }
         }
-        // Latency histograms go to the separate metrics registry; the
-        // enabled check keeps unmetered runs free of the key formatting.
-        let m = ctx.metrics();
-        if m.enabled() {
-            let p = &self.stat_prefix;
-            let h = self.fw.hists();
-            m.publish_hist(&format!("{p}.match.posted.alpu_hit"), &h.posted_alpu_hit);
-            m.publish_hist(&format!("{p}.match.posted.hash"), &h.posted_hash);
-            m.publish_hist(&format!("{p}.match.posted.linear"), &h.posted_linear);
-            m.publish_hist(
-                &format!("{p}.match.unexpected.alpu_hit"),
-                &h.unexpected_alpu_hit,
-            );
-            m.publish_hist(
-                &format!("{p}.match.unexpected.linear"),
-                &h.unexpected_linear,
-            );
-            if let Some(link) = &self.link {
-                m.publish_hist(&format!("{p}.link.backoff"), link.backoff_hist());
+    }
+
+    /// The latency histograms, keyed by `nic{N}.` suffix: the firmware's
+    /// match times and, with the link layer on, its retransmit backoff.
+    fn latency_hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        let h = self.fw.hists();
+        [
+            ("match.posted.alpu_hit", &h.posted_alpu_hit),
+            ("match.posted.hash", &h.posted_hash),
+            ("match.posted.linear", &h.posted_linear),
+            ("match.unexpected.alpu_hit", &h.unexpected_alpu_hit),
+            ("match.unexpected.linear", &h.unexpected_linear),
+        ]
+        .into_iter()
+        .chain(
+            self.link
+                .as_ref()
+                .map(|l| ("link.backoff", l.backoff_hist())),
+        )
+    }
+
+    /// Keep the histograms a restart is about to wipe: each one that
+    /// holds samples replaces what an earlier incarnation left under its
+    /// key.
+    fn retire_hists(&mut self) {
+        let live: Vec<(&'static str, Histogram)> = self
+            .latency_hists()
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(k, h)| (k, h.clone()))
+            .collect();
+        for (key, h) in live {
+            match self.retired_hists.iter_mut().find(|(k, _)| *k == key) {
+                Some(slot) => slot.1 = h,
+                None => self.retired_hists.push((key, h)),
             }
         }
     }
@@ -804,7 +831,7 @@ impl Component for Nic {
                             ctx.emit_after(PORT_NET_TX, Payload::new(ack), Time::ZERO);
                         }
                     }
-                    self.snapshot_stats(ctx);
+                    self.snapshot_stats();
                     return;
                 }
                 if let Some(link) = self.link.as_mut() {
@@ -835,7 +862,7 @@ impl Component for Nic {
                     match result.deliver {
                         Some(delivered) => msg = delivered,
                         None => {
-                            self.snapshot_stats(ctx);
+                            self.snapshot_stats();
                             return;
                         }
                     }
@@ -898,7 +925,7 @@ impl Component for Nic {
                     }
                 }
                 self.schedule_retx(ctx);
-                self.snapshot_stats(ctx);
+                self.snapshot_stats();
             }
             PORT_FAULT => {
                 let wake = *ev
@@ -945,6 +972,24 @@ impl Component for Nic {
         put(stats, p, &["fault.crashed"], r.crashed.map(|v| [v]));
         put(stats, p, &["fault.incarnation"], r.incarnation.map(|v| [v]));
         put(stats, p, &["link.crc_dropped"], r.crc_dropped.map(|v| [v]));
+    }
+
+    /// Write the work-item counter and histograms as `nic{N}.*` metrics.
+    /// The latency histograms follow the snapshot rule: only once some
+    /// snapshot point was reached, and only those holding samples.
+    fn publish_metrics(&self, metrics: &mut Metrics) {
+        let p = &self.stat_prefix;
+        if self.work_items > 0 {
+            metrics.add(&format!("{p}.work_items"), self.work_items);
+        }
+        metrics.publish_hist(&format!("{p}.work_service"), &self.work_service);
+        if self.record.base.is_none() {
+            return;
+        }
+        let retired = self.retired_hists.iter().map(|(k, h)| (*k, h));
+        for (key, h) in retired.chain(self.latency_hists()) {
+            metrics.publish_hist(&format!("{p}.{key}"), h);
+        }
     }
 
     /// Watchdog self-report: a NIC is busy while it holds work items,
