@@ -22,6 +22,14 @@ pub trait AppProgram: 'static {
     /// every completion delivered to this rank. Call [`Mpi::finish`] when
     /// the program is done.
     fn step(&mut self, mpi: &mut Mpi<'_, '_>);
+
+    /// The widest world this program can run in, if it is bounded.
+    /// [`Cluster::try_new`](crate::Cluster::try_new) rejects a wider
+    /// cluster with a typed error instead of failing mid-run. Default:
+    /// unbounded.
+    fn max_world(&self) -> Option<u32> {
+        None
+    }
 }
 
 /// Host-side MPI state shared between the component and the API handle.

@@ -198,6 +198,36 @@ impl ClusterConfigBuilder {
     }
 }
 
+/// Why a cluster could not be built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClusterError {
+    /// Rank `rank`'s program (or its recovery program) runs in worlds of
+    /// at most `max` ranks — fault-tolerant agreement carries one mask
+    /// bit per rank — but the cluster has `ranks`.
+    WorldTooWide {
+        /// The rank whose program is bounded.
+        rank: u32,
+        /// The cluster's rank count.
+        ranks: u32,
+        /// The program's bound ([`AppProgram::max_world`]).
+        max: u32,
+    },
+}
+
+impl std::fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ClusterError::WorldTooWide { rank, ranks, max } => write!(
+                f,
+                "rank {rank}'s program runs in at most {max} ranks \
+                 (agreement carries one mask bit per rank), but the cluster has {ranks}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
+
 /// A built cluster: run it, then inspect NICs and statistics.
 pub struct Cluster {
     sim: Simulation,
@@ -216,9 +246,20 @@ impl Cluster {
     /// sets `ranks_per_node > 1`, consecutive ranks share a node's NIC
     /// (block distribution), exercising the paper's footnote-1
     /// multi-process extension.
+    ///
+    /// Panics where [`Cluster::try_new`] returns an error.
     pub fn new(cfg: ClusterConfig, programs: Vec<Box<dyn AppProgram>>) -> Cluster {
+        Cluster::try_new(cfg, programs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Cluster::new`], returning a typed error for a program that
+    /// cannot run in this world (see [`AppProgram::max_world`]).
+    pub fn try_new(
+        cfg: ClusterConfig,
+        programs: Vec<Box<dyn AppProgram>>,
+    ) -> Result<Cluster, ClusterError> {
         let recovery = programs.iter().map(|_| None).collect();
-        Cluster::with_recovery(cfg, programs, recovery)
+        Cluster::try_with_recovery(cfg, programs, recovery)
     }
 
     /// Like [`Cluster::new`], but with a recovery program staged per
@@ -243,11 +284,24 @@ impl Cluster {
     /// Scheduled (src, dst) link faults are checked at the *source*
     /// port, blackholing the pair end-to-end no matter how many switches
     /// sit between.
+    ///
+    /// Panics where [`Cluster::try_with_recovery`] returns an error.
     pub fn with_recovery(
         cfg: ClusterConfig,
         programs: Vec<Box<dyn AppProgram>>,
         recovery: Vec<Option<Box<dyn AppProgram>>>,
     ) -> Cluster {
+        Cluster::try_with_recovery(cfg, programs, recovery).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Cluster::with_recovery`], returning a typed error for a program
+    /// (or recovery program) that cannot run in this world (see
+    /// [`AppProgram::max_world`]).
+    pub fn try_with_recovery(
+        cfg: ClusterConfig,
+        programs: Vec<Box<dyn AppProgram>>,
+        recovery: Vec<Option<Box<dyn AppProgram>>>,
+    ) -> Result<Cluster, ClusterError> {
         let n = programs.len() as u32;
         assert!(n > 0, "cluster needs at least one rank");
         assert_eq!(
@@ -255,6 +309,19 @@ impl Cluster {
             recovery.len(),
             "one recovery slot (possibly None) per rank"
         );
+        for (rank, (program, staged)) in programs.iter().zip(&recovery).enumerate() {
+            let bounds = program.max_world().into_iter();
+            for max in bounds.chain(staged.as_ref().and_then(|p| p.max_world())) {
+                if n > max {
+                    let rank = rank as u32;
+                    return Err(ClusterError::WorldTooWide {
+                        rank,
+                        ranks: n,
+                        max,
+                    });
+                }
+            }
+        }
         let k = cfg.nic.ranks_per_node.max(1);
         let nodes = n.div_ceil(k);
         let plan = cfg.topology.plan(nodes).map(Arc::new);
@@ -351,13 +418,13 @@ impl Cluster {
                 }
             }
         }
-        Cluster {
+        Ok(Cluster {
             sim,
             nics,
             hosts,
             nodes,
             schedule: cfg.fault_schedule,
-        }
+        })
     }
 
     /// Build one rank's host with its fault timeline applied: every

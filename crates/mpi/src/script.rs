@@ -644,6 +644,15 @@ impl Script {
 }
 
 impl AppProgram for Script {
+    /// Bounded by [`mpiq_nic::coll::AGREE_MAX_RANKS`] when the script
+    /// runs an [`Op::Agree`].
+    fn max_world(&self) -> Option<u32> {
+        self.ops
+            .iter()
+            .any(|op| matches!(op, Op::Agree { .. }))
+            .then_some(mpiq_nic::coll::AGREE_MAX_RANKS)
+    }
+
     fn step(&mut self, mpi: &mut Mpi<'_, '_>) {
         let ops = Rc::clone(&self.ops);
         while self.pc < ops.len() {

@@ -2,7 +2,7 @@
 
 use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
-use mpiq_mpi::{Cluster, ClusterConfig, Script};
+use mpiq_mpi::{Cluster, ClusterConfig, ClusterError, Script};
 use mpiq_nic::NicConfig;
 
 fn cluster(nic: NicConfig, programs: Vec<Script>) -> Cluster {
@@ -199,4 +199,45 @@ fn deterministic_repeat_runs() {
         t
     };
     assert_eq!(run_once(), run_once(), "simulation must be deterministic");
+}
+
+/// `ranks` programs that each run one agreement, boxed for a cluster.
+fn agreeing(ranks: u32) -> Vec<Box<dyn mpiq_mpi::AppProgram>> {
+    (0..ranks)
+        .map(|_| {
+            let mut b = Script::builder();
+            b.agree(None);
+            Box::new(b.build(mark_log())) as Box<dyn mpiq_mpi::AppProgram>
+        })
+        .collect()
+}
+
+#[test]
+fn agree_wider_than_the_mask_is_a_typed_build_error() {
+    let cfg = ClusterConfig::new(NicConfig::baseline());
+    match Cluster::try_new(cfg.clone(), agreeing(17)) {
+        Err(e) => assert_eq!(
+            e,
+            ClusterError::WorldTooWide {
+                rank: 0,
+                ranks: 17,
+                max: 16
+            }
+        ),
+        Ok(_) => panic!("a 17-rank agreement must be rejected at build time"),
+    }
+    // A staged recovery program is checked too.
+    let plain = (0..17)
+        .map(|_| Box::new(Script::builder().build(mark_log())) as Box<dyn mpiq_mpi::AppProgram>)
+        .collect();
+    let mut recovery: Vec<_> = (0..17).map(|_| None).collect();
+    recovery[5] = agreeing(1).pop();
+    let err = Cluster::try_with_recovery(cfg.clone(), plain, recovery).err();
+    assert!(matches!(
+        err,
+        Some(ClusterError::WorldTooWide { rank: 5, .. })
+    ));
+    // At the mask width the cluster builds and the agreement completes.
+    let mut c = Cluster::try_new(cfg, agreeing(16)).expect("16 ranks fit the mask");
+    c.run();
 }

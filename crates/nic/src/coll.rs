@@ -184,6 +184,10 @@ pub fn bcast_steps(me: u32, n: u32, root: u32, len: u32, instance: u16) -> Vec<C
     steps
 }
 
+/// The widest world fault-tolerant agreement supports: its failed-set
+/// mask is a `u16`, one bit per rank.
+pub const AGREE_MAX_RANKS: u32 = u16::BITS;
+
 /// Steps of one fault-tolerant agreement sweep for rank `me` of `n`:
 /// send the local failed-set mask to every other rank on this rank's
 /// per-rank tag (`k = 2 + me`), then collect every other rank's mask
@@ -192,13 +196,18 @@ pub fn bcast_steps(me: u32, n: u32, root: u32, len: u32, instance: u16) -> Vec<C
 /// behind a recv from a rank that may be dead.
 ///
 /// The mask is a `u16`, one bit per world rank, so agreement is capped
-/// at 16 ranks — far above the rank counts recovery scenarios run at,
-/// and small enough that the mask-as-`payload_len` stays below the
-/// eager threshold (offload and host fallback then use the same wire
-/// protocol for every frame).
+/// at [`AGREE_MAX_RANKS`] — far above the rank counts recovery scenarios
+/// run at, and small enough that the mask-as-`payload_len` stays below
+/// the eager threshold (offload and host fallback then use the same wire
+/// protocol for every frame). Cluster construction rejects an agreeing
+/// program in a wider world, so the assert below is an internal
+/// invariant.
 pub fn agree_steps(me: u32, n: u32, len: u32, instance: u16) -> Vec<CollStep> {
     assert!(me < n);
-    assert!(n <= 16, "agreement mask is one u16 bit per rank");
+    assert!(
+        n <= AGREE_MAX_RANKS,
+        "agreement mask is one u16 bit per rank"
+    );
     let mut steps = Vec::new();
     for peer in (0..n).filter(|&p| p != me) {
         steps.push(CollStep {
