@@ -200,8 +200,8 @@ pub const AGREE_MAX_RANKS: u32 = u16::BITS;
 /// run at, and small enough that the mask-as-`payload_len` stays below
 /// the eager threshold (offload and host fallback then use the same wire
 /// protocol for every frame). Cluster construction rejects an agreeing
-/// program in a wider world, so the assert below is an internal
-/// invariant.
+/// script in a wider world and the firmware declines such an offload,
+/// so the assert below is an internal invariant.
 pub fn agree_steps(me: u32, n: u32, len: u32, instance: u16) -> Vec<CollStep> {
     assert!(me < n);
     assert!(

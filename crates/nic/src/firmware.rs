@@ -1213,8 +1213,9 @@ impl Firmware {
     /// (the engine matches on the bare context), payloads past the eager
     /// threshold (rendezvous steps would need host buffers), overload
     /// protection armed (credits and staging accounting belong to the
-    /// host path), or degraded/dead ALPUs (quarantine recovery already
-    /// owns the unexpected queue).
+    /// host path), degraded/dead ALPUs (quarantine recovery already
+    /// owns the unexpected queue), or an agreement wider than its
+    /// one-bit-per-rank mask ([`crate::coll::AGREE_MAX_RANKS`]).
     #[allow(clippy::too_many_arguments)]
     fn do_collective(
         &mut self,
@@ -1235,7 +1236,8 @@ impl Firmware {
             || self.cfg.overload_active()
             || self.posted_quarantined()
             || self.unexpected_quarantined()
-            || self.alpus_dead;
+            || self.alpus_dead
+            || (op == crate::coll::CollOp::Agree && n > crate::coll::AGREE_MAX_RANKS);
         if decline {
             self.stats.coll_declined += 1;
             fx.completions.push((

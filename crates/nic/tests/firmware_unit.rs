@@ -501,3 +501,29 @@ fn killed_alpus_stay_out_of_service() {
     assert!(r.fw.posted_quarantined() && r.fw.unexpected_quarantined());
     check_invariants(&r.fw);
 }
+
+#[test]
+fn agreement_wider_than_its_mask_is_declined_not_a_panic() {
+    let mut cfg = NicConfig::baseline();
+    cfg.coll_offload = true;
+    let mut r = Rig::new(cfg);
+    let agree = |n| {
+        WorkItem::Host(HostRequest::Collective {
+            req: rid(n as u64),
+            op: mpiq_nic::CollOp::Agree,
+            root: 0,
+            len: 0,
+            instance: 0,
+            n,
+        })
+    };
+    let fx = r.run(agree(mpiq_nic::coll::AGREE_MAX_RANKS + 1));
+    assert!(fx.completions[0].1.cancelled, "declined back to the host");
+    assert!(fx.tx.is_empty());
+    assert_eq!(r.fw.stats().coll_declined, 1);
+    // At the mask width the engine takes it and sends its mask.
+    let fx = r.run(agree(mpiq_nic::coll::AGREE_MAX_RANKS));
+    assert!(fx.completions.is_empty());
+    assert!(!fx.tx.is_empty());
+    assert_eq!(r.fw.stats().coll_offloaded, 1);
+}
