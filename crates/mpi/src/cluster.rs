@@ -310,8 +310,8 @@ impl Cluster {
             "one recovery slot (possibly None) per rank"
         );
         for (rank, (program, staged)) in programs.iter().zip(&recovery).enumerate() {
-            let bounds = program.max_world().into_iter();
-            for max in bounds.chain(staged.as_ref().and_then(|p| p.max_world())) {
+            let staged = staged.as_ref().and_then(|p| p.max_world());
+            if let Some(max) = program.max_world().into_iter().chain(staged).min() {
                 if n > max {
                     let rank = rank as u32;
                     return Err(ClusterError::WorldTooWide {
