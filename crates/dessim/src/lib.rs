@@ -10,7 +10,8 @@
 //! There is one executive, one event queue and one event loop. A
 //! [`Simulation`] keeps every pending event in one binary heap ordered
 //! by `(time, seq)`, where `seq` is a global emission counter: events at
-//! equal times run in the order they were emitted (see [`scheduler`]).
+//! equal times run in the order they were emitted (see [`scheduler`]
+//! and [`shard`]).
 //! Every handler runs on the calling thread.
 //!
 //! Design goals, in order:
@@ -58,6 +59,7 @@ pub mod fault;
 pub mod metrics;
 pub mod rng;
 pub mod scheduler;
+pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;

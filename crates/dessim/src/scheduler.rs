@@ -1,57 +1,22 @@
 //! The simulation executive: the one type that owns components,
 //! wiring, virtual time, the event queue, and the run loop.
 //!
-//! Every pending event of a [`Simulation`] sits in one binary heap,
-//! ordered by the key `(time, seq)`:
-//!
-//! * `time` is the delivery time;
-//! * `seq` is a global emission counter. Every event gets the next
-//!   value when it enters the queue — through [`Simulation::post`], or
-//!   when the handler that emitted it returns (its emissions are
-//!   committed in the order the handler made them).
-//!
-//! So events at equal times run in the order they were emitted, across
-//! every component in the simulation. That key fixes the whole schedule
-//! from the inputs alone: no allocation order, hash iteration or thread
-//! timing enters it. The run loop pops the smallest key, advances `now`
-//! to its time and hands the event to its component, on the calling
-//! thread.
+//! Every pending event of a [`Simulation`] sits in its one shard's
+//! binary heap, ordered by the key `(time, seq)`: the delivery time,
+//! then a global emission counter (see [`crate::shard`]). So events at
+//! equal times run in the order they were emitted, across every
+//! component in the simulation. The run loop pops the smallest key,
+//! advances `now` to its time and hands the event to its component, on
+//! the calling thread.
 
 use crate::component::{Component, ComponentId, Ctx, Emission};
-use crate::event::{Event, InPort, OutPort, Payload};
+use crate::event::{InPort, OutPort, Payload};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
+use crate::shard::Shard;
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
-/// One pending event, ordered by its `(time, seq)` key.
-struct Scheduled {
-    time: Time,
-    seq: u64,
-    dst: ComponentId,
-    port: InPort,
-    payload: Payload,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
 
 /// A wired link: (src component, out port) -> (dst component, in port, latency).
 #[derive(Clone, Copy)]
@@ -70,10 +35,8 @@ pub struct Simulation {
     /// Outgoing links indexed `[component][out port]` — a flat lookup on
     /// the per-emission hot path (out-port numbers are small and dense).
     wiring: Vec<Vec<Option<Link>>>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: Shard,
     now: Time,
-    /// The next emission's tie-break number.
-    seq: u64,
     rng: SimRng,
     stats: Stats,
     trace: TraceRing,
@@ -92,9 +55,8 @@ impl Simulation {
             components: Vec::new(),
             names: Vec::new(),
             wiring: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: Shard::default(),
             now: Time::ZERO,
-            seq: 0,
             rng: SimRng::new(seed),
             stats: Stats::new(),
             trace: TraceRing::disabled(),
@@ -146,7 +108,7 @@ impl Simulation {
 
     /// Schedule an event `delay` after the current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        self.push(self.now + delay, dst, port, payload);
+        self.queue.push(self.now + delay, dst, port, payload);
     }
 
     /// Current virtual time: the time of the last delivered event.
@@ -278,22 +240,11 @@ impl Simulation {
     pub fn run_until(&mut self, horizon: Time) -> u64 {
         self.start_components();
         let before = self.events_processed;
-        while self
-            .queue
-            .peek()
-            .is_some_and(|Reverse(head)| head.time <= horizon)
-        {
-            let Reverse(ev) = self.queue.pop().expect("peeked above");
+        while let Some(ev) = self.queue.pop_until(horizon) {
             debug_assert!(ev.time >= self.now, "time must be monotone");
             self.now = ev.time;
             self.events_processed += 1;
-            let event = Event {
-                time: ev.time,
-                dst: ev.dst,
-                port: ev.port,
-                payload: ev.payload,
-            };
-            self.invoke(ev.dst, |c, ctx| c.on_event(event, ctx));
+            self.invoke(ev.dst, |c, ctx| c.on_event(ev, ctx));
         }
         self.events_processed - before
     }
@@ -341,30 +292,17 @@ impl Simulation {
                             )
                         });
                     let time = self.now + link.latency + extra_delay;
-                    self.push(time, link.dst, link.port, payload);
+                    self.queue.push(time, link.dst, link.port, payload);
                 }
                 Emission::Direct {
                     dst,
                     port,
                     payload,
                     delay,
-                } => self.push(self.now + delay, dst, port, payload),
+                } => self.queue.push(self.now + delay, dst, port, payload),
             }
         }
         self.emissions = emissions;
-    }
-
-    /// Queue an event under the next emission number.
-    fn push(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            time,
-            seq,
-            dst,
-            port,
-            payload,
-        }));
     }
 }
 
@@ -500,34 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn same_ring_run_twice_gives_identical_results() {
-        let run = || {
-            let log = Log::default();
-            let mut sim = Simulation::new(7);
-            let ids: Vec<ComponentId> = (0..5).map(|i| recorder(&mut sim, &log, i)).collect();
-            for i in 0..5 {
-                sim.connect(
-                    ids[i],
-                    OutPort(0),
-                    ids[(i + 1) % 5],
-                    InPort(0),
-                    Time::from_ns(30),
-                );
-            }
-            for (s, &id) in ids.iter().enumerate() {
-                let n = 20 + s as u64;
-                sim.post(id, InPort(0), Payload::new(n), Time::from_ns(s as u64));
-            }
-            sim.run();
-            let events = log.borrow().clone();
-            (sim.events_processed(), sim.now(), events)
-        };
-        let (base, again) = (run(), run());
-        assert_eq!(again, base, "delivered events diverged between runs");
-        assert_eq!(base.0, (20..25).map(|n| n + 1).sum::<u64>());
-    }
-
-    #[test]
     fn run_until_respects_horizon() {
         let mut sim = Simulation::new(0);
         let c = sim.add_component("ctr", Counter { seen: vec![] });
@@ -617,8 +527,10 @@ mod tests {
         }
     }
 
+    /// Published values add onto the counters handlers wrote while the
+    /// shard ran, in the stats and the metrics registry alike.
     #[test]
-    fn publish_merges_with_handler_counters() {
+    fn publish_merges_with_shard_counters() {
         let mut sim = Simulation::new(0);
         sim.enable_metrics();
         let a = sim.add_component("a", Publisher { tag: 1, seen: 0 });
@@ -639,8 +551,10 @@ mod tests {
         assert_eq!(sim.metrics().counter("shared"), 4 + 20);
     }
 
+    /// There is one shard, so publish runs in component index
+    /// (registration) order: the last component's gauge wins.
     #[test]
-    fn publish_runs_in_registration_order() {
+    fn publish_runs_in_shard_then_index_order() {
         let mut sim = Simulation::new(0);
         sim.add_component("x", Publisher { tag: 8, seen: 0 });
         sim.add_component("y", Publisher { tag: 9, seen: 0 });
