@@ -5,7 +5,8 @@
 //! (with held-probe retries), resets, response draining, and advances
 //! short enough to land mid-compaction or mid-operation.
 
-use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe};
+use mpiq_alpu::engine::AlpuStats;
+use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe, Response};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -182,4 +183,66 @@ proptest! {
     fn advance_equals_ticks_tiny_blocks(script in prop::collection::vec(step(), 1..50)) {
         run(16, 2, 3, script)?;
     }
+}
+
+/// A 256-cell posted-receive unit, half full, with its insert session
+/// drained.
+fn prefilled_alpu() -> Alpu {
+    let mut alpu = Alpu::new(AlpuConfig::new(256, 8, AlpuKind::PostedReceive));
+    alpu.push_command(Command::StartInsert).unwrap();
+    alpu.advance(64);
+    assert!(alpu.pop_response().is_some(), "StartAck");
+    for tag in 0..128u16 {
+        alpu.push_command(Command::Insert(Entry::mpi_recv(
+            1,
+            Some(0),
+            Some(tag),
+            tag as u32,
+        )))
+        .unwrap();
+        alpu.advance(8);
+    }
+    alpu.push_command(Command::StopInsert).unwrap();
+    alpu.advance(4096);
+    alpu
+}
+
+/// Sparse header arrivals separated by quiescent gaps of `gap` cycles.
+/// Every probe misses, so occupancy stays put. Returns the responses and
+/// the final statistics.
+fn sync_gap(gap: u64) -> (Vec<Response>, AlpuStats) {
+    let mut alpu = prefilled_alpu();
+    let mut responses = Vec::new();
+    for i in 0..64u16 {
+        let tag = 200 + i % 32;
+        alpu.push_header(Probe::exact(MatchWord::mpi(1, 0, tag)))
+            .unwrap();
+        alpu.advance(gap);
+        while let Some(r) = alpu.pop_response() {
+            responses.push(r);
+        }
+    }
+    (responses, alpu.stats())
+}
+
+/// Gaps of 2^40 cycles (over half an hour of simulated time at 500 MHz)
+/// cost O(1) each: per-cycle stepping could never finish this test. The
+/// elided cycles are all counted, and the answers match a short-gap run.
+#[test]
+fn long_sync_gaps_are_elided_and_counted() {
+    const LONG: u64 = 1 << 40;
+    const SHORT: u64 = 500;
+    let (want, short) = sync_gap(SHORT);
+    let (got, long) = sync_gap(LONG);
+    assert_eq!(got, want);
+    assert_eq!(got.len(), 64);
+    assert!(got.iter().all(|r| *r == Response::MatchFailure));
+    assert_eq!(long.cycles, short.cycles + 64 * (LONG - SHORT));
+    assert_eq!(
+        AlpuStats {
+            cycles: short.cycles,
+            ..long
+        },
+        short
+    );
 }

@@ -65,6 +65,26 @@ fn mid_field_wildcard_not_expressible_as_prefix() {
 }
 
 #[test]
+fn older_wildcard_entry_wins_over_newer_exact_entry() {
+    // MPI over Portals posts each receive as a use-once match entry whose
+    // ignore bits encode the wildcards. Ordering, not specificity, picks
+    // the winner: the older ANY_SOURCE entry takes the message before the
+    // newer exact one, which then takes the next.
+    let word = mpiq_alpu::MatchWord::mpi(1, 0, 9).0;
+    let mut a = Alpu::new(AlpuConfig::new(16, 4, AlpuKind::PostedReceive));
+    load(
+        &mut a,
+        &[
+            Entry::with_mask(word, mpiq_alpu::MaskWord::ANY_SOURCE.0, 1),
+            Entry::with_mask(word, 0, 2),
+        ],
+    );
+    assert_eq!(probe_once(&mut a, Probe::with_mask(word, 0)), Some(1));
+    assert_eq!(probe_once(&mut a, Probe::with_mask(word, 0)), Some(2));
+    assert_eq!(probe_once(&mut a, Probe::with_mask(word, 0)), None);
+}
+
+#[test]
 fn alternating_bit_mask() {
     // A pathological every-other-bit mask; the cell compare is purely
     // bitwise, so this must work like any other.

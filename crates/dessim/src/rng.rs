@@ -19,12 +19,6 @@ impl SimRng {
         SimRng { state: seed }
     }
 
-    /// Derive an independent child stream; used to give each component its
-    /// own generator without correlating their draws.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64() ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -118,14 +112,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.gen_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn fork_produces_uncorrelated_stream() {
-        let mut a = SimRng::new(42);
-        let mut b = a.fork();
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's simulation environment uses "a simple network" with a
 //! 200 ns wire latency (Table III). This crate provides that: message
-//! headers and payloads ([`message`]), the network parameters
+//! envelopes and their wire sizes ([`message`]), the network parameters
 //! ([`fabric`]), and a full crossbar of per-node ports ([`port`]) that
 //! delivers messages after wire latency plus bandwidth-limited
 //! serialization, preserving per-(source, destination) ordering — the

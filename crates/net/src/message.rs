@@ -1,6 +1,4 @@
-//! Wire messages: headers and payloads.
-
-use bytes::Bytes;
+//! Wire messages: envelopes and their wire sizes.
 
 /// Physical node identifier (one NIC + host per node).
 pub type NodeId = u32;
@@ -110,43 +108,39 @@ pub struct MsgHeader {
     pub seq: u64,
 }
 
-/// A message on the wire: envelope plus (possibly empty) payload bytes.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A message on the wire: the envelope and its link-layer state. The
+/// payload is modelled by its length alone (`header.payload_len`); no
+/// component reads payload contents.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Message {
     /// The envelope.
     pub header: MsgHeader,
-    /// Payload contents. Cheap to clone (refcounted).
-    pub payload: Bytes,
     /// Link-layer state (sequence number + CRC verdict).
     pub link: LinkState,
 }
 
 impl Message {
     /// Build a message with pristine link state (unsequenced, CRC good).
-    pub fn new(header: MsgHeader, payload: Bytes) -> Message {
+    pub fn new(header: MsgHeader) -> Message {
         Message {
             header,
-            payload,
             link: LinkState::default(),
         }
     }
 
-    /// Total bytes on the wire: a fixed header size plus the payload.
+    /// Total bytes on the wire: a fixed header size plus the payload, which
+    /// only `Eager` and `RndvData` frames carry. A `RndvRequest` advertises
+    /// `payload_len` but ships the header alone.
     pub fn wire_bytes(&self) -> u64 {
-        Self::HEADER_BYTES + self.payload.len() as u64
+        let payload = match self.header.kind {
+            MsgKind::Eager | MsgKind::RndvData { .. } => self.header.payload_len as u64,
+            _ => 0,
+        };
+        Self::HEADER_BYTES + payload
     }
 
     /// Modeled header size on the wire.
     pub const HEADER_BYTES: u64 = 32;
-
-    /// Build a deterministic test payload of `len` bytes.
-    pub fn test_payload(len: usize, seed: u8) -> Bytes {
-        Bytes::from(
-            (0..len)
-                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-                .collect::<Vec<u8>>(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -155,23 +149,26 @@ mod tests {
 
     #[test]
     fn wire_bytes_includes_header() {
-        let m = Message::new(
-            MsgHeader {
-                src_node: 0,
-                dst_node: 1,
-                dst_rank: 1,
-                context: 0,
-                src_rank: 0,
-                tag: 0,
-                payload_len: 100,
-                kind: MsgKind::Eager,
-                seq: 0,
-            },
-            Message::test_payload(100, 7),
-        );
+        let m = Message::new(MsgHeader {
+            src_node: 0,
+            dst_node: 1,
+            dst_rank: 1,
+            context: 0,
+            src_rank: 0,
+            tag: 0,
+            payload_len: 100,
+            kind: MsgKind::Eager,
+            seq: 0,
+        });
         assert_eq!(m.wire_bytes(), 132);
         assert_eq!(m.link, LinkState::default());
         assert!(m.link.crc_ok);
+        // Only eager and rendezvous-data frames carry their payload.
+        let with = |kind| Message::new(MsgHeader { kind, ..m.header }).wire_bytes();
+        assert_eq!(with(MsgKind::RndvData { token: 0 }), 132);
+        assert_eq!(with(MsgKind::RndvRequest), 32);
+        assert_eq!(with(MsgKind::RndvReply { token: 0 }), 32);
+        assert_eq!(with(MsgKind::Ack { cum: 0 }), 32);
     }
 
     #[test]
@@ -180,11 +177,5 @@ mod tests {
         assert!(MsgKind::Nack { expect: 1 }.is_link_control());
         assert!(!MsgKind::Eager.is_link_control());
         assert!(!MsgKind::RndvData { token: 0 }.is_link_control());
-    }
-
-    #[test]
-    fn test_payload_is_deterministic() {
-        assert_eq!(Message::test_payload(64, 3), Message::test_payload(64, 3));
-        assert_ne!(Message::test_payload(64, 3), Message::test_payload(64, 4));
     }
 }

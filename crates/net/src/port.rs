@@ -175,7 +175,7 @@ impl FabricPort {
             // Each copy occupies its own serialization window at the
             // receiver, back to back, like a retransmitted frame would.
             ctx.stats().incr("net.faults.duplicated");
-            self.put_on_wire(msg.clone(), ctx);
+            self.put_on_wire(msg, ctx);
         }
         self.put_on_wire(msg, ctx);
     }
@@ -277,20 +277,17 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     fn msg(src: NodeId, dst: NodeId, len: u32, seq: u64) -> Message {
-        Message::new(
-            MsgHeader {
-                src_node: src,
-                dst_node: dst,
-                dst_rank: dst,
-                context: 0,
-                src_rank: src as u16,
-                tag: 0,
-                payload_len: len,
-                kind: MsgKind::Eager,
-                seq,
-            },
-            Message::test_payload(len as usize, 0),
-        )
+        Message::new(MsgHeader {
+            src_node: src,
+            dst_node: dst,
+            dst_rank: dst,
+            context: 0,
+            src_rank: src as u16,
+            tag: 0,
+            payload_len: len,
+            kind: MsgKind::Eager,
+            seq,
+        })
     }
 
     type DeliveryLog = Arc<Mutex<Vec<(Time, u64, bool)>>>;

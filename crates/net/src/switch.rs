@@ -120,20 +120,17 @@ mod tests {
     use std::sync::Mutex;
 
     fn msg(src: NodeId, dst: NodeId, len: u32, seq: u64) -> Message {
-        Message::new(
-            MsgHeader {
-                src_node: src,
-                dst_node: dst,
-                dst_rank: dst,
-                context: 0,
-                src_rank: src as u16,
-                tag: 0,
-                payload_len: len,
-                kind: MsgKind::Eager,
-                seq,
-            },
-            Message::test_payload(len as usize, 0),
-        )
+        Message::new(MsgHeader {
+            src_node: src,
+            dst_node: dst,
+            dst_rank: dst,
+            context: 0,
+            src_rank: src as u16,
+            tag: 0,
+            payload_len: len,
+            kind: MsgKind::Eager,
+            seq,
+        })
     }
 
     type Log = Arc<Mutex<Vec<(Time, u64)>>>;

@@ -1052,20 +1052,17 @@ impl Firmware {
         // DMA the payload from host memory and ship it.
         let (_, dma_done) = self.dma_tx.transfer(park.len as u64, t);
         t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
-        let data = Message::new(
-            MsgHeader {
-                src_node: self.node,
-                dst_node: self.node_of(park.dst),
-                dst_rank: park.dst,
-                context: park.context,
-                src_rank: park.req.rank as u16,
-                tag: park.tag,
-                payload_len: park.len,
-                kind: MsgKind::RndvData { token },
-                seq: self.next_seq(),
-            },
-            Message::test_payload(park.len as usize, token as u8),
-        );
+        let data = Message::new(MsgHeader {
+            src_node: self.node,
+            dst_node: self.node_of(park.dst),
+            dst_rank: park.dst,
+            context: park.context,
+            src_rank: park.req.rank as u16,
+            tag: park.tag,
+            payload_len: park.len,
+            kind: MsgKind::RndvData { token },
+            seq: self.next_seq(),
+        });
         let at = dma_done.max(t);
         fx.tx.push((at, data));
         // Local send completion once the data left.
@@ -2445,24 +2442,17 @@ impl Firmware {
         len: u32,
         kind: MsgKind,
     ) -> Message {
-        let seq = self.next_seq();
-        Message::new(
-            MsgHeader {
-                src_node: self.node,
-                dst_node: self.node_of(dst_rank),
-                dst_rank,
-                context,
-                src_rank: src_rank as u16,
-                tag,
-                payload_len: len,
-                kind,
-                seq,
-            },
-            match kind {
-                MsgKind::Eager => Message::test_payload(len as usize, seq as u8),
-                _ => bytes::Bytes::new(),
-            },
-        )
+        Message::new(MsgHeader {
+            src_node: self.node,
+            dst_node: self.node_of(dst_rank),
+            dst_rank,
+            context,
+            src_rank: src_rank as u16,
+            tag,
+            payload_len: len,
+            kind,
+            seq: self.next_seq(),
+        })
     }
 
     /// Serialize a header-only (or already-DMAed) message through the Tx

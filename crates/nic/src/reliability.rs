@@ -29,7 +29,6 @@
 //! timeouts derive from configured constants, so a faulty run replays
 //! bit-identically from its seed.
 
-use bytes::Bytes;
 use mpiq_dessim::{Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -410,7 +409,7 @@ impl Reliability {
             .or_insert_with(|| TxLink::new(self.cfg.rto));
         msg.link.seq = link.next_seq;
         link.next_seq += 1;
-        link.unacked.push_back((msg.link.seq, msg.clone()));
+        link.unacked.push_back((msg.link.seq, msg));
         // A dead link buffers (the window depth is part of the watchdog
         // diagnosis) but never re-arms its timer: retransmitting into a
         // void would keep the simulation from quiescing.
@@ -544,7 +543,7 @@ impl Reliability {
         }
         // Go back: retransmit the whole remaining window, in order.
         for (_, m) in &link.unacked {
-            resend.push(m.clone());
+            resend.push(*m);
         }
         self.stats.retransmits += resend.len() as u64;
         link.retries = 0; // the peer is demonstrably alive
@@ -603,7 +602,7 @@ impl Reliability {
             self.stats.timer_fires += 1;
             self.stats.retransmits += link.unacked.len() as u64;
             for (_, m) in &link.unacked {
-                resend.push(m.clone());
+                resend.push(*m);
             }
             link.rto = (link.rto + link.rto).min(self.cfg.rto_max);
             link.deadline = Some(now + link.rto);
@@ -623,20 +622,17 @@ impl Reliability {
     /// Header-only link control frame (ACK/NACK), stamped with the
     /// sender's incarnation epoch.
     fn control(src: NodeId, dst: NodeId, kind: MsgKind, epoch: u32) -> Message {
-        let mut m = Message::new(
-            MsgHeader {
-                src_node: src,
-                dst_node: dst,
-                dst_rank: 0,
-                context: 0,
-                src_rank: 0,
-                tag: 0,
-                payload_len: 0,
-                kind,
-                seq: 0,
-            },
-            Bytes::new(),
-        );
+        let mut m = Message::new(MsgHeader {
+            src_node: src,
+            dst_node: dst,
+            dst_rank: 0,
+            context: 0,
+            src_rank: 0,
+            tag: 0,
+            payload_len: 0,
+            kind,
+            seq: 0,
+        });
         m.link.incarnation = epoch;
         m
     }
@@ -647,20 +643,17 @@ mod tests {
     use super::*;
 
     fn data(src: NodeId, dst: NodeId, seq: u64) -> Message {
-        Message::new(
-            MsgHeader {
-                src_node: src,
-                dst_node: dst,
-                dst_rank: dst,
-                context: 0,
-                src_rank: src as u16,
-                tag: 7,
-                payload_len: 0,
-                kind: MsgKind::Eager,
-                seq,
-            },
-            Bytes::new(),
-        )
+        Message::new(MsgHeader {
+            src_node: src,
+            dst_node: dst,
+            dst_rank: dst,
+            context: 0,
+            src_rank: src as u16,
+            tag: 7,
+            payload_len: 0,
+            kind: MsgKind::Eager,
+            seq,
+        })
     }
 
     fn cfg() -> ReliabilityConfig {
@@ -726,7 +719,7 @@ mod tests {
         let mut tx = Reliability::new(0, cfg());
         let mut rx = Reliability::new(1, cfg());
         let m = tx.transmit(data(0, 1, 0), Time::ZERO);
-        assert!(rx.receive(m.clone(), Time::from_ns(50)).deliver.is_some());
+        assert!(rx.receive(m, Time::from_ns(50)).deliver.is_some());
         let r = rx.receive(m, Time::from_ns(60));
         assert!(r.deliver.is_none(), "duplicate must not deliver twice");
         assert_eq!(r.send[0].header.kind, MsgKind::Ack { cum: 1 });
@@ -889,7 +882,7 @@ mod tests {
         assert_eq!(rx.stats().epoch_fences, 1);
         // The ghost arrives late: dropped cold — no deliver, no control
         // frame that could resync either side onto dead numbers.
-        let g = rx.receive(ghost.clone(), Time::from_us(301));
+        let g = rx.receive(ghost, Time::from_us(301));
         assert!(g.deliver.is_none() && g.send.is_empty());
         assert_eq!(rx.stats().stale_epoch_dropped, 1);
         // Refusal path: a stale frame gets no keepalive ACK either.

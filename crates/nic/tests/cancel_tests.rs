@@ -66,20 +66,17 @@ fn cancel(seq: u64) -> WorkItem {
 }
 
 fn eager(tag: u16, seq: u64) -> Message {
-    Message::new(
-        MsgHeader {
-            src_node: 0,
-            dst_node: 1,
-            dst_rank: 1,
-            context: 1,
-            src_rank: 0,
-            tag,
-            payload_len: 64,
-            kind: MsgKind::Eager,
-            seq,
-        },
-        Message::test_payload(64, seq as u8),
-    )
+    Message::new(MsgHeader {
+        src_node: 0,
+        dst_node: 1,
+        dst_rank: 1,
+        context: 1,
+        src_rank: 0,
+        tag,
+        payload_len: 64,
+        kind: MsgKind::Eager,
+        seq,
+    })
 }
 
 #[test]

@@ -72,20 +72,17 @@ fn post_send(seq: u64, dst: u32, tag: u16, len: u32) -> WorkItem {
 }
 
 fn eager(src_node: u32, tag: u16, len: u32, seq: u64) -> Message {
-    Message::new(
-        MsgHeader {
-            src_node,
-            dst_node: 1,
-            dst_rank: 1,
-            context: 1,
-            src_rank: src_node as u16,
-            tag,
-            payload_len: len,
-            kind: MsgKind::Eager,
-            seq,
-        },
-        Message::test_payload(len as usize, seq as u8),
-    )
+    Message::new(MsgHeader {
+        src_node,
+        dst_node: 1,
+        dst_rank: 1,
+        context: 1,
+        src_rank: src_node as u16,
+        tag,
+        payload_len: len,
+        kind: MsgKind::Eager,
+        seq,
+    })
 }
 
 #[test]
@@ -108,8 +105,8 @@ fn large_send_goes_rendezvous() {
     assert_eq!(fx.tx.len(), 1);
     assert_eq!(fx.tx[0].1.header.kind, MsgKind::RndvRequest);
     assert_eq!(
-        fx.tx[0].1.payload.len(),
-        0,
+        fx.tx[0].1.wire_bytes(),
+        Message::HEADER_BYTES,
         "rendezvous request carries no payload"
     );
     assert!(
@@ -122,20 +119,17 @@ fn large_send_goes_rendezvous() {
 fn rendezvous_reply_ships_data_and_completes() {
     let mut r = Rig::new(NicConfig::baseline());
     r.run(post_send(0, 2, 5, 64 * 1024));
-    let reply = Message::new(
-        MsgHeader {
-            src_node: 2,
-            dst_node: 1,
-            dst_rank: 1,
-            context: 1,
-            src_rank: 2,
-            tag: 5,
-            payload_len: 0,
-            kind: MsgKind::RndvReply { token: 0 },
-            seq: 9,
-        },
-        bytes::Bytes::new(),
-    );
+    let reply = Message::new(MsgHeader {
+        src_node: 2,
+        dst_node: 1,
+        dst_rank: 1,
+        context: 1,
+        src_rank: 2,
+        tag: 5,
+        payload_len: 0,
+        kind: MsgKind::RndvReply { token: 0 },
+        seq: 9,
+    });
     let fx = r.rx(reply);
     assert_eq!(fx.tx.len(), 1);
     match fx.tx[0].1.header.kind {
@@ -320,20 +314,17 @@ fn mpi_ordering_across_kinds() {
     r.run(post_recv(0, Some(0), Some(5), 64 * 1024));
     r.run(post_recv(1, Some(0), Some(5), 64 * 1024));
     // First a rendezvous request (seq 0), then an eager (seq 1).
-    let rndv = Message::new(
-        MsgHeader {
-            src_node: 0,
-            dst_node: 1,
-            dst_rank: 1,
-            context: 1,
-            src_rank: 0,
-            tag: 5,
-            payload_len: 64 * 1024,
-            kind: MsgKind::RndvRequest,
-            seq: 0,
-        },
-        bytes::Bytes::new(),
-    );
+    let rndv = Message::new(MsgHeader {
+        src_node: 0,
+        dst_node: 1,
+        dst_rank: 1,
+        context: 1,
+        src_rank: 0,
+        tag: 5,
+        payload_len: 64 * 1024,
+        kind: MsgKind::RndvRequest,
+        seq: 0,
+    });
     let fx1 = r.rx(rndv);
     // The rendezvous matched the *first* receive: a reply goes out, no
     // completion yet.

@@ -14,4 +14,3 @@ pub use mpiq_memsim as memsim;
 pub use mpiq_mpi as mpi;
 pub use mpiq_net as net;
 pub use mpiq_nic as nic;
-pub use mpiq_portals as portals;

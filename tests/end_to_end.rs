@@ -153,11 +153,13 @@ fn four_rank_exchange_all_configs() {
     }
 }
 
-/// The headline quantitative claims, asserted end to end through the
-/// facade (coarser twins of the figure harness tests).
+/// The headline quantitative claims and figure shapes, asserted end to
+/// end through the facade (coarser twins of the figure harness tests).
 #[test]
 fn headline_claims_hold() {
-    use mpiq_bench::{preposted_latency, NicVariant, PrepostedPoint};
+    use mpiq_bench::{
+        preposted_latency, unexpected_latency, NicVariant, PrepostedPoint, UnexpectedPoint,
+    };
     let lat = |v, q| {
         preposted_latency(
             v,
@@ -177,6 +179,43 @@ fn headline_claims_hold() {
     // Zero-length penalty under 150 ns.
     let penalty = lat(NicVariant::Alpu128, 0).saturating_sub(lat(NicVariant::Baseline, 0));
     assert!(penalty < Time::from_ns(150), "penalty {penalty}");
+    // Fig. 5: ALPU-256 stays flat within its capacity and wins at least
+    // 2x once the tail spills past it.
+    let (a0, a250) = (lat(NicVariant::Alpu256, 0), lat(NicVariant::Alpu256, 250));
+    assert!(
+        a250.saturating_sub(a0) < Time::from_ns(200),
+        "{a0} -> {a250}"
+    );
+    let (a300, b300) = (
+        lat(NicVariant::Alpu256, 300),
+        lat(NicVariant::Baseline, 300),
+    );
+    assert!(a300 * 2 < b300, "alpu256 {a300} vs baseline {b300} at 300");
+    // Fig. 6: no ALPU advantage on short unexpected queues, a clear one
+    // on long queues.
+    let ulat = |v, u| {
+        unexpected_latency(
+            v,
+            UnexpectedPoint {
+                queue_len: u,
+                msg_size: 64,
+            },
+        )
+        .latency
+    };
+    let (a20, b20) = (
+        ulat(NicVariant::Alpu128, 20),
+        ulat(NicVariant::Baseline, 20),
+    );
+    assert!(
+        a20.saturating_sub(b20) < Time::from_us(1),
+        "{a20} vs {b20} at 20"
+    );
+    let (a250, b250) = (
+        ulat(NicVariant::Alpu128, 250),
+        ulat(NicVariant::Baseline, 250),
+    );
+    assert!(a250 + Time::from_us(1) < b250, "{a250} vs {b250} at 250");
 }
 
 /// `check_invariants` is exact at the end of any run, including one that
