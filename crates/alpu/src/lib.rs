@@ -11,8 +11,9 @@
 //! * [`cell`] — one matching cell: stored match bits, mask bits (posted
 //!   variant) or probe-supplied mask (unexpected variant), valid bit, tag.
 //! * [`block`] — a power-of-two block of cells: registered request, binary
-//!   priority-mux tree, match-location encoding, per-block compaction
-//!   enables ("space available" rule).
+//!   priority-mux tree, match-location encoding; and the chained array's
+//!   hole compaction, where a transfer needs only an empty destination
+//!   cell (the "space available" rule), computed in closed form.
 //! * [`engine`] — the full ALPU: chained blocks, inter-block
 //!   prioritization, the controlling state machine of Fig. 3
 //!   (Match / Read Command / Insert), command+result+header FIFOs, and
