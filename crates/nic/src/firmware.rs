@@ -27,16 +27,35 @@
 //! lifecycle); this file keeps the four-action loop — poll the network,
 //! poll the host, advance active work, update the ALPUs — and the
 //! queue-side halves of each rule.
+//!
+//! Every match ends in one of a few outcomes, each written once and
+//! shared by every caller:
+//!
+//! * `match_posted` and `match_unexpected` search a queue: the ALPU
+//!   response, a tombstone re-match, then the hash-bin or linear walk;
+//! * `deliver` finishes a match, made on arrival or by a receive's post:
+//!   the eager Rx DMA and completion, or the rendezvous clear-to-send;
+//! * `stage_unexpected` queues an arrival nothing matched;
+//! * `consume_unexpected` takes a matched message off the unexpected
+//!   queue, for a receive or a collective harvest, releasing its staged
+//!   bytes and returning its sender's credit (`return_credit`);
+//! * `unlink_posted` removes a posted receive or leaves its tombstone,
+//!   for a match, a cancel or a dead peer;
+//! * `fail_op` finishes an operation with a typed `rank_failed`
+//!   completion.
+//!
+//! Completions are built by the [`Completion`] constructors.
 
 mod alpu;
 
 pub use alpu::{AlpuPort, AlpuWedged};
 
+use crate::coll::{self, CollOp, Dir};
 use crate::config::{NicConfig, SwMatch};
 use crate::dma::Dma;
 use crate::hashmatch::PostedIndex;
 use crate::host_iface::{Completion, HostRequest, ReqId};
-use crate::queues::{Key, NicQueue};
+use crate::queues::{Item, Key, NicQueue};
 use alpu::HwRead;
 use mpiq_alpu::match_types::masked_eq;
 use mpiq_alpu::{Command, MaskWord, MatchWord, Probe};
@@ -44,7 +63,7 @@ use mpiq_cpusim::{Core, TraceBuilder};
 use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
 use mpiq_dessim::{FaultPlan, Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// NIC memory map (addresses feed the cache model).
 mod layout {
@@ -135,7 +154,7 @@ pub struct Effects {
 pub struct RecvEntry {
     req: ReqId,
     word: MatchWord,
-    mask: mpiq_alpu::MaskWord,
+    mask: MaskWord,
     len: u32,
     /// Tombstone: the receive was cancelled (or already consumed via a
     /// ghost-hit re-match) while its copy still sits in the ALPU, which
@@ -148,6 +167,17 @@ impl RecvEntry {
     /// Does this live receive accept a header with match word `word`?
     fn matches(&self, word: MatchWord) -> bool {
         !self.ghost && masked_eq(self.word, word, self.mask)
+    }
+
+    /// The source rank this receive is pinned to (`None` for
+    /// `MPI_ANY_SOURCE`).
+    fn pinned_source(&self) -> Option<u16> {
+        (self.mask.0 & MaskWord::ANY_SOURCE.0 == 0).then(|| self.word.source())
+    }
+
+    /// The typed failure of this receive: its pinned source died.
+    fn failed(&self) -> Completion {
+        Completion::failed(self.req, self.word.source(), self.word.tag(), 0)
     }
 }
 
@@ -162,27 +192,34 @@ struct UnexpEntry {
     truncated: bool,
 }
 
+/// A send as the host posted it.
+#[derive(Clone, Copy, Debug)]
+struct SendReq {
+    req: ReqId,
+    dst: NodeId,
+    context: u16,
+    tag: u16,
+    len: u32,
+}
+
+impl SendReq {
+    /// The local completion of this send, once its data left.
+    fn completion(&self) -> Completion {
+        Completion::ok(self.req, self.req.rank as u16, self.tag, self.len)
+    }
+
+    /// The typed failure of this send: its destination died.
+    fn failed(&self) -> Completion {
+        Completion::failed(self.req, self.dst as u16, self.tag, self.len)
+    }
+}
+
 /// A parked rendezvous send awaiting its clear-to-send.
 #[derive(Clone, Copy, Debug)]
 struct SendEntry {
-    req: ReqId,
-    dst: NodeId,
-    context: u16,
-    tag: u16,
-    len: u32,
+    send: SendReq,
     token: u64,
     addr: u64,
-}
-
-/// A send deferred behind an in-flight rendezvous to the same peer (see
-/// `Firmware::deferred_sends`).
-#[derive(Clone, Copy, Debug)]
-struct PendingSend {
-    req: ReqId,
-    dst: NodeId,
-    context: u16,
-    tag: u16,
-    len: u32,
 }
 
 /// A matched rendezvous awaiting its data message.
@@ -311,7 +348,7 @@ pub struct FwHists {
 }
 
 /// One NIC-resident collective in flight: the shared step plan
-/// ([`crate::coll::steps`]) plus a cursor. Steps run strictly in plan
+/// ([`coll::steps`]) plus a cursor. Steps run strictly in plan
 /// order; a `Recv` step that no arrived frame satisfies parks the
 /// instance until a collective frame arrives or the step's peer is
 /// declared dead.
@@ -319,7 +356,7 @@ struct CollInstance {
     /// The host request answered by the single end-of-plan completion.
     req: ReqId,
     /// The shared step plan, identical to the host fallback's.
-    steps: Vec<crate::coll::CollStep>,
+    steps: Vec<coll::CollStep>,
     /// Next step to run.
     idx: usize,
     /// First dead peer encountered mid-plan: steps naming a dead peer
@@ -327,7 +364,7 @@ struct CollInstance {
     /// this rank as its source. Never set for agreement instances —
     /// there, dead peers are the *payload*, not an error.
     failed: Option<u16>,
-    /// True for [`crate::coll::CollOp::Agree`] instances: the failed-set
+    /// True for [`CollOp::Agree`] instances: the failed-set
     /// mask below rides in every sent frame's `payload_len`, arriving
     /// frames OR theirs in, and the end completion reports the mask in
     /// `len` instead of typing a failure.
@@ -368,7 +405,7 @@ pub struct Firmware {
     /// would head-of-line-block the data forever. Serializing per peer
     /// keeps every obligation frame immediately deliverable. FIFO order
     /// per peer preserves MPI ordering.
-    deferred_sends: std::collections::VecDeque<PendingSend>,
+    deferred_sends: VecDeque<SendReq>,
     /// Outstanding rendezvous handshakes per peer (RTS sent, data not yet
     /// queued to the wire).
     rndv_inflight: HashMap<NodeId, u32>,
@@ -432,7 +469,7 @@ impl Firmware {
             pending_grants: Vec::new(),
             eager_bytes_used: 0,
             leak_plan,
-            deferred_sends: std::collections::VecDeque::new(),
+            deferred_sends: VecDeque::new(),
             rndv_inflight: HashMap::new(),
             wire_seq: 0,
             host_seq: 0,
@@ -477,6 +514,15 @@ impl Firmware {
         if self.telemetry {
             self.events.push((at, what));
         }
+    }
+
+    /// Trace an operation on `queue`, with the depth it left behind.
+    fn queue_op(&mut self, at: Time, queue: QueueKind, op: QueueOpKind) {
+        let depth = match queue {
+            QueueKind::Posted => self.posted.len(),
+            QueueKind::Unexpected => self.unexpected.len(),
+        } as u32;
+        self.ev(at, TraceEvent::QueueOp { queue, op, depth });
     }
 
     /// Statistics snapshot (folds in the per-unit lifecycle counters).
@@ -540,16 +586,25 @@ impl Firmware {
         }
     }
 
-    /// Queue one credit grant back to `peer` (a staged eager message was
-    /// consumed). The injected leak models a firmware bug the link layer
-    /// cannot see: the grant simply never happens.
-    fn grant_credit(&mut self, peer: NodeId) {
+    /// A matched eager message `h` no longer holds its sender's credit:
+    /// queue one grant back — for exactly the traffic the sender spent a
+    /// credit on (remote, eager, nonzero payload). The injected leak
+    /// models a firmware bug the link layer cannot see: the grant simply
+    /// never happens.
+    fn return_credit(&mut self, h: &MsgHeader) {
+        if self.cfg.eager_credits == 0
+            || h.kind != MsgKind::Eager
+            || h.payload_len == 0
+            || h.src_node == self.node
+        {
+            return;
+        }
         if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
             self.stats.grants_leaked += 1;
             return;
         }
         self.stats.grants_issued += 1;
-        self.pending_grants.push((peer, 1));
+        self.pending_grants.push((h.src_node, 1));
     }
 
     /// Would `h` match a currently posted receive? Read-only, costs no
@@ -659,7 +714,7 @@ impl Firmware {
                 // tag) that lands in the unexpected queue may be exactly
                 // what a parked NIC-resident collective is waiting on.
                 let coll_frame =
-                    msg.header.context == crate::coll::COLL_CTX && msg.header.tag & 0x8000 != 0;
+                    msg.header.context == coll::COLL_CTX && msg.header.tag & 0x8000 != 0;
                 let mut end = self.do_rx(msg, probed, now, core, &mut fx);
                 if coll_frame && !self.coll.is_empty() {
                     end = self.coll_poll(end, core, &mut fx);
@@ -722,8 +777,9 @@ impl Firmware {
         }
     }
 
-    /// Eager or rendezvous-request header: match against the posted
-    /// receive queue (hardware first if present, then the software tail).
+    /// Eager or rendezvous-request header: search the posted receive
+    /// queue, then deliver to the matched receive or stage the message on
+    /// the unexpected queue.
     fn rx_match_eligible(
         &mut self,
         msg: Message,
@@ -733,291 +789,281 @@ impl Firmware {
         fx: &mut Effects,
     ) -> Time {
         let h = msg.header;
-        let probe_word = header_word(self.cfg.ranks_per_node, &h);
+        let word = header_word(self.cfg.ranks_per_node, &h);
+        let (mut t, matched) = self.match_posted(word, probed, now, core);
+        let Some((key, ghost)) = matched else {
+            return self.stage_unexpected(h, t, core);
+        };
+        // Direct access to the entry + unlink. If the entry was
+        // ALPU-resident the hardware already deleted its copy at match
+        // time. Hardware occupancy can transiently trail the software
+        // prefix by the number of still-unread MATCH SUCCESS responses
+        // (back-to-back probes resolve in hardware before firmware
+        // catches up); the two reconverge at quiesce (`check_invariants`).
+        let (item, bin_walk) = self.unlink_posted(key, ghost);
+        let op = if ghost {
+            QueueOpKind::Ghost
+        } else {
+            QueueOpKind::Remove
+        };
+        self.queue_op(t, QueueKind::Posted, op);
+        t += core
+            .run(
+                &TraceBuilder::new()
+                    .load(item.addr)
+                    .int(8)
+                    .store(item.addr)
+                    .build(),
+                t,
+            )
+            .elapsed;
+        if let (Some(tb), Some(index)) = (bin_walk, &self.posted_index) {
+            // Hash maintenance on every successful match: the bin walk
+            // that unlinked the entry, then the bin header write-back.
+            let bin = layout::HASHBIN_BASE + (index.bin_index(word) as u64) * 64;
+            t += core.run(&tb.store(bin).build(), t).elapsed;
+        }
+        let arrived = UnexpEntry {
+            header: h,
+            truncated: false,
+        };
+        t = self.deliver(arrived, item.val, true, t, core, fx);
+        // Matched on arrival: the message never staged in NIC memory, so
+        // its credit returns immediately.
+        self.return_credit(&h);
+        t
+    }
+
+    /// Search the posted receive queue for a header with match word
+    /// `word`; the twin of [`Self::match_unexpected`]. A `probed` header
+    /// first reads the posted ALPU's response: a hit is the match, a miss
+    /// leaves only the software tail to walk, and a failed unit (or an
+    /// orphaned probe) degrades to a walk of the whole list. A hit on a
+    /// tombstone reclaims it and re-matches over the whole list — the
+    /// unit's next candidate is unknowable without a DELETE command.
+    /// Unprobed headers walk the hash bins or the whole list. Returns the
+    /// finish time and the matched key, flagged when the entry must stay
+    /// behind as a tombstone (software found it while its copy is still
+    /// live in the unit).
+    fn match_posted(
+        &mut self,
+        word: MatchWord,
+        probed: bool,
+        now: Time,
+        core: &mut Core,
+    ) -> (Time, Option<(Key, bool)>) {
         let mut t = now;
-
-        let mut matched: Option<Key> = None;
         let mut software_from = 0usize;
-        // Set when the correct match is an ALPU-resident entry the
-        // hardware did not delete (ghost-hit re-match): consume it
-        // logically, leave a tombstone.
-        let mut ghost_consume: Option<Key> = None;
-
-        // Read the hardware's response for this header. A unit that
-        // failed under us (quarantine) leaves `software_from` at 0: the
-        // walk below degrades to the full list.
         if probed {
-            let resp_start = t;
-            let (t_read, read) = self.unit_response(QueueKind::Posted, t, core);
-            t = t_read;
+            let read;
+            (t, read) = self.unit_response(QueueKind::Posted, t, core);
             match read {
                 // The alarm rode in on the status word just read.
                 HwRead::Poisoned => self.stats.alpu_fallbacks += 1,
                 HwRead::Wedged => t = self.fallback_status_read(t, core),
+                HwRead::Miss => software_from = self.posted.alpu_prefix(),
                 HwRead::Hit(key) => {
                     let entry = self.posted.iter().find(|it| it.key == key);
-                    if entry
+                    if !entry
                         .expect("ALPU cookie references a live entry")
                         .val
                         .ghost
                     {
-                        // The hardware matched a tombstone (cancelled or
-                        // already-consumed entry it still held). Reclaim
-                        // it and redo the match in software over the FULL
-                        // queue — the hardware's next candidate is
-                        // unknowable without a DELETE command.
-                        self.stats.ghost_rematches += 1;
-                        self.port_mut(QueueKind::Posted).ghosts -= 1;
-                        let item = self.posted.remove_key(key);
-                        t += core
-                            .run(&TraceBuilder::new().load(item.addr).int(12).build(), t)
-                            .elapsed;
-                        let mut visited = Vec::new();
-                        let hit = self
-                            .posted
-                            .find_from(0, |e| e.matches(probe_word), &mut visited);
-                        t = self.charge_walk(
-                            QueueKind::Posted,
-                            SearchSource::Linear,
-                            TraceBuilder::new(),
-                            &visited,
-                            t,
-                            core,
-                        );
-                        match hit {
-                            Some((pos, zkey)) => {
-                                if self.posted.get(pos).in_alpu {
-                                    // Consumed logically but still in the
-                                    // hardware: becomes a ghost itself.
-                                    ghost_consume = Some(zkey);
-                                }
-                                matched = Some(zkey);
-                            }
-                            // Already searched everything.
-                            None => software_from = usize::MAX,
-                        }
-                    } else {
-                        matched = Some(key);
                         self.stats.posted_alpu_hits += 1;
-                        self.hists.posted_alpu_hit.record(t - resp_start);
+                        self.hists.posted_alpu_hit.record(t - now);
+                        return (t, Some((key, false)));
                     }
+                    // The hardware matched a tombstone (a cancelled or
+                    // already-consumed entry it still held): reclaim it.
+                    self.stats.ghost_rematches += 1;
+                    self.port_mut(QueueKind::Posted).ghosts -= 1;
+                    let item = self.posted.remove_key(key);
+                    t += core
+                        .run(&TraceBuilder::new().load(item.addr).int(12).build(), t)
+                        .elapsed;
                 }
-                HwRead::Miss => software_from = self.posted.alpu_prefix(),
             }
         }
-
-        if matched.is_none() && software_from != usize::MAX {
-            let (hit, visited, prelude, source) = match &self.posted_index {
-                Some(index) => {
-                    // Hash strategy: bin walk + mandatory wildcard walk.
-                    let p = index.probe(probe_word);
-                    (p.hit, p.visited, 10u32, SearchSource::HashIndex)
-                }
-                None => {
-                    // Linear list (whole list in the baseline, tail only
-                    // after an ALPU miss).
-                    let mut visited = Vec::new();
-                    let hit = self.posted.find_from(
-                        software_from,
-                        |e| e.matches(probe_word),
-                        &mut visited,
-                    );
-                    (hit.map(|(_, key)| key), visited, 0, SearchSource::Linear)
-                }
-            };
-            let tb = TraceBuilder::new().int(prelude);
-            t = self.charge_walk(QueueKind::Posted, source, tb, &visited, t, core);
-            matched = hit;
-        }
-
-        match matched {
-            Some(key) => {
-                // Direct access to the entry + unlink. A ghost-consume
-                // keeps the entry as a tombstone (its hardware copy is
-                // still live); everything else unlinks for real.
-                let item = if ghost_consume == Some(key) {
-                    let pos = self
-                        .posted
-                        .iter()
-                        .position(|it| it.key == key)
-                        .expect("ghost target is live");
-                    let copy = self.posted.get(pos).clone();
-                    self.posted_mark_ghost(key);
-                    copy
-                } else {
-                    self.posted.remove_key(key)
-                };
-                self.ev(
-                    t,
-                    TraceEvent::QueueOp {
-                        queue: QueueKind::Posted,
-                        op: if ghost_consume == Some(key) {
-                            QueueOpKind::Ghost
-                        } else {
-                            QueueOpKind::Remove
-                        },
-                        depth: self.posted.len() as u32,
-                    },
-                );
-                t += core
-                    .run(
-                        &TraceBuilder::new()
-                            .load(item.addr)
-                            .int(8)
-                            .store(item.addr)
-                            .build(),
-                        t,
-                    )
-                    .elapsed;
-                if let Some(index) = &mut self.posted_index {
-                    // Hash maintenance on every successful match: scan the
-                    // bin to unlink, then write the bin header back.
-                    let rm = index.remove(key);
-                    let mut tb = TraceBuilder::new().int(10);
-                    for addr in rm.iter().take(8) {
-                        tb = tb.load(*addr);
-                    }
-                    let bin = layout::HASHBIN_BASE + (index.bin_index(probe_word) as u64) * 64;
-                    tb = tb.store(bin);
-                    t += core.run(&tb.build(), t).elapsed;
-                }
-                // If the entry was ALPU-resident the hardware already
-                // deleted its copy at match time. Hardware occupancy can
-                // transiently trail the software prefix by the number of
-                // still-unread MATCH SUCCESS responses (back-to-back
-                // probes resolve in hardware before firmware catches up);
-                // the two reconverge at quiesce (`check_invariants`).
-                let entry = item.val;
-                match h.kind {
-                    MsgKind::Eager => {
-                        let comp = Completion {
-                            req: entry.req,
-                            source: h.src_rank,
-                            tag: h.tag,
-                            // Truncate to the posted buffer, like MPI does.
-                            len: h.payload_len.min(entry.len),
-                            cancelled: false,
-                            overflow: false,
-                            rank_failed: false,
-                        };
-                        if h.payload_len > 0 {
-                            // DMA payload to the user buffer.
-                            let (start, done) = self.dma_rx.transfer(h.payload_len as u64, t);
-                            self.ev(
-                                start,
-                                TraceEvent::Dma {
-                                    dir: DmaDir::Rx,
-                                    bytes: h.payload_len as u64,
-                                    dur: done - start,
-                                },
-                            );
-                            fx.completions.push((done + self.cfg.completion_cost, comp));
-                        } else {
-                            fx.completions.push((t + self.cfg.completion_cost, comp));
-                        }
-                        // Matched on arrival: the message never staged in
-                        // NIC memory, so its credit returns immediately.
-                        if self.cfg.eager_credits > 0
-                            && h.payload_len > 0
-                            && h.src_node != self.node
-                        {
-                            self.grant_credit(h.src_node);
-                        }
-                        t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
-                    }
-                    MsgKind::RndvRequest => {
-                        // Clear-to-send back to the sender; data will
-                        // arrive as RndvData carrying our token.
-                        self.rndv_expect.insert(
-                            (h.src_node, h.seq),
-                            RndvExpect {
-                                req: entry.req,
-                                len: h.payload_len,
-                                src_rank: h.src_rank,
-                                tag: h.tag,
-                            },
-                        );
-                        t += core.run(&TraceBuilder::new().int(14).build(), t).elapsed;
-                        let reply = self.make_msg(
-                            h.src_rank as u32,
-                            entry.req.rank,
-                            h.context,
-                            h.tag,
-                            0,
-                            MsgKind::RndvReply { token: h.seq },
-                        );
-                        // Injected firmware leak: the clear-to-send is
-                        // built but never queued — the sender parks
-                        // forever. The link layer can't recover what was
-                        // never transmitted; only the watchdog sees it.
-                        if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
-                            self.stats.cts_leaked += 1;
-                        } else {
-                            let at = self.inject(reply.wire_bytes(), t);
-                            fx.tx.push((at, reply));
-                        }
-                    }
-                    _ => unreachable!(),
-                }
+        let (hit, visited, prelude, source) = match &self.posted_index {
+            Some(index) => {
+                // Hash strategy: bin walk + mandatory wildcard walk.
+                let p = index.probe(word);
+                let hit = p.hit.map(|key| (key, false));
+                (hit, p.visited, 10u32, SearchSource::HashIndex)
             }
             None => {
-                // Unexpected: append to the unexpected queue; eager
-                // payloads are buffered in NIC memory by the Rx DMA —
-                // unless the staging pool is exhausted, in which case
-                // only the envelope is kept (header-only admit) and the
-                // eventual receive reports `overflow`.
-                self.stats.unexpected_arrivals += 1;
-                let staged = h.kind == MsgKind::Eager && h.payload_len > 0;
-                let truncated = staged
-                    && self.cfg.eager_buffer_bytes > 0
-                    && self.eager_bytes_used + h.payload_len as u64 > self.cfg.eager_buffer_bytes;
-                if truncated {
-                    self.stats.truncated_admits += 1;
-                } else if staged && self.cfg.eager_buffer_bytes > 0 {
-                    self.eager_bytes_used += h.payload_len as u64;
-                    self.stats.eager_bytes_highwater =
-                        self.stats.eager_bytes_highwater.max(self.eager_bytes_used);
-                }
-                let (_, addr) = self.unexpected.push(UnexpEntry {
-                    header: h,
-                    truncated,
-                });
-                self.stats.unexpected_highwater = self
-                    .stats
-                    .unexpected_highwater
-                    .max(self.unexpected.len() as u64);
-                self.ev(
-                    t,
-                    TraceEvent::QueueOp {
-                        queue: QueueKind::Unexpected,
-                        op: QueueOpKind::Push,
-                        depth: self.unexpected.len() as u32,
-                    },
-                );
-                t += core
-                    .run(
-                        &TraceBuilder::new()
-                            .int(10)
-                            .store(addr)
-                            .store(addr + 32)
-                            .build(),
-                        t,
-                    )
-                    .elapsed;
-                if staged && !truncated {
-                    let (start, done) = self.dma_rx.transfer(h.payload_len as u64, t);
-                    self.ev(
-                        start,
-                        TraceEvent::Dma {
-                            dir: DmaDir::Rx,
-                            bytes: h.payload_len as u64,
-                            dur: done - start,
-                        },
-                    );
-                }
+                let mut visited = Vec::new();
+                let hit = self
+                    .posted
+                    .find_from(software_from, |e| e.matches(word), &mut visited)
+                    .map(|(pos, key)| (key, self.posted.get(pos).in_alpu));
+                (hit, visited, 0, SearchSource::Linear)
             }
+        };
+        let tb = TraceBuilder::new().int(prelude);
+        t = self.charge_walk(QueueKind::Posted, source, tb, &visited, t, core);
+        (t, hit)
+    }
+
+    /// Unlink posted receive `key`. With `ghost` the entry stays behind as
+    /// a tombstone (its copy still sits in the ALPU; see
+    /// [`RecvEntry::ghost`]); otherwise it is removed, along with its
+    /// hash-bin link. Returns the entry as it was and, under hash
+    /// matching, the bin walk that found the link, for the caller to
+    /// charge.
+    fn unlink_posted(&mut self, key: Key, ghost: bool) -> (Item<RecvEntry>, Option<TraceBuilder>) {
+        if ghost {
+            let item = self.posted.iter().find(|it| it.key == key);
+            let item = item.expect("tombstone target is live").clone();
+            self.posted.update_key(key, |e| e.ghost = true);
+            self.port_mut(QueueKind::Posted).ghosts += 1;
+            return (item, None);
+        }
+        let item = self.posted.remove_key(key);
+        let bin_walk = self.posted_index.as_mut().map(|index| {
+            let walked = index.remove(key);
+            walked
+                .iter()
+                .take(8)
+                .fold(TraceBuilder::new().int(10), |tb, addr| tb.load(*addr))
+        });
+        (item, bin_walk)
+    }
+
+    /// No posted receive matched `h`: append it to the unexpected queue.
+    /// An eager payload is buffered in NIC memory by the Rx DMA — unless
+    /// the staging pool is exhausted, in which case only the envelope is
+    /// kept (header-only admit) and the eventual receive reports
+    /// `overflow`.
+    fn stage_unexpected(&mut self, h: MsgHeader, now: Time, core: &mut Core) -> Time {
+        self.stats.unexpected_arrivals += 1;
+        let staged = h.kind == MsgKind::Eager && h.payload_len > 0;
+        let truncated = staged
+            && self.cfg.eager_buffer_bytes > 0
+            && self.eager_bytes_used + h.payload_len as u64 > self.cfg.eager_buffer_bytes;
+        if truncated {
+            self.stats.truncated_admits += 1;
+        } else if staged && self.cfg.eager_buffer_bytes > 0 {
+            self.eager_bytes_used += h.payload_len as u64;
+            self.stats.eager_bytes_highwater =
+                self.stats.eager_bytes_highwater.max(self.eager_bytes_used);
+        }
+        let (_, addr) = self.unexpected.push(UnexpEntry {
+            header: h,
+            truncated,
+        });
+        self.stats.unexpected_highwater = self
+            .stats
+            .unexpected_highwater
+            .max(self.unexpected.len() as u64);
+        self.queue_op(now, QueueKind::Unexpected, QueueOpKind::Push);
+        let t = now
+            + core
+                .run(
+                    &TraceBuilder::new()
+                        .int(10)
+                        .store(addr)
+                        .store(addr + 32)
+                        .build(),
+                    now,
+                )
+                .elapsed;
+        if staged && !truncated {
+            self.rx_dma(h.payload_len, t);
         }
         t
+    }
+
+    /// Deliver `msg` to the posted receive `rx` it matched. An eager
+    /// payload is DMAed to the user buffer and completes truncated to the
+    /// buffer, like MPI; a header-only admit completes with `overflow`
+    /// and no bytes (`MPI_ERR_TRUNCATE`-like). A rendezvous request is
+    /// answered with a clear-to-send; its data will arrive as `RndvData`
+    /// carrying our token. A match made on arrival also charges the
+    /// receive path's bookkeeping (10 integer ops after an eager
+    /// completion, 14 before a clear-to-send); a match made by a
+    /// receive's post charges none.
+    fn deliver(
+        &mut self,
+        msg: UnexpEntry,
+        rx: RecvEntry,
+        on_arrival: bool,
+        mut t: Time,
+        core: &mut Core,
+        fx: &mut Effects,
+    ) -> Time {
+        let h = msg.header;
+        match h.kind {
+            MsgKind::Eager => {
+                let delivered = if msg.truncated {
+                    0
+                } else {
+                    h.payload_len.min(rx.len)
+                };
+                let comp = Completion {
+                    overflow: msg.truncated,
+                    ..Completion::ok(rx.req, h.src_rank, h.tag, delivered)
+                };
+                let done = if h.payload_len > 0 && !msg.truncated {
+                    self.rx_dma(h.payload_len, t)
+                } else {
+                    t
+                };
+                fx.completions.push((done + self.cfg.completion_cost, comp));
+                if on_arrival {
+                    t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
+                }
+            }
+            MsgKind::RndvRequest => {
+                self.rndv_expect.insert(
+                    (h.src_node, h.seq),
+                    RndvExpect {
+                        req: rx.req,
+                        len: h.payload_len,
+                        src_rank: h.src_rank,
+                        tag: h.tag,
+                    },
+                );
+                if on_arrival {
+                    t += core.run(&TraceBuilder::new().int(14).build(), t).elapsed;
+                }
+                let reply = self.make_msg(
+                    h.src_rank as u32,
+                    rx.req.rank,
+                    h.context,
+                    h.tag,
+                    0,
+                    MsgKind::RndvReply { token: h.seq },
+                );
+                // Injected firmware leak: the clear-to-send is built but
+                // never queued — the sender parks forever. The link layer
+                // can't recover what was never transmitted; only the
+                // watchdog sees it.
+                if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
+                    self.stats.cts_leaked += 1;
+                } else {
+                    let at = self.inject(reply.wire_bytes(), t);
+                    fx.tx.push((at, reply));
+                }
+            }
+            _ => unreachable!("only match-eligible headers are matched"),
+        }
+        t
+    }
+
+    /// Move `bytes` of received payload through the Rx DMA engine starting
+    /// at `t`, tracing the transfer; returns when it lands.
+    fn rx_dma(&mut self, bytes: u32, t: Time) -> Time {
+        let (start, done) = self.dma_rx.transfer(bytes as u64, t);
+        self.ev(
+            start,
+            TraceEvent::Dma {
+                dir: DmaDir::Rx,
+                bytes: bytes as u64,
+                dur: done - start,
+            },
+        );
+        done
     }
 
     fn rx_rndv_reply(
@@ -1030,9 +1076,10 @@ impl Firmware {
     ) -> Time {
         // Find the parked send (short list scan).
         let mut tb = TraceBuilder::new().int(8);
-        let pos = self.send_park.iter().position(|s| {
-            s.token == token && s.dst / self.cfg.ranks_per_node == msg.header.src_node
-        });
+        let pos = self
+            .send_park
+            .iter()
+            .position(|s| s.token == token && self.node_of(s.send.dst) == msg.header.src_node);
         for entry in self.send_park.iter().take(pos.unwrap_or(0) + 1) {
             tb = tb.load_chain(entry.addr).int(6);
         }
@@ -1042,42 +1089,23 @@ impl Firmware {
             // its peer was declared dead (a link can die asymmetrically:
             // the reply squeaked through after detection). Drop it.
             assert!(
-                self.dead_peers.contains(&msg.header.src_node),
+                self.peer_dead(msg.header.src_node),
                 "rndv reply for unknown send"
             );
             self.stats.stale_rndv_dropped += 1;
             return t;
         };
-        let park = self.send_park.remove(pos);
+        let s = self.send_park.remove(pos).send;
         // DMA the payload from host memory and ship it.
-        let (_, dma_done) = self.dma_tx.transfer(park.len as u64, t);
+        let (_, dma_done) = self.dma_tx.transfer(s.len as u64, t);
         t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
-        let data = Message::new(MsgHeader {
-            src_node: self.node,
-            dst_node: self.node_of(park.dst),
-            dst_rank: park.dst,
-            context: park.context,
-            src_rank: park.req.rank as u16,
-            tag: park.tag,
-            payload_len: park.len,
-            kind: MsgKind::RndvData { token },
-            seq: self.next_seq(),
-        });
+        let kind = MsgKind::RndvData { token };
+        let data = self.make_msg(s.dst, s.req.rank, s.context, s.tag, s.len, kind);
         let at = dma_done.max(t);
         fx.tx.push((at, data));
         // Local send completion once the data left.
-        fx.completions.push((
-            at + self.cfg.completion_cost,
-            Completion {
-                req: park.req,
-                source: park.req.rank as u16,
-                tag: park.tag,
-                len: park.len,
-                cancelled: false,
-                overflow: false,
-                rank_failed: false,
-            },
-        ));
+        fx.completions
+            .push((at + self.cfg.completion_cost, s.completion()));
         // The data frame is queued (it sequences ahead of anything we
         // send from here on): the handshake to this peer is over, release
         // sends held behind it — until one re-enters rendezvous, which
@@ -1110,8 +1138,8 @@ impl Firmware {
             else {
                 break;
             };
-            let p = self.deferred_sends.remove(pos).expect("position valid");
-            t = self.send_now(p.req, p.dst, p.context, p.tag, p.len, t, core, fx);
+            let s = self.deferred_sends.remove(pos).expect("position valid");
+            t = self.send_now(s, t, core, fx);
         }
         t
     }
@@ -1129,7 +1157,7 @@ impl Firmware {
             // Data for an expectation we failed when the sender was
             // declared dead — the frame outlived the declaration. Drop it.
             assert!(
-                self.dead_peers.contains(&msg.header.src_node),
+                self.peer_dead(msg.header.src_node),
                 "rndv data for unknown token"
             );
             self.stats.stale_rndv_dropped += 1;
@@ -1137,18 +1165,8 @@ impl Firmware {
         };
         let (_, done) = self.dma_rx.transfer(exp.len as u64, t);
         t += core.run(&TraceBuilder::new().int(6).build(), t).elapsed;
-        fx.completions.push((
-            done + self.cfg.completion_cost,
-            Completion {
-                req: exp.req,
-                source: exp.src_rank,
-                tag: exp.tag,
-                len: exp.len,
-                cancelled: false,
-                overflow: false,
-                rank_failed: false,
-            },
-        ));
+        let comp = Completion::ok(exp.req, exp.src_rank, exp.tag, exp.len);
+        fx.completions.push((done + self.cfg.completion_cost, comp));
         t
     }
 
@@ -1171,30 +1189,55 @@ impl Firmware {
                 src,
                 context,
                 tag,
-            } => self.do_probe(req, src, context, tag, t, core, fx),
+            } => {
+                let probe = self.recv_probe(req, src, context, tag);
+                self.do_probe(req, probe, t, core, fx)
+            }
             HostRequest::PostSend {
                 req,
                 dst,
                 context,
                 tag,
                 len,
-            } => self.do_post_send(req, dst, context, tag, len, t, core, fx),
+            } => {
+                let send = SendReq {
+                    req,
+                    dst,
+                    context,
+                    tag,
+                    len,
+                };
+                self.do_post_send(send, t, core, fx)
+            }
             HostRequest::PostRecv {
                 req,
                 src,
                 context,
                 tag,
                 len,
-            } => self.do_post_recv(req, src, context, tag, len, t, core, fx),
-            HostRequest::Collective {
-                req,
-                op,
-                root,
-                len,
-                instance,
-                n,
-            } => self.do_collective(req, op, root, len, instance, n, t, core, fx),
+            } => {
+                let Probe { word, mask } = self.recv_probe(req, src, context, tag);
+                let rx = RecvEntry {
+                    req,
+                    word,
+                    mask,
+                    len,
+                    ghost: false,
+                };
+                self.do_post_recv(rx, t, core, fx)
+            }
+            HostRequest::Collective { .. } => self.do_collective(req, t, core, fx),
         }
+    }
+
+    /// The match probe of a receive (or `MPI_Iprobe`) posted by `req`'s
+    /// process.
+    fn recv_probe(&self, req: ReqId, src: Option<u16>, context: u16, tag: Option<u16>) -> Probe {
+        Probe::recv(
+            eff_ctx(self.cfg.ranks_per_node, context, req.rank),
+            src,
+            tag,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1212,21 +1255,27 @@ impl Firmware {
     /// protection armed (credits and staging accounting belong to the
     /// host path), degraded/dead ALPUs (quarantine recovery already
     /// owns the unexpected queue), or an agreement wider than its
-    /// one-bit-per-rank mask ([`crate::coll::AGREE_MAX_RANKS`]).
-    #[allow(clippy::too_many_arguments)]
+    /// one-bit-per-rank mask ([`coll::AGREE_MAX_RANKS`]).
     fn do_collective(
         &mut self,
-        req: ReqId,
-        op: crate::coll::CollOp,
-        root: u32,
-        len: u32,
-        instance: u16,
-        n: u32,
+        request: HostRequest,
         now: Time,
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
+        let HostRequest::Collective {
+            req,
+            op,
+            root,
+            len,
+            instance,
+            n,
+        } = request
+        else {
+            unreachable!("dispatched for collective requests only")
+        };
         let t = now + core.run(&TraceBuilder::new().int(12).build(), now).elapsed;
+        let agree = op == CollOp::Agree;
         let decline = !self.cfg.coll_offload
             || self.cfg.ranks_per_node > 1
             || len > self.cfg.eager_threshold
@@ -1234,38 +1283,26 @@ impl Firmware {
             || self.posted_quarantined()
             || self.unexpected_quarantined()
             || self.alpus_dead
-            || (op == crate::coll::CollOp::Agree && n > crate::coll::AGREE_MAX_RANKS);
+            || (agree && n > coll::AGREE_MAX_RANKS);
         if decline {
             self.stats.coll_declined += 1;
-            fx.completions.push((
-                t + self.cfg.completion_cost,
-                Completion {
-                    req,
-                    source: req.rank as u16,
-                    tag: 0,
-                    len: 0,
-                    cancelled: true,
-                    overflow: false,
-                    rank_failed: false,
-                },
-            ));
+            let comp = Completion::cancelled(req, req.rank as u16, 0);
+            fx.completions.push((t + self.cfg.completion_cost, comp));
             return t;
         }
         self.stats.coll_offloaded += 1;
-        let agree = op == crate::coll::CollOp::Agree;
         // Agreement seeds only from the host's view (carried in `len`);
         // peers this NIC already declared dead are discovered *in step
         // order* (each skipped step ORs its bit in), exactly as the host
         // fallback discovers them through typed per-step failures — so
         // both paths stamp identical masks on identical frames.
-        let mask = if agree { len as u16 } else { 0 };
         self.coll.push(CollInstance {
             req,
-            steps: crate::coll::steps(op, req.rank, n, root, len, instance),
+            steps: coll::steps(op, req.rank, n, root, len, instance),
             idx: 0,
             failed: None,
             agree,
-            mask,
+            mask: if agree { len as u16 } else { 0 },
         });
         self.coll_poll(t, core, fx)
     }
@@ -1284,31 +1321,25 @@ impl Firmware {
         let mut i = 0;
         while i < self.coll.len() {
             t = self.coll_advance(i, t, core, fx);
-            if self.coll[i].idx >= self.coll[i].steps.len() {
-                let inst = self.coll.swap_remove(i);
-                if inst.failed.is_some() {
-                    self.stats.coll_rank_failed += 1;
-                }
-                fx.completions.push((
-                    t + self.cfg.completion_cost,
-                    Completion {
-                        req: inst.req,
-                        source: inst.failed.unwrap_or(inst.req.rank as u16),
-                        tag: 0,
-                        // Agreement returns its accumulated failed-set
-                        // mask as the completion length — failures are
-                        // the collective's *output*, never an error.
-                        len: if inst.agree { inst.mask as u32 } else { 0 },
-                        cancelled: false,
-                        overflow: false,
-                        rank_failed: inst.failed.is_some(),
-                    },
-                ));
-                // `swap_remove` moved the former tail into slot `i`:
-                // re-examine it before moving on.
-            } else {
+            if self.coll[i].idx < self.coll[i].steps.len() {
                 i += 1;
+                continue;
             }
+            // `swap_remove` moves the former tail into slot `i`: it is
+            // examined next.
+            let inst = self.coll.swap_remove(i);
+            let comp = match inst.failed {
+                Some(dead) => {
+                    self.stats.coll_rank_failed += 1;
+                    Completion::failed(inst.req, dead, 0, 0)
+                }
+                // Agreement returns its accumulated failed-set mask as
+                // the completion length (zero for every other
+                // collective) — failures are the collective's *output*,
+                // never an error.
+                None => Completion::ok(inst.req, inst.req.rank as u16, 0, inst.mask as u32),
+            };
+            fx.completions.push((t + self.cfg.completion_cost, comp));
         }
         t
     }
@@ -1317,10 +1348,13 @@ impl Firmware {
     /// whose frame has not arrived) or the plan ends. `Send` steps inject
     /// the frame straight from NIC memory — no host DMA, no per-step
     /// completion: that is the offload. `Recv` steps harvest from the
-    /// unexpected queue through [`Self::match_unexpected`] (keeping the
-    /// unexpected ALPU's shadow in sync); harvest is tried *before* the
-    /// dead-peer check so a frame sent before its sender died is still
-    /// consumed, exactly as `do_post_recv` orders it.
+    /// unexpected queue through [`Self::match_unexpected`] and
+    /// [`Self::consume_unexpected`] (keeping the unexpected ALPU's shadow
+    /// in sync); harvest is tried *before* the dead-peer check so a frame
+    /// sent before its sender died is still consumed, exactly as
+    /// `do_post_recv` orders it. A step naming a dead peer is skipped:
+    /// agreement ORs the peer into its mask, any other collective ends
+    /// typed `rank_failed`, naming the first dead peer met.
     fn coll_advance(&mut self, i: usize, mut t: Time, core: &mut Core, fx: &mut Effects) -> Time {
         loop {
             let (req, step) = {
@@ -1330,132 +1364,75 @@ impl Firmware {
                     None => return t,
                 }
             };
-            let peer = self.node_of(step.peer);
-            match step.dir {
-                crate::coll::Dir::Send => {
-                    if peer != self.node && self.dead_peers.contains(&peer) {
-                        let inst = &mut self.coll[i];
-                        if inst.agree {
-                            inst.mask |= 1 << step.peer.min(15);
-                        } else {
-                            inst.failed.get_or_insert(step.peer as u16);
-                        }
-                        inst.idx += 1;
-                        continue;
-                    }
+            let dead = self.peer_dead(self.node_of(step.peer));
+            let ran = match step.dir {
+                Dir::Send if dead => false,
+                Dir::Send => {
                     // Agreement frames carry the *current* mask, not the
                     // plan's static length — the mask is the data plane.
-                    let len = if self.coll[i].agree {
-                        self.coll[i].mask as u32
+                    let inst = &self.coll[i];
+                    let len = if inst.agree {
+                        inst.mask as u32
                     } else {
                         step.len
                     };
-                    let msg = self.make_msg(
-                        step.peer,
-                        req.rank,
-                        crate::coll::COLL_CTX,
-                        step.tag,
-                        len,
-                        MsgKind::Eager,
-                    );
+                    let (ctx, tag) = (coll::COLL_CTX, step.tag);
+                    let msg = self.make_msg(step.peer, req.rank, ctx, tag, len, MsgKind::Eager);
                     let at = self.inject(msg.wire_bytes(), t);
                     fx.tx.push((at, msg));
                     self.stats.coll_steps_sent += 1;
                     t += core
                         .run(&TraceBuilder::new().int(6).bus_write().build(), t)
                         .elapsed;
-                    self.coll[i].idx += 1;
+                    true
                 }
-                crate::coll::Dir::Recv => {
-                    let probe = Probe::recv(
-                        eff_ctx(self.cfg.ranks_per_node, crate::coll::COLL_CTX, req.rank),
-                        Some(step.peer as u16),
-                        Some(step.tag),
-                    );
-                    let (t2, matched) = self.match_unexpected(probe, t, core);
-                    t = t2;
+                Dir::Recv => {
+                    let from = Some(step.peer as u16);
+                    let probe = self.recv_probe(req, from, coll::COLL_CTX, Some(step.tag));
+                    let matched;
+                    (t, matched) = self.match_unexpected(probe, t, core);
                     match matched {
+                        // The payload is combined in NIC memory — no host
+                        // DMA.
                         Some(key) => {
-                            let item = self.unexpected.remove_key(key);
-                            self.ev(
-                                t,
-                                TraceEvent::QueueOp {
-                                    queue: QueueKind::Unexpected,
-                                    op: QueueOpKind::Remove,
-                                    depth: self.unexpected.len() as u32,
-                                },
-                            );
-                            let h = item.val.header;
-                            t += core
-                                .run(
-                                    &TraceBuilder::new()
-                                        .load(item.addr)
-                                        .int(10)
-                                        .store(item.addr)
-                                        .build(),
-                                    t,
-                                )
-                                .elapsed;
-                            // The payload is combined in NIC memory — no
-                            // host DMA — but the staged bytes and the
-                            // sender's credit are released exactly as a
-                            // host receive would release them. (Offload
-                            // is declined while overload protection is
-                            // armed, so these branches are dormant; they
-                            // keep the accounting honest regardless.)
-                            if h.payload_len > 0
-                                && !item.val.truncated
-                                && self.cfg.eager_buffer_bytes > 0
-                            {
-                                self.eager_bytes_used =
-                                    self.eager_bytes_used.saturating_sub(h.payload_len as u64);
-                            }
-                            if self.cfg.eager_credits > 0
-                                && h.payload_len > 0
-                                && h.src_node != self.node
-                            {
-                                self.grant_credit(h.src_node);
-                            }
+                            let frame;
+                            (t, frame) = self.consume_unexpected(key, t, core);
                             self.stats.coll_steps_recv += 1;
-                            let inst = &mut self.coll[i];
-                            if inst.agree {
-                                inst.mask |= h.payload_len as u16;
+                            if self.coll[i].agree {
+                                self.coll[i].mask |= frame.header.payload_len as u16;
                             }
-                            inst.idx += 1;
+                            true
                         }
-                        None => {
-                            if peer != self.node && self.dead_peers.contains(&peer) {
-                                let inst = &mut self.coll[i];
-                                if inst.agree {
-                                    inst.mask |= 1 << step.peer.min(15);
-                                } else {
-                                    inst.failed.get_or_insert(step.peer as u16);
-                                }
-                                inst.idx += 1;
-                                continue;
-                            }
-                            // Park: the frame is still in flight.
-                            return t;
-                        }
+                        None if dead => false,
+                        // Park: the frame is still in flight.
+                        None => return t,
                     }
                 }
+            };
+            let inst = &mut self.coll[i];
+            if !ran && inst.agree {
+                inst.mask |= 1 << step.peer.min(15);
+            } else if !ran {
+                inst.failed.get_or_insert(step.peer as u16);
             }
+            inst.idx += 1;
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn do_post_send(
-        &mut self,
-        req: ReqId,
-        dst: NodeId,
-        context: u16,
-        tag: u16,
-        len: u32,
-        now: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
+    // ------------------------------------------------------------------
+    // Send path
+    // ------------------------------------------------------------------
+
+    fn do_post_send(&mut self, s: SendReq, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
         let t = now + core.run(&TraceBuilder::new().int(12).build(), now).elapsed;
+        let peer = self.node_of(s.dst);
+        // ULFM-style typed failure at post time: the peer is already
+        // declared dead, so this send can never complete — finish it now
+        // instead of parking it forever.
+        if self.peer_dead(peer) {
+            self.fail_op(t + self.cfg.completion_cost, s.failed(), fx);
+            return t;
+        }
         // Deadlock avoidance under the admission bound: while a
         // rendezvous handshake to this peer is still in flight (RTS out,
         // data not yet shipped), any further frame we sequence to that
@@ -1464,26 +1441,6 @@ impl Firmware {
         // send back; it is released the moment the data frame is queued.
         // FIFO per peer, so MPI ordering is untouched; unarmed
         // configurations never reach this path.
-        let peer = self.node_of(dst);
-        // ULFM-style typed failure at post time: the peer is already
-        // declared dead, so this send can never complete — finish it now
-        // instead of parking it forever.
-        if peer != self.node && self.dead_peers.contains(&peer) {
-            self.stats.ops_rank_failed += 1;
-            fx.completions.push((
-                t + self.cfg.completion_cost,
-                Completion {
-                    req,
-                    source: dst as u16,
-                    tag,
-                    len,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: true,
-                },
-            ));
-            return t;
-        }
         if self.cfg.max_unexpected > 0
             && peer != self.node
             && (self.rndv_inflight.get(&peer).copied().unwrap_or(0) > 0
@@ -1493,83 +1450,56 @@ impl Firmware {
                     .any(|p| self.node_of(p.dst) == peer))
         {
             self.stats.sends_deferred += 1;
-            self.deferred_sends.push_back(PendingSend {
-                req,
-                dst,
-                context,
-                tag,
-                len,
-            });
+            self.deferred_sends.push_back(s);
             return t;
         }
-        self.send_now(req, dst, context, tag, len, t, core, fx)
+        self.send_now(s, t, core, fx)
     }
 
     /// The actual send path (eager or rendezvous), past the deferral
     /// gate. `t` already includes the dispatch bookkeeping cost.
-    #[allow(clippy::too_many_arguments)]
-    fn send_now(
-        &mut self,
-        req: ReqId,
-        dst: NodeId,
-        context: u16,
-        tag: u16,
-        len: u32,
-        mut t: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
+    fn send_now(&mut self, s: SendReq, mut t: Time, core: &mut Core, fx: &mut Effects) -> Time {
         // Credit flow control: each nonzero-payload eager message to a
         // remote node spends one credit; at zero credit the send demotes
         // to the rendezvous path below, staging the payload on *this*
         // side until the receiver matches. Zero-payload messages (barrier
         // tokens and other control traffic) are exempt so synchronization
         // can never starve behind bulk data.
-        let eager = len <= self.cfg.eager_threshold
-            && (len == 0
+        let peer = self.node_of(s.dst);
+        let eager = s.len <= self.cfg.eager_threshold
+            && (s.len == 0
                 || self.cfg.eager_credits == 0
-                || self.node_of(dst) == self.node
-                || self.take_credit(self.node_of(dst)));
+                || peer == self.node
+                || self.take_credit(peer));
+        let kind = if eager {
+            MsgKind::Eager
+        } else {
+            MsgKind::RndvRequest
+        };
+        let msg = self.make_msg(s.dst, s.req.rank, s.context, s.tag, s.len, kind);
         if eager {
             // Eager: DMA payload from host, send header+payload.
-            let msg = self.make_msg(dst, req.rank, context, tag, len, MsgKind::Eager);
-            let at = if len > 0 {
-                let (_, done) = self.dma_tx.transfer(len as u64, t);
+            let at = if s.len > 0 {
+                let (_, done) = self.dma_tx.transfer(s.len as u64, t);
                 done
             } else {
                 self.inject(msg.wire_bytes(), t)
             };
-            fx.completions.push((
-                at + self.cfg.completion_cost,
-                Completion {
-                    req,
-                    source: req.rank as u16,
-                    tag,
-                    len,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: false,
-                },
-            ));
+            fx.completions
+                .push((at + self.cfg.completion_cost, s.completion()));
             fx.tx.push((at, msg));
             t += core
                 .run(&TraceBuilder::new().int(6).bus_write().build(), t)
                 .elapsed;
         } else {
             // Rendezvous: header-only request; park the send.
-            if self.cfg.max_unexpected > 0 && self.node_of(dst) != self.node {
-                *self.rndv_inflight.entry(self.node_of(dst)).or_insert(0) += 1;
+            if self.cfg.max_unexpected > 0 && peer != self.node {
+                *self.rndv_inflight.entry(peer).or_insert(0) += 1;
             }
-            let msg = self.make_msg(dst, req.rank, context, tag, len, MsgKind::RndvRequest);
-            let token = msg.header.seq;
             let addr = layout::SENDQ_BASE + (self.send_park.len() as u64) * 64;
             self.send_park.push(SendEntry {
-                req,
-                dst,
-                context,
-                tag,
-                len,
-                token,
+                send: s,
+                token: msg.header.seq,
                 addr,
             });
             t += core
@@ -1580,6 +1510,10 @@ impl Firmware {
         }
         t
     }
+
+    // ------------------------------------------------------------------
+    // Receive path
+    // ------------------------------------------------------------------
 
     /// Probe the unexpected queue for `probe` — hardware first when the
     /// unexpected ALPU is engaged, software walk otherwise (or after a
@@ -1607,11 +1541,10 @@ impl Firmware {
             // unit. This exchange is synchronous within the work item, so
             // a failure needs no orphan bookkeeping: quarantine and walk
             // the whole queue in software right here.
-            let resp_start = t;
             let read = match self.port_mut(QueueKind::Unexpected).push_probe(probe, t) {
                 Ok(()) => {
-                    let (t_read, read) = self.unit_response(QueueKind::Unexpected, t, core);
-                    t = t_read;
+                    let read;
+                    (t, read) = self.unit_response(QueueKind::Unexpected, t, core);
                     read
                 }
                 Err(AlpuWedged) => {
@@ -1622,7 +1555,7 @@ impl Firmware {
             match read {
                 HwRead::Hit(key) => {
                     self.stats.unexpected_alpu_hits += 1;
-                    self.hists.unexpected_alpu_hit.record(t - resp_start);
+                    self.hists.unexpected_alpu_hit.record(t - now);
                     return (t, Some(key));
                 }
                 HwRead::Miss => software_from = self.unexpected.alpu_prefix(),
@@ -1633,201 +1566,98 @@ impl Firmware {
         let mut visited = Vec::new();
         let pred = unexpected_match(self.cfg.ranks_per_node, probe);
         let hit = self.unexpected.find_from(software_from, pred, &mut visited);
-        let tb = TraceBuilder::new();
-        t = self.charge_walk(
-            QueueKind::Unexpected,
-            SearchSource::Linear,
-            tb,
-            &visited,
-            t,
-            core,
-        );
+        let (queue, source) = (QueueKind::Unexpected, SearchSource::Linear);
+        t = self.charge_walk(queue, source, TraceBuilder::new(), &visited, t, core);
         (t, hit.map(|(_, key)| key))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Take matched entry `key` off the unexpected queue: unlink it,
+    /// release its staged payload bytes and return its sender's credit.
+    /// Returns the finish time and the entry.
+    fn consume_unexpected(&mut self, key: Key, now: Time, core: &mut Core) -> (Time, UnexpEntry) {
+        let item = self.unexpected.remove_key(key);
+        self.queue_op(now, QueueKind::Unexpected, QueueOpKind::Remove);
+        let t = now
+            + core
+                .run(
+                    &TraceBuilder::new()
+                        .load(item.addr)
+                        .int(10)
+                        .store(item.addr)
+                        .build(),
+                    now,
+                )
+                .elapsed;
+        let h = item.val.header;
+        if h.kind == MsgKind::Eager
+            && h.payload_len > 0
+            && !item.val.truncated
+            && self.cfg.eager_buffer_bytes > 0
+        {
+            self.eager_bytes_used = self.eager_bytes_used.saturating_sub(h.payload_len as u64);
+        }
+        self.return_credit(&h);
+        (t, item.val)
+    }
+
     fn do_post_recv(
         &mut self,
-        req: ReqId,
-        src: Option<u16>,
-        context: u16,
-        tag: Option<u16>,
-        len: u32,
+        rx: RecvEntry,
         now: Time,
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let probe = Probe::recv(
-            eff_ctx(self.cfg.ranks_per_node, context, req.rank),
-            src,
-            tag,
-        );
-        let (mut t, matched) = self.match_unexpected(probe, now, core);
-
-        match matched {
-            Some(key) => {
-                let item = self.unexpected.remove_key(key);
-                self.ev(
+        let probe = Probe {
+            word: rx.word,
+            mask: rx.mask,
+        };
+        let (t, matched) = self.match_unexpected(probe, now, core);
+        if let Some(key) = matched {
+            let (t, msg) = self.consume_unexpected(key, t, core);
+            return self.deliver(msg, rx, false, t, core, fx);
+        }
+        // Nothing already arrived: a receive pinned to a rank on a dead
+        // node can never match — fail it typed, now, instead of posting
+        // an obligation nothing will satisfy. (A match above is still
+        // honored: the message was sent before the failure, which ULFM
+        // lets us deliver.)
+        if rx
+            .pinned_source()
+            .is_some_and(|s| self.peer_dead(self.node_of(s as u32)))
+        {
+            self.fail_op(t + self.cfg.completion_cost, rx.failed(), fx);
+            return t;
+        }
+        // Post it: append to the posted-receive queue.
+        let (key, addr) = self.posted.push(rx);
+        self.queue_op(t, QueueKind::Posted, QueueOpKind::Push);
+        let mut t = t + core
+            .run(
+                &TraceBuilder::new()
+                    .int(10)
+                    .store(addr)
+                    .store(addr + 32)
+                    .build(),
+                t,
+            )
+            .elapsed;
+        if let Some(index) = &mut self.posted_index {
+            // The insertion cost the paper calls prohibitive (§II): hash
+            // the triplet, read-modify-write the bin header, link the
+            // entry in.
+            index.insert(key, addr, rx.word, rx.mask);
+            let bin = layout::HASHBIN_BASE + (index.bin_index(rx.word) as u64) * 64;
+            t += core
+                .run(
+                    &TraceBuilder::new()
+                        .int(24)
+                        .load_chain(bin)
+                        .store(bin)
+                        .store(addr + 48)
+                        .build(),
                     t,
-                    TraceEvent::QueueOp {
-                        queue: QueueKind::Unexpected,
-                        op: QueueOpKind::Remove,
-                        depth: self.unexpected.len() as u32,
-                    },
-                );
-                let h = item.val.header;
-                let truncated = item.val.truncated;
-                t += core
-                    .run(
-                        &TraceBuilder::new()
-                            .load(item.addr)
-                            .int(10)
-                            .store(item.addr)
-                            .build(),
-                        t,
-                    )
-                    .elapsed;
-                match h.kind {
-                    MsgKind::Eager => {
-                        // Buffered payload → user buffer. A truncated
-                        // admit has no payload to deliver: the envelope
-                        // completes with `overflow` and zero bytes
-                        // (`MPI_ERR_TRUNCATE`-like).
-                        let comp = Completion {
-                            req,
-                            source: h.src_rank,
-                            tag: h.tag,
-                            len: if truncated { 0 } else { h.payload_len.min(len) },
-                            cancelled: false,
-                            overflow: truncated,
-                            rank_failed: false,
-                        };
-                        if h.payload_len > 0 && !truncated {
-                            if self.cfg.eager_buffer_bytes > 0 {
-                                self.eager_bytes_used =
-                                    self.eager_bytes_used.saturating_sub(h.payload_len as u64);
-                            }
-                            let (start, done) = self.dma_rx.transfer(h.payload_len as u64, t);
-                            self.ev(
-                                start,
-                                TraceEvent::Dma {
-                                    dir: DmaDir::Rx,
-                                    bytes: h.payload_len as u64,
-                                    dur: done - start,
-                                },
-                            );
-                            fx.completions.push((done + self.cfg.completion_cost, comp));
-                        } else {
-                            fx.completions.push((t + self.cfg.completion_cost, comp));
-                        }
-                        // The staged message is gone: return its credit.
-                        if self.cfg.eager_credits > 0
-                            && h.payload_len > 0
-                            && h.src_node != self.node
-                        {
-                            self.grant_credit(h.src_node);
-                        }
-                    }
-                    MsgKind::RndvRequest => {
-                        self.rndv_expect.insert(
-                            (h.src_node, h.seq),
-                            RndvExpect {
-                                req,
-                                len: h.payload_len,
-                                src_rank: h.src_rank,
-                                tag: h.tag,
-                            },
-                        );
-                        let reply = self.make_msg(
-                            h.src_rank as u32,
-                            req.rank,
-                            h.context,
-                            h.tag,
-                            0,
-                            MsgKind::RndvReply { token: h.seq },
-                        );
-                        // Same injected-leak site as the matched-on-arrival
-                        // clear-to-send.
-                        if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
-                            self.stats.cts_leaked += 1;
-                        } else {
-                            let at = self.inject(reply.wire_bytes(), t);
-                            fx.tx.push((at, reply));
-                        }
-                    }
-                    _ => unreachable!("only match-eligible headers are queued"),
-                }
-            }
-            None => {
-                // Nothing already arrived: a receive pinned to a rank on
-                // a dead node can never match — fail it typed, now,
-                // instead of posting an obligation nothing will satisfy.
-                // (A match above is still honored: the message was sent
-                // before the failure, which ULFM lets us deliver.)
-                if let Some(s) = src {
-                    let peer = self.node_of(s as u32);
-                    if peer != self.node && self.dead_peers.contains(&peer) {
-                        self.stats.ops_rank_failed += 1;
-                        fx.completions.push((
-                            t + self.cfg.completion_cost,
-                            Completion {
-                                req,
-                                source: s,
-                                tag: tag.unwrap_or(0),
-                                len: 0,
-                                cancelled: false,
-                                overflow: false,
-                                rank_failed: true,
-                            },
-                        ));
-                        return t;
-                    }
-                }
-                // Post it: append to the posted-receive queue.
-                let (key, addr) = self.posted.push(RecvEntry {
-                    req,
-                    word: probe.word,
-                    mask: probe.mask,
-                    len,
-                    ghost: false,
-                });
-                self.ev(
-                    t,
-                    TraceEvent::QueueOp {
-                        queue: QueueKind::Posted,
-                        op: QueueOpKind::Push,
-                        depth: self.posted.len() as u32,
-                    },
-                );
-                t += core
-                    .run(
-                        &TraceBuilder::new()
-                            .int(10)
-                            .store(addr)
-                            .store(addr + 32)
-                            .build(),
-                        t,
-                    )
-                    .elapsed;
-                if let Some(index) = &mut self.posted_index {
-                    // The insertion cost the paper calls prohibitive
-                    // (§II): hash the triplet, read-modify-write the bin
-                    // header, link the entry in.
-                    index.insert(key, addr, probe.word, probe.mask);
-                    let bin = layout::HASHBIN_BASE + (index.bin_index(probe.word) as u64) * 64;
-                    t += core
-                        .run(
-                            &TraceBuilder::new()
-                                .int(24)
-                                .load_chain(bin)
-                                .store(bin)
-                                .store(addr + 48)
-                                .build(),
-                            t,
-                        )
-                        .elapsed;
-                }
-            }
+                )
+                .elapsed;
         }
         t
     }
@@ -1837,57 +1667,30 @@ impl Firmware {
     /// matched cell (the delete is baked into the pipeline, §III-B) — so
     /// probing is always a software walk, ALPU or not. The completion's
     /// `cancelled` flag carries `flag == false`.
-    #[allow(clippy::too_many_arguments)]
     fn do_probe(
         &mut self,
         req: ReqId,
-        src: Option<u16>,
-        context: u16,
-        tag: Option<u16>,
+        probe: Probe,
         now: Time,
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let rpn = self.cfg.ranks_per_node;
-        let probe = Probe::recv(eff_ctx(rpn, context, req.rank), src, tag);
         let mut visited = Vec::new();
-        let hit = self
-            .unexpected
-            .find_from(0, unexpected_match(rpn, probe), &mut visited);
+        let pred = unexpected_match(self.cfg.ranks_per_node, probe);
+        let hit = self.unexpected.find_from(0, pred, &mut visited);
         let tb = TraceBuilder::new().int(8);
         let source = SearchSource::Linear;
         let t = self.charge_walk(QueueKind::Unexpected, source, tb, &visited, now, core);
         let comp = match hit {
             Some((pos, _)) => {
                 let h = self.unexpected.get(pos).val.header;
-                Completion {
-                    req,
-                    source: h.src_rank,
-                    tag: h.tag,
-                    len: h.payload_len,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: false,
-                }
+                Completion::ok(req, h.src_rank, h.tag, h.payload_len)
             }
-            None => Completion {
-                req,
-                source: 0,
-                tag: 0,
-                len: 0,
-                cancelled: true, // flag == false: nothing waiting
-                overflow: false,
-                rank_failed: false,
-            },
+            // flag == false: nothing waiting.
+            None => Completion::cancelled(req, 0, 0),
         };
         fx.completions.push((t + self.cfg.completion_cost, comp));
         t
-    }
-
-    /// Tombstone an ALPU-resident posted receive (see [`RecvEntry::ghost`]).
-    fn posted_mark_ghost(&mut self, key: Key) {
-        self.posted.update_key(key, |e| e.ghost = true);
-        self.port_mut(QueueKind::Posted).ghosts += 1;
     }
 
     /// Live tombstone count (diagnostics).
@@ -1915,42 +1718,19 @@ impl Firmware {
             // stands; the cancel is a no-op.
             return t;
         };
-        let item = self.posted.get(pos);
-        let tag = item.val.word.tag();
-        let in_alpu = item.in_alpu;
-        let addr = item.addr;
+        let in_alpu = self.posted.get(pos).in_alpu;
+        let (item, bin_walk) = self.unlink_posted(key, in_alpu);
         if in_alpu {
-            self.posted_mark_ghost(key);
             self.stats.ghosted_cancels += 1;
-            t += core
-                .run(&TraceBuilder::new().int(6).store(addr).build(), t)
-                .elapsed;
-        } else {
-            self.posted.remove_key(key);
-            if let Some(index) = &mut self.posted_index {
-                let rm = index.remove(key);
-                let mut tb = TraceBuilder::new().int(10);
-                for a in rm.iter().take(8) {
-                    tb = tb.load(*a);
-                }
-                t += core.run(&tb.build(), t).elapsed;
-            }
-            t += core
-                .run(&TraceBuilder::new().int(6).store(addr).build(), t)
-                .elapsed;
         }
-        fx.completions.push((
-            t + self.cfg.completion_cost,
-            Completion {
-                req: target,
-                source: 0,
-                tag,
-                len: 0,
-                cancelled: true,
-                overflow: false,
-                rank_failed: false,
-            },
-        ));
+        if let Some(tb) = bin_walk {
+            t += core.run(&tb.build(), t).elapsed;
+        }
+        t += core
+            .run(&TraceBuilder::new().int(6).store(item.addr).build(), t)
+            .elapsed;
+        let comp = Completion::cancelled(target, 0, item.val.word.tag());
+        fx.completions.push((t + self.cfg.completion_cost, comp));
         t
     }
 
@@ -1966,6 +1746,13 @@ impl Firmware {
     /// Number of peers currently declared dead (diagnostics).
     pub fn dead_peer_count(&self) -> usize {
         self.dead_peers.len()
+    }
+
+    /// Finish an operation that can never complete with the typed
+    /// `rank_failed` completion `comp` at `at`.
+    fn fail_op(&mut self, at: Time, comp: Completion, fx: &mut Effects) {
+        self.stats.ops_rank_failed += 1;
+        fx.completions.push((at, comp));
     }
 
     /// Declare `peer` dead and fail — with typed `rank_failed`
@@ -1990,102 +1777,41 @@ impl Firmware {
         self.stats.peers_failed += 1;
         let at = now + self.cfg.completion_cost;
         let k = self.cfg.ranks_per_node;
+        let on_peer = move |rank: u32| rank / k == peer;
 
         // Posted receives whose source is pinned to a rank on the dead
         // node. ALPU-resident copies become tombstones, exactly as
         // `MPI_Cancel` leaves them (no DELETE command, Table I).
-        let victims: Vec<(Key, ReqId, u16, u16, bool)> = self
+        let victims: Vec<(Key, bool, Completion)> = self
             .posted
             .iter()
-            .filter(|it| {
-                !it.val.ghost
-                    && it.val.mask.0 & mpiq_alpu::MaskWord::ANY_SOURCE.0 == 0
-                    && it.val.word.source() as u32 / k == peer
-            })
-            .map(|it| {
-                (
-                    it.key,
-                    it.val.req,
-                    it.val.word.source(),
-                    it.val.word.tag(),
-                    it.in_alpu,
-                )
-            })
+            .filter(|it| !it.val.ghost && it.val.pinned_source().is_some_and(|s| on_peer(s as u32)))
+            .map(|it| (it.key, it.in_alpu, it.val.failed()))
             .collect();
-        for (key, req, src, tag, in_alpu) in victims {
-            if in_alpu {
-                self.posted_mark_ghost(key);
+        for (key, in_alpu, comp) in victims {
+            self.unlink_posted(key, in_alpu);
+            let op = if in_alpu {
+                QueueOpKind::Ghost
             } else {
-                self.posted.remove_key(key);
-                if let Some(index) = &mut self.posted_index {
-                    index.remove(key);
-                }
-            }
-            self.ev(
-                now,
-                TraceEvent::QueueOp {
-                    queue: QueueKind::Posted,
-                    op: if in_alpu {
-                        QueueOpKind::Ghost
-                    } else {
-                        QueueOpKind::Remove
-                    },
-                    depth: self.posted.len() as u32,
-                },
-            );
-            self.stats.ops_rank_failed += 1;
-            fx.completions.push((
-                at,
-                Completion {
-                    req,
-                    source: src,
-                    tag,
-                    len: 0,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: true,
-                },
-            ));
+                QueueOpKind::Remove
+            };
+            self.queue_op(now, QueueKind::Posted, op);
+            self.fail_op(at, comp, fx);
         }
 
-        // Rendezvous sends parked on a clear-to-send that will never come.
-        let mut parked: Vec<SendEntry> = Vec::new();
-        self.send_park.retain(|s| {
-            if s.dst / k == peer {
-                parked.push(*s);
-                false
-            } else {
-                true
+        // Rendezvous sends parked on a clear-to-send that will never
+        // come, then sends still held behind one of those handshakes.
+        let mut doomed: Vec<SendReq> = Vec::new();
+        let mut keep = |s: SendReq| {
+            if on_peer(s.dst) {
+                doomed.push(s);
             }
-        });
-        // Sends still held behind one of those handshakes.
-        let mut deferred: Vec<PendingSend> = Vec::new();
-        self.deferred_sends.retain(|p| {
-            if p.dst / k == peer {
-                deferred.push(*p);
-                false
-            } else {
-                true
-            }
-        });
-        for (req, dst, tag, len) in parked
-            .into_iter()
-            .map(|s| (s.req, s.dst, s.tag, s.len))
-            .chain(deferred.into_iter().map(|p| (p.req, p.dst, p.tag, p.len)))
-        {
-            self.stats.ops_rank_failed += 1;
-            fx.completions.push((
-                at,
-                Completion {
-                    req,
-                    source: dst as u16,
-                    tag,
-                    len,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: true,
-                },
-            ));
+            !on_peer(s.dst)
+        };
+        self.send_park.retain(|e| keep(e.send));
+        self.deferred_sends.retain(|s| keep(*s));
+        for s in doomed {
+            self.fail_op(at, s.failed(), fx);
         }
 
         // Matched rendezvous receives whose data frame died with the
@@ -2100,19 +1826,8 @@ impl Firmware {
         stale.sort_unstable();
         for key in stale {
             let exp = self.rndv_expect.remove(&key).expect("key just listed");
-            self.stats.ops_rank_failed += 1;
-            fx.completions.push((
-                at,
-                Completion {
-                    req: exp.req,
-                    source: exp.src_rank,
-                    tag: exp.tag,
-                    len: 0,
-                    cancelled: false,
-                    overflow: false,
-                    rank_failed: true,
-                },
-            ));
+            let comp = Completion::failed(exp.req, exp.src_rank, exp.tag, 0);
+            self.fail_op(at, comp, fx);
         }
         self.rndv_inflight.remove(&peer);
 
@@ -2427,12 +2142,6 @@ impl Firmware {
     // Helpers
     // ------------------------------------------------------------------
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.wire_seq;
-        self.wire_seq += 1;
-        s
-    }
-
     fn make_msg(
         &mut self,
         dst_rank: u32,
@@ -2442,6 +2151,7 @@ impl Firmware {
         len: u32,
         kind: MsgKind,
     ) -> Message {
+        self.wire_seq += 1;
         Message::new(MsgHeader {
             src_node: self.node,
             dst_node: self.node_of(dst_rank),
@@ -2451,7 +2161,7 @@ impl Firmware {
             tag,
             payload_len: len,
             kind,
-            seq: self.next_seq(),
+            seq: self.wire_seq - 1,
         })
     }
 

@@ -131,6 +131,41 @@ pub struct Completion {
     pub rank_failed: bool,
 }
 
+impl Completion {
+    /// A request finished normally: `len` bytes, matched from `source`
+    /// under `tag`.
+    pub fn ok(req: ReqId, source: u16, tag: u16, len: u32) -> Completion {
+        Completion {
+            req,
+            source,
+            tag,
+            len,
+            cancelled: false,
+            overflow: false,
+            rank_failed: false,
+        }
+    }
+
+    /// A request answered with `cancelled = true`: a cancelled receive,
+    /// an `MPI_Iprobe` that found nothing, or a declined collective
+    /// offload.
+    pub fn cancelled(req: ReqId, source: u16, tag: u16) -> Completion {
+        Completion {
+            cancelled: true,
+            ..Completion::ok(req, source, tag, 0)
+        }
+    }
+
+    /// A request finished with a typed `rank_failed` error; `source`
+    /// names the dead peer.
+    pub fn failed(req: ReqId, source: u16, tag: u16, len: u32) -> Completion {
+        Completion {
+            rank_failed: true,
+            ..Completion::ok(req, source, tag, len)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
