@@ -41,6 +41,20 @@ pub fn host_comp_port(pid: u32) -> OutPort {
     OutPort(1 + pid as u16)
 }
 
+/// Trace the go-back-N replays `link` fired since the last call.
+fn trace_fires(link: &mut Reliability, ctx: &mut Ctx<'_>) {
+    for f in link.take_fires() {
+        ctx.trace_at(
+            f.at,
+            TraceEvent::LinkRetransmit {
+                peer: f.peer,
+                frames: f.frames,
+                backoff: f.backoff,
+            },
+        );
+    }
+}
+
 /// Scheduled-fault wakeup payloads (internal to the NIC). Every wake is
 /// computed locally from the shared [`FaultSchedule`] at start-up, so no
 /// fault information ever travels between components at run time.
@@ -328,9 +342,25 @@ impl Nic {
             self.work_items += 1;
             self.work_service.record(end - now);
         }
-        for (at, what) in self.fw.take_events() {
-            ctx.trace_at(at, what);
+        self.apply(fx, ctx);
+        // Batch-aware update scheduling (§IV-B).
+        if !self.update_queued && self.fw.update_needed(self.work.is_empty(), now) {
+            self.work.push_back(WorkItem::AlpuUpdate);
+            self.update_queued = true;
         }
+        self.busy = true;
+        ctx.wake_me(PORT_WAKE, Payload::empty(), end - now);
+        self.schedule_retx(ctx);
+        self.snapshot_stats();
+    }
+
+    /// Hand the firmware's effects to the rest of the simulation: its
+    /// buffered trace events to the trace ring, frames through the link
+    /// layer to the wire, queued credit grants back to their senders and
+    /// completions to the issuing hosts.
+    fn apply(&mut self, fx: Effects, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.drain_trace(ctx);
         for (at, msg) in fx.tx {
             // The link layer stamps a sequence number and buffers the
             // frame for retransmission before it hits the wire.
@@ -371,15 +401,13 @@ impl Nic {
                 at.saturating_sub(now),
             );
         }
-        // Batch-aware update scheduling (§IV-B).
-        if !self.update_queued && self.fw.update_needed(self.work.is_empty(), now) {
-            self.work.push_back(WorkItem::AlpuUpdate);
-            self.update_queued = true;
+    }
+
+    /// Move the firmware's buffered trace events into the trace ring.
+    fn drain_trace(&mut self, ctx: &mut Ctx<'_>) {
+        for (at, what) in self.fw.take_events() {
+            ctx.trace_at(at, what);
         }
-        self.busy = true;
-        ctx.wake_me(PORT_WAKE, Payload::empty(), end - now);
-        self.schedule_retx(ctx);
-        self.snapshot_stats();
     }
 
     /// Make sure a wakeup covers the link layer's earliest retransmit
@@ -427,9 +455,7 @@ impl Nic {
             FaultWake::AlpuDeath => {
                 self.fw.set_telemetry(ctx.trace_enabled());
                 self.fw.kill_alpus(now);
-                for (at, what) in self.fw.take_events() {
-                    ctx.trace_at(at, what);
-                }
+                self.drain_trace(ctx);
                 ctx.metrics().add("fault.alpus_dead", 1);
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::AlpuDead,
@@ -544,33 +570,9 @@ impl Nic {
         self.fw.set_telemetry(ctx.trace_enabled());
         let mut fx = Effects::default();
         self.fw.fail_peer(peer, now, &mut self.core, &mut fx);
-        for (at, what) in self.fw.take_events() {
-            ctx.trace_at(at, what);
-        }
         // Failing a peer sends nothing *except* collective step frames
         // un-parked by skipping the dead peer's steps.
-        for (at, msg) in fx.tx {
-            let msg = match self.link.as_mut() {
-                Some(link) => link.transmit(msg, at),
-                None => msg,
-            };
-            ctx.emit_after(PORT_NET_TX, Payload::new(msg), at.saturating_sub(now));
-        }
-        for (at, comp) in fx.completions {
-            let pid = comp.req.rank % self.ranks_per_node;
-            ctx.trace_at(
-                at,
-                TraceEvent::HostCompletion {
-                    rank: comp.req.rank,
-                    cancelled: comp.cancelled,
-                },
-            );
-            ctx.emit_after(
-                host_comp_port(pid),
-                Payload::new(comp),
-                at.saturating_sub(now),
-            );
-        }
+        self.apply(fx, ctx);
         ctx.metrics().add("fault.peers_failed", 1);
         ctx.trace(TraceEvent::ComponentFault {
             kind,
@@ -847,17 +849,8 @@ impl Component for Nic {
                     for frame in result.send {
                         ctx.emit_after(PORT_NET_TX, Payload::new(frame), Time::ZERO);
                     }
-                    for f in link.take_fires() {
-                        // NACK-triggered go-back-N replays.
-                        ctx.trace_at(
-                            f.at,
-                            TraceEvent::LinkRetransmit {
-                                peer: f.peer,
-                                frames: f.frames,
-                                backoff: f.backoff,
-                            },
-                        );
-                    }
+                    // NACK-triggered go-back-N replays.
+                    trace_fires(link, ctx);
                     self.schedule_retx(ctx);
                     match result.deliver {
                         Some(delivered) => msg = delivered,
@@ -902,16 +895,7 @@ impl Component for Nic {
                     for frame in link.on_timer(ctx.now()) {
                         ctx.emit_after(PORT_NET_TX, Payload::new(frame), Time::ZERO);
                     }
-                    for f in link.take_fires() {
-                        ctx.trace_at(
-                            f.at,
-                            TraceEvent::LinkRetransmit {
-                                peer: f.peer,
-                                frames: f.frames,
-                                backoff: f.backoff,
-                            },
-                        );
-                    }
+                    trace_fires(link, ctx);
                     newly_dead = link.take_newly_dead();
                 }
                 // A retry-budget link death escalates to a typed peer
