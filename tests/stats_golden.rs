@@ -9,7 +9,11 @@
 //! counters, the link-layer counters with and without the reliability
 //! layer, the overload (`flow.*`) counters, the component-fault
 //! counters through a crash, a restart and an ALPU death, and the
-//! collective-offload counters.
+//! collective-offload counters. Two baseline points sit past the
+//! ~410-entry knee of the NIC's 512-line L1 (Fig. 5 at depth 600,
+//! Fig. 6 at depth 500): their walks overflow the cache, so capacity
+//! misses, LRU victims and dirty write-backs reach the L1 counters and
+//! the simulated times.
 //!
 //! On a mismatch the rendered registry is written next to the test
 //! binary's scratch space (`CARGO_TARGET_TMPDIR`) for diffing.
@@ -158,7 +162,7 @@ fn chaos_with_restart() -> String {
 type Case = (&'static str, fn() -> String);
 
 fn render() -> String {
-    let cases: [Case; 8] = [
+    let cases: [Case; 10] = [
         ("fig5_baseline_q40", || {
             fig5_point(NicConfig::baseline(), 40)
         }),
@@ -170,6 +174,12 @@ fn render() -> String {
         }),
         ("fig6_baseline_q30", || {
             fig6_point(NicConfig::baseline(), 30)
+        }),
+        ("fig5_baseline_q600", || {
+            fig5_point(NicConfig::baseline(), 600)
+        }),
+        ("fig6_baseline_q500", || {
+            fig6_point(NicConfig::baseline(), 500)
         }),
         ("crc_drops_without_link_layer", crc_drops_without_link_layer),
         ("offloaded_collectives_fat_tree", offloaded_collectives),
