@@ -800,13 +800,7 @@ impl Firmware {
         // prefix by the number of still-unread MATCH SUCCESS responses
         // (back-to-back probes resolve in hardware before firmware
         // catches up); the two reconverge at quiesce (`check_invariants`).
-        let (item, bin_walk) = self.unlink_posted(key, ghost);
-        let op = if ghost {
-            QueueOpKind::Ghost
-        } else {
-            QueueOpKind::Remove
-        };
-        self.queue_op(t, QueueKind::Posted, op);
+        let (item, bin_walk) = self.unlink_posted(key, ghost, t);
         t += core
             .run(
                 &TraceBuilder::new()
@@ -905,21 +899,28 @@ impl Firmware {
         (t, hit)
     }
 
-    /// Unlink posted receive `key`. With `ghost` the entry stays behind as
-    /// a tombstone (its copy still sits in the ALPU; see
-    /// [`RecvEntry::ghost`]); otherwise it is removed, along with its
-    /// hash-bin link. Returns the entry as it was and, under hash
-    /// matching, the bin walk that found the link, for the caller to
-    /// charge.
-    fn unlink_posted(&mut self, key: Key, ghost: bool) -> (Item<RecvEntry>, Option<TraceBuilder>) {
+    /// Unlink posted receive `key` at `at`, tracing the queue operation.
+    /// With `ghost` the entry stays behind as a tombstone (its copy still
+    /// sits in the ALPU; see [`RecvEntry::ghost`]); otherwise it is
+    /// removed, along with its hash-bin link. Returns the entry as it was
+    /// and, under hash matching, the bin walk that found the link, for
+    /// the caller to charge.
+    fn unlink_posted(
+        &mut self,
+        key: Key,
+        ghost: bool,
+        at: Time,
+    ) -> (Item<RecvEntry>, Option<TraceBuilder>) {
         if ghost {
             let item = self.posted.iter().find(|it| it.key == key);
             let item = item.expect("tombstone target is live").clone();
             self.posted.update_key(key, |e| e.ghost = true);
             self.port_mut(QueueKind::Posted).ghosts += 1;
+            self.queue_op(at, QueueKind::Posted, QueueOpKind::Ghost);
             return (item, None);
         }
         let item = self.posted.remove_key(key);
+        self.queue_op(at, QueueKind::Posted, QueueOpKind::Remove);
         let bin_walk = self.posted_index.as_mut().map(|index| {
             let walked = index.remove(key);
             walked
@@ -969,7 +970,7 @@ impl Firmware {
                 )
                 .elapsed;
         if staged && !truncated {
-            self.rx_dma(h.payload_len, t);
+            self.dma(DmaDir::Rx, h.payload_len, t);
         }
         t
     }
@@ -1005,7 +1006,7 @@ impl Firmware {
                     ..Completion::ok(rx.req, h.src_rank, h.tag, delivered)
                 };
                 let done = if h.payload_len > 0 && !msg.truncated {
-                    self.rx_dma(h.payload_len, t)
+                    self.dma(DmaDir::Rx, h.payload_len, t)
                 } else {
                     t
                 };
@@ -1051,14 +1052,18 @@ impl Firmware {
         t
     }
 
-    /// Move `bytes` of received payload through the Rx DMA engine starting
-    /// at `t`, tracing the transfer; returns when it lands.
-    fn rx_dma(&mut self, bytes: u32, t: Time) -> Time {
-        let (start, done) = self.dma_rx.transfer(bytes as u64, t);
+    /// Move `bytes` of payload through the `dir` DMA engine starting at
+    /// `t`, tracing the transfer; returns when it lands.
+    fn dma(&mut self, dir: DmaDir, bytes: u32, t: Time) -> Time {
+        let engine = match dir {
+            DmaDir::Rx => &mut self.dma_rx,
+            DmaDir::Tx => &mut self.dma_tx,
+        };
+        let (start, done) = engine.transfer(bytes as u64, t);
         self.ev(
             start,
             TraceEvent::Dma {
-                dir: DmaDir::Rx,
+                dir,
                 bytes: bytes as u64,
                 dur: done - start,
             },
@@ -1097,7 +1102,7 @@ impl Firmware {
         };
         let s = self.send_park.remove(pos).send;
         // DMA the payload from host memory and ship it.
-        let (_, dma_done) = self.dma_tx.transfer(s.len as u64, t);
+        let dma_done = self.dma(DmaDir::Tx, s.len, t);
         t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
         let kind = MsgKind::RndvData { token };
         let data = self.make_msg(s.dst, s.req.rank, s.context, s.tag, s.len, kind);
@@ -1163,7 +1168,7 @@ impl Firmware {
             self.stats.stale_rndv_dropped += 1;
             return t;
         };
-        let (_, done) = self.dma_rx.transfer(exp.len as u64, t);
+        let done = self.dma(DmaDir::Rx, exp.len, t);
         t += core.run(&TraceBuilder::new().int(6).build(), t).elapsed;
         let comp = Completion::ok(exp.req, exp.src_rank, exp.tag, exp.len);
         fx.completions.push((done + self.cfg.completion_cost, comp));
@@ -1480,8 +1485,7 @@ impl Firmware {
         if eager {
             // Eager: DMA payload from host, send header+payload.
             let at = if s.len > 0 {
-                let (_, done) = self.dma_tx.transfer(s.len as u64, t);
-                done
+                self.dma(DmaDir::Tx, s.len, t)
             } else {
                 self.inject(msg.wire_bytes(), t)
             };
@@ -1719,7 +1723,7 @@ impl Firmware {
             return t;
         };
         let in_alpu = self.posted.get(pos).in_alpu;
-        let (item, bin_walk) = self.unlink_posted(key, in_alpu);
+        let (item, bin_walk) = self.unlink_posted(key, in_alpu, t);
         if in_alpu {
             self.stats.ghosted_cancels += 1;
         }
@@ -1789,13 +1793,7 @@ impl Firmware {
             .map(|it| (it.key, it.in_alpu, it.val.failed()))
             .collect();
         for (key, in_alpu, comp) in victims {
-            self.unlink_posted(key, in_alpu);
-            let op = if in_alpu {
-                QueueOpKind::Ghost
-            } else {
-                QueueOpKind::Remove
-            };
-            self.queue_op(now, QueueKind::Posted, op);
+            self.unlink_posted(key, in_alpu, now);
             self.fail_op(at, comp, fx);
         }
 
