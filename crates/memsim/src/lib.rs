@@ -11,7 +11,7 @@
 //! Layering:
 //!
 //! - [`cache::Cache`] — one set-associative, write-back/write-allocate,
-//!   LRU cache level.
+//!   true-LRU cache level, O(1) per access.
 //! - [`dram::Dram`] — banked DRAM with open-row state and contention.
 //! - [`hierarchy::MemSystem`] — composes L1 (+ optional L2) + DRAM into
 //!   the two memory systems of Table III (host CPU and NIC processor).
