@@ -15,8 +15,9 @@
 //! * `hetero` — the same incast over 1 µs wires with one 10 ns edge
 //!   (nodes 1↔2): a mix of short and long link latencies in one queue.
 //!
-//! Each scenario runs once; only `wall_ms` and `events_per_sec` vary
-//! from run to run.
+//! Each scenario runs five times and its row reports the median wall
+//! time; only `wall_ms` and `events_per_sec` vary from run to run. The
+//! watchdog deadline grows with `--msgs` past the default 64.
 //!
 //! `--out PATH` writes the full document (code version stamp, config,
 //! one row per run). The repo tracks `BENCH_scaling.json` at the root:

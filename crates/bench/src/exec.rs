@@ -594,6 +594,21 @@ fn soak(spec: &RunSpec, faults: Option<FaultConfig>, result: &mut RunResult) -> 
     Ok(())
 }
 
+/// Timed runs of each scaling scenario. A row reports their median wall
+/// time, so one slow or fast run on a shared host does not set the row
+/// (the event count is the same in every run).
+const SCALING_RUNS: usize = 5;
+
+/// The scaling incast's watchdog deadline: the soak's 500 ms up to 64
+/// messages per sender, then growing with `msgs²`, as the incast's
+/// simulated runtime does (8.2 ms at 64 messages, 213 ms at 256, 926 ms
+/// at 512 and 3.8 s at 1024: the receiver's backlog, and with it the
+/// go-back-N retransmits per message, grows with `msgs`).
+fn scaling_deadline(msgs: u32) -> Time {
+    let m = u64::from(msgs.max(64));
+    Time::from_ps(Time::from_ms(500).ps().saturating_mul(m * m / (64 * 64)))
+}
+
 /// The soak configuration for one scaling scenario name.
 fn scaling_cfg(
     scenario: &str,
@@ -606,6 +621,7 @@ fn scaling_cfg(
     cfg.senders = senders;
     cfg.msgs = msgs;
     cfg.msg_size = size;
+    cfg.deadline = scaling_deadline(msgs);
     match scenario {
         "incast" => {}
         "hetero" => {
@@ -642,16 +658,23 @@ fn scaling(
     result.header = "scenario,wall_ms,events,events_per_sec".to_string();
     for scenario in scenarios {
         let cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
-        let start = Instant::now();
-        let out = run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let events_per_sec = out.events as f64 / (wall_ms / 1e3);
+        let mut walls = Vec::with_capacity(SCALING_RUNS);
+        let mut events = 0;
+        for _ in 0..SCALING_RUNS {
+            let start = Instant::now();
+            let out = run_soak(&cfg).map_err(|d| format!("scaling run stalled:\n{d}"))?;
+            walls.push(start.elapsed().as_secs_f64() * 1e3);
+            events = out.events;
+        }
+        walls.sort_by(f64::total_cmp);
+        let wall_ms = walls[SCALING_RUNS / 2];
+        let events_per_sec = events as f64 / (wall_ms / 1e3);
         result.rows.push(ResultRow {
-            csv: format!("{scenario},{wall_ms:.1},{},{events_per_sec:.0}", out.events),
+            csv: format!("{scenario},{wall_ms:.1},{events},{events_per_sec:.0}"),
             fields: vec![
                 ("scenario".to_string(), json_str(scenario)),
                 ("wall_ms".to_string(), json_f64(wall_ms)),
-                ("events".to_string(), out.events.to_string()),
+                ("events".to_string(), events.to_string()),
                 ("events_per_sec".to_string(), json_f64(events_per_sec)),
             ],
         });
@@ -1320,6 +1343,20 @@ mod tests {
             let err = execute(&from_args(bench, args)).unwrap_err();
             assert!(err.contains(names), "{bench} {args:?}: {err}");
         }
+    }
+
+    /// The scaling deadline is the soak's at the default 64 messages, so
+    /// the tracked event counts cannot move, and grows with `msgs²` past
+    /// it: 1024 messages, whose incast runs 3.8 s simulated, get 128 s.
+    #[test]
+    fn scaling_deadline_grows_with_msgs() {
+        let soak = SoakConfig::new(Scenario::Incast, 1).deadline;
+        let cfg = |msgs| scaling_cfg("hetero", 16, msgs, 512, 1).unwrap();
+        assert_eq!(cfg(8).deadline, soak);
+        assert_eq!(cfg(64).deadline, soak);
+        assert_eq!(cfg(256).deadline, soak * 16);
+        assert_eq!(cfg(1024).deadline, soak * 256);
+        assert!(scaling_deadline(u32::MAX) > scaling_deadline(1024));
     }
 
     /// A malformed fault spec is a typed error, not a panic.

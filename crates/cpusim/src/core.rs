@@ -1,4 +1,4 @@
-//! The trace-to-time scoreboard executor.
+//! The scoreboard executor: a streaming cursor over one run of work.
 
 use crate::config::CoreConfig;
 use crate::trace::Uop;
@@ -11,18 +11,14 @@ use std::collections::VecDeque;
 pub struct RunStats {
     /// Wall time the trace took.
     pub elapsed: Time,
-    /// Uops executed.
-    pub uops: u64,
-    /// Loads that hit the L1.
-    pub l1_load_hits: u64,
-    /// Loads that missed the L1.
-    pub l1_load_misses: u64,
 }
 
 /// A modeled processor core: configuration + its private memory system.
 ///
-/// `run` executes a uop trace starting at a given simulation time and
-/// returns how long it took. The model is a greedy scoreboard:
+/// Work is charged one run at a time: [`Core::begin`] opens a [`Run`] at
+/// a simulation time, the caller streams its ops into it, and
+/// [`Run::end`] returns when the last of them finished. The model is a
+/// greedy scoreboard:
 ///
 /// * integer work is throughput-limited by effective issue width;
 /// * *chained* loads (pointer chases) serialize program order on their
@@ -34,12 +30,17 @@ pub struct RunStats {
 ///   full, issue stalls until the oldest completes;
 /// * uncached bus reads stall the core for the full bus round trip.
 ///
-/// Cache and DRAM state persist across `run` calls, so consecutive traces
+/// Each run starts with an empty pipeline: no pending chase, nothing in
+/// flight. Cache and DRAM state persist across runs, so consecutive runs
 /// see each other's warmth — exactly like firmware iterating its main loop.
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
     mem: MemSystem,
+    /// Completion offsets of the open run's unchained loads, oldest
+    /// first: the RUU window. Lives here so runs reuse its buffer;
+    /// [`Core::begin`] empties it.
+    in_flight: VecDeque<u64>,
 }
 
 impl Core {
@@ -47,6 +48,7 @@ impl Core {
     pub fn new(cfg: CoreConfig) -> Core {
         Core {
             mem: MemSystem::new(cfg.mem),
+            in_flight: VecDeque::with_capacity(cfg.ruu_size as usize),
             cfg,
         }
     }
@@ -61,86 +63,128 @@ impl Core {
         &self.mem
     }
 
-    /// Mutable access to the memory system (flushing between phases).
-    pub fn mem_mut(&mut self) -> &mut MemSystem {
-        &mut self.mem
+    /// Open a run at simulation time `now` with an empty pipeline.
+    pub fn begin(&mut self, now: Time) -> Run<'_> {
+        self.in_flight.clear();
+        Run {
+            core: self,
+            now,
+            t_issue: 0,
+            chain_ready: 0,
+        }
     }
 
-    /// Execute `trace` beginning at simulation time `now`; returns timing
-    /// and cache statistics for this run.
+    /// Execute `trace` as one run beginning at `now`.
     pub fn run(&mut self, trace: &[Uop], now: Time) -> RunStats {
-        let period = self.cfg.clock.period().ps();
-        let int_width = self.cfg.int_width() as u64;
-        let mem_slot = period.div_ceil(self.cfg.mem_ports as u64);
-        let ruu = self.cfg.ruu_size as usize;
-
-        // All times below are picosecond offsets from `now`.
-        let mut t_issue: u64 = 0; // front-end program-order position
-        let mut chain_ready: u64 = 0; // last pointer-chase load completion
-        let mut in_flight: VecDeque<u64> = VecDeque::new();
-        let mut stats = RunStats::default();
-
-        for &op in trace {
-            stats.uops += 1;
-            match op {
-                Uop::Int(n) => {
-                    let cycles = (n as u64).div_ceil(int_width);
-                    t_issue += cycles * period;
-                }
-                Uop::Load { addr, chain } => {
-                    let mut issue_at = t_issue.max(chain_ready);
-                    if in_flight.len() >= ruu {
-                        let oldest = in_flight.pop_front().expect("nonempty");
-                        issue_at = issue_at.max(oldest);
-                    }
-                    let out = self
-                        .mem
-                        .access(addr, Access::Read, now + Time::from_ps(issue_at));
-                    if out.l1_hit {
-                        stats.l1_load_hits += 1;
-                    } else {
-                        stats.l1_load_misses += 1;
-                    }
-                    let done = issue_at + out.latency.ps();
-                    if chain {
-                        chain_ready = done;
-                    } else {
-                        in_flight.push_back(done);
-                    }
-                    t_issue = issue_at + mem_slot;
-                }
-                Uop::Store { addr } => {
-                    let mut issue_at = t_issue;
-                    if in_flight.len() >= ruu {
-                        let oldest = in_flight.pop_front().expect("nonempty");
-                        issue_at = issue_at.max(oldest);
-                    }
-                    // Update cache/DRAM state; store latency is hidden by
-                    // the write buffer.
-                    self.mem
-                        .access(addr, Access::Write, now + Time::from_ps(issue_at));
-                    t_issue = issue_at + mem_slot;
-                }
-                Uop::BusRead => {
-                    let issue_at = t_issue.max(chain_ready);
-                    let done = issue_at + self.cfg.bus_latency.ps();
-                    chain_ready = done;
-                    t_issue = done;
-                }
-                Uop::BusWrite => {
-                    // Posted: one issue slot; transaction drains async.
-                    t_issue += period;
-                }
-                Uop::Delay(d) => {
-                    t_issue = t_issue.max(chain_ready) + d.ps();
-                }
-            }
+        let run = trace.iter().fold(self.begin(now), |run, &op| match op {
+            Uop::Int(n) => run.int(n),
+            Uop::LoadChain(addr) => run.load_chain(addr),
+        });
+        RunStats {
+            elapsed: run.end() - now,
         }
+    }
+}
 
-        let drain = in_flight.into_iter().max().unwrap_or(0);
-        let end = t_issue.max(chain_ready).max(drain);
-        stats.elapsed = Time::from_ps(end);
-        stats
+/// One run of work on a [`Core`], fed op by op into its scoreboard:
+/// `let end = core.begin(now).int(4).load_chain(entry).store(slot).end();`
+#[must_use = "a run's cost is only known at `end`"]
+pub struct Run<'c> {
+    core: &'c mut Core,
+    now: Time,
+    /// Front-end program-order position, in ps after `now`.
+    t_issue: u64,
+    /// When the last serializing op (pointer chase, bus read) completes.
+    chain_ready: u64,
+}
+
+impl Run<'_> {
+    /// `n` integer/branch operations with no long-latency dependencies;
+    /// throughput-limited by the core's effective integer width.
+    pub fn int(mut self, n: u32) -> Self {
+        let cycles = (n as u64).div_ceil(self.core.cfg.int_width() as u64);
+        self.t_issue += cycles * self.period();
+        self
+    }
+
+    /// An independent load: it occupies a memory port and the in-flight
+    /// window, and out-of-order execution hides its latency.
+    pub fn load(self, addr: u64) -> Self {
+        self.read(addr, false)
+    }
+
+    /// A *pointer-chase* load: program order cannot issue past it until
+    /// it completes (the next work needs the loaded value to even form an
+    /// address).
+    pub fn load_chain(self, addr: u64) -> Self {
+        self.read(addr, true)
+    }
+
+    /// A store; retires through the write buffer, latency hidden.
+    pub fn store(mut self, addr: u64) -> Self {
+        let issue_at = self.window_slot(self.t_issue);
+        let at = self.now + Time::from_ps(issue_at);
+        self.core.mem.access(addr, Access::Write, at);
+        self.t_issue = issue_at + self.mem_slot();
+        self
+    }
+
+    /// A read over the NIC local bus (uncached, serializing): the core
+    /// waits the full bus round trip for the data.
+    pub fn bus_read(mut self) -> Self {
+        let done = self.t_issue.max(self.chain_ready) + self.core.cfg.bus_latency.ps();
+        self.chain_ready = done;
+        self.t_issue = done;
+        self
+    }
+
+    /// A posted write over the NIC local bus: one issue slot, the bus
+    /// transaction completes asynchronously.
+    pub fn bus_write(mut self) -> Self {
+        self.t_issue += self.period();
+        self
+    }
+
+    /// When the run began.
+    pub fn start(&self) -> Time {
+        self.now
+    }
+
+    /// Close the run: the absolute time its last op completed.
+    pub fn end(self) -> Time {
+        let drain = self.core.in_flight.iter().copied().max().unwrap_or(0);
+        self.now + Time::from_ps(self.t_issue.max(self.chain_ready).max(drain))
+    }
+
+    fn read(mut self, addr: u64, chain: bool) -> Self {
+        let issue_at = self.window_slot(self.t_issue.max(self.chain_ready));
+        let at = self.now + Time::from_ps(issue_at);
+        let done = issue_at + self.core.mem.access(addr, Access::Read, at).latency.ps();
+        if chain {
+            self.chain_ready = done;
+        } else {
+            self.core.in_flight.push_back(done);
+        }
+        self.t_issue = issue_at + self.mem_slot();
+        self
+    }
+
+    /// Issue time of a memory op ready at `ready`: with the window full,
+    /// not before its oldest op completes (which frees the slot).
+    fn window_slot(&mut self, ready: u64) -> u64 {
+        if self.core.in_flight.len() < self.core.cfg.ruu_size as usize {
+            return ready;
+        }
+        let oldest = self.core.in_flight.pop_front().expect("window is full");
+        ready.max(oldest)
+    }
+
+    fn period(&self) -> u64 {
+        self.core.cfg.clock.period().ps()
+    }
+
+    fn mem_slot(&self) -> u64 {
+        self.period().div_ceil(self.core.cfg.mem_ports as u64)
     }
 }
 
@@ -153,14 +197,21 @@ mod tests {
         Core::new(CoreConfig::nic_ppc440())
     }
 
-    /// The canonical per-entry queue-traversal work: one pointer-chase load
-    /// of the entry line plus the compare/branch integer work.
-    fn traversal_trace(entries: u64, base: u64, stride: u64) -> Vec<Uop> {
-        let mut b = TraceBuilder::new();
-        for i in 0..entries {
-            b = b.load_chain(base + i * stride).int(12);
-        }
-        b.build()
+    /// The canonical per-entry queue-traversal work, as one run: one
+    /// pointer-chase load of the entry line plus the compare/branch
+    /// integer work. Returns the elapsed time.
+    fn traverse(c: &mut Core, entries: u64, base: u64, stride: u64, now: Time) -> Time {
+        let run = (0..entries).fold(c.begin(now), |run, i| {
+            run.load_chain(base + i * stride).int(12)
+        });
+        run.end() - now
+    }
+
+    /// L1 misses `f` causes on `c`.
+    fn l1_misses(c: &mut Core, f: impl FnOnce(&mut Core) -> Time) -> (Time, u64) {
+        let before = c.mem().l1().misses();
+        let elapsed = f(c);
+        (elapsed, c.mem().l1().misses() - before)
     }
 
     #[test]
@@ -169,17 +220,19 @@ mod tests {
         // 24 int ops at width 2 = 12 cycles = 24 ns.
         let s = c.run(&TraceBuilder::new().int(24).build(), Time::ZERO);
         assert_eq!(s.elapsed, Time::from_ns(24));
+        let now = Time::from_us(1);
+        assert_eq!(c.begin(now).int(24).end(), now + Time::from_ns(24));
     }
 
     #[test]
     fn cached_traversal_is_about_15ns_per_entry() {
         let mut c = nic_core();
         // Warm the cache with the same 100 entries (64 B apart = fits L1).
-        let warm = traversal_trace(100, 0x1000, 64);
-        c.run(&warm, Time::ZERO);
-        let s = c.run(&warm, Time::from_us(10));
-        assert_eq!(s.l1_load_misses, 0, "warm run must not miss");
-        let per_entry = s.elapsed.ps() as f64 / 100.0 / 1000.0;
+        traverse(&mut c, 100, 0x1000, 64, Time::ZERO);
+        let (elapsed, misses) =
+            l1_misses(&mut c, |c| traverse(c, 100, 0x1000, 64, Time::from_us(10)));
+        assert_eq!(misses, 0, "warm run must not miss");
+        let per_entry = elapsed.ps() as f64 / 100.0 / 1000.0;
         assert!(
             (13.0..=17.0).contains(&per_entry),
             "cached traversal {per_entry} ns/entry, want ~15"
@@ -191,15 +244,12 @@ mod tests {
         let mut c = nic_core();
         // 1024 entries at one per 64B line = 64 KB: double the L1, so a
         // repeated sweep misses every line (LRU streaming pathology).
-        let sweep = traversal_trace(1024, 0x10_0000, 64);
-        c.run(&sweep, Time::ZERO);
-        let s = c.run(&sweep, Time::from_ms(1));
-        assert!(
-            s.l1_load_misses > 1000,
-            "expected streaming misses, got {}",
-            s.l1_load_misses
-        );
-        let per_entry = s.elapsed.ps() as f64 / 1024.0 / 1000.0;
+        traverse(&mut c, 1024, 0x10_0000, 64, Time::ZERO);
+        let (elapsed, misses) = l1_misses(&mut c, |c| {
+            traverse(c, 1024, 0x10_0000, 64, Time::from_ms(1))
+        });
+        assert!(misses > 1000, "expected streaming misses, got {misses}");
+        let per_entry = elapsed.ps() as f64 / 1024.0 / 1000.0;
         assert!(
             (58.0..=70.0).contains(&per_entry),
             "uncached traversal {per_entry} ns/entry, want ~64"
@@ -211,15 +261,12 @@ mod tests {
         let mut c = nic_core();
         // 16 independent loads to distinct uncached lines: they pipeline,
         // so total time is far below 16 * 60 ns.
-        let mut b = TraceBuilder::new();
-        for i in 0..16u64 {
-            b = b.load(0x20_0000 + i * 4096);
-        }
-        let s = c.run(&b.build(), Time::ZERO);
+        let end = (0..16u64)
+            .fold(c.begin(Time::ZERO), |run, i| run.load(0x20_0000 + i * 4096))
+            .end();
         assert!(
-            s.elapsed < Time::from_ns(16 * 60 / 2),
-            "independent misses failed to overlap: {}",
-            s.elapsed
+            end < Time::from_ns(16 * 60 / 2),
+            "independent misses failed to overlap: {end}"
         );
     }
 
@@ -244,79 +291,67 @@ mod tests {
         // flight; elapsed must exceed 4 batches of ~memory latency issued
         // back-to-back but be far under full serialization.
         let mut c = nic_core();
-        let mut b = TraceBuilder::new();
-        for i in 0..64u64 {
-            b = b.load(0x40_0000 + i * 4096);
-        }
-        let s = c.run(&b.build(), Time::ZERO);
-        assert!(s.elapsed > Time::from_ns(3 * 60));
-        assert!(s.elapsed < Time::from_ns(64 * 60));
+        let end = (0..64u64)
+            .fold(c.begin(Time::ZERO), |run, i| run.load(0x40_0000 + i * 4096))
+            .end();
+        assert!(end > Time::from_ns(3 * 60));
+        assert!(end < Time::from_ns(64 * 60));
+    }
+
+    #[test]
+    fn each_run_starts_with_an_empty_window() {
+        let mut c = nic_core();
+        // Set 1: the misses below all land in set 0.
+        let hot = 0x1040;
+        let t = c.begin(Time::ZERO).load(hot).end();
+        // 64 independent misses leave the 16-entry window full.
+        let t = (0..64u64)
+            .fold(c.begin(t), |run, i| run.load(0x40_0000 + i * 4096))
+            .end();
+        // A fresh run's hit must not wait on the last run's misses: it
+        // costs exactly the L1 hit latency (2 cycles at 500 MHz).
+        assert_eq!(c.begin(t).load(hot).end() - t, Time::from_ns(4));
     }
 
     #[test]
     fn bus_read_stalls_for_full_round_trip() {
         let mut c = nic_core();
-        let s = c.run(
-            &TraceBuilder::new().bus_read().bus_read().build(),
-            Time::ZERO,
-        );
-        assert_eq!(s.elapsed, Time::from_ns(40));
+        let end = c.begin(Time::ZERO).bus_read().bus_read().end();
+        assert_eq!(end, Time::from_ns(40));
     }
 
     #[test]
     fn bus_write_is_posted() {
         let mut c = nic_core();
-        let s = c.run(
-            &TraceBuilder::new()
-                .bus_write()
-                .bus_write()
-                .bus_write()
-                .build(),
-            Time::ZERO,
-        );
-        assert!(
-            s.elapsed <= Time::from_ns(6),
-            "posted writes: {}",
-            s.elapsed
-        );
-    }
-
-    #[test]
-    fn delay_adds_fixed_stall() {
-        let mut c = nic_core();
-        let s = c.run(
-            &TraceBuilder::new().delay(Time::from_ns(123)).build(),
-            Time::ZERO,
-        );
-        assert_eq!(s.elapsed, Time::from_ns(123));
+        let end = c
+            .begin(Time::ZERO)
+            .bus_write()
+            .bus_write()
+            .bus_write()
+            .end();
+        assert!(end <= Time::from_ns(6), "posted writes: {end}");
     }
 
     #[test]
     fn host_core_is_faster_than_nic_core() {
-        let trace = traversal_trace(64, 0x1000, 64);
         let mut nic = nic_core();
         let mut host = Core::new(CoreConfig::host_opteron());
-        nic.run(&trace, Time::ZERO);
-        host.run(&trace, Time::ZERO);
-        let sn = nic.run(&trace, Time::from_us(50));
-        let sh = host.run(&trace, Time::from_us(50));
-        assert!(
-            sh.elapsed.ps() * 3 < sn.elapsed.ps(),
-            "host {} vs nic {}",
-            sh.elapsed,
-            sn.elapsed
-        );
+        traverse(&mut nic, 64, 0x1000, 64, Time::ZERO);
+        traverse(&mut host, 64, 0x1000, 64, Time::ZERO);
+        let sn = traverse(&mut nic, 64, 0x1000, 64, Time::from_us(50));
+        let sh = traverse(&mut host, 64, 0x1000, 64, Time::from_us(50));
+        assert!(sh.ps() * 3 < sn.ps(), "host {sh} vs nic {sn}");
     }
 
     #[test]
     fn stores_do_not_stall() {
         let mut c = nic_core();
-        let mut b = TraceBuilder::new();
-        for i in 0..32u64 {
-            b = b.store(0x50_0000 + i * 4096);
-        }
-        let s = c.run(&b.build(), Time::ZERO);
+        let end = (0..32u64)
+            .fold(c.begin(Time::ZERO), |run, i| {
+                run.store(0x50_0000 + i * 4096)
+            })
+            .end();
         // One mem slot each: 32 cycles = 64 ns (plus nothing else).
-        assert_eq!(s.elapsed, Time::from_ns(64));
+        assert_eq!(end, Time::from_ns(64));
     }
 }

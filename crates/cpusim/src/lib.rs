@@ -1,13 +1,16 @@
 //! `mpiq-cpusim` — a parameterized superscalar processor *timing* model.
 //!
 //! The paper ran its NIC firmware and host code as compiled PowerPC
-//! binaries on SimpleScalar's `sim-outorder`. We substitute a trace-driven
+//! binaries on SimpleScalar's `sim-outorder`. We substitute a streaming
 //! timing model: firmware in this repository executes *functionally* as
-//! ordinary Rust, and emits a stream of [`Uop`]s describing the work a real
-//! core would have done (integer ops, dependent loads, stores, device/bus
-//! transactions). A [`Core`] — parameterized with exactly the Table III
-//! processor parameters — turns that stream into elapsed time, using a
-//! [`MemSystem`](mpiq_memsim::MemSystem) for load/store latencies.
+//! ordinary Rust, and charges the work a real core would have done to a
+//! [`Run`] opened with [`Core::begin`] — integer ops, dependent loads,
+//! stores, device/bus transactions — op by op, as it goes. A [`Core`] —
+//! parameterized with exactly the Table III processor parameters — feeds
+//! each op straight into its scoreboard, using a
+//! [`MemSystem`](mpiq_memsim::MemSystem) for load/store latencies, and
+//! [`Run::end`] returns when the run finished. [`Core::run`] replays a
+//! prebuilt [`Uop`] trace through the same cursor.
 //!
 //! The model captures the two effects the evaluation depends on:
 //!
@@ -22,6 +25,6 @@ pub mod config;
 pub mod core;
 pub mod trace;
 
-pub use crate::core::{Core, RunStats};
+pub use crate::core::{Core, Run, RunStats};
 pub use config::CoreConfig;
-pub use trace::{Trace, TraceBuilder, Uop};
+pub use trace::{TraceBuilder, Uop};

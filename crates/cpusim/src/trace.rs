@@ -1,45 +1,21 @@
-//! Micro-op traces: what firmware tells the timing model it did.
-
-use mpiq_dessim::Time;
+//! Micro-op traces: a run's work as data, for [`Core::run`](crate::Core::run).
 
 /// One unit of modeled work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Uop {
-    /// `n` integer/branch operations with no long-latency dependencies;
-    /// throughput-limited by the core's effective integer width.
+    /// `n` integer/branch operations ([`Run::int`](crate::Run::int)).
     Int(u32),
-    /// A load. `chain: true` marks a *pointer-chase* load: program order
-    /// cannot issue past it until it completes (the next work needs the
-    /// loaded value to even form an address). `chain: false` loads only
-    /// occupy a memory port and the in-flight window; out-of-order
-    /// execution hides their latency.
-    Load { addr: u64, chain: bool },
-    /// A store; retires through the write buffer, latency hidden.
-    Store { addr: u64 },
-    /// A read over the NIC local bus (uncached, serializing): the core
-    /// waits the full bus round trip for the data.
-    BusRead,
-    /// A posted write over the NIC local bus: one issue slot, the bus
-    /// transaction completes asynchronously.
-    BusWrite,
-    /// An explicit stall (waiting on a device, interrupt dead time, ...).
-    Delay(Time),
+    /// A pointer-chase load ([`Run::load_chain`](crate::Run::load_chain)).
+    LoadChain(u64),
 }
 
-/// An owned uop sequence.
-pub type Trace = Vec<Uop>;
-
-/// Ergonomic builder for traces.
+/// Builder for traces of the queue-walk shape: pointer chases and
+/// integer work.
 ///
 /// ```
 /// use mpiq_cpusim::TraceBuilder;
-/// let t = TraceBuilder::new()
-///     .int(4)
-///     .load_chain(0x1000)
-///     .int(9)
-///     .store(0x2000)
-///     .build();
-/// assert_eq!(t.len(), 4);
+/// let t = TraceBuilder::new().int(4).load_chain(0x1000).int(9).build();
+/// assert_eq!(t.len(), 3);
 /// ```
 #[derive(Default, Debug, Clone)]
 pub struct TraceBuilder {
@@ -58,50 +34,14 @@ impl TraceBuilder {
         self
     }
 
-    /// Append an independent load.
-    pub fn load(mut self, addr: u64) -> TraceBuilder {
-        self.ops.push(Uop::Load { addr, chain: false });
-        self
-    }
-
     /// Append a pointer-chase (serializing) load.
     pub fn load_chain(mut self, addr: u64) -> TraceBuilder {
-        self.ops.push(Uop::Load { addr, chain: true });
-        self
-    }
-
-    /// Append a store.
-    pub fn store(mut self, addr: u64) -> TraceBuilder {
-        self.ops.push(Uop::Store { addr });
-        self
-    }
-
-    /// Append a serializing local-bus read.
-    pub fn bus_read(mut self) -> TraceBuilder {
-        self.ops.push(Uop::BusRead);
-        self
-    }
-
-    /// Append a posted local-bus write.
-    pub fn bus_write(mut self) -> TraceBuilder {
-        self.ops.push(Uop::BusWrite);
-        self
-    }
-
-    /// Append a fixed stall.
-    pub fn delay(mut self, t: Time) -> TraceBuilder {
-        self.ops.push(Uop::Delay(t));
-        self
-    }
-
-    /// Append all ops from another trace.
-    pub fn extend(mut self, other: &[Uop]) -> TraceBuilder {
-        self.ops.extend_from_slice(other);
+        self.ops.push(Uop::LoadChain(addr));
         self
     }
 
     /// Finish.
-    pub fn build(self) -> Trace {
+    pub fn build(self) -> Vec<Uop> {
         self.ops
     }
 }
@@ -112,32 +52,7 @@ mod tests {
 
     #[test]
     fn builder_produces_expected_sequence() {
-        let t = TraceBuilder::new()
-            .int(2)
-            .load_chain(0x10)
-            .bus_read()
-            .bus_write()
-            .delay(Time::from_ns(5))
-            .build();
-        assert_eq!(
-            t,
-            vec![
-                Uop::Int(2),
-                Uop::Load {
-                    addr: 0x10,
-                    chain: true
-                },
-                Uop::BusRead,
-                Uop::BusWrite,
-                Uop::Delay(Time::from_ns(5)),
-            ]
-        );
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let a = TraceBuilder::new().int(1).build();
-        let t = TraceBuilder::new().extend(&a).extend(&a).build();
-        assert_eq!(t.len(), 2);
+        let t = TraceBuilder::new().int(2).load_chain(0x10).build();
+        assert_eq!(t, vec![Uop::Int(2), Uop::LoadChain(0x10)]);
     }
 }

@@ -29,8 +29,6 @@
 //! (n = 1024 → `k = 1025`) fits with headroom; `31 * 1056 = 32736`
 //! blocks fit in the 15-bit space with 32 codes to spare.
 
-use mpiq_net::NodeId;
-
 /// Context id collective traffic runs on. This must equal the MPI layer's
 /// `CTX_INTERNAL`; `mpiq-nic` cannot depend on `mpiq-mpi`, so the value is
 /// duplicated here and pinned by a test on the MPI side.
@@ -245,13 +243,6 @@ pub fn steps(op: CollOp, me: u32, n: u32, root: u32, len: u32, instance: u16) ->
             s
         }
     }
-}
-
-/// Node a rank lives on when every node runs one rank — the only layout
-/// the firmware offload engine accepts (multi-rank nodes decline to the
-/// host path).
-pub fn peer_node(rank: u32) -> NodeId {
-    rank as NodeId
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The NIC firmware: the MPI engine of §V-C, with the ALPU management
 //! heuristics of §IV.
 //!
-//! The firmware executes functionally in Rust; timing comes from running
-//! emitted micro-op traces on the embedded [`Core`] and from explicit
-//! interactions with the cycle-level [`Alpu`](mpiq_alpu::Alpu)s. Each
+//! The firmware executes functionally in Rust; timing comes from charging
+//! each step's work to the embedded [`Core`] as it goes, at the counts
+//! named in [`cost`], and from explicit interactions with the cycle-level
+//! [`Alpu`](mpiq_alpu::Alpu)s. Each
 //! externally triggered activity is a [`WorkItem`]; the NIC component
 //! serializes items on the (single) embedded processor.
 //!
@@ -47,6 +48,7 @@
 //! Completions are built by the [`Completion`] constructors.
 
 mod alpu;
+pub mod cost;
 
 pub use alpu::{AlpuPort, AlpuWedged};
 
@@ -59,7 +61,7 @@ use crate::queues::{Item, Key, NicQueue};
 use alpu::HwRead;
 use mpiq_alpu::match_types::masked_eq;
 use mpiq_alpu::{Command, MaskWord, MatchWord, Probe};
-use mpiq_cpusim::{Core, TraceBuilder};
+use mpiq_cpusim::{Core, Run};
 use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
 use mpiq_dessim::{FaultPlan, Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
@@ -564,12 +566,6 @@ impl Firmware {
         self.eager_bytes_used
     }
 
-    /// Sender-side credits currently available toward `peer` (diagnostics;
-    /// `None` when the pool is still at its unseeded default).
-    pub fn credits_toward(&self, peer: NodeId) -> Option<u32> {
-        self.credits.get(&peer).copied()
-    }
-
     /// Spend one eager credit toward `dst_node`, or report starvation.
     fn take_credit(&mut self, dst_node: NodeId) -> bool {
         let pool = self
@@ -754,17 +750,12 @@ impl Firmware {
     ) -> Time {
         // Poll + header pickup from the rx ring.
         let rxslot = layout::RXBUF_BASE + (msg.header.seq % 64) * 128;
-        let t = now
-            + core
-                .run(
-                    &TraceBuilder::new()
-                        .int(10)
-                        .load(rxslot)
-                        .load(rxslot + 64)
-                        .build(),
-                    now,
-                )
-                .elapsed;
+        let t = core
+            .begin(now)
+            .int(cost::RX_PICKUP)
+            .load(rxslot)
+            .load(rxslot + 64)
+            .end();
         match msg.header.kind {
             MsgKind::Eager | MsgKind::RndvRequest => {
                 self.rx_match_eligible(msg, probed, t, core, fx)
@@ -801,21 +792,17 @@ impl Firmware {
         // (back-to-back probes resolve in hardware before firmware
         // catches up); the two reconverge at quiesce (`check_invariants`).
         let (item, bin_walk) = self.unlink_posted(key, ghost, t);
-        t += core
-            .run(
-                &TraceBuilder::new()
-                    .load(item.addr)
-                    .int(8)
-                    .store(item.addr)
-                    .build(),
-                t,
-            )
-            .elapsed;
-        if let (Some(tb), Some(index)) = (bin_walk, &self.posted_index) {
+        t = core
+            .begin(t)
+            .load(item.addr)
+            .int(cost::POSTED_UNLINK)
+            .store(item.addr)
+            .end();
+        if let (Some(walked), Some(index)) = (bin_walk, &self.posted_index) {
             // Hash maintenance on every successful match: the bin walk
             // that unlinked the entry, then the bin header write-back.
             let bin = layout::HASHBIN_BASE + (index.bin_index(word) as u64) * 64;
-            t += core.run(&tb.store(bin).build(), t).elapsed;
+            t = bin_unlink(core, &walked, t).store(bin).end();
         }
         let arrived = UnexpEntry {
             header: h,
@@ -872,18 +859,18 @@ impl Firmware {
                     self.stats.ghost_rematches += 1;
                     self.port_mut(QueueKind::Posted).ghosts -= 1;
                     let item = self.posted.remove_key(key);
-                    t += core
-                        .run(&TraceBuilder::new().load(item.addr).int(12).build(), t)
-                        .elapsed;
+                    t = core.begin(t).load(item.addr).int(cost::GHOST_RECLAIM).end();
                 }
             }
         }
-        let (hit, visited, prelude, source) = match &self.posted_index {
+        let run = core.begin(t);
+        let (hit, visited, run, source) = match &self.posted_index {
             Some(index) => {
                 // Hash strategy: bin walk + mandatory wildcard walk.
                 let p = index.probe(word);
                 let hit = p.hit.map(|key| (key, false));
-                (hit, p.visited, 10u32, SearchSource::HashIndex)
+                let run = run.int(cost::HASH_PROBE);
+                (hit, p.visited, run, SearchSource::HashIndex)
             }
             None => {
                 let mut visited = Vec::new();
@@ -891,11 +878,10 @@ impl Firmware {
                     .posted
                     .find_from(software_from, |e| e.matches(word), &mut visited)
                     .map(|(pos, key)| (key, self.posted.get(pos).in_alpu));
-                (hit, visited, 0, SearchSource::Linear)
+                (hit, visited, run, SearchSource::Linear)
             }
         };
-        let tb = TraceBuilder::new().int(prelude);
-        t = self.charge_walk(QueueKind::Posted, source, tb, &visited, t, core);
+        t = self.charge_walk(QueueKind::Posted, source, run, &visited);
         (t, hit)
     }
 
@@ -903,14 +889,14 @@ impl Firmware {
     /// With `ghost` the entry stays behind as a tombstone (its copy still
     /// sits in the ALPU; see [`RecvEntry::ghost`]); otherwise it is
     /// removed, along with its hash-bin link. Returns the entry as it was
-    /// and, under hash matching, the bin walk that found the link, for
-    /// the caller to charge.
+    /// and, under hash matching, the bin addresses walked to find the
+    /// link, for the caller to charge ([`bin_unlink`]).
     fn unlink_posted(
         &mut self,
         key: Key,
         ghost: bool,
         at: Time,
-    ) -> (Item<RecvEntry>, Option<TraceBuilder>) {
+    ) -> (Item<RecvEntry>, Option<Vec<u64>>) {
         if ghost {
             let item = self.posted.iter().find(|it| it.key == key);
             let item = item.expect("tombstone target is live").clone();
@@ -921,14 +907,8 @@ impl Firmware {
         }
         let item = self.posted.remove_key(key);
         self.queue_op(at, QueueKind::Posted, QueueOpKind::Remove);
-        let bin_walk = self.posted_index.as_mut().map(|index| {
-            let walked = index.remove(key);
-            walked
-                .iter()
-                .take(8)
-                .fold(TraceBuilder::new().int(10), |tb, addr| tb.load(*addr))
-        });
-        (item, bin_walk)
+        let walked = self.posted_index.as_mut().map(|index| index.remove(key));
+        (item, walked)
     }
 
     /// No posted receive matched `h`: append it to the unexpected queue.
@@ -958,17 +938,12 @@ impl Firmware {
             .unexpected_highwater
             .max(self.unexpected.len() as u64);
         self.queue_op(now, QueueKind::Unexpected, QueueOpKind::Push);
-        let t = now
-            + core
-                .run(
-                    &TraceBuilder::new()
-                        .int(10)
-                        .store(addr)
-                        .store(addr + 32)
-                        .build(),
-                    now,
-                )
-                .elapsed;
+        let t = core
+            .begin(now)
+            .int(cost::STAGE)
+            .store(addr)
+            .store(addr + 32)
+            .end();
         if staged && !truncated {
             self.dma(DmaDir::Rx, h.payload_len, t);
         }
@@ -981,9 +956,9 @@ impl Firmware {
     /// and no bytes (`MPI_ERR_TRUNCATE`-like). A rendezvous request is
     /// answered with a clear-to-send; its data will arrive as `RndvData`
     /// carrying our token. A match made on arrival also charges the
-    /// receive path's bookkeeping (10 integer ops after an eager
-    /// completion, 14 before a clear-to-send); a match made by a
-    /// receive's post charges none.
+    /// receive path's bookkeeping ([`cost::DELIVER_EAGER`] after an eager
+    /// completion, [`cost::DELIVER_RNDV`] before a clear-to-send); a
+    /// match made by a receive's post charges none.
     fn deliver(
         &mut self,
         msg: UnexpEntry,
@@ -1012,7 +987,7 @@ impl Firmware {
                 };
                 fx.completions.push((done + self.cfg.completion_cost, comp));
                 if on_arrival {
-                    t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
+                    t = core.begin(t).int(cost::DELIVER_EAGER).end();
                 }
             }
             MsgKind::RndvRequest => {
@@ -1026,7 +1001,7 @@ impl Firmware {
                     },
                 );
                 if on_arrival {
-                    t += core.run(&TraceBuilder::new().int(14).build(), t).elapsed;
+                    t = core.begin(t).int(cost::DELIVER_RNDV).end();
                 }
                 let reply = self.make_msg(
                     h.src_rank as u32,
@@ -1080,15 +1055,15 @@ impl Firmware {
         fx: &mut Effects,
     ) -> Time {
         // Find the parked send (short list scan).
-        let mut tb = TraceBuilder::new().int(8);
         let pos = self
             .send_park
             .iter()
             .position(|s| s.token == token && self.node_of(s.send.dst) == msg.header.src_node);
+        let mut run = core.begin(now).int(cost::PARK_SCAN);
         for entry in self.send_park.iter().take(pos.unwrap_or(0) + 1) {
-            tb = tb.load_chain(entry.addr).int(6);
+            run = run.load_chain(entry.addr).int(cost::PARK_COMPARE);
         }
-        let mut t = now + core.run(&tb.build(), now).elapsed;
+        let mut t = run.end();
         let Some(pos) = pos else {
             // A clear-to-send whose parked send we already failed when
             // its peer was declared dead (a link can die asymmetrically:
@@ -1103,7 +1078,7 @@ impl Firmware {
         let s = self.send_park.remove(pos).send;
         // DMA the payload from host memory and ship it.
         let dma_done = self.dma(DmaDir::Tx, s.len, t);
-        t += core.run(&TraceBuilder::new().int(10).build(), t).elapsed;
+        t = core.begin(t).int(cost::RNDV_SHIP).end();
         let kind = MsgKind::RndvData { token };
         let data = self.make_msg(s.dst, s.req.rank, s.context, s.tag, s.len, kind);
         let at = dma_done.max(t);
@@ -1157,7 +1132,7 @@ impl Firmware {
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
-        let mut t = now + core.run(&TraceBuilder::new().int(12).build(), now).elapsed;
+        let mut t = core.begin(now).int(cost::RNDV_DATA_LOOKUP).end();
         let Some(exp) = self.rndv_expect.remove(&(msg.header.src_node, token)) else {
             // Data for an expectation we failed when the sender was
             // declared dead — the frame outlived the declaration. Drop it.
@@ -1169,7 +1144,7 @@ impl Firmware {
             return t;
         };
         let done = self.dma(DmaDir::Rx, exp.len, t);
-        t += core.run(&TraceBuilder::new().int(6).build(), t).elapsed;
+        t = core.begin(t).int(cost::RNDV_DATA_COMPLETE).end();
         let comp = Completion::ok(exp.req, exp.src_rank, exp.tag, exp.len);
         fx.completions.push((done + self.cfg.completion_cost, comp));
         t
@@ -1183,10 +1158,7 @@ impl Firmware {
         // Pick the request out of the mailbox.
         let slot = layout::MAILBOX_BASE + (self.host_seq % 16) * 64;
         self.host_seq += 1;
-        let t = now
-            + core
-                .run(&TraceBuilder::new().int(8).load(slot).build(), now)
-                .elapsed;
+        let t = core.begin(now).int(cost::MAILBOX).load(slot).end();
         match req {
             HostRequest::CancelRecv { target } => self.do_cancel(target, t, core, fx),
             HostRequest::Probe {
@@ -1279,7 +1251,7 @@ impl Firmware {
         else {
             unreachable!("dispatched for collective requests only")
         };
-        let t = now + core.run(&TraceBuilder::new().int(12).build(), now).elapsed;
+        let t = core.begin(now).int(cost::COLL_DISPATCH).end();
         let agree = op == CollOp::Agree;
         let decline = !self.cfg.coll_offload
             || self.cfg.ranks_per_node > 1
@@ -1310,11 +1282,6 @@ impl Firmware {
             mask: if agree { len as u16 } else { 0 },
         });
         self.coll_poll(t, core, fx)
-    }
-
-    /// Are any offloaded collectives in flight? (diagnostics/tests)
-    pub fn coll_pending(&self) -> bool {
-        !self.coll.is_empty()
     }
 
     /// Drive every NIC-resident collective as far as its plan allows,
@@ -1386,9 +1353,7 @@ impl Firmware {
                     let at = self.inject(msg.wire_bytes(), t);
                     fx.tx.push((at, msg));
                     self.stats.coll_steps_sent += 1;
-                    t += core
-                        .run(&TraceBuilder::new().int(6).bus_write().build(), t)
-                        .elapsed;
+                    t = core.begin(t).int(cost::COLL_SEND).bus_write().end();
                     true
                 }
                 Dir::Recv => {
@@ -1429,7 +1394,7 @@ impl Firmware {
     // ------------------------------------------------------------------
 
     fn do_post_send(&mut self, s: SendReq, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
-        let t = now + core.run(&TraceBuilder::new().int(12).build(), now).elapsed;
+        let t = core.begin(now).int(cost::SEND_DISPATCH).end();
         let peer = self.node_of(s.dst);
         // ULFM-style typed failure at post time: the peer is already
         // declared dead, so this send can never complete — finish it now
@@ -1492,9 +1457,7 @@ impl Firmware {
             fx.completions
                 .push((at + self.cfg.completion_cost, s.completion()));
             fx.tx.push((at, msg));
-            t += core
-                .run(&TraceBuilder::new().int(6).bus_write().build(), t)
-                .elapsed;
+            t = core.begin(t).int(cost::EAGER_SEND).bus_write().end();
         } else {
             // Rendezvous: header-only request; park the send.
             if self.cfg.max_unexpected > 0 && peer != self.node {
@@ -1506,9 +1469,7 @@ impl Firmware {
                 token: msg.header.seq,
                 addr,
             });
-            t += core
-                .run(&TraceBuilder::new().int(8).store(addr).build(), t)
-                .elapsed;
+            t = core.begin(t).int(cost::RNDV_PARK).store(addr).end();
             let at = self.inject(msg.wire_bytes(), t);
             fx.tx.push((at, msg));
         }
@@ -1571,7 +1532,7 @@ impl Firmware {
         let pred = unexpected_match(self.cfg.ranks_per_node, probe);
         let hit = self.unexpected.find_from(software_from, pred, &mut visited);
         let (queue, source) = (QueueKind::Unexpected, SearchSource::Linear);
-        t = self.charge_walk(queue, source, TraceBuilder::new(), &visited, t, core);
+        t = self.charge_walk(queue, source, core.begin(t), &visited);
         (t, hit.map(|(_, key)| key))
     }
 
@@ -1581,17 +1542,12 @@ impl Firmware {
     fn consume_unexpected(&mut self, key: Key, now: Time, core: &mut Core) -> (Time, UnexpEntry) {
         let item = self.unexpected.remove_key(key);
         self.queue_op(now, QueueKind::Unexpected, QueueOpKind::Remove);
-        let t = now
-            + core
-                .run(
-                    &TraceBuilder::new()
-                        .load(item.addr)
-                        .int(10)
-                        .store(item.addr)
-                        .build(),
-                    now,
-                )
-                .elapsed;
+        let t = core
+            .begin(now)
+            .load(item.addr)
+            .int(cost::CONSUME)
+            .store(item.addr)
+            .end();
         let h = item.val.header;
         if h.kind == MsgKind::Eager
             && h.payload_len > 0
@@ -1635,33 +1591,25 @@ impl Firmware {
         // Post it: append to the posted-receive queue.
         let (key, addr) = self.posted.push(rx);
         self.queue_op(t, QueueKind::Posted, QueueOpKind::Push);
-        let mut t = t + core
-            .run(
-                &TraceBuilder::new()
-                    .int(10)
-                    .store(addr)
-                    .store(addr + 32)
-                    .build(),
-                t,
-            )
-            .elapsed;
+        let mut t = core
+            .begin(t)
+            .int(cost::POST_RECV)
+            .store(addr)
+            .store(addr + 32)
+            .end();
         if let Some(index) = &mut self.posted_index {
             // The insertion cost the paper calls prohibitive (§II): hash
             // the triplet, read-modify-write the bin header, link the
             // entry in.
             index.insert(key, addr, rx.word, rx.mask);
             let bin = layout::HASHBIN_BASE + (index.bin_index(rx.word) as u64) * 64;
-            t += core
-                .run(
-                    &TraceBuilder::new()
-                        .int(24)
-                        .load_chain(bin)
-                        .store(bin)
-                        .store(addr + 48)
-                        .build(),
-                    t,
-                )
-                .elapsed;
+            t = core
+                .begin(t)
+                .int(cost::HASH_INSERT)
+                .load_chain(bin)
+                .store(bin)
+                .store(addr + 48)
+                .end();
         }
         t
     }
@@ -1682,9 +1630,9 @@ impl Firmware {
         let mut visited = Vec::new();
         let pred = unexpected_match(self.cfg.ranks_per_node, probe);
         let hit = self.unexpected.find_from(0, pred, &mut visited);
-        let tb = TraceBuilder::new().int(8);
+        let run = core.begin(now).int(cost::PROBE);
         let source = SearchSource::Linear;
-        let t = self.charge_walk(QueueKind::Unexpected, source, tb, &visited, now, core);
+        let t = self.charge_walk(QueueKind::Unexpected, source, run, &visited);
         let comp = match hit {
             Some((pos, _)) => {
                 let h = self.unexpected.get(pos).val.header;
@@ -1712,11 +1660,11 @@ impl Firmware {
         let hit = self
             .posted
             .find_from(0, |e| !e.ghost && e.req == target, &mut visited);
-        let mut tb = TraceBuilder::new().int(8);
-        for addr in &visited {
-            tb = tb.load_chain(*addr).int(10);
+        let mut run = core.begin(now).int(cost::CANCEL_SCAN);
+        for &addr in &visited {
+            run = run.load_chain(addr).int(cost::CANCEL_COMPARE);
         }
-        let mut t = now + core.run(&tb.build(), now).elapsed;
+        let mut t = run.end();
         let Some((pos, key)) = hit else {
             // Already matched (or never existed): the normal completion
             // stands; the cancel is a no-op.
@@ -1727,12 +1675,14 @@ impl Firmware {
         if in_alpu {
             self.stats.ghosted_cancels += 1;
         }
-        if let Some(tb) = bin_walk {
-            t += core.run(&tb.build(), t).elapsed;
+        if let Some(walked) = bin_walk {
+            t = bin_unlink(core, &walked, t).end();
         }
-        t += core
-            .run(&TraceBuilder::new().int(6).store(item.addr).build(), t)
-            .elapsed;
+        t = core
+            .begin(t)
+            .int(cost::CANCEL_COMPLETE)
+            .store(item.addr)
+            .end();
         let comp = Completion::cancelled(target, 0, item.val.word.tag());
         fx.completions.push((t + self.cfg.completion_cost, comp));
         t
@@ -1745,11 +1695,6 @@ impl Firmware {
     /// Has `peer` been declared dead?
     pub fn peer_dead(&self, peer: NodeId) -> bool {
         self.dead_peers.contains(&peer)
-    }
-
-    /// Number of peers currently declared dead (diagnostics).
-    pub fn dead_peer_count(&self) -> usize {
-        self.dead_peers.len()
     }
 
     /// Finish an operation that can never complete with the typed
@@ -1878,11 +1823,6 @@ impl Firmware {
         }
     }
 
-    /// Have the ALPUs been permanently retired by a scheduled death?
-    pub fn alpus_dead(&self) -> bool {
-        self.alpus_dead
-    }
-
     // ------------------------------------------------------------------
     // ALPU unit lifecycle (§IV-B/C/D); the per-unit rules live in
     // [`AlpuPort`], the queue-side halves here.
@@ -1940,28 +1880,25 @@ impl Firmware {
     /// the unit is offline, then software takes over.
     fn fallback_status_read(&mut self, t: Time, core: &mut Core) -> Time {
         self.stats.alpu_fallbacks += 1;
-        t + core
-            .run(&TraceBuilder::new().bus_read().int(4).build(), t)
-            .elapsed
+        core.begin(t).bus_read().int(cost::STATUS_DECODE).end()
     }
 
-    /// Charge a software walk that visited `visited` starting at `t`: the
-    /// fixed prelude in `tb`, then a dependent load and a compare per
-    /// entry. Counts the entries and records the search's histogram and
-    /// trace event; returns the end time.
+    /// Charge a software walk that visited `visited` to `run`, which
+    /// holds the walk's prelude: a dependent load and a compare per entry.
+    /// Counts the entries and records the search's histogram and trace
+    /// event; returns the end time.
     fn charge_walk(
         &mut self,
         queue: QueueKind,
         source: SearchSource,
-        mut tb: TraceBuilder,
+        mut run: Run<'_>,
         visited: &[u64],
-        t: Time,
-        core: &mut Core,
     ) -> Time {
-        for addr in visited {
-            tb = tb.load_chain(*addr).int(12);
+        let t = run.start();
+        for &addr in visited {
+            run = run.load_chain(addr).int(cost::ENTRY_COMPARE);
         }
-        let end = t + core.run(&tb.build(), t).elapsed;
+        let end = run.end();
         let (count, hist) = match (queue, source) {
             (QueueKind::Posted, SearchSource::HashIndex) => (
                 &mut self.stats.posted_entries_traversed,
@@ -2042,16 +1979,14 @@ impl Firmware {
             self.fail_unit(QueueKind::Posted, now);
             return now;
         };
-        t += core
-            .run(&TraceBuilder::new().int(6).bus_write().build(), t)
-            .elapsed;
+        t = core.begin(t).int(cost::ALPU_COMMAND).bus_write().end();
         self.port_mut(QueueKind::Posted).sync(t + Time::from_ns(20));
-        let mut tb = TraceBuilder::new().int(8);
+        let mut run = core.begin(t).int(cost::PURGE_SWEEP);
         for addr in self.unit_emptied(QueueKind::Posted) {
-            tb = tb.store(addr);
+            run = run.store(addr);
         }
         self.stats.alpu_purges += 1;
-        t + core.run(&tb.build(), t).elapsed
+        run.end()
     }
 
     /// The update item: re-engage both units whose cooldown has expired,
@@ -2061,9 +1996,7 @@ impl Firmware {
         let mut t = now;
         for unit in UNITS {
             if self.port(unit).is_some() && self.port_mut(unit).reengage(now) {
-                t += core
-                    .run(&TraceBuilder::new().int(8).bus_write().build(), t)
-                    .elapsed;
+                t = core.begin(t).int(cost::REENGAGE).bus_write().end();
                 self.ev(
                     t,
                     TraceEvent::Quarantine {
@@ -2172,6 +2105,14 @@ impl Firmware {
             .transfer(wire_bytes.min(Message::HEADER_BYTES), t);
         done
     }
+}
+
+/// Open a run charging the hash-bin walk that found an unlinked posted
+/// receive's link: the bin search, then a load of each of the first eight
+/// links `walked`.
+fn bin_unlink<'c>(core: &'c mut Core, walked: &[u64], t: Time) -> Run<'c> {
+    let run = core.begin(t).int(cost::BIN_UNLINK);
+    walked.iter().take(8).fold(run, |run, &addr| run.load(addr))
 }
 
 /// Check the software/hardware shadowing invariants: each queue's

@@ -12,13 +12,13 @@
 //! shadows stays with the firmware, which passes it in where a rule
 //! needs it.
 
-use super::FwStats;
+use super::{cost, FwStats};
 use crate::config::{AlpuSetup, NicConfig};
 use crate::queues::{Key, NicQueue};
 use mpiq_alpu::{
     Alpu, AlpuConfig, AlpuKind, Command, Entry, MaskWord, MatchWord, Probe, Response, Tag,
 };
-use mpiq_cpusim::{Core, TraceBuilder};
+use mpiq_cpusim::Core;
 use mpiq_dessim::trace::QueueKind;
 use mpiq_dessim::{Clock, FaultPlan, Time};
 use mpiq_net::NodeId;
@@ -386,13 +386,14 @@ impl AlpuPort {
             return (now, HwRead::Wedged);
         };
         self.probes_in_flight -= 1;
-        let reads = TraceBuilder::new()
+        let t = core
+            .begin(t)
             .bus_read()
             .bus_read()
             .bus_read()
             .bus_read()
-            .int(4);
-        let t = t + core.run(&reads.build(), t).elapsed;
+            .int(cost::RESPONSE_DECODE)
+            .end();
         let read = match resp {
             _ if self.alpu.parity_error() => HwRead::Poisoned,
             Response::MatchSuccess { tag } => HwRead::Hit(tag as Key),
@@ -437,20 +438,14 @@ impl AlpuPort {
         // tail. Defer the session; the NIC re-schedules an update once the
         // pending probe work drains.
         if !self.probe_quiescent(now) {
-            return Ok(now + core.run(&TraceBuilder::new().int(4).build(), now).elapsed);
+            return Ok(core.begin(now).int(cost::SESSION_DEFER).end());
         }
-        let mut t = now
-            + core
-                .run(&TraceBuilder::new().int(6).bus_write().build(), now)
-                .elapsed;
+        let mut t = core.begin(now).int(cost::ALPU_COMMAND).bus_write().end();
         t = self
             .push_command(Command::StartInsert, t)
             .map_err(|AlpuWedged| t)?;
         let (free, t_ack) = self.pop_start_ack(t).map_err(|AlpuWedged| t)?;
-        t = t_ack
-            + core
-                .run(&TraceBuilder::new().bus_read().build(), t_ack)
-                .elapsed;
+        t = core.begin(t_ack).bus_read().end();
         // Abort if a probe slipped in while we waited for the ack:
         // nothing has been inserted yet, so a just-computed failure still
         // pairs with the current tail. Retry the session later.
@@ -478,12 +473,13 @@ impl AlpuPort {
             for (addr, entry) in batch {
                 // Read the entry, then two posted bus writes per insert
                 // (match+mask words, tag).
-                let write = TraceBuilder::new()
+                t = core
+                    .begin(t)
                     .load(addr)
-                    .int(4)
+                    .int(cost::INSERT_ENTRY)
                     .bus_write()
-                    .bus_write();
-                t += core.run(&write.build(), t).elapsed;
+                    .bus_write()
+                    .end();
                 t = self
                     .push_command(Command::Insert(entry), t)
                     .map_err(|AlpuWedged| t)?;
@@ -492,9 +488,7 @@ impl AlpuPort {
         t = self
             .push_command(Command::StopInsert, t)
             .map_err(|AlpuWedged| t)?;
-        Ok(t + core
-            .run(&TraceBuilder::new().bus_write().build(), t)
-            .elapsed)
+        Ok(core.begin(t).bus_write().end())
     }
 
     /// The shadowing invariant against the queue's ALPU-resident prefix:

@@ -70,11 +70,6 @@ impl PostedIndex {
         }
     }
 
-    /// Number of buckets.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Entries currently indexed.
     pub fn len(&self) -> usize {
         self.bins.iter().map(Vec::len).sum::<usize>() + self.wildcards.len()

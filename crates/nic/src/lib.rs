@@ -15,11 +15,11 @@
 //! each queue, a pointer separating the ALPU-resident prefix from the
 //! not-yet-inserted tail, batched insert sessions, and response pairing.
 //!
-//! Timing: the firmware executes *functionally* in Rust while emitting
-//! micro-op traces ([`mpiq_cpusim::Uop`]) that the embedded core model
-//! turns into elapsed time; the DES component ([`nic::Nic`]) serializes
-//! work items on the processor and lets DMA engines and the ALPUs run
-//! concurrently.
+//! Timing: the firmware executes *functionally* in Rust while charging
+//! each step's work, at the counts named in [`firmware::cost`], to a
+//! [`mpiq_cpusim::Run`] on the embedded core, which turns it into elapsed
+//! time; the DES component ([`nic::Nic`]) serializes work items on the
+//! processor and lets DMA engines and the ALPUs run concurrently.
 
 pub mod coll;
 pub mod config;
