@@ -45,8 +45,10 @@ pub trait Component: 'static {
     /// [`Simulation::stats`](crate::Simulation::stats) on every component,
     /// in registration order, on a copy of the registry handlers wrote —
     /// so a component on a hot path can keep typed counters and pay for
-    /// key formatting once per read instead of once per event. Default:
-    /// nothing.
+    /// key formatting once per read instead of once per event. The
+    /// writes are logged and applied in order after the last publish
+    /// (see [`crate::stats`]), so a component should write here, not
+    /// read. Default: nothing.
     fn publish(&self, _stats: &mut Stats) {}
 
     /// The metrics twin of [`Component::publish`]: write histograms and

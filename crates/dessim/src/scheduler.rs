@@ -146,12 +146,17 @@ impl Simulation {
 
     /// The statistics registry: the counters handlers wrote, then every
     /// component's [`Component::publish`] in registration order. Owned:
-    /// assembled on demand.
+    /// assembled on demand. The publishes are logged, one segment per
+    /// component, and applied in one ordering pass at the end (see
+    /// [`crate::stats`]).
     pub fn stats(&self) -> Stats {
         let mut out = self.stats.clone();
+        out.collect();
         for c in &self.components {
+            out.segment();
             c.publish(&mut out);
         }
+        out.fold();
         out
     }
 
@@ -194,6 +199,12 @@ impl Simulation {
     /// [`Component::as_any`]. For harness inspection between runs.
     pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
         self.components[id.0 as usize].as_any()?.downcast_ref()
+    }
+
+    /// Mutable [`Simulation::component`], for finishing a component's
+    /// setup once the ids it needs exist.
+    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> Option<&mut C> {
+        self.components[id.0 as usize].as_any_mut()?.downcast_mut()
     }
 
     /// Is the pending-event set empty? A simulation that is idle *and*

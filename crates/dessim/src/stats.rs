@@ -11,14 +11,46 @@
 //! [`Component::publish`](crate::Component::publish), which runs only
 //! when [`Simulation::stats`](crate::Simulation::stats) assembles the
 //! registry. The second keeps key formatting off the event path.
+//!
+//! The registry is a vector of counters sorted by key bytes, the order a
+//! `BTreeMap<String, u64>` iterates in. The key bytes live back to back
+//! in one string, so thousands of keys cost no allocation each. Handler
+//! writes find their slot by binary search. While
+//! [`Simulation::stats`](crate::Simulation::stats) collects publishes,
+//! writes are only logged, one segment per component. One ordering pass
+//! (`Stats::fold`) then sorts the log by key and folds each key's
+//! writes in the order they were made, so thousands of published keys
+//! cost no shifting insert each.
 
-use std::collections::BTreeMap;
+/// A key: a byte range of [`Stats::keys`].
+#[derive(Clone, Copy, Debug)]
+struct Key {
+    start: u32,
+    len: u32,
+}
 
-/// Counter registry. Uses a `BTreeMap` so that dumps are deterministically
-/// ordered.
+/// One logged write, folded by [`Stats::fold`].
+#[derive(Clone, Copy, Debug)]
+enum Write {
+    Add(u64),
+    Set(u64),
+}
+
+/// Counter registry: `(key, value)` pairs sorted by key, so lookups are a
+/// binary search and dumps are deterministically ordered.
 #[derive(Default, Debug, Clone)]
 pub struct Stats {
-    counters: BTreeMap<String, u64>,
+    /// The bytes of every key in `counters` and `log`.
+    keys: String,
+    /// Sorted by key bytes; keys are unique.
+    counters: Vec<(Key, u64)>,
+    /// Writes made since [`Stats::collect`], in order; empty otherwise.
+    log: Vec<(Key, Write)>,
+    /// Where each writer's writes start in `log` (see [`Stats::segment`]).
+    segments: Vec<usize>,
+    /// Between [`Stats::collect`] and [`Stats::fold`]: log writes instead
+    /// of applying them.
+    collecting: bool,
 }
 
 impl Stats {
@@ -29,11 +61,7 @@ impl Stats {
 
     /// Add `v` to counter `key`, creating it at zero if absent.
     pub fn add(&mut self, key: &str, v: u64) {
-        if let Some(c) = self.counters.get_mut(key) {
-            *c += v;
-        } else {
-            self.counters.insert(key.to_string(), v);
-        }
+        self.write(key, Write::Add(v));
     }
 
     /// Increment by one.
@@ -43,53 +71,217 @@ impl Stats {
 
     /// Overwrite a counter (for gauges like "current occupancy").
     pub fn set(&mut self, key: &str, v: u64) {
-        self.counters.insert(key.to_string(), v);
+        self.write(key, Write::Set(v));
     }
 
     /// Read a counter; absent counters read zero.
     pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        debug_assert!(!self.collecting, "read of a registry being collected");
+        self.slot(key).map_or(0, |i| self.counters[i].1)
     }
 
     /// Sum all counters whose key starts with `prefix` (e.g. every node's
     /// L1 misses via prefix `"nic"` + suffix filtering by the caller).
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.counters
+        let start = self.slot(prefix).unwrap_or_else(|i| i);
+        self.counters[start..]
             .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
+            .take_while(|&&(k, _)| self.key(k).starts_with(prefix))
             .map(|(_, v)| v)
             .sum()
     }
 
     /// Iterate `(key, value)` in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        debug_assert!(!self.collecting, "read of a registry being collected");
+        self.counters.iter().map(|&(k, v)| (self.key(k), v))
     }
 
     /// Remove every counter (between measurement phases).
     pub fn clear(&mut self) {
+        self.keys.clear();
         self.counters.clear();
+        self.log.clear();
+        self.segments.clear();
     }
 
     /// Render every counter as a JSON object with deterministically sorted
     /// keys. Two registries with equal contents produce byte-identical
     /// output, which is what determinism checks diff.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        // `"key":` plus at most 20 digits and a comma per counter.
+        let mut out = String::with_capacity(self.keys.len() + 24 * self.counters.len() + 2);
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{k}\":{v}"));
+            out.push('"');
+            out.push_str(k);
+            out.push_str("\":");
+            push_decimal(&mut out, v);
         }
         out.push('}');
         out
     }
+
+    /// Start logging writes instead of applying them, until
+    /// [`Stats::fold`]; the log starts with a `set` of every counter.
+    /// [`Simulation::stats`](crate::Simulation::stats) brackets the
+    /// components' publishes with the two.
+    pub(crate) fn collect(&mut self) {
+        self.collecting = true;
+        let counters = self.counters.drain(..);
+        self.log.extend(counters.map(|(k, v)| (k, Write::Set(v))));
+        self.segments.push(0);
+    }
+
+    /// Start the next writer's segment of the log.
+    /// [`Simulation::stats`](crate::Simulation::stats) starts one per
+    /// component, so that [`Stats::fold`] can order each component's
+    /// few keys apart and then place whole segments.
+    pub(crate) fn segment(&mut self) {
+        if self.segments.last() != Some(&self.log.len()) {
+            self.segments.push(self.log.len());
+        }
+    }
+
+    /// Apply the logged writes: order them by (key, log position), which
+    /// is a stable sort by key, and fold each key's writes in that order
+    /// (`add` adds, `set` overwrites).
+    ///
+    /// Most segments own their keys (`nic7.*`), so sorting each segment,
+    /// then placing segments by their first key, orders the log with few
+    /// comparisons. Segments whose key ranges overlap (every fabric port
+    /// writes `net.messages`) are merged by one sort of their writes.
+    pub(crate) fn fold(&mut self) {
+        self.collecting = false;
+        let (keys, log) = (&self.keys, &mut self.log);
+        let mut bounds = std::mem::take(&mut self.segments);
+        bounds.push(log.len());
+        let mut segments: Vec<std::ops::Range<usize>> = bounds
+            .windows(2)
+            .map(|w| w[0]..w[1])
+            .filter(|r| !r.is_empty())
+            .collect();
+        for r in &segments {
+            log[r.clone()].sort_by(|a, b| text(keys, a.0).cmp(text(keys, b.0)));
+        }
+        let first = |r: &std::ops::Range<usize>| text(keys, log[r.start].0);
+        let last = |r: &std::ops::Range<usize>| text(keys, log[r.end - 1].0);
+        segments.sort_by(|a, b| first(a).cmp(first(b)).then(a.start.cmp(&b.start)));
+        let mut counters: Vec<(Key, u64)> = Vec::with_capacity(log.len());
+        let mut push = |k: Key, w: Write| match counters.last_mut() {
+            Some((prev, v)) if text(keys, *prev) == text(keys, k) => *v = apply(*v, w),
+            _ => counters.push((k, apply(0, w))),
+        };
+        let mut i = 0;
+        while i < segments.len() {
+            // The run of segments whose key ranges overlap segment `i`'s.
+            let mut hi = last(&segments[i]);
+            let mut j = i + 1;
+            while j < segments.len() && first(&segments[j]) <= hi {
+                hi = hi.max(last(&segments[j]));
+                j += 1;
+            }
+            if j == i + 1 {
+                for &(k, w) in &log[segments[i].clone()] {
+                    push(k, w);
+                }
+            } else {
+                // Log order within a segment and across segments is
+                // write order, so a log index breaks ties between equal
+                // keys as the write position would.
+                let mut merged: Vec<usize> =
+                    segments[i..j].iter().flat_map(|r| r.clone()).collect();
+                merged.sort_unstable_by(|&a, &b| {
+                    text(keys, log[a].0)
+                        .cmp(text(keys, log[b].0))
+                        .then(a.cmp(&b))
+                });
+                for a in merged {
+                    push(log[a].0, log[a].1);
+                }
+            }
+            i = j;
+        }
+        self.counters = counters;
+        self.log.clear();
+    }
+
+    /// Apply a write now, or log it while collecting.
+    fn write(&mut self, key: &str, w: Write) {
+        if self.collecting {
+            let k = self.push_key(key);
+            self.log.push((k, w));
+            return;
+        }
+        match self.slot(key) {
+            Ok(i) => self.counters[i].1 = apply(self.counters[i].1, w),
+            Err(i) => {
+                let k = self.push_key(key);
+                self.counters.insert(i, (k, apply(0, w)));
+            }
+        }
+    }
+
+    /// Append `key` to the key bytes.
+    fn push_key(&mut self, key: &str) -> Key {
+        let end = self.keys.len() + key.len();
+        assert!(u32::try_from(end).is_ok(), "stats keys exceed 4 GiB");
+        let k = Key {
+            start: self.keys.len() as u32,
+            len: key.len() as u32,
+        };
+        self.keys.push_str(key);
+        k
+    }
+
+    /// The text of `k`.
+    fn key(&self, k: Key) -> &str {
+        text(&self.keys, k)
+    }
+
+    /// Index of `key` in `counters`, or where it would be inserted.
+    fn slot(&self, key: &str) -> Result<usize, usize> {
+        self.counters
+            .binary_search_by(|&(k, _)| self.key(k).cmp(key))
+    }
+}
+
+/// The text of `k` in `keys`.
+fn text(keys: &str, k: Key) -> &str {
+    &keys[k.start as usize..(k.start + k.len) as usize]
+}
+
+/// A counter at `acc` after write `w`.
+fn apply(acc: u64, w: Write) -> u64 {
+    match w {
+        Write::Add(v) => acc + v,
+        Write::Set(v) => v,
+    }
+}
+
+/// Append `v` in decimal.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn add_incr_get() {
@@ -124,7 +316,8 @@ mod tests {
         let mut s = Stats::new();
         s.add("b", 2);
         s.add("a", 1);
-        assert_eq!(s.to_json(), r#"{"a":1,"b":2}"#);
+        s.set("max", u64::MAX);
+        assert_eq!(s.to_json(), r#"{"a":1,"b":2,"max":18446744073709551615}"#);
         assert_eq!(Stats::new().to_json(), "{}");
     }
 
@@ -134,5 +327,88 @@ mod tests {
         s.incr("x");
         s.clear();
         assert_eq!(s.get("x"), 0);
+    }
+
+    /// The registry as it was built before the sorted vector: a
+    /// `BTreeMap` written in place, rendered with one `format!` per key.
+    #[derive(Default)]
+    struct Reference(BTreeMap<String, u64>);
+
+    impl Reference {
+        fn add(&mut self, key: &str, v: u64) {
+            *self.0.entry(key.to_string()).or_insert(0) += v;
+        }
+
+        fn set(&mut self, key: &str, v: u64) {
+            self.0.insert(key.to_string(), v);
+        }
+
+        fn to_json(&self) -> String {
+            let mut out = String::from("{");
+            for (i, (k, v)) in self.0.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("\"{k}\":{v}"));
+            }
+            out.push('}');
+            out
+        }
+    }
+
+    /// Keys that share prefixes in every way that could break an order
+    /// (`nic1.` / `nic10.` / `nic1x`), plus one shared by every component.
+    fn key(rng: &mut SimRng) -> String {
+        const STEMS: [&str; 6] = ["nic1", "nic10", "nic1x", "nic", "net", "nic2"];
+        const LEAVES: [&str; 5] = [".a", ".a.b", ".b", "", ".l1.misses"];
+        let stem = STEMS[rng.gen_range(STEMS.len() as u64) as usize];
+        let leaf = LEAVES[rng.gen_range(LEAVES.len() as u64) as usize];
+        format!("{stem}{leaf}")
+    }
+
+    /// One random write on both registries.
+    fn write(s: &mut Stats, r: &mut Reference, rng: &mut SimRng) {
+        let k = key(rng);
+        let v = rng.gen_range(1_000);
+        if rng.gen_bool(0.5) {
+            s.add(&k, v);
+            r.add(&k, v);
+        } else {
+            s.set(&k, v);
+            r.set(&k, v);
+        }
+    }
+
+    /// Handler writes, then the publishes of several components, as
+    /// `Simulation::stats` makes them: the sorted registry must dump the
+    /// bytes the `BTreeMap` reference built in place does.
+    #[test]
+    fn sorted_registry_matches_btreemap_reference() {
+        let mut rng = SimRng::new(27);
+        for case in 0..500 {
+            let mut s = Stats::new();
+            let mut r = Reference::default();
+            // Case 0 is the empty registry.
+            let handler_writes = if case == 0 { 0 } else { rng.gen_range(12) };
+            for _ in 0..handler_writes {
+                write(&mut s, &mut r, &mut rng);
+            }
+            s.collect();
+            let components = if case == 0 { 0 } else { rng.gen_range(5) };
+            for _ in 0..components {
+                s.segment();
+                for _ in 0..rng.gen_range(20) {
+                    write(&mut s, &mut r, &mut rng);
+                }
+            }
+            s.fold();
+            let got: Vec<(&str, u64)> = s.iter().collect();
+            let want: Vec<(&str, u64)> = r.0.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(s.to_json(), r.to_json(), "case {case}");
+            for k in r.0.keys() {
+                assert_eq!(s.get(k), r.0[k], "case {case}: {k}");
+            }
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! [`mpiq_dessim::scheduler`]). Components are registered in a fixed
 //! order — switches, then per node its NIC, port and hosts — so the
 //! same configuration always yields the same component ids and the same
-//! schedule. On the default crossbar ([`Topology::Hub`]) the ports are
-//! wired all-to-all; a switched topology routes through [`Switch`]
-//! components (see [`Cluster::with_recovery`]).
+//! schedule. On the default crossbar ([`Topology::Hub`]) each port
+//! sends straight to its peers' ports; a switched topology routes
+//! through [`Switch`] components (see [`Cluster::with_recovery`]).
 
 use crate::app::{AppProgram, PORT_COMPLETION};
 use crate::host::Host;
@@ -269,11 +269,13 @@ impl Cluster {
     /// the crash-stop model. Ranks whose nodes never restart never
     /// consume their entry.
     ///
-    /// On the crossbar, each node's port has one out port per peer and
-    /// [`mpiq_net::wire_ports`] wires them all-to-all at the per-pair
-    /// latency from `cfg.net`. A switched topology routes through
-    /// [`Switch`] components planned by [`Topology::plan`]. Ports run in
-    /// uplink mode, so wiring is O(nodes + trunks) instead of O(nodes²):
+    /// On the crossbar, [`mpiq_net::connect_crossbar`] hands every port
+    /// one shared table of peer-port ids, and a port sends each frame
+    /// straight to its destination's port at the per-pair latency from
+    /// `cfg.net`: no per-pair link is registered, so setup is O(nodes).
+    /// A switched topology routes through [`Switch`] components planned
+    /// by [`Topology::plan`]. Ports run in uplink mode, so wiring is
+    /// O(nodes + trunks):
     ///
     /// * node uplink → edge switch [`PORT_SW_IN`], at wire latency;
     /// * trunk `i` of each switch → neighbor's [`PORT_SW_IN`], at wire
@@ -392,7 +394,7 @@ impl Cluster {
             }
         }
         match &plan {
-            None => mpiq_net::wire_ports(&mut sim, &ports, &cfg.net),
+            None => mpiq_net::connect_crossbar(&mut sim, &ports),
             Some(plan) => {
                 for (a, ns) in plan.neighbors.iter().enumerate() {
                     for (i, &b) in ns.iter().enumerate() {

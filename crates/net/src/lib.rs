@@ -23,6 +23,6 @@ pub mod topo;
 
 pub use fabric::{NetConfig, WireProfile};
 pub use message::{LinkState, Message, MsgHeader, MsgKind, NodeId};
-pub use port::{wire_ports, FabricPort, PORT_FP_INJECT, PORT_FP_WIRE};
+pub use port::{connect_crossbar, FabricPort, PORT_FP_INJECT, PORT_FP_WIRE};
 pub use switch::{Switch, PORT_SW_IN};
 pub use topo::{RouteStep, TopoPlan, Topology};

@@ -17,6 +17,7 @@ use crate::message::{Message, NodeId};
 use mpiq_dessim::fault::{FaultConfig, FaultPlan, FaultSchedule};
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::trace::{ComponentFaultKind, TraceEvent};
+use mpiq_dessim::Stats;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 /// Input port where the node's own NIC injects outbound messages.
@@ -35,15 +36,19 @@ fn port_fault_site(node: NodeId) -> u64 {
 ///
 /// Wiring contract (the cluster builder owns this):
 /// * NIC `PORT_NET_TX` -> this port's [`PORT_FP_INJECT`], zero latency.
-/// * This port's `OutPort(d)` -> node `d`'s port [`PORT_FP_WIRE`], at
-///   [`NetConfig::wire_latency`] — including `d == node` (self-sends
-///   take a wire trip).
+/// * On the crossbar, [`connect_crossbar`] hands every port the table of
+///   peer-port ids once all ports exist. A frame for node `d` is sent
+///   straight to peer `d`'s [`PORT_FP_WIRE`] at
+///   [`NetConfig::latency_between`] — including `d == node` (self-sends
+///   take a wire trip). The direct send commits at the same
+///   `(time, seq)` a wired link of that latency would, and registers no
+///   per-pair link.
 /// * Arrivals are handed to the local NIC by direct send to the
 ///   component id and input port given at construction, so `mpiq-net`
 ///   needs no dependency on the NIC crate.
 ///
 /// In **uplink mode** ([`FabricPort::with_uplink`], used by the switched
-/// topologies) the per-destination out ports collapse into the single
+/// topologies) every frame leaves on the single
 /// [`uplink_port`](FabricPort::uplink_port), which the builder wires to
 /// the node's edge switch; routing to the destination happens in the
 /// switch graph. Source-side fault semantics (the scheduled (src, dst)
@@ -52,8 +57,17 @@ fn port_fault_site(node: NodeId) -> u64 {
 pub struct FabricPort {
     cfg: NetConfig,
     nodes: u32,
-    /// Emit everything on the single uplink port instead of per-dst ports.
+    node: NodeId,
+    /// Emit everything on the single uplink port instead of sending to
+    /// the destination's port.
     uplink: bool,
+    /// Crossbar only: the port id of every node, indexed by node; set by
+    /// [`connect_crossbar`].
+    peers: Option<Arc<[ComponentId]>>,
+    /// Frames and wire bytes this port put on the wire, published as
+    /// `net.messages` and `net.bytes` (summed over ports).
+    messages: u64,
+    bytes: u64,
     /// The local NIC and its receive port, for delivery after
     /// serialization.
     nic: ComponentId,
@@ -96,7 +110,11 @@ impl FabricPort {
         FabricPort {
             cfg,
             nodes,
+            node,
             uplink: false,
+            peers: None,
+            messages: 0,
+            bytes: 0,
             nic,
             nic_rx,
             busy_until: Time::ZERO,
@@ -120,11 +138,6 @@ impl FabricPort {
     pub fn with_uplink(mut self) -> FabricPort {
         self.uplink = true;
         self
-    }
-
-    /// Output port carrying frames to node `dst`'s [`PORT_FP_WIRE`].
-    pub fn out_port(dst: NodeId) -> OutPort {
-        OutPort(dst as u16)
     }
 
     /// The single out port used in uplink mode.
@@ -181,14 +194,26 @@ impl FabricPort {
     }
 
     fn put_on_wire(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        ctx.stats().incr("net.messages");
-        ctx.stats().add("net.bytes", msg.wire_bytes());
-        let port = if self.uplink {
-            Self::uplink_port()
-        } else {
-            Self::out_port(msg.header.dst_node)
-        };
-        ctx.emit(port, Payload::new(msg));
+        self.messages += 1;
+        self.bytes += msg.wire_bytes();
+        if self.uplink {
+            ctx.emit(Self::uplink_port(), Payload::new(msg));
+            return;
+        }
+        let dst = msg.header.dst_node;
+        let peers = self.peers.as_ref().unwrap_or_else(|| {
+            panic!(
+                "crossbar port of node {} sent before connect_crossbar",
+                self.node
+            )
+        });
+        let latency = self.cfg.latency_between(self.node, dst);
+        ctx.send_to(
+            peers[dst as usize],
+            PORT_FP_WIRE,
+            Payload::new(msg),
+            latency,
+        );
     }
 
     /// Receiver side: occupy the ingress link, then hand the frame to
@@ -251,22 +276,35 @@ impl Component for FabricPort {
             other => panic!("fabric port has no input port {other:?}"),
         }
     }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn publish(&self, stats: &mut Stats) {
+        if self.messages > 0 {
+            stats.add("net.messages", self.messages);
+            stats.add("net.bytes", self.bytes);
+        }
+    }
 }
 
-/// Wire every pair of ports together (including each port to itself) at
-/// the per-pair wire latency from [`NetConfig::latency_between`].
-/// `ports[n]` must be node `n`'s [`FabricPort`].
-pub fn wire_ports(sim: &mut Simulation, ports: &[ComponentId], cfg: &NetConfig) {
-    for (s, &src) in ports.iter().enumerate() {
-        for (d, &dst) in ports.iter().enumerate() {
-            sim.connect(
-                src,
-                FabricPort::out_port(d as NodeId),
-                dst,
-                PORT_FP_WIRE,
-                cfg.latency_between(s as NodeId, d as NodeId),
-            );
-        }
+/// Join crossbar ports: hand each one the table of every node's port id,
+/// which it sends through (see [`FabricPort`]). `ports[n]` must be node
+/// `n`'s [`FabricPort`], built without [`FabricPort::with_uplink`]. One
+/// shared table, so joining `n` ports costs O(n), not O(n²).
+pub fn connect_crossbar(sim: &mut Simulation, ports: &[ComponentId]) {
+    let table: Arc<[ComponentId]> = ports.into();
+    for &p in ports {
+        let port = sim
+            .component_mut::<FabricPort>(p)
+            .expect("connect_crossbar: not a FabricPort");
+        assert!(!port.uplink, "connect_crossbar: port is in uplink mode");
+        port.peers = Some(table.clone());
     }
 }
 
@@ -321,7 +359,7 @@ mod tests {
             ports.push(sim.add_component(&format!("net{n}"), port));
             logs.push(log);
         }
-        wire_ports(&mut sim, &ports, &cfg);
+        connect_crossbar(&mut sim, &ports);
         (sim, ports, logs)
     }
 
@@ -464,7 +502,8 @@ mod tests {
             ..NetConfig::default()
         };
         let (mut sim, ports, logs) = build_with(cfg, 3, FaultConfig::none());
-        // The short pair's wire is the tightest edge `wire_ports` registers.
+        // The short pair's wire is the tightest latency a crossbar port
+        // sends at.
         assert_eq!(cfg.latency_between(0, 1), Time::from_ns(10));
         send(&mut sim, &ports, msg(0, 1, 0, 1), Time::ZERO);
         send(&mut sim, &ports, msg(0, 2, 0, 2), Time::ZERO);
@@ -473,6 +512,48 @@ mod tests {
         // serialize 32 header bytes at 2 B/ns = 16 ns on arrival.
         assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(10 + 16));
         assert_eq!(logs[2].lock().unwrap()[0].0, Time::from_ns(1000 + 16));
+    }
+
+    /// Every (src, dst) frame of a 4-node crossbar, self-sends included,
+    /// arrives at its pair's wire latency plus serialization: the direct
+    /// send path uses exactly the latency a per-pair link carried.
+    #[test]
+    fn crossbar_frames_ride_their_pairs_latency() {
+        use crate::fabric::WireProfile;
+        let cfg = NetConfig {
+            wire_latency: Time::from_ns(700),
+            profile: WireProfile::ShortPair {
+                a: 1,
+                b: 3,
+                short: Time::from_ns(10),
+            },
+            ..NetConfig::default()
+        };
+        for src in 0..4 {
+            for dst in 0..4 {
+                let (mut sim, ports, logs) = build_with(cfg, 4, FaultConfig::none());
+                let at = Time::from_ns(5);
+                send(&mut sim, &ports, msg(src, dst, 100, 1), at);
+                sim.run();
+                let ser = cfg.serialize(msg(src, dst, 100, 1).wire_bytes());
+                let got = logs[dst as usize].lock().unwrap().clone();
+                assert_eq!(
+                    got,
+                    vec![(at + cfg.latency_between(src, dst) + ser, 1, true)],
+                    "{src} -> {dst}"
+                );
+                let stats = sim.stats();
+                assert_eq!(stats.get("net.messages"), 1);
+                assert_eq!(stats.get("net.bytes"), 132);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_ports_publish_no_keys() {
+        let (mut sim, _, _) = build(3, FaultConfig::none());
+        sim.run();
+        assert_eq!(sim.stats().to_json(), "{}");
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::fabric::NetConfig;
 use crate::message::Message;
 use crate::topo::{RouteStep, TopoPlan};
 use mpiq_dessim::prelude::*;
+use mpiq_dessim::Stats;
 use std::sync::Arc;
 
 /// The single input port: uplinked node frames and trunk arrivals alike.
@@ -47,6 +48,9 @@ pub struct Switch {
     cfg: NetConfig,
     /// Per-trunk-port output serialization window.
     trunk_busy: Vec<Time>,
+    /// Trunk hops taken, published as `net.switch.hops` (summed over
+    /// switches).
+    hops: u64,
 }
 
 impl Switch {
@@ -58,6 +62,7 @@ impl Switch {
             plan,
             cfg,
             trunk_busy: vec![Time::ZERO; trunks],
+            hops: 0,
         }
     }
 
@@ -100,13 +105,19 @@ impl Component for Switch {
                 let ser = self.cfg.serialize(msg.wire_bytes());
                 let start = ctx.now().max(self.trunk_busy[p]);
                 self.trunk_busy[p] = start + ser;
-                ctx.stats().incr("net.switch.hops");
+                self.hops += 1;
                 ctx.emit_after(
                     Switch::trunk_port(&self.plan, self.id, p),
                     Payload::new(msg),
                     (start + ser) - ctx.now(),
                 );
             }
+        }
+    }
+
+    fn publish(&self, stats: &mut Stats) {
+        if self.hops > 0 {
+            stats.add("net.switch.hops", self.hops);
         }
     }
 }

@@ -539,6 +539,11 @@ impl Firmware {
         s
     }
 
+    /// Collective requests the engine has seen, offloaded or declined.
+    pub fn coll_requests(&self) -> u64 {
+        self.stats.coll_offloaded + self.stats.coll_declined
+    }
+
     /// Drain the credit grants queued for the link layer. Each entry is
     /// `(peer, credits)`; the NIC piggybacks them on ACKs to `peer`.
     pub fn take_pending_grants(&mut self) -> Vec<(NodeId, u32)> {

@@ -8,9 +8,9 @@
 //! firmware-computed completion timestamps.
 
 use crate::config::NicConfig;
-use crate::firmware::{Effects, Firmware, WorkItem};
+use crate::firmware::{Effects, Firmware, FwStats, WorkItem};
 use crate::host_iface::HostRequest;
-use crate::reliability::Reliability;
+use crate::reliability::{LinkStats, Reliability};
 use mpiq_cpusim::Core;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::{
@@ -78,7 +78,7 @@ enum FaultWake {
     PeerRestart(NodeId),
 }
 
-// Key suffixes of each `StatRecord` group, in slot order.
+// Key suffixes of each stat group, in value order.
 const BASE_KEYS: [&str; 11] = [
     "l1.misses",
     "l1.hits",
@@ -139,40 +139,84 @@ const FLOW_KEYS: [&str; 10] = [
 ];
 const FLOW_LINK_KEYS: [&str; 2] = ["flow.credits_granted", "flow.credits_received"];
 
-/// A NIC's registry counters, kept typed so the event path never formats
-/// a key. Each group holds the values from the last snapshot point at
-/// which its condition held (`None` = never published, so its keys stay
-/// out of the registry); the record outlives a restart, which rebuilds
-/// the firmware and core beneath it. [`Nic::publish`] turns it into
-/// `nic{N}.*` keys once per registry read.
+/// The `nic{N}.*` key groups, by index into [`GROUP_KEYS`] and bit of
+/// [`StatRecord::live`]. Each publishes only for configurations that
+/// can produce it, so stat dumps of other configurations stay unchanged.
+/// Cache, traversal, arrival and occupancy counters: always.
+const BASE: usize = 0;
+/// An ALPU is configured.
+const ALPU: usize = 1;
+/// The link reliability layer is on.
+const LINK: usize = 2;
+/// A fault schedule is armed.
+const FAULT: usize = 3;
+/// A fault schedule is armed and the link layer is on.
+const FAULT_LINK: usize = 4;
+/// The collective engine has seen a request (every collective request
+/// is either offloaded or declined).
+const COLL: usize = 5;
+/// An overload bound (or the leak fault) is configured.
+const FLOW: usize = 6;
+/// Overload is configured and the link layer is on.
+const FLOW_LINK: usize = 7;
+const GROUP_KEYS: [&[&str]; 8] = [
+    &BASE_KEYS,
+    &ALPU_KEYS,
+    &LINK_KEYS,
+    &FAULT_KEYS,
+    &FAULT_LINK_KEYS,
+    &COLL_KEYS,
+    &FLOW_KEYS,
+    &FLOW_LINK_KEYS,
+];
+/// Values of one group, padded to the longest.
+type GroupValues = [u64; BASE_KEYS.len()];
+
+/// What a NIC's `nic{N}.*` keys publish. Each group holds its values
+/// from the last snapshot point at which its condition held. A snapshot
+/// point copies no counter: it records which groups are *live*, and a
+/// live group publishes the live firmware, core and link counters. They
+/// still equal the snapshot's values, because whatever changes a counter
+/// is either followed by a snapshot point or preceded by
+/// [`Nic::freeze_stats`], which copies the live groups first. The record
+/// outlives a restart, which rebuilds the firmware and core beneath it.
 #[derive(Default)]
 struct StatRecord {
-    /// Always published: cache, traversal, arrival and occupancy counters.
-    base: Option<[u64; 11]>,
+    /// Bit `g` set: group `g`'s condition held at the last snapshot
+    /// point, and no freeze happened since.
+    live: u8,
+    /// Per group: the values the last freeze copied, published while the
+    /// group is not live (`None` = never published).
+    frozen: [Option<GroupValues>; GROUP_KEYS.len()],
     /// Running maxima of the posted and unexpected queue lengths over
-    /// the snapshot points (published alongside `base`).
+    /// the snapshot points (published alongside `BASE`).
     len_max: [u64; 2],
-    /// An ALPU is configured.
-    alpu: Option<[u64; 5]>,
-    /// The link reliability layer is on.
-    link: Option<[u64; 8]>,
-    /// A fault schedule is armed.
-    fault: Option<[u64; 5]>,
-    /// A fault schedule is armed and the link layer is on.
-    fault_link: Option<[u64; 2]>,
-    /// The collective engine has seen a request.
-    coll: Option<[u64; 5]>,
-    /// An overload bound (or the leak fault) is configured.
-    flow: Option<[u64; 10]>,
-    /// Overload is configured and the link layer is on.
-    flow_link: Option<[u64; 2]>,
     /// Scheduled crashes of this node (`fault.crashed`).
     crashed: Option<u64>,
     /// Incarnation epoch of the last restart (`fault.incarnation`).
     incarnation: Option<u64>,
     /// CRC failures dropped with the link layer off (`link.crc_dropped`;
-    /// with the layer on, the `link` group carries that key).
+    /// with the layer on, the `LINK` group carries that key).
     crc_dropped: Option<u64>,
+    /// Debug builds only: every group's values copied at each snapshot
+    /// point where its condition held, which is what a group must
+    /// publish. [`Component::publish`] checks the record against it.
+    #[cfg(debug_assertions)]
+    shadow: [Option<GroupValues>; GROUP_KEYS.len()],
+}
+
+impl StatRecord {
+    /// Some snapshot point was reached.
+    fn reached(&self) -> bool {
+        self.live & (1 << BASE) != 0 || self.frozen[BASE].is_some()
+    }
+}
+
+/// `values` padded to a [`GroupValues`].
+fn pad<const N: usize>(values: [u64; N]) -> GroupValues {
+    let mut out = GroupValues::default();
+    out[..N].copy_from_slice(&values);
+    out
 }
 
 /// One NIC: firmware + embedded core + work-item scheduler.
@@ -219,8 +263,8 @@ pub struct Nic {
     /// dead ([`ReliabilityConfig::keepalive_timeout`]).
     keepalive: Time,
     stat_prefix: String,
-    /// The `nic{N}.*` registry counters as of the last snapshot point;
-    /// written into the registry by [`Component::publish`].
+    /// Which `nic{N}.*` groups publish, and what; written into the
+    /// registry by [`Component::publish`].
     record: StatRecord,
     /// Metered runs only: work items processed and their service times,
     /// written into the metrics registry as `nic{N}.work_items` and
@@ -487,6 +531,9 @@ impl Nic {
                     .schedule
                     .as_ref()
                     .map_or(0, |s| s.incarnation_at(self.node, now));
+                // The wipe zeroes the live counters; groups whose
+                // condition lapses with it keep their pre-crash values.
+                self.freeze_stats();
                 self.crashed = false;
                 self.busy = false;
                 self.work.clear();
@@ -582,44 +629,79 @@ impl Nic {
         self.snapshot_stats();
     }
 
-    /// Snapshot the registry counters into [`Nic::record`], checking
-    /// each group's condition now. Runs after almost every event, so it
-    /// formats no key.
+    /// A snapshot point: note which stat groups' conditions hold now,
+    /// and sample the queue-length maxima. Runs after almost every
+    /// event, so it copies no counter (see [`StatRecord`]).
     fn snapshot_stats(&mut self) {
-        let fw = self.fw.stats();
+        let live = self.stat_conditions();
+        debug_assert_eq!(
+            self.record.live & !live,
+            0,
+            "a stat group's condition lapsed without a freeze"
+        );
+        #[cfg(debug_assertions)]
+        {
+            let (fw, ls) = (self.fw.stats(), self.link_stats());
+            for g in (0..GROUP_KEYS.len()).filter(|g| live & (1 << g) != 0) {
+                self.record.shadow[g] = Some(self.group_values(g, &fw, &ls));
+            }
+        }
         let r = &mut self.record;
-        let l1 = self.core.mem().l1();
-        r.base = Some([
-            l1.misses(),
-            l1.hits(),
-            fw.posted_entries_traversed,
-            fw.unexpected_entries_traversed,
-            fw.posted_alpu_hits,
-            fw.unexpected_alpu_hits,
-            fw.unexpected_arrivals,
-            fw.insert_sessions,
-            self.posted_integral_ps / 1_000,
-            self.unexpected_integral_ps / 1_000,
-            self.last_sample.ns(),
-        ]);
+        r.live = live;
         r.len_max = [
             r.len_max[0].max(self.fw.posted_len() as u64),
             r.len_max[1].max(self.fw.unexpected_len() as u64),
         ];
-        // Fault/recovery counters: published only for configurations that
-        // can produce them, so fault-free stat dumps stay unchanged.
-        if self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some() {
-            r.alpu = Some([
+    }
+
+    /// The stat groups whose condition holds now, as bits.
+    fn stat_conditions(&self) -> u8 {
+        let link = self.link.is_some();
+        let alpu = self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some();
+        let armed = self.schedule.is_some();
+        [
+            (BASE, true),
+            (ALPU, alpu),
+            (LINK, link),
+            (FAULT, armed),
+            (FAULT_LINK, armed && link),
+            (COLL, self.fw.coll_requests() > 0),
+            (FLOW, self.overload),
+            (FLOW_LINK, self.overload && link),
+        ]
+        .into_iter()
+        .filter(|&(_, on)| on)
+        .fold(0, |bits, (g, _)| bits | 1 << g)
+    }
+
+    /// Group `g`'s live counters, given the firmware's and the link
+    /// layer's.
+    fn group_values(&self, g: usize, fw: &FwStats, ls: &LinkStats) -> GroupValues {
+        match g {
+            BASE => {
+                let l1 = self.core.mem().l1();
+                pad([
+                    l1.misses(),
+                    l1.hits(),
+                    fw.posted_entries_traversed,
+                    fw.unexpected_entries_traversed,
+                    fw.posted_alpu_hits,
+                    fw.unexpected_alpu_hits,
+                    fw.unexpected_arrivals,
+                    fw.insert_sessions,
+                    self.posted_integral_ps / 1_000,
+                    self.unexpected_integral_ps / 1_000,
+                    self.last_sample.ns(),
+                ])
+            }
+            ALPU => pad([
                 fw.alpu_resets,
                 fw.alpu_fallbacks,
                 fw.alpu_reengagements,
                 fw.alpu_parity_errors,
                 fw.alpu_overflow_spins,
-            ]);
-        }
-        let ls = self.link.as_ref().map(Reliability::stats);
-        if let Some(ls) = ls {
-            r.link = Some([
+            ]),
+            LINK => pad([
                 ls.retransmits,
                 ls.acks_sent,
                 ls.nacks_sent,
@@ -628,40 +710,23 @@ impl Nic {
                 ls.gap_discarded,
                 ls.timer_fires,
                 ls.links_dead,
-            ]);
-        }
-        // Component-fault counters: keyed only when a schedule is armed,
-        // so unarmed stat dumps stay byte-identical.
-        if self.schedule.is_some() {
-            r.fault = Some([
+            ]),
+            FAULT => pad([
                 fw.peers_failed,
                 fw.ops_rank_failed,
                 fw.alpus_killed,
                 fw.stale_rndv_dropped,
                 fw.peers_revived,
-            ]);
-            if let Some(ls) = ls {
-                r.fault_link = Some([ls.epoch_fences, ls.stale_epoch_dropped]);
-            }
-        }
-        // Collective-offload counters: keyed only once the engine has
-        // seen a request (every Collective request increments exactly one
-        // of offloaded/declined), so non-collective stat dumps stay
-        // byte-identical.
-        if fw.coll_offloaded + fw.coll_declined > 0 {
-            r.coll = Some([
+            ]),
+            FAULT_LINK => pad([ls.epoch_fences, ls.stale_epoch_dropped]),
+            COLL => pad([
                 fw.coll_offloaded,
                 fw.coll_declined,
                 fw.coll_steps_sent,
                 fw.coll_steps_recv,
                 fw.coll_rank_failed,
-            ]);
-        }
-        // Flow-control / overload counters: keyed out entirely unless a
-        // bound (or the leak fault) is configured, so pre-existing stat
-        // dumps stay byte-identical.
-        if self.overload {
-            r.flow = Some([
+            ]),
+            FLOW => pad([
                 fw.unexpected_highwater,
                 fw.eager_bytes_highwater,
                 fw.truncated_admits,
@@ -672,11 +737,36 @@ impl Nic {
                 fw.grants_issued,
                 fw.grants_leaked,
                 fw.cts_leaked,
-            ]);
-            if let Some(ls) = ls {
-                r.flow_link = Some([ls.credits_granted, ls.credits_received]);
+            ]),
+            FLOW_LINK => pad([ls.credits_granted, ls.credits_received]),
+            _ => unreachable!("no stat group {g}"),
+        }
+    }
+
+    /// The link layer's counters (zero with the layer off, where no
+    /// group reads them).
+    fn link_stats(&self) -> LinkStats {
+        self.link
+            .as_ref()
+            .map(Reliability::stats)
+            .unwrap_or_default()
+    }
+
+    /// Copy the live groups' counters into the record and mark none
+    /// live. Called before a change that no snapshot point follows (a
+    /// frame arriving while the core is busy) or that some group's
+    /// record must not see (a restart's wipe).
+    fn freeze_stats(&mut self) {
+        if self.record.live == 0 {
+            return;
+        }
+        let (fw, ls) = (self.fw.stats(), self.link_stats());
+        for g in 0..GROUP_KEYS.len() {
+            if self.record.live & (1 << g) != 0 {
+                self.record.frozen[g] = Some(self.group_values(g, &fw, &ls));
             }
         }
+        self.record.live = 0;
     }
 
     /// The latency histograms, keyed by `nic{N}.` suffix: the firmware's
@@ -797,6 +887,12 @@ impl Component for Nic {
         }
         match ev.port {
             PORT_NET_RX => {
+                if self.busy {
+                    // A busy core leaves this arrival queued, so no
+                    // snapshot point may follow the link-layer and
+                    // header-copy counters it changes.
+                    self.freeze_stats();
+                }
                 let mut msg = *ev
                     .payload
                     .downcast::<Message>()
@@ -930,32 +1026,50 @@ impl Component for Nic {
         Some(self)
     }
 
-    /// Write the snapshot record as `nic{N}.*` keys: every group that some
+    /// Write the record as `nic{N}.*` keys: every group that some
     /// snapshot point published, with its values from the last one.
     fn publish(&self, stats: &mut Stats) {
-        fn put<const N: usize>(
-            stats: &mut Stats,
-            prefix: &str,
-            keys: &[&str; N],
-            values: Option<[u64; N]>,
-        ) {
-            for (key, v) in keys.iter().zip(values.iter().flatten()) {
-                stats.set(&format!("{prefix}.{key}"), *v);
+        let r = &self.record;
+        let (fw, ls) = (self.fw.stats(), self.link_stats());
+        let mut key = String::with_capacity(self.stat_prefix.len() + 32);
+        key.push_str(&self.stat_prefix);
+        key.push('.');
+        let stem = key.len();
+        let mut put = |suffix: &str, v: u64| {
+            key.truncate(stem);
+            key.push_str(suffix);
+            stats.set(&key, v);
+        };
+        for (g, keys) in GROUP_KEYS.iter().enumerate() {
+            let values = if r.live & (1 << g) != 0 {
+                Some(self.group_values(g, &fw, &ls))
+            } else {
+                r.frozen[g]
+            };
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                values, r.shadow[g],
+                "nic{}: stat group {g} drifted from its last snapshot",
+                self.node
+            );
+            for (k, v) in keys.iter().zip(values.iter().flatten()) {
+                put(k, *v);
             }
         }
-        let (p, r) = (self.stat_prefix.as_str(), &self.record);
-        put(stats, p, &BASE_KEYS, r.base);
-        put(stats, p, &LEN_MAX_KEYS, r.base.map(|_| r.len_max));
-        put(stats, p, &ALPU_KEYS, r.alpu);
-        put(stats, p, &LINK_KEYS, r.link);
-        put(stats, p, &FAULT_KEYS, r.fault);
-        put(stats, p, &FAULT_LINK_KEYS, r.fault_link);
-        put(stats, p, &COLL_KEYS, r.coll);
-        put(stats, p, &FLOW_KEYS, r.flow);
-        put(stats, p, &FLOW_LINK_KEYS, r.flow_link);
-        put(stats, p, &["fault.crashed"], r.crashed.map(|v| [v]));
-        put(stats, p, &["fault.incarnation"], r.incarnation.map(|v| [v]));
-        put(stats, p, &["link.crc_dropped"], r.crc_dropped.map(|v| [v]));
+        if r.reached() {
+            for (k, v) in LEN_MAX_KEYS.iter().zip(r.len_max) {
+                put(k, v);
+            }
+        }
+        for (k, v) in [
+            ("fault.crashed", r.crashed),
+            ("fault.incarnation", r.incarnation),
+            ("link.crc_dropped", r.crc_dropped),
+        ] {
+            if let Some(v) = v {
+                put(k, v);
+            }
+        }
     }
 
     /// Write the work-item counter and histograms as `nic{N}.*` metrics.
@@ -967,7 +1081,7 @@ impl Component for Nic {
             metrics.add(&format!("{p}.work_items"), self.work_items);
         }
         metrics.publish_hist(&format!("{p}.work_service"), &self.work_service);
-        if self.record.base.is_none() {
+        if !self.record.reached() {
             return;
         }
         let retired = self.retired_hists.iter().map(|(k, h)| (*k, h));

@@ -4,7 +4,7 @@
 //! matching semantics, ordering, and baseline-vs-ALPU equivalence.
 
 use mpiq_dessim::prelude::*;
-use mpiq_net::{wire_ports, FabricPort, NetConfig, PORT_FP_INJECT};
+use mpiq_net::{connect_crossbar, FabricPort, NetConfig, PORT_FP_INJECT};
 use mpiq_nic::{
     Completion, HostRequest, Nic, NicConfig, ReqId, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX,
     PORT_NET_TX,
@@ -72,7 +72,7 @@ fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
         ports.push(port);
         logs.push(log);
     }
-    wire_ports(&mut sim, &ports, &net);
+    connect_crossbar(&mut sim, &ports);
     World { sim, nics, logs }
 }
 

@@ -209,3 +209,50 @@ fn stats_registry_matches_golden() {
         );
     }
 }
+
+/// Reads the registry between events, not only once a run is over: an
+/// incast under overload bounds and wire faults, cut every 100 ns. At
+/// many cuts a frame has just reached a busy NIC, whose link-layer and
+/// header-copy counters then run ahead of its last snapshot point.
+/// Debug builds check, at every read, each NIC's published groups
+/// against a copy taken at each snapshot point. Reading must not
+/// perturb the run: the last read equals one made only at the end.
+#[test]
+fn stats_read_mid_run_match_the_last_snapshot() {
+    let cluster = || {
+        let cfg = ClusterConfig::builder(NicConfig::baseline())
+            .faults("seed=3,drop=0.03,corrupt=0.03".parse().expect("fault spec"))
+            .flow_control(mpiq::mpi::FlowControl {
+                eager_credits: 2,
+                max_unexpected: 4,
+                eager_buffer_bytes: 1 << 10,
+            })
+            .build();
+        let mut b0 = Script::builder();
+        b0.sleep(Time::from_us(2));
+        for _ in 0..24 {
+            b0.recv(None, Some(7), 64);
+        }
+        let mut programs = vec![boxed(b0.build(mark_log()))];
+        for _ in 0..4 {
+            let mut b = Script::builder();
+            let sends: Vec<usize> = (0..6).map(|_| b.isend(0, 7, 64)).collect();
+            b.wait_all(sends);
+            programs.push(boxed(b.build(mark_log())));
+        }
+        Cluster::new(cfg, programs)
+    };
+    let mut whole = cluster();
+    whole.run();
+    let mut cut = cluster();
+    let mut horizon = Time::ZERO;
+    let mut reads = 0;
+    while cut.run_watched(horizon).is_err() {
+        assert!(horizon < Time::from_ms(10), "incast did not finish");
+        cut.stats();
+        reads += 1;
+        horizon += Time::from_ns(100);
+    }
+    assert!(reads > 100, "only {reads} reads before the run ended");
+    assert_eq!(cut.stats().to_json(), whole.stats().to_json());
+}
