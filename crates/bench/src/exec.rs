@@ -74,7 +74,7 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
             modes,
             len,
             iters,
-        } => collectives(spec, ranks, ops, topos, modes, *len, *iters, &mut result)?,
+        } => collectives(ranks, ops, topos, modes, *len, *iters, &mut result)?,
         BenchSpec::Appstudy => appstudy(spec, &mut result),
         BenchSpec::AblationBlock => ablation_block(&mut result),
         BenchSpec::AblationHash => ablation_hash(spec, &mut result),
@@ -705,7 +705,6 @@ fn fat_tree(ranks: u32) -> Topology {
 
 /// One collectives cell: every rank runs `iters` back-to-back
 /// collectives between a pair of marks.
-#[allow(clippy::too_many_arguments)]
 fn collectives_cell(
     ranks: u32,
     op: mpiq_nic::CollOp,
@@ -714,7 +713,6 @@ fn collectives_cell(
     iters: u32,
     topo: Topology,
     offload: bool,
-    seed: u64,
 ) -> Result<(f64, u64, u64, f64), String> {
     use mpiq_mpi::script::{mark_log, MarkLog};
     use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -735,10 +733,7 @@ fn collectives_cell(
         .collect();
     let mut nic = NicConfig::baseline();
     nic.coll_offload = offload;
-    let cfg = ClusterConfig::builder(nic)
-        .seed(seed)
-        .topology(topo)
-        .build();
+    let cfg = ClusterConfig::builder(nic).topology(topo).build();
     let start = Instant::now();
     let mut c = Cluster::new(cfg, programs);
     let events = c
@@ -760,9 +755,7 @@ fn collectives_cell(
     Ok((sim_ns_per_op, host_completions, events, wall_ms))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn collectives(
-    spec: &RunSpec,
     ranks_list: &[u32],
     ops: &[String],
     topos: &[String],
@@ -777,7 +770,6 @@ fn collectives(
     if ranks_list.contains(&0) {
         return Err("--ranks entries must be >= 1".to_string());
     }
-    let seed = spec.seed.unwrap_or(1);
     struct Row {
         ranks: u32,
         op: &'static str,
@@ -816,7 +808,7 @@ fn collectives(
                         }
                     };
                     let (sim_ns_per_op, host_completions, events, wall_ms) =
-                        collectives_cell(ranks, op, root, len, iters, topo, offload, seed)?;
+                        collectives_cell(ranks, op, root, len, iters, topo, offload)?;
                     rows.push(Row {
                         ranks,
                         op: op_label,

@@ -85,7 +85,7 @@ pub struct SoakConfig {
     pub msgs: u32,
     /// Payload bytes of the bulk traffic (eager when ≤ the threshold).
     pub msg_size: u32,
-    /// Simulation seed; also feeds the hot-receiver traffic matrix.
+    /// Seed of the hot-receiver traffic matrix and the chaos storm.
     pub seed: u64,
     /// Per-peer eager credit allowance (0 disables credit flow control).
     pub eager_credits: u32,
@@ -461,7 +461,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
         cfg.max_unexpected,
         cfg.eager_buffer_bytes,
     );
-    let mut builder = ClusterConfig::builder(nic).seed(cfg.seed).net(cfg.net);
+    let mut builder = ClusterConfig::builder(nic).net(cfg.net);
     if let Some(f) = cfg.faults {
         builder = builder.faults(f);
     }

@@ -15,22 +15,31 @@
 
 use mpiq_bench::jsonlint;
 use mpiq_bench::{traced_preposted, NicVariant, PrepostedPoint};
-use mpiq_dessim::chrome_trace;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
+use mpiq_dessim::{chrome_trace, Histogram, Metrics};
 
 /// Emits one of every structured trace event; the `metered` instance
-/// also records a counter and a histogram sample.
+/// also keeps a counter and a histogram sample, which it publishes.
+#[derive(Default)]
 struct Scripted {
     metered: bool,
+    work_items: u64,
+    linear: Histogram,
 }
 
 impl Component for Scripted {
+    fn publish_metrics(&self, metrics: &mut Metrics) {
+        if self.work_items > 0 {
+            metrics.add("nic0.work_items", self.work_items);
+        }
+        metrics.publish_hist("nic0.match.posted.linear", &self.linear);
+    }
+
     fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
         if self.metered {
-            ctx.metrics().add("nic0.work_items", 9);
-            ctx.metrics()
-                .record("nic0.match.posted.linear", Time::from_ns(105));
+            self.work_items += 9;
+            self.linear.record(Time::from_ns(105));
         }
         ctx.trace(TraceEvent::QueueOp {
             queue: QueueKind::Posted,
@@ -83,8 +92,12 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn scripted_two_component_trace_matches_golden() {
     let mut sim = Simulation::new(7);
-    let a = sim.add_component("nic0", Scripted { metered: true });
-    let b = sim.add_component("nic1", Scripted { metered: false });
+    let metered = Scripted {
+        metered: true,
+        ..Scripted::default()
+    };
+    let a = sim.add_component("nic0", metered);
+    let b = sim.add_component("nic1", Scripted::default());
     sim.enable_tracing(64);
     sim.enable_metrics();
     sim.post(a, InPort(0), Payload::empty(), Time::from_ns(100));

@@ -2,7 +2,6 @@
 
 use crate::event::{InPort, OutPort, Payload};
 use crate::metrics::Metrics;
-use crate::rng::SimRng;
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::{TraceEvent, TraceRing};
@@ -23,7 +22,8 @@ pub struct ComponentId(pub u32);
 /// state a harness shares with a component can be an `Rc<RefCell<..>>`.
 pub trait Component: 'static {
     /// Handle one delivered event. May emit events on output ports, post
-    /// self-wakeups, mutate stats, and draw random numbers via `ctx`.
+    /// self-wakeups and trace via `ctx`. Counters it keeps live in the
+    /// component's own fields, written out by [`Component::publish`].
     fn on_event(&mut self, ev: crate::event::Event, ctx: &mut Ctx<'_>);
 
     /// Called once when the simulation starts (before any event). Default:
@@ -41,21 +41,23 @@ pub trait Component: 'static {
         None
     }
 
-    /// Write counters kept outside the registry into `stats`. Called by
+    /// Write the component's counters into `stats`: the one way into
+    /// the registry. Called by
     /// [`Simulation::stats`](crate::Simulation::stats) on every component,
-    /// in registration order, on a copy of the registry handlers wrote —
-    /// so a component on a hot path can keep typed counters and pay for
-    /// key formatting once per read instead of once per event. The
+    /// in registration order, on a fresh registry — so the registry is
+    /// the component state at read time, and key formatting is paid
+    /// once per read instead of once per event. Components that write
+    /// the same key add up (`add`) or the last one wins (`set`). The
     /// writes are logged and applied in order after the last publish
     /// (see [`crate::stats`]), so a component should write here, not
     /// read. Default: nothing.
     fn publish(&self, _stats: &mut Stats) {}
 
-    /// The metrics twin of [`Component::publish`]: write histograms and
-    /// counters kept outside the registry into `metrics`. Called by
+    /// The metrics twin of [`Component::publish`]: write the component's
+    /// histograms and counters into `metrics`. Called by
     /// [`Simulation::metrics`](crate::Simulation::metrics) on every
-    /// component, in registration order. Writes are no-ops unless
-    /// metrics were enabled. Default: nothing.
+    /// component, in registration order, on a fresh registry. Writes
+    /// are no-ops unless metrics were enabled. Default: nothing.
     fn publish_metrics(&self, _metrics: &mut Metrics) {}
 
     /// Self-report for the stall watchdog (see [`crate::watchdog`]):
@@ -94,10 +96,8 @@ pub struct Ctx<'a> {
     pub(crate) now: Time,
     pub(crate) me: ComponentId,
     pub(crate) emissions: Vec<Emission>,
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) stats: &'a mut Stats,
     pub(crate) trace: &'a mut TraceRing,
-    pub(crate) metrics: &'a mut Metrics,
+    pub(crate) metrics_enabled: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -142,16 +142,6 @@ impl<'a> Ctx<'a> {
         self.send_to(self.me, port, payload, delay);
     }
 
-    /// The simulation-wide deterministic RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// The global statistics registry.
-    pub fn stats(&mut self) -> &mut Stats {
-        self.stats
-    }
-
     /// Append to the simulation trace ring (no-op unless tracing was
     /// enabled via [`Simulation::enable_tracing`](crate::Simulation::enable_tracing)).
     /// Accepts a typed [`TraceEvent`] or anything string-like (recorded as
@@ -181,10 +171,11 @@ impl<'a> Ctx<'a> {
         self.trace.enabled()
     }
 
-    /// The global metrics registry (histograms + counters). Writes are
-    /// no-ops unless metrics were enabled via
-    /// [`Simulation::enable_metrics`](crate::Simulation::enable_metrics).
-    pub fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
+    /// Were metrics enabled via
+    /// [`Simulation::enable_metrics`](crate::Simulation::enable_metrics)?
+    /// Lets components skip keeping samples that a disabled registry
+    /// would refuse.
+    pub fn metrics_enabled(&self) -> bool {
+        self.metrics_enabled
     }
 }

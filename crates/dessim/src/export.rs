@@ -210,6 +210,7 @@ mod tests {
     use super::*;
     use crate::component::{Component, Ctx};
     use crate::event::{Event, InPort, Payload};
+    use crate::metrics::Histogram;
     use crate::time::Time;
     use crate::trace::{DmaDir, QueueKind, QueueOpKind};
 
@@ -272,15 +273,24 @@ mod tests {
 
     #[test]
     fn exporter_summarizes_metrics_in_other_data() {
-        struct Metered;
+        /// Counts its events and samples one 4 ns latency per event.
+        #[derive(Default)]
+        struct Metered {
+            ops: u64,
+            lat: Histogram,
+        }
         impl Component for Metered {
-            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
-                ctx.metrics().add("nic0.ops", 5);
-                ctx.metrics().record("nic0.lat", Time::from_ns(4));
+            fn on_event(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {
+                self.ops += 5;
+                self.lat.record(Time::from_ns(4));
+            }
+            fn publish_metrics(&self, metrics: &mut Metrics) {
+                metrics.add("nic0.ops", self.ops);
+                metrics.publish_hist("nic0.lat", &self.lat);
             }
         }
         let mut sim = Simulation::new(0);
-        let c = sim.add_component("nic0", Metered);
+        let c = sim.add_component("nic0", Metered::default());
         sim.enable_metrics();
         sim.post(c, InPort(0), Payload::empty(), Time::ZERO);
         sim.run();

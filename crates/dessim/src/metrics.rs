@@ -10,10 +10,16 @@
 //!
 //! The [`Metrics`] registry mirrors [`crate::stats::Stats`]: a flat,
 //! deterministically ordered key space (`"nic0.match.alpu_hit"`) that
-//! experiment harnesses read back after a run. Unlike `Stats`, the
-//! registry is *disabled by default*: a disabled registry refuses all
-//! writes behind a single branch, so runs that never ask for metrics pay
-//! nothing and produce byte-identical output.
+//! experiment harnesses read back after a run. It has one way in, as
+//! `Stats` does: a component keeps its histograms and counters in its
+//! own fields and writes them in
+//! [`Component::publish_metrics`](crate::Component::publish_metrics),
+//! which runs only when [`Simulation::metrics`](crate::Simulation::metrics)
+//! assembles the registry. Unlike `Stats`, the registry is *disabled by
+//! default*: a disabled registry refuses all writes behind a single
+//! branch, and [`Ctx::metrics_enabled`](crate::Ctx::metrics_enabled)
+//! tells a handler whether to keep its samples at all, so runs that
+//! never ask for metrics pay nothing and produce byte-identical output.
 
 use crate::time::Time;
 use std::collections::BTreeMap;
@@ -174,23 +180,7 @@ impl Metrics {
         self.enabled = true;
     }
 
-    /// Is the registry accepting writes?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a duration sample into histogram `key` (creating it on
-    /// first use). No-op while disabled.
-    #[inline]
-    pub fn record(&mut self, key: &str, d: Time) {
-        if !self.enabled {
-            return;
-        }
-        self.hist_entry(key).record(d);
-    }
-
     /// Add to monotone counter `key`. No-op while disabled.
-    #[inline]
     pub fn add(&mut self, key: &str, v: u64) {
         if !self.enabled {
             return;
@@ -202,9 +192,8 @@ impl Metrics {
         }
     }
 
-    /// Replace histogram `key` with a component-maintained snapshot (for
-    /// components that keep their own local histograms on the hot path
-    /// and publish periodically). No-op while disabled.
+    /// Replace histogram `key` with a component-maintained one. Skips an
+    /// empty histogram. No-op while disabled.
     pub fn publish_hist(&mut self, key: &str, h: &Histogram) {
         if !self.enabled {
             return;
@@ -213,13 +202,6 @@ impl Metrics {
             return;
         }
         self.hists.insert(key.to_string(), h.clone());
-    }
-
-    /// Mutable access to histogram `key`, creating it if absent. Unlike
-    /// [`Metrics::record`] this ignores the enabled flag — callers that
-    /// hold the entry across many records do their own gating.
-    pub fn hist_entry(&mut self, key: &str) -> &mut Histogram {
-        self.hists.entry(key.to_string()).or_default()
     }
 
     /// Read a histogram.
@@ -314,14 +296,12 @@ mod tests {
     #[test]
     fn disabled_registry_refuses_writes() {
         let mut m = Metrics::disabled();
-        m.record("x", Time::from_ns(1));
         m.add("c", 3);
         m.publish_hist("h", &{
             let mut h = Histogram::new();
             h.record(Time::NS);
             h
         });
-        assert!(m.hist("x").is_none());
         assert!(m.hist("h").is_none());
         assert_eq!(m.counter("c"), 0);
         assert!(m.render().contains("no metrics"));
@@ -331,8 +311,10 @@ mod tests {
     fn enabled_registry_records_and_renders() {
         let mut m = Metrics::disabled();
         m.enable();
-        m.record("a.lat", Time::from_ns(10));
-        m.record("a.lat", Time::from_ns(12));
+        let mut h = Histogram::new();
+        h.record(Time::from_ns(10));
+        h.record(Time::from_ns(12));
+        m.publish_hist("a.lat", &h);
         m.add("a.ops", 2);
         assert_eq!(m.hist("a.lat").unwrap().count(), 2);
         assert_eq!(m.counter("a.ops"), 2);

@@ -12,7 +12,6 @@
 use crate::component::{Component, ComponentId, Ctx, Emission};
 use crate::event::{InPort, OutPort, Payload};
 use crate::metrics::Metrics;
-use crate::rng::SimRng;
 use crate::shard::Shard;
 use crate::stats::Stats;
 use crate::time::Time;
@@ -37,10 +36,9 @@ pub struct Simulation {
     wiring: Vec<Vec<Option<Link>>>,
     queue: Shard,
     now: Time,
-    rng: SimRng,
-    stats: Stats,
     trace: TraceRing,
-    metrics: Metrics,
+    /// Set by [`Simulation::enable_metrics`].
+    metrics_enabled: bool,
     events_processed: u64,
     /// Emission buffer handed to each handler's [`Ctx`] and taken back
     /// after the commit, so dispatch reuses one allocation.
@@ -49,18 +47,18 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create an empty simulation with a deterministic RNG seed.
-    pub fn new(seed: u64) -> Simulation {
+    /// Create an empty simulation. The argument is unused: nothing in a
+    /// simulation draws from a simulation-wide random stream (each
+    /// component that needs one seeds its own [`SimRng`](crate::SimRng)).
+    pub fn new(_seed: u64) -> Simulation {
         Simulation {
             components: Vec::new(),
             names: Vec::new(),
             wiring: Vec::new(),
             queue: Shard::default(),
             now: Time::ZERO,
-            rng: SimRng::new(seed),
-            stats: Stats::new(),
             trace: TraceRing::disabled(),
-            metrics: Metrics::disabled(),
+            metrics_enabled: false,
             events_processed: 0,
             emissions: Vec::new(),
             started: false,
@@ -137,21 +135,22 @@ impl Simulation {
         self.trace = TraceRing::with_capacity(capacity);
     }
 
-    /// Turn on the metrics registry; [`Ctx::metrics`](crate::Ctx::metrics)
-    /// writes are recorded from here on. Off by default so unmetered runs
-    /// stay byte-identical.
+    /// Turn on the metrics registry: [`Simulation::metrics`] accepts
+    /// what components publish, and handlers see
+    /// [`Ctx::metrics_enabled`](crate::Ctx::metrics_enabled). Off by
+    /// default so unmetered runs stay byte-identical.
     pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
+        self.metrics_enabled = true;
     }
 
-    /// The statistics registry: the counters handlers wrote, then every
-    /// component's [`Component::publish`] in registration order. Owned:
-    /// assembled on demand. The publishes are logged, one segment per
-    /// component, and applied in one ordering pass at the end (see
+    /// The statistics registry, read from the components now: every
+    /// component's [`Component::publish`] in registration order, into a
+    /// fresh registry. Owned: assembled on demand, and reading it
+    /// changes nothing in the run. The publishes are logged, one segment
+    /// per component, and applied in one ordering pass at the end (see
     /// [`crate::stats`]).
     pub fn stats(&self) -> Stats {
-        let mut out = self.stats.clone();
-        out.collect();
+        let mut out = Stats::new();
         for c in &self.components {
             out.segment();
             c.publish(&mut out);
@@ -160,11 +159,16 @@ impl Simulation {
         out
     }
 
-    /// The metrics registry: what handlers recorded, then every
-    /// component's [`Component::publish_metrics`] in registration order.
-    /// Owned: assembled on demand.
+    /// The metrics registry, read from the components now: every
+    /// component's [`Component::publish_metrics`] in registration order,
+    /// into a fresh registry (disabled, so empty, unless
+    /// [`Simulation::enable_metrics`] was called). Owned: assembled on
+    /// demand.
     pub fn metrics(&self) -> Metrics {
-        let mut out = self.metrics.clone();
+        let mut out = Metrics::disabled();
+        if self.metrics_enabled {
+            out.enable();
+        }
         for c in &self.components {
             c.publish_metrics(&mut out);
         }
@@ -278,10 +282,8 @@ impl Simulation {
             now: self.now,
             me,
             emissions: std::mem::take(&mut self.emissions),
-            rng: &mut self.rng,
-            stats: &mut self.stats,
             trace: &mut self.trace,
-            metrics: &mut self.metrics,
+            metrics_enabled: self.metrics_enabled,
         };
         handler(self.components[me.0 as usize].as_mut(), &mut ctx);
         let mut emissions = ctx.emissions;
@@ -463,85 +465,70 @@ mod tests {
     }
 
     #[test]
-    fn rng_draws_repeat_for_the_same_seed() {
-        struct Draw {
-            out: Rc<RefCell<Vec<u64>>>,
-        }
-        impl Component for Draw {
-            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
-                let v = ctx.rng().next_u64();
-                self.out.borrow_mut().push(v);
-            }
-        }
-        let draws = |seed: u64| {
-            let out = Rc::new(RefCell::new(Vec::new()));
-            let mut sim = Simulation::new(seed);
-            for s in 0..3u64 {
-                let c = sim.add_component(&format!("d{s}"), Draw { out: out.clone() });
-                sim.post(c, InPort(0), Payload::empty(), Time::from_ns(s));
-            }
-            sim.run();
-            out.take()
-        };
-        assert_eq!(draws(42), draws(42));
-        assert_ne!(draws(42), draws(43));
-    }
-
-    #[test]
     fn on_start_runs_once_before_events() {
         struct Starter {
             started: u32,
+            events: u64,
         }
         impl Component for Starter {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 self.started += 1;
                 ctx.wake_me(InPort(0), Payload::empty(), Time::NS);
             }
-            fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
-                ctx.stats().add("starter.events", 1);
+            fn on_event(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {
+                self.events += 1;
+            }
+            fn publish(&self, stats: &mut Stats) {
+                stats.set("starter.started", self.started as u64);
+                stats.set("starter.events", self.events);
             }
         }
         let mut sim = Simulation::new(0);
-        let _ = sim.add_component("s", Starter { started: 0 });
+        let _ = sim.add_component(
+            "s",
+            Starter {
+                started: 0,
+                events: 0,
+            },
+        );
         sim.run();
         assert_eq!(sim.stats().get("starter.events"), 1);
         sim.run(); // idempotent: start hooks don't fire again
+        assert_eq!(sim.stats().get("starter.started"), 1);
         assert_eq!(sim.stats().get("starter.events"), 1);
     }
 
     /// Keeps a typed event count and writes it only when a registry is
-    /// read: `pub.{tag}.seen` once anything was seen, plus a share of
-    /// the additive `shared` counter handlers also bump, and the
-    /// last-writer-wins `last` gauge — in both the stats and the metrics
-    /// registry.
+    /// read: `pub.{tag}.seen` once anything was seen, its events onto
+    /// the additive `shared` counter, and the last-writer-wins `last`
+    /// gauge; `shared` also goes into the metrics registry.
     struct Publisher {
         tag: u64,
         seen: u64,
     }
     impl Component for Publisher {
-        fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+        fn on_event(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {
             self.seen += 1;
-            ctx.stats().add("shared", 1);
-            ctx.metrics().add("shared", 1);
         }
         fn publish(&self, stats: &mut Stats) {
             if self.seen > 0 {
                 stats.set(&format!("pub.{}.seen", self.tag), self.seen);
-                stats.add("shared", 10);
+                stats.add("shared", self.seen);
             }
             stats.set("last", self.tag);
         }
         fn publish_metrics(&self, metrics: &mut Metrics) {
             if self.seen > 0 {
-                metrics.add("shared", 10);
+                metrics.add("shared", self.seen);
             }
         }
     }
 
-    /// Published values add onto the counters handlers wrote while the
-    /// shard ran, in the stats and the metrics registry alike.
+    /// Components that publish one additive key sum into it, in the
+    /// stats and the metrics registry alike, and each read assembles a
+    /// fresh registry.
     #[test]
-    fn publish_merges_with_shard_counters() {
+    fn publishes_merge_across_components() {
         let mut sim = Simulation::new(0);
         sim.enable_metrics();
         let a = sim.add_component("a", Publisher { tag: 1, seen: 0 });
@@ -554,12 +541,11 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.get("pub.1.seen"), 3);
         assert_eq!(stats.get("pub.2.seen"), 1);
-        // 4 handler increments + 2 publishes.
-        assert_eq!(stats.get("shared"), 4 + 20);
-        assert_eq!(sim.metrics().counter("shared"), 4 + 20);
+        assert_eq!(stats.get("shared"), 3 + 1);
+        assert_eq!(sim.metrics().counter("shared"), 3 + 1);
         // Reading twice publishes into a fresh registry each time.
         assert_eq!(sim.stats().to_json(), stats.to_json());
-        assert_eq!(sim.metrics().counter("shared"), 4 + 20);
+        assert_eq!(sim.metrics().counter("shared"), 3 + 1);
     }
 
     /// There is one shard, so publish runs in component index

@@ -99,25 +99,32 @@ mod tests {
     use crate::component::{Component, ComponentId, Ctx};
     use crate::event::{Event, InPort, OutPort, Payload};
     use crate::time::Time;
-    use crate::Simulation;
+    use crate::{Simulation, Stats};
     use std::cell::RefCell;
     use std::rc::Rc;
 
     /// Deliveries as `(time, tag, counter)`, shared by every forwarder.
     type RingLog = Rc<RefCell<Vec<(Time, u32, u64)>>>;
 
-    /// Forwards a decrementing counter over its one output port.
+    /// Forwards a decrementing counter over its one output port, and
+    /// publishes how many events it handled as `fwd{tag}.events`.
     struct Fwd {
         log: RingLog,
         tag: u32,
+        events: u64,
     }
     impl Component for Fwd {
         fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
             let n = *ev.payload.downcast::<u64>().unwrap();
             self.log.borrow_mut().push((ctx.now(), self.tag, n));
-            ctx.stats().incr(&format!("fwd{}.events", self.tag));
+            self.events += 1;
             if n > 0 {
                 ctx.emit(OutPort(0), Payload::new(n - 1));
+            }
+        }
+        fn publish(&self, stats: &mut Stats) {
+            if self.events > 0 {
+                stats.add(&format!("fwd{}.events", self.tag), self.events);
             }
         }
     }
@@ -129,9 +136,12 @@ mod tests {
         let mut sim = Simulation::new(7);
         let ids: Vec<ComponentId> = (0..n)
             .map(|i| {
-                let log = log.clone();
-                let tag = i as u32;
-                sim.add_component(&format!("fwd{i}"), Fwd { log, tag })
+                let fwd = Fwd {
+                    log: log.clone(),
+                    tag: i as u32,
+                    events: 0,
+                };
+                sim.add_component(&format!("fwd{i}"), fwd)
             })
             .collect();
         for i in 0..n {
@@ -247,7 +257,7 @@ mod tests {
 
     #[test]
     fn stats_merge_in_shard_order_and_sum() {
-        // Every forwarder bumps its own counter in the shard's one
+        // Every forwarder publishes its own counter into the one
         // registry; the per-component counts sum to the events run.
         let (mut sim, _log) = build_ring(3, Time::from_ns(10));
         sim.post(ComponentId(0), InPort(0), Payload::new(6u64), Time::ZERO);

@@ -5,22 +5,20 @@
 //! simulation phases. Components publish into a flat string-keyed counter
 //! space; the convention is dotted paths like `"nic0.l1.miss"`.
 //!
-//! Two ways in: a handler writes through [`Ctx::stats`](crate::Ctx::stats)
-//! as it runs (cheap for a static key), or a component keeps its counters
-//! in its own typed record and writes them in
-//! [`Component::publish`](crate::Component::publish), which runs only
-//! when [`Simulation::stats`](crate::Simulation::stats) assembles the
-//! registry. The second keeps key formatting off the event path.
+//! One way in: a component keeps its counters in its own typed fields
+//! and writes them in [`Component::publish`](crate::Component::publish),
+//! which runs only when [`Simulation::stats`](crate::Simulation::stats)
+//! assembles the registry. So a registry is a read of component state
+//! at read time, and no key is formatted on the event path.
 //!
 //! The registry is a vector of counters sorted by key bytes, the order a
 //! `BTreeMap<String, u64>` iterates in. The key bytes live back to back
-//! in one string, so thousands of keys cost no allocation each. Handler
-//! writes find their slot by binary search. While
-//! [`Simulation::stats`](crate::Simulation::stats) collects publishes,
-//! writes are only logged, one segment per component. One ordering pass
+//! in one string, so thousands of keys cost no allocation each. Writes
+//! are logged, one segment per component; one ordering pass
 //! (`Stats::fold`) then sorts the log by key and folds each key's
 //! writes in the order they were made, so thousands of published keys
-//! cost no shifting insert each.
+//! cost no shifting insert each. Reads binary-search the folded
+//! counters.
 
 /// A key: a byte range of [`Stats::keys`].
 #[derive(Clone, Copy, Debug)]
@@ -37,20 +35,20 @@ enum Write {
 }
 
 /// Counter registry: `(key, value)` pairs sorted by key, so lookups are a
-/// binary search and dumps are deterministically ordered.
+/// binary search and dumps are deterministically ordered. Writes are
+/// logged and take effect in one fold after the last publish, so a
+/// registry is read only once [`Simulation::stats`](crate::Simulation::stats)
+/// has assembled it.
 #[derive(Default, Debug, Clone)]
 pub struct Stats {
     /// The bytes of every key in `counters` and `log`.
     keys: String,
     /// Sorted by key bytes; keys are unique.
     counters: Vec<(Key, u64)>,
-    /// Writes made since [`Stats::collect`], in order; empty otherwise.
+    /// Writes not yet folded into `counters`, in order.
     log: Vec<(Key, Write)>,
     /// Where each writer's writes start in `log` (see [`Stats::segment`]).
     segments: Vec<usize>,
-    /// Between [`Stats::collect`] and [`Stats::fold`]: log writes instead
-    /// of applying them.
-    collecting: bool,
 }
 
 impl Stats {
@@ -61,28 +59,24 @@ impl Stats {
 
     /// Add `v` to counter `key`, creating it at zero if absent.
     pub fn add(&mut self, key: &str, v: u64) {
-        self.write(key, Write::Add(v));
-    }
-
-    /// Increment by one.
-    pub fn incr(&mut self, key: &str) {
-        self.add(key, 1);
+        self.log(key, Write::Add(v));
     }
 
     /// Overwrite a counter (for gauges like "current occupancy").
     pub fn set(&mut self, key: &str, v: u64) {
-        self.write(key, Write::Set(v));
+        self.log(key, Write::Set(v));
     }
 
     /// Read a counter; absent counters read zero.
     pub fn get(&self, key: &str) -> u64 {
-        debug_assert!(!self.collecting, "read of a registry being collected");
+        debug_assert!(self.log.is_empty(), "read of an unfolded registry");
         self.slot(key).map_or(0, |i| self.counters[i].1)
     }
 
     /// Sum all counters whose key starts with `prefix` (e.g. every node's
     /// L1 misses via prefix `"nic"` + suffix filtering by the caller).
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
+        debug_assert!(self.log.is_empty(), "read of an unfolded registry");
         let start = self.slot(prefix).unwrap_or_else(|i| i);
         self.counters[start..]
             .iter()
@@ -93,16 +87,8 @@ impl Stats {
 
     /// Iterate `(key, value)` in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        debug_assert!(!self.collecting, "read of a registry being collected");
+        debug_assert!(self.log.is_empty(), "read of an unfolded registry");
         self.counters.iter().map(|&(k, v)| (self.key(k), v))
-    }
-
-    /// Remove every counter (between measurement phases).
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.counters.clear();
-        self.log.clear();
-        self.segments.clear();
     }
 
     /// Render every counter as a JSON object with deterministically sorted
@@ -125,17 +111,6 @@ impl Stats {
         out
     }
 
-    /// Start logging writes instead of applying them, until
-    /// [`Stats::fold`]; the log starts with a `set` of every counter.
-    /// [`Simulation::stats`](crate::Simulation::stats) brackets the
-    /// components' publishes with the two.
-    pub(crate) fn collect(&mut self) {
-        self.collecting = true;
-        let counters = self.counters.drain(..);
-        self.log.extend(counters.map(|(k, v)| (k, Write::Set(v))));
-        self.segments.push(0);
-    }
-
     /// Start the next writer's segment of the log.
     /// [`Simulation::stats`](crate::Simulation::stats) starts one per
     /// component, so that [`Stats::fold`] can order each component's
@@ -146,18 +121,20 @@ impl Stats {
         }
     }
 
-    /// Apply the logged writes: order them by (key, log position), which
-    /// is a stable sort by key, and fold each key's writes in that order
-    /// (`add` adds, `set` overwrites).
+    /// Apply the logged writes to an empty registry: order them by (key,
+    /// log position), which is a stable sort by key, and fold each key's
+    /// writes in that order (`add` adds, `set` overwrites).
     ///
     /// Most segments own their keys (`nic7.*`), so sorting each segment,
     /// then placing segments by their first key, orders the log with few
     /// comparisons. Segments whose key ranges overlap (every fabric port
     /// writes `net.messages`) are merged by one sort of their writes.
     pub(crate) fn fold(&mut self) {
-        self.collecting = false;
+        debug_assert!(self.counters.is_empty(), "fold into a folded registry");
         let (keys, log) = (&self.keys, &mut self.log);
-        let mut bounds = std::mem::take(&mut self.segments);
+        // Writes made before the first segment form one of their own.
+        let mut bounds = vec![0];
+        bounds.append(&mut self.segments);
         bounds.push(log.len());
         let mut segments: Vec<std::ops::Range<usize>> = bounds
             .windows(2)
@@ -209,24 +186,8 @@ impl Stats {
         self.log.clear();
     }
 
-    /// Apply a write now, or log it while collecting.
-    fn write(&mut self, key: &str, w: Write) {
-        if self.collecting {
-            let k = self.push_key(key);
-            self.log.push((k, w));
-            return;
-        }
-        match self.slot(key) {
-            Ok(i) => self.counters[i].1 = apply(self.counters[i].1, w),
-            Err(i) => {
-                let k = self.push_key(key);
-                self.counters.insert(i, (k, apply(0, w)));
-            }
-        }
-    }
-
-    /// Append `key` to the key bytes.
-    fn push_key(&mut self, key: &str) -> Key {
+    /// Append `key` to the key bytes and log write `w` to it.
+    fn log(&mut self, key: &str, w: Write) {
         let end = self.keys.len() + key.len();
         assert!(u32::try_from(end).is_ok(), "stats keys exceed 4 GiB");
         let k = Key {
@@ -234,7 +195,7 @@ impl Stats {
             len: key.len() as u32,
         };
         self.keys.push_str(key);
-        k
+        self.log.push((k, w));
     }
 
     /// The text of `k`.
@@ -286,8 +247,9 @@ mod tests {
     #[test]
     fn add_incr_get() {
         let mut s = Stats::new();
-        s.incr("a.b");
+        s.add("a.b", 1);
         s.add("a.b", 4);
+        s.fold();
         assert_eq!(s.get("a.b"), 5);
         assert_eq!(s.get("missing"), 0);
     }
@@ -297,6 +259,7 @@ mod tests {
         let mut s = Stats::new();
         s.set("g", 10);
         s.set("g", 3);
+        s.fold();
         assert_eq!(s.get("g"), 3);
     }
 
@@ -306,6 +269,7 @@ mod tests {
         s.add("nic0.l1.miss", 2);
         s.add("nic1.l1.miss", 3);
         s.add("cpu0.l1.miss", 7);
+        s.fold();
         assert_eq!(s.sum_prefix("nic"), 5);
         let keys: Vec<&str> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["cpu0.l1.miss", "nic0.l1.miss", "nic1.l1.miss"]);
@@ -317,16 +281,9 @@ mod tests {
         s.add("b", 2);
         s.add("a", 1);
         s.set("max", u64::MAX);
+        s.fold();
         assert_eq!(s.to_json(), r#"{"a":1,"b":2,"max":18446744073709551615}"#);
         assert_eq!(Stats::new().to_json(), "{}");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = Stats::new();
-        s.incr("x");
-        s.clear();
-        assert_eq!(s.get("x"), 0);
     }
 
     /// The registry as it was built before the sorted vector: a
@@ -379,9 +336,9 @@ mod tests {
         }
     }
 
-    /// Handler writes, then the publishes of several components, as
-    /// `Simulation::stats` makes them: the sorted registry must dump the
-    /// bytes the `BTreeMap` reference built in place does.
+    /// The publishes of several components, as `Simulation::stats`
+    /// makes them: the sorted registry must dump the bytes the
+    /// `BTreeMap` reference built in place does.
     #[test]
     fn sorted_registry_matches_btreemap_reference() {
         let mut rng = SimRng::new(27);
@@ -389,11 +346,6 @@ mod tests {
             let mut s = Stats::new();
             let mut r = Reference::default();
             // Case 0 is the empty registry.
-            let handler_writes = if case == 0 { 0 } else { rng.gen_range(12) };
-            for _ in 0..handler_writes {
-                write(&mut s, &mut r, &mut rng);
-            }
-            s.collect();
             let components = if case == 0 { 0 } else { rng.gen_range(5) };
             for _ in 0..components {
                 s.segment();

@@ -40,8 +40,6 @@ pub struct ClusterConfig {
     pub nic: NicConfig,
     /// Network parameters.
     pub net: NetConfig,
-    /// RNG seed (determinism).
-    pub seed: u64,
     /// Host CPU cost per dispatched request.
     pub host_dispatch: Time,
     /// Trace-ring capacity; 0 (the default) leaves tracing disabled so
@@ -67,7 +65,6 @@ impl ClusterConfig {
         ClusterConfig {
             nic,
             net: NetConfig::default(),
-            seed: 42,
             host_dispatch: Time::from_ns(40),
             trace_capacity: 0,
             metrics: false,
@@ -92,7 +89,6 @@ impl ClusterConfig {
 /// # use mpiq_mpi::cluster::{ClusterConfig, FlowControl};
 /// # use mpiq_nic::NicConfig;
 /// let cfg = ClusterConfig::builder(NicConfig::baseline())
-///     .seed(7)
 ///     .observability(4096)
 ///     .flow_control(FlowControl {
 ///         eager_credits: 4,
@@ -100,7 +96,7 @@ impl ClusterConfig {
 ///         eager_buffer_bytes: 16 << 10,
 ///     })
 ///     .build();
-/// assert_eq!(cfg.seed, 7);
+/// assert_eq!(cfg.nic.max_unexpected, 32);
 /// assert!(cfg.metrics);
 /// ```
 #[derive(Clone, Debug)]
@@ -112,12 +108,6 @@ impl ClusterConfigBuilder {
     /// Network parameters (wire latency, bandwidth).
     pub fn net(mut self, net: NetConfig) -> Self {
         self.cfg.net = net;
-        self
-    }
-
-    /// RNG seed for the whole cluster.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -327,7 +317,7 @@ impl Cluster {
         let k = cfg.nic.ranks_per_node.max(1);
         let nodes = n.div_ceil(k);
         let plan = cfg.topology.plan(nodes).map(Arc::new);
-        let mut sim = Simulation::new(cfg.seed);
+        let mut sim = Simulation::new(0);
         if cfg.trace_capacity > 0 {
             sim.enable_tracing(cfg.trace_capacity);
         }

@@ -17,7 +17,7 @@ use crate::message::{Message, NodeId};
 use mpiq_dessim::fault::{FaultConfig, FaultPlan, FaultSchedule};
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::trace::{ComponentFaultKind, TraceEvent};
-use mpiq_dessim::Stats;
+use mpiq_dessim::{Metrics, Stats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 /// Input port where the node's own NIC injects outbound messages.
@@ -83,6 +83,22 @@ pub struct FabricPort {
     /// Last observed up/down state per undirected edge (transition
     /// telemetry; see [`scheduled_edge_refuses`]).
     edge_seen_down: BTreeMap<(u32, u32), bool>,
+    /// Fault outcomes at this port, published summed over ports.
+    counts: FaultCounts,
+}
+
+/// What faults did to one port's frames.
+#[derive(Default)]
+struct FaultCounts {
+    /// Wire-fault verdicts: `net.faults.{dropped,corrupted,duplicated}`.
+    dropped: u64,
+    corrupted: u64,
+    duplicated: u64,
+    /// Frames refused on a scheduled-down edge: `net.sched.edge_drops`.
+    edge_drops: u64,
+    /// Up/down changes observed on scheduled edges: the
+    /// `fault.flap_transitions` metric.
+    flap_transitions: u64,
 }
 
 impl FabricPort {
@@ -123,6 +139,7 @@ impl FabricPort {
                 .then(|| FaultPlan::new(faults, port_fault_site(node))),
             schedule: None,
             edge_seen_down: BTreeMap::new(),
+            counts: FaultCounts::default(),
         }
     }
 
@@ -164,6 +181,7 @@ impl FabricPort {
             if scheduled_edge_refuses(
                 &sched,
                 &mut self.edge_seen_down,
+                &mut self.counts,
                 msg.header.src_node,
                 dst,
                 ctx,
@@ -175,11 +193,11 @@ impl FabricPort {
         if let Some(plan) = &mut self.faults {
             let verdict = plan.roll_wire();
             if verdict.drop {
-                ctx.stats().incr("net.faults.dropped");
+                self.counts.dropped += 1;
                 return;
             }
             if verdict.corrupt {
-                ctx.stats().incr("net.faults.corrupted");
+                self.counts.corrupted += 1;
                 msg.link.crc_ok = false;
             }
             duplicate = verdict.duplicate;
@@ -187,7 +205,7 @@ impl FabricPort {
         if duplicate {
             // Each copy occupies its own serialization window at the
             // receiver, back to back, like a retransmitted frame would.
-            ctx.stats().incr("net.faults.duplicated");
+            self.counts.duplicated += 1;
             self.put_on_wire(msg, ctx);
         }
         self.put_on_wire(msg, ctx);
@@ -229,13 +247,14 @@ impl FabricPort {
 
 /// Scheduled-edge check at a source port: look up the edge's state at
 /// `now`, count/trace the transition if it differs from the last
-/// *observed* state (edge-triggered on traffic — both telemetry sinks
-/// are no-ops unless the harness enabled them), and say whether the
+/// *observed* state (edge-triggered on traffic — the trace is a no-op
+/// unless the harness enabled it), count a refusal, and say whether the
 /// frame must be refused. Pure function of `(schedule, edge, now)` plus
 /// locally observed traffic, so it is deterministic.
 fn scheduled_edge_refuses(
     schedule: &Arc<FaultSchedule>,
     edge_seen_down: &mut BTreeMap<(u32, u32), bool>,
+    counts: &mut FaultCounts,
     src: u32,
     dst: u32,
     ctx: &mut Ctx<'_>,
@@ -245,7 +264,7 @@ fn scheduled_edge_refuses(
     let seen = edge_seen_down.entry(key).or_insert(false);
     if *seen != down {
         *seen = down;
-        ctx.metrics().add("fault.flap_transitions", 1);
+        counts.flap_transitions += 1;
         ctx.trace(TraceEvent::ComponentFault {
             kind: if down {
                 ComponentFaultKind::LinkDown
@@ -257,7 +276,7 @@ fn scheduled_edge_refuses(
         });
     }
     if down {
-        ctx.stats().incr("net.sched.edge_drops");
+        counts.edge_drops += 1;
     }
     down
 }
@@ -289,6 +308,23 @@ impl Component for FabricPort {
         if self.messages > 0 {
             stats.add("net.messages", self.messages);
             stats.add("net.bytes", self.bytes);
+        }
+        let c = &self.counts;
+        for (key, n) in [
+            ("net.faults.dropped", c.dropped),
+            ("net.faults.corrupted", c.corrupted),
+            ("net.faults.duplicated", c.duplicated),
+            ("net.sched.edge_drops", c.edge_drops),
+        ] {
+            if n > 0 {
+                stats.add(key, n);
+            }
+        }
+    }
+
+    fn publish_metrics(&self, metrics: &mut Metrics) {
+        if self.counts.flap_transitions > 0 {
+            metrics.add("fault.flap_transitions", self.counts.flap_transitions);
         }
     }
 }

@@ -140,7 +140,7 @@ const FLOW_KEYS: [&str; 10] = [
 const FLOW_LINK_KEYS: [&str; 2] = ["flow.credits_granted", "flow.credits_received"];
 
 /// The `nic{N}.*` key groups, by index into [`GROUP_KEYS`] and bit of
-/// [`StatRecord::live`]. Each publishes only for configurations that
+/// [`Nic::stat_conditions`]. Each publishes only for configurations that
 /// can produce it, so stat dumps of other configurations stay unchanged.
 /// Cache, traversal, arrival and occupancy counters: always.
 const BASE: usize = 0;
@@ -172,21 +172,19 @@ const GROUP_KEYS: [&[&str]; 8] = [
 /// Values of one group, padded to the longest.
 type GroupValues = [u64; BASE_KEYS.len()];
 
-/// What a NIC's `nic{N}.*` keys publish. Each group holds its values
-/// from the last snapshot point at which its condition held. A snapshot
-/// point copies no counter: it records which groups are *live*, and a
-/// live group publishes the live firmware, core and link counters. They
-/// still equal the snapshot's values, because whatever changes a counter
-/// is either followed by a snapshot point or preceded by
-/// [`Nic::freeze_stats`], which copies the live groups first. The record
-/// outlives a restart, which rebuilds the firmware and core beneath it.
+/// What a NIC's `nic{N}.*` keys publish beyond the live counters. Once
+/// the NIC has handled an event, each group whose condition holds when
+/// the registry is read publishes the live firmware, core and link
+/// counters. A restart rebuilds the firmware and core beneath the
+/// record, which outlives it: the restart first copies the groups it
+/// wipes, and a group whose condition lapsed with the wipe publishes
+/// that copy.
 #[derive(Default)]
 struct StatRecord {
-    /// Bit `g` set: group `g`'s condition held at the last snapshot
-    /// point, and no freeze happened since.
-    live: u8,
-    /// Per group: the values the last freeze copied, published while the
-    /// group is not live (`None` = never published).
+    /// The NIC has handled an event (reached a snapshot point).
+    handled: bool,
+    /// Per group: the values the last restart copied, published while the
+    /// group's condition does not hold (`None` = never published).
     frozen: [Option<GroupValues>; GROUP_KEYS.len()],
     /// Running maxima of the posted and unexpected queue lengths over
     /// the snapshot points (published alongside `BASE`).
@@ -198,18 +196,18 @@ struct StatRecord {
     /// CRC failures dropped with the link layer off (`link.crc_dropped`;
     /// with the layer on, the `LINK` group carries that key).
     crc_dropped: Option<u64>,
-    /// Debug builds only: every group's values copied at each snapshot
-    /// point where its condition held, which is what a group must
-    /// publish. [`Component::publish`] checks the record against it.
-    #[cfg(debug_assertions)]
-    shadow: [Option<GroupValues>; GROUP_KEYS.len()],
 }
 
-impl StatRecord {
-    /// Some snapshot point was reached.
-    fn reached(&self) -> bool {
-        self.live & (1 << BASE) != 0 || self.frozen[BASE].is_some()
-    }
+/// Scheduled-fault transitions of one NIC, across its restarts: the
+/// `fault.*` metrics, summed over NICs. Crashes are
+/// [`StatRecord::crashed`].
+#[derive(Default)]
+struct FaultTally {
+    alpus_dead: u64,
+    nodes_restarted: u64,
+    peers_failed: u64,
+    peers_revived: u64,
+    links_dead: u64,
 }
 
 /// `values` padded to a [`GroupValues`].
@@ -263,9 +261,12 @@ pub struct Nic {
     /// dead ([`ReliabilityConfig::keepalive_timeout`]).
     keepalive: Time,
     stat_prefix: String,
-    /// Which `nic{N}.*` groups publish, and what; written into the
-    /// registry by [`Component::publish`].
+    /// What the `nic{N}.*` keys publish beyond the live counters; written
+    /// into the registry by [`Component::publish`].
     record: StatRecord,
+    /// Written into the metrics registry by
+    /// [`Component::publish_metrics`].
+    fault_tally: FaultTally,
     /// Metered runs only: work items processed and their service times,
     /// written into the metrics registry as `nic{N}.work_items` and
     /// `nic{N}.work_service` by [`Component::publish_metrics`].
@@ -307,6 +308,7 @@ impl Nic {
             keepalive: cfg.link.keepalive_timeout,
             stat_prefix: format!("nic{node}"),
             record: StatRecord::default(),
+            fault_tally: FaultTally::default(),
             work_items: 0,
             work_service: Histogram::new(),
             retired_hists: Vec::new(),
@@ -352,6 +354,11 @@ impl Nic {
         &self.core
     }
 
+    /// The link reliability engine (its counters), when the layer is on.
+    pub fn link(&self) -> Option<&Reliability> {
+        self.link.as_ref()
+    }
+
     fn try_start(&mut self, ctx: &mut Ctx<'_>) {
         if self.busy {
             return;
@@ -382,7 +389,7 @@ impl Nic {
         self.sample_occupancy(now);
         let (end, fx) = self.fw.process(item, now, &mut self.core);
         debug_assert!(end >= now);
-        if ctx.metrics().enabled() {
+        if ctx.metrics_enabled() {
             self.work_items += 1;
             self.work_service.record(end - now);
         }
@@ -488,7 +495,6 @@ impl Nic {
                 self.busy = false;
                 self.work.clear();
                 self.pending_rx_match = 0;
-                ctx.metrics().add("fault.nodes_crashed", 1);
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::NodeCrash,
                     node: self.node,
@@ -500,7 +506,7 @@ impl Nic {
                 self.fw.set_telemetry(ctx.trace_enabled());
                 self.fw.kill_alpus(now);
                 self.drain_trace(ctx);
-                ctx.metrics().add("fault.alpus_dead", 1);
+                self.fault_tally.alpus_dead += 1;
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::AlpuDead,
                     node: self.node,
@@ -533,7 +539,7 @@ impl Nic {
                     .map_or(0, |s| s.incarnation_at(self.node, now));
                 // The wipe zeroes the live counters; groups whose
                 // condition lapses with it keep their pre-crash values.
-                self.freeze_stats();
+                self.retire_stats();
                 self.crashed = false;
                 self.busy = false;
                 self.work.clear();
@@ -549,7 +555,7 @@ impl Nic {
                     l
                 });
                 self.last_sample = now;
-                ctx.metrics().add("fault.nodes_restarted", 1);
+                self.fault_tally.nodes_restarted += 1;
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::NodeRestart,
                     node: self.node,
@@ -591,7 +597,7 @@ impl Nic {
                 }
                 revived |= self.fw.revive_peer(peer);
                 if revived {
-                    ctx.metrics().add("fault.peers_revived", 1);
+                    self.fault_tally.peers_revived += 1;
                 }
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::PeerRestart,
@@ -620,7 +626,7 @@ impl Nic {
         // Failing a peer sends nothing *except* collective step frames
         // un-parked by skipping the dead peer's steps.
         self.apply(fx, ctx);
-        ctx.metrics().add("fault.peers_failed", 1);
+        self.fault_tally.peers_failed += 1;
         ctx.trace(TraceEvent::ComponentFault {
             kind,
             node: self.node,
@@ -629,33 +635,24 @@ impl Nic {
         self.snapshot_stats();
     }
 
-    /// A snapshot point: note which stat groups' conditions hold now,
-    /// and sample the queue-length maxima. Runs after almost every
-    /// event, so it copies no counter (see [`StatRecord`]).
+    /// A snapshot point: note that an event was handled, and sample the
+    /// queue-length maxima. Runs after almost every event, so it copies
+    /// no counter (see [`StatRecord`]).
     fn snapshot_stats(&mut self) {
-        let live = self.stat_conditions();
-        debug_assert_eq!(
-            self.record.live & !live,
-            0,
-            "a stat group's condition lapsed without a freeze"
-        );
-        #[cfg(debug_assertions)]
-        {
-            let (fw, ls) = (self.fw.stats(), self.link_stats());
-            for g in (0..GROUP_KEYS.len()).filter(|g| live & (1 << g) != 0) {
-                self.record.shadow[g] = Some(self.group_values(g, &fw, &ls));
-            }
-        }
         let r = &mut self.record;
-        r.live = live;
+        r.handled = true;
         r.len_max = [
             r.len_max[0].max(self.fw.posted_len() as u64),
             r.len_max[1].max(self.fw.unexpected_len() as u64),
         ];
     }
 
-    /// The stat groups whose condition holds now, as bits.
+    /// The stat groups that publish live counters now, as bits: none
+    /// before the NIC handled an event, then those whose condition holds.
     fn stat_conditions(&self) -> u8 {
+        if !self.record.handled {
+            return 0;
+        }
         let link = self.link.is_some();
         let alpu = self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some();
         let armed = self.schedule.is_some();
@@ -752,21 +749,14 @@ impl Nic {
             .unwrap_or_default()
     }
 
-    /// Copy the live groups' counters into the record and mark none
-    /// live. Called before a change that no snapshot point follows (a
-    /// frame arriving while the core is busy) or that some group's
-    /// record must not see (a restart's wipe).
-    fn freeze_stats(&mut self) {
-        if self.record.live == 0 {
-            return;
-        }
+    /// Copy the counters of the groups that publish live ones into the
+    /// record, before a restart wipes them.
+    fn retire_stats(&mut self) {
+        let on = self.stat_conditions();
         let (fw, ls) = (self.fw.stats(), self.link_stats());
-        for g in 0..GROUP_KEYS.len() {
-            if self.record.live & (1 << g) != 0 {
-                self.record.frozen[g] = Some(self.group_values(g, &fw, &ls));
-            }
+        for g in (0..GROUP_KEYS.len()).filter(|g| on & (1 << g) != 0) {
+            self.record.frozen[g] = Some(self.group_values(g, &fw, &ls));
         }
-        self.record.live = 0;
     }
 
     /// The latency histograms, keyed by `nic{N}.` suffix: the firmware's
@@ -887,12 +877,6 @@ impl Component for Nic {
         }
         match ev.port {
             PORT_NET_RX => {
-                if self.busy {
-                    // A busy core leaves this arrival queued, so no
-                    // snapshot point may follow the link-layer and
-                    // header-copy counters it changes.
-                    self.freeze_stats();
-                }
                 let mut msg = *ev
                     .payload
                     .downcast::<Message>()
@@ -1000,7 +984,7 @@ impl Component for Nic {
                 // dead link is a watchdog diagnosis, not a completion).
                 if self.schedule.is_some() {
                     for peer in newly_dead {
-                        ctx.metrics().add("fault.links_dead", 1);
+                        self.fault_tally.links_dead += 1;
                         self.declare_peer_dead(peer, ComponentFaultKind::LinkDead, ctx);
                     }
                 }
@@ -1026,10 +1010,11 @@ impl Component for Nic {
         Some(self)
     }
 
-    /// Write the record as `nic{N}.*` keys: every group that some
-    /// snapshot point published, with its values from the last one.
+    /// Write the `nic{N}.*` keys: the live counters of every group
+    /// whose condition holds now, and what a restart copied of the rest.
     fn publish(&self, stats: &mut Stats) {
         let r = &self.record;
+        let on = self.stat_conditions();
         let (fw, ls) = (self.fw.stats(), self.link_stats());
         let mut key = String::with_capacity(self.stat_prefix.len() + 32);
         key.push_str(&self.stat_prefix);
@@ -1041,22 +1026,16 @@ impl Component for Nic {
             stats.set(&key, v);
         };
         for (g, keys) in GROUP_KEYS.iter().enumerate() {
-            let values = if r.live & (1 << g) != 0 {
+            let values = if on & (1 << g) != 0 {
                 Some(self.group_values(g, &fw, &ls))
             } else {
                 r.frozen[g]
             };
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                values, r.shadow[g],
-                "nic{}: stat group {g} drifted from its last snapshot",
-                self.node
-            );
             for (k, v) in keys.iter().zip(values.iter().flatten()) {
                 put(k, *v);
             }
         }
-        if r.reached() {
+        if r.handled {
             for (k, v) in LEN_MAX_KEYS.iter().zip(r.len_max) {
                 put(k, v);
             }
@@ -1072,16 +1051,30 @@ impl Component for Nic {
         }
     }
 
-    /// Write the work-item counter and histograms as `nic{N}.*` metrics.
-    /// The latency histograms follow the snapshot rule: only once some
-    /// snapshot point was reached, and only those holding samples.
+    /// Write the fault tally as `fault.*` metrics, and the work-item
+    /// counter and histograms as `nic{N}.*` ones. The latency histograms
+    /// publish only once the NIC has handled an event, and only those
+    /// holding samples.
     fn publish_metrics(&self, metrics: &mut Metrics) {
+        let t = &self.fault_tally;
+        for (key, n) in [
+            ("fault.nodes_crashed", self.record.crashed.unwrap_or(0)),
+            ("fault.alpus_dead", t.alpus_dead),
+            ("fault.nodes_restarted", t.nodes_restarted),
+            ("fault.peers_failed", t.peers_failed),
+            ("fault.peers_revived", t.peers_revived),
+            ("fault.links_dead", t.links_dead),
+        ] {
+            if n > 0 {
+                metrics.add(key, n);
+            }
+        }
         let p = &self.stat_prefix;
         if self.work_items > 0 {
             metrics.add(&format!("{p}.work_items"), self.work_items);
         }
         metrics.publish_hist(&format!("{p}.work_service"), &self.work_service);
-        if !self.record.reached() {
+        if !self.record.handled {
             return;
         }
         let retired = self.retired_hists.iter().map(|(k, h)| (*k, h));

@@ -78,9 +78,7 @@ fn run(
     let mut logs = Vec::new();
     let mut marks = Vec::new();
     let programs = workload(ranks, ops, sleep, &mut logs, &mut marks);
-    let mut b = ClusterConfig::builder(nic(offload))
-        .seed(11)
-        .topology(topology);
+    let mut b = ClusterConfig::builder(nic(offload)).topology(topology);
     if let Some(spec) = schedule {
         b = b.fault_schedule(spec.parse::<FaultSchedule>().expect("spec grammar"));
     }

@@ -392,7 +392,7 @@ fn unarmed_recovery_machinery_is_byte_identical_to_plain_cluster() {
             })
             .collect()
     };
-    let cfg = || ClusterConfig::builder(nic(true)).seed(5).build();
+    let cfg = || ClusterConfig::builder(nic(true)).build();
 
     let mut plain = Cluster::new(cfg(), build_programs());
     plain.run();
