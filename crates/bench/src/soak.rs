@@ -445,11 +445,25 @@ pub fn check_senders(senders: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Run one soak configuration under the watchdog and oracle-check the
-/// result. A stall (deadlock or missed deadline) comes back as the
-/// watchdog's diagnosis; a completed run that violated an overload bound
-/// panics with the violation.
-pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
+/// The cluster of one soak run before it is built: its configuration,
+/// which a caller may adjust (say, to turn metrics on), and its
+/// programs.
+pub struct SoakCluster {
+    /// NIC variant, flow control, wire faults and the chaos schedule.
+    pub config: ClusterConfig,
+    programs: Vec<Box<dyn AppProgram>>,
+    recovery: Vec<Option<Box<dyn AppProgram>>>,
+}
+
+impl SoakCluster {
+    /// Build the cluster that [`run_soak_on`] drives.
+    pub fn build(self) -> Cluster {
+        Cluster::with_recovery(self.config, self.programs, self.recovery)
+    }
+}
+
+/// The cluster `cfg` runs on, not yet built.
+pub fn soak_cluster(cfg: &SoakConfig) -> SoakCluster {
     assert!(cfg.senders >= 2, "soak needs at least 2 senders");
     let base = if cfg.alpu {
         NicConfig::with_alpus(128)
@@ -480,19 +494,31 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
             "node_mttr must leave the storm horizon behind before the restart"
         );
     }
+    if cfg.scenario == Scenario::Chaos {
+        builder = builder.fault_schedule(chaos_schedule(cfg));
+    }
+    SoakCluster {
+        config: builder.build(),
+        programs: build_programs(cfg),
+        recovery: chaos_recovery_programs(cfg),
+    }
+}
+
+/// Run one soak configuration under the watchdog and oracle-check the
+/// result. A stall (deadlock or missed deadline) comes back as the
+/// watchdog's diagnosis; a completed run that violated an overload bound
+/// panics with the violation.
+pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, Box<Diagnosis>> {
+    run_soak_on(cfg, &mut soak_cluster(cfg).build())
+}
+
+/// [`run_soak`] on a cluster built from [`soak_cluster`]`(cfg)`.
+pub fn run_soak_on(cfg: &SoakConfig, cluster: &mut Cluster) -> Result<SoakOutcome, Box<Diagnosis>> {
     let crashed: Vec<u32> = if cfg.scenario == Scenario::Chaos {
-        let sched = chaos_schedule(cfg);
-        let crashed = sched.crashed_nodes();
-        builder = builder.fault_schedule(sched);
-        crashed
+        chaos_schedule(cfg).crashed_nodes()
     } else {
         Vec::new()
     };
-    let mut cluster = Cluster::with_recovery(
-        builder.build(),
-        build_programs(cfg),
-        chaos_recovery_programs(cfg),
-    );
     let events = cluster.run_watched(cfg.deadline)?;
 
     // Oracle: every queue drained, invariants hold on every NIC. Crashed

@@ -4,10 +4,8 @@
 //! soak oracle and the benchmark's `sim_digest` hash. Each case below
 //! runs one small cluster and renders its registry; the concatenation
 //! must equal `golden/stats_registry.txt` byte for byte. Every case
-//! that builds its cluster here runs with metrics on, and its
-//! `Cluster::metrics().render()` is pinned the same way in
-//! `golden/metrics_registry.txt` (the soak cases build their clusters
-//! inside `run_soak`, which reads no metrics). The cases
+//! runs with metrics on, and its `Cluster::metrics().render()` is
+//! pinned the same way in `golden/metrics_registry.txt`. The cases
 //! cover every conditional NIC key group: the always-on counters
 //! (baseline and ALPU Fig. 5 points, a Fig. 6 point), the ALPU
 //! counters, the link-layer counters with and without the reliability
@@ -32,18 +30,18 @@ use mpiq::mpi::script::mark_log;
 use mpiq::mpi::{AppProgram, Cluster, ClusterConfig, Script};
 use mpiq::net::Topology;
 use mpiq::nic::{CollOp, NicConfig};
-use mpiq_bench::{run_soak, Scenario, SoakConfig};
+use mpiq_bench::soak::{run_soak_on, soak_cluster};
+use mpiq_bench::{Scenario, SoakConfig};
 
 use std::sync::OnceLock;
 
 const GOLDEN: &str = include_str!("golden/stats_registry.txt");
 const METRICS_GOLDEN: &str = include_str!("golden/metrics_registry.txt");
 
-/// A case's rendered registries: the stats JSON, and the metrics dump
-/// where the case can turn metrics on.
+/// A case's rendered registries: the stats JSON and the metrics dump.
 struct Registries {
     stats: String,
-    metrics: Option<String>,
+    metrics: String,
 }
 
 fn boxed(s: Script) -> Box<dyn AppProgram> {
@@ -57,7 +55,7 @@ fn run(mut cfg: ClusterConfig, programs: Vec<Box<dyn AppProgram>>) -> Registries
     c.run();
     Registries {
         stats: c.stats().to_json(),
-        metrics: Some(c.metrics().render()),
+        metrics: c.metrics().render(),
     }
 }
 
@@ -154,12 +152,16 @@ fn offloaded_collectives() -> Registries {
     run(cfg, programs)
 }
 
+/// A soak run (with its oracle) on a cluster built with metrics on.
 fn soak(cfg: SoakConfig) -> Registries {
-    let out =
-        run_soak(&cfg).unwrap_or_else(|d| panic!("{} soak stalled:\n{d}", cfg.scenario.name()));
+    let mut build = soak_cluster(&cfg);
+    build.config.metrics = true;
+    let mut c = build.build();
+    let out = run_soak_on(&cfg, &mut c)
+        .unwrap_or_else(|d| panic!("{} soak stalled:\n{d}", cfg.scenario.name()));
     Registries {
         stats: out.stats_json,
-        metrics: None,
+        metrics: c.metrics().render(),
     }
 }
 
@@ -263,9 +265,7 @@ fn render_cases() -> (String, String) {
         stats.push(' ');
         stats.push_str(&got.stats);
         stats.push('\n');
-        if let Some(m) = got.metrics {
-            metrics.push_str(&format!("== {name}\n{m}"));
-        }
+        metrics.push_str(&format!("== {name}\n{}", got.metrics));
     }
     (stats, metrics)
 }
