@@ -329,7 +329,9 @@ pub struct FwStats {
 }
 
 /// Match-path latency histograms, one per entry source (§VI's latency
-/// breakdown). Always recorded — a [`Histogram::record`] is a handful of
+/// breakdown). A software search adds a sample only when it visited an
+/// entry, so a search of an empty queue does not read as a 0 ps walk.
+/// Always recorded — a [`Histogram::record`] is a handful of
 /// integer ops — and published to the metrics registry only when the
 /// harness enabled it.
 #[derive(Clone, Debug, Default)]
@@ -1890,8 +1892,8 @@ impl Firmware {
 
     /// Charge a software walk that visited `visited` to `run`, which
     /// holds the walk's prelude: a dependent load and a compare per entry.
-    /// Counts the entries and records the search's histogram and trace
-    /// event; returns the end time.
+    /// Counts the entries, records the search's trace event and, when it
+    /// visited an entry, its histogram sample; returns the end time.
     fn charge_walk(
         &mut self,
         queue: QueueKind,
@@ -1919,7 +1921,10 @@ impl Firmware {
             ),
         };
         *count += visited.len() as u64;
-        hist.record(end - t);
+        // A search of an empty queue is no walk: it adds no sample.
+        if !visited.is_empty() {
+            hist.record(end - t);
+        }
         let entries = visited.len() as u32;
         self.ev(
             t,
