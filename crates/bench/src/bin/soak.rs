@@ -19,70 +19,11 @@
 
 use mpiq_bench::ascii_plot::{render, Series};
 use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, BenchSpec, ResultRow, RunSpec};
-use mpiq_bench::{exec, report, run_soak, Scenario, SoakConfig};
+use mpiq_bench::report::{self, Band};
+use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
+use mpiq_bench::{exec, run_soak, Scenario, SoakConfig};
 use mpiq_dessim::Time;
 use std::io::Write as _;
-
-/// Compare current rows against a tracked baseline (a previous `--out`
-/// dump). Simulated time is deterministic, so `runtime_ns` — and
-/// `recovery_ns` where restarts ran — drifting past the band in either
-/// direction is a failure. Baseline rows without a matching
-/// (scenario, seed) run are skipped; matching nothing is an error.
-fn check_baseline(
-    baseline: &str,
-    rows: &[ResultRow],
-    tolerance_pct: f64,
-) -> Result<Vec<String>, String> {
-    use mpiq_bench::jsonlint::{self, Json};
-    let doc = jsonlint::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let base_rows = doc
-        .as_array()
-        .ok_or("baseline is not a JSON array of rows")?;
-    let mut failures = Vec::new();
-    let mut matched = 0usize;
-    for r in rows {
-        let scenario = r.text("scenario").unwrap_or_default();
-        let seed = r.num("seed").unwrap_or(-1.0) as u64;
-        let senders = r.num("senders").unwrap_or(0.0) as u64;
-        let Some(base) = base_rows.iter().find(|b| {
-            b.get("scenario").and_then(Json::as_str) == Some(scenario.as_str())
-                && b.get("seed").and_then(Json::as_u64) == Some(seed)
-                && b.get("senders").and_then(Json::as_u64) == Some(senders)
-        }) else {
-            continue;
-        };
-        matched += 1;
-        for field in ["runtime_ns", "recovery_ns"] {
-            let current = r.num(field).unwrap_or(0.0) as u64;
-            let Some(base_v) = base.get(field).and_then(Json::as_u64) else {
-                continue;
-            };
-            if base_v == 0 && current == 0 {
-                continue;
-            }
-            if base_v == 0 {
-                failures.push(format!(
-                    "{scenario} seed {seed}: {field} went {current} vs baseline 0"
-                ));
-                continue;
-            }
-            let drift = (current as f64 / base_v as f64 - 1.0) * 100.0;
-            if drift.abs() > tolerance_pct {
-                failures.push(format!(
-                    "{scenario} seed {seed}: {field} {current} drifts {drift:+.1}% from baseline \
-                     {base_v} (tolerance ±{tolerance_pct}%)"
-                ));
-            }
-        }
-    }
-    if matched == 0 {
-        return Err("no baseline row matches any current run — \
-                    regenerate the baseline with --out"
-            .to_string());
-    }
-    Ok(failures)
-}
 
 fn main() {
     let cli = Cli::parse(
@@ -133,26 +74,15 @@ fn main() {
     let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
         .expect("write json");
 
-    if let Some(path) = cli.get_str("check") {
-        let tolerance: f64 = cli.get("tolerance", 10.0);
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        match check_baseline(&baseline, &result.rows, tolerance) {
-            Ok(failures) if failures.is_empty() => {
-                eprintln!("soak: all runs within ±{tolerance}% of {path}");
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("soak DRIFT: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("soak: baseline check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    // Simulated time is deterministic, so `runtime_ns` and, where
+    // restarts ran, `recovery_ns` drifting either way is a finding.
+    report::gate(
+        &cli,
+        &result.rows,
+        &["scenario", "seed", "senders"],
+        &[("runtime_ns", Band::Both), ("recovery_ns", Band::Both)],
+        10.0,
+    );
     if !ok {
         std::process::exit(1);
     }

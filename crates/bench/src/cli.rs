@@ -18,9 +18,6 @@
 //! | `--out PATH` | write result rows as a JSON array to PATH |
 //! | `--help` | uniform, generated help |
 //!
-//! The `--json` alias for `--out` was removed; passing it is now a hard
-//! error that names the replacement.
-//!
 //! Bin-specific flags are declared as [`Flag`] specs, so the generated
 //! `--help` can never drift from what the parser accepts: both come
 //! from the same table. Defaults are pinned by unit tests below.
@@ -149,7 +146,7 @@ impl Cli {
         };
         for spec in specs {
             assert!(
-                !COMMON_FLAGS.iter().any(|c| c.name == spec.name) && spec.name != "json",
+                !COMMON_FLAGS.iter().any(|c| c.name == spec.name),
                 "bin flag --{} shadows a common flag",
                 spec.name
             );
@@ -160,11 +157,6 @@ impl Cli {
                 cli.positionals.push(arg);
                 continue;
             };
-            if stripped == "json" {
-                return Err(Error::Bad(
-                    "--json was removed; use --out PATH (same JSON rows)".to_string(),
-                ));
-            }
             let spec = COMMON_FLAGS
                 .iter()
                 .chain(cli.specs.iter())
@@ -193,11 +185,16 @@ impl Cli {
         Ok(cli)
     }
 
+    /// The bin's name, as it prefixes its messages.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// The raw (unparsed) text of a *common* value flag, if given.
     ///
     /// Needed where the original spelling matters — e.g. `--faults` is
-    /// carried verbatim inside a serialized `RunSpec` because
-    /// `FaultConfig` has `FromStr` but no canonical `Display`.
+    /// carried verbatim inside a `RunSpec` because `FaultConfig` has
+    /// `FromStr` but no canonical `Display`.
     pub fn common_raw(&self, name: &str) -> Option<&str> {
         assert!(
             COMMON_FLAGS
@@ -429,25 +426,18 @@ mod tests {
         assert!(cli.common.faults.is_some());
     }
 
-    /// The `--json` alias is gone; the error must say what replaced it.
-    #[test]
-    fn json_alias_is_rejected_with_pointer_to_out() {
-        match parse(&["--json", "legacy.json"], &[]) {
-            Err(Error::Bad(msg)) => {
-                assert!(msg.contains("--json was removed"), "{msg}");
-                assert!(msg.contains("--out"), "{msg}");
-            }
-            other => panic!("expected Bad, got {other:?}"),
-        }
-    }
-
     /// Removed common flags fail like any undeclared flag: the
-    /// experiment server's address and the engine thread count (every
-    /// simulation runs on one thread). (Assembled so the removed flags'
-    /// literal spellings appear nowhere in the tree.)
+    /// experiment server's address, the engine thread count (every
+    /// simulation runs on one thread) and the old alias of `--out`.
+    /// (Assembled so the removed flags' literal spellings appear nowhere
+    /// in the tree.)
     #[test]
     fn server_flag_is_unknown() {
-        for (name, value) in [("server", "127.0.0.1:7171"), ("threads", "2")] {
+        for (name, value) in [
+            ("server", "127.0.0.1:7171"),
+            ("threads", "2"),
+            ("json", "rows.json"),
+        ] {
             let flag = ["--", name].concat();
             match parse(&[&flag, value], &[]) {
                 Err(Error::Bad(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),

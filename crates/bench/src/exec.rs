@@ -11,7 +11,7 @@
 //! Conditions the old bins handled with `panic!`/`exit(1)` (a stalled
 //! soak, a broken determinism compare, bad enum values, parameters the
 //! simulator cannot run) surface as `Err`, so a bad spec is a typed
-//! error whether it came from flags or from JSON.
+//! error, never a panic.
 
 use crate::gap::{message_gap, GapPoint};
 use crate::report::{cells, json_f64, json_str};

@@ -8,6 +8,7 @@
 //! structured timeline as Chrome `chrome://tracing` JSON and the
 //! histograms as text.
 
+use crate::preposted::preposted_programs;
 use crate::{PrepostedPoint, UnexpectedPoint};
 use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
@@ -36,45 +37,11 @@ const FILLER_TAG: u16 = 10_000;
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
 /// Deterministic: equal inputs give byte-equal exports.
 pub fn traced_preposted(nic: NicConfig, p: PrepostedPoint, trace_capacity: usize) -> TracedRun {
-    let depth = (((p.queue_len as f64) * p.fraction).floor() as usize).min(p.queue_len);
-    let marks = mark_log();
-
-    let post_queue =
-        |b: &mut mpiq_mpi::script::ScriptBuilder, peer: u16, match_tag: u16| -> usize {
-            for i in 0..depth {
-                b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
-            }
-            let matching = b.irecv(Some(peer), Some(match_tag), p.msg_size);
-            for i in depth..p.queue_len {
-                b.irecv(Some(peer), Some(FILLER_TAG + (i % 30_000) as u16), 0);
-            }
-            matching
-        };
-
-    let mut b0 = Script::builder();
-    let pong = post_queue(&mut b0, 1, PONG_TAG);
-    b0.barrier();
-    b0.sleep(Time::from_us(400)); // let ALPU insert sessions drain
-    b0.send(1, PING_TAG, p.msg_size);
-    b0.wait(pong);
-    let p0 = b0.build(marks);
-
-    let mut b1 = Script::builder();
-    let matching = post_queue(&mut b1, 0, PING_TAG);
-    b1.barrier();
-    b1.sleep(Time::from_us(400));
-    b1.wait(matching);
-    b1.send(0, PONG_TAG, p.msg_size);
-    let p1 = b1.build(mark_log());
-
     let mut cluster = Cluster::new(
         ClusterConfig::builder(nic)
             .observability(trace_capacity)
             .build(),
-        vec![
-            Box::new(p0) as Box<dyn AppProgram>,
-            Box::new(p1) as Box<dyn AppProgram>,
-        ],
+        preposted_programs(p, &mark_log()),
     );
     cluster.run();
 

@@ -9,7 +9,7 @@
 use crate::faultstats::FaultCounters;
 use crate::NicVariant;
 use mpiq_dessim::Time;
-use mpiq_mpi::script::mark_log;
+use mpiq_mpi::script::{mark_log, MarkLog};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
 
 /// One point of the Fig. 5 parameter space.
@@ -53,9 +53,27 @@ pub fn preposted_latency(variant: NicVariant, p: PrepostedPoint) -> PrepostedRes
 /// [`preposted_latency`] with an explicit NIC configuration (for
 /// ablations that tweak individual knobs).
 pub fn preposted_latency_cfg(nic: mpiq_nic::NicConfig, p: PrepostedPoint) -> PrepostedResult {
+    let marks = mark_log();
+    let mut cluster = Cluster::new(ClusterConfig::new(nic), preposted_programs(p, &marks));
+    cluster.run();
+
+    let m = marks.borrow();
+    assert_eq!(m.len(), 2, "sender must mark start and end");
+    let rtt = m[1].1 - m[0].1;
+    let fw = cluster.nic(1).firmware().stats();
+    PrepostedResult {
+        latency: rtt / 2,
+        sw_traversed: fw.posted_entries_traversed,
+        rx_l1_misses: cluster.nic(1).core().mem().l1().misses(),
+        faults: FaultCounters::collect(&cluster),
+    }
+}
+
+/// The two ranks' scripts of one point; the sender marks the start (0)
+/// and end (1) of the timed exchange in `marks`.
+pub(crate) fn preposted_programs(p: PrepostedPoint, marks: &MarkLog) -> Vec<Box<dyn AppProgram>> {
     let depth = ((p.queue_len as f64) * p.fraction).floor() as usize;
     let depth = depth.min(p.queue_len);
-    let marks = mark_log();
 
     // The exchange is symmetric, like the original benchmark: *both*
     // ranks hold the pre-posted queue, the ping traverses the receiver's
@@ -92,26 +110,10 @@ pub fn preposted_latency_cfg(nic: mpiq_nic::NicConfig, p: PrepostedPoint) -> Pre
     b1.wait(matching);
     b1.send(0, PONG_TAG, p.msg_size);
     let p1 = b1.build(mark_log());
-
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(nic),
-        vec![
-            Box::new(p0) as Box<dyn AppProgram>,
-            Box::new(p1) as Box<dyn AppProgram>,
-        ],
-    );
-    cluster.run();
-
-    let m = marks.borrow();
-    assert_eq!(m.len(), 2, "sender must mark start and end");
-    let rtt = m[1].1 - m[0].1;
-    let fw = cluster.nic(1).firmware().stats();
-    PrepostedResult {
-        latency: rtt / 2,
-        sw_traversed: fw.posted_entries_traversed,
-        rx_l1_misses: cluster.nic(1).core().mem().l1().misses(),
-        faults: FaultCounters::collect(&cluster),
-    }
+    vec![
+        Box::new(p0) as Box<dyn AppProgram>,
+        Box::new(p1) as Box<dyn AppProgram>,
+    ]
 }
 
 #[cfg(test)]

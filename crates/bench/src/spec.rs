@@ -1,24 +1,14 @@
 //! The typed execution contract: [`RunSpec`] in, [`RunResult`] out.
 //!
-//! Historically every bench bin parsed its own flags straight into local
-//! variables and the simulation sweep lived inline in `main`, so the only
-//! way to run an experiment was to exec the bin. This module promotes the
-//! string-flag surface (`cli::Common` + per-bin [`Flag`] tables) into a
-//! typed, serializable pair:
-//!
 //! * [`RunSpec`] — *what to simulate*: the bench kind plus its typed
 //!   parameters, the seed, the raw fault spec, and the execution knobs.
-//!   Built from a parsed command line ([`RunSpec::from_cli`]) or from a
-//!   JSON document ([`RunSpec::from_json`]); serializes canonically
-//!   ([`RunSpec::to_json`]), so one JSON line reproduces a run.
+//!   [`RunSpec::from_cli`] is its one parser: a spec is built from flags
+//!   only, so a bin's command line is the one-line reproduction of its
+//!   run.
 //! * [`RunResult`] — *what came out*: the CSV header, one row per sweep
 //!   point (verbatim CSV cells plus typed JSON fields), free-form text
 //!   for the table-style harnesses, stderr summary notes, and acceptance
 //!   failures.
-//!
-//! Everything is serialized with the crate's hand-rolled JSON helpers
-//! (`report::json_str` / `jsonlint::parse`) — no serde, per the std-only
-//! shim policy.
 //!
 //! Presentation-only flags (`--plot`, `--out`, `--trace-out`,
 //! `--metrics`, `--check`, `--tolerance`, the soak curve modes) are not
@@ -30,26 +20,8 @@
 
 use crate::cli::{Cli, Flag};
 use crate::jsonlint::{self, Json};
-use crate::report::{json_f64, json_str};
 use crate::NicVariant;
 use crate::Scenario;
-
-/// Every specable bench, in presentation order.
-pub const BENCHES: &[&str] = &[
-    "fig5",
-    "fig6",
-    "gap",
-    "breakeven",
-    "soak",
-    "scaling",
-    "collectives",
-    "appstudy",
-    "ablation_block",
-    "ablation_hash",
-    "ablation_prefetch",
-    "ablation_threshold",
-    "ablation_wildcard",
-];
 
 /// A complete, self-contained description of one experiment run.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,7 +106,7 @@ pub enum BenchSpec {
 }
 
 impl BenchSpec {
-    /// The bench name as spelled in [`BENCHES`] and in spec JSON.
+    /// The bench name: the bin that runs it.
     pub fn name(&self) -> &'static str {
         match self {
             BenchSpec::Fig5 { .. } => "fig5",
@@ -152,144 +124,9 @@ impl BenchSpec {
             BenchSpec::AblationWildcard => "ablation_wildcard",
         }
     }
-
-    /// The bench's parameters as a canonical single-line JSON object.
-    fn params_json(&self) -> String {
-        fn list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
-            let cells: Vec<String> = items.iter().map(f).collect();
-            format!("[{}]", cells.join(","))
-        }
-        match self {
-            BenchSpec::Fig5 {
-                configs,
-                max_queue,
-                step,
-                fractions,
-                sizes,
-            } => format!(
-                "{{\"configs\":{},\"max_queue\":{max_queue},\"step\":{step},\
-                 \"fractions\":{},\"sizes\":{}}}",
-                list(configs, |v| json_str(v.label())),
-                list(fractions, |f| json_f64(*f)),
-                list(sizes, |s| s.to_string()),
-            ),
-            BenchSpec::Fig6 {
-                max_queue,
-                step,
-                sizes,
-            } => format!(
-                "{{\"max_queue\":{max_queue},\"step\":{step},\"sizes\":{}}}",
-                list(sizes, |s| s.to_string()),
-            ),
-            BenchSpec::Gap { burst } => format!("{{\"burst\":{burst}}}"),
-            BenchSpec::Breakeven { max_queue } => format!("{{\"max_queue\":{max_queue}}}"),
-            BenchSpec::Soak {
-                scenarios,
-                seeds,
-                senders,
-                msgs,
-                size,
-                credits,
-                max_unexpected,
-                eager_buffer,
-                alpu,
-                deadline_ms,
-                mtbf_us,
-                mttr_us,
-                node_mttr_us,
-                check_determinism,
-            } => format!(
-                "{{\"scenarios\":{},\"seeds\":{seeds},\"senders\":{senders},\
-                 \"msgs\":{msgs},\"size\":{size},\"credits\":{credits},\
-                 \"max_unexpected\":{max_unexpected},\"eager_buffer\":{eager_buffer},\
-                 \"alpu\":{alpu},\"deadline_ms\":{deadline_ms},\"mtbf_us\":{mtbf_us},\
-                 \"mttr_us\":{mttr_us},\"node_mttr_us\":{node_mttr_us},\
-                 \"check_determinism\":{check_determinism}}}",
-                list(scenarios, |s| json_str(s)),
-            ),
-            BenchSpec::Scaling {
-                senders,
-                msgs,
-                size,
-                scenarios,
-            } => format!(
-                "{{\"senders\":{senders},\"msgs\":{msgs},\"size\":{size},\
-                 \"scenarios\":{}}}",
-                list(scenarios, |s| json_str(s)),
-            ),
-            BenchSpec::Collectives {
-                ranks,
-                ops,
-                topos,
-                modes,
-                len,
-                iters,
-            } => format!(
-                "{{\"ranks\":{},\"ops\":{},\"topos\":{},\"modes\":{},\
-                 \"len\":{len},\"iters\":{iters}}}",
-                list(ranks, |r| r.to_string()),
-                list(ops, |s| json_str(s)),
-                list(topos, |s| json_str(s)),
-                list(modes, |s| json_str(s)),
-            ),
-            BenchSpec::Appstudy
-            | BenchSpec::AblationBlock
-            | BenchSpec::AblationHash
-            | BenchSpec::AblationPrefetch
-            | BenchSpec::AblationThreshold
-            | BenchSpec::AblationWildcard => "{}".to_string(),
-        }
-    }
 }
 
 impl RunSpec {
-    /// Canonical single-line JSON. Fixed key order, no whitespace —
-    /// parsing and re-serializing any spec reproduces the bytes.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\":{},\"params\":{},\"seed\":{},\"faults\":{},\
-             \"sweep_threads\":{}}}",
-            json_str(self.bench.name()),
-            self.bench.params_json(),
-            match self.seed {
-                Some(s) => s.to_string(),
-                None => "null".to_string(),
-            },
-            match &self.faults {
-                Some(f) => json_str(f),
-                None => "null".to_string(),
-            },
-            self.sweep_threads,
-        )
-    }
-
-    /// Parse a spec out of its JSON text.
-    pub fn from_json(text: &str) -> Result<RunSpec, String> {
-        let doc = jsonlint::parse(text).map_err(|e| format!("spec is not valid JSON: {e}"))?;
-        RunSpec::from_json_value(&doc)
-    }
-
-    /// Parse a spec out of an already-parsed JSON document.
-    pub fn from_json_value(doc: &Json) -> Result<RunSpec, String> {
-        let bench_name = str_field(doc, "bench")?;
-        let params = doc.get("params").ok_or("spec has no `params` object")?;
-        let bench = parse_bench(&bench_name, params)?;
-        let seed = match doc.get("seed") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or("`seed` must be an unsigned integer")?),
-        };
-        let faults = match doc.get("faults") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_str().ok_or("`faults` must be a string")?.to_string()),
-        };
-        Ok(RunSpec {
-            bench,
-            seed,
-            faults,
-            sweep_threads: opt_count_field(doc, "sweep_threads")?,
-        })
-    }
-
     /// Build the spec from a parsed command line for bench `name`.
     ///
     /// Reads exactly the simulation-defining flags (plus positionals for
@@ -561,159 +398,11 @@ pub fn flags(name: &str) -> &'static [Flag] {
     }
 }
 
-fn parse_bench(name: &str, params: &Json) -> Result<BenchSpec, String> {
-    Ok(match name {
-        "fig5" => BenchSpec::Fig5 {
-            configs: str_list(params, "configs")?
-                .iter()
-                .map(|s| s.parse())
-                .collect::<Result<Vec<NicVariant>, String>>()?,
-            max_queue: usize_field(params, "max_queue")?,
-            step: usize_field(params, "step")?,
-            fractions: f64_list(params, "fractions")?,
-            sizes: u32_list(params, "sizes")?,
-        },
-        "fig6" => BenchSpec::Fig6 {
-            max_queue: usize_field(params, "max_queue")?,
-            step: usize_field(params, "step")?,
-            sizes: u32_list(params, "sizes")?,
-        },
-        "gap" => BenchSpec::Gap {
-            burst: usize_field(params, "burst")?,
-        },
-        "breakeven" => BenchSpec::Breakeven {
-            max_queue: usize_field(params, "max_queue")?,
-        },
-        "soak" => {
-            let scenarios = str_list(params, "scenarios")?;
-            for s in &scenarios {
-                Scenario::parse(s).ok_or_else(|| format!("unknown scenario `{s}`"))?;
-            }
-            BenchSpec::Soak {
-                scenarios,
-                seeds: u64_field(params, "seeds")?,
-                senders: u32_field(params, "senders")?,
-                msgs: u32_field(params, "msgs")?,
-                size: u32_field(params, "size")?,
-                credits: u32_field(params, "credits")?,
-                max_unexpected: u32_field(params, "max_unexpected")?,
-                eager_buffer: u64_field(params, "eager_buffer")?,
-                alpu: bool_field(params, "alpu")?,
-                deadline_ms: u64_field(params, "deadline_ms")?,
-                mtbf_us: u64_field(params, "mtbf_us")?,
-                mttr_us: u64_field(params, "mttr_us")?,
-                node_mttr_us: u64_field(params, "node_mttr_us")?,
-                check_determinism: bool_field(params, "check_determinism")?,
-            }
-        }
-        "scaling" => BenchSpec::Scaling {
-            senders: u32_field(params, "senders")?,
-            msgs: u32_field(params, "msgs")?,
-            size: u32_field(params, "size")?,
-            scenarios: str_list(params, "scenarios")?,
-        },
-        "collectives" => BenchSpec::Collectives {
-            ranks: u32_list(params, "ranks")?,
-            ops: str_list(params, "ops")?,
-            topos: str_list(params, "topos")?,
-            modes: str_list(params, "modes")?,
-            len: u32_field(params, "len")?,
-            iters: u32_field(params, "iters")?,
-        },
-        "appstudy" => BenchSpec::Appstudy,
-        "ablation_block" => BenchSpec::AblationBlock,
-        "ablation_hash" => BenchSpec::AblationHash,
-        "ablation_prefetch" => BenchSpec::AblationPrefetch,
-        "ablation_threshold" => BenchSpec::AblationThreshold,
-        "ablation_wildcard" => BenchSpec::AblationWildcard,
-        other => return Err(format!("unknown bench `{other}`")),
-    })
-}
-
-// --- small typed accessors over the jsonlint DOM ---------------------
-
-fn str_field(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{key}` must be a string"))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
-    match doc.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("`{key}` must be a boolean")),
-    }
-}
-
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("`{key}` must be an unsigned integer"))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, String> {
-    u64_field(doc, key).map(|v| v as usize)
-}
-
-/// A sweep fan-out field: absent (or null) means the default 0, but a
-/// malformed value is a typed error — a client typo must be rejected,
-/// never silently coerced.
-fn opt_count_field(doc: &Json, key: &str) -> Result<usize, String> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(0),
-        Some(_) => usize_field(doc, key),
-    }
-}
-
-fn u32_field(doc: &Json, key: &str) -> Result<u32, String> {
-    let v = u64_field(doc, key)?;
-    u32::try_from(v).map_err(|_| format!("`{key}` does not fit in 32 bits"))
-}
-
-fn arr_field<'j>(doc: &'j Json, key: &str) -> Result<&'j [Json], String> {
-    doc.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("`{key}` must be an array"))
-}
-
-fn str_list(doc: &Json, key: &str) -> Result<Vec<String>, String> {
-    arr_field(doc, key)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{key}` must hold strings"))
-        })
-        .collect()
-}
-
-fn f64_list(doc: &Json, key: &str) -> Result<Vec<f64>, String> {
-    arr_field(doc, key)?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("`{key}` must hold numbers"))
-        })
-        .collect()
-}
-
-fn u32_list(doc: &Json, key: &str) -> Result<Vec<u32>, String> {
-    arr_field(doc, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("`{key}` must hold unsigned 32-bit integers"))
-        })
-        .collect()
-}
-
 // --- results ---------------------------------------------------------
 
 /// One sweep-point row of a result: the verbatim CSV cells the bin
 /// prints, plus the typed fields as `(key, rendered JSON fragment)`
-/// pairs in output order (the same shape as `report::JsonRow`).
+/// pairs in output order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResultRow {
     /// Comma-joined CSV cells, exactly as printed to stdout.
@@ -734,9 +423,16 @@ impl ResultRow {
             .and_then(|j| j.as_str().map(str::to_string))
     }
 
-    fn field_json(&self, key: &str) -> Option<Json> {
-        let frag = self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)?;
-        jsonlint::parse(frag).ok()
+    /// A field's rendered JSON fragment.
+    pub(crate) fn field(&self, key: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    pub(crate) fn field_json(&self, key: &str) -> Option<Json> {
+        jsonlint::parse(self.field(key)?).ok()
     }
 }
 
@@ -763,38 +459,27 @@ pub struct RunResult {
 mod tests {
     use super::*;
 
-    #[test]
-    fn spec_json_is_canonical_and_valid() {
-        let spec = RunSpec {
-            bench: BenchSpec::Fig5 {
-                configs: vec![NicVariant::Alpu128],
-                max_queue: 100,
-                step: 50,
-                fractions: vec![0.0, 1.0],
-                sizes: vec![0],
-            },
-            seed: Some(7),
-            faults: Some("seed=1,drop=0.01".to_string()),
-            sweep_threads: 4,
-        };
-        let text = spec.to_json();
-        jsonlint::validate(&text).expect("spec JSON must be valid");
-        let back = RunSpec::from_json(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), text, "serialization must be canonical");
-    }
-
+    /// A malformed sweep fan-out is a typed error naming the flag, never
+    /// a silent default.
     #[test]
     fn malformed_thread_counts_are_typed_errors() {
-        let ok = RunSpec::from_json("{\"bench\":\"gap\",\"params\":{\"burst\":4}}").unwrap();
+        let parse = |args: &[&str]| {
+            Cli::try_parse_from(
+                "gap",
+                "test",
+                flags("gap"),
+                args.iter().map(|s| s.to_string()),
+            )
+        };
+        let ok = RunSpec::from_cli("gap", &parse(&["4"]).unwrap()).unwrap();
         assert_eq!(ok.sweep_threads, 0, "a missing count defaults to 0");
-        for bad in [
-            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":\"two\"}",
-            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":-1}",
-            "{\"bench\":\"gap\",\"params\":{\"burst\":4},\"sweep_threads\":1.5}",
-        ] {
-            let err = RunSpec::from_json(bad).unwrap_err();
-            assert!(err.contains("threads"), "error must name the flag: {err}");
+        for bad in ["two", "-1", "1.5"] {
+            match parse(&["4", "--sweep-threads", bad]) {
+                Err(crate::cli::Error::Bad(msg)) => {
+                    assert!(msg.contains("threads"), "error must name the flag: {msg}")
+                }
+                other => panic!("--sweep-threads {bad}: expected Bad, got {other:?}"),
+            }
         }
     }
 }
