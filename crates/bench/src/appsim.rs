@@ -10,10 +10,9 @@
 //! configuration.
 
 use mpiq_dessim::Time;
-use mpiq_mpi::collectives::alltoall;
-use mpiq_mpi::script::mark_log;
-use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
-use mpiq_nic::NicConfig;
+use mpiq_mpi::script::{mark_log, ScriptBuilder};
+use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script, CTX_INTERNAL};
+use mpiq_nic::{ctag, NicConfig};
 
 /// The synthetic application patterns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -241,6 +240,28 @@ fn build_programs(pattern: AppPattern) -> Vec<Script> {
     }
 }
 
+/// Linear all-to-all: every rank sends to and receives from every other
+/// rank, fully overlapped. The pattern that builds the deepest transient
+/// queues — a natural ALPU stress.
+fn alltoall(b: &mut ScriptBuilder, me: u32, n: u32, len: u32, instance: u16) {
+    assert!(me < n);
+    let mut slots = Vec::new();
+    for peer in 0..n {
+        if peer == me {
+            continue;
+        }
+        // Tag by sender so receives are unambiguous.
+        slots.push(b.irecv_ctx(
+            Some(peer as u16),
+            CTX_INTERNAL,
+            Some(ctag(instance, 2 + peer as u16)),
+            len,
+        ));
+        slots.push(b.isend_ctx(peer, CTX_INTERNAL, ctag(instance, 2 + me as u16), len));
+    }
+    b.wait_all(slots);
+}
+
 /// Run one pattern on one NIC configuration and collect the queue study.
 pub fn run_app(nic: NicConfig, pattern: AppPattern) -> AppStudy {
     let programs = build_programs(pattern)
@@ -332,6 +353,26 @@ mod tests {
             AppPattern::Wavefront { side: 3, sweeps: 4 },
         );
         assert!(s.runtime > Time::ZERO);
+    }
+
+    /// The all-to-all overlaps every pair's send and receive, so it
+    /// completes and leaves transient queue depth on every NIC
+    /// configuration.
+    #[test]
+    fn transpose_completes_on_all_nic_configs() {
+        let pat = AppPattern::Transpose {
+            ranks: 6,
+            rounds: 2,
+        };
+        for nic in [
+            NicConfig::baseline(),
+            NicConfig::with_alpus(128),
+            NicConfig::with_hash(32),
+        ] {
+            let s = run_app(nic, pat);
+            assert!(s.runtime > Time::ZERO);
+            assert!(s.max_posted + s.max_unexpected > 0, "all-to-all must queue");
+        }
     }
 
     #[test]

@@ -190,22 +190,6 @@ impl Cli {
         self.name
     }
 
-    /// The raw (unparsed) text of a *common* value flag, if given.
-    ///
-    /// Needed where the original spelling matters — e.g. `--faults` is
-    /// carried verbatim inside a `RunSpec` because `FaultConfig` has
-    /// `FromStr` but no canonical `Display`.
-    pub fn common_raw(&self, name: &str) -> Option<&str> {
-        assert!(
-            COMMON_FLAGS
-                .iter()
-                .any(|f| f.name == name && f.value.is_some()),
-            "{}: --{name} is not a common value flag",
-            self.name
-        );
-        self.opts.get(name).map(String::as_str)
-    }
-
     fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Error>
     where
         T::Err: std::fmt::Display,
@@ -446,13 +430,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn common_raw_preserves_fault_spec_spelling() {
-        let cli = parse(&["--faults", "seed=3,drop=0.25"], &[]).unwrap();
-        assert_eq!(cli.common_raw("faults"), Some("seed=3,drop=0.25"));
-        assert_eq!(cli.common_raw("out"), None);
-    }
-
     /// Satellite: malformed input to a declared typed flag is a typed
     /// parse error naming the flag — not a panic, not the default.
     #[test]
@@ -467,6 +444,17 @@ mod tests {
             Err(Error::Bad(msg)) => {
                 assert!(msg.contains("--max-queue"), "must name the flag: {msg}");
                 assert!(msg.contains("threeve"), "must show the value: {msg}");
+            }
+            other => panic!("expected Bad, got {other:?}"),
+        }
+        // A common typed flag fails at parse time, before any run.
+        match parse(&["--faults", "not-a-fault-spec"], &[]) {
+            Err(Error::Bad(msg)) => {
+                assert!(msg.contains("--faults"), "must name the flag: {msg}");
+                assert!(
+                    msg.contains("not-a-fault-spec"),
+                    "must show the value: {msg}"
+                );
             }
             other => panic!("expected Bad, got {other:?}"),
         }

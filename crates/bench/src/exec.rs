@@ -22,16 +22,12 @@ use crate::{
     FaultCounters, NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig,
     UnexpectedPoint,
 };
-use mpiq_dessim::{FaultConfig, Time};
+use mpiq_dessim::Time;
 use mpiq_net::{Topology, WireProfile};
 use std::time::Instant;
 
 /// Run the spec in-process.
 pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
-    let faults: Option<FaultConfig> = match &spec.faults {
-        Some(text) => Some(text.parse().map_err(|e| format!("--faults {text}: {e}"))?),
-        None => None,
-    };
     let mut result = RunResult {
         bench: spec.bench.name().to_string(),
         ..RunResult::default()
@@ -50,17 +46,16 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
             *step,
             fractions,
             sizes,
-            faults,
             &mut result,
         )?,
         BenchSpec::Fig6 {
             max_queue,
             step,
             sizes,
-        } => fig6(spec, *max_queue, *step, sizes, faults, &mut result)?,
+        } => fig6(spec, *max_queue, *step, sizes, &mut result)?,
         BenchSpec::Gap { burst } => gap(spec, *burst, &mut result)?,
         BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result),
-        BenchSpec::Soak { .. } => soak(spec, faults, &mut result)?,
+        BenchSpec::Soak { .. } => soak(spec, &mut result)?,
         BenchSpec::Scaling {
             senders,
             msgs,
@@ -85,7 +80,6 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
     Ok(result)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fig5(
     spec: &RunSpec,
     variants: &[NicVariant],
@@ -93,9 +87,9 @@ fn fig5(
     step: usize,
     fractions: &[f64],
     sizes: &[u32],
-    faults: Option<FaultConfig>,
     result: &mut RunResult,
 ) -> Result<(), String> {
+    let faults = spec.faults;
     if step == 0 {
         return Err("--step must be >= 1".to_string());
     }
@@ -220,9 +214,9 @@ fn fig6(
     max_queue: usize,
     step: usize,
     sizes: &[u32],
-    faults: Option<FaultConfig>,
     result: &mut RunResult,
 ) -> Result<(), String> {
+    let faults = spec.faults;
     if step == 0 {
         return Err("--step must be >= 1".to_string());
     }
@@ -446,7 +440,7 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
     ));
 }
 
-fn soak(spec: &RunSpec, faults: Option<FaultConfig>, result: &mut RunResult) -> Result<(), String> {
+fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     let BenchSpec::Soak {
         scenarios,
         seeds,
@@ -491,7 +485,7 @@ fn soak(spec: &RunSpec, faults: Option<FaultConfig>, result: &mut RunResult) -> 
             cfg.max_unexpected = *max_unexpected;
             cfg.eager_buffer_bytes = *eager_buffer;
             cfg.alpu = *alpu;
-            cfg.faults = faults;
+            cfg.faults = spec.faults;
             cfg.deadline = Time::from_ms(*deadline_ms);
             cfg.mtbf = Time::from_us(*mtbf_us);
             cfg.mttr = Time::from_us(*mttr_us);
@@ -1349,18 +1343,5 @@ mod tests {
         assert_eq!(cfg(256).deadline, soak * 16);
         assert_eq!(cfg(1024).deadline, soak * 256);
         assert!(scaling_deadline(u32::MAX) > scaling_deadline(1024));
-    }
-
-    /// A malformed fault spec is a typed error, not a panic.
-    #[test]
-    fn bad_fault_spec_is_an_error() {
-        let spec = RunSpec {
-            bench: BenchSpec::Gap { burst: 4 },
-            seed: None,
-            faults: Some("not-a-fault-spec".to_string()),
-            sweep_threads: 1,
-        };
-        let err = execute(&spec).unwrap_err();
-        assert!(err.contains("--faults"), "{err}");
     }
 }

@@ -9,10 +9,10 @@
 //! histograms as text.
 
 use crate::preposted::preposted_programs;
+use crate::unexpected::unexpected_programs;
 use crate::{PrepostedPoint, UnexpectedPoint};
-use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
-use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
+use mpiq_mpi::{Cluster, ClusterConfig};
 use mpiq_nic::NicConfig;
 
 /// Everything a traced run produces.
@@ -26,13 +26,6 @@ pub struct TracedRun {
     /// Records lost to ring overflow (0 unless capacity was too small).
     pub dropped: u64,
 }
-
-/// Tag of the timed probe.
-const PING_TAG: u16 = 7;
-/// Tag of the reply.
-const PONG_TAG: u16 = 8;
-/// Filler receives that never match.
-const FILLER_TAG: u16 = 10_000;
 
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
 /// Deterministic: equal inputs give byte-equal exports.
@@ -48,39 +41,15 @@ pub fn traced_preposted(nic: NicConfig, p: PrepostedPoint, trace_capacity: usize
     export(cluster)
 }
 
-/// Run one unexpected-queue point (Fig. 6's benchmark) with tracing and
-/// metrics enabled: park `queue_len` unexpected messages, then a single
-/// timed ping/pong whose receive posting searches past them.
+/// Run one unexpected-queue point with tracing and metrics enabled: the
+/// exchange Fig. 6 times (`queue_len` unexpected fillers, then the timed
+/// ping/pongs whose receive postings search past them).
 pub fn traced_unexpected(nic: NicConfig, p: UnexpectedPoint, trace_capacity: usize) -> TracedRun {
-    let u = p.queue_len;
-
-    let mut b0 = Script::builder();
-    let mut filler_slots = Vec::new();
-    for i in 0..u {
-        filler_slots.push(b0.isend(1, FILLER_TAG + (i % 30_000) as u16, p.msg_size));
-    }
-    b0.wait_all(filler_slots);
-    b0.barrier();
-    b0.sleep(Time::from_us(500)); // ALPU insert sessions drain
-    b0.send(1, PING_TAG, p.msg_size);
-    b0.recv(Some(1), Some(PONG_TAG), 0);
-    let p0 = b0.build(mark_log());
-
-    let mut b1 = Script::builder();
-    b1.barrier();
-    b1.sleep(Time::from_us(500));
-    b1.recv(Some(0), Some(PING_TAG), p.msg_size);
-    b1.send(0, PONG_TAG, 0);
-    let p1 = b1.build(mark_log());
-
     let mut cluster = Cluster::new(
         ClusterConfig::builder(nic)
             .observability(trace_capacity)
             .build(),
-        vec![
-            Box::new(p0) as Box<dyn AppProgram>,
-            Box::new(p1) as Box<dyn AppProgram>,
-        ],
+        unexpected_programs(p, &mark_log()),
     );
     cluster.run();
     export(cluster)

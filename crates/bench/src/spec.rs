@@ -1,7 +1,7 @@
 //! The typed execution contract: [`RunSpec`] in, [`RunResult`] out.
 //!
 //! * [`RunSpec`] — *what to simulate*: the bench kind plus its typed
-//!   parameters, the seed, the raw fault spec, and the execution knobs.
+//!   parameters, the seed, the fault spec, and the execution knobs.
 //!   [`RunSpec::from_cli`] is its one parser: a spec is built from flags
 //!   only, so a bin's command line is the one-line reproduction of its
 //!   run.
@@ -22,6 +22,7 @@ use crate::cli::{Cli, Flag};
 use crate::jsonlint::{self, Json};
 use crate::NicVariant;
 use crate::Scenario;
+use mpiq_dessim::FaultConfig;
 
 /// A complete, self-contained description of one experiment run.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,9 +31,8 @@ pub struct RunSpec {
     pub bench: BenchSpec,
     /// `--seed`; `None` = the bench's own default seed policy.
     pub seed: Option<u64>,
-    /// `--faults SPEC`, carried verbatim (the spec string is the
-    /// canonical form; `FaultConfig` has `FromStr` but no `Display`).
-    pub faults: Option<String>,
+    /// `--faults SPEC`, as `Cli` parsed it.
+    pub faults: Option<FaultConfig>,
     /// Sweep-point fan-out (`--sweep-threads`); output-invariant.
     pub sweep_threads: usize,
 }
@@ -217,7 +217,7 @@ impl RunSpec {
         Ok(RunSpec {
             bench,
             seed: cli.common.seed,
-            faults: cli.common_raw("faults").map(str::to_string),
+            faults: cli.common.faults,
             sweep_threads: cli.common.sweep_threads,
         })
     }

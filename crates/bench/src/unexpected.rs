@@ -11,7 +11,7 @@
 use crate::faultstats::FaultCounters;
 use crate::NicVariant;
 use mpiq_dessim::Time;
-use mpiq_mpi::script::mark_log;
+use mpiq_mpi::script::{mark_log, MarkLog};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
 
 /// One point of the Fig. 6 parameter space.
@@ -50,50 +50,7 @@ pub fn unexpected_latency(variant: NicVariant, p: UnexpectedPoint) -> Unexpected
 /// [`unexpected_latency`] with an explicit NIC configuration.
 pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> UnexpectedResult {
     let marks = mark_log();
-    let u = p.queue_len;
-
-    // Rank 0: sender. Park `u` fillers on the receiver, settle, then
-    // ping-pong: send ping i as soon as pong i-1 arrives.
-    let mut b0 = Script::builder();
-    let mut filler_slots = Vec::new();
-    for i in 0..u {
-        filler_slots.push(b0.isend(1, FILLER_TAG + (i % 30_000) as u16, p.msg_size));
-    }
-    b0.wait_all(filler_slots);
-    // The barrier message trails the fillers on the same (src, dst) pair,
-    // so its arrival implies every filler was processed (MPI ordering).
-    b0.barrier();
-    b0.sleep(Time::from_us(500)); // ALPU insert sessions drain
-    for i in 0..ITERS {
-        b0.send(1, PING_TAG.wrapping_add((i as u16) << 5), p.msg_size);
-        b0.recv(Some(1), Some(PONG_TAG), 0);
-    }
-    let p0 = b0.build(mark_log());
-
-    // Rank 1: receiver. The timed loop: mark, post the receive (searches
-    // the u-entry unexpected queue), wait, mark, reply.
-    let mut b1 = Script::builder();
-    b1.barrier();
-    b1.sleep(Time::from_us(500));
-    for i in 0..ITERS {
-        b1.mark(2 * i);
-        b1.recv(
-            Some(0),
-            Some(PING_TAG.wrapping_add((i as u16) << 5)),
-            p.msg_size,
-        );
-        b1.mark(2 * i + 1);
-        b1.send(0, PONG_TAG, 0);
-    }
-    let p1 = b1.build(marks.clone());
-
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(nic),
-        vec![
-            Box::new(p0) as Box<dyn AppProgram>,
-            Box::new(p1) as Box<dyn AppProgram>,
-        ],
-    );
+    let mut cluster = Cluster::new(ClusterConfig::new(nic), unexpected_programs(p, &marks));
     cluster.run();
 
     let m = marks.borrow();
@@ -110,6 +67,49 @@ pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> U
         sw_traversed: fw.unexpected_entries_traversed,
         faults: FaultCounters::collect(&cluster),
     }
+}
+
+/// The two ranks' scripts of one point; the receiver marks the start
+/// (`2i`) and end (`2i + 1`) of each timed receive in `marks`.
+pub(crate) fn unexpected_programs(p: UnexpectedPoint, marks: &MarkLog) -> Vec<Box<dyn AppProgram>> {
+    // Rank 0: sender. Park the fillers on the receiver, settle, then
+    // ping-pong: send ping i as soon as pong i-1 arrives.
+    let mut b0 = Script::builder();
+    let mut filler_slots = Vec::new();
+    for i in 0..p.queue_len {
+        filler_slots.push(b0.isend(1, FILLER_TAG + (i % 30_000) as u16, p.msg_size));
+    }
+    b0.wait_all(filler_slots);
+    // The barrier message trails the fillers on the same (src, dst) pair,
+    // so its arrival implies every filler was processed (MPI ordering).
+    b0.barrier();
+    b0.sleep(Time::from_us(500)); // ALPU insert sessions drain
+    for i in 0..ITERS {
+        b0.send(1, PING_TAG.wrapping_add((i as u16) << 5), p.msg_size);
+        b0.recv(Some(1), Some(PONG_TAG), 0);
+    }
+    let p0 = b0.build(mark_log());
+
+    // Rank 1: receiver. The timed loop: mark, post the receive (searches
+    // the unexpected queue), wait, mark, reply.
+    let mut b1 = Script::builder();
+    b1.barrier();
+    b1.sleep(Time::from_us(500));
+    for i in 0..ITERS {
+        b1.mark(2 * i);
+        b1.recv(
+            Some(0),
+            Some(PING_TAG.wrapping_add((i as u16) << 5)),
+            p.msg_size,
+        );
+        b1.mark(2 * i + 1);
+        b1.send(0, PONG_TAG, 0);
+    }
+    let p1 = b1.build(marks.clone());
+    vec![
+        Box::new(p0) as Box<dyn AppProgram>,
+        Box::new(p1) as Box<dyn AppProgram>,
+    ]
 }
 
 #[cfg(test)]

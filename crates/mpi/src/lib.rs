@@ -20,7 +20,6 @@
 
 pub mod app;
 pub mod cluster;
-pub mod collectives;
 pub mod host;
 pub mod script;
 pub mod types;

@@ -11,8 +11,9 @@
 //! measurement hooks the benchmark harnesses read after a run.
 
 use crate::app::{AppProgram, Mpi, Request};
-use crate::types::CTX_INTERNAL;
+use crate::types::{MpiError, MpiStatus, CTX_INTERNAL};
 use mpiq_dessim::Time;
+use mpiq_nic::coll::{CollOp, Dir, PlanRun};
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -56,7 +57,7 @@ pub fn mark_log() -> MarkLog {
 
 /// Status log shared between a script and its harness: `(id, status)`
 /// records appended by [`Op::Status`].
-pub type StatusLog = SharedLog<(u32, crate::types::MpiStatus)>;
+pub type StatusLog = SharedLog<(u32, MpiStatus)>;
 
 /// Create an empty status log.
 pub fn status_log() -> StatusLog {
@@ -151,9 +152,18 @@ pub enum Op {
     /// ([`mpiq_nic::coll::steps`]) through ordinary sends and receives —
     /// so offloading and fallback ranks produce the same wire pattern
     /// and interoperate within one collective.
+    ///
+    /// **Under component faults** (a scheduled `FaultSchedule` crash or
+    /// a link declared dead), a collective never deadlocks: every step
+    /// that names a failed rank is skipped, and the collective ends with
+    /// `MpiStatus::error = Some(MpiError::RankFailed{..})` naming the
+    /// first failed rank met — the ULFM `MPI_ERR_PROC_FAILED` contract —
+    /// so the script continues. Survivor-to-survivor steps complete
+    /// normally. [`Op::Agree`] and [`Op::Shrink`] are the recovery
+    /// surface.
     Coll {
         /// Which collective.
-        op: mpiq_nic::CollOp,
+        op: CollOp,
         /// Root rank (bcast; ignored for barrier/allreduce).
         root: u32,
         /// Payload bytes per message.
@@ -162,20 +172,18 @@ pub enum Op {
         sid: Option<u32>,
     },
     /// Fault-tolerant agreement on the failed-rank set (ULFM
-    /// `MPI_Comm_agree` shape): a fixed number of all-exchange
-    /// [`mpiq_nic::CollOp::Agree`] sweeps, each offered to the NIC first
-    /// with the shared-plan host fallback on decline. The sweep count is
-    /// fixed — not run-until-stable — so every survivor performs the
-    /// same wire pattern and no rank stops a sweep early while a partner
-    /// still waits on it. Each sweep is seeded with the mask accumulated
-    /// so far; with all-to-all exchange every survivor hears about a
-    /// rank that died in sweep `j` by the end of sweep `j + 1`, so the
-    /// default 3 sweeps converge for failures up to the penultimate
-    /// sweep. The agreed mask persists in the script (input to
-    /// [`Op::Shrink`]) and is recorded as the status `len` under `sid`.
+    /// `MPI_Comm_agree` shape): three all-exchange [`CollOp::Agree`]
+    /// sweeps, each offered to the NIC first with the shared-plan host
+    /// fallback on decline. The sweep count is fixed — not
+    /// run-until-stable — so every survivor performs the same wire
+    /// pattern and no rank stops a sweep early while a partner still
+    /// waits on it. Each sweep is seeded with the mask accumulated so
+    /// far; with all-to-all exchange every survivor hears about a rank
+    /// that died in sweep `j` by the end of sweep `j + 1`, so the sweeps
+    /// converge for failures up to the penultimate sweep. The agreed
+    /// mask persists in the script (input to [`Op::Shrink`]) and is
+    /// recorded as the status `len` under `sid`.
     Agree {
-        /// All-exchange sweeps to run (≥ 2; default 3).
-        sweeps: u32,
         /// Record the agreed mask (status `len`) under this id.
         sid: Option<u32>,
     },
@@ -200,7 +208,7 @@ pub enum Op {
     /// `cancelled` status.
     ShrunkColl {
         /// Which collective.
-        op: mpiq_nic::CollOp,
+        op: CollOp,
         /// Root rank in shrunk space (bcast; ignored otherwise).
         root: u32,
         /// Payload bytes per message.
@@ -243,6 +251,11 @@ pub enum Op {
     },
 }
 
+/// All-exchange sweeps of one [`Op::Agree`]: at least 2, for masks to
+/// propagate between survivors that never directly heard the same
+/// failure.
+const AGREE_SWEEPS: u32 = 3;
+
 #[derive(Debug)]
 struct BarrierRound {
     send: Request,
@@ -259,24 +272,12 @@ enum CollRun {
         /// Instance slot, reused verbatim by the fallback plan.
         instance: u16,
     },
-    /// NIC declined: the host replays the shared plan, one step at a
-    /// time (each step is a blocking send or receive, exactly what the
-    /// dependency-ordered plan requires).
+    /// NIC declined: the host replays the shared plan, one blocking send
+    /// or receive at a time (exactly what the dependency-ordered plan
+    /// requires), through the same [`PlanRun`] the firmware drives.
     Host {
-        steps: Vec<mpiq_nic::CollStep>,
-        idx: usize,
+        run: PlanRun,
         pending: Option<Request>,
-        /// First dead peer seen mid-plan (typed `RankFailed` statuses on
-        /// individual steps); carried into the final synthetic status.
-        /// Never set in agree mode, where failures are the payload.
-        failed: Option<u16>,
-        /// Agreement mode: sends stamp the accumulated `mask` as their
-        /// length, received lengths and per-step `RankFailed` ranks OR
-        /// into it, and the final status carries it as `len` — mirroring
-        /// the firmware's offloaded accumulation step for step.
-        agree: bool,
-        /// Accumulated failed-rank bitmask (agree mode only).
-        mask: u16,
     },
 }
 
@@ -418,27 +419,26 @@ impl Script {
     /// the offer and go straight to a peer-translated host plan. Returns
     /// the final synthetic status when the collective is done, `None`
     /// while it is still in flight. In agree mode (`op` is
-    /// [`mpiq_nic::CollOp::Agree`]) `len` seeds the failed-rank mask and
+    /// [`CollOp::Agree`]) `len` seeds the failed-rank mask and
     /// the returned status's `len` carries the accumulated mask.
     fn poll_coll(
         &mut self,
         mpi: &mut Mpi<'_, '_>,
-        op: mpiq_nic::CollOp,
+        op: CollOp,
         root: u32,
         len: u32,
         shrunk: bool,
-    ) -> Option<crate::types::MpiStatus> {
-        let agree = op == mpiq_nic::CollOp::Agree;
+    ) -> Option<MpiStatus> {
         loop {
             match self.coll.take() {
                 None => {
                     let instance = self.coll_instance % mpiq_nic::coll::INSTANCES;
                     self.coll_instance = self.coll_instance.wrapping_add(1);
                     if shrunk {
-                        let survivors = self.shrunk.clone().expect("ShrunkColl before Shrink");
+                        let survivors = self.shrunk.as_deref().expect("ShrunkColl before Shrink");
                         let Some(me) = survivors.iter().position(|&r| r == mpi.rank()) else {
                             // This rank was shrunk out: nothing to do.
-                            return Some(crate::types::MpiStatus {
+                            return Some(MpiStatus {
                                 source: mpi.rank() as u16,
                                 tag: 0,
                                 len: 0,
@@ -447,28 +447,10 @@ impl Script {
                                 error: None,
                             });
                         };
-                        let steps = mpiq_nic::coll::steps(
-                            op,
-                            me as u32,
-                            survivors.len() as u32,
-                            root,
-                            len,
-                            instance,
-                        )
-                        .into_iter()
-                        .map(|s| mpiq_nic::CollStep {
-                            peer: survivors[s.peer as usize],
-                            ..s
-                        })
-                        .collect();
-                        self.coll = Some(CollRun::Host {
-                            steps,
-                            idx: 0,
-                            pending: None,
-                            failed: None,
-                            agree,
-                            mask: len as u16,
-                        });
+                        let n = survivors.len() as u32;
+                        let run =
+                            PlanRun::new(op, me as u32, n, root, len, instance, Some(survivors));
+                        self.coll = Some(CollRun::Host { run, pending: None });
                     } else {
                         let req = mpi.icoll(op, root, len, instance);
                         self.coll = Some(CollRun::Offload { req, instance });
@@ -479,97 +461,49 @@ impl Script {
                         self.coll = Some(CollRun::Offload { req, instance });
                         return None;
                     };
-                    if st.cancelled {
-                        // Declined: replay the identical shared plan.
-                        self.coll = Some(CollRun::Host {
-                            steps: mpiq_nic::coll::steps(
-                                op,
-                                mpi.rank(),
-                                mpi.size(),
-                                root,
-                                len,
-                                instance,
-                            ),
-                            idx: 0,
-                            pending: None,
-                            failed: None,
-                            agree,
-                            mask: len as u16,
-                        });
-                    } else {
+                    if !st.cancelled {
                         return Some(st);
                     }
+                    // Declined: replay the identical shared plan.
+                    let (me, n) = (mpi.rank(), mpi.size());
+                    let run = PlanRun::new(op, me, n, root, len, instance, None);
+                    self.coll = Some(CollRun::Host { run, pending: None });
                 }
                 Some(CollRun::Host {
-                    steps,
-                    mut idx,
+                    mut run,
                     mut pending,
-                    mut failed,
-                    agree,
-                    mut mask,
-                }) => {
-                    loop {
-                        if let Some(r) = pending {
-                            let Some(st) = mpi.status(r) else {
-                                self.coll = Some(CollRun::Host {
-                                    steps,
-                                    idx,
-                                    pending,
-                                    failed,
-                                    agree,
-                                    mask,
-                                });
-                                return None;
-                            };
-                            if let Some(crate::types::MpiError::RankFailed { rank }) = st.error {
-                                if agree {
-                                    mask |= 1 << rank.min(15);
-                                } else {
-                                    failed.get_or_insert(rank);
-                                }
-                            } else if agree && steps[idx].dir == mpiq_nic::Dir::Recv {
-                                mask |= st.len as u16;
-                            }
-                            idx += 1;
-                        }
-                        let Some(step) = steps.get(idx) else {
-                            // Plan done: one synthetic status, shaped
-                            // exactly like the NIC's end-of-plan
-                            // completion.
-                            return Some(crate::types::MpiStatus {
-                                source: failed.unwrap_or(mpi.rank() as u16),
-                                tag: 0,
-                                len: if agree { mask as u32 } else { 0 },
-                                cancelled: false,
-                                overflow: false,
-                                error: failed
-                                    .map(|rank| crate::types::MpiError::RankFailed { rank }),
-                            });
+                }) => loop {
+                    if let Some(r) = pending {
+                        let Some(st) = mpi.status(r) else {
+                            self.coll = Some(CollRun::Host { run, pending });
+                            return None;
                         };
-                        pending = Some(match step.dir {
-                            mpiq_nic::Dir::Send => {
-                                // Agreement frames carry the current
-                                // mask, exactly as the firmware stamps
-                                // them.
-                                let slen = if agree { mask as u32 } else { step.len };
-                                mpi.isend_ctx(step.peer, CTX_INTERNAL, step.tag, slen)
-                            }
-                            mpiq_nic::Dir::Recv => {
-                                // Agree recvs post a full-mask-sized
-                                // buffer: the arriving length is the
-                                // sender's mask at stamp time, not the
-                                // plan's static length.
-                                let rlen = if agree { u16::MAX as u32 } else { step.len };
-                                mpi.irecv_ctx(
-                                    Some(step.peer as u16),
-                                    CTX_INTERNAL,
-                                    Some(step.tag),
-                                    rlen,
-                                )
-                            }
-                        });
+                        match st.error {
+                            Some(MpiError::RankFailed { rank }) => run.fail(rank),
+                            _ => run.done(st.len),
+                        }
                     }
-                }
+                    let Some(step) = run.step() else {
+                        // Plan done: one synthetic status, shaped exactly
+                        // like the NIC's end-of-plan completion.
+                        let (failed, len) = run.outcome().expect("no step left");
+                        return Some(MpiStatus {
+                            source: failed.unwrap_or(mpi.rank() as u16),
+                            tag: 0,
+                            len,
+                            cancelled: false,
+                            overflow: false,
+                            error: failed.map(|rank| MpiError::RankFailed { rank }),
+                        });
+                    };
+                    pending = Some(match step.dir {
+                        Dir::Send => mpi.isend_ctx(step.peer, CTX_INTERNAL, step.tag, step.len),
+                        Dir::Recv => {
+                            let from = Some(step.peer as u16);
+                            mpi.irecv_ctx(from, CTX_INTERNAL, Some(step.tag), step.len)
+                        }
+                    });
+                },
             }
         }
     }
@@ -732,20 +666,20 @@ impl AppProgram for Script {
                         None => return,
                     }
                 }
-                Op::Agree { sweeps, sid } => {
+                Op::Agree { sid } => {
                     let mut done = false;
                     while !done {
                         let seed = self.agree_mask as u32;
-                        match self.poll_coll(mpi, mpiq_nic::CollOp::Agree, 0, seed, false) {
+                        match self.poll_coll(mpi, CollOp::Agree, 0, seed, false) {
                             Some(st) => {
                                 self.agree_mask |= st.len as u16;
                                 self.agree_sweep += 1;
-                                if self.agree_sweep >= sweeps {
+                                if self.agree_sweep >= AGREE_SWEEPS {
                                     self.agree_sweep = 0;
                                     if let Some(id) = sid {
                                         self.statuses.borrow_mut().push((
                                             id,
-                                            crate::types::MpiStatus {
+                                            MpiStatus {
                                                 source: mpi.rank() as u16,
                                                 tag: 0,
                                                 len: self.agree_mask as u32,
@@ -772,7 +706,7 @@ impl AppProgram for Script {
                     if let Some(id) = sid {
                         self.statuses.borrow_mut().push((
                             id,
-                            crate::types::MpiStatus {
+                            MpiStatus {
                                 source: me.map_or(u16::MAX, |i| i as u16),
                                 tag: 0,
                                 len: survivors.len() as u32,
@@ -974,46 +908,15 @@ impl ScriptBuilder {
 
     /// A NIC-offloadable collective with host fallback ([`Op::Coll`]).
     /// `sid` records the final status into the status log.
-    pub fn coll(
-        &mut self,
-        op: mpiq_nic::CollOp,
-        root: u32,
-        len: u32,
-        sid: Option<u32>,
-    ) -> &mut Self {
+    pub fn coll(&mut self, op: CollOp, root: u32, len: u32, sid: Option<u32>) -> &mut Self {
         self.ops.push(Op::Coll { op, root, len, sid });
         self
     }
 
-    /// `MPI_Barrier` via the NIC-offload path (host fallback on decline).
-    pub fn coll_barrier(&mut self) -> &mut Self {
-        self.coll(mpiq_nic::CollOp::Barrier, 0, 0, None)
-    }
-
-    /// `MPI_Bcast` via the NIC-offload path (host fallback on decline).
-    pub fn coll_bcast(&mut self, root: u32, len: u32) -> &mut Self {
-        self.coll(mpiq_nic::CollOp::Bcast, root, len, None)
-    }
-
-    /// `MPI_Allreduce` via the NIC-offload path (host fallback on
-    /// decline).
-    pub fn coll_allreduce(&mut self, len: u32) -> &mut Self {
-        self.coll(mpiq_nic::CollOp::Allreduce, 0, len, None)
-    }
-
-    /// Fault-tolerant agreement on the failed-rank set with the default
-    /// 3 all-exchange sweeps ([`Op::Agree`]). The agreed mask is
-    /// recorded as the status `len` under `sid`.
+    /// Fault-tolerant agreement on the failed-rank set ([`Op::Agree`]).
+    /// The agreed mask is recorded as the status `len` under `sid`.
     pub fn agree(&mut self, sid: Option<u32>) -> &mut Self {
-        self.agree_sweeps(3, sid)
-    }
-
-    /// [`Op::Agree`] with an explicit sweep count (≥ 2 for masks to
-    /// propagate between survivors that never directly heard the same
-    /// failure).
-    pub fn agree_sweeps(&mut self, sweeps: u32, sid: Option<u32>) -> &mut Self {
-        assert!(sweeps >= 2, "agreement needs at least 2 sweeps to converge");
-        self.ops.push(Op::Agree { sweeps, sid });
+        self.ops.push(Op::Agree { sid });
         self
     }
 
@@ -1026,30 +929,9 @@ impl ScriptBuilder {
 
     /// A collective over the shrunk communicator ([`Op::ShrunkColl`]);
     /// `root` is a shrunk-space rank.
-    pub fn shrunk_coll(
-        &mut self,
-        op: mpiq_nic::CollOp,
-        root: u32,
-        len: u32,
-        sid: Option<u32>,
-    ) -> &mut Self {
+    pub fn shrunk_coll(&mut self, op: CollOp, root: u32, len: u32, sid: Option<u32>) -> &mut Self {
         self.ops.push(Op::ShrunkColl { op, root, len, sid });
         self
-    }
-
-    /// `MPI_Barrier` over the shrunk communicator.
-    pub fn shrunk_barrier(&mut self) -> &mut Self {
-        self.shrunk_coll(mpiq_nic::CollOp::Barrier, 0, 0, None)
-    }
-
-    /// `MPI_Bcast` over the shrunk communicator (`root` in shrunk space).
-    pub fn shrunk_bcast(&mut self, root: u32, len: u32) -> &mut Self {
-        self.shrunk_coll(mpiq_nic::CollOp::Bcast, root, len, None)
-    }
-
-    /// `MPI_Allreduce` over the shrunk communicator.
-    pub fn shrunk_allreduce(&mut self, len: u32) -> &mut Self {
-        self.shrunk_coll(mpiq_nic::CollOp::Allreduce, 0, len, None)
     }
 
     /// Blocking send with retry-and-doubling-backoff ([`Op::RetrySend`]).

@@ -111,4 +111,11 @@ mod tests {
     fn contexts_are_distinct() {
         assert_ne!(CTX_WORLD, CTX_INTERNAL);
     }
+
+    /// `mpiq_nic::coll` duplicates the internal-context constant because
+    /// it cannot depend on this crate; pin the two together.
+    #[test]
+    fn coll_ctx_matches_ctx_internal() {
+        assert_eq!(mpiq_nic::coll::COLL_CTX, CTX_INTERNAL);
+    }
 }

@@ -1,8 +1,8 @@
-//! Shared collective plans: the tag partition and the binomial-tree step
-//! generator used by *every* collective path — the host-driven trees in
-//! `mpiq-mpi::collectives`, the script-level fallback runner, and the
-//! NIC-firmware offload engine. One generator means an offloaded rank and
-//! a fallen-back rank emit byte-identical wire patterns and therefore
+//! Shared collective plans: the tag partition, the binomial-tree step
+//! generator and [`PlanRun`], the one rule for running a plan. Both
+//! collective executors — the NIC-firmware offload engine and the
+//! script's host replay — drive a `PlanRun`, so an offloaded rank and a
+//! fallen-back rank emit byte-identical wire patterns and therefore
 //! interoperate mid-collective (e.g. when one node's ALPU is quarantined
 //! and its neighbours' are not).
 //!
@@ -23,7 +23,7 @@
 //!
 //! * `k = 0` — broadcast/down phase of a tree,
 //! * `k = 1` — reduce/up phase of a tree,
-//! * `k = 2 + rank` — per-rank tags (gather/scatter/alltoall).
+//! * `k = 2 + rank` — per-rank tags (agreement, all-to-all).
 //!
 //! With `K_SPAN = 1056` the largest per-rank index at the target scale
 //! (n = 1024 → `k = 1025`) fits with headroom; `31 * 1056 = 32736`
@@ -245,6 +245,97 @@ pub fn steps(op: CollOp, me: u32, n: u32, root: u32, len: u32, instance: u16) ->
     }
 }
 
+/// One rank's run of a shared plan: the step cursor, the first failed
+/// rank and the agreement mask. Each executor keeps only its own I/O —
+/// it asks for the [`step`](Self::step), runs it, and reports it
+/// [`done`](Self::done) or [`fail`](Self::fail)ed — then builds its own
+/// end status from the [`outcome`](Self::outcome).
+#[derive(Debug)]
+pub struct PlanRun {
+    steps: Vec<CollStep>,
+    idx: usize,
+    /// First failed rank met mid-plan; never set for an agreement, whose
+    /// failures are its payload rather than an error.
+    failed: Option<u16>,
+    agree: bool,
+    /// Agreement only: the failed-rank mask, seeded from the plan's
+    /// `len`, sent as every frame's length and grown by every received
+    /// length and every failed peer, in step order.
+    mask: u16,
+}
+
+impl PlanRun {
+    /// The plan of rank `me` of `n` ([`steps`]). With `peers`, the plan
+    /// is built in that rank space and each step's peer is translated
+    /// through it (a shrunk communicator's survivor list).
+    pub fn new(
+        op: CollOp,
+        me: u32,
+        n: u32,
+        root: u32,
+        len: u32,
+        instance: u16,
+        peers: Option<&[u32]>,
+    ) -> PlanRun {
+        let mut steps = steps(op, me, n, root, len, instance);
+        if let Some(peers) = peers {
+            for s in &mut steps {
+                s.peer = peers[s.peer as usize];
+            }
+        }
+        let agree = op == CollOp::Agree;
+        PlanRun {
+            steps,
+            idx: 0,
+            failed: None,
+            agree,
+            mask: if agree { len as u16 } else { 0 },
+        }
+    }
+
+    /// The step to run next, `None` once the plan is done. Its `len` is
+    /// the length to send or post: an agreement sends its current mask
+    /// and posts a full-mask-sized buffer.
+    pub fn step(&self) -> Option<CollStep> {
+        let mut step = *self.steps.get(self.idx)?;
+        if self.agree {
+            step.len = match step.dir {
+                Dir::Send => self.mask as u32,
+                Dir::Recv => u16::MAX as u32,
+            };
+        }
+        Some(step)
+    }
+
+    /// The current step completed; `len` is what a receive delivered,
+    /// ORed into an agreement's mask.
+    pub fn done(&mut self, len: u32) {
+        if self.agree && self.steps[self.idx].dir == Dir::Recv {
+            self.mask |= len as u16;
+        }
+        self.idx += 1;
+    }
+
+    /// The current step cannot run because `rank` failed: an agreement
+    /// adds it to its mask, any other collective ends naming the first
+    /// failed rank.
+    pub fn fail(&mut self, rank: u16) {
+        if self.agree {
+            self.mask |= 1 << rank.min(15);
+        } else {
+            self.failed.get_or_insert(rank);
+        }
+        self.idx += 1;
+    }
+
+    /// `(failed, len)` once every step has run: the first failed rank,
+    /// and the agreed mask as the length (0 for every other collective).
+    /// `None` while steps remain.
+    pub fn outcome(&self) -> Option<(Option<u16>, u32)> {
+        (self.idx == self.steps.len()).then_some((self.failed, self.mask as u32))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +552,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Drive `run` through its remaining steps, answering each with
+    /// `reply(step)`: `Ok(received len)` or `Err(failed rank)`.
+    fn drive(run: &mut PlanRun, reply: impl Fn(CollStep) -> Result<u32, u16>) -> Vec<CollStep> {
+        let mut seen = Vec::new();
+        while let Some(step) = run.step() {
+            assert_eq!(run.outcome(), None, "outcome before the plan ends");
+            seen.push(step);
+            match reply(step) {
+                Ok(len) => run.done(len),
+                Err(rank) => run.fail(rank),
+            }
+        }
+        seen
+    }
+
+    /// An agreement's mask starts at the seed, is sent as every frame's
+    /// length, and grows by every skipped peer and every received length
+    /// (a send's reported length is not a receipt). Receives post a
+    /// full-mask buffer. The outcome carries the mask, never a failure.
+    #[test]
+    fn plan_run_agreement_mask_grows_from_skips_and_receipts() {
+        let mut run = PlanRun::new(CollOp::Agree, 3, 4, 0, 0b0001, 2, None);
+        let seen = drive(&mut run, |s| match (s.dir, s.peer) {
+            (_, 0 | 1) => Err(s.peer as u16),
+            (Dir::Send, _) => Ok(0xFFFF),
+            (Dir::Recv, _) => Ok(0b0100_0000),
+        });
+        let sends: Vec<(u32, u32)> = seen
+            .iter()
+            .filter(|s| s.dir == Dir::Send)
+            .map(|s| (s.peer, s.len))
+            .collect();
+        assert_eq!(sends, [(0, 0b0001), (1, 0b0001), (2, 0b0011)]);
+        assert!(seen
+            .iter()
+            .filter(|s| s.dir == Dir::Recv)
+            .all(|s| s.len == u16::MAX as u32));
+        assert_eq!(run.outcome(), Some((None, 0b0100_0011)));
+    }
+
+    /// Any other collective keeps the plan's lengths, ignores received
+    /// lengths, runs every step after a failure, and ends naming the
+    /// first failed rank with length 0.
+    #[test]
+    fn plan_run_other_ops_end_naming_the_first_failed_rank() {
+        let mut run = PlanRun::new(CollOp::Allreduce, 0, 4, 0, 64, 3, None);
+        let seen = drive(&mut run, |s| match s.peer {
+            1 => Ok(999),
+            peer => Err(peer as u16),
+        });
+        assert_eq!(seen, steps(CollOp::Allreduce, 0, 4, 0, 64, 3));
+        let first_failed = seen.iter().find(|s| s.peer != 1).unwrap().peer as u16;
+        assert_eq!(run.outcome(), Some((Some(first_failed), 0)));
+        let mut ok = PlanRun::new(CollOp::Bcast, 2, 5, 2, 64, 3, None);
+        drive(&mut ok, |_| Ok(64));
+        assert_eq!(ok.outcome(), Some((None, 0)));
+    }
+
+    /// A peer map translates every step's peer and nothing else.
+    #[test]
+    fn plan_run_translates_peers_through_the_map() {
+        let survivors = [0u32, 2, 5];
+        let run = |peers| {
+            let mut run = PlanRun::new(CollOp::Bcast, 0, 3, 0, 8, 1, peers);
+            drive(&mut run, |_| Ok(8))
+        };
+        let mapped: Vec<CollStep> = run(None)
+            .into_iter()
+            .map(|s| CollStep {
+                peer: survivors[s.peer as usize],
+                ..s
+            })
+            .collect();
+        assert_eq!(run(Some(&survivors)), mapped);
+        assert_eq!(mapped.iter().map(|s| s.peer).collect::<Vec<_>>(), [5, 2]);
     }
 
     /// Steps are in dependency order: all of a rank's receives for the

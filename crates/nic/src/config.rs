@@ -132,12 +132,6 @@ pub struct NicConfig {
     /// piggybacked on link ACKs as the receiver consumes the messages.
     /// `0` = no credit flow control.
     pub eager_credits: u32,
-    /// Depth of each ALPU's probe (header-copy) FIFO. `0` = the unit
-    /// default (4096, deep enough to stand in for Rx-path backpressure).
-    /// Small values exercise the overflow path: a unit that cannot drain
-    /// its FIFO within the firmware's spin budget is declared wedged and
-    /// quarantined.
-    pub alpu_probe_fifo: u32,
     /// Accept [`crate::HostRequest::Collective`] offloads: the firmware
     /// runs barrier/bcast/allreduce step plans NIC-side, combining and
     /// forwarding without host round-trips. Off by default — the host
@@ -170,7 +164,6 @@ impl NicConfig {
             max_unexpected: 0,
             eager_buffer_bytes: 0,
             eager_credits: 0,
-            alpu_probe_fifo: 0,
             coll_offload: false,
         }
     }

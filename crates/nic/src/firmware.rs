@@ -351,33 +351,15 @@ pub struct FwHists {
     pub unexpected_linear: Histogram,
 }
 
-/// One NIC-resident collective in flight: the shared step plan
-/// ([`coll::steps`]) plus a cursor. Steps run strictly in plan
-/// order; a `Recv` step that no arrived frame satisfies parks the
-/// instance until a collective frame arrives or the step's peer is
-/// declared dead.
+/// One NIC-resident collective in flight: the host request its single
+/// end-of-plan completion answers, and the shared plan's run
+/// ([`coll::PlanRun`], the same rule the host replay drives). Steps run
+/// strictly in plan order; a `Recv` step that no arrived frame satisfies
+/// parks the instance until a collective frame arrives or the step's
+/// peer is declared dead.
 struct CollInstance {
-    /// The host request answered by the single end-of-plan completion.
     req: ReqId,
-    /// The shared step plan, identical to the host fallback's.
-    steps: Vec<coll::CollStep>,
-    /// Next step to run.
-    idx: usize,
-    /// First dead peer encountered mid-plan: steps naming a dead peer
-    /// are skipped and the end completion is typed `rank_failed` with
-    /// this rank as its source. Never set for agreement instances —
-    /// there, dead peers are the *payload*, not an error.
-    failed: Option<u16>,
-    /// True for [`CollOp::Agree`] instances: the failed-set
-    /// mask below rides in every sent frame's `payload_len`, arriving
-    /// frames OR theirs in, and the end completion reports the mask in
-    /// `len` instead of typing a failure.
-    agree: bool,
-    /// Accumulated failed-rank bitmask (agreement instances only):
-    /// seeded from the request's `len`, grown by every received mask and
-    /// every dead peer met mid-plan (in step order, matching the host
-    /// fallback's discovery order byte for byte).
-    mask: u16,
+    run: coll::PlanRun,
 }
 
 /// The firmware: all NIC-resident MPI state plus the hardware ports.
@@ -1259,7 +1241,6 @@ impl Firmware {
             unreachable!("dispatched for collective requests only")
         };
         let t = core.begin(now).int(cost::COLL_DISPATCH).end();
-        let agree = op == CollOp::Agree;
         let decline = !self.cfg.coll_offload
             || self.cfg.ranks_per_node > 1
             || len > self.cfg.eager_threshold
@@ -1267,7 +1248,7 @@ impl Firmware {
             || self.posted_quarantined()
             || self.unexpected_quarantined()
             || self.alpus_dead
-            || (agree && n > coll::AGREE_MAX_RANKS);
+            || (op == CollOp::Agree && n > coll::AGREE_MAX_RANKS);
         if decline {
             self.stats.coll_declined += 1;
             let comp = Completion::cancelled(req, req.rank as u16, 0);
@@ -1280,14 +1261,8 @@ impl Firmware {
         // order* (each skipped step ORs its bit in), exactly as the host
         // fallback discovers them through typed per-step failures — so
         // both paths stamp identical masks on identical frames.
-        self.coll.push(CollInstance {
-            req,
-            steps: coll::steps(op, req.rank, n, root, len, instance),
-            idx: 0,
-            failed: None,
-            agree,
-            mask: if agree { len as u16 } else { 0 },
-        });
+        let run = coll::PlanRun::new(op, req.rank, n, root, len, instance, None);
+        self.coll.push(CollInstance { req, run });
         self.coll_poll(t, core, fx)
     }
 
@@ -1300,23 +1275,23 @@ impl Firmware {
         let mut i = 0;
         while i < self.coll.len() {
             t = self.coll_advance(i, t, core, fx);
-            if self.coll[i].idx < self.coll[i].steps.len() {
+            let Some((failed, len)) = self.coll[i].run.outcome() else {
                 i += 1;
                 continue;
-            }
+            };
             // `swap_remove` moves the former tail into slot `i`: it is
             // examined next.
-            let inst = self.coll.swap_remove(i);
-            let comp = match inst.failed {
+            let req = self.coll.swap_remove(i).req;
+            let comp = match failed {
                 Some(dead) => {
                     self.stats.coll_rank_failed += 1;
-                    Completion::failed(inst.req, dead, 0, 0)
+                    Completion::failed(req, dead, 0, 0)
                 }
                 // Agreement returns its accumulated failed-set mask as
                 // the completion length (zero for every other
                 // collective) — failures are the collective's *output*,
                 // never an error.
-                None => Completion::ok(inst.req, inst.req.rank as u16, 0, inst.mask as u32),
+                None => Completion::ok(req, req.rank as u16, 0, len),
             };
             fx.completions.push((t + self.cfg.completion_cost, comp));
         }
@@ -1335,33 +1310,24 @@ impl Firmware {
     /// agreement ORs the peer into its mask, any other collective ends
     /// typed `rank_failed`, naming the first dead peer met.
     fn coll_advance(&mut self, i: usize, mut t: Time, core: &mut Core, fx: &mut Effects) -> Time {
-        loop {
-            let (req, step) = {
-                let inst = &self.coll[i];
-                match inst.steps.get(inst.idx) {
-                    Some(s) => (inst.req, *s),
-                    None => return t,
-                }
-            };
+        let req = self.coll[i].req;
+        while let Some(step) = self.coll[i].run.step() {
             let dead = self.peer_dead(self.node_of(step.peer));
+            // `Some(received len)` when the step ran, `None` when its
+            // peer is dead.
             let ran = match step.dir {
-                Dir::Send if dead => false,
+                Dir::Send if dead => None,
                 Dir::Send => {
-                    // Agreement frames carry the *current* mask, not the
-                    // plan's static length — the mask is the data plane.
-                    let inst = &self.coll[i];
-                    let len = if inst.agree {
-                        inst.mask as u32
-                    } else {
-                        step.len
-                    };
+                    // Agreement frames carry the *current* mask as their
+                    // length — the mask is the data plane.
                     let (ctx, tag) = (coll::COLL_CTX, step.tag);
-                    let msg = self.make_msg(step.peer, req.rank, ctx, tag, len, MsgKind::Eager);
+                    let msg =
+                        self.make_msg(step.peer, req.rank, ctx, tag, step.len, MsgKind::Eager);
                     let at = self.inject(msg.wire_bytes(), t);
                     fx.tx.push((at, msg));
                     self.stats.coll_steps_sent += 1;
                     t = core.begin(t).int(cost::COLL_SEND).bus_write().end();
-                    true
+                    Some(0)
                 }
                 Dir::Recv => {
                     let from = Some(step.peer as u16);
@@ -1375,25 +1341,21 @@ impl Firmware {
                             let frame;
                             (t, frame) = self.consume_unexpected(key, t, core);
                             self.stats.coll_steps_recv += 1;
-                            if self.coll[i].agree {
-                                self.coll[i].mask |= frame.header.payload_len as u16;
-                            }
-                            true
+                            Some(frame.header.payload_len)
                         }
-                        None if dead => false,
+                        None if dead => None,
                         // Park: the frame is still in flight.
                         None => return t,
                     }
                 }
             };
-            let inst = &mut self.coll[i];
-            if !ran && inst.agree {
-                inst.mask |= 1 << step.peer.min(15);
-            } else if !ran {
-                inst.failed.get_or_insert(step.peer as u16);
+            let run = &mut self.coll[i].run;
+            match ran {
+                Some(len) => run.done(len),
+                None => run.fail(step.peer as u16),
             }
-            inst.idx += 1;
         }
+        t
     }
 
     // ------------------------------------------------------------------

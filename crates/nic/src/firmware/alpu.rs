@@ -126,12 +126,8 @@ impl AlpuPort {
             .faults
             .alpu_active()
             .then(|| FaultPlan::new(cfg.faults, 1 + 2 * node as u64 + lane));
-        let mut acfg = AlpuConfig::new(setup.total_cells, setup.block_size, kind);
-        if cfg.alpu_probe_fifo > 0 {
-            acfg.header_fifo_depth = cfg.alpu_probe_fifo as usize;
-        }
         AlpuPort {
-            alpu: Alpu::new(acfg),
+            alpu: Alpu::new(AlpuConfig::new(setup.total_cells, setup.block_size, kind)),
             clock: Clock::from_mhz(cfg.alpu_mhz),
             synced_to: Time::ZERO,
             stash_start_ack: VecDeque::new(),
@@ -189,10 +185,10 @@ impl AlpuPort {
                 self.alpu.inject_bit_flip(flip.cell_sel, flip.bit);
             }
         }
-        // The default FIFO is deep enough in practice; on overflow the
-        // hardware would backpressure the copy path. Spin the unit
-        // forward until space frees — bounded and counted: a unit that
-        // can't drain its FIFO ([`NicConfig::alpu_probe_fifo`]) within
+        // The probe FIFO (`AlpuConfig::header_fifo_depth`) is deep
+        // enough in practice; on overflow the hardware would backpressure
+        // the copy path. Spin the unit forward until space frees —
+        // bounded and counted: a unit that can't drain its FIFO within
         // the budget drops the probe and is declared wedged. Ticks land
         // on the unit's own clock edges, so time advances from the last
         // synced cycle boundary — never from the (possibly mid-cycle)

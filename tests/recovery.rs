@@ -85,7 +85,7 @@ fn restarted_node_rejoins_and_completes_new_work() {
         let mut b = Script::builder();
         // Everyone joins a pre-crash collective (consumes instance 0)
         // and an all-to-all exchange, all finished well before 40us.
-        b.coll_barrier();
+        b.coll(CollOp::Barrier, 0, 0, None);
         let mut pending = Vec::new();
         let mut recvs = Vec::new();
         for peer in (0..RANKS).filter(|&p| p != me) {
@@ -383,7 +383,7 @@ fn unarmed_recovery_machinery_is_byte_identical_to_plain_cluster() {
         (0..4u32)
             .map(|me| {
                 let mut b = Script::builder();
-                b.coll_barrier();
+                b.coll(CollOp::Barrier, 0, 0, None);
                 let r = b.irecv(Some(((me + 3) % 4) as u16), Some(7), 512);
                 b.isend((me + 1) % 4, 7, 512);
                 b.wait(r);

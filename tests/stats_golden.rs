@@ -139,9 +139,9 @@ fn offloaded_collectives() -> Registries {
     let programs = (0..8)
         .map(|_| {
             let mut b = Script::builder();
-            b.coll_barrier();
-            b.coll_bcast(3, 256);
-            b.coll_allreduce(64);
+            b.coll(CollOp::Barrier, 0, 0, None);
+            b.coll(CollOp::Bcast, 3, 256, None);
+            b.coll(CollOp::Allreduce, 0, 64, None);
             b.coll(CollOp::Barrier, 0, 0, None);
             boxed(b.build(mark_log()))
         })
