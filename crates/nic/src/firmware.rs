@@ -1,36 +1,11 @@
 //! The NIC firmware: the MPI engine of §V-C, with the ALPU management
-//! heuristics of §IV.
+//! heuristics of §IV, as the paper's four-action loop: poll the network,
+//! poll the host, advance active work, update the ALPUs. Each action is
+//! a [`WorkItem`], run functionally in Rust on the NIC's one embedded
+//! [`Core`], which is charged each step's work at the counts named in
+//! [`cost`]; the cycle-level [`Alpu`](mpiq_alpu::Alpu)s run alongside.
 //!
-//! The firmware executes functionally in Rust; timing comes from charging
-//! each step's work to the embedded [`Core`] as it goes, at the counts
-//! named in [`cost`], and from explicit interactions with the cycle-level
-//! [`Alpu`](mpiq_alpu::Alpu)s. Each
-//! externally triggered activity is a [`WorkItem`]; the NIC component
-//! serializes items on the (single) embedded processor.
-//!
-//! Protocol summary:
-//!
-//! * **Eager** (payload ≤ threshold): header+payload in one message. On a
-//!   posted-queue match the Rx DMA moves the payload to the user buffer;
-//!   unmatched payloads are buffered in NIC memory on the unexpected
-//!   queue.
-//! * **Rendezvous**: the request carries only the header. The receiver
-//!   replies with a clear-to-send on match; the sender then DMAs the data
-//!   across; the receiver DMAs it to the user buffer on arrival.
-//!
-//! ALPU usage follows §IV-B/C/D: the software keeps the full queues (the
-//! ALPU returns a *key* into them), an insert session moves the
-//! not-yet-inserted tail into the unit in batches, every match-eligible
-//! header is answered by exactly one MATCH response which the firmware
-//! pairs with its message, and a failed hardware match falls back to a
-//! software search of the tail only. Those rules are written once, for
-//! both queues, in [`AlpuPort`] (the `alpu` submodule: one unit's whole
-//! lifecycle); this file keeps the four-action loop — poll the network,
-//! poll the host, advance active work, update the ALPUs — and the
-//! queue-side halves of each rule.
-//!
-//! Every match ends in one of a few outcomes, each written once and
-//! shared by every caller:
+//! Every match ends in one of a few outcomes, each written once:
 //!
 //! * `match_posted` and `match_unexpected` search a queue: the ALPU
 //!   response, a tombstone re-match, then the hash-bin or linear walk;
@@ -38,34 +13,34 @@
 //!   the eager Rx DMA and completion, or the rendezvous clear-to-send;
 //! * `stage_unexpected` queues an arrival nothing matched;
 //! * `consume_unexpected` takes a matched message off the unexpected
-//!   queue, for a receive or a collective harvest, releasing its staged
-//!   bytes and returning its sender's credit (`return_credit`);
+//!   queue, for a receive or a collective harvest;
 //! * `unlink_posted` removes a posted receive or leaves its tombstone,
-//!   for a match, a cancel or a dead peer;
-//! * `fail_op` finishes an operation with a typed `rank_failed`
-//!   completion.
-//!
-//! Completions are built by the [`Completion`] constructors.
+//!   for a match, a cancel or a dead peer.
 
 mod alpu;
+mod coll;
 pub mod cost;
+mod fault;
+mod flow;
 
 pub use alpu::{AlpuPort, AlpuWedged};
 
-use crate::coll::{self, CollOp, Dir};
 use crate::config::{NicConfig, SwMatch};
 use crate::dma::Dma;
 use crate::hashmatch::PostedIndex;
 use crate::host_iface::{Completion, HostRequest, ReqId};
 use crate::queues::{Item, Key, NicQueue};
 use alpu::HwRead;
+use coll::CollEngine;
+use fault::Faults;
+use flow::Flow;
 use mpiq_alpu::match_types::masked_eq;
 use mpiq_alpu::{Command, MaskWord, MatchWord, Probe};
 use mpiq_cpusim::{Core, Run};
 use mpiq_dessim::trace::{AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent};
-use mpiq_dessim::{FaultPlan, Histogram, Time};
+use mpiq_dessim::{watchdog::Health, Histogram, Time};
 use mpiq_net::{Message, MsgHeader, MsgKind, NodeId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// NIC memory map (addresses feed the cache model).
 mod layout {
@@ -250,8 +225,7 @@ pub struct FwStats {
     pub insert_sessions: u64,
     /// Receives cancelled while ALPU-resident (tombstoned).
     pub ghosted_cancels: u64,
-    /// Hardware matches that landed on tombstones and were re-matched in
-    /// software.
+    /// Hardware matches on tombstones, re-matched in software.
     pub ghost_rematches: u64,
     /// Full RESET+rebuild purges forced by tombstone buildup.
     pub alpu_purges: u64,
@@ -262,17 +236,10 @@ pub struct FwStats {
     pub alpu_resets: u64,
     /// Quarantined units brought back into service after cooldown.
     pub alpu_reengagements: u64,
-    /// Parity errors detected when reading responses from a unit whose
-    /// stored match words were corrupted.
+    /// Parity errors found reading responses from a corrupted unit.
     pub alpu_parity_errors: u64,
-    /// Cycles spent spinning on a full ALPU command FIFO (bounded; a
-    /// budget overrun quarantines the unit instead of hanging).
+    /// Cycles spent spinning on a full ALPU command FIFO (bounded).
     pub alpu_overflow_spins: u64,
-    /// Cycles spent spinning on a full ALPU probe (header-copy) FIFO.
-    pub alpu_probe_spins: u64,
-    /// Probes dropped because the probe FIFO never drained within the
-    /// spin budget (the unit is wedged and quarantined).
-    pub alpu_probe_drops: u64,
     /// High-water mark of the unexpected queue (entries).
     pub unexpected_highwater: u64,
     /// High-water mark of staged eager payload bytes.
@@ -280,60 +247,47 @@ pub struct FwStats {
     /// Unmatched eager arrivals admitted header-only because the staging
     /// pool ([`NicConfig::eager_buffer_bytes`]) was exhausted.
     pub truncated_admits: u64,
-    /// Match-eligible arrivals refused at the wire because the unexpected
-    /// queue was at [`NicConfig::max_unexpected`] (go-back-N retransmits
-    /// them later — this is backpressure, not loss).
+    /// Match-eligible arrivals refused at the wire at the
+    /// [`NicConfig::max_unexpected`] bound (retransmitted later).
     pub admission_refused: u64,
     /// Eager sends demoted to the rendezvous path for lack of credit.
     pub credit_stalls: u64,
     /// Eager credits spent (one per credited eager send).
     pub credits_spent: u64,
-    /// Eager credits granted back to senders as staged messages were
-    /// consumed.
+    /// Eager credits granted back to senders as messages were consumed.
     pub grants_issued: u64,
     /// Credit grants lost to injected firmware leaks (`leak=P`).
     pub grants_leaked: u64,
     /// Rendezvous clear-to-sends lost to injected firmware leaks.
     pub cts_leaked: u64,
-    /// Sends held back behind an in-flight rendezvous to the same peer
-    /// (deadlock avoidance while the admission bound is armed).
+    /// Sends held behind an in-flight rendezvous to the same peer.
     pub sends_deferred: u64,
-    /// Peer nodes declared dead (crash-stop detection or a link past its
-    /// retry budget with a fault schedule armed).
+    /// Peer nodes declared dead (crash detected, or a link dead).
     pub peers_failed: u64,
-    /// Operations finished with a typed `rank_failed` completion instead
-    /// of hanging on a dead peer.
+    /// Operations finished with a typed `rank_failed` completion.
     pub ops_rank_failed: u64,
-    /// ALPUs permanently retired by a scheduled hardware death (never
-    /// re-engaged; matching pinned to the software path).
+    /// ALPUs permanently retired by a scheduled hardware death.
     pub alpus_killed: u64,
-    /// Late rendezvous control frames from an already-declared-dead peer,
-    /// dropped because their parked state was failed at detection time.
+    /// Late rendezvous frames from a peer already declared dead.
     pub stale_rndv_dropped: u64,
-    /// Dead peers un-declared because they restarted under a new
-    /// incarnation epoch (the sticky death cleared; traffic may resume).
+    /// Dead peers un-declared because they restarted.
     pub peers_revived: u64,
     /// Collectives accepted for NIC-side offload.
     pub coll_offloaded: u64,
-    /// Collective offloads declined back to the host (`cancelled`
-    /// completion; the host replays the identical step plan itself).
+    /// Collective offloads declined back to the host, which replays them.
     pub coll_declined: u64,
     /// Collective step frames injected by the NIC engine.
     pub coll_steps_sent: u64,
-    /// Collective step frames harvested from the unexpected queue by the
-    /// NIC engine.
+    /// Collective step frames harvested by the NIC engine.
     pub coll_steps_recv: u64,
-    /// Offloaded collectives finished with a typed `rank_failed`
-    /// completion because a step peer died mid-plan.
+    /// Offloaded collectives finished typed `rank_failed`.
     pub coll_rank_failed: u64,
 }
 
 /// Match-path latency histograms, one per entry source (§VI's latency
 /// breakdown). A software search adds a sample only when it visited an
-/// entry, so a search of an empty queue does not read as a 0 ps walk.
-/// Always recorded — a [`Histogram::record`] is a handful of
-/// integer ops — and published to the metrics registry only when the
-/// harness enabled it.
+/// entry. Always recorded (a [`Histogram::record`] is a few integer
+/// ops), published to the metrics registry only when enabled.
 #[derive(Clone, Debug, Default)]
 pub struct FwHists {
     /// Posted-queue matches resolved by the ALPU (response wait + §IV-D
@@ -351,17 +305,6 @@ pub struct FwHists {
     pub unexpected_linear: Histogram,
 }
 
-/// One NIC-resident collective in flight: the host request its single
-/// end-of-plan completion answers, and the shared plan's run
-/// ([`coll::PlanRun`], the same rule the host replay drives). Steps run
-/// strictly in plan order; a `Recv` step that no arrived frame satisfies
-/// parks the instance until a collective frame arrives or the step's
-/// peer is declared dead.
-struct CollInstance {
-    req: ReqId,
-    run: coll::PlanRun,
-}
-
 /// The firmware: all NIC-resident MPI state plus the hardware ports.
 pub struct Firmware {
     cfg: NicConfig,
@@ -370,31 +313,7 @@ pub struct Firmware {
     unexpected: NicQueue<UnexpEntry>,
     send_park: Vec<SendEntry>,
     rndv_expect: HashMap<(NodeId, u64), RndvExpect>,
-    /// Sender-side eager credit pools, one per destination node, lazily
-    /// seeded with [`NicConfig::eager_credits`]. Empty (and never
-    /// touched) when credit flow control is unconfigured.
-    credits: HashMap<NodeId, u32>,
-    /// Receiver-side credit grants awaiting pickup by the NIC, which
-    /// hands them to the link layer for piggybacking on ACKs.
-    pending_grants: Vec<(NodeId, u32)>,
-    /// Bytes of eager payload currently staged for unmatched arrivals
-    /// (tracked only when [`NicConfig::eager_buffer_bytes`] is nonzero).
-    eager_bytes_used: u64,
-    /// Fault stream for firmware-level credit-grant / clear-to-send
-    /// leaks (`leak=P`) — losses the link layer cannot recover, used to
-    /// induce genuine deadlocks for the watchdog.
-    leak_plan: Option<FaultPlan>,
-    /// Sends held back because a rendezvous handshake to the same peer is
-    /// still in flight (RTS sent, data not yet shipped). Only used when
-    /// `max_unexpected` is armed: the receiver may then *refuse* frames,
-    /// and a refused frame sequenced between a clear-to-send and its data
-    /// would head-of-line-block the data forever. Serializing per peer
-    /// keeps every obligation frame immediately deliverable. FIFO order
-    /// per peer preserves MPI ordering.
-    deferred_sends: VecDeque<SendReq>,
-    /// Outstanding rendezvous handshakes per peer (RTS sent, data not yet
-    /// queued to the wire).
-    rndv_inflight: HashMap<NodeId, u32>,
+    flow: Flow,
     wire_seq: u64,
     host_seq: u64,
     dma_rx: Dma,
@@ -405,17 +324,8 @@ pub struct Firmware {
     pub unexpected_alpu: Option<AlpuPort>,
     /// Hash index over the posted queue (hash matching strategy only).
     posted_index: Option<PostedIndex>,
-    /// Peer nodes declared dead. Operations naming these peers fail with
-    /// a typed `rank_failed` completion at post time; state already
-    /// parked on them was failed when the peer entered the set. A
-    /// `BTreeSet` so any iteration is deterministic.
-    dead_peers: BTreeSet<NodeId>,
-    /// NIC-resident collectives in flight (offloaded step plans).
-    coll: Vec<CollInstance>,
-    /// Scheduled permanent ALPU death: both units are quarantined and
-    /// retired, so the re-engage check in `do_update` never fires and
-    /// matching stays in software forever.
-    alpus_dead: bool,
+    faults: Faults,
+    colls: CollEngine,
     stats: FwStats,
     hists: FwHists,
     /// Structured trace events buffered during a work item and drained by
@@ -429,12 +339,6 @@ pub struct Firmware {
 impl Firmware {
     /// Build the firmware for `node` under `cfg`.
     pub fn new(node: NodeId, cfg: NicConfig) -> Firmware {
-        // Firmware-level leak faults get their own stream, disjoint from
-        // the fabric (site 0) and ALPU (sites 2n+1, 2n+2) sites.
-        let leak_plan = cfg
-            .faults
-            .leak_active()
-            .then(|| FaultPlan::new(cfg.faults, 0x8000_0000 + node as u64));
         let posted_index = match cfg.sw_match {
             SwMatch::LinearList => None,
             SwMatch::HashBins { bins } => {
@@ -451,12 +355,7 @@ impl Firmware {
             unexpected: NicQueue::new(layout::UNEXP_BASE, cfg.entry_bytes),
             send_park: Vec::new(),
             rndv_expect: HashMap::new(),
-            credits: HashMap::new(),
-            pending_grants: Vec::new(),
-            eager_bytes_used: 0,
-            leak_plan,
-            deferred_sends: VecDeque::new(),
-            rndv_inflight: HashMap::new(),
+            flow: Flow::new(node, &cfg),
             wire_seq: 0,
             host_seq: 0,
             dma_rx: Dma::new(cfg.dma_bytes_per_ns, cfg.dma_setup),
@@ -468,9 +367,8 @@ impl Firmware {
                 .unexpected_alpu
                 .map(|s| AlpuPort::new(QueueKind::Unexpected, s, &cfg, node)),
             posted_index,
-            dead_peers: BTreeSet::new(),
-            coll: Vec::new(),
-            alpus_dead: false,
+            faults: Faults::default(),
+            colls: CollEngine::default(),
             stats: FwStats::default(),
             hists: FwHists::default(),
             telemetry: false,
@@ -511,7 +409,8 @@ impl Firmware {
         self.ev(at, TraceEvent::QueueOp { queue, op, depth });
     }
 
-    /// Statistics snapshot (folds in the per-unit lifecycle counters).
+    /// Statistics snapshot (folds in each unit's and each job's
+    /// counters).
     pub fn stats(&self) -> FwStats {
         let mut s = self.stats;
         for port in [&self.posted_alpu, &self.unexpected_alpu]
@@ -520,87 +419,34 @@ impl Firmware {
         {
             port.add_counters(&mut s);
         }
+        self.flow.add_counters(&mut s);
+        self.faults.add_counters(&mut s);
+        self.colls.add_counters(&mut s);
         s
-    }
-
-    /// Collective requests the engine has seen, offloaded or declined.
-    pub fn coll_requests(&self) -> u64 {
-        self.stats.coll_offloaded + self.stats.coll_declined
     }
 
     /// Drain the credit grants queued for the link layer. Each entry is
     /// `(peer, credits)`; the NIC piggybacks them on ACKs to `peer`.
-    pub fn take_pending_grants(&mut self) -> Vec<(NodeId, u32)> {
-        std::mem::take(&mut self.pending_grants)
+    pub fn take_grants(&mut self) -> Vec<(NodeId, u32)> {
+        std::mem::take(&mut self.flow.grants)
     }
 
     /// Credits returned by `peer` arrived on the link layer; refill the
     /// sender-side pool so parked eager traffic can flow again.
     pub fn credit_returned(&mut self, peer: NodeId, n: u32) {
-        if self.cfg.eager_credits > 0 {
-            let pool = self.credits.entry(peer).or_insert(self.cfg.eager_credits);
-            *pool += n;
-        }
+        self.flow.credit_returned(peer, n);
     }
 
-    /// The NIC refused a match-eligible arrival at the wire because the
-    /// unexpected queue is at its bound (diagnostics only; the refusal
-    /// itself happens in the NIC component before the link layer).
-    pub fn note_admission_refused(&mut self) {
-        self.stats.admission_refused += 1;
-    }
-
-    /// Bytes of eager payload currently staged (diagnostics).
-    pub fn eager_bytes_used(&self) -> u64 {
-        self.eager_bytes_used
-    }
-
-    /// Spend one eager credit toward `dst_node`, or report starvation.
-    fn take_credit(&mut self, dst_node: NodeId) -> bool {
-        let pool = self
-            .credits
-            .entry(dst_node)
-            .or_insert(self.cfg.eager_credits);
-        if *pool == 0 {
-            self.stats.credit_stalls += 1;
-            false
-        } else {
-            *pool -= 1;
-            self.stats.credits_spent += 1;
-            true
-        }
-    }
-
-    /// A matched eager message `h` no longer holds its sender's credit:
-    /// queue one grant back — for exactly the traffic the sender spent a
-    /// credit on (remote, eager, nonzero payload). The injected leak
-    /// models a firmware bug the link layer cannot see: the grant simply
-    /// never happens.
-    fn return_credit(&mut self, h: &MsgHeader) {
-        if self.cfg.eager_credits == 0
-            || h.kind != MsgKind::Eager
-            || h.payload_len == 0
-            || h.src_node == self.node
-        {
-            return;
-        }
-        if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
-            self.stats.grants_leaked += 1;
-            return;
-        }
-        self.stats.grants_issued += 1;
-        self.pending_grants.push((h.src_node, 1));
-    }
-
-    /// Would `h` match a currently posted receive? Read-only, costs no
-    /// simulated time: this models the hardware header-copy path (Fig. 1)
-    /// inspecting the posted list at wire speed. The NIC's admission
-    /// filter consults it when the unexpected queue sits at its bound — a
-    /// frame destined for a posted receive never stages, so refusing it
-    /// would deadlock the very receives that could drain the queue.
-    pub fn would_match_posted(&self, h: &MsgHeader) -> bool {
-        let word = header_word(self.cfg.ranks_per_node, h);
-        self.posted.iter().any(|item| item.val.matches(word))
+    /// Does admission refuse arrival `h` at the wire, before the link
+    /// layer sequences it? Reads the posted queue at no simulated cost:
+    /// the hardware header-copy path (Fig. 1) inspects it at wire speed.
+    pub fn refuse(&mut self, h: &MsgHeader) -> bool {
+        let (rpn, posted) = (self.cfg.ranks_per_node, &self.posted);
+        let matches_posted = || {
+            let word = header_word(rpn, h);
+            posted.iter().any(|item| item.val.matches(word))
+        };
+        self.flow.refuse(h, self.unexpected.len(), matches_posted)
     }
 
     /// Posted-queue length (diagnostics/benchmarks).
@@ -613,19 +459,23 @@ impl Firmware {
         self.unexpected.len()
     }
 
-    /// Rendezvous sends parked awaiting a clear-to-send (diagnostics).
-    pub fn sends_parked(&self) -> usize {
-        self.send_park.len()
-    }
-
-    /// Sends held behind an in-flight rendezvous handshake (diagnostics).
-    pub fn deferred_len(&self) -> usize {
-        self.deferred_sends.len()
-    }
-
-    /// Matched rendezvous receives awaiting their data (diagnostics).
-    pub fn rndv_expected(&self) -> usize {
-        self.rndv_expect.len()
+    /// The firmware's part of the NIC's watchdog report `h`: busy while
+    /// a rendezvous send is parked or deferred or a matched rendezvous
+    /// receive awaits its data, plus the queue gauges.
+    pub fn health(&self, h: Health) -> Health {
+        let parked = self.send_park.len() as u64;
+        let deferred = self.flow.deferred.len() as u64;
+        let expected = self.rndv_expect.len() as u64;
+        Health {
+            busy: h.busy || parked + deferred + expected > 0,
+            ..h
+        }
+        .gauge("posted", self.posted.len() as u64)
+        .gauge("unexpected", self.unexpected.len() as u64)
+        .gauge("sends_parked", parked)
+        .gauge("sends_deferred", deferred)
+        .gauge("rndv_expected", expected)
+        .gauge("eager_bytes_staged", self.flow.staged_bytes)
     }
 
     /// Is the posted-receive ALPU currently worth probing? (See
@@ -674,6 +524,7 @@ impl Firmware {
         if !matches!(msg.header.kind, MsgKind::Eager | MsgKind::RndvRequest) {
             return false; // protocol messages don't probe the match queues
         }
+        self.flow.rx_queued();
         if !self.posted_engaged() {
             return false;
         }
@@ -699,15 +550,15 @@ impl Firmware {
                 // tag) that lands in the unexpected queue may be exactly
                 // what a parked NIC-resident collective is waiting on.
                 let coll_frame =
-                    msg.header.context == coll::COLL_CTX && msg.header.tag & 0x8000 != 0;
+                    msg.header.context == crate::coll::COLL_CTX && msg.header.tag & 0x8000 != 0;
                 let mut end = self.do_rx(msg, probed, now, core, &mut fx);
-                if coll_frame && !self.coll.is_empty() {
+                if coll_frame {
                     end = self.coll_poll(end, core, &mut fx);
                 }
                 end
             }
             WorkItem::Host(req) => self.do_host(req, now, core, &mut fx),
-            WorkItem::AlpuUpdate => self.do_update(now, core, &mut fx),
+            WorkItem::AlpuUpdate => self.do_update(now, core),
         };
         (end, fx)
     }
@@ -725,9 +576,7 @@ impl Firmware {
                 .is_some_and(|p| p.wants_update(&self.unexpected, idle, now))
     }
 
-    // ------------------------------------------------------------------
-    // Rx path
-    // ------------------------------------------------------------------
+    // ---- Rx path -------------------------------------------------------
 
     fn do_rx(
         &mut self,
@@ -768,6 +617,7 @@ impl Firmware {
         core: &mut Core,
         fx: &mut Effects,
     ) -> Time {
+        self.flow.rx_taken();
         let h = msg.header;
         let word = header_word(self.cfg.ranks_per_node, &h);
         let (mut t, matched) = self.match_posted(word, probed, now, core);
@@ -800,7 +650,7 @@ impl Firmware {
         t = self.deliver(arrived, item.val, true, t, core, fx);
         // Matched on arrival: the message never staged in NIC memory, so
         // its credit returns immediately.
-        self.return_credit(&h);
+        self.flow.return_credit(&h);
         t
     }
 
@@ -908,16 +758,7 @@ impl Firmware {
     fn stage_unexpected(&mut self, h: MsgHeader, now: Time, core: &mut Core) -> Time {
         self.stats.unexpected_arrivals += 1;
         let staged = h.kind == MsgKind::Eager && h.payload_len > 0;
-        let truncated = staged
-            && self.cfg.eager_buffer_bytes > 0
-            && self.eager_bytes_used + h.payload_len as u64 > self.cfg.eager_buffer_bytes;
-        if truncated {
-            self.stats.truncated_admits += 1;
-        } else if staged && self.cfg.eager_buffer_bytes > 0 {
-            self.eager_bytes_used += h.payload_len as u64;
-            self.stats.eager_bytes_highwater =
-                self.stats.eager_bytes_highwater.max(self.eager_bytes_used);
-        }
+        let truncated = self.flow.stage(&h);
         let (_, addr) = self.unexpected.push(UnexpEntry {
             header: h,
             truncated,
@@ -1000,13 +841,7 @@ impl Firmware {
                     0,
                     MsgKind::RndvReply { token: h.seq },
                 );
-                // Injected firmware leak: the clear-to-send is built but
-                // never queued — the sender parks forever. The link layer
-                // can't recover what was never transmitted; only the
-                // watchdog sees it.
-                if self.leak_plan.as_mut().is_some_and(|p| p.roll_leak()) {
-                    self.stats.cts_leaked += 1;
-                } else {
+                if !self.flow.leak_cts() {
                     let at = self.inject(reply.wire_bytes(), t);
                     fx.tx.push((at, reply));
                 }
@@ -1054,14 +889,8 @@ impl Firmware {
         }
         let mut t = run.end();
         let Some(pos) = pos else {
-            // A clear-to-send whose parked send we already failed when
-            // its peer was declared dead (a link can die asymmetrically:
-            // the reply squeaked through after detection). Drop it.
-            assert!(
-                self.peer_dead(msg.header.src_node),
-                "rndv reply for unknown send"
-            );
-            self.stats.stale_rndv_dropped += 1;
+            let bug = "rndv reply for unknown send";
+            self.faults.drop_stale_rndv(msg.header.src_node, bug);
             return t;
         };
         let s = self.send_park.remove(pos).send;
@@ -1075,39 +904,11 @@ impl Firmware {
         // Local send completion once the data left.
         fx.completions
             .push((at + self.cfg.completion_cost, s.completion()));
-        // The data frame is queued (it sequences ahead of anything we
-        // send from here on): the handshake to this peer is over, release
-        // sends held behind it — until one re-enters rendezvous, which
-        // re-arms the gate.
+        // The handshake to this peer is over: release the sends held
+        // behind it.
         let peer = msg.header.src_node;
-        if self.cfg.max_unexpected > 0 {
-            if let Some(n) = self.rndv_inflight.get_mut(&peer) {
-                *n = n.saturating_sub(1);
-            }
-            t = self.release_deferred(peer, t, core, fx);
-        }
-        t
-    }
-
-    /// Re-issue sends deferred behind a now-finished rendezvous to
-    /// `peer`, in FIFO order, stopping when one starts a new handshake
-    /// (the gate re-arms) or none remain.
-    fn release_deferred(
-        &mut self,
-        peer: NodeId,
-        mut t: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
-        while self.rndv_inflight.get(&peer).copied().unwrap_or(0) == 0 {
-            let Some(pos) = self
-                .deferred_sends
-                .iter()
-                .position(|p| self.node_of(p.dst) == peer)
-            else {
-                break;
-            };
-            let s = self.deferred_sends.remove(pos).expect("position valid");
+        self.flow.rndv_shipped(peer);
+        while let Some(s) = self.flow.released(peer) {
             t = self.send_now(s, t, core, fx);
         }
         t
@@ -1123,13 +924,8 @@ impl Firmware {
     ) -> Time {
         let mut t = core.begin(now).int(cost::RNDV_DATA_LOOKUP).end();
         let Some(exp) = self.rndv_expect.remove(&(msg.header.src_node, token)) else {
-            // Data for an expectation we failed when the sender was
-            // declared dead — the frame outlived the declaration. Drop it.
-            assert!(
-                self.peer_dead(msg.header.src_node),
-                "rndv data for unknown token"
-            );
-            self.stats.stale_rndv_dropped += 1;
+            let bug = "rndv data for unknown token";
+            self.faults.drop_stale_rndv(msg.header.src_node, bug);
             return t;
         };
         let done = self.dma(DmaDir::Rx, exp.len, t);
@@ -1139,9 +935,7 @@ impl Firmware {
         t
     }
 
-    // ------------------------------------------------------------------
-    // Host request path
-    // ------------------------------------------------------------------
+    // ---- Host request path ---------------------------------------------
 
     fn do_host(&mut self, req: HostRequest, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
         // Pick the request out of the mailbox.
@@ -1206,161 +1000,7 @@ impl Firmware {
         )
     }
 
-    // ------------------------------------------------------------------
-    // NIC-offloaded collectives
-    // ------------------------------------------------------------------
-
-    /// Accept (or decline) a whole-collective offload. A declined
-    /// request answers immediately with `cancelled = true` and the host
-    /// replays the identical step plan itself — so the wire pattern is
-    /// the same either way and mixed offload/fallback ranks interoperate.
-    ///
-    /// Decline conditions: offload not configured, multi-process nodes
-    /// (the engine matches on the bare context), payloads past the eager
-    /// threshold (rendezvous steps would need host buffers), overload
-    /// protection armed (credits and staging accounting belong to the
-    /// host path), degraded/dead ALPUs (quarantine recovery already
-    /// owns the unexpected queue), or an agreement wider than its
-    /// one-bit-per-rank mask ([`coll::AGREE_MAX_RANKS`]).
-    fn do_collective(
-        &mut self,
-        request: HostRequest,
-        now: Time,
-        core: &mut Core,
-        fx: &mut Effects,
-    ) -> Time {
-        let HostRequest::Collective {
-            req,
-            op,
-            root,
-            len,
-            instance,
-            n,
-        } = request
-        else {
-            unreachable!("dispatched for collective requests only")
-        };
-        let t = core.begin(now).int(cost::COLL_DISPATCH).end();
-        let decline = !self.cfg.coll_offload
-            || self.cfg.ranks_per_node > 1
-            || len > self.cfg.eager_threshold
-            || self.cfg.overload_active()
-            || self.posted_quarantined()
-            || self.unexpected_quarantined()
-            || self.alpus_dead
-            || (op == CollOp::Agree && n > coll::AGREE_MAX_RANKS);
-        if decline {
-            self.stats.coll_declined += 1;
-            let comp = Completion::cancelled(req, req.rank as u16, 0);
-            fx.completions.push((t + self.cfg.completion_cost, comp));
-            return t;
-        }
-        self.stats.coll_offloaded += 1;
-        // Agreement seeds only from the host's view (carried in `len`);
-        // peers this NIC already declared dead are discovered *in step
-        // order* (each skipped step ORs its bit in), exactly as the host
-        // fallback discovers them through typed per-step failures — so
-        // both paths stamp identical masks on identical frames.
-        let run = coll::PlanRun::new(op, req.rank, n, root, len, instance, None);
-        self.coll.push(CollInstance { req, run });
-        self.coll_poll(t, core, fx)
-    }
-
-    /// Drive every NIC-resident collective as far as its plan allows,
-    /// emitting the single end-of-plan completion for each instance that
-    /// finishes. Called when an instance is created, when a collective
-    /// frame arrives, and when a peer is declared dead.
-    fn coll_poll(&mut self, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
-        let mut t = now;
-        let mut i = 0;
-        while i < self.coll.len() {
-            t = self.coll_advance(i, t, core, fx);
-            let Some((failed, len)) = self.coll[i].run.outcome() else {
-                i += 1;
-                continue;
-            };
-            // `swap_remove` moves the former tail into slot `i`: it is
-            // examined next.
-            let req = self.coll.swap_remove(i).req;
-            let comp = match failed {
-                Some(dead) => {
-                    self.stats.coll_rank_failed += 1;
-                    Completion::failed(req, dead, 0, 0)
-                }
-                // Agreement returns its accumulated failed-set mask as
-                // the completion length (zero for every other
-                // collective) — failures are the collective's *output*,
-                // never an error.
-                None => Completion::ok(req, req.rank as u16, 0, len),
-            };
-            fx.completions.push((t + self.cfg.completion_cost, comp));
-        }
-        t
-    }
-
-    /// Run instance `i`'s steps in plan order until one parks (a `Recv`
-    /// whose frame has not arrived) or the plan ends. `Send` steps inject
-    /// the frame straight from NIC memory — no host DMA, no per-step
-    /// completion: that is the offload. `Recv` steps harvest from the
-    /// unexpected queue through [`Self::match_unexpected`] and
-    /// [`Self::consume_unexpected`] (keeping the unexpected ALPU's shadow
-    /// in sync); harvest is tried *before* the dead-peer check so a frame
-    /// sent before its sender died is still consumed, exactly as
-    /// `do_post_recv` orders it. A step naming a dead peer is skipped:
-    /// agreement ORs the peer into its mask, any other collective ends
-    /// typed `rank_failed`, naming the first dead peer met.
-    fn coll_advance(&mut self, i: usize, mut t: Time, core: &mut Core, fx: &mut Effects) -> Time {
-        let req = self.coll[i].req;
-        while let Some(step) = self.coll[i].run.step() {
-            let dead = self.peer_dead(self.node_of(step.peer));
-            // `Some(received len)` when the step ran, `None` when its
-            // peer is dead.
-            let ran = match step.dir {
-                Dir::Send if dead => None,
-                Dir::Send => {
-                    // Agreement frames carry the *current* mask as their
-                    // length — the mask is the data plane.
-                    let (ctx, tag) = (coll::COLL_CTX, step.tag);
-                    let msg =
-                        self.make_msg(step.peer, req.rank, ctx, tag, step.len, MsgKind::Eager);
-                    let at = self.inject(msg.wire_bytes(), t);
-                    fx.tx.push((at, msg));
-                    self.stats.coll_steps_sent += 1;
-                    t = core.begin(t).int(cost::COLL_SEND).bus_write().end();
-                    Some(0)
-                }
-                Dir::Recv => {
-                    let from = Some(step.peer as u16);
-                    let probe = self.recv_probe(req, from, coll::COLL_CTX, Some(step.tag));
-                    let matched;
-                    (t, matched) = self.match_unexpected(probe, t, core);
-                    match matched {
-                        // The payload is combined in NIC memory — no host
-                        // DMA.
-                        Some(key) => {
-                            let frame;
-                            (t, frame) = self.consume_unexpected(key, t, core);
-                            self.stats.coll_steps_recv += 1;
-                            Some(frame.header.payload_len)
-                        }
-                        None if dead => None,
-                        // Park: the frame is still in flight.
-                        None => return t,
-                    }
-                }
-            };
-            let run = &mut self.coll[i].run;
-            match ran {
-                Some(len) => run.done(len),
-                None => run.fail(step.peer as u16),
-            }
-        }
-        t
-    }
-
-    // ------------------------------------------------------------------
-    // Send path
-    // ------------------------------------------------------------------
+    // ---- Send path -----------------------------------------------------
 
     fn do_post_send(&mut self, s: SendReq, now: Time, core: &mut Core, fx: &mut Effects) -> Time {
         let t = core.begin(now).int(cost::SEND_DISPATCH).end();
@@ -1369,27 +1009,11 @@ impl Firmware {
         // declared dead, so this send can never complete — finish it now
         // instead of parking it forever.
         if self.peer_dead(peer) {
-            self.fail_op(t + self.cfg.completion_cost, s.failed(), fx);
+            self.faults
+                .fail_op(t + self.cfg.completion_cost, s.failed(), fx);
             return t;
         }
-        // Deadlock avoidance under the admission bound: while a
-        // rendezvous handshake to this peer is still in flight (RTS out,
-        // data not yet shipped), any further frame we sequence to that
-        // peer could be refused at the receiver and head-of-line-block
-        // the rendezvous data behind it in the go-back-N window. Hold the
-        // send back; it is released the moment the data frame is queued.
-        // FIFO per peer, so MPI ordering is untouched; unarmed
-        // configurations never reach this path.
-        if self.cfg.max_unexpected > 0
-            && peer != self.node
-            && (self.rndv_inflight.get(&peer).copied().unwrap_or(0) > 0
-                || self
-                    .deferred_sends
-                    .iter()
-                    .any(|p| self.node_of(p.dst) == peer))
-        {
-            self.stats.sends_deferred += 1;
-            self.deferred_sends.push_back(s);
+        if self.flow.defer(peer, s) {
             return t;
         }
         self.send_now(s, t, core, fx)
@@ -1398,18 +1022,8 @@ impl Firmware {
     /// The actual send path (eager or rendezvous), past the deferral
     /// gate. `t` already includes the dispatch bookkeeping cost.
     fn send_now(&mut self, s: SendReq, mut t: Time, core: &mut Core, fx: &mut Effects) -> Time {
-        // Credit flow control: each nonzero-payload eager message to a
-        // remote node spends one credit; at zero credit the send demotes
-        // to the rendezvous path below, staging the payload on *this*
-        // side until the receiver matches. Zero-payload messages (barrier
-        // tokens and other control traffic) are exempt so synchronization
-        // can never starve behind bulk data.
         let peer = self.node_of(s.dst);
-        let eager = s.len <= self.cfg.eager_threshold
-            && (s.len == 0
-                || self.cfg.eager_credits == 0
-                || peer == self.node
-                || self.take_credit(peer));
+        let eager = s.len <= self.cfg.eager_threshold && self.flow.spend_credit(peer, s.len);
         let kind = if eager {
             MsgKind::Eager
         } else {
@@ -1429,9 +1043,7 @@ impl Firmware {
             t = core.begin(t).int(cost::EAGER_SEND).bus_write().end();
         } else {
             // Rendezvous: header-only request; park the send.
-            if self.cfg.max_unexpected > 0 && peer != self.node {
-                *self.rndv_inflight.entry(peer).or_insert(0) += 1;
-            }
+            self.flow.rndv_started(peer);
             let addr = layout::SENDQ_BASE + (self.send_park.len() as u64) * 64;
             self.send_park.push(SendEntry {
                 send: s,
@@ -1445,9 +1057,7 @@ impl Firmware {
         t
     }
 
-    // ------------------------------------------------------------------
-    // Receive path
-    // ------------------------------------------------------------------
+    // ---- Receive path --------------------------------------------------
 
     /// Probe the unexpected queue for `probe` — hardware first when the
     /// unexpected ALPU is engaged, software walk otherwise (or after a
@@ -1517,15 +1127,7 @@ impl Firmware {
             .int(cost::CONSUME)
             .store(item.addr)
             .end();
-        let h = item.val.header;
-        if h.kind == MsgKind::Eager
-            && h.payload_len > 0
-            && !item.val.truncated
-            && self.cfg.eager_buffer_bytes > 0
-        {
-            self.eager_bytes_used = self.eager_bytes_used.saturating_sub(h.payload_len as u64);
-        }
-        self.return_credit(&h);
+        self.flow.release(&item.val.header, item.val.truncated);
         (t, item.val)
     }
 
@@ -1554,7 +1156,8 @@ impl Firmware {
             .pinned_source()
             .is_some_and(|s| self.peer_dead(self.node_of(s as u32)))
         {
-            self.fail_op(t + self.cfg.completion_cost, rx.failed(), fx);
+            self.faults
+                .fail_op(t + self.cfg.completion_cost, rx.failed(), fx);
             return t;
         }
         // Post it: append to the posted-receive queue.
@@ -1657,145 +1260,7 @@ impl Firmware {
         t
     }
 
-    // ------------------------------------------------------------------
-    // Component fault domain: dead peers, dead hardware
-    // ------------------------------------------------------------------
-
-    /// Has `peer` been declared dead?
-    pub fn peer_dead(&self, peer: NodeId) -> bool {
-        self.dead_peers.contains(&peer)
-    }
-
-    /// Finish an operation that can never complete with the typed
-    /// `rank_failed` completion `comp` at `at`.
-    fn fail_op(&mut self, at: Time, comp: Completion, fx: &mut Effects) {
-        self.stats.ops_rank_failed += 1;
-        fx.completions.push((at, comp));
-    }
-
-    /// Declare `peer` dead and fail — with typed `rank_failed`
-    /// completions — every operation that can now never finish: posted
-    /// receives pinned to a rank on `peer`, parked and deferred sends
-    /// toward it, and matched rendezvous receives awaiting its data.
-    ///
-    /// Deliberately *kept*: unexpected-queue entries that already
-    /// arrived from `peer` — ULFM lets a receive posted after the
-    /// failure still match a message sent before it — and wildcard
-    /// receives, which any live rank can still satisfy.
-    ///
-    /// The cleanup walk costs no simulated firmware time: it models the
-    /// asynchronous work a real NIC would run off the critical path.
-    /// NIC-resident collectives parked on the dead peer are the
-    /// exception: skipping their dead steps un-parks the rest of the
-    /// plan, and those live steps charge normal engine time on `core`.
-    pub fn fail_peer(&mut self, peer: NodeId, now: Time, core: &mut Core, fx: &mut Effects) {
-        if peer == self.node || !self.dead_peers.insert(peer) {
-            return;
-        }
-        self.stats.peers_failed += 1;
-        let at = now + self.cfg.completion_cost;
-        let k = self.cfg.ranks_per_node;
-        let on_peer = move |rank: u32| rank / k == peer;
-
-        // Posted receives whose source is pinned to a rank on the dead
-        // node. ALPU-resident copies become tombstones, exactly as
-        // `MPI_Cancel` leaves them (no DELETE command, Table I).
-        let victims: Vec<(Key, bool, Completion)> = self
-            .posted
-            .iter()
-            .filter(|it| !it.val.ghost && it.val.pinned_source().is_some_and(|s| on_peer(s as u32)))
-            .map(|it| (it.key, it.in_alpu, it.val.failed()))
-            .collect();
-        for (key, in_alpu, comp) in victims {
-            self.unlink_posted(key, in_alpu, now);
-            self.fail_op(at, comp, fx);
-        }
-
-        // Rendezvous sends parked on a clear-to-send that will never
-        // come, then sends still held behind one of those handshakes.
-        let mut doomed: Vec<SendReq> = Vec::new();
-        let mut keep = |s: SendReq| {
-            if on_peer(s.dst) {
-                doomed.push(s);
-            }
-            !on_peer(s.dst)
-        };
-        self.send_park.retain(|e| keep(e.send));
-        self.deferred_sends.retain(|s| keep(*s));
-        for s in doomed {
-            self.fail_op(at, s.failed(), fx);
-        }
-
-        // Matched rendezvous receives whose data frame died with the
-        // sender. Keys are sorted before removal so the completion order
-        // never depends on hash-map iteration.
-        let mut stale: Vec<(NodeId, u64)> = self
-            .rndv_expect
-            .keys()
-            .filter(|(n, _)| *n == peer)
-            .copied()
-            .collect();
-        stale.sort_unstable();
-        for key in stale {
-            let exp = self.rndv_expect.remove(&key).expect("key just listed");
-            let comp = Completion::failed(exp.req, exp.src_rank, exp.tag, 0);
-            self.fail_op(at, comp, fx);
-        }
-        self.rndv_inflight.remove(&peer);
-
-        // Offloaded collectives parked on (or about to step toward) the
-        // dead peer: skip the doomed steps and drive the rest of each
-        // plan, so the surviving tree keeps making progress and every
-        // instance still ends in exactly one (typed) completion.
-        if !self.coll.is_empty() {
-            self.coll_poll(now, core, fx);
-        }
-    }
-
-    /// `peer` restarted under a new incarnation: clear the sticky death
-    /// so fresh operations toward it flow again, and forget every piece
-    /// of sender-side state keyed to its previous life — the credit pool
-    /// (re-seeded at full on next use; the reborn NIC's staging is empty)
-    /// and any rendezvous-in-flight count. Operations failed at detection
-    /// time stay failed: recovery is the application's job (`agree` /
-    /// `shrink` / retry), not a silent un-failing. Returns whether the
-    /// peer had actually been declared dead.
-    pub fn revive_peer(&mut self, peer: NodeId) -> bool {
-        if peer == self.node || !self.dead_peers.remove(&peer) {
-            return false;
-        }
-        self.credits.remove(&peer);
-        self.rndv_inflight.remove(&peer);
-        self.stats.peers_revived += 1;
-        true
-    }
-
-    /// Scheduled permanent ALPU death: quarantine both units (RESET-pin
-    /// wipe; orphaned probes fall back to software) and retire them, so
-    /// the update-item re-engage check never fires. Matching continues on
-    /// the software queues — degraded, never wrong, and never trusted to
-    /// hardware again.
-    pub fn kill_alpus(&mut self, now: Time) {
-        if self.alpus_dead {
-            return;
-        }
-        self.alpus_dead = true;
-        for unit in UNITS {
-            let Some(port) = self.port(unit) else {
-                continue;
-            };
-            if !port.quarantined() {
-                self.fail_unit(unit, now);
-            }
-            self.port_mut(unit).retire();
-            self.stats.alpus_killed += 1;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // ALPU unit lifecycle (§IV-B/C/D); the per-unit rules live in
-    // [`AlpuPort`], the queue-side halves here.
-    // ------------------------------------------------------------------
+    // ---- ALPU unit lifecycle (§IV-B/C/D): queue-side halves of AlpuPort's rules
 
     /// The unit shadowing `unit`'s queue, if configured.
     fn port(&self, unit: QueueKind) -> Option<&AlpuPort> {
@@ -1964,7 +1429,7 @@ impl Firmware {
     /// The update item: re-engage both units whose cooldown has expired,
     /// purge the posted unit's tombstones if due, then run each unit's
     /// insert session.
-    fn do_update(&mut self, now: Time, core: &mut Core, _fx: &mut Effects) -> Time {
+    fn do_update(&mut self, now: Time, core: &mut Core) -> Time {
         let mut t = now;
         for unit in UNITS {
             if self.port(unit).is_some() && self.port_mut(unit).reengage(now) {
@@ -2041,9 +1506,7 @@ impl Firmware {
         t
     }
 
-    // ------------------------------------------------------------------
-    // Helpers
-    // ------------------------------------------------------------------
+    // ---- Helpers -------------------------------------------------------
 
     fn make_msg(
         &mut self,

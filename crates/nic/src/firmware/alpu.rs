@@ -78,11 +78,6 @@ pub struct AlpuPort {
     pub(super) ghosts: usize,
     /// Cycles spent spinning on a full command FIFO.
     overflow_spins: u64,
-    /// Cycles spent spinning on a full probe (header-copy) FIFO.
-    probe_spins: u64,
-    /// Probes abandoned because the probe FIFO never drained within the
-    /// spin budget (each one wedges + quarantines the unit).
-    probe_drops: u64,
     /// Insert sessions that moved entries in.
     insert_sessions: u64,
     /// Quarantines (hard resets).
@@ -139,8 +134,6 @@ impl AlpuPort {
             orphans: 0,
             ghosts: 0,
             overflow_spins: 0,
-            probe_spins: 0,
-            probe_drops: 0,
             insert_sessions: 0,
             resets: 0,
             reengagements: 0,
@@ -188,7 +181,7 @@ impl AlpuPort {
         // The probe FIFO (`AlpuConfig::header_fifo_depth`) is deep
         // enough in practice; on overflow the hardware would backpressure
         // the copy path. Spin the unit forward until space frees —
-        // bounded and counted: a unit that can't drain its FIFO within
+        // bounded: a unit that can't drain its FIFO within
         // the budget drops the probe and is declared wedged. Ticks land
         // on the unit's own clock edges, so time advances from the last
         // synced cycle boundary — never from the (possibly mid-cycle)
@@ -196,14 +189,11 @@ impl AlpuPort {
         let mut spins = 0u64;
         while self.alpu.push_header(probe).is_err() {
             if spins >= Self::SPIN_BUDGET {
-                self.probe_spins += spins;
-                self.probe_drops += 1;
                 return Err(AlpuWedged);
             }
             spins += 1;
             self.tick();
         }
-        self.probe_spins += spins;
         self.probes_in_flight += 1;
         Ok(())
     }
@@ -505,8 +495,6 @@ impl AlpuPort {
     /// Fold the unit's lifecycle counters into firmware statistics.
     pub(super) fn add_counters(&self, s: &mut FwStats) {
         s.alpu_overflow_spins += self.overflow_spins;
-        s.alpu_probe_spins += self.probe_spins;
-        s.alpu_probe_drops += self.probe_drops;
         s.insert_sessions += self.insert_sessions;
         s.alpu_resets += self.resets;
         s.alpu_reengagements += self.reengagements;

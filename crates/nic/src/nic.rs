@@ -16,7 +16,7 @@ use mpiq_dessim::prelude::*;
 use mpiq_dessim::{
     watchdog::Health, ComponentFaultKind, FaultSchedule, Histogram, Metrics, Stats, TraceEvent,
 };
-use mpiq_net::{Message, MsgKind, NodeId};
+use mpiq_net::{Message, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -220,21 +220,6 @@ fn pad<const N: usize>(values: [u64; N]) -> GroupValues {
 /// One NIC: firmware + embedded core + work-item scheduler.
 pub struct Nic {
     node: NodeId,
-    ranks_per_node: u32,
-    /// Unexpected-queue bound ([`NicConfig::max_unexpected`]); arrivals
-    /// that would exceed it are refused at the wire, before the link
-    /// layer sequences them, so go-back-N retransmission becomes the
-    /// backpressure. `0` = unbounded.
-    max_unexpected: u32,
-    /// Any overload bound configured (gates flow-control stat keys so
-    /// unconfigured stat dumps stay byte-identical).
-    overload: bool,
-    /// Match-eligible frames (Eager / RndvRequest) the link layer has
-    /// sequenced but the firmware has not yet processed. Counted against
-    /// `max_unexpected` at admission so a work-queue backlog cannot
-    /// overshoot the bound between wire acceptance and staging. Only
-    /// maintained when the bound is armed.
-    pending_rx_match: u32,
     /// The construction config, kept so a scheduled restart can rebuild
     /// the firmware/core/link stack from scratch (wiped state is the
     /// semantic, not an accident).
@@ -257,9 +242,6 @@ pub struct Nic {
     /// Crash-stop: this node died at its scheduled instant. All further
     /// events fall on silence; in-flight state died with it.
     crashed: bool,
-    /// How long after a peer's scheduled crash the keepalive declares it
-    /// dead ([`ReliabilityConfig::keepalive_timeout`]).
-    keepalive: Time,
     stat_prefix: String,
     /// What the `nic{N}.*` keys publish beyond the live counters; written
     /// into the registry by [`Component::publish`].
@@ -291,10 +273,6 @@ impl Nic {
     pub fn new(node: NodeId, cfg: NicConfig) -> Nic {
         Nic {
             node,
-            ranks_per_node: cfg.ranks_per_node.max(1),
-            max_unexpected: cfg.max_unexpected,
-            overload: cfg.overload_active() || cfg.faults.leak_active(),
-            pending_rx_match: 0,
             cfg,
             fw: Firmware::new(node, cfg),
             core: Core::new(cfg.core),
@@ -305,7 +283,6 @@ impl Nic {
             retx_scheduled: None,
             schedule: None,
             crashed: false,
-            keepalive: cfg.link.keepalive_timeout,
             stat_prefix: format!("nic{node}"),
             record: StatRecord::default(),
             fault_tally: FaultTally::default(),
@@ -376,15 +353,6 @@ impl Nic {
         if matches!(item, WorkItem::AlpuUpdate) {
             self.update_queued = false;
         }
-        if self.max_unexpected > 0 {
-            if let WorkItem::Rx { msg, .. } = &item {
-                if matches!(msg.header.kind, MsgKind::Eager | MsgKind::RndvRequest) {
-                    // The frame is about to be staged (or matched): it now
-                    // shows up in `unexpected_len` itself if it lands there.
-                    self.pending_rx_match -= 1;
-                }
-            }
-        }
         let now = ctx.now();
         self.sample_occupancy(now);
         let (end, fx) = self.fw.process(item, now, &mut self.core);
@@ -426,7 +394,7 @@ impl Nic {
         // on the next ACK if one is due, else as standalone credit-carrying
         // ACK frames right now.
         if let Some(link) = self.link.as_mut() {
-            let grants = self.fw.take_pending_grants();
+            let grants = self.fw.take_grants();
             if !grants.is_empty() {
                 for (peer, n) in grants {
                     link.queue_grant(peer, n);
@@ -438,7 +406,7 @@ impl Nic {
         }
         for (at, comp) in fx.completions {
             // Route to the issuing process's host.
-            let pid = comp.req.rank % self.ranks_per_node;
+            let pid = comp.req.rank % self.cfg.ranks_per_node;
             ctx.trace_at(
                 at,
                 TraceEvent::HostCompletion {
@@ -494,7 +462,6 @@ impl Nic {
                 self.crashed = true;
                 self.busy = false;
                 self.work.clear();
-                self.pending_rx_match = 0;
                 ctx.trace(TraceEvent::ComponentFault {
                     kind: ComponentFaultKind::NodeCrash,
                     node: self.node,
@@ -544,7 +511,6 @@ impl Nic {
                 self.busy = false;
                 self.work.clear();
                 self.update_queued = false;
-                self.pending_rx_match = 0;
                 self.retx_scheduled = None;
                 self.retire_hists();
                 self.fw = Firmware::new(self.node, self.cfg);
@@ -580,7 +546,7 @@ impl Nic {
                         ctx.wake_me(
                             PORT_FAULT,
                             Payload::new(FaultWake::PeerDead(peer)),
-                            (crashed_at + self.keepalive).saturating_sub(now),
+                            (crashed_at + self.cfg.link.keepalive_timeout).saturating_sub(now),
                         );
                     }
                 }
@@ -648,23 +614,25 @@ impl Nic {
     }
 
     /// The stat groups that publish live counters now, as bits: none
-    /// before the NIC handled an event, then those whose condition holds.
-    fn stat_conditions(&self) -> u8 {
+    /// before the NIC handled an event, then those whose condition holds
+    /// given the firmware's counters `fw`.
+    fn stat_conditions(&self, fw: &FwStats) -> u8 {
         if !self.record.handled {
             return 0;
         }
         let link = self.link.is_some();
         let alpu = self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some();
         let armed = self.schedule.is_some();
+        let flow = self.cfg.overload_active() || self.cfg.faults.leak_active();
         [
             (BASE, true),
             (ALPU, alpu),
             (LINK, link),
             (FAULT, armed),
             (FAULT_LINK, armed && link),
-            (COLL, self.fw.coll_requests() > 0),
-            (FLOW, self.overload),
-            (FLOW_LINK, self.overload && link),
+            (COLL, fw.coll_offloaded + fw.coll_declined > 0),
+            (FLOW, flow),
+            (FLOW_LINK, flow && link),
         ]
         .into_iter()
         .filter(|&(_, on)| on)
@@ -752,8 +720,8 @@ impl Nic {
     /// Copy the counters of the groups that publish live ones into the
     /// record, before a restart wipes them.
     fn retire_stats(&mut self) {
-        let on = self.stat_conditions();
         let (fw, ls) = (self.fw.stats(), self.link_stats());
+        let on = self.stat_conditions(&fw);
         for g in (0..GROUP_KEYS.len()).filter(|g| on & (1 << g) != 0) {
             self.record.frozen[g] = Some(self.group_values(g, &fw, &ls));
         }
@@ -837,7 +805,7 @@ impl Component for Nic {
                 ctx.wake_me(
                     PORT_FAULT,
                     Payload::new(FaultWake::PeerDead(peer)),
-                    (t + self.keepalive).saturating_sub(now),
+                    (t + self.cfg.link.keepalive_timeout).saturating_sub(now),
                 );
             }
             for t in sched.restart_times(peer) {
@@ -881,37 +849,18 @@ impl Component for Nic {
                     .payload
                     .downcast::<Message>()
                     .expect("NET_RX carries Message");
-                // Bounded unexpected queue: a match-eligible arrival that
-                // could overflow the bound is refused *at the wire* — the
-                // link layer never sequences it, so the sender's go-back-N
-                // window retransmits it later. Backpressure, not loss: by
-                // the retry the receiver has usually drained. Only armed
-                // together with the reliability layer
-                // ([`NicConfig::overload_active`] forces it on).
-                if self.max_unexpected > 0
-                    && self.link.is_some()
-                    && msg.header.src_node != self.node
-                    && matches!(msg.header.kind, MsgKind::Eager | MsgKind::RndvRequest)
-                    && self.fw.unexpected_len() + self.pending_rx_match as usize
-                        >= self.max_unexpected as usize
-                    // A frame that completes a posted receive never stages;
-                    // refusing it would starve the receives that drain the
-                    // queue. Admit it past the bound — but only with no
-                    // other match-eligible frames in flight to the
-                    // firmware, so a racing frame cannot consume the
-                    // posted entry first and push this one over the bound.
-                    && !(self.pending_rx_match == 0
-                        && self.fw.would_match_posted(&msg.header))
-                {
-                    self.fw.note_admission_refused();
+                // Bounded unexpected queue: the firmware's admission rule
+                // may refuse the frame *at the wire*, before the link
+                // layer sequences it, so the sender's go-back-N window
+                // retransmits it later. Backpressure, not loss.
+                if self.fw.refuse(&msg.header) {
                     // A refused frame must not read as a dead link: answer
                     // with a duplicate cumulative ACK (liveness, zero
                     // progress) so the sender's retry budget survives
                     // sustained backpressure.
-                    if let Some(link) = self.link.as_mut() {
-                        if let Some(ack) = link.refuse(&msg) {
-                            ctx.emit_after(PORT_NET_TX, Payload::new(ack), Time::ZERO);
-                        }
+                    let link = self.link.as_mut().expect("refusal needs the link layer");
+                    if let Some(ack) = link.refuse(&msg) {
+                        ctx.emit_after(PORT_NET_TX, Payload::new(ack), Time::ZERO);
                     }
                     self.snapshot_stats();
                     return;
@@ -947,11 +896,6 @@ impl Component for Nic {
                 }
                 // Hardware header-copy path fires at arrival time,
                 // regardless of processor occupancy (Fig. 1).
-                if self.max_unexpected > 0
-                    && matches!(msg.header.kind, MsgKind::Eager | MsgKind::RndvRequest)
-                {
-                    self.pending_rx_match += 1;
-                }
                 let probed = self.fw.header_arrival(&msg, ctx.now());
                 self.work.push_back(WorkItem::Rx { msg, probed });
                 self.try_start(ctx);
@@ -1014,8 +958,8 @@ impl Component for Nic {
     /// whose condition holds now, and what a restart copied of the rest.
     fn publish(&self, stats: &mut Stats) {
         let r = &self.record;
-        let on = self.stat_conditions();
         let (fw, ls) = (self.fw.stats(), self.link_stats());
+        let on = self.stat_conditions(&fw);
         let mut key = String::with_capacity(self.stat_prefix.len() + 32);
         key.push_str(&self.stat_prefix);
         key.push('.');
@@ -1084,8 +1028,8 @@ impl Component for Nic {
     }
 
     /// Watchdog self-report: a NIC is busy while it holds work items,
-    /// parked rendezvous sends, matched-but-undelivered rendezvous
-    /// receives, or unacknowledged frames in a retransmit window.
+    /// firmware obligations ([`Firmware::health`]), or unacknowledged
+    /// frames in a retransmit window.
     fn health(&self) -> Option<Health> {
         if self.crashed {
             // A crashed node holds no obligations: whatever it owed died
@@ -1100,23 +1044,13 @@ impl Component for Nic {
             .as_ref()
             .map(|l| l.window_depths())
             .unwrap_or_default();
-        let busy = self.busy
-            || !self.work.is_empty()
-            || self.fw.sends_parked() > 0
-            || self.fw.rndv_expected() > 0
-            || self.fw.deferred_len() > 0
-            || !windows.is_empty();
-        let mut h = Health {
-            busy,
+        let h = Health {
+            busy: self.busy || !self.work.is_empty() || !windows.is_empty(),
             ..Health::default()
-        }
-        .gauge("work_queued", self.work.len() as u64)
-        .gauge("posted", self.fw.posted_len() as u64)
-        .gauge("unexpected", self.fw.unexpected_len() as u64)
-        .gauge("sends_parked", self.fw.sends_parked() as u64)
-        .gauge("sends_deferred", self.fw.deferred_len() as u64)
-        .gauge("rndv_expected", self.fw.rndv_expected() as u64)
-        .gauge("eager_bytes_staged", self.fw.eager_bytes_used());
+        };
+        let mut h = self
+            .fw
+            .health(h.gauge("work_queued", self.work.len() as u64));
         for (peer, depth) in windows {
             h = h.note(format!("in-flight window to node {peer}: {depth} frame(s)"));
         }

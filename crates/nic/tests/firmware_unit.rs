@@ -73,7 +73,7 @@ impl Rig {
         for (at, comp) in &fx.completions {
             writeln!(tape, "  comp {at} {comp:?}").unwrap();
         }
-        for (peer, n) in self.fw.take_pending_grants() {
+        for (peer, n) in self.fw.take_grants() {
             writeln!(tape, "  grant {peer} {n}").unwrap();
         }
         for (at, ev) in self.fw.take_events() {
@@ -632,6 +632,130 @@ fn agreement_wider_than_its_mask_is_declined_not_a_panic() {
     assert!(fx.completions.is_empty());
     assert!(!fx.tx.is_empty());
     assert_eq!(r.fw.stats().coll_offloaded, 1);
+}
+
+// ----------------------------------------------------------------------
+// Admission and flow control (`flow`), the fault domain (`fault`).
+// ----------------------------------------------------------------------
+
+/// A rig whose unexpected queue refuses arrivals at `bound` entries (the
+/// link layer, which retransmits refused frames, is forced on).
+fn bounded(bound: u32) -> Rig {
+    Rig::new(NicConfig::baseline().with_flow_control(0, bound, 0))
+}
+
+#[test]
+fn flow_refuses_arrivals_once_queue_and_pending_reach_the_bound() {
+    let mut r = bounded(2);
+    assert!(!r.fw.refuse(&eager(0, 1, 64, 0).header));
+    r.rx(eager(0, 1, 64, 0));
+    assert_eq!(r.fw.unexpected_len(), 1);
+    assert!(!r.fw.refuse(&eager(0, 2, 64, 1).header), "1 + 0 < 2");
+    // Admitted but not yet picked up by the firmware: it counts.
+    let pending = eager(0, 2, 64, 1);
+    r.fw.header_arrival(&pending, r.now);
+    assert!(
+        r.fw.refuse(&eager(0, 3, 64, 2).header),
+        "1 queued + 1 pending"
+    );
+    r.run(WorkItem::Rx {
+        msg: pending,
+        probed: false,
+    });
+    assert_eq!(r.fw.unexpected_len(), 2);
+    assert!(r.fw.refuse(&rndv_request(0, 3, 64 * 1024, 2).header));
+    assert_eq!(r.fw.stats().admission_refused, 2);
+}
+
+#[test]
+fn flow_admits_a_posted_match_past_the_bound_only_with_nothing_pending() {
+    let mut r = bounded(1);
+    r.rx(eager(0, 1, 64, 0));
+    r.run(post_recv(0, Some(0), Some(9), 64));
+    let hit = eager(0, 9, 64, 1);
+    assert!(!r.fw.refuse(&hit.header), "completes a posted receive");
+    assert!(r.fw.refuse(&eager(0, 8, 64, 1).header), "matches nothing");
+    // A pending frame could take the posted receive first.
+    r.fw.header_arrival(&eager(0, 7, 64, 2), r.now);
+    assert!(r.fw.refuse(&hit.header));
+    assert_eq!(r.fw.stats().admission_refused, 2);
+}
+
+#[test]
+fn flow_never_refuses_loopback_protocol_frames_or_without_an_armed_bound() {
+    let mut r = bounded(1);
+    r.rx(eager(0, 1, 64, 0));
+    assert!(r.fw.refuse(&eager(0, 2, 64, 1).header));
+    assert!(!r.fw.refuse(&eager(1, 2, 64, 0).header), "loopback");
+    assert!(!r.fw.refuse(&rndv_data(0, 5, 64, 1).header));
+    assert!(!r.fw.refuse(&rndv_reply(0, 5, 1).header));
+    // Unbounded, or bounded with no link layer to retransmit a refusal.
+    let mut no_link = NicConfig::baseline();
+    no_link.max_unexpected = 1;
+    for cfg in [NicConfig::baseline(), no_link] {
+        let mut r = Rig::new(cfg);
+        for seq in 0..4 {
+            assert!(!r.fw.refuse(&eager(0, seq as u16, 64, seq).header));
+            r.rx(eager(0, seq as u16, 64, seq));
+        }
+        assert_eq!(r.fw.stats().admission_refused, 0);
+    }
+}
+
+#[test]
+fn fault_revived_peer_gets_a_fresh_credit_pool_and_no_inflight_gate() {
+    let mut cfg = NicConfig::baseline();
+    cfg.eager_credits = 1;
+    cfg.max_unexpected = 4;
+    let mut r = Rig::new(cfg);
+    let kind = |fx: &Effects| fx.tx[0].1.header.kind;
+    // The one credit toward node 0 is spent; a rendezvous is in flight
+    // and a send is held behind it.
+    assert_eq!(kind(&r.run(post_send(0, 0, 1, 100))), MsgKind::Eager);
+    assert_eq!(
+        kind(&r.run(post_send(1, 0, 2, 64 * 1024))),
+        MsgKind::RndvRequest
+    );
+    assert!(r.run(post_send(2, 0, 3, 16)).tx.is_empty(), "held");
+    let fx = r.fail_peer(0);
+    assert_eq!(fx.completions.iter().filter(|c| c.1.rank_failed).count(), 2);
+    // A late frame from the dead peer still returns credits.
+    r.fw.credit_returned(0, 5);
+    assert!(r.fw.revive_peer(0));
+    assert!(!r.fw.revive_peer(0), "already alive");
+    // Sends flow at once, on a pool re-seeded at one credit.
+    assert_eq!(kind(&r.run(post_send(3, 0, 4, 100))), MsgKind::Eager);
+    assert_eq!(kind(&r.run(post_send(4, 0, 5, 100))), MsgKind::RndvRequest);
+    let s = r.fw.stats();
+    assert_eq!(
+        (s.peers_revived, s.credit_stalls, s.sends_deferred),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn fault_fail_peer_unparks_offloaded_collectives() {
+    let mut cfg = NicConfig::baseline();
+    cfg.coll_offload = true;
+    let mut r = Rig::new(cfg);
+    // A barrier and a two-rank agreement, both parked on rank 0.
+    assert!(r
+        .run(coll(0, CollOp::Barrier, 0, 0, 4))
+        .completions
+        .is_empty());
+    assert!(r
+        .run(coll(1, CollOp::Agree, 0, 1, 2))
+        .completions
+        .is_empty());
+    let fx = r.fail_peer(0);
+    let mut comps: Vec<_> = fx.completions.iter().map(|c| c.1).collect();
+    comps.sort_by_key(|c| c.req.seq);
+    // The barrier fails naming rank 0; the agreement skips rank 0's
+    // steps and completes with it in its mask.
+    assert_eq!((comps[0].rank_failed, comps[0].source), (true, 0));
+    assert_eq!((comps[1].rank_failed, comps[1].len), (false, 0b1));
+    let s = r.fw.stats();
+    assert_eq!((s.coll_offloaded, s.coll_rank_failed), (2, 1));
 }
 
 // ----------------------------------------------------------------------
