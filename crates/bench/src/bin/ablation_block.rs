@@ -12,27 +12,13 @@
 //! cargo run -p mpiq-bench --bin ablation_block
 //! ```
 
-use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, RunSpec};
-use mpiq_bench::{exec, report};
+use mpiq_bench::report;
+use mpiq_bench::spec::RunSpec;
 
 fn main() {
-    let cli = Cli::parse(
+    let (cli, spec) = RunSpec::parse(
         "ablation_block",
         "ALPU block-size design space: area, clock, and match service time",
-        flags("ablation_block"),
     );
-    let spec = RunSpec::from_cli("ablation_block", &cli).unwrap_or_else(|e| {
-        eprintln!("ablation_block: {e}");
-        std::process::exit(2);
-    });
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("ablation_block: {e}");
-        std::process::exit(1);
-    });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
-    if !ok {
-        std::process::exit(1);
-    }
+    report::run(&cli, &spec, |_| {});
 }

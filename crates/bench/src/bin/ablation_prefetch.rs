@@ -15,27 +15,13 @@
 //! cargo run -p mpiq-bench --bin ablation_prefetch
 //! ```
 
-use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, RunSpec};
-use mpiq_bench::{exec, report};
+use mpiq_bench::report;
+use mpiq_bench::spec::RunSpec;
 
 fn main() {
-    let cli = Cli::parse(
+    let (cli, spec) = RunSpec::parse(
         "ablation_prefetch",
         "next-line prefetch vs the ALPU at the cache cliff (§VII)",
-        flags("ablation_prefetch"),
     );
-    let spec = RunSpec::from_cli("ablation_prefetch", &cli).unwrap_or_else(|e| {
-        eprintln!("ablation_prefetch: {e}");
-        std::process::exit(2);
-    });
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("ablation_prefetch: {e}");
-        std::process::exit(1);
-    });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
-    if !ok {
-        std::process::exit(1);
-    }
+    report::run(&cli, &spec, |_| {});
 }

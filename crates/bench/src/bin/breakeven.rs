@@ -8,27 +8,13 @@
 //! cargo run -p mpiq-bench --bin breakeven -- [MAX_QUEUE]
 //! ```
 
-use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, RunSpec};
-use mpiq_bench::{exec, report};
+use mpiq_bench::report;
+use mpiq_bench::spec::RunSpec;
 
 fn main() {
-    let cli = Cli::parse(
+    let (cli, spec) = RunSpec::parse(
         "breakeven",
         "§VI-B break-even: queue length where the ALPU pays for itself (positional: MAX_QUEUE)",
-        flags("breakeven"),
     );
-    let spec = RunSpec::from_cli("breakeven", &cli).unwrap_or_else(|e| {
-        eprintln!("breakeven: {e}");
-        std::process::exit(2);
-    });
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("breakeven: {e}");
-        std::process::exit(1);
-    });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
-    if !ok {
-        std::process::exit(1);
-    }
+    report::run(&cli, &spec, |_| {});
 }

@@ -12,7 +12,7 @@
 //!
 //! Every (ranks, op, topo, mode) cell runs the same script — `--iters`
 //! back-to-back collectives per rank — and reports *simulated* metrics,
-//! which are deterministic for a given seed and code version:
+//! which are deterministic for a given code version:
 //!
 //! * `sim_ns_per_op` — wall time of the collective sequence in simulated
 //!   nanoseconds (latest final mark minus earliest initial mark),
@@ -35,66 +35,35 @@
 //! are simulated numbers, so both regressions and silent model changes
 //! are findings.
 
-use mpiq_bench::cli::Cli;
-use mpiq_bench::exec;
 use mpiq_bench::report::{self, Band};
-use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use std::path::Path;
+use mpiq_bench::spec::{BenchSpec, RunSpec};
 
 fn main() {
-    let cli = Cli::parse(
+    let (cli, spec) = RunSpec::parse(
         "collectives",
         "NIC-offloaded vs host-driven collectives across fabrics and scales",
-        flags("collectives"),
     );
-    let spec = RunSpec::from_cli("collectives", &cli).unwrap_or_else(|e| {
-        eprintln!("collectives: {e}");
-        std::process::exit(2);
-    });
     let BenchSpec::Collectives {
         ranks,
         ops,
         topos,
         modes,
-        len,
         iters,
-    } = spec.bench.clone()
+        ..
+    } = &spec.bench
     else {
         unreachable!()
     };
-    let seed = spec.seed.unwrap_or(1);
-
     eprintln!(
-        "collectives: ranks {ranks:?}, ops {ops:?}, topos {topos:?}, modes {modes:?}, \
-         {iters} iters, seed {seed}"
+        "collectives: ranks {ranks:?}, ops {ops:?}, topos {topos:?}, modes {modes:?}, {iters} iters"
     );
-
-    // `--out` writes the tracked record, not plain rows, so it is
-    // handled here instead of in `emit`.
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("collectives: {e}");
-        std::process::exit(1);
+    report::run(&cli, &spec, |result| {
+        report::gate(
+            &cli,
+            &result.rows,
+            &["ranks", "op", "topo", "mode"],
+            &[("sim_ns_per_op", Band::Both)],
+            10.0,
+        )
     });
-    let ok = report::emit(&result, None).expect("stdout");
-
-    if let Some(path) = &cli.common.out {
-        let config = [
-            ("len", len.to_string()),
-            ("iters", iters.to_string()),
-            ("seed", seed.to_string()),
-        ];
-        report::write_record(Path::new(path), "collectives", &config, &result.rows)
-            .expect("write json");
-        eprintln!("collectives: wrote {path}");
-    }
-    report::gate(
-        &cli,
-        &result.rows,
-        &["ranks", "op", "topo", "mode"],
-        &[("sim_ns_per_op", Band::Both)],
-        10.0,
-    );
-    if !ok {
-        std::process::exit(1);
-    }
 }

@@ -20,19 +20,11 @@
 //! stderr. Neither flag perturbs the CSV on stdout.
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use mpiq_bench::{exec, report, NicVariant, PrepostedPoint};
+use mpiq_bench::spec::{BenchSpec, RunResult, RunSpec};
+use mpiq_bench::{report, NicVariant, PrepostedPoint};
 
 fn main() {
-    let cli = Cli::parse(
-        "fig5",
-        "Fig. 5: latency vs. posted-receive queue depth",
-        flags("fig5"),
-    );
-    let spec = RunSpec::from_cli("fig5", &cli).unwrap_or_else(|e| {
-        eprintln!("fig5: {e}");
-        std::process::exit(2);
-    });
+    let (cli, spec) = RunSpec::parse("fig5", "Fig. 5: latency vs. posted-receive queue depth");
     let BenchSpec::Fig5 {
         configs: variants,
         max_queue,
@@ -56,13 +48,19 @@ fn main() {
         },
     );
 
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("fig5: {e}");
-        std::process::exit(1);
+    report::run(&cli, &spec, |result| {
+        present(&cli, result, &variants, max_queue, &sizes)
     });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
+}
 
+/// The plot, trace and metrics outputs, none of which touch the CSV.
+fn present(
+    cli: &Cli,
+    result: &RunResult,
+    variants: &[NicVariant],
+    max_queue: usize,
+    sizes: &[u32],
+) {
     if cli.has("plot") {
         let mut series = Vec::new();
         for (v, glyph) in variants.iter().zip(['B', 'a', 'A', 'x', 'y']) {
@@ -73,7 +71,7 @@ fn main() {
                     .rows
                     .iter()
                     .filter(|r| {
-                        r.text("config").as_deref() == Some(v.label())
+                        r.text("config") == Some(v.label())
                             && r.num("fraction") == Some(1.0)
                             && r.num("msg_size") == Some(sizes[0] as f64)
                     })
@@ -129,8 +127,5 @@ Fig. 5 projection: latency vs posted-queue length (full traversal, {} B)
         if cli.common.metrics {
             eprintln!("{}", run.metrics_text);
         }
-    }
-    if !ok {
-        std::process::exit(1);
     }
 }

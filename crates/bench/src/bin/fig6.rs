@@ -17,19 +17,11 @@
 //! stdout is unaffected by either flag.
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use mpiq_bench::{exec, report, NicVariant, UnexpectedPoint};
+use mpiq_bench::spec::{BenchSpec, RunResult, RunSpec};
+use mpiq_bench::{report, NicVariant, UnexpectedPoint};
 
 fn main() {
-    let cli = Cli::parse(
-        "fig6",
-        "Fig. 6: latency vs. unexpected-queue depth",
-        flags("fig6"),
-    );
-    let spec = RunSpec::from_cli("fig6", &cli).unwrap_or_else(|e| {
-        eprintln!("fig6: {e}");
-        std::process::exit(2);
-    });
+    let (cli, spec) = RunSpec::parse("fig6", "Fig. 6: latency vs. unexpected-queue depth");
     let BenchSpec::Fig6 {
         max_queue,
         step,
@@ -42,13 +34,13 @@ fn main() {
     let points = NicVariant::ALL.len() * sizes.len() * (max_queue / step.max(1) + 1);
     eprintln!("fig6: {points} points");
 
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("fig6: {e}");
-        std::process::exit(1);
+    report::run(&cli, &spec, |result| {
+        present(&cli, result, max_queue, &sizes)
     });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
+}
 
+/// The plot, trace and metrics outputs, none of which touch the CSV.
+fn present(cli: &Cli, result: &RunResult, max_queue: usize, sizes: &[u32]) {
     if cli.has("plot") {
         let mut series = Vec::new();
         for (v, glyph) in NicVariant::ALL.iter().zip(['B', 'a', 'A']) {
@@ -59,7 +51,7 @@ fn main() {
                     .rows
                     .iter()
                     .filter(|r| {
-                        r.text("config").as_deref() == Some(v.label())
+                        r.text("config") == Some(v.label())
                             && r.num("msg_size") == Some(sizes[0] as f64)
                     })
                     .map(|r| {
@@ -112,8 +104,5 @@ Fig. 6: latency vs unexpected-queue length ({} B messages)
         if cli.common.metrics {
             eprintln!("{}", run.metrics_text);
         }
-    }
-    if !ok {
-        std::process::exit(1);
     }
 }

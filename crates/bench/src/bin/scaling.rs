@@ -19,75 +19,41 @@
 //! time; only `wall_ms` and `events_per_sec` vary from run to run. The
 //! watchdog deadline grows with `--msgs` past the default 64.
 //!
-//! `--out PATH` writes the full document (code version stamp, config,
-//! one row per run). The repo tracks `BENCH_scaling.json` at the root:
-//! regenerate it with `--out BENCH_scaling.json` after perf-relevant
-//! changes. `--check PATH` loads such a document and fails (exit 1)
+//! `--out PATH` writes the run's record (code version stamp, the
+//! command line, one row per scenario). The repo tracks
+//! `BENCH_scaling.json` at the root: regenerate it with `--out
+//! BENCH_scaling.json` after perf-relevant changes. `--check PATH`
+//! loads such a record and fails (exit 1)
 //! when any current row's events/sec drops more than
 //! `--tolerance` percent below the same scenario's row of the
 //! baseline — CI runs both flags in one invocation.
 
-use mpiq_bench::cli::Cli;
-use mpiq_bench::exec;
 use mpiq_bench::report::{self, Band};
-use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use std::path::Path;
+use mpiq_bench::spec::{BenchSpec, RunSpec};
 
 fn main() {
-    let cli = Cli::parse(
-        "scaling",
-        "engine events/sec on the incast soak",
-        flags("scaling"),
-    );
-    let spec = RunSpec::from_cli("scaling", &cli).unwrap_or_else(|e| {
-        eprintln!("scaling: {e}");
-        std::process::exit(2);
-    });
+    let (cli, spec) = RunSpec::parse("scaling", "engine events/sec on the incast soak");
     let BenchSpec::Scaling {
         senders,
         msgs,
         size,
         ..
-    } = spec.bench.clone()
+    } = spec.bench
     else {
         unreachable!()
     };
-    let seed = spec.seed.unwrap_or(1);
-
     eprintln!(
-        "scaling: incast, {} ranks, {} msgs x {} B, seed {seed}",
+        "scaling: incast, {} ranks, {msgs} msgs x {size} B, seed {}",
         senders + 1,
-        msgs,
-        size
+        spec.seed.unwrap_or(1)
     );
-
-    // `--out` writes the tracked record, not plain rows, so it is
-    // handled here instead of in `emit`.
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("scaling: {e}");
-        std::process::exit(1);
+    report::run(&cli, &spec, |result| {
+        report::gate(
+            &cli,
+            &result.rows,
+            &["scenario"],
+            &[("events_per_sec", Band::Floor)],
+            25.0,
+        )
     });
-    let ok = report::emit(&result, None).expect("stdout");
-
-    if let Some(path) = &cli.common.out {
-        let config = [
-            ("senders", senders.to_string()),
-            ("msgs", msgs.to_string()),
-            ("size", size.to_string()),
-            ("seed", seed.to_string()),
-        ];
-        report::write_record(Path::new(path), "scaling", &config, &result.rows)
-            .expect("write json");
-        eprintln!("scaling: wrote {path}");
-    }
-    report::gate(
-        &cli,
-        &result.rows,
-        &["scenario"],
-        &[("events_per_sec", Band::Floor)],
-        25.0,
-    );
-    if !ok {
-        std::process::exit(1);
-    }
 }

@@ -18,23 +18,17 @@
 //! below 2 with a one-line error and exit status 1.
 
 use mpiq_bench::ascii_plot::{render, Series};
-use mpiq_bench::cli::Cli;
 use mpiq_bench::report::{self, Band};
-use mpiq_bench::spec::{flags, BenchSpec, RunSpec};
-use mpiq_bench::{exec, run_soak, Scenario, SoakConfig};
+use mpiq_bench::spec::{BenchSpec, RunSpec};
+use mpiq_bench::{run_soak, Scenario, SoakConfig};
 use mpiq_dessim::Time;
 use std::io::Write as _;
 
 fn main() {
-    let cli = Cli::parse(
+    let (cli, spec) = RunSpec::parse(
         "soak",
         "overload soak scenarios under the deadlock watchdog",
-        flags("soak"),
     );
-    let spec = RunSpec::from_cli("soak", &cli).unwrap_or_else(|e| {
-        eprintln!("soak: {e}");
-        std::process::exit(2);
-    });
     let BenchSpec::Soak {
         senders,
         msgs,
@@ -67,25 +61,17 @@ fn main() {
         return;
     }
 
-    let result = exec::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let ok = report::emit(&result, cli.common.out.as_deref().map(std::path::Path::new))
-        .expect("write json");
-
     // Simulated time is deterministic, so `runtime_ns` and, where
     // restarts ran, `recovery_ns` drifting either way is a finding.
-    report::gate(
-        &cli,
-        &result.rows,
-        &["scenario", "seed", "senders"],
-        &[("runtime_ns", Band::Both), ("recovery_ns", Band::Both)],
-        10.0,
-    );
-    if !ok {
-        std::process::exit(1);
-    }
+    report::run(&cli, &spec, |result| {
+        report::gate(
+            &cli,
+            &result.rows,
+            &["scenario", "seed", "senders"],
+            &[("runtime_ns", Band::Both), ("recovery_ns", Band::Both)],
+            10.0,
+        )
+    });
 }
 
 /// Sweep the incast fan-in and plot how backpressure absorbs the load:

@@ -6,26 +6,29 @@
 //! same concept spelled differently across bins. This module replaces
 //! all of them with a single declarative parser.
 //!
-//! Every bin gets the **common surface** for free:
+//! The **common flags** are declared here once, typed into [`Common`],
+//! and each bin's flag table ([`crate::spec::flags`]) lists only those
+//! it reads; any other is an unknown flag (exit 2):
 //!
-//! | flag | meaning |
-//! |------|---------|
-//! | `--seed N` | simulation seed (bins with multi-seed sweeps interpret it as the sole seed) |
-//! | `--faults SPEC` | deterministic fault campaign, e.g. `seed=1,drop=0.01,corrupt=0.005` |
-//! | `--trace-out PATH` | write a Chrome trace of one instrumented representative run |
-//! | `--metrics` | dump latency histograms / counters to stderr |
-//! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores); each simulation itself runs on one thread |
-//! | `--out PATH` | write result rows as a JSON array to PATH |
-//! | `--help` | uniform, generated help |
+//! | flag | meaning | bins |
+//! |------|---------|------|
+//! | `--seed N` | simulation seed (multi-seed sweeps take it as the sole seed) | soak, scaling |
+//! | `--faults SPEC` | deterministic fault campaign, e.g. `seed=1,drop=0.01,corrupt=0.005` | fig5, fig6, soak |
+//! | `--trace-out PATH` | write a Chrome trace of one instrumented representative run | fig5, fig6 |
+//! | `--metrics` | dump latency histograms / counters to stderr | fig5, fig6 |
+//! | `--sweep-threads N` | OS threads fanning out independent sweep *points* (`0` = all cores); each simulation itself runs on one thread | fig5, fig6, gap, breakeven, appstudy, ablation_{hash,prefetch,threshold,wildcard} |
+//! | `--out PATH` | write the run's record `{bench, version, command, rows}` to PATH | fig5, fig6, gap, breakeven, soak, scaling, collectives |
+//! | `--help` | uniform, generated help | every bin |
 //!
-//! Bin-specific flags are declared as [`Flag`] specs, so the generated
-//! `--help` can never drift from what the parser accepts: both come
-//! from the same table. Defaults are pinned by unit tests below.
+//! Flags are declared as [`Flag`] specs, so the generated `--help` can
+//! never drift from what the parser accepts: both come from the same
+//! table. Defaults are pinned by unit tests below.
 
 use mpiq_dessim::FaultConfig;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The flags shared by every bench binary, parsed and typed.
+/// The common flags, parsed and typed; one a bin does not declare keeps
+/// its default.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Common {
     /// `--seed N`; `None` = the bin's own default seed policy.
@@ -55,44 +58,48 @@ pub struct Flag {
     pub help: &'static str,
 }
 
-/// The common flags, declared once so help and parser share the table.
-const COMMON_FLAGS: &[Flag] = &[
-    Flag {
-        name: "seed",
-        value: Some("N"),
-        help: "simulation seed",
-    },
-    Flag {
-        name: "faults",
-        value: Some("SPEC"),
-        help: "deterministic fault campaign, e.g. seed=1,drop=0.01,corrupt=0.005",
-    },
-    Flag {
-        name: "trace-out",
-        value: Some("PATH"),
-        help: "write a Chrome trace of one instrumented representative run",
-    },
-    Flag {
-        name: "metrics",
-        value: None,
-        help: "dump latency histograms to stderr",
-    },
-    Flag {
-        name: "sweep-threads",
-        value: Some("N"),
-        help: "OS threads fanning out sweep points (0 = all cores)",
-    },
-    Flag {
-        name: "out",
-        value: Some("PATH"),
-        help: "write result rows as JSON to PATH",
-    },
-    Flag {
-        name: "help",
-        value: None,
-        help: "show this help",
-    },
-];
+/// `--seed N`.
+pub const SEED: Flag = Flag {
+    name: "seed",
+    value: Some("N"),
+    help: "simulation seed",
+};
+/// `--faults SPEC`.
+pub const FAULTS: Flag = Flag {
+    name: "faults",
+    value: Some("SPEC"),
+    help: "deterministic fault campaign, e.g. seed=1,drop=0.01,corrupt=0.005",
+};
+/// `--trace-out PATH`.
+pub const TRACE_OUT: Flag = Flag {
+    name: "trace-out",
+    value: Some("PATH"),
+    help: "write a Chrome trace of one instrumented representative run",
+};
+/// `--metrics`.
+pub const METRICS: Flag = Flag {
+    name: "metrics",
+    value: None,
+    help: "dump latency histograms to stderr",
+};
+/// `--sweep-threads N`.
+pub const SWEEP_THREADS: Flag = Flag {
+    name: "sweep-threads",
+    value: Some("N"),
+    help: "OS threads fanning out sweep points (0 = all cores)",
+};
+/// `--out PATH`.
+pub const OUT: Flag = Flag {
+    name: "out",
+    value: Some("PATH"),
+    help: "write the run's record (command and rows) as JSON to PATH",
+};
+/// `--help`, which every bin accepts.
+const HELP: Flag = Flag {
+    name: "help",
+    value: None,
+    help: "show this help",
+};
 
 /// A parsed command line: typed [`Common`] plus raw bin-specific values.
 #[derive(Debug)]
@@ -106,6 +113,8 @@ pub struct Cli {
     switches: BTreeSet<String>,
     /// Non-flag arguments, in order.
     positionals: Vec<String>,
+    /// The arguments as given, for [`Cli::command`].
+    args: Vec<String>,
     /// The shared surface, already typed.
     pub common: Common,
 }
@@ -142,24 +151,29 @@ impl Cli {
             opts: BTreeMap::new(),
             switches: BTreeSet::new(),
             positionals: Vec::new(),
+            args: args.into_iter().collect(),
             common: Common::default(),
         };
-        for spec in specs {
+        for (i, spec) in specs.iter().enumerate() {
             assert!(
-                !COMMON_FLAGS.iter().any(|c| c.name == spec.name),
-                "bin flag --{} shadows a common flag",
+                !specs[..i]
+                    .iter()
+                    .chain([&HELP])
+                    .any(|f| f.name == spec.name),
+                "flag --{} is declared twice",
                 spec.name
             );
         }
-        let mut it = args.into_iter();
+        let mut it = cli.args.clone().into_iter();
         while let Some(arg) = it.next() {
             let Some(stripped) = arg.strip_prefix("--") else {
                 cli.positionals.push(arg);
                 continue;
             };
-            let spec = COMMON_FLAGS
+            let spec = cli
+                .specs
                 .iter()
-                .chain(cli.specs.iter())
+                .chain([&HELP])
                 .find(|f| f.name == stripped)
                 .ok_or_else(|| Error::Bad(format!("unknown flag --{stripped}")))?;
             if spec.value.is_some() {
@@ -188,6 +202,14 @@ impl Cli {
     /// The bin's name, as it prefixes its messages.
     pub(crate) fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// The bin's name and its arguments as given: the command line that
+    /// reproduces the run.
+    pub(crate) fn command(&self) -> Vec<String> {
+        std::iter::once(self.name.to_string())
+            .chain(self.args.iter().cloned())
+            .collect()
     }
 
     fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Error>
@@ -332,12 +354,9 @@ impl Cli {
                 out.push_str(&format!("  {left:<22} {}\n", f.help));
             }
         };
-        if !self.specs.is_empty() {
-            out.push_str("\nOPTIONS:\n");
-            render(&mut out, &self.specs);
-        }
-        out.push_str("\nCOMMON OPTIONS:\n");
-        render(&mut out, COMMON_FLAGS);
+        out.push_str("\nOPTIONS:\n");
+        render(&mut out, &self.specs);
+        render(&mut out, &[HELP]);
         out
     }
 }
@@ -399,7 +418,7 @@ mod tests {
                 "--faults",
                 "seed=1,drop=0.5",
             ],
-            &[],
+            &[SEED, FAULTS, TRACE_OUT, METRICS, SWEEP_THREADS, OUT],
         )
         .unwrap();
         assert_eq!(cli.common.seed, Some(7));
@@ -408,6 +427,24 @@ mod tests {
         assert_eq!(cli.common.trace_out.as_deref(), Some("t.json"));
         assert_eq!(cli.common.out.as_deref(), Some("rows.json"));
         assert!(cli.common.faults.is_some());
+        assert_eq!(
+            cli.command()[..3],
+            ["testbin", "--seed", "7"].map(String::from)
+        );
+    }
+
+    /// A common flag is accepted only by a bin that declares it: the
+    /// others reject it like any unknown flag, so no bin takes a flag it
+    /// would ignore.
+    #[test]
+    fn undeclared_common_flag_is_unknown() {
+        for (flag, value) in [("--seed", "7"), ("--out", "rows.json"), ("--metrics", "")] {
+            match parse(&[flag, value], &[SWEEP_THREADS]) {
+                Err(Error::Bad(msg)) => assert_eq!(msg, format!("unknown flag {flag}")),
+                other => panic!("{flag}: expected Bad, got {other:?}"),
+            }
+        }
+        assert!(parse(&["--sweep-threads", "2"], &[SWEEP_THREADS]).is_ok());
     }
 
     /// Removed common flags fail like any undeclared flag: the
@@ -448,7 +485,7 @@ mod tests {
             other => panic!("expected Bad, got {other:?}"),
         }
         // A common typed flag fails at parse time, before any run.
-        match parse(&["--faults", "not-a-fault-spec"], &[]) {
+        match parse(&["--faults", "not-a-fault-spec"], &[FAULTS]) {
             Err(Error::Bad(msg)) => {
                 assert!(msg.contains("--faults"), "must name the flag: {msg}");
                 assert!(
@@ -530,7 +567,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_reported() {
-        match parse(&["--seed"], &[]) {
+        match parse(&["--seed"], &[SEED]) {
             Err(Error::Bad(msg)) => assert!(msg.contains("needs a value"), "{msg}"),
             other => panic!("expected Bad, got {other:?}"),
         }
@@ -546,9 +583,7 @@ mod tests {
         match parse(&["--help"], &specs) {
             Err(Error::Help(text)) => {
                 assert!(text.contains("--scenario NAME"), "{text}");
-                for f in COMMON_FLAGS {
-                    assert!(text.contains(&format!("--{}", f.name)), "{text}");
-                }
+                assert!(text.contains("--help"), "{text}");
             }
             other => panic!("expected Help, got {other:?}"),
         }

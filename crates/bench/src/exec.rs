@@ -1,11 +1,9 @@
 //! The one executor behind every bench bin: consume a [`RunSpec`],
 //! produce a [`RunResult`].
 //!
-//! Each arm of [`execute`] is the verbatim port of the corresponding
-//! bin's sweep loop — same point expansion order, same CSV cell
-//! formatting, same summary lines — so a bin printing the returned rows
-//! is byte-identical to the pre-refactor harness (CI's observability job
-//! byte-compares fig5 stdout to hold this). The bins keep only
+//! Each arm of [`execute`] runs one bench's sweep and returns its rows
+//! as typed cells: each column is named, valued and given its CSV
+//! precision once, where the row is built. The bins keep only
 //! presentation: plots, traces and tracked-baseline gates.
 //!
 //! Conditions the old bins handled with `panic!`/`exit(1)` (a stalled
@@ -14,13 +12,12 @@
 //! error, never a panic.
 
 use crate::gap::{message_gap, GapPoint};
-use crate::report::{cells, json_f64, json_str};
+use crate::spec::Value::{Int, Real, Text};
 use crate::spec::{BenchSpec, ResultRow, RunResult, RunSpec};
 use crate::wildcard::{wildcard_workaround, RecvStrategy, WildcardStudy};
 use crate::{
     postloop_rtt, preposted_latency_cfg, run_parallel, run_soak, unexpected_latency_cfg,
-    FaultCounters, NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig,
-    UnexpectedPoint,
+    NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig, UnexpectedPoint,
 };
 use mpiq_dessim::Time;
 use mpiq_net::{Topology, WireProfile};
@@ -99,16 +96,6 @@ fn fig5(
     if fractions.is_empty() {
         return Err("--fractions must list at least one traversal fraction".to_string());
     }
-    struct Row {
-        config: String,
-        queue_len: usize,
-        fraction: f64,
-        msg_size: u32,
-        latency_us: f64,
-        sw_traversed: u64,
-        rx_l1_misses: u64,
-        faults: Option<FaultCounters>,
-    }
     let mut points = Vec::new();
     for &v in variants {
         for &size in sizes {
@@ -126,75 +113,37 @@ fn fig5(
             }
         }
     }
-    let rows: Vec<Row> = run_parallel(points, spec.sweep_threads, |&(v, p)| {
+    result.rows = run_parallel(points, spec.sweep_threads, |&(v, p)| {
         let mut cfg = v.config();
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
         let r = preposted_latency_cfg(cfg, p);
-        Row {
-            config: v.label().to_string(),
-            queue_len: p.queue_len,
-            fraction: p.fraction,
-            msg_size: p.msg_size,
-            latency_us: r.latency.as_us_f64(),
-            sw_traversed: r.sw_traversed,
-            rx_l1_misses: r.rx_l1_misses,
-            faults: faults.map(|_| r.faults),
+        let mut row = ResultRow(vec![
+            ("config", Text(v.label().to_string())),
+            ("queue_len", Int(p.queue_len as u64)),
+            ("fraction", Real(p.fraction, None)),
+            ("msg_size", Int(p.msg_size.into())),
+            ("latency_us", Real(r.latency.as_us_f64(), Some(4))),
+            ("sw_traversed", Int(r.sw_traversed)),
+            ("rx_l1_misses", Int(r.rx_l1_misses)),
+        ]);
+        if faults.is_some() {
+            row.0.extend(r.faults.cells());
         }
+        row
     });
-
-    let mut header =
-        "config,queue_len,fraction,msg_size,latency_us,sw_traversed,rx_l1_misses".to_string();
-    if faults.is_some() {
-        header = format!("{header},{}", FaultCounters::CSV_HEADER);
-    }
-    result.header = header;
-    for r in &rows {
-        let base = format!(
-            "{},{},{},{},{:.4},{},{}",
-            r.config,
-            r.queue_len,
-            r.fraction,
-            r.msg_size,
-            r.latency_us,
-            r.sw_traversed,
-            r.rx_l1_misses
-        );
-        let csv = match &r.faults {
-            Some(fc) => format!("{base},{}", fc.csv()),
-            None => base,
-        };
-        let mut fields: Vec<(String, String)> = vec![
-            ("config".to_string(), json_str(&r.config)),
-            ("queue_len".to_string(), r.queue_len.to_string()),
-            ("fraction".to_string(), json_f64(r.fraction)),
-            ("msg_size".to_string(), r.msg_size.to_string()),
-            ("latency_us".to_string(), json_f64(r.latency_us)),
-            ("sw_traversed".to_string(), r.sw_traversed.to_string()),
-            ("rx_l1_misses".to_string(), r.rx_l1_misses.to_string()),
-        ];
-        if let Some(fc) = &r.faults {
-            fields.extend(
-                fc.json_fields()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v)),
-            );
-        }
-        result.rows.push(ResultRow { csv, fields });
-    }
 
     // Headline summary (paper §VI-B shape checks).
     for &v in variants {
         let at = |q: usize| {
-            rows.iter()
-                .find(|r| {
-                    r.config == v.label()
-                        && r.queue_len == q
-                        && r.fraction == 1.0
-                        && r.msg_size == sizes[0]
-                })
-                .map(|r| r.latency_us)
+            let row = result.rows.iter().find(|r| {
+                r.text("config") == Some(v.label())
+                    && r.num("queue_len") == Some(q as f64)
+                    && r.num("fraction") == Some(1.0)
+                    && r.num("msg_size") == Some(sizes[0].into())
+            });
+            row?.num("latency_us")
         };
         if let (Some(l0), Some(lmax)) = (at(0), at(max_queue)) {
             result.notes.push(format!(
@@ -223,14 +172,6 @@ fn fig6(
     if sizes.is_empty() {
         return Err("--sizes must list at least one payload size".to_string());
     }
-    struct Row {
-        config: String,
-        queue_len: usize,
-        msg_size: u32,
-        latency_us: f64,
-        sw_traversed: u64,
-        faults: Option<FaultCounters>,
-    }
     let mut points = Vec::new();
     for v in NicVariant::ALL {
         for &size in sizes {
@@ -245,64 +186,39 @@ fn fig6(
             }
         }
     }
-    let rows: Vec<Row> = run_parallel(points, spec.sweep_threads, |&(v, p)| {
+    result.rows = run_parallel(points, spec.sweep_threads, |&(v, p)| {
         let mut cfg = v.config();
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
         let r = unexpected_latency_cfg(cfg, p);
-        Row {
-            config: v.label().to_string(),
-            queue_len: p.queue_len,
-            msg_size: p.msg_size,
-            latency_us: r.latency.as_us_f64(),
-            sw_traversed: r.sw_traversed,
-            faults: faults.map(|_| r.faults),
+        let mut row = ResultRow(vec![
+            ("config", Text(v.label().to_string())),
+            ("queue_len", Int(p.queue_len as u64)),
+            ("msg_size", Int(p.msg_size.into())),
+            ("latency_us", Real(r.latency.as_us_f64(), Some(4))),
+            ("sw_traversed", Int(r.sw_traversed)),
+        ]);
+        if faults.is_some() {
+            row.0.extend(r.faults.cells());
         }
+        row
     });
-
-    let mut header = "config,queue_len,msg_size,latency_us,sw_traversed".to_string();
-    if faults.is_some() {
-        header = format!("{header},{}", FaultCounters::CSV_HEADER);
-    }
-    result.header = header;
-    for r in &rows {
-        let base = format!(
-            "{},{},{},{:.4},{}",
-            r.config, r.queue_len, r.msg_size, r.latency_us, r.sw_traversed
-        );
-        let csv = match &r.faults {
-            Some(fc) => format!("{base},{}", fc.csv()),
-            None => base,
-        };
-        let mut fields: Vec<(String, String)> = vec![
-            ("config".to_string(), json_str(&r.config)),
-            ("queue_len".to_string(), r.queue_len.to_string()),
-            ("msg_size".to_string(), r.msg_size.to_string()),
-            ("latency_us".to_string(), json_f64(r.latency_us)),
-            ("sw_traversed".to_string(), r.sw_traversed.to_string()),
-        ];
-        if let Some(fc) = &r.faults {
-            fields.extend(
-                fc.json_fields()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v)),
-            );
-        }
-        result.rows.push(ResultRow { csv, fields });
-    }
 
     // Crossover summary: first queue length where the ALPU clearly wins.
     for alpu in [NicVariant::Alpu128, NicVariant::Alpu256] {
         let size = sizes[0];
+        let latency = |config: &str, q: usize| {
+            let row = result.rows.iter().find(|r| {
+                r.text("config") == Some(config)
+                    && r.num("queue_len") == Some(q as f64)
+                    && r.num("msg_size") == Some(size.into())
+            });
+            row?.num("latency_us")
+        };
         let crossover = (0..=max_queue).step_by(step).find(|&q| {
-            let base = rows
-                .iter()
-                .find(|r| r.config == "baseline" && r.queue_len == q && r.msg_size == size);
-            let a = rows
-                .iter()
-                .find(|r| r.config == alpu.label() && r.queue_len == q && r.msg_size == size);
-            matches!((base, a), (Some(b), Some(a)) if a.latency_us + 0.2 < b.latency_us)
+            let pair = latency("baseline", q).zip(latency(alpu.label(), q));
+            pair.is_some_and(|(b, a)| a + 0.2 < b)
         });
         result.notes.push(format!(
             "fig6[{}]: clear advantage starts at queue length {:?} (paper: ~70)",
@@ -333,9 +249,6 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
         )
     });
 
-    result.header = "queue_len,baseline_gap_ns,alpu128_gap_ns,alpu256_gap_ns,\
-                     baseline_rate_msgs_per_s,alpu256_rate_msgs_per_s"
-        .to_string();
     for &q in &depths {
         let get = |v: NicVariant| {
             work.iter()
@@ -348,24 +261,14 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
         let a128 = get(NicVariant::Alpu128);
         let a256 = get(NicVariant::Alpu256);
         let rate = |g: Time| 1e9 / g.as_ns_f64();
-        result.rows.push(ResultRow {
-            csv: format!(
-                "{q},{:.1},{:.1},{:.1},{:.0},{:.0}",
-                b.as_ns_f64(),
-                a128.as_ns_f64(),
-                a256.as_ns_f64(),
-                rate(b),
-                rate(a256)
-            ),
-            fields: vec![
-                ("queue_len".to_string(), q.to_string()),
-                ("baseline_gap_ns".to_string(), json_f64(b.as_ns_f64())),
-                ("alpu128_gap_ns".to_string(), json_f64(a128.as_ns_f64())),
-                ("alpu256_gap_ns".to_string(), json_f64(a256.as_ns_f64())),
-                ("baseline_rate_msgs_per_s".to_string(), json_f64(rate(b))),
-                ("alpu256_rate_msgs_per_s".to_string(), json_f64(rate(a256))),
-            ],
-        });
+        result.rows.push(ResultRow(vec![
+            ("queue_len", Int(q as u64)),
+            ("baseline_gap_ns", Real(b.as_ns_f64(), Some(1))),
+            ("alpu128_gap_ns", Real(a128.as_ns_f64(), Some(1))),
+            ("alpu256_gap_ns", Real(a256.as_ns_f64(), Some(1))),
+            ("baseline_rate_msgs_per_s", Real(rate(b), Some(0))),
+            ("alpu256_rate_msgs_per_s", Real(rate(a256), Some(0))),
+        ]));
     }
     result.notes.push(
         "gap: time spent traversing queues raises gap / lowers message rate (§I); \
@@ -397,7 +300,6 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
         .latency
     });
 
-    result.header = "queue_len,baseline_us,alpu128_us,alpu256_us,alpu128_delta_ns".to_string();
     let mut breakeven = None;
     for q in 0..=max {
         let get = |v: NicVariant| {
@@ -412,22 +314,13 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
         let a128 = get(NicVariant::Alpu128);
         let a256 = get(NicVariant::Alpu256);
         let delta_ns = a128.as_ns_f64() - b.as_ns_f64();
-        result.rows.push(ResultRow {
-            csv: format!(
-                "{q},{:.4},{:.4},{:.4},{:.1}",
-                b.as_us_f64(),
-                a128.as_us_f64(),
-                a256.as_us_f64(),
-                delta_ns
-            ),
-            fields: vec![
-                ("queue_len".to_string(), q.to_string()),
-                ("baseline_us".to_string(), json_f64(b.as_us_f64())),
-                ("alpu128_us".to_string(), json_f64(a128.as_us_f64())),
-                ("alpu256_us".to_string(), json_f64(a256.as_us_f64())),
-                ("alpu128_delta_ns".to_string(), json_f64(delta_ns)),
-            ],
-        });
+        result.rows.push(ResultRow(vec![
+            ("queue_len", Int(q as u64)),
+            ("baseline_us", Real(b.as_us_f64(), Some(4))),
+            ("alpu128_us", Real(a128.as_us_f64(), Some(4))),
+            ("alpu256_us", Real(a256.as_us_f64(), Some(4))),
+            ("alpu128_delta_ns", Real(delta_ns, Some(1))),
+        ]));
         if breakeven.is_none() && delta_ns <= 0.0 {
             breakeven = Some(q);
         }
@@ -469,12 +362,6 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
         Some(s) => vec![s],
         None => (1..=*seeds).collect(),
     };
-    result.header = "scenario,seed,senders,msgs,runtime_ns,events,delivered,\
-                     unexpected_hw,eager_bytes_hw,admission_refused,credit_stalls,\
-                     truncated_admits,retransmits,grants_issued,ranks_crashed,\
-                     peers_failed,ops_rank_failed,links_dead,nodes_restarted,\
-                     peers_revived,epoch_fences,recovery_ns"
-        .to_string();
     for &scenario in &scenarios {
         for &seed in &seed_list {
             let mut cfg = SoakConfig::new(scenario, seed);
@@ -493,7 +380,7 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
                 cfg.node_mttr = Some(Time::from_us(*node_mttr_us));
             }
             let out = run_soak(&cfg)
-                .map_err(|diag| format!("soak STALLED: {} seed {seed}\n{diag}", scenario.name()))?;
+                .map_err(|diag| format!("STALLED: {} seed {seed}\n{diag}", scenario.name()))?;
             if *check_determinism {
                 let again =
                     run_soak(&cfg).map_err(|d| format!("determinism re-run stalled: {d}"))?;
@@ -504,76 +391,30 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
                     ));
                 }
             }
-            let csv = format!(
-                "{},{},{}",
-                scenario.name(),
-                seed,
-                cells(&[
-                    cfg.senders as u64,
-                    cfg.msgs as u64,
-                    out.runtime.ns(),
-                    out.events,
-                    out.delivered,
-                    out.unexpected_highwater,
-                    out.eager_bytes_highwater,
-                    out.admission_refused,
-                    out.credit_stalls,
-                    out.truncated_admits,
-                    out.retransmits,
-                    out.grants_issued,
-                    out.ranks_crashed,
-                    out.peers_failed,
-                    out.ops_rank_failed,
-                    out.links_dead,
-                    out.nodes_restarted,
-                    out.peers_revived,
-                    out.epoch_fences,
-                    out.recovery_ns,
-                ])
-            );
-            let fields: Vec<(String, String)> = vec![
-                ("scenario".to_string(), json_str(scenario.name())),
-                ("seed".to_string(), seed.to_string()),
-                ("senders".to_string(), cfg.senders.to_string()),
-                ("msgs".to_string(), cfg.msgs.to_string()),
-                ("runtime_ns".to_string(), out.runtime.ns().to_string()),
-                ("events".to_string(), out.events.to_string()),
-                ("delivered".to_string(), out.delivered.to_string()),
-                (
-                    "unexpected_hw".to_string(),
-                    out.unexpected_highwater.to_string(),
-                ),
-                (
-                    "eager_bytes_hw".to_string(),
-                    out.eager_bytes_highwater.to_string(),
-                ),
-                (
-                    "admission_refused".to_string(),
-                    out.admission_refused.to_string(),
-                ),
-                ("credit_stalls".to_string(), out.credit_stalls.to_string()),
-                (
-                    "truncated_admits".to_string(),
-                    out.truncated_admits.to_string(),
-                ),
-                ("retransmits".to_string(), out.retransmits.to_string()),
-                ("grants_issued".to_string(), out.grants_issued.to_string()),
-                ("ranks_crashed".to_string(), out.ranks_crashed.to_string()),
-                ("peers_failed".to_string(), out.peers_failed.to_string()),
-                (
-                    "ops_rank_failed".to_string(),
-                    out.ops_rank_failed.to_string(),
-                ),
-                ("links_dead".to_string(), out.links_dead.to_string()),
-                (
-                    "nodes_restarted".to_string(),
-                    out.nodes_restarted.to_string(),
-                ),
-                ("peers_revived".to_string(), out.peers_revived.to_string()),
-                ("epoch_fences".to_string(), out.epoch_fences.to_string()),
-                ("recovery_ns".to_string(), out.recovery_ns.to_string()),
-            ];
-            result.rows.push(ResultRow { csv, fields });
+            result.rows.push(ResultRow(vec![
+                ("scenario", Text(scenario.name().to_string())),
+                ("seed", Int(seed)),
+                ("senders", Int(cfg.senders.into())),
+                ("msgs", Int(cfg.msgs.into())),
+                ("runtime_ns", Int(out.runtime.ns())),
+                ("events", Int(out.events)),
+                ("delivered", Int(out.delivered)),
+                ("unexpected_hw", Int(out.unexpected_highwater)),
+                ("eager_bytes_hw", Int(out.eager_bytes_highwater)),
+                ("admission_refused", Int(out.admission_refused)),
+                ("credit_stalls", Int(out.credit_stalls)),
+                ("truncated_admits", Int(out.truncated_admits)),
+                ("retransmits", Int(out.retransmits)),
+                ("grants_issued", Int(out.grants_issued)),
+                ("ranks_crashed", Int(out.ranks_crashed)),
+                ("peers_failed", Int(out.peers_failed)),
+                ("ops_rank_failed", Int(out.ops_rank_failed)),
+                ("links_dead", Int(out.links_dead)),
+                ("nodes_restarted", Int(out.nodes_restarted)),
+                ("peers_revived", Int(out.peers_revived)),
+                ("epoch_fences", Int(out.epoch_fences)),
+                ("recovery_ns", Int(out.recovery_ns)),
+            ]));
         }
     }
     result.notes.push(format!(
@@ -649,7 +490,6 @@ fn scaling(
         ));
     }
     let seed = spec.seed.unwrap_or(1);
-    result.header = "scenario,wall_ms,events,events_per_sec".to_string();
     for scenario in scenarios {
         let cfg = scaling_cfg(scenario, senders, msgs, size, seed)?;
         let mut walls = Vec::with_capacity(SCALING_RUNS);
@@ -663,15 +503,12 @@ fn scaling(
         walls.sort_by(f64::total_cmp);
         let wall_ms = walls[SCALING_RUNS / 2];
         let events_per_sec = events as f64 / (wall_ms / 1e3);
-        result.rows.push(ResultRow {
-            csv: format!("{scenario},{wall_ms:.1},{events},{events_per_sec:.0}"),
-            fields: vec![
-                ("scenario".to_string(), json_str(scenario)),
-                ("wall_ms".to_string(), json_f64(wall_ms)),
-                ("events".to_string(), events.to_string()),
-                ("events_per_sec".to_string(), json_f64(events_per_sec)),
-            ],
-        });
+        result.rows.push(ResultRow(vec![
+            ("scenario", Text(scenario.clone())),
+            ("wall_ms", Real(wall_ms, Some(1))),
+            ("events", Int(events)),
+            ("events_per_sec", Real(events_per_sec, Some(0))),
+        ]));
     }
     Ok(())
 }
@@ -775,7 +612,6 @@ fn collectives(
         wall_ms: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
-    result.header = "ranks,op,topo,mode,sim_ns_per_op,host_completions,events,wall_ms".to_string();
     for &ranks in ranks_list {
         for op_name in ops {
             let (op_label, op, root) = collectives_parse_op(op_name)?;
@@ -818,32 +654,16 @@ fn collectives(
         }
     }
     for r in &rows {
-        result.rows.push(ResultRow {
-            csv: format!(
-                "{},{},{},{},{:.0},{},{},{:.1}",
-                r.ranks,
-                r.op,
-                r.topo,
-                r.mode,
-                r.sim_ns_per_op,
-                r.host_completions,
-                r.events,
-                r.wall_ms
-            ),
-            fields: vec![
-                ("ranks".to_string(), r.ranks.to_string()),
-                ("op".to_string(), json_str(r.op)),
-                ("topo".to_string(), json_str(r.topo)),
-                ("mode".to_string(), json_str(r.mode)),
-                ("sim_ns_per_op".to_string(), json_f64(r.sim_ns_per_op)),
-                (
-                    "host_completions".to_string(),
-                    r.host_completions.to_string(),
-                ),
-                ("events".to_string(), r.events.to_string()),
-                ("wall_ms".to_string(), json_f64(r.wall_ms)),
-            ],
-        });
+        result.rows.push(ResultRow(vec![
+            ("ranks", Int(r.ranks.into())),
+            ("op", Text(r.op.to_string())),
+            ("topo", Text(r.topo.to_string())),
+            ("mode", Text(r.mode.to_string())),
+            ("sim_ns_per_op", Real(r.sim_ns_per_op, Some(0))),
+            ("host_completions", Int(r.host_completions)),
+            ("events", Int(r.events)),
+            ("wall_ms", Real(r.wall_ms, Some(1))),
+        ]));
     }
 
     // The acceptance claim, enforced on every pair that ran both modes:
@@ -1250,8 +1070,10 @@ mod tests {
             sweep_threads: 1,
         };
         let result = execute(&spec).unwrap();
+        let csv = result.csv();
+        let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
-            result.header,
+            lines[0],
             "config,queue_len,fraction,msg_size,latency_us,sw_traversed,rx_l1_misses"
         );
         assert_eq!(result.rows.len(), 6);
@@ -1264,7 +1086,7 @@ mod tests {
             },
         );
         assert_eq!(
-            result.rows[0].csv,
+            lines[1],
             format!(
                 "baseline,0,1,0,{:.4},{},{}",
                 direct.latency.as_us_f64(),
@@ -1273,7 +1095,7 @@ mod tests {
             )
         );
         // Typed access matches the formatted cell.
-        assert_eq!(result.rows[0].text("config").as_deref(), Some("baseline"));
+        assert_eq!(result.rows[0].text("config"), Some("baseline"));
         assert_eq!(
             result.rows[0].num("latency_us"),
             Some(direct.latency.as_us_f64())

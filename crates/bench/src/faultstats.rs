@@ -6,7 +6,7 @@
 //! zeros, and the report writers omit the columns entirely in that case
 //! so existing Fig. 5/6 outputs stay byte-identical.
 
-use crate::report::cells;
+use crate::spec::Value;
 use mpiq_mpi::Cluster;
 
 /// Injection and recovery totals for one benchmark run, summed across
@@ -50,29 +50,14 @@ impl FaultCounters {
         *self == FaultCounters::default()
     }
 
-    /// The extra CSV column names, comma-joined (matches [`Self::csv`]).
-    pub const CSV_HEADER: &'static str =
-        "faults_injected,retransmits,alpu_resets,alpu_fallbacks,alpu_reengagements";
-
-    /// The extra CSV cells (matches [`Self::CSV_HEADER`]).
-    pub fn csv(&self) -> String {
-        cells(&[
-            self.injected,
-            self.retransmits,
-            self.alpu_resets,
-            self.alpu_fallbacks,
-            self.alpu_reengagements,
-        ])
-    }
-
-    /// The extra JSON fields, in CSV column order.
-    pub fn json_fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("faults_injected", self.injected.to_string()),
-            ("retransmits", self.retransmits.to_string()),
-            ("alpu_resets", self.alpu_resets.to_string()),
-            ("alpu_fallbacks", self.alpu_fallbacks.to_string()),
-            ("alpu_reengagements", self.alpu_reengagements.to_string()),
+    /// The five result columns, in order.
+    pub fn cells(&self) -> [(&'static str, Value); 5] {
+        [
+            ("faults_injected", Value::Int(self.injected)),
+            ("retransmits", Value::Int(self.retransmits)),
+            ("alpu_resets", Value::Int(self.alpu_resets)),
+            ("alpu_fallbacks", Value::Int(self.alpu_fallbacks)),
+            ("alpu_reengagements", Value::Int(self.alpu_reengagements)),
         ]
     }
 }
@@ -80,23 +65,22 @@ impl FaultCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ResultRow;
 
     #[test]
     fn zero_detection_and_rendering() {
         let z = FaultCounters::default();
         assert!(z.is_zero());
-        assert_eq!(z.csv(), "0,0,0,0,0");
+        let row = |c: FaultCounters| ResultRow(c.cells().to_vec());
+        assert_eq!(row(z).num("alpu_reengagements"), Some(0.0));
         let c = FaultCounters {
             injected: 3,
             retransmits: 2,
             ..FaultCounters::default()
         };
         assert!(!c.is_zero());
-        assert_eq!(c.csv(), "3,2,0,0,0");
-        assert_eq!(c.json_fields()[0], ("faults_injected", "3".to_string()));
-        assert_eq!(
-            FaultCounters::CSV_HEADER.split(',').count(),
-            c.json_fields().len()
-        );
+        let csv: Vec<String> = c.cells().iter().map(|(_, v)| v.csv()).collect();
+        assert_eq!(csv.join(","), "3,2,0,0,0");
+        assert_eq!(row(c).num("faults_injected"), Some(3.0));
     }
 }

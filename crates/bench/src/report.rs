@@ -1,13 +1,12 @@
-//! Result emission: CSV to stdout, JSON rows and tracked records to
-//! files, and the `--check` gate against a tracked record. JSON is
-//! rendered by hand, so the crate has no serialization dependency.
+//! Result emission: CSV to stdout, the run's record to `--out`, and the
+//! `--check` gate against a tracked record. JSON is rendered by hand, so
+//! the crate has no serialization dependency.
 
 use crate::cli::Cli;
 use crate::jsonlint::{self, Json};
-use crate::spec::{ResultRow, RunResult};
-use std::fmt::Display;
-use std::io::Write;
+use crate::spec::{ResultRow, RunResult, RunSpec, Value};
 use std::path::Path;
+use std::process::exit;
 
 /// Render a string as a JSON string literal (quoted and escaped).
 pub fn json_str(s: &str) -> String {
@@ -37,63 +36,6 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Write rows' fields as a pretty-printed JSON array into `path`
-/// (creating parent directories as needed).
-fn write_rows(path: &Path, rows: &[ResultRow]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "[")?;
-    for (i, ResultRow { fields, .. }) in rows.iter().enumerate() {
-        writeln!(f, "  {{")?;
-        for (j, (key, value)) in fields.iter().enumerate() {
-            let comma = if j + 1 < fields.len() { "," } else { "" };
-            writeln!(f, "    {}: {value}{comma}", json_str(key))?;
-        }
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(f, "  }}{comma}")?;
-    }
-    writeln!(f, "]")?;
-    f.flush()
-}
-
-/// Print a result the way every bin does: CSV header + rows (or the
-/// preformatted text block) on stdout, notes on stderr, and the rows as
-/// JSON to `out` when given. Returns `false` when the result carries
-/// failures (printed to stderr) so the bin can exit non-zero.
-pub fn emit(result: &RunResult, out: Option<&Path>) -> std::io::Result<bool> {
-    if !result.header.is_empty() {
-        println!("{}", result.header);
-    }
-    for row in &result.rows {
-        println!("{}", row.csv);
-    }
-    if !result.text.is_empty() {
-        print!("{}", result.text);
-    }
-    for note in &result.notes {
-        eprintln!("{note}");
-    }
-    if let Some(path) = out {
-        write_rows(path, &result.rows)?;
-        eprintln!("wrote {} rows to {}", result.rows.len(), path.display());
-    }
-    for f in &result.failures {
-        eprintln!("FAIL: {f}");
-    }
-    Ok(result.failures.is_empty())
-}
-
-/// Join any displayable cells with commas.
-pub fn cells<D: Display>(items: &[D]) -> String {
-    items
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
 fn code_version() -> String {
     std::process::Command::new("git")
@@ -107,43 +49,72 @@ fn code_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// `{"k": v, ...}` on one line, from already-rendered fragments.
-fn json_object<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> String {
-    let fields: Vec<String> = pairs
-        .map(|(k, v)| format!("{}: {v}", json_str(k)))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-/// Write the tracked record `{bench, version, config, rows}` into `path`
-/// (creating parent directories as needed): the code version stamp, the
-/// run's `config`, and one line per row holding its fields' rendered
-/// fragments. `--check` reads it back through [`check_baseline`].
-pub fn write_record(
-    path: &Path,
-    bench: &str,
-    config: &[(&str, String)],
-    rows: &[ResultRow],
-) -> std::io::Result<()> {
+/// The record `{bench, version, command, rows}` of a run: the code
+/// version stamp, the command line that reproduces the run, and one
+/// line per row. This is what `--out` writes and `--check` reads back
+/// through [`check_baseline`].
+pub fn record(bench: &str, command: &[String], rows: &[ResultRow]) -> String {
+    let command: Vec<String> = command.iter().map(|arg| json_str(arg)).collect();
     let rows: Vec<String> = rows
         .iter()
-        .map(|r| {
-            let fields = r.fields.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-            format!("    {}", json_object(fields))
+        .map(|row| {
+            let cells: Vec<String> = row
+                .0
+                .iter()
+                .map(|(k, v)| format!("{}: {}", json_str(k), v.json()))
+                .collect();
+            format!("    {{{}}}", cells.join(", "))
         })
         .collect();
     let doc = format!(
-        "{{\n  \"bench\": {},\n  \"version\": {},\n  \"config\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": {},\n  \"version\": {},\n  \"command\": [{}],\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_str(bench),
         json_str(&code_version()),
-        json_object(config.iter().map(|(k, v)| (*k, v.as_str()))),
+        command.join(", "),
         rows.join(",\n"),
     );
-    jsonlint::validate(&doc).expect("tracked record is valid JSON");
+    jsonlint::validate(&doc).expect("a run's record is valid JSON");
+    doc
+}
+
+/// Write `doc` into `path`, creating parent directories as needed.
+fn write(path: &Path, doc: &str) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, doc)
+}
+
+/// The shared epilogue of the spec bins: execute `spec`, print the CSV
+/// (or the table text) to stdout and the notes to stderr, write the
+/// run's [`record`] to `--out` when the bin takes it, then hand the
+/// result to `present` (plots, traces, the `--check` gate). An execution
+/// error, an unwritable `--out` and acceptance failures exit 1.
+pub fn run(cli: &Cli, spec: &RunSpec, present: impl FnOnce(&RunResult)) {
+    let name = cli.name();
+    let result = crate::exec::execute(spec).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        exit(1)
+    });
+    print!("{}{}", result.csv(), result.text);
+    for note in &result.notes {
+        eprintln!("{note}");
+    }
+    if let Some(path) = &cli.common.out {
+        let doc = record(&result.bench, &cli.command(), &result.rows);
+        if let Err(e) = write(Path::new(path), &doc) {
+            eprintln!("{name}: cannot write {path}: {e}");
+            exit(1);
+        }
+        eprintln!("{name}: wrote {} rows to {path}", result.rows.len());
+    }
+    for f in &result.failures {
+        eprintln!("FAIL: {f}");
+    }
+    present(&result);
+    if !result.failures.is_empty() {
+        exit(1);
+    }
 }
 
 /// How a gated metric may move against its baseline value.
@@ -159,11 +130,10 @@ pub enum Band {
 
 /// Pair each current row with the baseline row whose `keys` fields are
 /// equal, and check every `metrics` field of each pair against its band.
-/// `baseline` is a tracked record ([`write_record`]) or a plain `--out`
-/// row array. Returns one line per out-of-band metric (empty = pass).
-/// Unpaired rows on either side are skipped, but a baseline that pairs
-/// no row, or a pair without a metric, is an error: the gate would check
-/// nothing.
+/// `baseline` is a run's [`record`]. Returns one line per out-of-band
+/// metric (empty = pass). Unpaired rows on either side are skipped, but
+/// a baseline that pairs no row, or a pair without a metric, is an
+/// error: the gate would check nothing.
 pub fn check_baseline(
     baseline: &str,
     rows: &[ResultRow],
@@ -175,13 +145,15 @@ pub fn check_baseline(
     let version = doc.get("version").and_then(Json::as_str).unwrap_or("?");
     let base_rows = doc
         .get("rows")
-        .unwrap_or(&doc)
-        .as_array()
+        .and_then(Json::as_array)
         .ok_or("baseline holds no array of rows")?;
     let mut failures = Vec::new();
     let mut paired = 0usize;
     for row in rows {
-        let key: Vec<Option<Json>> = keys.iter().map(|&k| row.field_json(k)).collect();
+        let key: Vec<Option<Json>> = keys
+            .iter()
+            .map(|&k| row.get(k).map(Value::to_json))
+            .collect();
         let Some(base) = base_rows
             .iter()
             .find(|b| keys.iter().zip(&key).all(|(&k, v)| b.get(k) == v.as_ref()))
@@ -191,7 +163,7 @@ pub fn check_baseline(
         paired += 1;
         let label: Vec<String> = keys
             .iter()
-            .map(|&k| format!("{k}={}", row.field(k).unwrap_or("?").trim_matches('"')))
+            .map(|&k| format!("{k}={}", row.get(k).map_or("?".to_string(), Value::csv)))
             .collect();
         let label = label.join(" ");
         for &(field, band) in metrics {
@@ -253,11 +225,11 @@ pub fn gate(
             for f in &failures {
                 eprintln!("{name}: DRIFT: {f}");
             }
-            std::process::exit(1);
+            exit(1);
         }
         Err(e) => {
             eprintln!("{name}: bad baseline {path}: {e}");
-            std::process::exit(1);
+            exit(1);
         }
     }
 }
@@ -265,11 +237,6 @@ pub fn gate(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cells_joins() {
-        assert_eq!(cells(&[1, 2, 3]), "1,2,3");
-    }
 
     #[test]
     fn json_escaping() {
@@ -293,76 +260,79 @@ mod tests {
         assert_eq!(json_f64(0.0), "0");
     }
 
-    fn row(fields: &[(&str, String)]) -> ResultRow {
-        ResultRow {
-            csv: String::new(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// Non-finite values flowing through `write_rows` land as `null`
-    /// fields, keeping the whole document machine-parseable.
+    /// Non-finite reals land in a record as `null` fields, keeping the
+    /// whole document machine-parseable; the gate reads them as absent.
     #[test]
     fn write_json_with_non_finite_values_stays_valid() {
-        let dir = std::env::temp_dir().join("mpiq_bench_nonfinite");
-        let path = dir.join("out.json");
         let rows: Vec<_> = [f64::INFINITY, 2.0, f64::NAN]
             .iter()
-            .map(|&v| row(&[("v", json_f64(v))]))
+            .map(|&v| ResultRow(vec![("v", Value::Real(v, Some(1)))]))
             .collect();
-        write_rows(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"v\": null"), "{text}");
-        assert!(text.contains("\"v\": 2"), "{text}");
+        let text = record("t", &[], &rows);
+        assert!(text.contains("{\"v\": null}"), "{text}");
+        assert!(text.contains("{\"v\": 2}"), "{text}");
         assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(rows[0].num("v"), None);
+        assert_eq!(rows[0].get("v").unwrap().to_json(), Json::Null);
     }
 
+    /// Each cell is written once and read back the same from the CSV
+    /// line, the record, and the typed lookups.
     #[test]
     fn json_roundtrip() {
-        let dir = std::env::temp_dir().join("mpiq_bench_test");
-        let path = dir.join("out.json");
         let rows = [
-            row(&[("x", "1".to_string()), ("name", json_str("a"))]),
-            row(&[("x", "2".to_string()), ("name", json_str("b"))]),
+            ResultRow(vec![
+                ("x", Value::Int(1)),
+                ("name", Value::Text("a".into())),
+            ]),
+            ResultRow(vec![
+                ("x", Value::Int(2)),
+                ("name", Value::Text("b".into())),
+            ]),
         ];
-        write_rows(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"x\": 1"), "{text}");
-        assert!(text.contains("\"name\": \"b\""), "{text}");
-        assert!(text.trim_start().starts_with('['));
-        assert!(text.trim_end().ends_with(']'));
-        std::fs::remove_dir_all(&dir).ok();
+        let result = RunResult {
+            rows: rows.to_vec(),
+            ..RunResult::default()
+        };
+        assert_eq!(result.csv(), "x,name\n1,a\n2,b\n");
+        let text = record("t", &["t".to_string()], &rows);
+        let doc = jsonlint::parse(&text).unwrap();
+        let back = doc.get("rows").and_then(Json::as_array).unwrap();
+        for (row, json) in rows.iter().zip(back) {
+            for (k, v) in &row.0 {
+                assert_eq!(json.get(k), Some(&v.to_json()), "{text}");
+            }
+        }
+        assert_eq!(rows[1].text("name"), Some("b"));
+        assert_eq!(rows[1].num("x"), Some(2.0));
+        assert_eq!(rows[1].num("name"), None);
     }
 
     fn cell(op: &str, ns: f64, eps: f64) -> ResultRow {
-        row(&[
-            ("op", json_str(op)),
-            ("sim_ns_per_op", json_f64(ns)),
-            ("events_per_sec", json_f64(eps)),
+        ResultRow(vec![
+            ("op", Value::Text(op.to_string())),
+            ("sim_ns_per_op", Value::Real(ns, Some(0))),
+            ("events_per_sec", Value::Real(eps, Some(0))),
         ])
     }
 
-    /// A tracked record written by `write_record` is what `check_baseline`
-    /// reads back: every field's fragment is copied, and the rows pair.
+    /// A record is what `check_baseline` reads back: every cell's full
+    /// value is written, the command is recorded, and the rows pair.
     #[test]
     fn tracked_record_reads_back_through_the_gate() {
-        let dir = std::env::temp_dir().join("mpiq_bench_record");
-        let path = dir.join("BENCH_t.json");
         let rows = [cell("barrier", 4974.5, 2e6), cell("bcast", 100.0, 1e6)];
-        write_record(&path, "t", &[("iters", "4".to_string())], &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("  \"config\": {\"iters\": 4},\n"), "{text}");
+        let command = ["t", "--iters", "4"].map(String::from);
+        let text = record("t", &command, &rows);
+        assert!(
+            text.contains("  \"command\": [\"t\", \"--iters\", \"4\"],\n"),
+            "{text}"
+        );
         assert!(
             text.contains("    {\"op\": \"barrier\", \"sim_ns_per_op\": 4974.5, \"events_per_sec\": 2000000},\n"),
             "{text}"
         );
         let checked = check_baseline(&text, &rows, &["op"], &[("sim_ns_per_op", Band::Both)], 0.0);
         assert_eq!(checked, Ok(vec![]));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The shared gate: in-band rows pass, drifted rows fail (both ways
@@ -416,7 +386,7 @@ mod tests {
         // So is a paired row without the metric.
         let err = check(&[cell("gather", 1.0, 1.0)], Band::Both).unwrap_err();
         assert!(err.contains("op=gather: no sim_ns_per_op"), "{err}");
-        // A plain `--out` row array pairs the same way.
+        // And a document that is not a record.
         let rows_only = r#"[{"op": "barrier", "sim_ns_per_op": 1000}]"#;
         let checked = check_baseline(
             rows_only,
@@ -425,6 +395,6 @@ mod tests {
             &[("sim_ns_per_op", Band::Both)],
             10.0,
         );
-        assert_eq!(checked.unwrap().len(), 1);
+        assert_eq!(checked, Err("baseline holds no array of rows".to_string()));
     }
 }

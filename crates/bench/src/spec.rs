@@ -5,10 +5,10 @@
 //!   [`RunSpec::from_cli`] is its one parser: a spec is built from flags
 //!   only, so a bin's command line is the one-line reproduction of its
 //!   run.
-//! * [`RunResult`] — *what came out*: the CSV header, one row per sweep
-//!   point (verbatim CSV cells plus typed JSON fields), free-form text
-//!   for the table-style harnesses, stderr summary notes, and acceptance
-//!   failures.
+//! * [`RunResult`] — *what came out*: one row per sweep point as typed
+//!   `(column, value)` cells, from which the CSV and the `--out` record
+//!   are both rendered, free-form text for the table-style harnesses,
+//!   stderr summary notes, and acceptance failures.
 //!
 //! Presentation-only flags (`--plot`, `--out`, `--trace-out`,
 //! `--metrics`, `--check`, `--tolerance`, the soak curve modes) are not
@@ -18,8 +18,9 @@
 //! `table4`, `table5`, and `jsonlint` are not specable: they run no
 //! simulation (static FPGA tables and a file validator).
 
-use crate::cli::{Cli, Flag};
-use crate::jsonlint::{self, Json};
+use crate::cli::{Cli, Flag, FAULTS, METRICS, OUT, SEED, SWEEP_THREADS, TRACE_OUT};
+use crate::jsonlint::Json;
+use crate::report::{json_f64, json_str};
 use crate::NicVariant;
 use crate::Scenario;
 use mpiq_dessim::FaultConfig;
@@ -127,6 +128,17 @@ impl BenchSpec {
 }
 
 impl RunSpec {
+    /// Parse bench `name`'s process arguments into the command line and
+    /// its spec; a spec error is a one-line message and exit 2.
+    pub fn parse(name: &'static str, about: &'static str) -> (Cli, RunSpec) {
+        let cli = Cli::parse(name, about, flags(name));
+        let spec = RunSpec::from_cli(name, &cli).unwrap_or_else(|e| {
+            eprintln!("{name}: {e}");
+            std::process::exit(2);
+        });
+        (cli, spec)
+    }
+
     /// Build the spec from a parsed command line for bench `name`.
     ///
     /// Reads exactly the simulation-defining flags (plus positionals for
@@ -223,8 +235,8 @@ impl RunSpec {
     }
 }
 
-/// The bin-specific flag table for bench `name` — moved here from the
-/// bins so the spec, the parser, and `--help` share one declaration.
+/// The flag table for bench `name`: its own flags, then the common ones
+/// it reads. The spec, the parser, and `--help` share this declaration.
 pub fn flags(name: &str) -> &'static [Flag] {
     match name {
         "fig5" => &[
@@ -242,6 +254,11 @@ pub fn flags(name: &str) -> &'static [Flag] {
                 help: "traversal fractions (default 0,0.25,0.5,0.75,1.0)",
             },
             Flag { name: "sizes", value: Some("LIST"), help: "payload bytes (default 0,1024,8192)" },
+            FAULTS,
+            TRACE_OUT,
+            METRICS,
+            SWEEP_THREADS,
+            OUT,
         ],
         "fig6" => &[
             Flag { name: "plot", value: None, help: "render an ascii projection of the curves" },
@@ -252,9 +269,16 @@ pub fn flags(name: &str) -> &'static [Flag] {
             },
             Flag { name: "step", value: Some("N"), help: "queue-length stride (default 20)" },
             Flag { name: "sizes", value: Some("LIST"), help: "payload bytes (default 64,1024)" },
+            FAULTS,
+            TRACE_OUT,
+            METRICS,
+            SWEEP_THREADS,
+            OUT,
         ],
-        "gap" | "breakeven" | "appstudy" | "ablation_block" | "ablation_hash"
-        | "ablation_prefetch" | "ablation_threshold" | "ablation_wildcard" => &[],
+        "gap" | "breakeven" => &[SWEEP_THREADS, OUT],
+        "appstudy" | "ablation_hash" | "ablation_prefetch" | "ablation_threshold"
+        | "ablation_wildcard" => &[SWEEP_THREADS],
+        "ablation_block" => &[],
         "soak" => &[
             Flag {
                 name: "scenario",
@@ -327,6 +351,9 @@ pub fn flags(name: &str) -> &'static [Flag] {
                 value: Some("PCT"),
                 help: "allowed drift in percent for --check (default 10)",
             },
+            SEED,
+            FAULTS,
+            OUT,
         ],
         "scaling" => &[
             Flag {
@@ -351,6 +378,8 @@ pub fn flags(name: &str) -> &'static [Flag] {
                 value: Some("PCT"),
                 help: "allowed events/sec drop vs the baseline, percent (default 25)",
             },
+            SEED,
+            OUT,
         ],
         "collectives" => &[
             Flag {
@@ -393,6 +422,7 @@ pub fn flags(name: &str) -> &'static [Flag] {
                 value: Some("PCT"),
                 help: "allowed sim_ns_per_op drift vs the baseline, percent, both directions (default 10)",
             },
+            OUT,
         ],
         other => panic!("no flag table for bench `{other}`"),
     }
@@ -400,39 +430,77 @@ pub fn flags(name: &str) -> &'static [Flag] {
 
 // --- results ---------------------------------------------------------
 
-/// One sweep-point row of a result: the verbatim CSV cells the bin
-/// prints, plus the typed fields as `(key, rendered JSON fragment)`
-/// pairs in output order.
+/// One cell of a result row. A real carries the decimals of its CSV
+/// cell (`None` prints it plainly, as `{}` does); its JSON value always
+/// keeps full precision.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ResultRow {
-    /// Comma-joined CSV cells, exactly as printed to stdout.
-    pub csv: String,
-    /// Typed fields; values are already-rendered JSON fragments.
-    pub fields: Vec<(String, String)>,
+pub enum Value {
+    /// Text, such as a configuration or scenario name.
+    Text(String),
+    /// A count or other unsigned integer.
+    Int(u64),
+    /// A real and the decimals its CSV cell shows.
+    Real(f64, Option<usize>),
 }
 
+impl Value {
+    /// The CSV cell.
+    pub fn csv(&self) -> String {
+        match self {
+            Value::Text(s) => s.clone(),
+            Value::Int(n) => n.to_string(),
+            Value::Real(v, Some(decimals)) => format!("{v:.decimals$}"),
+            Value::Real(v, None) => format!("{v}"),
+        }
+    }
+
+    /// The JSON value as text (a non-finite real is `null`).
+    pub fn json(&self) -> String {
+        match self {
+            Value::Text(s) => json_str(s),
+            Value::Int(n) => n.to_string(),
+            Value::Real(v, _) => json_f64(*v),
+        }
+    }
+
+    /// The JSON value, as [`jsonlint::parse`](crate::jsonlint::parse)
+    /// reads [`Value::json`].
+    pub fn to_json(&self) -> Json {
+        match self {
+            Value::Text(s) => Json::Str(s.clone()),
+            Value::Int(n) => Json::Num(*n as f64),
+            Value::Real(v, _) if v.is_finite() => Json::Num(*v),
+            Value::Real(..) => Json::Null,
+        }
+    }
+}
+
+/// One row of a result: its `(column, value)` cells in column order.
+/// The CSV line, the JSON row and the gate's lookups all read them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ResultRow(pub Vec<(&'static str, Value)>);
+
 impl ResultRow {
-    /// A field as a number (parses the stored fragment).
+    /// The value of column `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// A numeric column's finite value.
     pub fn num(&self, key: &str) -> Option<f64> {
-        self.field_json(key).and_then(|j| j.as_f64())
+        match self.get(key)? {
+            Value::Int(n) => Some(*n as f64),
+            Value::Real(v, _) => Some(*v).filter(|v| v.is_finite()),
+            Value::Text(_) => None,
+        }
     }
 
-    /// A field as a string (parses the stored fragment).
-    pub fn text(&self, key: &str) -> Option<String> {
-        self.field_json(key)
-            .and_then(|j| j.as_str().map(str::to_string))
-    }
-
-    /// A field's rendered JSON fragment.
-    pub(crate) fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    pub(crate) fn field_json(&self, key: &str) -> Option<Json> {
-        jsonlint::parse(self.field(key)?).ok()
+    /// A text column's value.
+    pub fn text(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            Value::Text(s) => Some(s),
+            _ => None,
+        }
     }
 }
 
@@ -441,9 +509,7 @@ impl ResultRow {
 pub struct RunResult {
     /// The bench that produced this.
     pub bench: String,
-    /// The CSV header line (empty for table-style benches).
-    pub header: String,
-    /// One row per sweep point.
+    /// One row per sweep point, every row with the same columns.
     pub rows: Vec<ResultRow>,
     /// Free-form stdout for the table-style harnesses (appstudy, the
     /// ablations); printed verbatim.
@@ -453,6 +519,23 @@ pub struct RunResult {
     /// Acceptance-claim violations; a non-empty list makes the bin
     /// exit 1 (e.g. the collectives offload claim).
     pub failures: Vec<String>,
+}
+
+impl RunResult {
+    /// The CSV the bin prints: a header naming the columns, then one
+    /// line per row (empty when there are no rows).
+    pub fn csv(&self) -> String {
+        let Some(first) = self.rows.first() else {
+            return String::new();
+        };
+        let names: Vec<&str> = first.0.iter().map(|(k, _)| *k).collect();
+        let mut out = names.join(",") + "\n";
+        for row in &self.rows {
+            let cells: Vec<String> = row.0.iter().map(|(_, v)| v.csv()).collect();
+            out += &(cells.join(",") + "\n");
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -82,8 +82,8 @@ fn fig6_unconfigured_matches_golden() {
     );
 }
 
-/// The stdout a bin prints for `args`: run its spec and render
-/// the header and rows exactly as `report::emit` does.
+/// The stdout a bin prints for `args`: run its spec and render its
+/// CSV exactly as `report::run` does.
 fn bin_stdout(bench: &'static str, args: &[&str]) -> String {
     let cli = Cli::try_parse_from(
         bench,
@@ -94,12 +94,7 @@ fn bin_stdout(bench: &'static str, args: &[&str]) -> String {
     .unwrap_or_else(|e| panic!("{bench}: args failed to parse: {e:?}"));
     let spec = RunSpec::from_cli(bench, &cli).unwrap_or_else(|e| panic!("{bench}: {e}"));
     let result = exec::execute(&spec).unwrap_or_else(|e| panic!("{bench}: {e}"));
-    let mut out = format!("{}\n", result.header);
-    for row in &result.rows {
-        out.push_str(&row.csv);
-        out.push('\n');
-    }
-    out
+    result.csv()
 }
 
 const ALPU_FAULTS: &[&str] = &["--faults", "seed=11,flip=0.05,stall=0.05"];

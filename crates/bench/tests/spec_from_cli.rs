@@ -21,8 +21,8 @@ const CASES: &[(&str, &[&str])] = &[
             "0.5,1.0",
             "--sizes",
             "0,1024",
-            "--seed",
-            "7",
+            "--faults",
+            "seed=7,drop=0.01",
         ],
     ),
     (
@@ -103,7 +103,7 @@ const CASES: &[(&str, &[&str])] = &[
     ("ablation_block", &[]),
     ("ablation_hash", &["--sweep-threads", "1"]),
     ("ablation_prefetch", &["--sweep-threads", "2"]),
-    ("ablation_threshold", &["--seed", "9"]),
+    ("ablation_threshold", &["--sweep-threads", "1"]),
     ("ablation_wildcard", &[]),
 ];
 

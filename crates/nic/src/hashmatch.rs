@@ -80,11 +80,6 @@ impl PostedIndex {
         self.len() == 0
     }
 
-    /// Entries on the wildcard side list.
-    pub fn wildcard_len(&self) -> usize {
-        self.wildcards.len()
-    }
-
     /// The bucket a word hashes to — exposed so the firmware can charge
     /// bin-header memory traffic against a stable address.
     pub fn bin_index(&self, word: MatchWord) -> usize {
@@ -214,7 +209,6 @@ mod tests {
     fn wildcards_go_to_side_list() {
         let mut ix = PostedIndex::new(16);
         ix.insert(1, 0x100, word(1, 0, 3), MaskWord::ANY_SOURCE);
-        assert_eq!(ix.wildcard_len(), 1);
         assert_eq!(ix.probe(word(1, 77, 3)).hit, Some(1));
     }
 

@@ -81,10 +81,15 @@ impl Rig {
         }
     }
 
-    /// Close the transcript with the statistics and return it.
+    /// Close the transcript with the non-zero statistics and return it,
+    /// so adding or removing an unexercised counter leaves it unchanged.
     fn finish(self) -> String {
         let mut tape = self.tape.expect("taped rig");
-        writeln!(tape, "{:#?}\n", self.fw.stats()).unwrap();
+        let stats = format!("{:#?}", self.fw.stats());
+        for line in stats.lines().filter(|l| !l.ends_with(": 0,")) {
+            writeln!(tape, "{line}").unwrap();
+        }
+        writeln!(tape).unwrap();
         tape
     }
 
