@@ -3,7 +3,8 @@
 //! For a small run of fig5 (plain and faulted), fig6, gap, breakeven,
 //! soak (incast and chaos) and collectives, the transcript holds the
 //! bin's CSV stdout byte for byte and its `--out` rows as canonical
-//! `key = JSON value` pairs. The rows are read from the document's
+//! `key = JSON value` pairs. Runs that take no `--out` (the soak
+//! curves) are pinned by their stdout alone. The rows are read from the document's
 //! `rows` member, or from the document itself when it is a bare array,
 //! so the pin holds across `--out` file formats. Host-time columns
 //! (`wall_ms`, `events_per_sec`) are masked as `*` in both. Re-bless a
@@ -96,6 +97,21 @@ const CASES: &[(&str, &str, &[&str])] = &[
     ),
 ];
 
+/// Runs pinned by their stdout alone: they write no `--out` record.
+const STDOUT_ONLY: &[(&str, &str, &[&str])] = &[
+    ("soak", env!("CARGO_BIN_EXE_soak"), &["--curve"]),
+    (
+        "soak",
+        env!("CARGO_BIN_EXE_soak"),
+        &["--chaos-curve", "--senders", "7"],
+    ),
+    (
+        "soak",
+        env!("CARGO_BIN_EXE_soak"),
+        &["--recovery-curve", "--senders", "7"],
+    ),
+];
+
 /// The CSV with every host-time column's cells replaced by `*`.
 fn mask_csv(csv: &str) -> String {
     let mut lines = csv.lines();
@@ -174,6 +190,18 @@ fn bins_print_and_record_the_pinned_rows() {
         transcript.push_str(&canonical_rows(&doc));
     }
     std::fs::remove_dir_all(&dir).ok();
+    for &(name, exe, args) in STDOUT_ONLY {
+        let run = Command::new(exe)
+            .args(args)
+            .output()
+            .expect("spawn bench bin");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{name} {args:?}: {stderr}");
+        let stdout = String::from_utf8(run.stdout).expect("utf-8 stdout");
+        writeln!(transcript, "== {name} {}", args.join(" ")).unwrap();
+        writeln!(transcript, "-- stdout").unwrap();
+        transcript.push_str(&mask_csv(&stdout));
+    }
 
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
