@@ -93,13 +93,13 @@ Fig. 5 projection: latency vs posted-queue length (full traversal, {} B)
         );
     }
 
-    if cli.common.trace_out.is_some() || cli.common.metrics {
-        // Prefer an ALPU variant so the timeline shows hardware events.
-        let v = variants
-            .iter()
-            .copied()
-            .find(|v| *v != NicVariant::Baseline)
-            .unwrap_or(variants[0]);
+    // Prefer an ALPU variant so the timeline shows hardware events.
+    let v = variants
+        .iter()
+        .copied()
+        .find(|v| *v != NicVariant::Baseline)
+        .unwrap_or(variants[0]);
+    report::trace(cli, v.label(), || {
         let point = PrepostedPoint {
             queue_len: max_queue,
             fraction: 1.0,
@@ -109,23 +109,6 @@ Fig. 5 projection: latency vs posted-queue length (full traversal, {} B)
         if let Some(f) = cli.common.faults {
             cfg = cfg.with_faults(f);
         }
-        let run = mpiq_bench::traced_preposted(cfg, point, 1 << 20);
-        if run.dropped > 0 {
-            eprintln!(
-                "fig5: trace ring overflowed, {} records dropped",
-                run.dropped
-            );
-        }
-        if let Some(path) = &cli.common.trace_out {
-            std::fs::write(path, &run.chrome_json).expect("write trace");
-            eprintln!(
-                "fig5: wrote {} trace records ({} config) to {path}",
-                run.records,
-                v.label()
-            );
-        }
-        if cli.common.metrics {
-            eprintln!("{}", run.metrics_text);
-        }
-    }
+        mpiq_bench::traced_preposted(cfg, point, 1 << 20)
+    });
 }

@@ -78,31 +78,16 @@ Fig. 6: latency vs unexpected-queue length ({} B messages)
         );
     }
 
-    if cli.common.trace_out.is_some() || cli.common.metrics {
-        let mut cfg = NicVariant::Alpu128.config();
+    let v = NicVariant::Alpu128;
+    report::trace(cli, v.label(), || {
+        let point = UnexpectedPoint {
+            queue_len: max_queue,
+            msg_size: sizes[0],
+        };
+        let mut cfg = v.config();
         if let Some(f) = cli.common.faults {
             cfg = cfg.with_faults(f);
         }
-        let run = mpiq_bench::traced_unexpected(
-            cfg,
-            UnexpectedPoint {
-                queue_len: max_queue,
-                msg_size: sizes[0],
-            },
-            1 << 20,
-        );
-        if run.dropped > 0 {
-            eprintln!(
-                "fig6: trace ring overflowed, {} records dropped",
-                run.dropped
-            );
-        }
-        if let Some(path) = &cli.common.trace_out {
-            std::fs::write(path, &run.chrome_json).expect("write trace");
-            eprintln!("fig6: wrote {} trace records to {path}", run.records);
-        }
-        if cli.common.metrics {
-            eprintln!("{}", run.metrics_text);
-        }
-    }
+        mpiq_bench::traced_unexpected(cfg, point, 1 << 20)
+    });
 }

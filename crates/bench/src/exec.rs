@@ -13,14 +13,15 @@
 
 use crate::gap::{message_gap, GapPoint};
 use crate::spec::Value::{Int, Real, Text};
-use crate::spec::{BenchSpec, ResultRow, RunResult, RunSpec};
-use crate::wildcard::{wildcard_workaround, RecvStrategy, WildcardStudy};
+use crate::spec::{BenchSpec, ResultRow, RunResult, RunSpec, SoakCurve};
+use crate::wildcard::{wildcard_workaround, RecvStrategy};
 use crate::{
     postloop_rtt, preposted_latency_cfg, run_parallel, run_soak, unexpected_latency_cfg,
-    NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig, UnexpectedPoint,
+    NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig, SoakOutcome, UnexpectedPoint,
 };
 use mpiq_dessim::Time;
 use mpiq_net::{Topology, WireProfile};
+use mpiq_nic::NicConfig;
 use std::time::Instant;
 
 /// Run the spec in-process.
@@ -349,11 +350,47 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
         mttr_us,
         node_mttr_us,
         check_determinism,
+        curve,
     } = &spec.bench
     else {
         unreachable!()
     };
     crate::soak::check_senders(*senders)?;
+    // Every mode shapes its runs from the same flags; a curve then sets
+    // the knob it sweeps.
+    let config = |scenario, seed| {
+        let mut cfg = SoakConfig::new(scenario, seed);
+        cfg.senders = *senders;
+        cfg.msgs = *msgs;
+        cfg.msg_size = *size;
+        cfg.eager_credits = *credits;
+        cfg.max_unexpected = *max_unexpected;
+        cfg.eager_buffer_bytes = *eager_buffer;
+        cfg.alpu = *alpu;
+        cfg.faults = spec.faults;
+        cfg.deadline = Time::from_ms(*deadline_ms);
+        cfg.mtbf = Time::from_us(*mtbf_us);
+        cfg.mttr = Time::from_us(*mttr_us);
+        if *node_mttr_us > 0 && scenario == Scenario::Chaos {
+            cfg.node_mttr = Some(Time::from_us(*node_mttr_us));
+        }
+        cfg
+    };
+    let run = |cfg: &SoakConfig| {
+        let what = format!("{} seed {}", cfg.scenario.name(), cfg.seed);
+        let out = run_soak(cfg).map_err(|diag| format!("STALLED: {what}\n{diag}"))?;
+        if *check_determinism {
+            let again = run_soak(cfg).map_err(|d| format!("determinism re-run stalled: {d}"))?;
+            if out.stats_json != again.stats_json {
+                return Err(format!("{what}: same-seed runs diverged"));
+            }
+        }
+        Ok(out)
+    };
+    if let Some(curve) = curve {
+        result.rows = soak_curve(*curve, config, run)?;
+        return Ok(());
+    }
     let scenarios: Vec<Scenario> = scenarios
         .iter()
         .map(|s| Scenario::parse(s).ok_or_else(|| format!("unknown scenario `{s}`")))
@@ -364,33 +401,8 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     };
     for &scenario in &scenarios {
         for &seed in &seed_list {
-            let mut cfg = SoakConfig::new(scenario, seed);
-            cfg.senders = *senders;
-            cfg.msgs = *msgs;
-            cfg.msg_size = *size;
-            cfg.eager_credits = *credits;
-            cfg.max_unexpected = *max_unexpected;
-            cfg.eager_buffer_bytes = *eager_buffer;
-            cfg.alpu = *alpu;
-            cfg.faults = spec.faults;
-            cfg.deadline = Time::from_ms(*deadline_ms);
-            cfg.mtbf = Time::from_us(*mtbf_us);
-            cfg.mttr = Time::from_us(*mttr_us);
-            if *node_mttr_us > 0 && scenario == Scenario::Chaos {
-                cfg.node_mttr = Some(Time::from_us(*node_mttr_us));
-            }
-            let out = run_soak(&cfg)
-                .map_err(|diag| format!("STALLED: {} seed {seed}\n{diag}", scenario.name()))?;
-            if *check_determinism {
-                let again =
-                    run_soak(&cfg).map_err(|d| format!("determinism re-run stalled: {d}"))?;
-                if out.stats_json != again.stats_json {
-                    return Err(format!(
-                        "{} seed {seed}: same-seed runs diverged",
-                        scenario.name()
-                    ));
-                }
-            }
+            let cfg = config(scenario, seed);
+            let out = run(&cfg)?;
             result.rows.push(ResultRow(vec![
                 ("scenario", Text(scenario.name().to_string())),
                 ("seed", Int(seed)),
@@ -427,6 +439,113 @@ fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
         }
     ));
     Ok(())
+}
+
+/// A soak curve: one row per value of the swept knob. The chaos and
+/// recovery points each average four seeded storms, because one storm
+/// realisation is noise: a single flap landing on or off a round's
+/// critical path swings the runtime.
+fn soak_curve(
+    curve: SoakCurve,
+    config: impl Fn(Scenario, u64) -> SoakConfig,
+    run: impl Fn(&SoakConfig) -> Result<SoakOutcome, String>,
+) -> Result<Vec<ResultRow>, String> {
+    const SEEDS: [u64; 4] = [1, 2, 3, 5];
+    let mut rows = Vec::new();
+    match curve {
+        // Backpressure absorbs the load: runtime grows with the fan-in
+        // while the unexpected high-water stays pinned at the bound.
+        SoakCurve::Incast => {
+            for senders in [2u32, 4, 8, 16, 32, 64] {
+                let cfg = SoakConfig {
+                    senders,
+                    ..config(Scenario::Incast, 1)
+                };
+                let out = run(&cfg).map_err(|e| format!("{senders} senders: {e}"))?;
+                rows.push(ResultRow(vec![
+                    ("senders", Int(senders.into())),
+                    ("runtime_us", Real(out.runtime.as_ns_f64() / 1e3, Some(1))),
+                    ("admission_refused", Int(out.admission_refused)),
+                    ("unexpected_hw", Int(out.unexpected_highwater)),
+                    ("retransmits", Int(out.retransmits)),
+                ]));
+            }
+        }
+        // Stormier fabrics (smaller MTBF) cost retransmits and, once
+        // outages outlast the retry budget, typed failures. Availability
+        // is the fraction of planned operations that completed without a
+        // `RankFailed`; goodput is successful operations per simulated
+        // millisecond.
+        SoakCurve::Chaos => {
+            for mtbf_us in [25u64, 50, 100, 200, 400, 800] {
+                let (mut availability, mut goodput) = (0.0, 0.0);
+                let (mut failed, mut dead, mut retransmits) = (0, 0, 0);
+                for seed in SEEDS {
+                    let base = config(Scenario::Chaos, seed);
+                    let cfg = SoakConfig {
+                        // Dense rounds (small inter-round gaps), so outage
+                        // windows overlap live traffic; 8 sparse rounds
+                        // mostly miss the storm.
+                        msgs: base.msgs.max(48),
+                        mtbf: Time::from_us(mtbf_us),
+                        ..base
+                    };
+                    let out = run(&cfg).map_err(|e| format!("mtbf {mtbf_us} us: {e}"))?;
+                    let planned = cfg.planned_ops();
+                    availability += out.availability(planned);
+                    let ok_ops = planned.saturating_sub(out.ops_rank_failed) as f64;
+                    goodput += ok_ops / (out.runtime.as_ns_f64() / 1e6);
+                    failed += out.ops_rank_failed;
+                    dead += out.links_dead;
+                    retransmits += out.retransmits;
+                }
+                let n = SEEDS.len() as f64;
+                rows.push(ResultRow(vec![
+                    ("mtbf_us", Int(mtbf_us)),
+                    ("availability", Real(availability / n, Some(4))),
+                    ("goodput_ops_per_ms", Real(goodput / n, Some(2))),
+                    ("ops_rank_failed", Int(failed)),
+                    ("links_dead", Int(dead)),
+                    ("retransmits", Int(retransmits)),
+                ]));
+            }
+        }
+        // With restarts armed, how long the crashed node stays down sets
+        // both the operations that fail typed while it is gone and the
+        // crash-to-recovered span, reported as the p50 and max across
+        // the seeds.
+        SoakCurve::Recovery => {
+            for mttr_us in [400u64, 600, 800, 1200, 1600, 2400] {
+                let mut availability = 0.0;
+                let (mut failed, mut fences) = (0, 0);
+                let mut spans_us = Vec::new();
+                for seed in SEEDS {
+                    let cfg = SoakConfig {
+                        node_mttr: Some(Time::from_us(mttr_us)),
+                        ..config(Scenario::Chaos, seed)
+                    };
+                    let out = run(&cfg).map_err(|e| format!("node mttr {mttr_us} us: {e}"))?;
+                    availability += out.availability(cfg.planned_ops());
+                    spans_us.push(out.recovery_ns as f64 / 1e3);
+                    failed += out.ops_rank_failed;
+                    fences += out.epoch_fences;
+                }
+                spans_us.sort_by(f64::total_cmp);
+                rows.push(ResultRow(vec![
+                    ("node_mttr_us", Int(mttr_us)),
+                    (
+                        "availability",
+                        Real(availability / SEEDS.len() as f64, Some(4)),
+                    ),
+                    ("recovery_us_p50", Real(spans_us[SEEDS.len() / 2], Some(1))),
+                    ("recovery_us_max", Real(spans_us[SEEDS.len() - 1], Some(1))),
+                    ("ops_rank_failed", Int(failed)),
+                    ("epoch_fences", Int(fences)),
+                ]));
+            }
+        }
+    }
+    Ok(rows)
 }
 
 /// Timed runs of each scaling scenario. A row reports their median wall
@@ -547,7 +666,6 @@ fn collectives_cell(
 ) -> Result<(f64, u64, u64, f64), String> {
     use mpiq_mpi::script::{mark_log, MarkLog};
     use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
-    use mpiq_nic::NicConfig;
     let mut marks: Vec<MarkLog> = Vec::new();
     let programs: Vec<Box<dyn AppProgram>> = (0..ranks)
         .map(|_| {
@@ -706,7 +824,6 @@ fn collectives(
 
 fn appstudy(spec: &RunSpec, result: &mut RunResult) {
     use crate::appsim::{run_app, AppPattern};
-    use std::fmt::Write as _;
     let patterns = [
         AppPattern::Stencil2D {
             side: 4,
@@ -724,41 +841,23 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
             rounds: 6,
         },
     ];
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "{:>14} {:>9} | {:>10} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "pattern",
-        "config",
-        "max_posted",
-        "avg_posted",
-        "max_unexp",
-        "avg_unexp",
-        "traversed",
-        "runtime_us"
-    );
-    let work: Vec<(usize, NicVariant)> = (0..patterns.len())
-        .flat_map(|p| NicVariant::ALL.map(|v| (p, v)))
+    let work: Vec<(AppPattern, NicVariant)> = patterns
+        .iter()
+        .flat_map(|&p| NicVariant::ALL.map(|v| (p, v)))
         .collect();
-    let results = run_parallel(work.clone(), spec.sweep_threads, |&(p, v)| {
-        run_app(v.config(), patterns[p])
+    result.rows = run_parallel(work, spec.sweep_threads, |&(p, v)| {
+        let s = run_app(v.config(), p);
+        ResultRow(vec![
+            ("pattern", Text(p.name().to_string())),
+            ("config", Text(v.label().to_string())),
+            ("max_posted", Int(s.max_posted)),
+            ("avg_posted", Real(s.avg_posted, Some(1))),
+            ("max_unexp", Int(s.max_unexpected)),
+            ("avg_unexp", Real(s.avg_unexpected, Some(1))),
+            ("traversed", Int(s.traversed)),
+            ("runtime_us", Real(s.runtime.as_us_f64(), Some(1))),
+        ])
     });
-    for (i, &(p, v)) in work.iter().enumerate() {
-        let s = &results[i];
-        let _ = writeln!(
-            text,
-            "{:>14} {:>9} | {:>10} {:>10.1} {:>12} {:>12.1} {:>12} {:>12.1}",
-            patterns[p].name(),
-            v.label(),
-            s.max_posted,
-            s.avg_posted,
-            s.max_unexpected,
-            s.avg_unexpected,
-            s.traversed,
-            s.runtime.as_us_f64()
-        );
-    }
-    result.text = text;
     result.notes.push(
         "\nappstudy: queue depths reach tens-to-hundreds of entries exactly as \
          the motivating studies [8,9] report; the ALPU configurations absorb \
@@ -770,34 +869,29 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
 fn ablation_block(result: &mut RunResult) {
     use mpiq_alpu::PipelineTiming;
     use mpiq_fpga::{estimate, Variant};
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "{:>6} {:>6} | {:>7} {:>7} {:>7} | {:>7} {:>5} | {:>12} {:>12}",
-        "cells", "block", "LUTs", "FFs", "slices", "MHz", "lat", "FPGA ns/match", "ASIC ns/match"
-    );
-    let _ = writeln!(text, "{}", "-".repeat(92));
-    let cells_list = [64usize, 128, 256, 512];
-    let blocks = [4usize, 8, 16, 32, 64];
-    for cells in cells_list {
-        for block in blocks {
-            if block > cells {
-                continue;
-            }
+    for cells in [64usize, 128, 256, 512] {
+        for block in [4usize, 8, 16, 32, 64].into_iter().filter(|&b| b <= cells) {
             let e = estimate(Variant::PostedReceive, cells, block);
-            let t = PipelineTiming::for_geometry(cells, block);
-            let fpga_ns = t.match_latency as f64 * 1000.0 / e.mhz;
-            let asic_ns = t.match_latency as f64 * 1000.0 / e.asic_mhz();
-            let _ = writeln!(
-                text,
-                "{:>6} {:>6} | {:>7} {:>7} {:>7} | {:>7.1} {:>5} | {:>12.1} {:>12.1}",
-                cells, block, e.luts, e.ffs, e.slices, e.mhz, t.match_latency, fpga_ns, asic_ns
-            );
+            let lat = PipelineTiming::for_geometry(cells, block).match_latency;
+            result.rows.push(ResultRow(vec![
+                ("cells", Int(cells as u64)),
+                ("block", Int(block as u64)),
+                ("luts", Int(e.luts)),
+                ("ffs", Int(e.ffs)),
+                ("slices", Int(e.slices)),
+                ("mhz", Real(e.mhz, Some(1))),
+                ("match_cycles", Int(lat)),
+                (
+                    "fpga_ns_per_match",
+                    Real(lat as f64 * 1000.0 / e.mhz, Some(1)),
+                ),
+                (
+                    "asic_ns_per_match",
+                    Real(lat as f64 * 1000.0 / e.asic_mhz(), Some(1)),
+                ),
+            ]));
         }
-        let _ = writeln!(text);
     }
-    result.text = text;
     result.notes.push(
         "ablation_block: block 16 balances the trade — 6-cycle pipelines at the \
          full ~112 MHz FPGA clock for mid-size arrays, without block-32's \
@@ -806,56 +900,72 @@ fn ablation_block(result: &mut RunResult) {
     );
 }
 
+/// Rows `(queue, config, latency_us)` of a fully traversed, zero-byte
+/// pre-posted sweep of every `queues` depth on every `configs` NIC.
+fn latency_sweep(
+    spec: &RunSpec,
+    queues: &[usize],
+    configs: &[(String, NicConfig)],
+) -> Vec<ResultRow> {
+    let work: Vec<(usize, &(String, NicConfig))> = queues
+        .iter()
+        .flat_map(|&q| configs.iter().map(move |c| (q, c)))
+        .collect();
+    run_parallel(work, spec.sweep_threads, |&(queue_len, (label, nic))| {
+        let point = PrepostedPoint {
+            queue_len,
+            fraction: 1.0,
+            msg_size: 0,
+        };
+        let latency = preposted_latency_cfg(*nic, point).latency;
+        ResultRow(vec![
+            ("queue", Int(queue_len as u64)),
+            ("config", Text(label.clone())),
+            ("latency_us", Real(latency.as_us_f64(), Some(3))),
+        ])
+    })
+}
+
+/// The latency of `config` at `queue` in [`latency_sweep`] rows.
+fn latency_at(rows: &[ResultRow], config: &str, queue: usize) -> f64 {
+    let row = rows
+        .iter()
+        .find(|r| r.text("config") == Some(config) && r.num("queue") == Some(queue as f64));
+    row.and_then(|r| r.num("latency_us")).expect("swept point")
+}
+
 fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
-    use mpiq_nic::NicConfig;
-    use std::fmt::Write as _;
-    let configs: Vec<(&str, NicConfig)> = vec![
+    let configs = [
         ("list", NicConfig::baseline()),
         ("hash16", NicConfig::with_hash(16)),
         ("hash64", NicConfig::with_hash(64)),
         ("hash256", NicConfig::with_hash(256)),
         ("alpu256", NicConfig::with_alpus(256)),
     ];
-    let depths = [0usize, 25, 50, 100, 200, 300, 400];
-    let sweep = |point: &(dyn Fn(usize) -> PostLoopPoint + Sync)| -> String {
-        let mut text = String::new();
-        let _ = write!(text, "{:>8}", "depth");
-        for (label, _) in &configs {
-            let _ = write!(text, "{label:>10}");
-        }
-        let _ = writeln!(text);
-        let work: Vec<(usize, usize)> = depths
-            .iter()
-            .enumerate()
-            .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
-            .collect();
-        let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
-            postloop_rtt(configs[ci].1, point(depths[qi])).as_us_f64()
-        });
-        for (qi, &q) in depths.iter().enumerate() {
-            let _ = write!(text, "{q:>8}");
-            for ci in 0..configs.len() {
-                let idx = work.iter().position(|&w| w == (qi, ci)).expect("present");
-                let _ = write!(text, "{:>10.3}", results[idx]);
-            }
-            let _ = writeln!(text);
-        }
-        text
-    };
-    let mut text = String::new();
-    text.push_str("# exact-depth sweep (wildcards = 0), per-iteration RTT in us\n");
-    text.push_str(&sweep(&|q| PostLoopPoint {
-        exact_prepost: q,
-        wildcard_prepost: 0,
-        msg_size: 0,
-    }));
-    text.push_str("\n# wildcard-depth sweep (exact = 0), per-iteration RTT in us\n");
-    text.push_str(&sweep(&|q| PostLoopPoint {
-        exact_prepost: 0,
-        wildcard_prepost: q,
-        msg_size: 0,
-    }));
-    result.text = text;
+    // Per-iteration RTT with `depth` exact receives pre-posted, then with
+    // `depth` wildcard receives pre-posted.
+    let work: Vec<(&str, usize, &(&str, NicConfig))> = ["exact", "wildcard"]
+        .into_iter()
+        .flat_map(|sweep| [0usize, 25, 50, 100, 200, 300, 400].map(|q| (sweep, q)))
+        .flat_map(|(sweep, q)| configs.iter().map(move |c| (sweep, q, c)))
+        .collect();
+    result.rows = run_parallel(work, spec.sweep_threads, |&(sweep, q, &(label, nic))| {
+        let (exact, wildcard) = if sweep == "exact" { (q, 0) } else { (0, q) };
+        let point = PostLoopPoint {
+            exact_prepost: exact,
+            wildcard_prepost: wildcard,
+            msg_size: 0,
+        };
+        ResultRow(vec![
+            ("sweep", Text(sweep.to_string())),
+            ("depth", Int(q as u64)),
+            ("config", Text(label.to_string())),
+            (
+                "rtt_us",
+                Real(postloop_rtt(nic, point).as_us_f64(), Some(3)),
+            ),
+        ])
+    });
     result.notes.push(
         "\nablation_hash: hashing wins on deep exact queues, loses the \
          zero-depth row to its insertion cost, and degenerates under \
@@ -865,58 +975,16 @@ fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
 }
 
 fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
-    use mpiq_nic::NicConfig;
-    use std::fmt::Write as _;
-    let configs: Vec<(&str, NicConfig)> = vec![
-        ("baseline", NicConfig::baseline()),
-        ("prefetch", NicConfig::with_prefetch()),
-        ("alpu256", NicConfig::with_alpus(256)),
+    let configs = [
+        ("baseline".to_string(), NicConfig::baseline()),
+        ("prefetch".to_string(), NicConfig::with_prefetch()),
+        ("alpu256".to_string(), NicConfig::with_alpus(256)),
     ];
-    let queues = [0usize, 100, 200, 300, 400, 450, 500];
-    let mut text = String::new();
-    let _ = write!(text, "{:>8}", "queue");
-    for (label, _) in &configs {
-        let _ = write!(text, "{label:>12}");
-    }
-    let _ = writeln!(text, "   (one-way latency, us; fraction = 1.0, 0 B)");
-    let work: Vec<(usize, usize)> = queues
-        .iter()
-        .enumerate()
-        .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
-        .collect();
-    let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
-        preposted_latency_cfg(
-            configs[ci].1,
-            PrepostedPoint {
-                queue_len: queues[qi],
-                fraction: 1.0,
-                msg_size: 0,
-            },
-        )
-        .latency
-        .as_us_f64()
-    });
-    for (qi, &q) in queues.iter().enumerate() {
-        let _ = write!(text, "{q:>8}");
-        for ci in 0..configs.len() {
-            let idx = work.iter().position(|&w| w == (qi, ci)).expect("present");
-            let _ = write!(text, "{:>12.3}", results[idx]);
-        }
-        let _ = writeln!(text);
-    }
-    result.text = text;
-
+    result.rows = latency_sweep(spec, &[0, 100, 200, 300, 400, 450, 500], &configs);
     // Marginal cost in the out-of-cache band.
-    let get = |label: &str, q: usize| {
-        let ci = configs
-            .iter()
-            .position(|(l, _)| *l == label)
-            .expect("label");
-        let qi = queues.iter().position(|&x| x == q).expect("queue");
-        results[work.iter().position(|&w| w == (qi, ci)).expect("present")]
-    };
     for label in ["baseline", "prefetch"] {
-        let slope = (get(label, 500) - get(label, 450)) / 50.0 * 1000.0;
+        let at = |q| latency_at(&result.rows, label, q);
+        let slope = (at(500) - at(450)) / 50.0 * 1000.0;
         result.notes.push(format!(
             "ablation_prefetch: {label} out-of-cache marginal cost {slope:.0} ns/entry"
         ));
@@ -930,113 +998,50 @@ fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
 }
 
 fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
-    use mpiq_nic::{AlpuSetup, NicConfig};
-    use std::fmt::Write as _;
-    fn with_threshold(cells: usize, threshold: usize) -> NicConfig {
-        let mut cfg = NicConfig::with_alpus(cells);
-        let setup = AlpuSetup {
-            engage_threshold: threshold,
-            ..cfg.posted_alpu.expect("alpus configured")
-        };
-        cfg.posted_alpu = Some(setup);
-        cfg.unexpected_alpu = Some(setup);
-        cfg
-    }
-    let thresholds = [0usize, 5, 10];
-    let queues: Vec<usize> = (0..=16).chain([32, 64, 128].iter().copied()).collect();
-    let mut configs: Vec<(String, NicConfig)> =
-        vec![("baseline".to_string(), NicConfig::baseline())];
-    for &t in &thresholds {
-        configs.push((format!("alpu128(thr={t})"), with_threshold(128, t)));
-    }
-    let mut text = String::new();
-    let _ = write!(text, "{:>8}", "queue");
-    for (label, _) in &configs {
-        let _ = write!(text, "{label:>16}");
-    }
-    let _ = writeln!(text);
-    let work: Vec<(usize, usize)> = queues
-        .iter()
-        .enumerate()
-        .flat_map(|(qi, _)| (0..configs.len()).map(move |ci| (qi, ci)))
-        .collect();
-    let results = run_parallel(work.clone(), spec.sweep_threads, |&(qi, ci)| {
-        preposted_latency_cfg(
-            configs[ci].1,
-            PrepostedPoint {
-                queue_len: queues[qi],
-                fraction: 1.0,
-                msg_size: 0,
-            },
-        )
-        .latency
-        .as_us_f64()
-    });
-    for (qi, &q) in queues.iter().enumerate() {
-        let _ = write!(text, "{q:>8}");
-        for ci in 0..configs.len() {
-            let idx = work.iter().position(|&w| w == (qi, ci)).expect("present");
-            let _ = write!(text, "{:>16.3}", results[idx]);
+    let mut configs = vec![("baseline".to_string(), NicConfig::baseline())];
+    for threshold in [0usize, 5, 10] {
+        let mut cfg = NicConfig::with_alpus(128);
+        for alpu in [&mut cfg.posted_alpu, &mut cfg.unexpected_alpu] {
+            alpu.as_mut().expect("alpus configured").engage_threshold = threshold;
         }
-        let _ = writeln!(text);
+        configs.push((format!("alpu128(thr={threshold})"), cfg));
     }
-    result.text = text;
-
+    let queues: Vec<usize> = (0..=16).chain([32, 64, 128]).collect();
+    result.rows = latency_sweep(spec, &queues, &configs);
     // Summary: penalty at queue 0 per threshold.
-    let base0 = results[work.iter().position(|&w| w == (0, 0)).unwrap()];
-    for (ci, (label, _)) in configs.iter().enumerate().skip(1) {
-        let v0 = results[work.iter().position(|&w| w == (0, ci)).unwrap()];
+    let base0 = latency_at(&result.rows, "baseline", 0);
+    for (label, _) in &configs[1..] {
+        let penalty = (latency_at(&result.rows, label, 0) - base0) * 1000.0;
         result.notes.push(format!(
-            "ablation_threshold: {label} zero-length penalty {:.0} ns",
-            (v0 - base0) * 1000.0
+            "ablation_threshold: {label} zero-length penalty {penalty:.0} ns"
         ));
     }
 }
 
 fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
-    use std::fmt::Write as _;
-    let iters = 48u32;
-    let sender_counts = [2u32, 4, 8, 12];
-    let work: Vec<(NicVariant, RecvStrategy, u32)> = sender_counts
-        .iter()
-        .flat_map(|&s| {
-            [NicVariant::Baseline, NicVariant::Alpu128]
-                .into_iter()
-                .flat_map(move |v| {
-                    [RecvStrategy::AnySource, RecvStrategy::PostAllCancel]
-                        .into_iter()
-                        .map(move |st| (v, st, s))
-                })
+    let work: Vec<(u32, NicVariant, RecvStrategy)> = [2u32, 4, 8, 12]
+        .into_iter()
+        .flat_map(|s| [NicVariant::Baseline, NicVariant::Alpu128].map(|v| (s, v)))
+        .flat_map(|(s, v)| {
+            [RecvStrategy::AnySource, RecvStrategy::PostAllCancel].map(|st| (s, v, st))
         })
         .collect();
-    let results: Vec<WildcardStudy> =
-        run_parallel(work.clone(), spec.sweep_threads, |&(v, st, s)| {
-            wildcard_workaround(v.config(), st, s, iters)
-        });
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "{:>8} {:>9} {:>15} | {:>10} {:>11} {:>9} {:>7}",
-        "senders", "config", "strategy", "total_us", "traversed", "ghosts", "purges"
-    );
-    for (i, &(v, st, s)) in work.iter().enumerate() {
-        let r = &results[i];
-        let _ = writeln!(
-            text,
-            "{:>8} {:>9} {:>15} | {:>10.1} {:>11} {:>9} {:>7}",
-            s,
-            v.label(),
-            match st {
-                RecvStrategy::AnySource => "any_source",
-                RecvStrategy::PostAllCancel => "post_all+cancel",
-            },
-            r.total.as_us_f64(),
-            r.software_traversed,
-            r.ghosted_cancels,
-            r.purges
-        );
-    }
-    result.text = text;
+    result.rows = run_parallel(work, spec.sweep_threads, |&(senders, v, strategy)| {
+        let r = wildcard_workaround(v.config(), strategy, senders, 48);
+        let strategy = match strategy {
+            RecvStrategy::AnySource => "any_source",
+            RecvStrategy::PostAllCancel => "post_all+cancel",
+        };
+        ResultRow(vec![
+            ("senders", Int(senders.into())),
+            ("config", Text(v.label().to_string())),
+            ("strategy", Text(strategy.to_string())),
+            ("total_us", Real(r.total.as_us_f64(), Some(1))),
+            ("traversed", Int(r.software_traversed)),
+            ("ghosts", Int(r.ghosted_cancels)),
+            ("purges", Int(r.purges)),
+        ])
+    });
     result.notes.push(
         "\nablation_wildcard: the workaround multiplies receiver-side work by \
          the source count and — on ALPU hardware with no DELETE command — \
@@ -1105,7 +1110,8 @@ mod tests {
     /// Specs the simulator cannot run — empty sweep lists, a zero
     /// burst, a zero-rank cluster, a soak with fewer than two senders —
     /// are typed errors naming the parameter, not panics on a sweep
-    /// worker or deep in cluster setup.
+    /// worker or deep in cluster setup. A stalled curve point is an
+    /// error too.
     #[test]
     fn degenerate_specs_are_errors_not_panics() {
         let fig5 = |fractions: Vec<f64>, sizes: Vec<u32>| RunSpec {
@@ -1147,6 +1153,7 @@ mod tests {
             ("collectives", &["--ranks", "0"][..], "--ranks"),
             ("soak", &["--senders", "0"][..], "--senders"),
             ("soak", &["--senders", "1"][..], "--senders"),
+            ("soak", &["--curve", "--deadline-ms", "0"][..], "STALLED"),
         ] {
             let err = execute(&from_args(bench, args)).unwrap_err();
             assert!(err.contains(names), "{bench} {args:?}: {err}");

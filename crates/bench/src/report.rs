@@ -5,6 +5,7 @@
 use crate::cli::Cli;
 use crate::jsonlint::{self, Json};
 use crate::spec::{ResultRow, RunResult, RunSpec, Value};
+use crate::TracedRun;
 use std::path::Path;
 use std::process::exit;
 
@@ -36,10 +37,13 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
+/// The checked-out commit, suffixed `-dirty` when tracked files differ
+/// from it (untracked files do not count), or `unknown` outside a
+/// checkout. Tags are ignored, so the stamp is always an abbreviated
+/// commit id.
 fn code_version() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
         .output()
         .ok()
         .filter(|out| out.status.success())
@@ -77,35 +81,39 @@ pub fn record(bench: &str, command: &[String], rows: &[ResultRow]) -> String {
     doc
 }
 
-/// Write `doc` into `path`, creating parent directories as needed.
-fn write(path: &Path, doc: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
+/// Write `doc` into `path`, creating parent directories as needed. A
+/// path that cannot be written is one line, `NAME: cannot write PATH:
+/// ERROR`, and exit 1.
+fn write(cli: &Cli, path: &str, doc: &str) {
+    let file = Path::new(path);
+    let dir = file.parent().map_or(Ok(()), std::fs::create_dir_all);
+    if let Err(e) = dir.and_then(|()| std::fs::write(file, doc)) {
+        eprintln!("{}: cannot write {path}: {e}", cli.name());
+        exit(1);
     }
-    std::fs::write(path, doc)
 }
 
 /// The shared epilogue of the spec bins: execute `spec`, print the CSV
-/// (or the table text) to stdout and the notes to stderr, write the
-/// run's [`record`] to `--out` when the bin takes it, then hand the
-/// result to `present` (plots, traces, the `--check` gate). An execution
-/// error, an unwritable `--out` and acceptance failures exit 1.
+/// to stdout and the notes to stderr, write the run's [`record`] to
+/// `--out` when the bin takes it, then hand the result to `present`
+/// (plots, traces, the `--check` gate). An execution error, an
+/// unwritable `--out` and acceptance failures exit 1.
 pub fn run(cli: &Cli, spec: &RunSpec, present: impl FnOnce(&RunResult)) {
     let name = cli.name();
     let result = crate::exec::execute(spec).unwrap_or_else(|e| {
         eprintln!("{name}: {e}");
         exit(1)
     });
-    print!("{}{}", result.csv(), result.text);
+    print!("{}", result.csv());
     for note in &result.notes {
         eprintln!("{note}");
     }
     if let Some(path) = &cli.common.out {
-        let doc = record(&result.bench, &cli.command(), &result.rows);
-        if let Err(e) = write(Path::new(path), &doc) {
-            eprintln!("{name}: cannot write {path}: {e}");
-            exit(1);
-        }
+        write(
+            cli,
+            path,
+            &record(&result.bench, &cli.command(), &result.rows),
+        );
         eprintln!("{name}: wrote {} rows to {path}", result.rows.len());
     }
     for f in &result.failures {
@@ -114,6 +122,34 @@ pub fn run(cli: &Cli, spec: &RunSpec, present: impl FnOnce(&RunResult)) {
     present(&result);
     if !result.failures.is_empty() {
         exit(1);
+    }
+}
+
+/// `--trace-out PATH` and `--metrics`: when either is given, run the
+/// bin's one instrumented point (`traced`, on NIC `config`), write its
+/// Chrome timeline to PATH and print its histograms to stderr. An
+/// unwritable PATH exits 1, as an unwritable `--out` does.
+pub fn trace(cli: &Cli, config: &str, traced: impl FnOnce() -> TracedRun) {
+    let (name, common) = (cli.name(), &cli.common);
+    if common.trace_out.is_none() && !common.metrics {
+        return;
+    }
+    let run = traced();
+    if run.dropped > 0 {
+        eprintln!(
+            "{name}: trace ring overflowed, {} records dropped",
+            run.dropped
+        );
+    }
+    if let Some(path) = &common.trace_out {
+        write(cli, path, &run.chrome_json);
+        eprintln!(
+            "{name}: wrote {} trace records ({config} config) to {path}",
+            run.records
+        );
+    }
+    if common.metrics {
+        eprintln!("{}", run.metrics_text);
     }
 }
 

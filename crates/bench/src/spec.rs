@@ -7,13 +7,13 @@
 //!   run.
 //! * [`RunResult`] — *what came out*: one row per sweep point as typed
 //!   `(column, value)` cells, from which the CSV and the `--out` record
-//!   are both rendered, free-form text for the table-style harnesses,
-//!   stderr summary notes, and acceptance failures.
+//!   are both rendered, stderr summary notes, and acceptance failures.
 //!
 //! Presentation-only flags (`--plot`, `--out`, `--trace-out`,
-//! `--metrics`, `--check`, `--tolerance`, the soak curve modes) are not
-//! part of the spec: they shape what a bin does with the result, not
-//! what the simulation computes.
+//! `--metrics`, `--check`, `--tolerance`) are not part of the spec: they
+//! shape what a bin does with the result, not what the simulation
+//! computes. The soak curve modes are part of the spec: each selects a
+//! [`SoakCurve`] sweep.
 //!
 //! `table4`, `table5`, and `jsonlint` are not specable: they run no
 //! simulation (static FPGA tables and a file validator).
@@ -75,6 +75,9 @@ pub enum BenchSpec {
         mttr_us: u64,
         node_mttr_us: u64,
         check_determinism: bool,
+        /// `--curve`, `--chaos-curve` or `--recovery-curve`: sweep one
+        /// knob instead of the scenario × seed matrix.
+        curve: Option<SoakCurve>,
     },
     /// Engine events/sec on the incast soak.
     Scaling {
@@ -104,6 +107,17 @@ pub enum BenchSpec {
     AblationThreshold,
     /// `MPI_ANY_SOURCE` vs post-all-and-cancel.
     AblationWildcard,
+}
+
+/// A soak curve: one row per value of the swept knob.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SoakCurve {
+    /// `--curve`: the incast fan-in.
+    Incast,
+    /// `--chaos-curve`: the chaos storm's link-flap MTBF.
+    Chaos,
+    /// `--recovery-curve`: the crashed node's MTTR.
+    Recovery,
 }
 
 impl BenchSpec {
@@ -199,6 +213,14 @@ impl RunSpec {
                     mttr_us: cli.get("mttr-us", 50),
                     node_mttr_us: cli.get("node-mttr-us", 0),
                     check_determinism: cli.has("check-determinism"),
+                    curve: [
+                        ("curve", SoakCurve::Incast),
+                        ("chaos-curve", SoakCurve::Chaos),
+                        ("recovery-curve", SoakCurve::Recovery),
+                    ]
+                    .into_iter()
+                    .find(|&(flag, _)| cli.has(flag))
+                    .map(|(_, curve)| curve),
                 }
             }
             "scaling" => BenchSpec::Scaling {
@@ -511,9 +533,6 @@ pub struct RunResult {
     pub bench: String,
     /// One row per sweep point, every row with the same columns.
     pub rows: Vec<ResultRow>,
-    /// Free-form stdout for the table-style harnesses (appstudy, the
-    /// ablations); printed verbatim.
-    pub text: String,
     /// Summary lines the bin relays to stderr.
     pub notes: Vec<String>,
     /// Acceptance-claim violations; a non-empty list makes the bin

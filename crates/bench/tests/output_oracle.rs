@@ -1,10 +1,11 @@
 //! Output oracle for the bench bins: what each prints and records.
 //!
 //! For a small run of fig5 (plain and faulted), fig6, gap, breakeven,
-//! soak (incast and chaos) and collectives, the transcript holds the
-//! bin's CSV stdout byte for byte and its `--out` rows as canonical
-//! `key = JSON value` pairs. Runs that take no `--out` (the soak
-//! curves) are pinned by their stdout alone. The rows are read from the document's
+//! soak (incast, chaos and the three curves) and collectives, the
+//! transcript holds the bin's CSV stdout byte for byte and its `--out`
+//! rows as canonical `key = JSON value` pairs. The bins that take no
+//! `--out` (appstudy and the five ablations) are pinned by their stdout
+//! alone. The rows are read from the document's
 //! `rows` member, or from the document itself when it is a bare array,
 //! so the pin holds across `--out` file formats. Host-time columns
 //! (`wall_ms`, `events_per_sec`) are masked as `*` in both. Re-bless a
@@ -95,10 +96,6 @@ const CASES: &[(&str, &str, &[&str])] = &[
         env!("CARGO_BIN_EXE_collectives"),
         &["--ranks", "16", "--iters", "1"],
     ),
-];
-
-/// Runs pinned by their stdout alone: they write no `--out` record.
-const STDOUT_ONLY: &[(&str, &str, &[&str])] = &[
     ("soak", env!("CARGO_BIN_EXE_soak"), &["--curve"]),
     (
         "soak",
@@ -109,6 +106,28 @@ const STDOUT_ONLY: &[(&str, &str, &[&str])] = &[
         "soak",
         env!("CARGO_BIN_EXE_soak"),
         &["--recovery-curve", "--senders", "7"],
+    ),
+];
+
+/// Runs pinned by their stdout alone: these bins take no `--out`.
+const STDOUT_ONLY: &[(&str, &str, &[&str])] = &[
+    ("appstudy", env!("CARGO_BIN_EXE_appstudy"), &[]),
+    ("ablation_block", env!("CARGO_BIN_EXE_ablation_block"), &[]),
+    ("ablation_hash", env!("CARGO_BIN_EXE_ablation_hash"), &[]),
+    (
+        "ablation_prefetch",
+        env!("CARGO_BIN_EXE_ablation_prefetch"),
+        &[],
+    ),
+    (
+        "ablation_threshold",
+        env!("CARGO_BIN_EXE_ablation_threshold"),
+        &[],
+    ),
+    (
+        "ablation_wildcard",
+        env!("CARGO_BIN_EXE_ablation_wildcard"),
+        &[],
     ),
 ];
 

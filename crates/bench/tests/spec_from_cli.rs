@@ -3,7 +3,7 @@
 //! none, parses through `RunSpec::from_cli` into a spec of that bench.
 
 use mpiq_bench::cli::Cli;
-use mpiq_bench::spec::{flags, RunSpec};
+use mpiq_bench::spec::{flags, BenchSpec, RunSpec, SoakCurve};
 
 /// Every bench with representative non-default arguments, as a CLI
 /// would receive them.
@@ -99,6 +99,9 @@ const CASES: &[(&str, &[&str])] = &[
             "2",
         ],
     ),
+    ("soak", &["--curve"]),
+    ("soak", &["--chaos-curve", "--senders", "7"]),
+    ("soak", &["--recovery-curve", "--senders", "7"]),
     ("appstudy", &[]),
     ("ablation_block", &[]),
     ("ablation_hash", &["--sweep-threads", "1"]),
@@ -130,4 +133,33 @@ fn every_bench_parses_from_its_command_line() {
     names.sort();
     names.dedup();
     assert_eq!(names.len(), 13, "one case per specable bench");
+}
+
+/// The three curve command lines parse to a soak spec with its curve
+/// set; with several curve flags, the first of `--curve`,
+/// `--chaos-curve`, `--recovery-curve` wins.
+#[test]
+fn curve_modes_parse_into_the_soak_spec() {
+    let curve = |args: &[&str]| match spec_from_args("soak", args).bench {
+        BenchSpec::Soak { curve, .. } => curve,
+        other => panic!("{args:?}: not a soak spec: {other:?}"),
+    };
+    assert_eq!(curve(&[]), None);
+    assert_eq!(curve(&["--curve"]), Some(SoakCurve::Incast));
+    assert_eq!(
+        curve(&["--chaos-curve", "--senders", "7"]),
+        Some(SoakCurve::Chaos)
+    );
+    assert_eq!(
+        curve(&["--recovery-curve", "--senders", "7"]),
+        Some(SoakCurve::Recovery)
+    );
+    assert_eq!(
+        curve(&["--recovery-curve", "--chaos-curve"]),
+        Some(SoakCurve::Chaos)
+    );
+    assert_eq!(
+        curve(&["--recovery-curve", "--curve"]),
+        Some(SoakCurve::Incast)
+    );
 }
