@@ -127,7 +127,7 @@ impl Cli {
         match Cli::try_parse_from(name, about, specs, std::env::args().skip(1)) {
             Ok(cli) => cli,
             Err(Error::Help(text)) => {
-                println!("{text}");
+                crate::report::print(&format!("{text}\n"));
                 std::process::exit(0);
             }
             Err(Error::Bad(msg)) => {
@@ -301,7 +301,7 @@ impl Cli {
             Error::Bad(msg) => {
                 eprintln!("{}: {msg}\nrun `{} --help` for usage", self.name, self.name)
             }
-            Error::Help(text) => println!("{text}"),
+            Error::Help(text) => crate::report::print(&format!("{text}\n")),
         }
         std::process::exit(2);
     }

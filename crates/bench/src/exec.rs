@@ -234,43 +234,26 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
     if burst == 0 {
         return Err("BURST must be >= 1".to_string());
     }
-    let depths = [0usize, 50, 100, 200, 300, 400];
-    let work: Vec<(NicVariant, usize)> = depths
-        .iter()
-        .flat_map(|&q| NicVariant::ALL.map(|v| (v, q)))
-        .collect();
-    let results = run_parallel(work.clone(), spec.sweep_threads, |&(v, q)| {
-        message_gap(
-            v.config(),
-            GapPoint {
+    let depths = vec![0usize, 50, 100, 200, 300, 400];
+    result.rows = run_parallel(depths, spec.sweep_threads, |&q| {
+        let [b, a128, a256] = NicVariant::ALL.map(|v| {
+            let point = GapPoint {
                 queue_len: q,
                 burst,
                 msg_size: 0,
-            },
-        )
-    });
-
-    for &q in &depths {
-        let get = |v: NicVariant| {
-            work.iter()
-                .zip(&results)
-                .find(|((wv, wq), _)| *wv == v && *wq == q)
-                .map(|(_, r)| r.gap)
-                .expect("present")
-        };
-        let b = get(NicVariant::Baseline);
-        let a128 = get(NicVariant::Alpu128);
-        let a256 = get(NicVariant::Alpu256);
+            };
+            message_gap(v.config(), point).gap
+        });
         let rate = |g: Time| 1e9 / g.as_ns_f64();
-        result.rows.push(ResultRow(vec![
+        ResultRow(vec![
             ("queue_len", Int(q as u64)),
             ("baseline_gap_ns", Real(b.as_ns_f64(), Some(1))),
             ("alpu128_gap_ns", Real(a128.as_ns_f64(), Some(1))),
             ("alpu256_gap_ns", Real(a256.as_ns_f64(), Some(1))),
             ("baseline_rate_msgs_per_s", Real(rate(b), Some(0))),
             ("alpu256_rate_msgs_per_s", Real(rate(a256), Some(0))),
-        ]));
-    }
+        ])
+    });
     result.notes.push(
         "gap: time spent traversing queues raises gap / lowers message rate (§I); \
          the ALPU removes the queue-depth dependence within its capacity"
@@ -280,57 +263,34 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
 }
 
 fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
-    let points: Vec<(NicVariant, usize)> = (0..=max)
-        .flat_map(|q| {
-            [
-                (NicVariant::Baseline, q),
-                (NicVariant::Alpu128, q),
-                (NicVariant::Alpu256, q),
-            ]
-        })
-        .collect();
-    let latencies = run_parallel(points.clone(), spec.sweep_threads, |&(v, q)| {
-        preposted_latency_cfg(
-            v.config(),
-            PrepostedPoint {
+    result.rows = run_parallel((0..=max).collect(), spec.sweep_threads, |&q| {
+        let [b, a128, a256] = NicVariant::ALL.map(|v| {
+            let point = PrepostedPoint {
                 queue_len: q,
                 fraction: 1.0,
                 msg_size: 0,
-            },
-        )
-        .latency
-    });
-
-    let mut breakeven = None;
-    for q in 0..=max {
-        let get = |v: NicVariant| {
-            points
-                .iter()
-                .zip(&latencies)
-                .find(|((pv, pq), _)| *pv == v && *pq == q)
-                .map(|(_, &t)| t)
-                .expect("present")
-        };
-        let b = get(NicVariant::Baseline);
-        let a128 = get(NicVariant::Alpu128);
-        let a256 = get(NicVariant::Alpu256);
-        let delta_ns = a128.as_ns_f64() - b.as_ns_f64();
-        result.rows.push(ResultRow(vec![
+            };
+            preposted_latency_cfg(v.config(), point).latency
+        });
+        ResultRow(vec![
             ("queue_len", Int(q as u64)),
             ("baseline_us", Real(b.as_us_f64(), Some(4))),
             ("alpu128_us", Real(a128.as_us_f64(), Some(4))),
             ("alpu256_us", Real(a256.as_us_f64(), Some(4))),
-            ("alpu128_delta_ns", Real(delta_ns, Some(1))),
-        ]));
-        if breakeven.is_none() && delta_ns <= 0.0 {
-            breakeven = Some(q);
-        }
-    }
+            (
+                "alpu128_delta_ns",
+                Real(a128.as_ns_f64() - b.as_ns_f64(), Some(1)),
+            ),
+        ])
+    });
+    let delta = |row: &ResultRow| row.num("alpu128_delta_ns").expect("swept point");
+    // Row `q` is queue length `q`.
+    let breakeven = result.rows.iter().position(|row| delta(row) <= 0.0);
     result.notes.push(format!(
         "breakeven: ALPU-128 pays for itself at queue length {:?} (paper: ~5); \
          zero-length penalty {:.0} ns (paper: ~80)",
         breakeven,
-        latencies[1].as_ns_f64() - latencies[0].as_ns_f64()
+        delta(&result.rows[0])
     ));
 }
 

@@ -6,8 +6,25 @@ use crate::cli::Cli;
 use crate::jsonlint::{self, Json};
 use crate::spec::{ResultRow, RunResult, RunSpec, Value};
 use crate::TracedRun;
+use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 use std::process::exit;
+
+/// Print `text` to stdout, the one way the bins print there. A closed
+/// stdout (its reader went away, as `bin | head` does) is not an error:
+/// the text is dropped, and the run still writes `--out`, runs its gate
+/// and exits with its own status. Any other write error is one line on
+/// stderr and exit 1.
+pub fn print(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("cannot write stdout: {e}");
+            exit(1);
+        }
+        _ => {}
+    }
+}
 
 /// Render a string as a JSON string literal (quoted and escaped).
 pub fn json_str(s: &str) -> String {
@@ -104,7 +121,7 @@ pub fn run(cli: &Cli, spec: &RunSpec, present: impl FnOnce(&RunResult)) {
         eprintln!("{name}: {e}");
         exit(1)
     });
-    print!("{}", result.csv());
+    print(&result.csv());
     for note in &result.notes {
         eprintln!("{note}");
     }

@@ -30,9 +30,7 @@ struct Scripted {
 
 impl Component for Scripted {
     fn publish_metrics(&self, metrics: &mut Metrics) {
-        if self.work_items > 0 {
-            metrics.add("nic0.work_items", self.work_items);
-        }
+        metrics.add("nic0.work_items", self.work_items);
         metrics.publish_hist("nic0.match.posted.linear", &self.linear);
     }
 

@@ -1,14 +1,31 @@
 //! The bins' `--out` and common-flag surface: an `--out` or
 //! `--trace-out` path that cannot be written is a one-line error and
-//! exit 1, never a panic, and a common flag a bin does not read is an
-//! unknown flag (exit 2).
+//! exit 1, never a panic, a common flag a bin does not read is an
+//! unknown flag (exit 2), and a closed stdout is not an error.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Run a bench bin; return its exit code and stderr.
 fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(exe).args(args).output().expect("spawn bin");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Run a bench bin whose stdout reader goes away at once, as `bin |
+/// head` does once it has read enough; return its exit code and stderr.
+fn run_closed_stdout(exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bin");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for bin");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -81,4 +98,41 @@ fn common_flags_a_bin_does_not_read_are_unknown() {
             "{exe} {args:?}: {stderr}"
         );
     }
+}
+
+/// A bin whose stdout is closed prints nothing more: it exits as it
+/// would have, its stderr is what it prints with stdout open (`table4`
+/// prints none), and its `--out` record is still written whole.
+#[test]
+fn closed_stdout_is_not_an_error() {
+    let (code, stderr) = run_closed_stdout(env!("CARGO_BIN_EXE_table4"), &[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stderr, "");
+
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("out_cli_closed_stdout");
+    let path = dir.join("fig5.json").to_str().unwrap().to_string();
+    let args = [
+        "--config",
+        "alpu128",
+        "--max-queue",
+        "0",
+        "--step",
+        "1",
+        "--sizes",
+        "0",
+        "--fractions",
+        "1",
+        "--out",
+        &path,
+    ];
+    let fig5 = env!("CARGO_BIN_EXE_fig5");
+    let (open_code, open_stderr) = run(fig5, &args);
+    assert_eq!(open_code, Some(0), "{open_stderr}");
+    std::fs::remove_file(&path).unwrap();
+    let (code, stderr) = run_closed_stdout(fig5, &args);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stderr, open_stderr);
+    let (code, lint) = run(env!("CARGO_BIN_EXE_jsonlint"), &[&path]);
+    assert_eq!(code, Some(0), "{lint}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,9 @@
 //! Output oracle for the bench bins: what each prints and records.
 //!
 //! For a small run of fig5 (plain and faulted), fig6, gap, breakeven,
-//! soak (incast, chaos and the three curves) and collectives, the
+//! soak (incast, chaos and the three curves), collectives, and the
+//! figure sweeps fig5 and fig6 with flow control unconfigured and under
+//! ALPU faults, the
 //! transcript holds the bin's CSV stdout byte for byte and its `--out`
 //! rows as canonical `key = JSON value` pairs. The bins that take no
 //! `--out` (appstudy and the five ablations) are pinned by their stdout
@@ -106,6 +108,61 @@ const CASES: &[(&str, &str, &[&str])] = &[
         "soak",
         env!("CARGO_BIN_EXE_soak"),
         &["--recovery-curve", "--senders", "7"],
+    ),
+    // The figures with flow control unconfigured: the overload
+    // machinery must cost them nothing.
+    (
+        "fig5",
+        env!("CARGO_BIN_EXE_fig5"),
+        &[
+            "--config",
+            "alpu128",
+            "--max-queue",
+            "100",
+            "--step",
+            "50",
+            "--fractions",
+            "1",
+            "--sizes",
+            "0",
+        ],
+    ),
+    (
+        "fig6",
+        env!("CARGO_BIN_EXE_fig6"),
+        &["--max-queue", "100", "--step", "50", "--sizes", "64"],
+    ),
+    // The ALPU fault path: stall- and flip-driven quarantine, software
+    // fallback, re-engagement.
+    (
+        "fig5",
+        env!("CARGO_BIN_EXE_fig5"),
+        &[
+            "--max-queue",
+            "100",
+            "--step",
+            "50",
+            "--sizes",
+            "0",
+            "--fractions",
+            "0.5,1",
+            "--faults",
+            "seed=11,flip=0.05,stall=0.05",
+        ],
+    ),
+    (
+        "fig6",
+        env!("CARGO_BIN_EXE_fig6"),
+        &[
+            "--max-queue",
+            "100",
+            "--step",
+            "50",
+            "--sizes",
+            "64",
+            "--faults",
+            "seed=11,flip=0.05,stall=0.05",
+        ],
     ),
 ];
 

@@ -28,14 +28,6 @@ impl Clock {
         Clock::from_hz(mhz * 1_000_000)
     }
 
-    /// From an explicit period.
-    pub fn from_period(period: Time) -> Clock {
-        assert!(period > Time::ZERO, "zero-period clock");
-        Clock {
-            period_ps: period.ps(),
-        }
-    }
-
     /// The clock period.
     pub fn period(&self) -> Time {
         Time::from_ps(self.period_ps)

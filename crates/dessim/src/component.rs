@@ -46,11 +46,11 @@ pub trait Component: 'static {
     /// [`Simulation::stats`](crate::Simulation::stats) on every component,
     /// in registration order, on a fresh registry — so the registry is
     /// the component state at read time, and key formatting is paid
-    /// once per read instead of once per event. Components that write
-    /// the same key add up (`add`) or the last one wins (`set`). The
-    /// writes are logged and applied in order after the last publish
-    /// (see [`crate::stats`]), so a component should write here, not
-    /// read. Default: nothing.
+    /// once per read instead of once per event. Components that add to
+    /// the same key add up, and a zero leaves no key, so a component
+    /// adds every counter it has with no condition. The additions are
+    /// logged and applied after the last publish (see [`crate::stats`]),
+    /// so a component should write here, not read. Default: nothing.
     fn publish(&self, _stats: &mut Stats) {}
 
     /// The metrics twin of [`Component::publish`]: write the component's

@@ -24,7 +24,6 @@
 use crate::rng::SimRng;
 use crate::time::Time;
 use std::fmt;
-use std::sync::Arc;
 
 /// Probabilities and seed for a fault campaign. `FaultConfig::none()`
 /// (the `Default`) disables everything; injection sites must be zero-cost
@@ -305,11 +304,6 @@ impl FaultSchedule {
     /// The sorted timeline.
     pub fn events(&self) -> &[(Time, FaultEvent)] {
         &self.events
-    }
-
-    /// Wrap in the shared handle components hold.
-    pub fn arc(self) -> Arc<FaultSchedule> {
-        Arc::new(self)
     }
 
     /// Generate a reproducible link-flap storm: flap arrivals spaced

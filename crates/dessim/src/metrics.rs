@@ -180,9 +180,10 @@ impl Metrics {
         self.enabled = true;
     }
 
-    /// Add to monotone counter `key`. No-op while disabled.
+    /// Add to monotone counter `key`. Adding zero leaves no key, as in
+    /// [`Stats`](crate::Stats). No-op while disabled.
     pub fn add(&mut self, key: &str, v: u64) {
-        if !self.enabled {
+        if !self.enabled || v == 0 {
             return;
         }
         if let Some(c) = self.counters.get_mut(key) {

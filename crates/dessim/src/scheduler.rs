@@ -479,8 +479,8 @@ mod tests {
                 self.events += 1;
             }
             fn publish(&self, stats: &mut Stats) {
-                stats.set("starter.started", self.started as u64);
-                stats.set("starter.events", self.events);
+                stats.add("starter.started", self.started as u64);
+                stats.add("starter.events", self.events);
             }
         }
         let mut sim = Simulation::new(0);
@@ -499,9 +499,8 @@ mod tests {
     }
 
     /// Keeps a typed event count and writes it only when a registry is
-    /// read: `pub.{tag}.seen` once anything was seen, its events onto
-    /// the additive `shared` counter, and the last-writer-wins `last`
-    /// gauge; `shared` also goes into the metrics registry.
+    /// read: as `pub.{tag}.seen` and onto the `shared` counter every
+    /// publisher adds to; `shared` also goes into the metrics registry.
     struct Publisher {
         tag: u64,
         seen: u64,
@@ -511,16 +510,11 @@ mod tests {
             self.seen += 1;
         }
         fn publish(&self, stats: &mut Stats) {
-            if self.seen > 0 {
-                stats.set(&format!("pub.{}.seen", self.tag), self.seen);
-                stats.add("shared", self.seen);
-            }
-            stats.set("last", self.tag);
+            stats.add(&format!("pub.{}.seen", self.tag), self.seen);
+            stats.add("shared", self.seen);
         }
         fn publish_metrics(&self, metrics: &mut Metrics) {
-            if self.seen > 0 {
-                metrics.add("shared", self.seen);
-            }
+            metrics.add("shared", self.seen);
         }
     }
 
@@ -548,28 +542,18 @@ mod tests {
         assert_eq!(sim.metrics().counter("shared"), 3 + 1);
     }
 
-    /// There is one shard, so publish runs in component index
-    /// (registration) order: the last component's gauge wins.
-    #[test]
-    fn publish_runs_in_shard_then_index_order() {
-        let mut sim = Simulation::new(0);
-        sim.add_component("x", Publisher { tag: 8, seen: 0 });
-        sim.add_component("y", Publisher { tag: 9, seen: 0 });
-        sim.add_component("z", Publisher { tag: 5, seen: 0 });
-        sim.run();
-        assert_eq!(sim.stats().get("last"), 5);
-    }
-
     #[test]
     fn components_that_never_publish_leave_no_keys() {
         let mut sim = Simulation::new(0);
+        sim.enable_metrics();
         let c = sim.add_component("ctr", Counter { seen: vec![] });
         sim.add_component("idle", Publisher { tag: 3, seen: 0 });
         sim.post(c, InPort(0), Payload::new(2u64), Time::ZERO);
         sim.run();
         // Counter uses the default no-op hook; the idle publisher saw no
-        // event, so it writes only its unconditional gauge.
-        assert_eq!(sim.stats().to_json(), r#"{"last":3}"#);
+        // event, so every counter it adds is zero and leaves no key.
+        assert_eq!(sim.stats().to_json(), "{}");
+        assert_eq!(sim.metrics().counters().count(), 0);
     }
 
     #[test]

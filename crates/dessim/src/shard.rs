@@ -123,9 +123,7 @@ mod tests {
             }
         }
         fn publish(&self, stats: &mut Stats) {
-            if self.events > 0 {
-                stats.add(&format!("fwd{}.events", self.tag), self.events);
-            }
+            stats.add(&format!("fwd{}.events", self.tag), self.events);
         }
     }
 

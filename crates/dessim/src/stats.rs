@@ -6,32 +6,28 @@
 //! space; the convention is dotted paths like `"nic0.l1.miss"`.
 //!
 //! One way in: a component keeps its counters in its own typed fields
-//! and writes them in [`Component::publish`](crate::Component::publish),
+//! and adds them in [`Component::publish`](crate::Component::publish),
 //! which runs only when [`Simulation::stats`](crate::Simulation::stats)
 //! assembles the registry. So a registry is a read of component state
 //! at read time, and no key is formatted on the event path.
+//!
+//! One rule: the registry holds only non-zero counters. Adding zero
+//! leaves no key, so a component publishes every counter it has with
+//! no condition, and an absent key reads zero.
 //!
 //! The registry is a vector of counters sorted by key bytes, the order a
 //! `BTreeMap<String, u64>` iterates in. The key bytes live back to back
 //! in one string, so thousands of keys cost no allocation each. Writes
 //! are logged, one segment per component; one ordering pass
-//! (`Stats::fold`) then sorts the log by key and folds each key's
-//! writes in the order they were made, so thousands of published keys
-//! cost no shifting insert each. Reads binary-search the folded
-//! counters.
+//! (`Stats::fold`) then sorts the log by key and sums each key's
+//! writes, so thousands of published keys cost no shifting insert
+//! each. Reads binary-search the folded counters.
 
 /// A key: a byte range of [`Stats::keys`].
 #[derive(Clone, Copy, Debug)]
 struct Key {
     start: u32,
     len: u32,
-}
-
-/// One logged write, folded by [`Stats::fold`].
-#[derive(Clone, Copy, Debug)]
-enum Write {
-    Add(u64),
-    Set(u64),
 }
 
 /// Counter registry: `(key, value)` pairs sorted by key, so lookups are a
@@ -45,8 +41,8 @@ pub struct Stats {
     keys: String,
     /// Sorted by key bytes; keys are unique.
     counters: Vec<(Key, u64)>,
-    /// Writes not yet folded into `counters`, in order.
-    log: Vec<(Key, Write)>,
+    /// Additions not yet folded into `counters`, in order.
+    log: Vec<(Key, u64)>,
     /// Where each writer's writes start in `log` (see [`Stats::segment`]).
     segments: Vec<usize>,
 }
@@ -57,14 +53,20 @@ impl Stats {
         Stats::default()
     }
 
-    /// Add `v` to counter `key`, creating it at zero if absent.
+    /// Add `v` to counter `key`, creating it if absent. Adding zero
+    /// leaves no key.
     pub fn add(&mut self, key: &str, v: u64) {
-        self.log(key, Write::Add(v));
-    }
-
-    /// Overwrite a counter (for gauges like "current occupancy").
-    pub fn set(&mut self, key: &str, v: u64) {
-        self.log(key, Write::Set(v));
+        if v == 0 {
+            return;
+        }
+        let end = self.keys.len() + key.len();
+        assert!(u32::try_from(end).is_ok(), "stats keys exceed 4 GiB");
+        let k = Key {
+            start: self.keys.len() as u32,
+            len: key.len() as u32,
+        };
+        self.keys.push_str(key);
+        self.log.push((k, v));
     }
 
     /// Read a counter; absent counters read zero.
@@ -121,9 +123,8 @@ impl Stats {
         }
     }
 
-    /// Apply the logged writes to an empty registry: order them by (key,
-    /// log position), which is a stable sort by key, and fold each key's
-    /// writes in that order (`add` adds, `set` overwrites).
+    /// Apply the logged additions to an empty registry: order them by
+    /// key and sum each key's.
     ///
     /// Most segments own their keys (`nic7.*`), so sorting each segment,
     /// then placing segments by their first key, orders the log with few
@@ -148,9 +149,9 @@ impl Stats {
         let last = |r: &std::ops::Range<usize>| text(keys, log[r.end - 1].0);
         segments.sort_by(|a, b| first(a).cmp(first(b)).then(a.start.cmp(&b.start)));
         let mut counters: Vec<(Key, u64)> = Vec::with_capacity(log.len());
-        let mut push = |k: Key, w: Write| match counters.last_mut() {
-            Some((prev, v)) if text(keys, *prev) == text(keys, k) => *v = apply(*v, w),
-            _ => counters.push((k, apply(0, w))),
+        let mut push = |k: Key, v: u64| match counters.last_mut() {
+            Some((prev, sum)) if text(keys, *prev) == text(keys, k) => *sum += v,
+            _ => counters.push((k, v)),
         };
         let mut i = 0;
         while i < segments.len() {
@@ -162,40 +163,23 @@ impl Stats {
                 j += 1;
             }
             if j == i + 1 {
-                for &(k, w) in &log[segments[i].clone()] {
-                    push(k, w);
+                for &(k, v) in &log[segments[i].clone()] {
+                    push(k, v);
                 }
             } else {
-                // Log order within a segment and across segments is
-                // write order, so a log index breaks ties between equal
-                // keys as the write position would.
-                let mut merged: Vec<usize> =
-                    segments[i..j].iter().flat_map(|r| r.clone()).collect();
-                merged.sort_unstable_by(|&a, &b| {
-                    text(keys, log[a].0)
-                        .cmp(text(keys, log[b].0))
-                        .then(a.cmp(&b))
-                });
-                for a in merged {
-                    push(log[a].0, log[a].1);
+                let mut merged: Vec<(Key, u64)> = segments[i..j]
+                    .iter()
+                    .flat_map(|r| log[r.clone()].iter().copied())
+                    .collect();
+                merged.sort_unstable_by(|a, b| text(keys, a.0).cmp(text(keys, b.0)));
+                for (k, v) in merged {
+                    push(k, v);
                 }
             }
             i = j;
         }
         self.counters = counters;
         self.log.clear();
-    }
-
-    /// Append `key` to the key bytes and log write `w` to it.
-    fn log(&mut self, key: &str, w: Write) {
-        let end = self.keys.len() + key.len();
-        assert!(u32::try_from(end).is_ok(), "stats keys exceed 4 GiB");
-        let k = Key {
-            start: self.keys.len() as u32,
-            len: key.len() as u32,
-        };
-        self.keys.push_str(key);
-        self.log.push((k, w));
     }
 
     /// The text of `k`.
@@ -213,14 +197,6 @@ impl Stats {
 /// The text of `k` in `keys`.
 fn text(keys: &str, k: Key) -> &str {
     &keys[k.start as usize..(k.start + k.len) as usize]
-}
-
-/// A counter at `acc` after write `w`.
-fn apply(acc: u64, w: Write) -> u64 {
-    match w {
-        Write::Add(v) => acc + v,
-        Write::Set(v) => v,
-    }
 }
 
 /// Append `v` in decimal.
@@ -255,12 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn set_overwrites() {
+    fn adding_zero_leaves_no_key() {
         let mut s = Stats::new();
-        s.set("g", 10);
-        s.set("g", 3);
+        s.add("zero", 0);
+        s.add("a", 2);
+        s.add("a", 0);
         s.fold();
-        assert_eq!(s.get("g"), 3);
+        assert_eq!(s.to_json(), r#"{"a":2}"#);
+        assert_eq!(s.get("zero"), 0);
     }
 
     #[test]
@@ -280,24 +258,23 @@ mod tests {
         let mut s = Stats::new();
         s.add("b", 2);
         s.add("a", 1);
-        s.set("max", u64::MAX);
+        s.add("max", u64::MAX);
         s.fold();
         assert_eq!(s.to_json(), r#"{"a":1,"b":2,"max":18446744073709551615}"#);
         assert_eq!(Stats::new().to_json(), "{}");
     }
 
     /// The registry as it was built before the sorted vector: a
-    /// `BTreeMap` written in place, rendered with one `format!` per key.
+    /// `BTreeMap` written in place, rendered with one `format!` per key,
+    /// that holds no zero.
     #[derive(Default)]
     struct Reference(BTreeMap<String, u64>);
 
     impl Reference {
         fn add(&mut self, key: &str, v: u64) {
-            *self.0.entry(key.to_string()).or_insert(0) += v;
-        }
-
-        fn set(&mut self, key: &str, v: u64) {
-            self.0.insert(key.to_string(), v);
+            if v > 0 {
+                *self.0.entry(key.to_string()).or_insert(0) += v;
+            }
         }
 
         fn to_json(&self) -> String {
@@ -323,17 +300,16 @@ mod tests {
         format!("{stem}{leaf}")
     }
 
-    /// One random write on both registries.
+    /// One random addition on both registries; one in four adds zero.
     fn write(s: &mut Stats, r: &mut Reference, rng: &mut SimRng) {
         let k = key(rng);
-        let v = rng.gen_range(1_000);
-        if rng.gen_bool(0.5) {
-            s.add(&k, v);
-            r.add(&k, v);
+        let v = if rng.gen_bool(0.25) {
+            0
         } else {
-            s.set(&k, v);
-            r.set(&k, v);
-        }
+            rng.gen_range(1_000)
+        };
+        s.add(&k, v);
+        r.add(&k, v);
     }
 
     /// The publishes of several components, as `Simulation::stats`

@@ -18,21 +18,6 @@ use mpiq_net::{FabricPort, NetConfig, Switch, Topology, PORT_FP_INJECT, PORT_FP_
 use mpiq_nic::{host_comp_port, Nic, NicConfig, PORT_NET_RX, PORT_NET_TX};
 use std::sync::Arc;
 
-/// Per-NIC flow-control bounds, set as one unit via
-/// [`ClusterConfigBuilder::flow_control`]. The zero value (the default)
-/// disables every bound — the historical unbounded behavior.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlowControl {
-    /// Eager credits granted to each peer; `0` = no credit flow control.
-    pub eager_credits: u32,
-    /// Unexpected-queue cap; arrivals beyond it are refused at the wire.
-    /// `0` = unbounded.
-    pub max_unexpected: u32,
-    /// Eager staging pool in bytes; exhausted = header-only admits.
-    /// `0` = unbounded.
-    pub eager_buffer_bytes: u64,
-}
-
 /// Everything needed to build a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -74,7 +59,8 @@ impl ClusterConfig {
     }
 
     /// Start a typed builder around a NIC configuration — the one place
-    /// to dial faults, observability, flow control, and topology.
+    /// to dial faults, observability, and topology. Flow control is a
+    /// NIC setting ([`NicConfig::with_flow_control`]).
     pub fn builder(nic: NicConfig) -> ClusterConfigBuilder {
         ClusterConfigBuilder {
             cfg: ClusterConfig::new(nic),
@@ -86,17 +72,12 @@ impl ClusterConfig {
 /// returns the config with whatever was dialed in.
 ///
 /// ```
-/// # use mpiq_mpi::cluster::{ClusterConfig, FlowControl};
+/// # use mpiq_mpi::cluster::ClusterConfig;
 /// # use mpiq_nic::NicConfig;
-/// let cfg = ClusterConfig::builder(NicConfig::baseline())
-///     .observability(4096)
-///     .flow_control(FlowControl {
-///         eager_credits: 4,
-///         max_unexpected: 32,
-///         eager_buffer_bytes: 16 << 10,
-///     })
-///     .build();
+/// let nic = NicConfig::baseline().with_flow_control(4, 32, 16 << 10);
+/// let cfg = ClusterConfig::builder(nic).observability(4096).build();
 /// assert_eq!(cfg.nic.max_unexpected, 32);
+/// assert!(cfg.nic.reliability);
 /// assert!(cfg.metrics);
 /// ```
 #[derive(Clone, Debug)]
@@ -130,14 +111,6 @@ impl ClusterConfigBuilder {
     pub fn observability(mut self, trace_capacity: usize) -> Self {
         self.cfg.trace_capacity = trace_capacity;
         self.cfg.metrics = true;
-        self
-    }
-
-    /// Set all three per-NIC overload bounds at once.
-    pub fn flow_control(mut self, fc: FlowControl) -> Self {
-        self.cfg.nic.eager_credits = fc.eager_credits;
-        self.cfg.nic.max_unexpected = fc.max_unexpected;
-        self.cfg.nic.eager_buffer_bytes = fc.eager_buffer_bytes;
         self
     }
 

@@ -25,7 +25,7 @@ pub mod script;
 pub mod types;
 
 pub use app::{AppProgram, Mpi, Request};
-pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterError, FlowControl};
+pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterError};
 pub use host::Host;
 pub use script::{MarkLog, Op, Script, SharedLog, StatusLog};
 pub use types::{Datatype, MpiError, MpiStatus, ANY_SOURCE, ANY_TAG, CTX_INTERNAL, CTX_WORLD};

@@ -305,27 +305,21 @@ impl Component for FabricPort {
     }
 
     fn publish(&self, stats: &mut Stats) {
-        if self.messages > 0 {
-            stats.add("net.messages", self.messages);
-            stats.add("net.bytes", self.bytes);
-        }
         let c = &self.counts;
         for (key, n) in [
+            ("net.messages", self.messages),
+            ("net.bytes", self.bytes),
             ("net.faults.dropped", c.dropped),
             ("net.faults.corrupted", c.corrupted),
             ("net.faults.duplicated", c.duplicated),
             ("net.sched.edge_drops", c.edge_drops),
         ] {
-            if n > 0 {
-                stats.add(key, n);
-            }
+            stats.add(key, n);
         }
     }
 
     fn publish_metrics(&self, metrics: &mut Metrics) {
-        if self.counts.flap_transitions > 0 {
-            metrics.add("fault.flap_transitions", self.counts.flap_transitions);
-        }
+        metrics.add("fault.flap_transitions", self.counts.flap_transitions);
     }
 }
 

@@ -116,9 +116,7 @@ impl Component for Switch {
     }
 
     fn publish(&self, stats: &mut Stats) {
-        if self.hops > 0 {
-            stats.add("net.switch.hops", self.hops);
-        }
+        stats.add("net.switch.hops", self.hops);
     }
 }
 

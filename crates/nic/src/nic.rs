@@ -6,11 +6,17 @@
 //! Hardware that runs concurrently with the processor — the ALPUs' header
 //! copy path and the DMA engines — acts at event time or through
 //! firmware-computed completion timestamps.
+//!
+//! Counters are read, not written: [`Component::publish`] writes the
+//! live firmware, L1 and link counters under `nic{N}.*`, and the NIC's
+//! own record beside them. A restart rebuilds the firmware, core and
+//! link layer, so a restarted NIC publishes only its new incarnation's
+//! counters; the record and the fault tally outlive it.
 
 use crate::config::NicConfig;
-use crate::firmware::{Effects, Firmware, FwStats, WorkItem};
+use crate::firmware::{Effects, Firmware, WorkItem};
 use crate::host_iface::HostRequest;
-use crate::reliability::{LinkStats, Reliability};
+use crate::reliability::Reliability;
 use mpiq_cpusim::Core;
 use mpiq_dessim::prelude::*;
 use mpiq_dessim::{
@@ -78,124 +84,20 @@ enum FaultWake {
     PeerRestart(NodeId),
 }
 
-// Key suffixes of each stat group, in value order.
-const BASE_KEYS: [&str; 11] = [
-    "l1.misses",
-    "l1.hits",
-    "posted.traversed",
-    "unexpected.traversed",
-    "posted.alpu_hits",
-    "unexpected.alpu_hits",
-    "unexpected.arrivals",
-    "insert_sessions",
-    "posted.occ_integral",
-    "unexpected.occ_integral",
-    "sampled_until_ns",
-];
-const LEN_MAX_KEYS: [&str; 2] = ["posted.len_max", "unexpected.len_max"];
-const ALPU_KEYS: [&str; 5] = [
-    "alpu.resets",
-    "alpu.fallbacks",
-    "alpu.reengagements",
-    "alpu.parity_errors",
-    "alpu.overflow_spins",
-];
-const LINK_KEYS: [&str; 8] = [
-    "link.retransmits",
-    "link.acks_sent",
-    "link.nacks_sent",
-    "link.crc_dropped",
-    "link.dup_discarded",
-    "link.gap_discarded",
-    "link.timer_fires",
-    "link.links_dead",
-];
-const FAULT_KEYS: [&str; 5] = [
-    "fault.peers_failed",
-    "fault.ops_rank_failed",
-    "fault.alpus_killed",
-    "fault.stale_rndv_dropped",
-    "fault.peers_revived",
-];
-const FAULT_LINK_KEYS: [&str; 2] = ["fault.epoch_fences", "fault.stale_epoch_dropped"];
-const COLL_KEYS: [&str; 5] = [
-    "coll.offloaded",
-    "coll.declined",
-    "coll.steps_sent",
-    "coll.steps_recv",
-    "coll.rank_failed",
-];
-const FLOW_KEYS: [&str; 10] = [
-    "flow.unexpected_highwater",
-    "flow.eager_bytes_highwater",
-    "flow.truncated_admits",
-    "flow.admission_refused",
-    "flow.credit_stalls",
-    "flow.sends_deferred",
-    "flow.credits_spent",
-    "flow.grants_issued",
-    "flow.grants_leaked",
-    "flow.cts_leaked",
-];
-const FLOW_LINK_KEYS: [&str; 2] = ["flow.credits_granted", "flow.credits_received"];
-
-/// The `nic{N}.*` key groups, by index into [`GROUP_KEYS`] and bit of
-/// [`Nic::stat_conditions`]. Each publishes only for configurations that
-/// can produce it, so stat dumps of other configurations stay unchanged.
-/// Cache, traversal, arrival and occupancy counters: always.
-const BASE: usize = 0;
-/// An ALPU is configured.
-const ALPU: usize = 1;
-/// The link reliability layer is on.
-const LINK: usize = 2;
-/// A fault schedule is armed.
-const FAULT: usize = 3;
-/// A fault schedule is armed and the link layer is on.
-const FAULT_LINK: usize = 4;
-/// The collective engine has seen a request (every collective request
-/// is either offloaded or declined).
-const COLL: usize = 5;
-/// An overload bound (or the leak fault) is configured.
-const FLOW: usize = 6;
-/// Overload is configured and the link layer is on.
-const FLOW_LINK: usize = 7;
-const GROUP_KEYS: [&[&str]; 8] = [
-    &BASE_KEYS,
-    &ALPU_KEYS,
-    &LINK_KEYS,
-    &FAULT_KEYS,
-    &FAULT_LINK_KEYS,
-    &COLL_KEYS,
-    &FLOW_KEYS,
-    &FLOW_LINK_KEYS,
-];
-/// Values of one group, padded to the longest.
-type GroupValues = [u64; BASE_KEYS.len()];
-
-/// What a NIC's `nic{N}.*` keys publish beyond the live counters. Once
-/// the NIC has handled an event, each group whose condition holds when
-/// the registry is read publishes the live firmware, core and link
-/// counters. A restart rebuilds the firmware and core beneath the
-/// record, which outlives it: the restart first copies the groups it
-/// wipes, and a group whose condition lapsed with the wipe publishes
-/// that copy.
+/// What a NIC's `nic{N}.*` keys publish beyond its live firmware, L1
+/// and link counters: the NIC's own record, which outlives a restart.
 #[derive(Default)]
 struct StatRecord {
-    /// The NIC has handled an event (reached a snapshot point).
-    handled: bool,
-    /// Per group: the values the last restart copied, published while the
-    /// group's condition does not hold (`None` = never published).
-    frozen: [Option<GroupValues>; GROUP_KEYS.len()],
     /// Running maxima of the posted and unexpected queue lengths over
-    /// the snapshot points (published alongside `BASE`).
+    /// the snapshot points.
     len_max: [u64; 2],
     /// Scheduled crashes of this node (`fault.crashed`).
-    crashed: Option<u64>,
+    crashed: u64,
     /// Incarnation epoch of the last restart (`fault.incarnation`).
-    incarnation: Option<u64>,
+    incarnation: u64,
     /// CRC failures dropped with the link layer off (`link.crc_dropped`;
-    /// with the layer on, the `LINK` group carries that key).
-    crc_dropped: Option<u64>,
+    /// with the layer on, the link layer counts them).
+    crc_dropped: u64,
 }
 
 /// Scheduled-fault transitions of one NIC, across its restarts: the
@@ -208,13 +110,6 @@ struct FaultTally {
     peers_failed: u64,
     peers_revived: u64,
     links_dead: u64,
-}
-
-/// `values` padded to a [`GroupValues`].
-fn pad<const N: usize>(values: [u64; N]) -> GroupValues {
-    let mut out = GroupValues::default();
-    out[..N].copy_from_slice(&values);
-    out
 }
 
 /// One NIC: firmware + embedded core + work-item scheduler.
@@ -254,10 +149,6 @@ pub struct Nic {
     /// `nic{N}.work_service` by [`Component::publish_metrics`].
     work_items: u64,
     work_service: Histogram,
-    /// Latency histograms of incarnations a restart replaced, as the
-    /// crash left them; [`Component::publish_metrics`] writes them under
-    /// the live ones, which win wherever they hold samples.
-    retired_hists: Vec<(&'static str, Histogram)>,
     /// Time-weighted queue-occupancy accumulation (for the application
     /// queue-characterization study, after refs [8,9]). Accumulated in
     /// entry·picoseconds — whole-ns accumulation silently dropped sub-ns
@@ -288,7 +179,6 @@ impl Nic {
             fault_tally: FaultTally::default(),
             work_items: 0,
             work_service: Histogram::new(),
-            retired_hists: Vec::new(),
             last_sample: Time::ZERO,
             posted_integral_ps: 0,
             unexpected_integral_ps: 0,
@@ -467,7 +357,7 @@ impl Nic {
                     node: self.node,
                     peer: self.node,
                 });
-                self.record.crashed = Some(self.record.crashed.unwrap_or(0) + 1);
+                self.record.crashed += 1;
             }
             FaultWake::AlpuDeath => {
                 self.fw.set_telemetry(ctx.trace_enabled());
@@ -504,15 +394,11 @@ impl Nic {
                     .schedule
                     .as_ref()
                     .map_or(0, |s| s.incarnation_at(self.node, now));
-                // The wipe zeroes the live counters; groups whose
-                // condition lapses with it keep their pre-crash values.
-                self.retire_stats();
                 self.crashed = false;
                 self.busy = false;
                 self.work.clear();
                 self.update_queued = false;
                 self.retx_scheduled = None;
-                self.retire_hists();
                 self.fw = Firmware::new(self.node, self.cfg);
                 self.core = Core::new(self.cfg.core);
                 self.link = self.cfg.reliability.then(|| {
@@ -527,7 +413,7 @@ impl Nic {
                     node: self.node,
                     peer: self.node,
                 });
-                self.record.incarnation = Some(epoch as u64);
+                self.record.incarnation = epoch as u64;
                 // Detection wakes that fired during our downtime were
                 // (correctly) swallowed — a dead node observes nothing.
                 // Re-derive them: every peer still down right now gets a
@@ -601,130 +487,14 @@ impl Nic {
         self.snapshot_stats();
     }
 
-    /// A snapshot point: note that an event was handled, and sample the
-    /// queue-length maxima. Runs after almost every event, so it copies
-    /// no counter (see [`StatRecord`]).
+    /// A snapshot point: sample the queue-length maxima. Runs after
+    /// almost every event, so it copies no counter.
     fn snapshot_stats(&mut self) {
         let r = &mut self.record;
-        r.handled = true;
         r.len_max = [
             r.len_max[0].max(self.fw.posted_len() as u64),
             r.len_max[1].max(self.fw.unexpected_len() as u64),
         ];
-    }
-
-    /// The stat groups that publish live counters now, as bits: none
-    /// before the NIC handled an event, then those whose condition holds
-    /// given the firmware's counters `fw`.
-    fn stat_conditions(&self, fw: &FwStats) -> u8 {
-        if !self.record.handled {
-            return 0;
-        }
-        let link = self.link.is_some();
-        let alpu = self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some();
-        let armed = self.schedule.is_some();
-        let flow = self.cfg.overload_active() || self.cfg.faults.leak_active();
-        [
-            (BASE, true),
-            (ALPU, alpu),
-            (LINK, link),
-            (FAULT, armed),
-            (FAULT_LINK, armed && link),
-            (COLL, fw.coll_offloaded + fw.coll_declined > 0),
-            (FLOW, flow),
-            (FLOW_LINK, flow && link),
-        ]
-        .into_iter()
-        .filter(|&(_, on)| on)
-        .fold(0, |bits, (g, _)| bits | 1 << g)
-    }
-
-    /// Group `g`'s live counters, given the firmware's and the link
-    /// layer's.
-    fn group_values(&self, g: usize, fw: &FwStats, ls: &LinkStats) -> GroupValues {
-        match g {
-            BASE => {
-                let l1 = self.core.mem().l1();
-                pad([
-                    l1.misses(),
-                    l1.hits(),
-                    fw.posted_entries_traversed,
-                    fw.unexpected_entries_traversed,
-                    fw.posted_alpu_hits,
-                    fw.unexpected_alpu_hits,
-                    fw.unexpected_arrivals,
-                    fw.insert_sessions,
-                    self.posted_integral_ps / 1_000,
-                    self.unexpected_integral_ps / 1_000,
-                    self.last_sample.ns(),
-                ])
-            }
-            ALPU => pad([
-                fw.alpu_resets,
-                fw.alpu_fallbacks,
-                fw.alpu_reengagements,
-                fw.alpu_parity_errors,
-                fw.alpu_overflow_spins,
-            ]),
-            LINK => pad([
-                ls.retransmits,
-                ls.acks_sent,
-                ls.nacks_sent,
-                ls.crc_dropped,
-                ls.dup_discarded,
-                ls.gap_discarded,
-                ls.timer_fires,
-                ls.links_dead,
-            ]),
-            FAULT => pad([
-                fw.peers_failed,
-                fw.ops_rank_failed,
-                fw.alpus_killed,
-                fw.stale_rndv_dropped,
-                fw.peers_revived,
-            ]),
-            FAULT_LINK => pad([ls.epoch_fences, ls.stale_epoch_dropped]),
-            COLL => pad([
-                fw.coll_offloaded,
-                fw.coll_declined,
-                fw.coll_steps_sent,
-                fw.coll_steps_recv,
-                fw.coll_rank_failed,
-            ]),
-            FLOW => pad([
-                fw.unexpected_highwater,
-                fw.eager_bytes_highwater,
-                fw.truncated_admits,
-                fw.admission_refused,
-                fw.credit_stalls,
-                fw.sends_deferred,
-                fw.credits_spent,
-                fw.grants_issued,
-                fw.grants_leaked,
-                fw.cts_leaked,
-            ]),
-            FLOW_LINK => pad([ls.credits_granted, ls.credits_received]),
-            _ => unreachable!("no stat group {g}"),
-        }
-    }
-
-    /// The link layer's counters (zero with the layer off, where no
-    /// group reads them).
-    fn link_stats(&self) -> LinkStats {
-        self.link
-            .as_ref()
-            .map(Reliability::stats)
-            .unwrap_or_default()
-    }
-
-    /// Copy the counters of the groups that publish live ones into the
-    /// record, before a restart wipes them.
-    fn retire_stats(&mut self) {
-        let (fw, ls) = (self.fw.stats(), self.link_stats());
-        let on = self.stat_conditions(&fw);
-        for g in (0..GROUP_KEYS.len()).filter(|g| on & (1 << g) != 0) {
-            self.record.frozen[g] = Some(self.group_values(g, &fw, &ls));
-        }
     }
 
     /// The latency histograms, keyed by `nic{N}.` suffix: the firmware's
@@ -744,23 +514,6 @@ impl Nic {
                 .as_ref()
                 .map(|l| ("link.backoff", l.backoff_hist())),
         )
-    }
-
-    /// Keep the histograms a restart is about to wipe: each one that
-    /// holds samples replaces what an earlier incarnation left under its
-    /// key.
-    fn retire_hists(&mut self) {
-        let live: Vec<(&'static str, Histogram)> = self
-            .latency_hists()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| (k, h.clone()))
-            .collect();
-        for (key, h) in live {
-            match self.retired_hists.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = h,
-                None => self.retired_hists.push((key, h)),
-            }
-        }
     }
 }
 
@@ -891,7 +644,7 @@ impl Component for Nic {
                 } else if !msg.link.crc_ok {
                     // No link layer: the hardware CRC check still drops
                     // mangled frames on the floor (unrecoverable).
-                    self.record.crc_dropped = Some(self.record.crc_dropped.unwrap_or(0) + 1);
+                    self.record.crc_dropped += 1;
                     return;
                 }
                 // Hardware header-copy path fires at arrival time,
@@ -954,75 +707,108 @@ impl Component for Nic {
         Some(self)
     }
 
-    /// Write the `nic{N}.*` keys: the live counters of every group
-    /// whose condition holds now, and what a restart copied of the rest.
+    /// Write the `nic{N}.*` keys: the live firmware, L1 and link
+    /// counters, and the NIC's record. A restarted NIC publishes its new
+    /// incarnation's counters; only the record outlives the restart.
     fn publish(&self, stats: &mut Stats) {
-        let r = &self.record;
-        let (fw, ls) = (self.fw.stats(), self.link_stats());
-        let on = self.stat_conditions(&fw);
+        let (fw, r) = (self.fw.stats(), &self.record);
+        let l1 = self.core.mem().l1();
+        let ls = self
+            .link
+            .as_ref()
+            .map(Reliability::stats)
+            .unwrap_or_default();
         let mut key = String::with_capacity(self.stat_prefix.len() + 32);
         key.push_str(&self.stat_prefix);
         key.push('.');
         let stem = key.len();
-        let mut put = |suffix: &str, v: u64| {
-            key.truncate(stem);
-            key.push_str(suffix);
-            stats.set(&key, v);
-        };
-        for (g, keys) in GROUP_KEYS.iter().enumerate() {
-            let values = if on & (1 << g) != 0 {
-                Some(self.group_values(g, &fw, &ls))
-            } else {
-                r.frozen[g]
-            };
-            for (k, v) in keys.iter().zip(values.iter().flatten()) {
-                put(k, *v);
-            }
-        }
-        if r.handled {
-            for (k, v) in LEN_MAX_KEYS.iter().zip(r.len_max) {
-                put(k, v);
-            }
-        }
-        for (k, v) in [
+        for (suffix, v) in [
+            ("l1.misses", l1.misses()),
+            ("l1.hits", l1.hits()),
+            ("posted.traversed", fw.posted_entries_traversed),
+            ("unexpected.traversed", fw.unexpected_entries_traversed),
+            ("posted.alpu_hits", fw.posted_alpu_hits),
+            ("unexpected.alpu_hits", fw.unexpected_alpu_hits),
+            ("unexpected.arrivals", fw.unexpected_arrivals),
+            ("insert_sessions", fw.insert_sessions),
+            ("posted.occ_integral", self.posted_integral_ps / 1_000),
+            (
+                "unexpected.occ_integral",
+                self.unexpected_integral_ps / 1_000,
+            ),
+            ("sampled_until_ns", self.last_sample.ns()),
+            ("posted.len_max", r.len_max[0]),
+            ("unexpected.len_max", r.len_max[1]),
+            ("alpu.resets", fw.alpu_resets),
+            ("alpu.fallbacks", fw.alpu_fallbacks),
+            ("alpu.reengagements", fw.alpu_reengagements),
+            ("alpu.parity_errors", fw.alpu_parity_errors),
+            ("alpu.overflow_spins", fw.alpu_overflow_spins),
+            ("link.retransmits", ls.retransmits),
+            ("link.acks_sent", ls.acks_sent),
+            ("link.nacks_sent", ls.nacks_sent),
+            // One of the two is zero: the link layer counts CRC drops
+            // when it is on, the record when it is off.
+            ("link.crc_dropped", ls.crc_dropped + r.crc_dropped),
+            ("link.dup_discarded", ls.dup_discarded),
+            ("link.gap_discarded", ls.gap_discarded),
+            ("link.timer_fires", ls.timer_fires),
+            ("link.links_dead", ls.links_dead),
+            ("fault.peers_failed", fw.peers_failed),
+            ("fault.ops_rank_failed", fw.ops_rank_failed),
+            ("fault.alpus_killed", fw.alpus_killed),
+            ("fault.stale_rndv_dropped", fw.stale_rndv_dropped),
+            ("fault.peers_revived", fw.peers_revived),
+            ("fault.epoch_fences", ls.epoch_fences),
+            ("fault.stale_epoch_dropped", ls.stale_epoch_dropped),
             ("fault.crashed", r.crashed),
             ("fault.incarnation", r.incarnation),
-            ("link.crc_dropped", r.crc_dropped),
+            ("coll.offloaded", fw.coll_offloaded),
+            ("coll.declined", fw.coll_declined),
+            ("coll.steps_sent", fw.coll_steps_sent),
+            ("coll.steps_recv", fw.coll_steps_recv),
+            ("coll.rank_failed", fw.coll_rank_failed),
+            ("flow.unexpected_highwater", fw.unexpected_highwater),
+            ("flow.eager_bytes_highwater", fw.eager_bytes_highwater),
+            ("flow.truncated_admits", fw.truncated_admits),
+            ("flow.admission_refused", fw.admission_refused),
+            ("flow.credit_stalls", fw.credit_stalls),
+            ("flow.sends_deferred", fw.sends_deferred),
+            ("flow.credits_spent", fw.credits_spent),
+            ("flow.grants_issued", fw.grants_issued),
+            ("flow.grants_leaked", fw.grants_leaked),
+            ("flow.cts_leaked", fw.cts_leaked),
+            ("flow.credits_granted", ls.credits_granted),
+            ("flow.credits_received", ls.credits_received),
         ] {
-            if let Some(v) = v {
-                put(k, v);
+            // The registry keeps no zero, so format no key for one.
+            if v > 0 {
+                key.truncate(stem);
+                key.push_str(suffix);
+                stats.add(&key, v);
             }
         }
     }
 
     /// Write the fault tally as `fault.*` metrics, and the work-item
-    /// counter and histograms as `nic{N}.*` ones. The latency histograms
-    /// publish only once the NIC has handled an event, and only those
-    /// holding samples.
+    /// counter and histograms as `nic{N}.*` ones. A restarted NIC
+    /// publishes its new incarnation's latency histograms.
     fn publish_metrics(&self, metrics: &mut Metrics) {
         let t = &self.fault_tally;
         for (key, n) in [
-            ("fault.nodes_crashed", self.record.crashed.unwrap_or(0)),
+            ("fault.nodes_crashed", self.record.crashed),
             ("fault.alpus_dead", t.alpus_dead),
             ("fault.nodes_restarted", t.nodes_restarted),
             ("fault.peers_failed", t.peers_failed),
             ("fault.peers_revived", t.peers_revived),
             ("fault.links_dead", t.links_dead),
         ] {
-            if n > 0 {
-                metrics.add(key, n);
-            }
+            metrics.add(key, n);
         }
         let p = &self.stat_prefix;
-        if self.work_items > 0 {
-            metrics.add(&format!("{p}.work_items"), self.work_items);
-        }
+        metrics.add(&format!("{p}.work_items"), self.work_items);
         metrics.publish_hist(&format!("{p}.work_service"), &self.work_service);
-        if !self.record.handled {
-            return;
-        }
-        let retired = self.retired_hists.iter().map(|(k, h)| (*k, h));
-        for (key, h) in retired.chain(self.latency_hists()) {
+        for (key, h) in self.latency_hists() {
             metrics.publish_hist(&format!("{p}.{key}"), h);
         }
     }

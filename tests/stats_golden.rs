@@ -5,13 +5,14 @@
 //! runs one small cluster and renders its registry; the concatenation
 //! must equal `golden/stats_registry.txt` byte for byte. Every case
 //! runs with metrics on, and its `Cluster::metrics().render()` is
-//! pinned the same way in `golden/metrics_registry.txt`. The cases
-//! cover every conditional NIC key group: the always-on counters
-//! (baseline and ALPU Fig. 5 points, a Fig. 6 point), the ALPU
-//! counters, the link-layer counters with and without the reliability
-//! layer, the overload (`flow.*`) counters, the component-fault
-//! counters through a crash, a restart and an ALPU death, and the
-//! collective-offload counters. Two baseline points sit past the
+//! pinned the same way in `golden/metrics_registry.txt`. A registry
+//! holds only non-zero counters, so a case shows the keys its run
+//! drove: the traversal, cache and occupancy counters (baseline and
+//! ALPU Fig. 5 points, a Fig. 6 point), the ALPU counters, the
+//! link-layer counters with and without the reliability layer, the
+//! overload (`flow.*`) counters, the component-fault counters through
+//! a crash, a restart and an ALPU death, and the collective-offload
+//! counters. Two baseline points sit past the
 //! ~410-entry knee of the NIC's 512-line L1 (Fig. 5 at depth 600,
 //! Fig. 6 at depth 500): their walks overflow the cache, so capacity
 //! misses, LRU victims and dirty write-backs reach the L1 counters and
@@ -301,7 +302,7 @@ fn assert_live(stats: &Stats, c: &Cluster, n: u32, at: Time) {
     let l1 = nic.core().mem().l1();
     let ls = nic
         .link()
-        .expect("wire faults turn the link layer on")
+        .expect("wire faults and fault schedules turn the link layer on")
         .stats();
     let live = [
         ("l1.misses", l1.misses()),
@@ -332,6 +333,11 @@ fn assert_live(stats: &Stats, c: &Cluster, n: u32, at: Time) {
         ("link.links_dead", ls.links_dead),
         ("flow.credits_granted", ls.credits_granted),
         ("flow.credits_received", ls.credits_received),
+        ("coll.offloaded", fw.coll_offloaded),
+        ("coll.declined", fw.coll_declined),
+        ("coll.steps_sent", fw.coll_steps_sent),
+        ("coll.steps_recv", fw.coll_steps_recv),
+        ("coll.rank_failed", fw.coll_rank_failed),
     ];
     for (key, v) in live {
         assert_eq!(
@@ -352,13 +358,8 @@ fn assert_live(stats: &Stats, c: &Cluster, n: u32, at: Time) {
 fn stats_read_mid_run_show_live_counters() {
     const RANKS: u32 = 5;
     let cluster = || {
-        let cfg = ClusterConfig::builder(NicConfig::baseline())
+        let cfg = ClusterConfig::builder(NicConfig::baseline().with_flow_control(2, 4, 1 << 10))
             .faults("seed=3,drop=0.03,corrupt=0.03".parse().expect("fault spec"))
-            .flow_control(mpiq::mpi::FlowControl {
-                eager_credits: 2,
-                max_unexpected: 4,
-                eager_buffer_bytes: 1 << 10,
-            })
             .build();
         let mut b0 = Script::builder();
         b0.sleep(Time::from_us(2));
@@ -390,4 +391,62 @@ fn stats_read_mid_run_show_live_counters() {
     }
     assert!(reads > 100, "only {reads} reads before the run ended");
     assert_eq!(cut.stats().to_json(), whole.stats().to_json());
+}
+
+/// A restarted node remembers nothing, and its keys say so. Two
+/// baseline ranks run one barrier, which each firmware declines
+/// (`coll.declined` 1) and the hosts replay; node 1 then crashes at
+/// 30 us and restarts at 130 us with nothing left to run. Reads cut
+/// every microsecond show each NIC's live counters, the `coll.*` ones
+/// among them, before the crash, while node 1 is down and after its
+/// restart, when its new incarnation has run no collective.
+#[test]
+fn restarted_nic_publishes_only_its_new_incarnation() {
+    let cluster = || {
+        let sched: FaultSchedule = "crash@30us:node=1,mttr=100us"
+            .parse()
+            .expect("spec grammar");
+        let cfg = ClusterConfig::builder(NicConfig::baseline())
+            .fault_schedule(sched)
+            .build();
+        let programs = (0..2)
+            .map(|_| {
+                let mut b = Script::builder();
+                b.coll(CollOp::Barrier, 0, 0, None);
+                boxed(b.build(mark_log()))
+            })
+            .collect();
+        Cluster::new(cfg, programs)
+    };
+    let mut whole = cluster();
+    whole.run();
+    let mut cut = cluster();
+    let mut declined_before_crash = false;
+    for us in 0..=200 {
+        let horizon = Time::from_us(us);
+        let _ = cut.run_watched(horizon);
+        let stats = cut.stats();
+        for n in 0..2 {
+            assert_live(&stats, &cut, n, horizon);
+        }
+        declined_before_crash |= us < 30 && stats.get("nic1.coll.declined") == 1;
+    }
+    assert!(declined_before_crash, "node 1 never declined its barrier");
+    let stats = cut.stats();
+    assert_eq!(stats.to_json(), whole.stats().to_json());
+    assert_eq!(stats.get("nic1.fault.crashed"), 1);
+    assert!(
+        stats.get("nic1.fault.incarnation") > 0,
+        "node 1 never restarted"
+    );
+    assert_eq!(stats.get("nic0.coll.declined"), 1);
+    let coll: Vec<(&str, u64)> = stats
+        .iter()
+        .filter(|(k, _)| k.starts_with("nic1.coll."))
+        .collect();
+    assert_eq!(
+        coll,
+        [],
+        "node 1's collective counters outlived its restart"
+    );
 }
