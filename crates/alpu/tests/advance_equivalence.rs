@@ -42,6 +42,20 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// An open insert session fed at the NIC's rhythm while headers keep
+/// arriving: matches delete entries that are still in flight.
+fn session_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        6 => (0u16..4).prop_map(Step::Insert),
+        4 => (0u16..4).prop_map(Step::Header),
+        1 => Just(Step::StartInsert),
+        1 => Just(Step::StopInsert),
+        3 => Just(Step::Pop),
+        6 => (0u16..4).prop_map(Step::Advance),
+        1 => (0u16..300).prop_map(Step::Advance),
+    ]
+}
+
 /// Compare every externally observable piece of state, plus the full
 /// statistics block (so elided cycles must be accounted identically).
 fn assert_same(fast: &Alpu, slow: &Alpu, step: usize) -> Result<(), TestCaseError> {
@@ -107,7 +121,9 @@ fn run(
     block: usize,
     result_depth: usize,
     script: Vec<Step>,
-) -> Result<(), TestCaseError> {
+) -> Result<u64, TestCaseError> {
+    // Successful matches that left an entry in flight behind them.
+    let mut in_flight_deletes = 0;
     let mut cfg = AlpuConfig::new(total, block, kind);
     // A shallow result FIFO makes flow-control freezes reachable.
     cfg.result_fifo_depth = result_depth;
@@ -159,7 +175,10 @@ fn run(
             Step::Advance(n) => {
                 fast.advance(n as u64);
                 for _ in 0..n {
+                    let before = slow.stats().match_successes;
                     slow.tick();
+                    let deleted = slow.stats().match_successes > before;
+                    in_flight_deletes += u64::from(deleted && !slow.array().is_compact());
                 }
             }
         }
@@ -172,7 +191,15 @@ fn run(
         slow.tick();
     }
     assert_same(&fast, &slow, usize::MAX)?;
-    Ok(())
+    Ok(in_flight_deletes)
+}
+
+/// Open an insert session, then run `script` on 256 cells in blocks of
+/// 16, the shipped block size.
+fn run_session(script: Vec<Step>) -> Result<u64, TestCaseError> {
+    let open = [Step::StartInsert, Step::Advance(8), Step::Pop];
+    let script = open.into_iter().chain(script).collect();
+    run(AlpuKind::PostedReceive, 256, 16, 4096, script)
 }
 
 proptest! {
@@ -225,6 +252,34 @@ proptest! {
     fn advance_equals_ticks_unexpected(script in prop::collection::vec(step(), 1..120)) {
         run(AlpuKind::Unexpected, 128, 16, 4096, script)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Headers arrive during an insert session on 256 cells, so deletes
+    /// land while entries are in flight.
+    #[test]
+    fn advance_equals_ticks_256_cells_headers_mid_session(
+        script in prop::collection::vec(session_step(), 1..160)
+    ) {
+        run_session(script)?;
+    }
+}
+
+/// The session scripts do delete entries while others are in flight.
+#[test]
+fn session_scripts_delete_while_entries_are_in_flight() {
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+    let steps = prop::collection::vec(session_step(), 1..160);
+    let deletes: u64 = (0..16)
+        .map(|seed| {
+            let script = steps.new_value(&mut TestRng::from_seed(seed));
+            run_session(script).expect("case passes")
+        })
+        .sum();
+    assert!(deletes > 0, "no match deleted an entry mid-compaction");
 }
 
 /// A 256-cell posted-receive unit, half full, with its insert session
