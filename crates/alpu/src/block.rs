@@ -24,11 +24,16 @@
 //! [`CellArray`] therefore keeps no per-cell state. It holds the packed
 //! run of entries at the top of the chain plus the few entries still in
 //! flight below it, and computes where compaction puts them after any
-//! number of cycles in closed form ([`CellArray::compact_cycles`]).
+//! number of cycles in closed form ([`CellArray::compact_cycles`]). While
+//! no in-flight entry sits directly under another, every one of them
+//! moves up a cell per cycle, so a span costs O(1) plus O(1) per entry
+//! that settles; only a span that starts with such a jam takes a pass
+//! over the in-flight entries.
 
 use crate::cell::{cell_matches, Cell};
 use crate::engine::AlpuKind;
 use crate::match_types::{Entry, MatchWord, Probe, Tag, MATCH_WIDTH};
+use std::collections::VecDeque;
 
 /// A binary 2-to-1 priority-mux tree over `matched` flags, returning the
 /// highest matching index and its tag — the hardware structure of
@@ -75,8 +80,11 @@ pub fn priority_select(matched: &[bool], tags: &[Tag]) -> Option<(usize, Tag)> {
 /// The cells are held as the packed top run (cells `top()..capacity`,
 /// oldest entry in the highest cell) plus the in-flight entries below it,
 /// each with its cell. Cell `top() - 1` is always empty, so an in-flight
-/// entry never touches the run. Only in-flight entries move, so
-/// compaction, insert and delete cost O(in-flight), not O(cells).
+/// entry never touches the run. Only in-flight entries move, and each
+/// one's cell is kept as an offset from one array-wide compaction clock:
+/// advancing the clock moves them all. Compaction is O(1) per span while
+/// the array flows free, plus O(1) per entry that settles; inserts and
+/// deletes of run entries are O(1) in the in-flight entries.
 #[derive(Clone, Debug)]
 pub struct CellArray {
     total: usize,
@@ -85,8 +93,18 @@ pub struct CellArray {
     /// The packed top run, oldest first: `run[j]` sits in cell
     /// `total - 1 - j`.
     run: Vec<Entry>,
-    /// In-flight entries and their cells, oldest (highest cell) first.
-    in_flight: Vec<(Entry, usize)>,
+    /// In-flight entries, oldest (highest cell) first, each with its cell
+    /// less `clock` (wrapping); see [`CellArray::at`].
+    in_flight: VecDeque<(Entry, usize)>,
+    /// The compaction clock. Adding to it moves every in-flight entry up.
+    clock: usize,
+    /// Whether some in-flight entry may sit directly under another and
+    /// wait on it. When false, none does, and every in-flight entry moves
+    /// up one cell per cycle until it settles. Only an insert under an
+    /// entry in cell 1 sets it; a delete merges two gaps into one no
+    /// narrower than either, and a span of compaction clears it once the
+    /// pass finds no jam left.
+    jammed: bool,
     /// Scratch for [`CellArray::compact_cycles`]: the candidates of its
     /// sliding-window minimum. Empty between calls.
     window: Vec<(usize, usize)>,
@@ -107,7 +125,9 @@ impl CellArray {
             block_size,
             kind,
             run: Vec::new(),
-            in_flight: Vec::new(),
+            in_flight: VecDeque::new(),
+            clock: 0,
+            jammed: false,
             window: Vec::new(),
         }
     }
@@ -147,6 +167,11 @@ impl CellArray {
         self.total - self.run.len()
     }
 
+    /// The cell of an in-flight entry stored with offset `off`.
+    fn at(&self, off: usize) -> usize {
+        off.wrapping_add(self.clock)
+    }
+
     /// Combinational match: returns `(cell index, tag)` of the oldest
     /// (highest-index) matching valid cell.
     ///
@@ -165,7 +190,7 @@ impl CellArray {
             .iter()
             .enumerate()
             .map(|(j, e)| (top_cell - j, e))
-            .chain(self.in_flight.iter().map(|(e, c)| (*c, e)))
+            .chain(self.in_flight.iter().map(|(e, off)| (self.at(*off), e)))
             .find(|(_, e)| cell_matches(self.kind, e, probe))
             .map(|(c, e)| (c, e.tag));
         debug_assert_eq!(
@@ -210,21 +235,24 @@ impl CellArray {
     /// hole is created.
     pub fn delete_shift(&mut self, loc: usize) {
         assert!(loc < self.total);
-        let below = if loc >= self.top() {
+        if loc >= self.top() {
             // Every in-flight entry sits below the run, so all shift.
             self.run.remove(self.total - 1 - loc);
-            0
+            self.clock = self.clock.wrapping_add(1);
         } else {
-            let k = self.in_flight.partition_point(|&(_, c)| c > loc);
+            let k = self
+                .in_flight
+                .partition_point(|&(_, off)| self.at(off) > loc);
             assert!(
-                self.in_flight.get(k).is_some_and(|&(_, c)| c == loc),
+                self.in_flight
+                    .get(k)
+                    .is_some_and(|&(_, off)| self.at(off) == loc),
                 "deleting an invalid cell"
             );
             self.in_flight.remove(k);
-            k
-        };
-        for (_, c) in &mut self.in_flight[below..] {
-            *c += 1;
+            for (_, off) in self.in_flight.range_mut(k..) {
+                *off = off.wrapping_add(1);
+            }
         }
         debug_assert!(self.well_formed());
     }
@@ -240,15 +268,22 @@ impl CellArray {
             // Cell 1 is the run's bottom: the new entry joins the run.
             self.run.push(e);
         } else {
-            self.in_flight.push((e, 0));
+            // Under an entry in cell 1, the new one waits a cycle for it.
+            self.jammed |= self.lowest_cell() == Some(1);
+            self.in_flight.push_back((e, self.clock.wrapping_neg()));
         }
         debug_assert!(self.well_formed());
         true
     }
 
+    /// The cell of the lowest in-flight entry.
+    fn lowest_cell(&self) -> Option<usize> {
+        self.in_flight.back().map(|&(_, off)| self.at(off))
+    }
+
     fn cell0_occupied(&self) -> bool {
-        match self.in_flight.last() {
-            Some(&(_, c)) => c == 0,
+        match self.lowest_cell() {
+            Some(c) => c == 0,
             None => self.top() == 0,
         }
     }
@@ -263,8 +298,8 @@ impl CellArray {
         moved
     }
 
-    /// `n` clocks of hole compaction in one pass over the in-flight list,
-    /// bit-identical to `n` calls of [`CellArray::compact_step`].
+    /// `n` clocks of hole compaction, bit-identical to `n` calls of
+    /// [`CellArray::compact_step`].
     ///
     /// Number the in-flight entries `k = 0, 1, ...` down from the top run,
     /// and let `pos_k(t)` be entry `k`'s cell `t` cycles from now, with
@@ -275,10 +310,15 @@ impl CellArray {
     /// `pos_k(n) = min(top() - 1 - k, n + min(pos_j(0) + 2j) - 2k)` over
     /// `j` in `k-n ..= k`: entry `k` runs free, or trails entry `j` by one
     /// cell per entry between them plus one cycle of start-up delay each.
-    /// The inner minimum slides down the list with a window of `n + 1`,
-    /// so one pass with a monotone queue computes every position. Entries
-    /// that reach `top() - 1 - k` have settled; they are a prefix of the
-    /// list and join the run.
+    /// Entries that reach `top() - 1 - k` have settled; they are a prefix
+    /// of the list and join the run.
+    ///
+    /// When no entry sits directly under another, the gaps between them
+    /// are at least two cells, so each entry's own term is its window
+    /// minimum: every entry runs free, `pos_k(n) = pos_k(0) + n` until it
+    /// settles, and the span is one step of the clock. Otherwise the inner
+    /// minimum slides down the list with a window of `n + 1`, and one pass
+    /// with a monotone queue computes every position.
     pub fn compact_cycles(&mut self, n: u64) {
         if n == 0 || self.in_flight.is_empty() {
             return;
@@ -286,13 +326,35 @@ impl CellArray {
         // Every entry settles within `2 * total` cycles (see
         // `settle_cycles`), so longer spans are the same span.
         let n = n.min(2 * self.total as u64) as usize;
+        if self.jammed {
+            self.compact_jammed(n);
+        } else {
+            self.clock = self.clock.wrapping_add(n);
+        }
+        // Settled entries join the run, nearest first. A free-running
+        // entry whose clock cell passed its final cell stopped there.
+        while let Some(&(e, off)) = self.in_flight.front() {
+            if self.at(off) < self.top() - 1 {
+                break;
+            }
+            self.in_flight.pop_front();
+            self.run.push(e);
+        }
+        self.jammed = self.jammed && self.has_jam();
+        debug_assert!(self.well_formed());
+    }
+
+    /// The sliding-window pass of [`CellArray::compact_cycles`] over a
+    /// span of `n` cycles that starts with a jam.
+    fn compact_jammed(&mut self, n: usize) {
         let top = self.top();
+        let clock = self.clock;
         // Candidates `(j, pos_j(0) + 2j)` for the window minimum, from
         // `head` on: indices and values both increase.
         let window = &mut self.window;
         let mut head = 0;
-        for (k, (_, cell)) in self.in_flight.iter_mut().enumerate() {
-            let q = *cell + 2 * k;
+        for (k, (_, off)) in self.in_flight.iter_mut().enumerate() {
+            let q = off.wrapping_add(clock) + 2 * k;
             while window.len() > head && window.last().is_some_and(|&(_, v)| v >= q) {
                 window.pop();
             }
@@ -300,18 +362,10 @@ impl CellArray {
             if window[head].0 + n < k {
                 head += 1;
             }
-            *cell = (top - 1 - k).min(n + window[head].1 - 2 * k);
+            let cell = (top - 1 - k).min(n + window[head].1 - 2 * k);
+            *off = cell.wrapping_sub(clock);
         }
         window.clear();
-        let settled = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .take_while(|&(k, &(_, c))| c == top - 1 - k)
-            .count();
-        self.run
-            .extend(self.in_flight.drain(..settled).map(|(e, _)| e));
-        debug_assert!(self.well_formed());
     }
 
     /// The cycle, counted from now, at which each in-flight entry joins
@@ -326,16 +380,21 @@ impl CellArray {
         self.in_flight
             .iter()
             .enumerate()
-            .scan(0u64, move |s, (k, &(_, c))| {
-                *s = (*s + 1).max((top - 1 - k - c) as u64);
+            .scan(0u64, move |s, (k, &(_, off))| {
+                *s = (*s + 1).max((top - 1 - k - self.at(off)) as u64);
                 Some(*s)
             })
     }
 
     /// Cycles of compaction until the array is compact: when the last
-    /// in-flight entry settles (0 if none is in flight).
+    /// in-flight entry settles (0 if none is in flight). Free of jams,
+    /// each entry settles a cycle or more after the one above it, so the
+    /// last one's own distance is the answer.
     pub(crate) fn cycles_to_compact(&self) -> u64 {
-        self.settle_cycles().last().unwrap_or(0)
+        match self.lowest_cell() {
+            Some(c) if !self.jammed => (self.top() - self.in_flight.len() - c) as u64,
+            _ => self.settle_cycles().last().unwrap_or(0),
+        }
     }
 
     /// Cycles of compaction until cell 0 is free for an insert: 0 if it
@@ -351,7 +410,7 @@ impl CellArray {
             .iter()
             .rev()
             .enumerate()
-            .take_while(|&(i, &(_, c))| c == i)
+            .take_while(|&(i, &(_, off))| self.at(off) == i)
             .count();
         Some(jam as u64)
     }
@@ -366,6 +425,7 @@ impl CellArray {
     pub fn reset(&mut self) {
         self.run.clear();
         self.in_flight.clear();
+        self.jammed = false;
     }
 
     /// Fault injection: flip one bit of a stored match word. `sel` picks
@@ -406,22 +466,32 @@ impl CellArray {
         if i >= self.top() {
             return Some(self.run[self.total - 1 - i]);
         }
-        let k = self.in_flight.partition_point(|&(_, c)| c > i);
+        let k = self.in_flight.partition_point(|&(_, off)| self.at(off) > i);
         self.in_flight
             .get(k)
-            .filter(|&&(_, c)| c == i)
+            .filter(|&&(_, off)| self.at(off) == i)
             .map(|&(e, _)| e)
     }
 
+    /// Whether some in-flight entry sits directly under another.
+    fn has_jam(&self) -> bool {
+        let cells = self.in_flight.iter().map(|&(_, off)| self.at(off));
+        cells
+            .clone()
+            .zip(cells.skip(1))
+            .any(|(above, c)| above == c + 1)
+    }
+
     /// In-flight cells strictly descend and stay below the empty cell
-    /// under the run.
+    /// under the run, and an array not marked jammed has no jam.
     fn well_formed(&self) -> bool {
         let mut above = self.top().saturating_sub(1);
-        self.in_flight.iter().all(|&(_, c)| {
+        self.in_flight.iter().all(|&(_, off)| {
+            let c = self.at(off);
             let ok = c < above;
             above = c;
             ok
-        })
+        }) && (self.jammed || !self.has_jam())
     }
 }
 

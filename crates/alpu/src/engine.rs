@@ -30,7 +30,9 @@
 //! the same state by jumping from one observable cycle to the next
 //! (an op completes, a retried insert finds cell 0 free, the last
 //! in-flight entry settles), moving the cell array there in closed form
-//! ([`crate::block::CellArray::compact_cycles`]).
+//! ([`crate::block::CellArray::compact_cycles`]): in O(1) plus O(1) per
+//! settling entry while no in-flight entry waits on another, which the
+//! every-other-cycle INSERT rhythm never causes.
 
 use crate::block::CellArray;
 use crate::match_types::{Entry, Probe, Tag};
@@ -375,8 +377,9 @@ impl Alpu {
     /// frees cell 0), or, when nothing can be scheduled, to the cycle the
     /// last in-flight entry settles and then to the end. Only the cycle
     /// that starts an op is a real tick. Compaction never forces a
-    /// per-cycle step: the cell array moves through any span in one pass
-    /// over its in-flight entries.
+    /// per-cycle step: the cell array moves through any span by one step
+    /// of its compaction clock, or, if an in-flight entry waits on the one
+    /// above it, in one pass over its in-flight entries.
     pub fn advance(&mut self, n: u64) {
         let mut left = n;
         while left > 0 {
