@@ -39,8 +39,8 @@ pub struct ClusterConfig {
     /// [`ClusterConfigBuilder::fault_schedule`].
     pub fault_schedule: Option<Arc<FaultSchedule>>,
     /// Fabric shape. [`Topology::Hub`] (the default) is the paper's
-    /// single crossbar. Any switched topology (fat tree, dragonfly,
-    /// torus) routes through switch components.
+    /// single crossbar. A switched topology (the fat tree) routes
+    /// through switch components.
     pub topology: Topology,
 }
 

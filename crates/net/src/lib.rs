@@ -9,8 +9,7 @@
 //! property MPI's ordering semantics are built on.
 //!
 //! Beyond the paper's crossbar, the crate also models switched fabrics:
-//! [`topo`] plans fat-tree, dragonfly, and 2-D-torus switch graphs with
-//! deterministic routing, and [`switch`] is the output-queued switch
+//! [`topo`] plans fat-tree switch graphs with deterministic routing, and [`switch`] is the output-queued switch
 //! component the cluster builder instantiates from a plan. Per-node
 //! attachment in both crossbar and switched modes goes through
 //! [`port`]'s `FabricPort`.

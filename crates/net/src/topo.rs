@@ -26,24 +26,6 @@ pub enum Topology {
         /// Number of spine switches (and uplinks per leaf).
         up: u32,
     },
-    /// Dragonfly: `groups` groups of `routers` routers each, full mesh
-    /// inside a group, one global link between each pair of groups.
-    /// Deterministic minimal routing (at most local-global-local).
-    Dragonfly {
-        /// Number of groups.
-        groups: u32,
-        /// Routers per group.
-        routers: u32,
-    },
-    /// 2-D torus, `x` by `y` switches with wraparound links and
-    /// dimension-order (x then y) shortest-path routing; wrap ties break
-    /// toward the positive direction.
-    Torus {
-        /// Ring size in the first dimension.
-        x: u32,
-        /// Ring size in the second dimension.
-        y: u32,
-    },
 }
 
 /// One routing decision at one switch for one destination node.
@@ -82,14 +64,11 @@ impl Topology {
         match self {
             Topology::Hub => None,
             Topology::FatTree { down, up } => Some(plan_fat_tree(nodes, down, up)),
-            Topology::Dragonfly { groups, routers } => Some(plan_dragonfly(nodes, groups, routers)),
-            Topology::Torus { x, y } => Some(plan_torus(nodes, x, y)),
         }
     }
 }
 
-/// Shared attachment: pack nodes onto `switches` switches in blocks of
-/// `per_sw`.
+/// Pack nodes onto `switches` switches in blocks of `per_sw`.
 fn attach_blocks(nodes: u32, switches: usize, per_sw: u32) -> (Vec<usize>, Vec<Vec<NodeId>>) {
     let attach: Vec<usize> = (0..nodes).map(|v| (v / per_sw) as usize).collect();
     let mut attached = vec![Vec::new(); switches];
@@ -141,141 +120,6 @@ fn plan_fat_tree(nodes: u32, down: u32, up: u32) -> TopoPlan {
     }
 }
 
-fn plan_dragonfly(nodes: u32, groups: u32, routers: u32) -> TopoPlan {
-    let (g, a) = (groups as usize, routers as usize);
-    assert!(g > 0 && a > 0, "dragonfly needs groups > 0 and routers > 0");
-    let switches = g * a;
-    let per_sw = nodes.div_ceil(switches as u32).max(1);
-    let (attach, attached) = attach_blocks(nodes, switches, per_sw);
-    // Global link between group `i`'s router `j % a` and group `j`'s
-    // router `i % a`, for every group pair — a consistent pairing both
-    // endpoints can compute locally.
-    let mut neighbors: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); switches];
-    for grp in 0..g {
-        for r in 0..a {
-            let me = grp * a + r;
-            for other in 0..a {
-                if other != r {
-                    neighbors[me].insert(grp * a + other);
-                }
-            }
-            for peer_grp in 0..g {
-                if peer_grp != grp && peer_grp % a == r {
-                    neighbors[me].insert(peer_grp * a + grp % a);
-                }
-            }
-        }
-    }
-    let neighbors: Vec<Vec<usize>> = neighbors
-        .into_iter()
-        .map(|s| s.into_iter().collect())
-        .collect();
-    let idx_of = |me: usize, target: usize| -> usize {
-        neighbors[me]
-            .binary_search(&target)
-            .unwrap_or_else(|_| panic!("switch {me} has no trunk to {target}"))
-    };
-    let mut routes = vec![Vec::with_capacity(nodes as usize); switches];
-    for d in 0..nodes {
-        let d_sw = attach[d as usize];
-        let (dg, _) = (d_sw / a, d_sw % a);
-        for grp in 0..g {
-            for r in 0..a {
-                let me = grp * a + r;
-                routes[me].push(if me == d_sw {
-                    RouteStep::Deliver
-                } else if grp == dg {
-                    // Intra-group: full mesh, one hop.
-                    RouteStep::Forward(idx_of(me, d_sw))
-                } else if r == dg % a {
-                    // I am the gateway toward the destination group: take
-                    // the global link to its paired router over there.
-                    RouteStep::Forward(idx_of(me, dg * a + grp % a))
-                } else {
-                    // Hop to my group's gateway for the destination group.
-                    RouteStep::Forward(idx_of(me, grp * a + dg % a))
-                });
-            }
-        }
-    }
-    TopoPlan {
-        nodes,
-        attach,
-        attached,
-        neighbors,
-        routes,
-    }
-}
-
-fn plan_torus(nodes: u32, x: u32, y: u32) -> TopoPlan {
-    let (x, y) = (x as usize, y as usize);
-    assert!(x > 0 && y > 0, "torus needs x > 0 and y > 0");
-    let switches = x * y;
-    let per_sw = nodes.div_ceil(switches as u32).max(1);
-    let (attach, attached) = attach_blocks(nodes, switches, per_sw);
-    let id = |i: usize, j: usize| j * x + i;
-    let mut neighbors: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); switches];
-    for j in 0..y {
-        for i in 0..x {
-            let me = id(i, j);
-            if x > 1 {
-                neighbors[me].insert(id((i + 1) % x, j));
-                neighbors[me].insert(id((i + x - 1) % x, j));
-            }
-            if y > 1 {
-                neighbors[me].insert(id(i, (j + 1) % y));
-                neighbors[me].insert(id(i, (j + y - 1) % y));
-            }
-        }
-    }
-    let neighbors: Vec<Vec<usize>> = neighbors
-        .into_iter()
-        .map(|s| s.into_iter().collect())
-        .collect();
-    let idx_of = |me: usize, target: usize| -> usize {
-        neighbors[me]
-            .binary_search(&target)
-            .unwrap_or_else(|_| panic!("switch {me} has no trunk to {target}"))
-    };
-    // One ring step toward `to` along the shortest direction; forward
-    // wins ties so both directions of a pair take mirrored paths.
-    let ring_step = |from: usize, to: usize, len: usize| -> usize {
-        let fwd = (to + len - from) % len;
-        let bwd = (from + len - to) % len;
-        if fwd <= bwd {
-            (from + 1) % len
-        } else {
-            (from + len - 1) % len
-        }
-    };
-    let mut routes = vec![Vec::with_capacity(nodes as usize); switches];
-    for d in 0..nodes {
-        let d_sw = attach[d as usize];
-        let (di, dj) = (d_sw % x, d_sw / x);
-        for j in 0..y {
-            for i in 0..x {
-                let me = id(i, j);
-                routes[me].push(if me == d_sw {
-                    RouteStep::Deliver
-                } else if i != di {
-                    RouteStep::Forward(idx_of(me, id(ring_step(i, di, x), j)))
-                } else {
-                    RouteStep::Forward(idx_of(me, id(i, ring_step(j, dj, y))))
-                });
-            }
-        }
-    }
-    TopoPlan {
-        nodes,
-        attach,
-        attached,
-        neighbors,
-        routes,
-    }
-}
-
 impl TopoPlan {
     /// Number of switches.
     pub fn switches(&self) -> usize {
@@ -308,51 +152,26 @@ impl TopoPlan {
 mod tests {
     use super::*;
 
-    fn all_plans(nodes: u32) -> Vec<(&'static str, TopoPlan)> {
-        vec![
-            (
-                "fat-tree",
-                Topology::FatTree { down: 4, up: 2 }.plan(nodes).unwrap(),
-            ),
-            (
-                "dragonfly",
-                Topology::Dragonfly {
-                    groups: 3,
-                    routers: 2,
-                }
-                .plan(nodes)
-                .unwrap(),
-            ),
-            ("torus", Topology::Torus { x: 3, y: 2 }.plan(nodes).unwrap()),
-        ]
+    fn fat_tree(nodes: u32) -> TopoPlan {
+        Topology::FatTree { down: 4, up: 2 }.plan(nodes).unwrap()
     }
 
-    /// Every pair routes to the destination's switch, within a
-    /// topology-appropriate hop bound, and the route ends with Deliver at
+    /// Every pair routes to the destination's switch in at most three
+    /// switches (leaf, spine, leaf), and the route ends with Deliver at
     /// the switch the destination attaches to.
     #[test]
     fn routes_reach_every_destination() {
         for nodes in [1u32, 5, 13, 24] {
-            for (name, plan) in all_plans(nodes) {
-                let bound = match name {
-                    "fat-tree" => 3,
-                    "dragonfly" => 4,
-                    _ => plan.switches(),
-                };
-                for s in 0..nodes {
-                    for d in 0..nodes {
-                        let path = plan.trace_route(s, d);
-                        assert_eq!(
-                            *path.last().unwrap(),
-                            plan.attach[d as usize],
-                            "{name}: {s}->{d} ends at wrong switch"
-                        );
-                        assert!(
-                            path.len() <= bound,
-                            "{name}: {s}->{d} takes {} hops",
-                            path.len()
-                        );
-                    }
+            let plan = fat_tree(nodes);
+            for s in 0..nodes {
+                for d in 0..nodes {
+                    let path = plan.trace_route(s, d);
+                    assert_eq!(
+                        *path.last().unwrap(),
+                        plan.attach[d as usize],
+                        "{s}->{d} ends at wrong switch"
+                    );
+                    assert!(path.len() <= 3, "{s}->{d} takes {} hops", path.len());
                 }
             }
         }
@@ -362,14 +181,13 @@ mod tests {
     /// `neighbors[b]` — every Forward has a wire back the other way.
     #[test]
     fn trunks_are_symmetric() {
-        for (name, plan) in all_plans(16) {
-            for (a, ns) in plan.neighbors.iter().enumerate() {
-                for &b in ns {
-                    assert!(
-                        plan.neighbors[b].contains(&a),
-                        "{name}: trunk {a}->{b} has no reverse"
-                    );
-                }
+        let plan = fat_tree(16);
+        for (a, ns) in plan.neighbors.iter().enumerate() {
+            for &b in ns {
+                assert!(
+                    plan.neighbors[b].contains(&a),
+                    "trunk {a}->{b} has no reverse"
+                );
             }
         }
     }
@@ -379,26 +197,24 @@ mod tests {
     /// switch graph.
     #[test]
     fn routing_is_deterministic() {
-        for (_, plan) in all_plans(12) {
-            for s in 0..12 {
-                for d in 0..12 {
-                    assert_eq!(plan.trace_route(s, d), plan.trace_route(s, d));
-                }
+        let plan = fat_tree(12);
+        for s in 0..12 {
+            for d in 0..12 {
+                assert_eq!(plan.trace_route(s, d), plan.trace_route(s, d));
             }
         }
     }
 
-    /// The hub has no plan; every switched topology covers all nodes.
+    /// The hub has no plan; the fat tree attaches every node.
     #[test]
     fn attachment_covers_all_nodes() {
         assert!(Topology::Hub.plan(8).is_none());
-        for (name, plan) in all_plans(17) {
-            assert_eq!(plan.attach.len(), 17, "{name}");
-            let total: usize = plan.attached.iter().map(Vec::len).sum();
-            assert_eq!(total, 17, "{name}: nodes lost in attachment");
-            for (v, &s) in plan.attach.iter().enumerate() {
-                assert!(plan.attached[s].contains(&(v as u32)), "{name}");
-            }
+        let plan = fat_tree(17);
+        assert_eq!(plan.attach.len(), 17);
+        let total: usize = plan.attached.iter().map(Vec::len).sum();
+        assert_eq!(total, 17, "nodes lost in attachment");
+        for (v, &s) in plan.attach.iter().enumerate() {
+            assert!(plan.attached[s].contains(&(v as u32)));
         }
     }
 
@@ -406,7 +222,7 @@ mod tests {
     /// destination, so any (src, dst) pair has exactly one path.
     #[test]
     fn fat_tree_spine_choice_is_destination_keyed() {
-        let plan = Topology::FatTree { down: 4, up: 2 }.plan(16).unwrap();
+        let plan = fat_tree(16);
         for d in 0..16u32 {
             let spines: std::collections::HashSet<usize> = (0..16u32)
                 .filter(|&s| plan.attach[s as usize] != plan.attach[d as usize])
