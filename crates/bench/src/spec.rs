@@ -169,7 +169,7 @@ impl RunSpec {
                     configs,
                     max_queue: cli.get("max-queue", 500),
                     step: cli.get("step", 25),
-                    fractions: cli.get_list("fractions", vec![0.0, 0.25, 0.5, 0.75, 1.0]),
+                    fractions: fractions(cli)?,
                     sizes: cli.get_list("sizes", vec![0, 1024, 8192]),
                 }
             }
@@ -254,6 +254,18 @@ impl RunSpec {
             faults: cli.common.faults,
             sweep_threads: cli.common.sweep_threads,
         })
+    }
+}
+
+/// Fig. 5's `--fractions`, each a share of the posted queue a message
+/// traverses, so in [0, 1].
+fn fractions(cli: &Cli) -> Result<Vec<f64>, String> {
+    let fractions = cli.get_list("fractions", vec![0.0, 0.25, 0.5, 0.75, 1.0]);
+    match fractions.iter().find(|f| !(0.0..=1.0).contains(*f)) {
+        Some(f) => Err(format!(
+            "invalid value for --fractions: {f} is not in [0, 1]"
+        )),
+        None => Ok(fractions),
     }
 }
 

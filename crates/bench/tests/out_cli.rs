@@ -1,7 +1,8 @@
 //! The bins' `--out` and common-flag surface: an `--out` or
 //! `--trace-out` path that cannot be written is a one-line error and
 //! exit 1, never a panic, a common flag a bin does not read is an
-//! unknown flag (exit 2), and a closed stdout is not an error.
+//! unknown flag (exit 2), an out-of-range value is a usage error (exit
+//! 2), and a closed stdout is not an error.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -98,6 +99,18 @@ fn common_flags_a_bin_does_not_read_are_unknown() {
             "{exe} {args:?}: {stderr}"
         );
     }
+}
+
+/// A traversal fraction outside [0, 1] is a usage error: exit 2 and one
+/// line naming the flag, before anything runs.
+#[test]
+fn out_of_range_fractions_exit_2() {
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_fig5"), &["--fractions", "2,-1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "fig5: invalid value for --fractions: 2 is not in [0, 1]\n"
+    );
 }
 
 /// A bin whose stdout is closed prints nothing more: it exits as it

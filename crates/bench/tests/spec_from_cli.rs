@@ -163,3 +163,26 @@ fn curve_modes_parse_into_the_soak_spec() {
         Some(SoakCurve::Incast)
     );
 }
+
+/// A Fig. 5 traversal fraction outside [0, 1], or NaN, names no run the
+/// bench can make: the spec refuses it instead of clamping it.
+#[test]
+fn fractions_outside_the_unit_interval_are_rejected() {
+    for bad in ["2,-1", "1.5", "-0.25", "0.5,NaN"] {
+        let cli = Cli::try_parse_from(
+            "fig5",
+            "test",
+            flags("fig5"),
+            ["--fractions", bad].map(String::from),
+        )
+        .expect("the flag itself parses");
+        let err = RunSpec::from_cli("fig5", &cli).expect_err(bad);
+        assert!(err.starts_with("invalid value for --fractions: "), "{err}");
+        assert!(!err.contains('\n'), "{err}");
+    }
+    let bench = spec_from_args("fig5", &["--fractions", "0,1"]).bench;
+    assert!(
+        matches!(bench, BenchSpec::Fig5 { ref fractions, .. } if fractions == &[0.0, 1.0]),
+        "{bench:?}"
+    );
+}
