@@ -4,14 +4,17 @@
 //!
 //! ```text
 //! cargo run --release -p mpiq-bench --bin scaling -- [--senders 16] [--msgs 64]
-//!     [--size 512] [--scenarios incast,hetero]
+//!     [--size 512] [--scenarios incast,alpu,hetero]
 //!     [--out BENCH_scaling.json] [--check BENCH_scaling.json] [--tolerance 25]
 //! ```
 //!
-//! Two wire profiles:
+//! Three scenarios:
 //!
 //! * `incast` — uniform 200 ns wires; this row tracks raw engine
 //!   throughput.
+//! * `alpu` — the same incast with 128-entry ALPUs on every NIC, so the
+//!   unexpected ALPU takes an insert per arrival; this row tracks the
+//!   ALPU cycle model's share of the engine's throughput.
 //! * `hetero` — the same incast over 1 µs wires with one 10 ns edge
 //!   (nodes 1↔2): a mix of short and long link latencies in one queue.
 //!

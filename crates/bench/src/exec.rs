@@ -538,6 +538,7 @@ fn scaling_cfg(
     cfg.deadline = scaling_deadline(msgs);
     match scenario {
         "incast" => {}
+        "alpu" => cfg.alpu = true,
         "hetero" => {
             cfg.net.wire_latency = Time::from_us(1);
             cfg.net.profile = WireProfile::ShortPair {
@@ -548,7 +549,7 @@ fn scaling_cfg(
         }
         other => {
             return Err(format!(
-                "unknown scenario `{other}` (expected incast or hetero)"
+                "unknown scenario `{other}` (expected incast, alpu or hetero)"
             ))
         }
     }
@@ -1132,5 +1133,14 @@ mod tests {
         assert_eq!(cfg(256).deadline, soak * 16);
         assert_eq!(cfg(1024).deadline, soak * 256);
         assert!(scaling_deadline(u32::MAX) > scaling_deadline(1024));
+    }
+
+    /// The `alpu` scenario is the incast with ALPUs; the others have none.
+    #[test]
+    fn only_the_alpu_scaling_scenario_attaches_alpus() {
+        let alpu = |scenario| scaling_cfg(scenario, 16, 64, 512, 1).unwrap().alpu;
+        assert!(alpu("alpu"));
+        assert!(!alpu("incast") && !alpu("hetero"));
+        assert!(scaling_cfg("torus", 16, 64, 512, 1).is_err());
     }
 }

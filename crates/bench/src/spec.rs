@@ -229,7 +229,7 @@ impl RunSpec {
                 size: cli.get("size", 512),
                 scenarios: cli.get_list(
                     "scenarios",
-                    vec!["incast".to_string(), "hetero".to_string()],
+                    ["incast", "alpu", "hetero"].map(String::from).to_vec(),
                 ),
             },
             "collectives" => BenchSpec::Collectives {
@@ -400,7 +400,7 @@ pub fn flags(name: &str) -> &'static [Flag] {
             Flag {
                 name: "scenarios",
                 value: Some("LIST"),
-                help: "wire profiles to run: incast, hetero (default both)",
+                help: "scenarios to run: incast, alpu, hetero (default all three)",
             },
             Flag {
                 name: "check",
