@@ -12,9 +12,9 @@
 //!
 //! * `incast` — uniform 200 ns wires; this row tracks raw engine
 //!   throughput.
-//! * `alpu` — the same incast with 128-entry ALPUs on every NIC, so the
-//!   unexpected ALPU takes an insert per arrival; this row tracks the
-//!   ALPU cycle model's share of the engine's throughput.
+//! * `alpu` — the same incast on NICs with 128-entry ALPUs (the soak's
+//!   `--alpu`); this row puts the ALPU cycle model in the measured
+//!   throughput.
 //! * `hetero` — the same incast over 1 µs wires with one 10 ns edge
 //!   (nodes 1↔2): a mix of short and long link latencies in one queue.
 //!

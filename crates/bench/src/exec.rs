@@ -1141,6 +1141,6 @@ mod tests {
         let alpu = |scenario| scaling_cfg(scenario, 16, 64, 512, 1).unwrap().alpu;
         assert!(alpu("alpu"));
         assert!(!alpu("incast") && !alpu("hetero"));
-        assert!(scaling_cfg("torus", 16, 64, 512, 1).is_err());
+        assert!(scaling_cfg("fattree", 16, 64, 512, 1).is_err());
     }
 }
