@@ -268,3 +268,164 @@ mod tests {
         assert_eq!(counts.iter().sum::<u64>(), sim.events_processed());
     }
 }
+
+#[cfg(test)]
+mod oracle {
+    //! `Shard` against a reference model: every pending event in one
+    //! list, delivered smallest `(time, push order)` first.
+
+    use crate::component::ComponentId;
+    use crate::event::{InPort, Payload};
+    use crate::shard::Shard;
+    use crate::time::Time;
+    use proptest::prelude::*;
+
+    /// One step of a pending-set script. Push times are offsets
+    /// from the time of the last delivered event, as a handler's
+    /// emissions are.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// `n` pushes at one time.
+        Burst { at: u64, n: usize },
+        /// `n` pushes at `at`, `at + step`, …, like a host
+        /// dispatching the requests of one step.
+        Batch { at: u64, step: u64, n: usize },
+        /// One push `back` ps before the last push, but not before
+        /// the last delivery.
+        Early { back: u64 },
+        /// Deliver up to `n` events due by `ahead` ps after the
+        /// last delivery.
+        Pop { ahead: u64, n: usize },
+        /// A horizon 1 ps below the next event, which must deliver
+        /// nothing, then a push `back` ps before that event (a
+        /// watchdog deadline, then more posts).
+        Stall { back: u64 },
+        /// Deliver every pending event.
+        Drain,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (0u64..40, 1usize..12).prop_map(|(at, n)| Op::Burst { at, n }),
+            3 => (0u64..40, 0u64..6, 1usize..60)
+                .prop_map(|(at, step, n)| Op::Batch { at, step, n }),
+            2 => (1u64..30).prop_map(|back| Op::Early { back }),
+            4 => (0u64..60, 1usize..40).prop_map(|(ahead, n)| Op::Pop { ahead, n }),
+            1 => (1u64..30).prop_map(|back| Op::Stall { back }),
+            1 => Just(Op::Drain),
+        ]
+    }
+
+    /// The shard under test and its model, fed the same pushes.
+    #[derive(Default)]
+    struct Pair {
+        shard: Shard,
+        /// Pending `(time, push number)`, unordered.
+        model: Vec<(Time, u64)>,
+        pushes: u64,
+        /// Time of the last delivered event.
+        now: Time,
+        /// Time of the last push.
+        tail: Time,
+    }
+
+    impl Pair {
+        fn push(&mut self, time: Time) {
+            let id = self.pushes;
+            self.pushes += 1;
+            self.tail = time;
+            let dst = ComponentId((id % 7) as u32);
+            self.shard
+                .push(time, dst, InPort((id % 3) as u16), Payload::new(id));
+            self.model.push((time, id));
+        }
+
+        /// One `pop_until(horizon)` on both sides; did it deliver?
+        fn pop(&mut self, horizon: Time) -> Result<bool, TestCaseError> {
+            let want = self
+                .model
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &key)| key)
+                .filter(|&(_, &(time, _))| time <= horizon)
+                .map(|(i, _)| i);
+            let got = self.shard.pop_until(horizon);
+            match (want, got) {
+                (None, None) => Ok(false),
+                (Some(i), Some(ev)) => {
+                    let (time, id) = self.model.swap_remove(i);
+                    prop_assert_eq!(ev.time, time);
+                    prop_assert_eq!(ev.dst, ComponentId((id % 7) as u32));
+                    prop_assert_eq!(ev.port, InPort((id % 3) as u16));
+                    prop_assert_eq!(*ev.payload.downcast::<u64>().unwrap(), id);
+                    self.now = time;
+                    Ok(true)
+                }
+                (want, got) => {
+                    let want = want.map(|i| self.model[i]);
+                    let got = got.map(|ev| (ev.time, *ev.payload.downcast::<u64>().unwrap()));
+                    Err(TestCaseError::fail(format!(
+                        "pop_until({horizon:?}): model {want:?}, shard {got:?}"
+                    )))
+                }
+            }
+        }
+
+        fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
+            match *op {
+                Op::Burst { at, n } => {
+                    let time = self.now + Time::from_ps(at);
+                    for _ in 0..n {
+                        self.push(time);
+                    }
+                }
+                Op::Batch { at, step, n } => {
+                    for i in 0..n as u64 {
+                        self.push(self.now + Time::from_ps(at + step * i));
+                    }
+                }
+                Op::Early { back } => {
+                    let time = self.tail.saturating_sub(Time::from_ps(back));
+                    self.push(time.max(self.now));
+                }
+                Op::Pop { ahead, n } => {
+                    let horizon = self.now + Time::from_ps(ahead);
+                    for _ in 0..n {
+                        if !self.pop(horizon)? {
+                            break;
+                        }
+                    }
+                }
+                Op::Stall { back } => {
+                    let Some(&(next, _)) = self.model.iter().min() else {
+                        return Ok(());
+                    };
+                    if next > self.now {
+                        prop_assert!(!self.pop(next - Time::PS)?);
+                    }
+                    let time = next.saturating_sub(Time::from_ps(back));
+                    self.push(time.max(self.now));
+                }
+                Op::Drain => while self.pop(Time::MAX)? {},
+            }
+            prop_assert_eq!(self.shard.is_empty(), self.model.is_empty());
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every script delivers the model's events in the model's
+        /// order, and ends with both sides empty.
+        #[test]
+        fn shard_matches_sorted_model(ops in prop::collection::vec(op(), 1..60)) {
+            let mut pair = Pair::default();
+            for op in &ops {
+                pair.apply(op)?;
+            }
+            pair.apply(&Op::Drain)?;
+            prop_assert!(pair.shard.is_empty());
+        }
+    }
+}
