@@ -1,12 +1,12 @@
-//! The one shard behind [`Simulation`](crate::Simulation): the event
-//! heap that holds every pending event, and the key that orders it.
+//! The one shard behind [`Simulation`](crate::Simulation): the set of
+//! pending events, and the key that orders it.
 //!
 //! A simulation has exactly one shard, so every component shares one
-//! binary heap. Events are ordered by the key `(time, seq)`:
+//! pending set. Events are ordered by the key `(time, seq)`:
 //!
 //! * `time` is the delivery time;
 //! * `seq` is a global emission counter. Every event gets the next
-//!   value when it enters the heap — through
+//!   value when it is queued — through
 //!   [`Simulation::post`](crate::Simulation::post), or when the handler
 //!   that emitted it returns (its emissions are committed in the order
 //!   the handler made them).
@@ -15,14 +15,35 @@
 //! every component in the simulation. That key fixes the whole schedule
 //! from the inputs alone: no allocation order, hash iteration or thread
 //! timing enters it.
+//!
+//! # Runs
+//!
+//! Pending events are kept in *runs*: lists already in key order. A
+//! push whose time is no earlier than the previous push's joins that
+//! push's run (its `seq` is larger, so the run stays sorted); any other
+//! push starts a run. A host that dispatches a step's requests at
+//! increasing times fills one run, as does a chain of handlers each
+//! emitting a little later than the last.
+//!
+//! A binary heap holds one entry per run, keyed by the run's first
+//! event. Each run is sorted, so the smallest entry is the smallest
+//! pending key: delivery order is exactly that of one heap over every
+//! event, but the heap sifts over runs, not over every pre-dispatched
+//! request. Delivering a run's first event re-keys its entry in place
+//! with the run's next event, or removes the entry when the run is done.
+//!
+//! Every pending event sits in one slab of list nodes shared by all
+//! runs, and a delivered event's node is reused by the next push, so
+//! the set's memory follows the number of pending events.
 
 use crate::component::ComponentId;
 use crate::event::{Event, InPort, Payload};
 use crate::time::Time;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-/// One pending event, ordered by its `(time, seq)` key.
+/// One pending event.
 struct Scheduled {
     time: Time,
     seq: u64,
@@ -31,27 +52,35 @@ struct Scheduled {
     payload: Payload,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+/// A run's heap entry: the key of its first event, and that event's
+/// node in [`Shard::nodes`]. `seq` is unique, so `node` never decides
+/// an order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    time: Time,
+    seq: u64,
+    node: u32,
 }
 
-/// The event heap of a simulation, with its emission counter.
+/// A slab slot: a pending event and the next node of its run, or, with
+/// no event, a free slot and the next free one.
+struct Node {
+    ev: Option<Scheduled>,
+    next: Option<u32>,
+}
+
+/// The pending events of a simulation, with its emission counter.
 #[derive(Default)]
 pub(crate) struct Shard {
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    /// One entry per run.
+    heap: BinaryHeap<Reverse<Head>>,
+    /// Every pending event; each run is a list through `next`.
+    nodes: Vec<Node>,
+    /// The first free node, the others listed through `next`.
+    free: Option<u32>,
+    /// The last node of the run the previous push went to and that
+    /// push's time, while that node is pending.
+    last: Option<(u32, Time)>,
     /// The next emission's tie-break number.
     seq: u64,
 }
@@ -62,23 +91,66 @@ impl Shard {
     pub(crate) fn push(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
+        let ev = Some(Scheduled {
             time,
             seq,
             dst,
             port,
             payload,
-        }));
+        });
+        let node = match self.free {
+            Some(node) => {
+                let slot = &mut self.nodes[node as usize];
+                self.free = slot.next.take();
+                slot.ev = ev;
+                node
+            }
+            None => {
+                self.nodes.push(Node { ev, next: None });
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        match self.last {
+            // `seq` grows with every push, so a time no earlier than
+            // the run's tail keeps the run in key order.
+            Some((tail, at)) if time >= at => self.nodes[tail as usize].next = Some(node),
+            _ => self.heap.push(Reverse(Head { time, seq, node })),
+        }
+        self.last = Some((node, time));
     }
 
     /// Remove the event with the smallest key if its time is at most
-    /// `horizon`.
+    /// `horizon`. A first event past the horizon leaves the heap
+    /// untouched.
     #[inline]
     pub(crate) fn pop_until(&mut self, horizon: Time) -> Option<Event> {
-        if self.heap.peek()?.0.time > horizon {
+        let mut top = self.heap.peek_mut()?;
+        if top.0.time > horizon {
             return None;
         }
-        let Reverse(ev) = self.heap.pop().expect("peeked above");
+        let node = top.0.node;
+        let slot = &mut self.nodes[node as usize];
+        let ev = slot.ev.take().expect("a run's node holds an event");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = Some(node);
+        match next {
+            // Re-key the run in place; the heap sifts it down on drop.
+            Some(next) => {
+                let head = self.nodes[next as usize].ev.as_ref();
+                let head = head.expect("a run's node holds an event");
+                top.0 = Head {
+                    time: head.time,
+                    seq: head.seq,
+                    node: next,
+                };
+            }
+            None => {
+                PeekMut::pop(top);
+                if self.last.is_some_and(|(tail, _)| tail == node) {
+                    self.last = None;
+                }
+            }
+        }
         Some(Event {
             time: ev.time,
             dst: ev.dst,
