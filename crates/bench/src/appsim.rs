@@ -9,6 +9,7 @@
 //! (maximum and time-weighted average) and total run time per NIC
 //! configuration.
 
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::{mark_log, ScriptBuilder};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script, CTX_INTERNAL};
@@ -262,14 +263,15 @@ fn alltoall(b: &mut ScriptBuilder, me: u32, n: u32, len: u32, instance: u16) {
     b.wait_all(slots);
 }
 
-/// Run one pattern on one NIC configuration and collect the queue study.
-pub fn run_app(nic: NicConfig, pattern: AppPattern) -> AppStudy {
+/// Run one pattern on one NIC configuration and collect the queue
+/// study, or return the watchdog's diagnosis if a rank never finishes.
+pub fn run_app(nic: NicConfig, pattern: AppPattern) -> Result<AppStudy, Box<Diagnosis>> {
     let programs = build_programs(pattern)
         .into_iter()
         .map(|s| Box::new(s) as Box<dyn AppProgram>)
         .collect();
     let mut cluster = Cluster::new(ClusterConfig::new(nic), programs);
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
     let ranks = pattern.ranks();
     let stats = cluster.stats();
     let mut max_posted = 0;
@@ -289,14 +291,14 @@ pub fn run_app(nic: NicConfig, pattern: AppPattern) -> AppStudy {
             + stats.get(&format!("{p}.unexpected.traversed"));
     }
     let denom = sampled_ns.max(1) as f64;
-    AppStudy {
+    Ok(AppStudy {
         max_posted,
         avg_posted: posted_int as f64 / denom,
         max_unexpected,
         avg_unexpected: unexp_int as f64 / denom,
         traversed,
         runtime: cluster.now(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -312,7 +314,8 @@ mod tests {
                 iters: 8,
                 prepost_depth: 1,
             },
-        );
+        )
+        .unwrap();
         let deep = run_app(
             NicConfig::baseline(),
             AppPattern::Stencil2D {
@@ -320,7 +323,8 @@ mod tests {
                 iters: 8,
                 prepost_depth: 8,
             },
-        );
+        )
+        .unwrap();
         assert!(
             deep.max_posted > shallow.max_posted + 10,
             "pre-posting depth must show in the queue: {} vs {}",
@@ -338,7 +342,8 @@ mod tests {
                 rounds: 8,
                 compute_ns: 5_000,
             },
-        );
+        )
+        .unwrap();
         assert!(
             s.max_unexpected >= 6,
             "late ANY_SOURCE postings must leave unexpected buildup: {}",
@@ -351,7 +356,8 @@ mod tests {
         let s = run_app(
             NicConfig::baseline(),
             AppPattern::Wavefront { side: 3, sweeps: 4 },
-        );
+        )
+        .unwrap();
         assert!(s.runtime > Time::ZERO);
     }
 
@@ -369,7 +375,7 @@ mod tests {
             NicConfig::with_alpus(128),
             NicConfig::with_hash(32),
         ] {
-            let s = run_app(nic, pat);
+            let s = run_app(nic, pat).unwrap();
             assert!(s.runtime > Time::ZERO);
             assert!(s.max_posted + s.max_unexpected > 0, "all-to-all must queue");
         }
@@ -382,8 +388,8 @@ mod tests {
             iters: 10,
             prepost_depth: 10,
         };
-        let base = run_app(NicConfig::baseline(), pat);
-        let alpu = run_app(NicConfig::with_alpus(128), pat);
+        let base = run_app(NicConfig::baseline(), pat).unwrap();
+        let alpu = run_app(NicConfig::with_alpus(128), pat).unwrap();
         assert!(
             alpu.traversed * 2 < base.traversed,
             "ALPU must absorb most of the search: {} vs {}",

@@ -19,9 +19,11 @@ use crate::{
     postloop_rtt, preposted_latency_cfg, run_parallel, run_soak, unexpected_latency_cfg,
     NicVariant, PostLoopPoint, PrepostedPoint, Scenario, SoakConfig, SoakOutcome, UnexpectedPoint,
 };
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_net::{Topology, WireProfile};
 use mpiq_nic::NicConfig;
+use std::fmt::Debug;
 use std::time::Instant;
 
 /// Run the spec in-process.
@@ -52,7 +54,7 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
             sizes,
         } => fig6(spec, *max_queue, *step, sizes, &mut result)?,
         BenchSpec::Gap { burst } => gap(spec, *burst, &mut result)?,
-        BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result),
+        BenchSpec::Breakeven { max_queue } => breakeven(spec, *max_queue, &mut result)?,
         BenchSpec::Soak { .. } => soak(spec, &mut result)?,
         BenchSpec::Scaling {
             senders,
@@ -68,14 +70,20 @@ pub fn execute(spec: &RunSpec) -> Result<RunResult, String> {
             len,
             iters,
         } => collectives(ranks, ops, topos, modes, *len, *iters, &mut result)?,
-        BenchSpec::Appstudy => appstudy(spec, &mut result),
+        BenchSpec::Appstudy => appstudy(spec, &mut result)?,
         BenchSpec::AblationBlock => ablation_block(&mut result),
-        BenchSpec::AblationHash => ablation_hash(spec, &mut result),
-        BenchSpec::AblationPrefetch => ablation_prefetch(spec, &mut result),
-        BenchSpec::AblationThreshold => ablation_threshold(spec, &mut result),
-        BenchSpec::AblationWildcard => ablation_wildcard(spec, &mut result),
+        BenchSpec::AblationHash => ablation_hash(spec, &mut result)?,
+        BenchSpec::AblationPrefetch => ablation_prefetch(spec, &mut result)?,
+        BenchSpec::AblationThreshold => ablation_threshold(spec, &mut result)?,
+        BenchSpec::AblationWildcard => ablation_wildcard(spec, &mut result)?,
     }
     Ok(result)
+}
+
+/// A point whose run stalled, as one line: the point, then the
+/// headline of the watchdog's diagnosis.
+fn stalled(point: impl Debug) -> impl FnOnce(Box<Diagnosis>) -> String {
+    move |d| format!("{point:?} stalled: {}", d.headline())
 }
 
 fn fig5(
@@ -119,7 +127,7 @@ fn fig5(
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
-        let r = preposted_latency_cfg(cfg, p);
+        let r = preposted_latency_cfg(cfg, p).map_err(stalled((v, p)))?;
         let mut row = ResultRow(vec![
             ("config", Text(v.label().to_string())),
             ("queue_len", Int(p.queue_len as u64)),
@@ -132,8 +140,10 @@ fn fig5(
         if faults.is_some() {
             row.0.extend(r.faults.cells());
         }
-        row
-    });
+        Ok(row)
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
 
     // Headline summary (paper §VI-B shape checks).
     for &v in variants {
@@ -192,7 +202,7 @@ fn fig6(
         if let Some(f) = faults {
             cfg = cfg.with_faults(f);
         }
-        let r = unexpected_latency_cfg(cfg, p);
+        let r = unexpected_latency_cfg(cfg, p).map_err(stalled((v, p)))?;
         let mut row = ResultRow(vec![
             ("config", Text(v.label().to_string())),
             ("queue_len", Int(p.queue_len as u64)),
@@ -203,8 +213,10 @@ fn fig6(
         if faults.is_some() {
             row.0.extend(r.faults.cells());
         }
-        row
-    });
+        Ok(row)
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
 
     // Crossover summary: first queue length where the ALPU clearly wins.
     for alpu in [NicVariant::Alpu128, NicVariant::Alpu256] {
@@ -242,18 +254,21 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
                 burst,
                 msg_size: 0,
             };
-            message_gap(v.config(), point).gap
+            message_gap(v.config(), point).map_err(stalled((v, point)))
         });
+        let [b, a128, a256] = [b?.gap, a128?.gap, a256?.gap];
         let rate = |g: Time| 1e9 / g.as_ns_f64();
-        ResultRow(vec![
+        Ok(ResultRow(vec![
             ("queue_len", Int(q as u64)),
             ("baseline_gap_ns", Real(b.as_ns_f64(), Some(1))),
             ("alpu128_gap_ns", Real(a128.as_ns_f64(), Some(1))),
             ("alpu256_gap_ns", Real(a256.as_ns_f64(), Some(1))),
             ("baseline_rate_msgs_per_s", Real(rate(b), Some(0))),
             ("alpu256_rate_msgs_per_s", Real(rate(a256), Some(0))),
-        ])
-    });
+        ]))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     result.notes.push(
         "gap: time spent traversing queues raises gap / lowers message rate (§I); \
          the ALPU removes the queue-depth dependence within its capacity"
@@ -262,7 +277,7 @@ fn gap(spec: &RunSpec, burst: usize, result: &mut RunResult) -> Result<(), Strin
     Ok(())
 }
 
-fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
+fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) -> Result<(), String> {
     result.rows = run_parallel((0..=max).collect(), spec.sweep_threads, |&q| {
         let [b, a128, a256] = NicVariant::ALL.map(|v| {
             let point = PrepostedPoint {
@@ -270,9 +285,10 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
                 fraction: 1.0,
                 msg_size: 0,
             };
-            preposted_latency_cfg(v.config(), point).latency
+            preposted_latency_cfg(v.config(), point).map_err(stalled((v, point)))
         });
-        ResultRow(vec![
+        let [b, a128, a256] = [b?.latency, a128?.latency, a256?.latency];
+        Ok(ResultRow(vec![
             ("queue_len", Int(q as u64)),
             ("baseline_us", Real(b.as_us_f64(), Some(4))),
             ("alpu128_us", Real(a128.as_us_f64(), Some(4))),
@@ -281,8 +297,10 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
                 "alpu128_delta_ns",
                 Real(a128.as_ns_f64() - b.as_ns_f64(), Some(1)),
             ),
-        ])
-    });
+        ]))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     let delta = |row: &ResultRow| row.num("alpu128_delta_ns").expect("swept point");
     // Row `q` is queue length `q`.
     let breakeven = result.rows.iter().position(|row| delta(row) <= 0.0);
@@ -292,6 +310,7 @@ fn breakeven(spec: &RunSpec, max: usize, result: &mut RunResult) {
         breakeven,
         delta(&result.rows[0])
     ));
+    Ok(())
 }
 
 fn soak(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
@@ -783,7 +802,7 @@ fn collectives(
     Ok(())
 }
 
-fn appstudy(spec: &RunSpec, result: &mut RunResult) {
+fn appstudy(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     use crate::appsim::{run_app, AppPattern};
     let patterns = [
         AppPattern::Stencil2D {
@@ -807,8 +826,8 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
         .flat_map(|&p| NicVariant::ALL.map(|v| (p, v)))
         .collect();
     result.rows = run_parallel(work, spec.sweep_threads, |&(p, v)| {
-        let s = run_app(v.config(), p);
-        ResultRow(vec![
+        let s = run_app(v.config(), p).map_err(stalled((p, v)))?;
+        Ok(ResultRow(vec![
             ("pattern", Text(p.name().to_string())),
             ("config", Text(v.label().to_string())),
             ("max_posted", Int(s.max_posted)),
@@ -817,14 +836,17 @@ fn appstudy(spec: &RunSpec, result: &mut RunResult) {
             ("avg_unexp", Real(s.avg_unexpected, Some(1))),
             ("traversed", Int(s.traversed)),
             ("runtime_us", Real(s.runtime.as_us_f64(), Some(1))),
-        ])
-    });
+        ]))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     result.notes.push(
         "\nappstudy: queue depths reach tens-to-hundreds of entries exactly as \
          the motivating studies [8,9] report; the ALPU configurations absorb \
          the traversal work."
             .to_string(),
     );
+    Ok(())
 }
 
 fn ablation_block(result: &mut RunResult) {
@@ -867,7 +889,7 @@ fn latency_sweep(
     spec: &RunSpec,
     queues: &[usize],
     configs: &[(String, NicConfig)],
-) -> Vec<ResultRow> {
+) -> Result<Vec<ResultRow>, String> {
     let work: Vec<(usize, &(String, NicConfig))> = queues
         .iter()
         .flat_map(|&q| configs.iter().map(move |c| (q, c)))
@@ -878,13 +900,15 @@ fn latency_sweep(
             fraction: 1.0,
             msg_size: 0,
         };
-        let latency = preposted_latency_cfg(*nic, point).latency;
-        ResultRow(vec![
+        let r = preposted_latency_cfg(*nic, point).map_err(stalled((label, point)))?;
+        Ok(ResultRow(vec![
             ("queue", Int(queue_len as u64)),
             ("config", Text(label.clone())),
-            ("latency_us", Real(latency.as_us_f64(), Some(3))),
-        ])
+            ("latency_us", Real(r.latency.as_us_f64(), Some(3))),
+        ]))
     })
+    .into_iter()
+    .collect()
 }
 
 /// The latency of `config` at `queue` in [`latency_sweep`] rows.
@@ -895,7 +919,7 @@ fn latency_at(rows: &[ResultRow], config: &str, queue: usize) -> f64 {
     row.and_then(|r| r.num("latency_us")).expect("swept point")
 }
 
-fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
+fn ablation_hash(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     let configs = [
         ("list", NicConfig::baseline()),
         ("hash16", NicConfig::with_hash(16)),
@@ -917,31 +941,32 @@ fn ablation_hash(spec: &RunSpec, result: &mut RunResult) {
             wildcard_prepost: wildcard,
             msg_size: 0,
         };
-        ResultRow(vec![
+        let rtt = postloop_rtt(nic, point).map_err(stalled((label, point)))?;
+        Ok(ResultRow(vec![
             ("sweep", Text(sweep.to_string())),
             ("depth", Int(q as u64)),
             ("config", Text(label.to_string())),
-            (
-                "rtt_us",
-                Real(postloop_rtt(nic, point).as_us_f64(), Some(3)),
-            ),
-        ])
-    });
+            ("rtt_us", Real(rtt.as_us_f64(), Some(3))),
+        ]))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     result.notes.push(
         "\nablation_hash: hashing wins on deep exact queues, loses the \
          zero-depth row to its insertion cost, and degenerates under \
          wildcard pollution; the ALPU dominates all three regimes."
             .to_string(),
     );
+    Ok(())
 }
 
-fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
+fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     let configs = [
         ("baseline".to_string(), NicConfig::baseline()),
         ("prefetch".to_string(), NicConfig::with_prefetch()),
         ("alpu256".to_string(), NicConfig::with_alpus(256)),
     ];
-    result.rows = latency_sweep(spec, &[0, 100, 200, 300, 400, 450, 500], &configs);
+    result.rows = latency_sweep(spec, &[0, 100, 200, 300, 400, 450, 500], &configs)?;
     // Marginal cost in the out-of-cache band.
     for label in ["baseline", "prefetch"] {
         let at = |q| latency_at(&result.rows, label, q);
@@ -956,9 +981,10 @@ fn ablation_prefetch(spec: &RunSpec, result: &mut RunResult) {
          issue-bound walk; only the ALPU flattens the curve."
             .to_string(),
     );
+    Ok(())
 }
 
-fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
+fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     let mut configs = vec![("baseline".to_string(), NicConfig::baseline())];
     for threshold in [0usize, 5, 10] {
         let mut cfg = NicConfig::with_alpus(128);
@@ -968,7 +994,7 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
         configs.push((format!("alpu128(thr={threshold})"), cfg));
     }
     let queues: Vec<usize> = (0..=16).chain([32, 64, 128]).collect();
-    result.rows = latency_sweep(spec, &queues, &configs);
+    result.rows = latency_sweep(spec, &queues, &configs)?;
     // Summary: penalty at queue 0 per threshold.
     let base0 = latency_at(&result.rows, "baseline", 0);
     for (label, _) in &configs[1..] {
@@ -977,9 +1003,10 @@ fn ablation_threshold(spec: &RunSpec, result: &mut RunResult) {
             "ablation_threshold: {label} zero-length penalty {penalty:.0} ns"
         ));
     }
+    Ok(())
 }
 
-fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
+fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) -> Result<(), String> {
     let work: Vec<(u32, NicVariant, RecvStrategy)> = [2u32, 4, 8, 12]
         .into_iter()
         .flat_map(|s| [NicVariant::Baseline, NicVariant::Alpu128].map(|v| (s, v)))
@@ -988,12 +1015,13 @@ fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
         })
         .collect();
     result.rows = run_parallel(work, spec.sweep_threads, |&(senders, v, strategy)| {
-        let r = wildcard_workaround(v.config(), strategy, senders, 48);
+        let r = wildcard_workaround(v.config(), strategy, senders, 48)
+            .map_err(stalled((senders, v, strategy)))?;
         let strategy = match strategy {
             RecvStrategy::AnySource => "any_source",
             RecvStrategy::PostAllCancel => "post_all+cancel",
         };
-        ResultRow(vec![
+        Ok(ResultRow(vec![
             ("senders", Int(senders.into())),
             ("config", Text(v.label().to_string())),
             ("strategy", Text(strategy.to_string())),
@@ -1001,8 +1029,10 @@ fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
             ("traversed", Int(r.software_traversed)),
             ("ghosts", Int(r.ghosted_cancels)),
             ("purges", Int(r.purges)),
-        ])
-    });
+        ]))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     result.notes.push(
         "\nablation_wildcard: the workaround multiplies receiver-side work by \
          the source count and — on ALPU hardware with no DELETE command — \
@@ -1010,6 +1040,7 @@ fn ablation_wildcard(spec: &RunSpec, result: &mut RunResult) {
          MPI_ANY_SOURCE costs none of that (§II)."
             .to_string(),
     );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1050,7 +1081,8 @@ mod tests {
                 fraction: 1.0,
                 msg_size: 0,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             lines[1],
             format!(

@@ -10,6 +10,7 @@
 //! receiver's NIC pays a full traversal per message. Gap = burst drain
 //! time at the receiver divided by the burst size.
 
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -35,8 +36,9 @@ pub struct GapResult {
     pub drain: Time,
 }
 
-/// Measure the gap for one configuration.
-pub fn message_gap(nic: NicConfig, p: GapPoint) -> GapResult {
+/// Measure the gap for one configuration, or return the watchdog's
+/// diagnosis if a rank never finishes.
+pub fn message_gap(nic: NicConfig, p: GapPoint) -> Result<GapResult, Box<Diagnosis>> {
     let marks = mark_log();
 
     // Rank 0: fire the whole burst, overlapped.
@@ -72,13 +74,13 @@ pub fn message_gap(nic: NicConfig, p: GapPoint) -> GapResult {
             Box::new(p1) as Box<dyn AppProgram>,
         ],
     );
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
     let m = marks.borrow();
     let drain = m[1].1 - m[0].1;
-    GapResult {
+    Ok(GapResult {
         gap: drain / p.burst as u64,
         drain,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -94,6 +96,7 @@ mod tests {
                 msg_size: 0,
             },
         )
+        .unwrap()
         .gap
     }
 

@@ -11,6 +11,8 @@
 use crate::preposted::preposted_programs;
 use crate::unexpected::unexpected_programs;
 use crate::{PrepostedPoint, UnexpectedPoint};
+use mpiq_dessim::watchdog::Diagnosis;
+use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
 use mpiq_mpi::{Cluster, ClusterConfig};
 use mpiq_nic::NicConfig;
@@ -28,31 +30,39 @@ pub struct TracedRun {
 }
 
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
-/// Deterministic: equal inputs give byte-equal exports.
-pub fn traced_preposted(nic: NicConfig, p: PrepostedPoint, trace_capacity: usize) -> TracedRun {
+/// Deterministic: equal inputs give byte-equal exports. A rank that
+/// never finishes is the watchdog's diagnosis.
+pub fn traced_preposted(
+    nic: NicConfig,
+    p: PrepostedPoint,
+    trace_capacity: usize,
+) -> Result<TracedRun, Box<Diagnosis>> {
     let mut cluster = Cluster::new(
         ClusterConfig::builder(nic)
             .observability(trace_capacity)
             .build(),
         preposted_programs(p, &mark_log()),
     );
-    cluster.run();
-
-    export(cluster)
+    cluster.run_watched(Time::MAX)?;
+    Ok(export(cluster))
 }
 
 /// Run one unexpected-queue point with tracing and metrics enabled: the
 /// exchange Fig. 6 times (`queue_len` unexpected fillers, then the timed
 /// ping/pongs whose receive postings search past them).
-pub fn traced_unexpected(nic: NicConfig, p: UnexpectedPoint, trace_capacity: usize) -> TracedRun {
+pub fn traced_unexpected(
+    nic: NicConfig,
+    p: UnexpectedPoint,
+    trace_capacity: usize,
+) -> Result<TracedRun, Box<Diagnosis>> {
     let mut cluster = Cluster::new(
         ClusterConfig::builder(nic)
             .observability(trace_capacity)
             .build(),
         unexpected_programs(p, &mark_log()),
     );
-    cluster.run();
-    export(cluster)
+    cluster.run_watched(Time::MAX)?;
+    Ok(export(cluster))
 }
 
 fn export(cluster: Cluster) -> TracedRun {
@@ -80,7 +90,7 @@ mod tests {
 
     #[test]
     fn traced_run_captures_alpu_and_queue_events() {
-        let run = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 16);
+        let run = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 16).unwrap();
         assert!(run.records > 0);
         assert_eq!(run.dropped, 0, "ring sized for the whole run");
         jsonlint::validate(&run.chrome_json).expect("valid JSON");
@@ -107,7 +117,8 @@ mod tests {
                 msg_size: 64,
             },
             1 << 16,
-        );
+        )
+        .unwrap();
         jsonlint::validate(&run.chrome_json).expect("valid JSON");
         assert!(run.chrome_json.contains("unexpected.depth"), "counters");
         assert!(
@@ -119,8 +130,8 @@ mod tests {
 
     #[test]
     fn traced_run_is_deterministic() {
-        let a = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14);
-        let b = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14);
+        let a = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14).unwrap();
+        let b = traced_preposted(NicVariant::Alpu128.config(), small_point(), 1 << 14).unwrap();
         assert_eq!(a.chrome_json, b.chrome_json);
         assert_eq!(a.metrics_text, b.metrics_text);
     }

@@ -10,6 +10,7 @@
 //! posted-queue search when the ping arrives (where the pre-posted depth
 //! bites), and the wildcard side-walk (where hash matching degrades).
 
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -33,8 +34,9 @@ const PONG_TAG: u16 = 8;
 const ITERS: u32 = 8;
 const WARMUP: u32 = 2;
 
-/// Mean per-iteration round-trip time at the sender.
-pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint) -> Time {
+/// Mean per-iteration round-trip time at the sender, or the watchdog's
+/// diagnosis if a rank never finishes.
+pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint) -> Result<Time, Box<Diagnosis>> {
     let marks = mark_log();
 
     // Rank 0: sender, measures full iterations.
@@ -76,13 +78,13 @@ pub fn postloop_rtt(nic: NicConfig, p: PostLoopPoint) -> Time {
             Box::new(p1) as Box<dyn AppProgram>,
         ],
     );
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
     let m = marks.borrow();
     let mut total = Time::ZERO;
     for i in WARMUP..ITERS {
         total += m[(2 * i + 1) as usize].1 - m[(2 * i) as usize].1;
     }
-    total / (ITERS - WARMUP) as u64
+    Ok(total / (ITERS - WARMUP) as u64)
 }
 
 #[cfg(test)]
@@ -99,6 +101,7 @@ mod tests {
                 msg_size: 0,
             },
         )
+        .unwrap()
     }
 
     #[test]

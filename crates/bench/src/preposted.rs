@@ -8,6 +8,7 @@
 
 use crate::faultstats::FaultCounters;
 use crate::NicVariant;
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::{mark_log, MarkLog};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -44,29 +45,36 @@ pub struct PrepostedResult {
     pub faults: FaultCounters,
 }
 
-/// Run one point and return its measurements. Deterministic: equal inputs
-/// give equal outputs.
-pub fn preposted_latency(variant: NicVariant, p: PrepostedPoint) -> PrepostedResult {
+/// Run one point and return its measurements, or the watchdog's
+/// diagnosis if a rank never finishes. Deterministic: equal inputs give
+/// equal outputs.
+pub fn preposted_latency(
+    variant: NicVariant,
+    p: PrepostedPoint,
+) -> Result<PrepostedResult, Box<Diagnosis>> {
     preposted_latency_cfg(variant.config(), p)
 }
 
 /// [`preposted_latency`] with an explicit NIC configuration (for
 /// ablations that tweak individual knobs).
-pub fn preposted_latency_cfg(nic: mpiq_nic::NicConfig, p: PrepostedPoint) -> PrepostedResult {
+pub fn preposted_latency_cfg(
+    nic: mpiq_nic::NicConfig,
+    p: PrepostedPoint,
+) -> Result<PrepostedResult, Box<Diagnosis>> {
     let marks = mark_log();
     let mut cluster = Cluster::new(ClusterConfig::new(nic), preposted_programs(p, &marks));
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
 
     let m = marks.borrow();
     assert_eq!(m.len(), 2, "sender must mark start and end");
     let rtt = m[1].1 - m[0].1;
     let fw = cluster.nic(1).firmware().stats();
-    PrepostedResult {
+    Ok(PrepostedResult {
         latency: rtt / 2,
         sw_traversed: fw.posted_entries_traversed,
         rx_l1_misses: cluster.nic(1).core().mem().l1().misses(),
         faults: FaultCounters::collect(&cluster),
-    }
+    })
 }
 
 /// The two ranks' scripts of one point; the sender marks the start (0)
@@ -129,6 +137,7 @@ mod tests {
                 msg_size: 0,
             },
         )
+        .unwrap()
         .latency
     }
 
@@ -184,7 +193,8 @@ mod tests {
                 fraction: 1.0,
                 msg_size: 0,
             },
-        );
+        )
+        .unwrap();
         let half = preposted_latency(
             NicVariant::Baseline,
             PrepostedPoint {
@@ -192,7 +202,8 @@ mod tests {
                 fraction: 0.5,
                 msg_size: 0,
             },
-        );
+        )
+        .unwrap();
         assert!(half.latency < full.latency);
         assert!(half.sw_traversed < full.sw_traversed);
     }
@@ -205,8 +216,8 @@ mod tests {
             msg_size: 1024,
         };
         assert_eq!(
-            preposted_latency(NicVariant::Alpu128, p).latency,
-            preposted_latency(NicVariant::Alpu128, p).latency
+            preposted_latency(NicVariant::Alpu128, p).unwrap().latency,
+            preposted_latency(NicVariant::Alpu128, p).unwrap().latency
         );
     }
 }

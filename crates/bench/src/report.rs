@@ -6,6 +6,7 @@ use crate::cli::Cli;
 use crate::jsonlint::{self, Json};
 use crate::spec::{ResultRow, RunResult, RunSpec, Value};
 use crate::TracedRun;
+use mpiq_dessim::watchdog::Diagnosis;
 use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 use std::process::exit;
@@ -145,13 +146,17 @@ pub fn run(cli: &Cli, spec: &RunSpec, present: impl FnOnce(&RunResult)) {
 /// `--trace-out PATH` and `--metrics`: when either is given, run the
 /// bin's one instrumented point (`traced`, on NIC `config`), write its
 /// Chrome timeline to PATH and print its histograms to stderr. An
-/// unwritable PATH exits 1, as an unwritable `--out` does.
-pub fn trace(cli: &Cli, config: &str, traced: impl FnOnce() -> TracedRun) {
+/// unwritable PATH, like an unwritable `--out`, and a traced point that
+/// stalls are one line and exit 1.
+pub fn trace(cli: &Cli, config: &str, traced: impl FnOnce() -> Result<TracedRun, Box<Diagnosis>>) {
     let (name, common) = (cli.name(), &cli.common);
     if common.trace_out.is_none() && !common.metrics {
         return;
     }
-    let run = traced();
+    let run = traced().unwrap_or_else(|d| {
+        eprintln!("{name}: traced {config} point stalled: {}", d.headline());
+        exit(1)
+    });
     if run.dropped > 0 {
         eprintln!(
             "{name}: trace ring overflowed, {} records dropped",

@@ -10,6 +10,7 @@
 
 use crate::faultstats::FaultCounters;
 use crate::NicVariant;
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::{mark_log, MarkLog};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -42,16 +43,23 @@ pub struct UnexpectedResult {
     pub faults: FaultCounters,
 }
 
-/// Run one point.
-pub fn unexpected_latency(variant: NicVariant, p: UnexpectedPoint) -> UnexpectedResult {
+/// Run one point, or return the watchdog's diagnosis if a rank never
+/// finishes.
+pub fn unexpected_latency(
+    variant: NicVariant,
+    p: UnexpectedPoint,
+) -> Result<UnexpectedResult, Box<Diagnosis>> {
     unexpected_latency_cfg(variant.config(), p)
 }
 
 /// [`unexpected_latency`] with an explicit NIC configuration.
-pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> UnexpectedResult {
+pub fn unexpected_latency_cfg(
+    nic: mpiq_nic::NicConfig,
+    p: UnexpectedPoint,
+) -> Result<UnexpectedResult, Box<Diagnosis>> {
     let marks = mark_log();
     let mut cluster = Cluster::new(ClusterConfig::new(nic), unexpected_programs(p, &marks));
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
 
     let m = marks.borrow();
     assert_eq!(m.len(), (2 * ITERS) as usize);
@@ -62,11 +70,11 @@ pub fn unexpected_latency_cfg(nic: mpiq_nic::NicConfig, p: UnexpectedPoint) -> U
         total += end - start;
     }
     let fw = cluster.nic(1).firmware().stats();
-    UnexpectedResult {
+    Ok(UnexpectedResult {
         latency: total / (ITERS - WARMUP) as u64,
         sw_traversed: fw.unexpected_entries_traversed,
         faults: FaultCounters::collect(&cluster),
-    }
+    })
 }
 
 /// The two ranks' scripts of one point; the receiver marks the start
@@ -124,6 +132,7 @@ mod tests {
                 msg_size: 64,
             },
         )
+        .unwrap()
         .latency
     }
 
@@ -170,14 +179,16 @@ mod tests {
                 queue_len: 100,
                 msg_size: 64,
             },
-        );
+        )
+        .unwrap();
         let alpu = unexpected_latency(
             NicVariant::Alpu128,
             UnexpectedPoint {
                 queue_len: 100,
                 msg_size: 64,
             },
-        );
+        )
+        .unwrap();
         assert!(
             alpu.sw_traversed * 5 < base.sw_traversed,
             "ALPU should offload the search: {} vs {}",

@@ -13,6 +13,7 @@
 //! receives become tombstones (there is no DELETE command) and force
 //! periodic RESET+rebuild purges.
 
+use mpiq_dessim::watchdog::Diagnosis;
 use mpiq_dessim::Time;
 use mpiq_mpi::script::mark_log;
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
@@ -41,13 +42,14 @@ pub struct WildcardStudy {
     pub purges: u64,
 }
 
-/// Run `iters` iterations with `senders` possible sources.
+/// Run `iters` iterations with `senders` possible sources, or return
+/// the watchdog's diagnosis if a rank never finishes.
 pub fn wildcard_workaround(
     nic: NicConfig,
     strategy: RecvStrategy,
     senders: u32,
     iters: u32,
-) -> WildcardStudy {
+) -> Result<WildcardStudy, Box<Diagnosis>> {
     let marks = mark_log();
     let period = Time::from_us(4);
 
@@ -91,15 +93,15 @@ pub fn wildcard_workaround(
     }
 
     let mut cluster = Cluster::new(ClusterConfig::new(nic), programs);
-    cluster.run();
+    cluster.run_watched(Time::MAX)?;
     let m = marks.borrow();
     let fw = cluster.nic(0).firmware().stats();
-    WildcardStudy {
+    Ok(WildcardStudy {
         total: m[1].1 - m[0].1,
         software_traversed: fw.posted_entries_traversed + fw.unexpected_entries_traversed,
         ghosted_cancels: fw.ghosted_cancels,
         purges: fw.alpu_purges,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -108,8 +110,10 @@ mod tests {
 
     #[test]
     fn workaround_is_slower_than_any_source() {
-        let any = wildcard_workaround(NicConfig::baseline(), RecvStrategy::AnySource, 6, 16);
-        let all = wildcard_workaround(NicConfig::baseline(), RecvStrategy::PostAllCancel, 6, 16);
+        let any =
+            wildcard_workaround(NicConfig::baseline(), RecvStrategy::AnySource, 6, 16).unwrap();
+        let all =
+            wildcard_workaround(NicConfig::baseline(), RecvStrategy::PostAllCancel, 6, 16).unwrap();
         assert!(
             all.software_traversed > any.software_traversed * 2,
             "the workaround must burn more processing: {} vs {}",
@@ -126,7 +130,8 @@ mod tests {
             RecvStrategy::PostAllCancel,
             6,
             40,
-        );
+        )
+        .unwrap();
         assert!(
             s.ghosted_cancels > 50,
             "cancelled hardware-resident receives must tombstone: {}",
@@ -140,7 +145,8 @@ mod tests {
 
     #[test]
     fn any_source_on_alpu_stays_clean() {
-        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::AnySource, 6, 40);
+        let s = wildcard_workaround(NicConfig::with_alpus(128), RecvStrategy::AnySource, 6, 40)
+            .unwrap();
         assert_eq!(s.ghosted_cancels, 0);
         assert_eq!(s.purges, 0);
     }
@@ -151,7 +157,7 @@ mod tests {
         // receiver reaching mark 1 is the delivery proof; check timing
         // sanity too.
         for strategy in [RecvStrategy::AnySource, RecvStrategy::PostAllCancel] {
-            let s = wildcard_workaround(NicConfig::with_alpus(128), strategy, 4, 12);
+            let s = wildcard_workaround(NicConfig::with_alpus(128), strategy, 4, 12).unwrap();
             assert!(s.total > Time::from_us(12), "{strategy:?}: {:?}", s.total);
         }
     }

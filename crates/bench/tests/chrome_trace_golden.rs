@@ -129,7 +129,8 @@ fn cluster_trace_is_valid_and_structured() {
             msg_size: 64,
         },
         1 << 16,
-    );
+    )
+    .unwrap();
     jsonlint::validate(&run.chrome_json).expect("valid JSON");
     assert_eq!(run.dropped, 0);
     // The acceptance shape: ALPU command/response duration events and

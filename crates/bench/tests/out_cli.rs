@@ -2,7 +2,8 @@
 //! `--trace-out` path that cannot be written is a one-line error and
 //! exit 1, never a panic, a common flag a bin does not read is an
 //! unknown flag (exit 2), an out-of-range value is a usage error (exit
-//! 2), and a closed stdout is not an error.
+//! 2), a sweep point that stalls is a one-line error (exit 1), and a
+//! closed stdout is not an error.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -110,6 +111,38 @@ fn out_of_range_fractions_exit_2() {
     assert_eq!(
         stderr,
         "fig5: invalid value for --fractions: 2 is not in [0, 1]\n"
+    );
+}
+
+/// A point whose ranks never finish, here because every frame is
+/// dropped, is the watchdog's one-line diagnosis and exit 1, never a
+/// panic (exit 101).
+#[test]
+fn stalled_point_is_a_one_line_error() {
+    let args = [
+        "--config",
+        "baseline",
+        "--max-queue",
+        "2",
+        "--step",
+        "1",
+        "--fractions",
+        "1",
+        "--sizes",
+        "0",
+        "--faults",
+        "seed=1,drop=1.0",
+    ];
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_fig5"), &args);
+    assert_eq!(code, Some(1), "{stderr}");
+    // The sweep's progress note, then the one error line.
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 2, "{stderr}");
+    assert!(lines[0].starts_with("fig5: 3 points"), "{stderr}");
+    assert!(
+        lines[1].starts_with("fig5: (Baseline, PrepostedPoint { queue_len: 0,")
+            && lines[1].contains(" stalled: quiescent deadlock at t="),
+        "{stderr}"
     );
 }
 

@@ -127,6 +127,18 @@ impl Diagnosis {
             .collect()
     }
 
+    /// The report's first line: the stall's kind and time, the events
+    /// delivered and the stuck components.
+    pub fn headline(&self) -> String {
+        format!(
+            "{} at t={} after {} events; stuck: [{}]",
+            self.kind,
+            self.at,
+            self.events_processed,
+            self.stuck().join(", "),
+        )
+    }
+
     /// All notes mentioning `needle` (e.g. a peer id) across components.
     pub fn notes_containing(&self, needle: &str) -> Vec<&str> {
         self.components
@@ -140,14 +152,7 @@ impl Diagnosis {
 
 impl fmt::Display for Diagnosis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} at t={} after {} events; stuck: [{}]",
-            self.kind,
-            self.at,
-            self.events_processed,
-            self.stuck().join(", "),
-        )?;
+        writeln!(f, "{}", self.headline())?;
         for (name, h) in &self.components {
             if !h.busy && h.notes.is_empty() {
                 continue; // idle and silent: not part of the story

@@ -72,10 +72,10 @@ fn parallel_sweep_equals_serial_sweep() {
         })
         .collect();
     let serial = run_parallel(points.clone(), 1, |&p| {
-        preposted_latency(NicVariant::Alpu128, p).latency
+        preposted_latency(NicVariant::Alpu128, p).unwrap().latency
     });
     let parallel = run_parallel(points, 8, |&p| {
-        preposted_latency(NicVariant::Alpu128, p).latency
+        preposted_latency(NicVariant::Alpu128, p).unwrap().latency
     });
     assert_eq!(serial, parallel);
 }
@@ -102,8 +102,8 @@ fn fig5_points_repeat_exactly() {
                 fraction: 1.0,
                 msg_size: 64,
             };
-            let base = preposted_latency_cfg(v.config(), p);
-            let again = preposted_latency_cfg(v.config(), p);
+            let base = preposted_latency_cfg(v.config(), p).unwrap();
+            let again = preposted_latency_cfg(v.config(), p).unwrap();
             assert_eq!(
                 (again.latency, again.sw_traversed, again.rx_l1_misses),
                 (base.latency, base.sw_traversed, base.rx_l1_misses),
@@ -123,8 +123,8 @@ fn fig6_points_repeat_exactly() {
                 queue_len,
                 msg_size: 64,
             };
-            let base = unexpected_latency_cfg(v.config(), p);
-            let again = unexpected_latency_cfg(v.config(), p);
+            let base = unexpected_latency_cfg(v.config(), p).unwrap();
+            let again = unexpected_latency_cfg(v.config(), p).unwrap();
             assert_eq!(
                 (again.latency, again.sw_traversed),
                 (base.latency, base.sw_traversed),
@@ -217,8 +217,8 @@ fn armed_traces_repeat_byte_for_byte() {
         fraction: 1.0,
         msg_size: 64,
     };
-    let base = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16);
-    let again = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16);
+    let base = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16).unwrap();
+    let again = traced_preposted(NicVariant::Alpu128.config(), p5, 1 << 16).unwrap();
     assert_eq!(
         again.chrome_json, base.chrome_json,
         "fig5 trace diverged between runs"
@@ -234,8 +234,8 @@ fn armed_traces_repeat_byte_for_byte() {
         queue_len: 40,
         msg_size: 64,
     };
-    let base = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16);
-    let again = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16);
+    let base = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16).unwrap();
+    let again = traced_unexpected(NicVariant::Alpu128.config(), p6, 1 << 16).unwrap();
     assert_eq!(
         again.chrome_json, base.chrome_json,
         "fig6 trace diverged between runs"

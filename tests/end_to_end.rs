@@ -169,6 +169,7 @@ fn headline_claims_hold() {
                 msg_size: 0,
             },
         )
+        .unwrap()
         .latency
     };
     // ~15 ns/entry in cache.
@@ -201,6 +202,7 @@ fn headline_claims_hold() {
                 msg_size: 64,
             },
         )
+        .unwrap()
         .latency
     };
     let (a20, b20) = (
