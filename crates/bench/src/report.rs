@@ -55,20 +55,43 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// The checked-out commit, suffixed `-dirty` when tracked files differ
-/// from it (untracked files do not count), or `unknown` outside a
-/// checkout. Tags are ignored, so the stamp is always an abbreviated
-/// commit id.
+/// The checked-out commit, suffixed `-dirty` when a tracked code path
+/// ([`is_code_path`]) differs from it, or `unknown` outside a checkout.
+/// A changed record or document leaves the stamp clean, so re-recording
+/// a tracked baseline twice in a row stamps the same version.
 fn code_version() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--exclude=*"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(commit) = git(&["rev-parse", "--short", "HEAD"])
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
+    if changed.lines().any(is_code_path) {
+        format!("{commit}-dirty")
+    } else {
+        commit
+    }
+}
+
+/// Is `path` (relative to the repository root) part of what builds the
+/// program: the crates, the root package, the shims, the benchmark and
+/// the root manifests?
+fn is_code_path(path: &str) -> bool {
+    ["crates/", "src/", "shims/", "benchmark/"]
+        .iter()
+        .any(|dir| path.starts_with(dir))
+        || path
+            .strip_prefix("Cargo.")
+            .is_some_and(|rest| !rest.contains('/'))
 }
 
 /// The record `{bench, version, command, rows}` of a run: the code
@@ -295,6 +318,33 @@ pub fn gate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_code_paths_dirty_the_version() {
+        for code in [
+            "crates/bench/src/report.rs",
+            "crates/dessim/Cargo.toml",
+            "src/lib.rs",
+            "shims/proptest/src/lib.rs",
+            "benchmark/src/main.rs",
+            "Cargo.toml",
+            "Cargo.lock",
+        ] {
+            assert!(is_code_path(code), "{code}");
+        }
+        for other in [
+            "BENCH_scaling.json",
+            "ROADMAP.md",
+            "CHANGES.md",
+            "tests/golden/stats_registry.txt",
+            ".github/workflows/ci.yml",
+            "examples/quickstart.rs",
+            "docs/Cargo.toml",
+            "srcs/x.rs",
+        ] {
+            assert!(!is_code_path(other), "{other}");
+        }
+    }
 
     #[test]
     fn json_escaping() {
