@@ -21,9 +21,10 @@
 //! Pending events are kept in *runs*: lists already in key order. A
 //! push whose time is no earlier than the previous push's joins that
 //! push's run (its `seq` is larger, so the run stays sorted); any other
-//! push starts a run. A host that dispatches a step's requests at
-//! increasing times fills one run, as does a chain of handlers each
-//! emitting a little later than the last.
+//! push starts a run. So a run is a block of consecutive pushes. A host
+//! that dispatches a step's requests at increasing times fills one run,
+//! as does a chain of handlers each emitting a little later than the
+//! last.
 //!
 //! A binary heap holds one entry per run, keyed by the run's first
 //! event. Each run is sorted, so the smallest entry is the smallest
@@ -43,19 +44,10 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-/// One pending event.
-struct Scheduled {
-    time: Time,
-    seq: u64,
-    dst: ComponentId,
-    port: InPort,
-    payload: Payload,
-}
-
 /// A run's heap entry: the key of its first event, and that event's
 /// node in [`Shard::nodes`]. `seq` is unique, so `node` never decides
 /// an order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Head {
     time: Time,
     seq: u64,
@@ -63,9 +55,14 @@ struct Head {
 }
 
 /// A slab slot: a pending event and the next node of its run, or, with
-/// no event, a free slot and the next free one.
+/// an empty payload, a free slot and the next free one. A run is a block
+/// of consecutive pushes, so an event's `seq` is one more than that of
+/// the event before it in its run, and is not stored.
 struct Node {
-    ev: Option<Scheduled>,
+    time: Time,
+    dst: ComponentId,
+    port: InPort,
+    payload: Payload,
     next: Option<u32>,
 }
 
@@ -91,23 +88,28 @@ impl Shard {
     pub(crate) fn push(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
         let seq = self.seq;
         self.seq += 1;
-        let ev = Some(Scheduled {
-            time,
-            seq,
-            dst,
-            port,
-            payload,
-        });
         let node = match self.free {
             Some(node) => {
                 let slot = &mut self.nodes[node as usize];
-                self.free = slot.next.take();
-                slot.ev = ev;
+                self.free = slot.next;
+                *slot = Node {
+                    time,
+                    dst,
+                    port,
+                    payload,
+                    next: None,
+                };
                 node
             }
             None => {
-                self.nodes.push(Node { ev, next: None });
-                (self.nodes.len() - 1) as u32
+                self.nodes.push(Node {
+                    time,
+                    dst,
+                    port,
+                    payload,
+                    next: None,
+                });
+                u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
         match self.last {
@@ -128,19 +130,23 @@ impl Shard {
         if top.0.time > horizon {
             return None;
         }
-        let node = top.0.node;
+        let Head { time, seq, node } = top.0;
         let slot = &mut self.nodes[node as usize];
-        let ev = slot.ev.take().expect("a run's node holds an event");
+        let payload = std::mem::replace(&mut slot.payload, Payload::empty());
+        let ev = Event {
+            time,
+            dst: slot.dst,
+            port: slot.port,
+            payload,
+        };
         let next = std::mem::replace(&mut slot.next, self.free);
         self.free = Some(node);
         match next {
             // Re-key the run in place; the heap sifts it down on drop.
             Some(next) => {
-                let head = self.nodes[next as usize].ev.as_ref();
-                let head = head.expect("a run's node holds an event");
                 top.0 = Head {
-                    time: head.time,
-                    seq: head.seq,
+                    time: self.nodes[next as usize].time,
+                    seq: seq + 1,
                     node: next,
                 };
             }
@@ -151,12 +157,7 @@ impl Shard {
                 }
             }
         }
-        Some(Event {
-            time: ev.time,
-            dst: ev.dst,
-            port: ev.port,
-            payload: ev.payload,
-        })
+        Some(ev)
     }
 
     /// Is no event pending?
