@@ -8,10 +8,11 @@
 //! picosecond-resolution virtual time.
 //!
 //! There is one executive, one event queue and one event loop. A
-//! [`Simulation`] keeps every pending event in one binary heap ordered
-//! by `(time, seq)`, where `seq` is a global emission counter: events at
-//! equal times run in the order they were emitted (see [`scheduler`]
-//! and [`shard`]).
+//! [`Simulation`] delivers its pending events in `(time, seq)` order,
+//! where `seq` is a global emission counter: events at equal times run
+//! in the order they were emitted (see [`scheduler`]). The queue keeps
+//! them in sorted runs under a binary heap of run heads (see
+//! [`shard`]).
 //! Every handler runs on the calling thread.
 //!
 //! Design goals, in order:

@@ -1,13 +1,14 @@
 //! The simulation executive: the one type that owns components,
 //! wiring, virtual time, the event queue, and the run loop.
 //!
-//! Every pending event of a [`Simulation`] sits in its one shard's
-//! binary heap, ordered by the key `(time, seq)`: the delivery time,
-//! then a global emission counter (see [`crate::shard`]). So events at
-//! equal times run in the order they were emitted, across every
-//! component in the simulation. The run loop pops the smallest key,
-//! advances `now` to its time and hands the event to its component, on
-//! the calling thread.
+//! Every pending event of a [`Simulation`] sits in its one shard,
+//! ordered by the key `(time, seq)`: the delivery time, then a global
+//! emission counter. The shard keeps the events in sorted runs, with a
+//! binary heap over the runs' first events (see [`crate::shard`]). So
+//! events at equal times run in the order they were emitted, across
+//! every component in the simulation. The run loop pops the smallest
+//! key, advances `now` to its time and hands the event to its
+//! component, on the calling thread.
 
 use crate::component::{Component, ComponentId, Ctx, Emission};
 use crate::event::{InPort, OutPort, Payload};
